@@ -3,12 +3,16 @@
 In low dimensionality the self-join result can exceed the GPU's global
 memory, and even when it does not, splitting the work into at least three
 batches lets the result transfer of one batch overlap with the computation
-of the next.  This module provides:
+of the next.  The CPU engine has no transfer to hide, so it batches only
+when the result may not fit (see :mod:`repro.engine.planner`); the paper's
+experiments (``SelfJoinConfig``, the figures and Table II) pin
+``min_batches=3`` to keep the ≥3-batch overlap scheme.  This module provides:
 
-* :class:`BatchPlanner` — estimates the total result size by joining a sample
-  of the non-empty cells, sizes the per-batch result buffer against the
-  device's free global memory, and splits the non-empty cells into
-  work-balanced batches (never fewer than ``min_batches``, the paper uses 3).
+* :class:`BatchPlanner` — sizes the per-batch result buffer against the
+  device's free global memory (:meth:`BatchPlanner.buffer_capacity_pairs`),
+  estimates the total result size by joining a sample of the non-empty
+  cells, and splits the non-empty cells into work-balanced batches (never
+  fewer than ``min_batches``).
 * :func:`execute_batched` — runs a kernel batch-by-batch, verifies each batch
   fits the planned buffer (adaptively splitting a batch that overflows), and
   reports the compute/transfer overlap timeline via
@@ -18,8 +22,8 @@ of the next.  This module provides:
   the :class:`BatchPlanner` sampling idea to *per-item* cost estimates, and
   :func:`split_by_cost` turns any such cost vector into contiguous
   work-balanced slices.  These are shared by the device-model batcher, the
-  probe-side batching in :mod:`repro.engine.planner` and the shard planner
-  of :mod:`repro.parallel`.
+  shard planners of :mod:`repro.parallel` and :mod:`repro.distributed`, and
+  the request fusion of :mod:`repro.service`.
 """
 
 from __future__ import annotations
@@ -186,11 +190,7 @@ class BatchPlanner:
                 raise ValueError("plan() needs either a kernel or estimated_pairs")
             estimated_pairs = self.estimate_result_pairs(index, eps, kernel)
 
-        data_bytes = index.points.nbytes + index.memory_footprint()
-        free_bytes = max(0, self.device.spec.global_mem_bytes - data_bytes)
-        buffer_bytes = int(free_bytes * self.result_buffer_fraction)
-        buffer_capacity_pairs = max(1, buffer_bytes // PAIR_BYTES)
-
+        buffer_capacity_pairs = self.buffer_capacity_pairs(index)
         padded = int(math.ceil(estimated_pairs * ESTIMATE_SAFETY_FACTOR))
         needed = max(1, int(math.ceil(padded / buffer_capacity_pairs)))
         n_batches = max(self.min_batches, needed)
@@ -201,8 +201,24 @@ class BatchPlanner:
             cell_batches=cell_batches,
             estimated_total_pairs=int(estimated_pairs),
             buffer_capacity_pairs=int(buffer_capacity_pairs),
-            device_bytes_for_data=int(data_bytes),
+            device_bytes_for_data=_device_data_bytes(index),
         )
+
+    def buffer_capacity_pairs(self, index: GridIndex) -> int:
+        """Result pairs one batch's buffer holds when joining ``index``.
+
+        The buffer gets ``result_buffer_fraction`` of the device's global
+        memory left over once the dataset and the index are placed.
+        """
+        free_bytes = max(0, self.device.spec.global_mem_bytes
+                         - _device_data_bytes(index))
+        buffer_bytes = int(free_bytes * self.result_buffer_fraction)
+        return max(1, buffer_bytes // PAIR_BYTES)
+
+
+def _device_data_bytes(index: GridIndex) -> int:
+    """Device bytes taken by the dataset and its grid index."""
+    return int(index.points.nbytes + index.memory_footprint())
 
 
 def split_by_cost(costs: np.ndarray, n_parts: int) -> List[np.ndarray]:
@@ -211,7 +227,7 @@ def split_by_cost(costs: np.ndarray, n_parts: int) -> List[np.ndarray]:
     The split boundaries are chosen on the cumulative cost curve so each
     slice carries roughly ``total_cost / n_parts``.  Items stay in order
     (contiguous index ranges), which is what both the cell batcher (``B``
-    order) and the probe batcher (row order) require.  Every slice is
+    order) and the probe-row shard split (row order) require.  Every slice is
     non-empty (``n_parts`` is clamped to the item count), so a dominant
     item gets isolated into its own slice rather than dragging the rest of
     the items in with it.

@@ -494,10 +494,11 @@ def _emit_pairs_chunked(index: GridIndex, src: np.ndarray, tgt: np.ndarray,
             # fragments, not views pinning full-capacity allocations.
             sink.emit(keys[:n].copy(), values[:n].copy())
             continue
-        q_idx, c_idx = _expand_cell_pairs(index.A,
+        q_idx, c_idx = _expand_cell_pairs(index.A, index.A,
                                           starts_s[lo:hi], sizes_s[lo:hi],
                                           starts_t[lo:hi], sizes_t[lo:hi])
-        diff = points[q_idx] - points[c_idx]
+        diff = points[q_idx]
+        diff -= points[c_idx]
         dist2 = np.einsum("ij,ij->i", diff, diff)
         n_dist += int(dist2.shape[0])
         within = dist2 <= eps2
@@ -510,48 +511,59 @@ def _emit_pairs_chunked(index: GridIndex, src: np.ndarray, tgt: np.ndarray,
 
 
 def _chunk_boundaries(pair_counts: np.ndarray, max_candidate_pairs: int) -> List[tuple[int, int]]:
-    """Split a cell-pair list into ranges whose total expansion is bounded."""
+    """Split a cell-pair list into ranges whose total expansion is bounded.
+
+    Greedy: a range grows while its running total stays within
+    ``max_candidate_pairs``; a single cell pair larger than the bound gets a
+    range of its own.  Each range end is found with one ``searchsorted`` on
+    the prefix sums, and a list whose total fits is one range.
+    """
+    n = int(pair_counts.shape[0])
+    cum = pair_counts.cumsum()
+    if n == 0 or int(cum[-1]) <= max_candidate_pairs:
+        return [(0, n)]
     boundaries: List[tuple[int, int]] = []
     lo = 0
-    running = 0
-    n = int(pair_counts.shape[0])
-    for i in range(n):
-        count = int(pair_counts[i])
-        if running and running + count > max_candidate_pairs:
-            boundaries.append((lo, i))
-            lo = i
-            running = 0
-        running += count
-    boundaries.append((lo, n))
+    while lo < n:
+        base = int(cum[lo]) - int(pair_counts[lo])
+        hi = int(np.searchsorted(cum, base + max_candidate_pairs, side="right"))
+        # Only empty cell pairs precede the first one past the bound: that
+        # oversized pair still joins this range (every range expands work).
+        if hi < n and (hi == lo or int(cum[hi - 1]) == base):
+            hi += 1
+        boundaries.append((lo, hi))
+        lo = hi
     return boundaries
 
 
-def _expand_cell_pairs(A: np.ndarray,
+def _expand_cell_pairs(src_lookup: np.ndarray, tgt_lookup: np.ndarray,
                        starts_s: np.ndarray, sizes_s: np.ndarray,
                        starts_t: np.ndarray, sizes_t: np.ndarray,
                        ) -> tuple[np.ndarray, np.ndarray]:
     """Expand (source cell, target cell) pairs into all candidate point pairs.
 
     Takes the cell pairs' already-gathered CSR ranges (the caller hoists the
-    ``cell_counts``/``cell_starts`` gathers out of its chunk loop) and uses
-    the standard ragged-expansion arithmetic: for the k-th cell pair with
-    ``s_k`` source points and ``t_k`` target points, ``s_k * t_k`` flat local
-    indices are generated and decomposed into (row, column) offsets into the
-    point lookup array ``A``.
+    ``cell_counts``/``cell_starts`` gathers out of its chunk loop).  The
+    k-th cell pair, with ``s_k`` source and ``t_k`` target points, yields
+    its ``s_k * t_k`` candidates source-row-major, in two ragged steps: the
+    pair becomes ``s_k`` source rows (arrays of row length), and each row
+    becomes ``t_k`` candidates, one ``np.repeat`` of its source id and a
+    running position in the target cell's range.  Positions index the
+    point lookup arrays: ``src_lookup`` for the source side and
+    ``tgt_lookup`` for the target side (the index's ``A`` for both in a
+    self-join; a probe's group order and ``A`` in a probe).
     """
-    pair_counts = sizes_s * sizes_t
-    total = int(pair_counts.sum())
+    # ndarray methods, not np.* wrappers: single-point probes call this
+    # once per offset on arrays of a few elements.
+    row_len = sizes_t.repeat(sizes_s)
+    total = int(row_len.sum())
     if total == 0:
         return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
-    pair_offsets = np.zeros(pair_counts.shape[0] + 1, dtype=np.int64)
-    np.cumsum(pair_counts, out=pair_offsets[1:])
-    pair_id = np.repeat(np.arange(pair_counts.shape[0], dtype=np.int64), pair_counts)
-    local = np.arange(total, dtype=np.int64) - pair_offsets[pair_id]
-    st = sizes_t[pair_id]
-    i_local = local // st
-    j_local = local - i_local * st
-    q_idx = A[starts_s[pair_id] + i_local]
-    c_idx = A[starts_t[pair_id] + j_local]
-    return q_idx, c_idx
-
-
+    # A running index plus a per-row (per-candidate) base yields each
+    # position: base = range start minus where the pair's (row's) run begins.
+    src_pos = (starts_s - (sizes_s.cumsum() - sizes_s)).repeat(sizes_s)
+    src_pos += np.arange(src_pos.shape[0], dtype=np.int64)
+    tgt_pos = (starts_t.repeat(sizes_s)
+               - (row_len.cumsum() - row_len)).repeat(row_len)
+    tgt_pos += np.arange(total, dtype=np.int64)
+    return src_lookup[src_pos].repeat(row_len), tgt_lookup[tgt_pos]

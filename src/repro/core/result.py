@@ -10,19 +10,55 @@ CSR-style neighbor-list view that downstream algorithms (e.g. DBSCAN in
 The CSR-native pipeline works the other way around: kernels emit their pair
 fragments into a :class:`PairFragments` sink, and the sink finalizes either
 into a :class:`NeighborTable` directly (per-point counts via ``bincount``,
-prefix-sum offsets, one stable radix placement of the neighbor ids — no
-intermediate flat pair array is re-sorted) or into a :class:`ResultSet`
-(plain concatenation, the legacy pair-list view).  ``ResultSet`` stays the
-thin pair-list view for API compatibility and can be derived from a
-``NeighborTable`` without copying the neighbor ids.
+prefix-sum offsets, and the neighbor ids ordered by :func:`sort_pairs` — one
+in-place sort of a fused ``key * radix + value`` integer, no sorted pair
+list is materialized) or into a :class:`ResultSet` (plain concatenation,
+the legacy pair-list view).  ``ResultSet.sort`` uses the same fused-key
+sort.  ``ResultSet`` stays the thin pair-list view for API compatibility
+and can be derived from a ``NeighborTable`` without copying the neighbor
+ids.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, List, Sequence, Tuple
+from typing import Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
+
+def sort_pairs(keys: np.ndarray, values: np.ndarray, num_rows: int,
+               keep_keys: bool = False,
+               ) -> Tuple[Optional[np.ndarray], np.ndarray]:
+    """Order key/value id pairs by (key, value) — the paper's post-kernel sort.
+
+    The pairs are fused into one ``int64`` per pair, ``key * radix + value``
+    with ``radix = max(num_rows, max(values) + 1)``, and that array is sorted
+    in place once; the values are then recovered in place as
+    ``fused % radix``.  This needs a single pair-sized temporary, where a
+    two-key ``np.lexsort`` needs an index array plus the gathered output.
+    When the fused key could reach ``2 ** 63`` (past ``int64``) the pairs
+    are ordered with ``np.lexsort`` instead; both give identical arrays.
+
+    Ids must be non-negative.  Returns ``(sorted_keys, sorted_values)``;
+    ``sorted_keys`` is ``None`` unless ``keep_keys`` is set (a CSR build
+    takes its row boundaries from a ``bincount`` and needs only the values).
+    """
+    keys = np.asarray(keys, dtype=np.int64)
+    values = np.asarray(values, dtype=np.int64)
+    if values.shape[0] == 0:
+        empty = np.empty(0, dtype=np.int64)
+        return (empty.copy() if keep_keys else None), empty
+    radix = max(int(num_rows), int(values.max()) + 1)
+    key_span = max(int(num_rows), int(keys.max()) + 1)
+    if key_span * radix >= 2 ** 63:  # the fused key would overflow int64
+        order = np.lexsort((values, keys))
+        return (keys[order] if keep_keys else None), values[order]
+    fused = keys * radix
+    fused += values
+    fused.sort()
+    sorted_keys = fused // radix if keep_keys else None
+    np.remainder(fused, radix, out=fused)
+    return sorted_keys, fused
 
 
 @dataclass
@@ -117,10 +153,14 @@ class ResultSet:
 
     # ---------------------------------------------------------------- methods
     def sort(self) -> "ResultSet":
-        """Return a copy sorted by (key, value) — the post-kernel sort of the paper."""
-        order = np.lexsort((self.values, self.keys))
-        return ResultSet(keys=self.keys[order], values=self.values[order],
-                         num_points=self.num_points, _sorted=True)
+        """Return a copy sorted by (key, value) — the post-kernel sort of the paper.
+
+        See :func:`sort_pairs` for the fused-key sort.
+        """
+        keys, values = sort_pairs(self.keys, self.values, self.num_points,
+                                  keep_keys=True)
+        return ResultSet(keys=keys, values=values, num_points=self.num_points,
+                         _sorted=True)
 
     def canonical_pairs(self) -> np.ndarray:
         """Sorted, de-duplicated ``(num_pairs, 2)`` array of ordered pairs.
@@ -156,13 +196,8 @@ class ResultSet:
                          num_points=self.num_points)
 
     def to_neighbor_table(self) -> "NeighborTable":
-        """Convert to a CSR neighbor table (sorts the pairs first)."""
-        sorted_self = self.sort()
-        counts = sorted_self.neighbor_counts()
-        offsets = np.zeros(self.num_points + 1, dtype=np.int64)
-        np.cumsum(counts, out=offsets[1:])
-        return NeighborTable(offsets=offsets, neighbors=sorted_self.values.copy(),
-                             num_points=self.num_points)
+        """Convert to a CSR neighbor table (see :meth:`NeighborTable.from_pairs`)."""
+        return NeighborTable.from_pairs(self.keys, self.values, self.num_points)
 
 
 @dataclass
@@ -184,20 +219,15 @@ class NeighborTable:
 
         This is the CSR-native finalization: per-point counts come from one
         ``bincount``, the offsets are their prefix sum, and the neighbor ids
-        are placed with a single stable (radix) key sort — bit-identical to
-        ``ResultSet.sort().to_neighbor_table()`` on the same pairs, without
-        materializing the sorted pair list.
+        are the values ordered by (key, value) with :func:`sort_pairs` (one
+        in-place sort of the fused pair key; the sorted keys are never
+        built).  Rows therefore hold their neighbor ids in ascending order.
         """
         keys = np.asarray(keys, dtype=np.int64)
-        values = np.asarray(values, dtype=np.int64)
         counts = np.bincount(keys, minlength=num_points).astype(np.int64)
         offsets = np.zeros(num_points + 1, dtype=np.int64)
         np.cumsum(counts, out=offsets[1:])
-        if keys.shape[0]:
-            order = np.lexsort((values, keys))
-            neighbors = values[order]
-        else:
-            neighbors = np.empty(0, dtype=np.int64)
+        _, neighbors = sort_pairs(keys, values, num_points)
         return cls(offsets=offsets, neighbors=neighbors, num_points=int(num_points))
 
     def neighbors_of(self, i: int) -> np.ndarray:

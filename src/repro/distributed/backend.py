@@ -815,6 +815,9 @@ class DistributedBackend(ExecutionBackend):
             tasks, names, mode=self.scheduling, hedge_after=self.hedge_after,
             max_attempts=len(endpoints) + 2)
         merger = OrderedShardMerger(sink, sched.roots)
+        #: Counters of accepted copies, merged only once a copy is chosen to
+        #: cover its root (a resplit half and its original can both finish).
+        copy_stats: Dict[Tuple[int, ...], KernelStats] = {}
         #: Roots already covered — read lock-free by endpoint threads to
         #: skip stale queued copies before wasting a round-trip on them.
         covered: Set[int] = set()
@@ -872,12 +875,14 @@ class DistributedBackend(ExecutionBackend):
                         if completion.accepted:
                             merger.stash(task.key, chunks,
                                          key_map=ctx.key_map(task))
-                            stats.merge(stats_from_wire(
-                                end.get("stats") or {}))
+                            copy_stats[tuple(task.key)] = stats_from_wire(
+                                end.get("stats") or {})
                         if completion.newly_covered is not None:
                             root, chosen = completion.newly_covered
                             covered.add(root)
                             merger.complete(root, chosen)
+                            for key in chosen:
+                                stats.merge(copy_stats.pop(tuple(key)))
                     elif final in ("timeout", "cancelled"):
                         sched.on_failure(name, task.key, now,
                                          reason=f"worker-side {final}")

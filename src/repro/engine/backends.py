@@ -59,6 +59,8 @@ from repro.core.gridindex import GridIndex
 from repro.core.kernels import (
     DEFAULT_MAX_CANDIDATE_PAIRS,
     KernelStats,
+    _chunk_boundaries,
+    _expand_cell_pairs,
     selfjoin_global_cellwise,
     selfjoin_global_pointwise,
     selfjoin_tiered,
@@ -493,19 +495,12 @@ def _emit_group_pairs(probe_pts: np.ndarray, rows: np.ndarray, index: GridIndex,
     if int(pair_counts.sum()) == 0:
         return 0
     n_dist = 0
-    lo = 0
-    n_pairs = pair_counts.shape[0]
-    while lo < n_pairs:
-        hi = lo
-        running = 0
-        while hi < n_pairs and (running == 0
-                                or running + pair_counts[hi] <= max_candidate_pairs):
-            running += int(pair_counts[hi])
-            hi += 1
+    for lo, hi in _chunk_boundaries(pair_counts, max_candidate_pairs):
         chunk = slice(lo, hi)
-        chunk_counts = pair_counts[chunk]
-        chunk_total = int(chunk_counts.sum())
-        if chunk_total and native_kernel is not None:
+        chunk_total = int(pair_counts[chunk].sum())
+        if chunk_total == 0:
+            continue
+        if native_kernel is not None:
             keys = np.empty(chunk_total, dtype=np.int64)
             values = np.empty(chunk_total, dtype=np.int64)
             # The query side indirects through the group order array, so the
@@ -516,23 +511,16 @@ def _emit_group_pairs(probe_pts: np.ndarray, rows: np.ndarray, index: GridIndex,
                               eps2, keys, values, False)
             n_dist += chunk_total
             sink.emit(rows[keys[:n]], values[:n].copy())
-        elif chunk_total:
-            pair_offsets = np.zeros(chunk_counts.shape[0] + 1, dtype=np.int64)
-            np.cumsum(chunk_counts, out=pair_offsets[1:])
-            pair_id = np.repeat(np.arange(chunk_counts.shape[0], dtype=np.int64),
-                                chunk_counts)
-            local = np.arange(chunk_total, dtype=np.int64) - pair_offsets[pair_id]
-            st = sizes_t[chunk][pair_id]
-            i_local = local // st
-            j_local = local - i_local * st
-            q_idx = order[starts_s[chunk][pair_id] + i_local]
-            c_idx = index.A[starts_t[chunk][pair_id] + j_local]
-            diff = probe_pts[q_idx] - index.points[c_idx]
-            dist2 = np.einsum("ij,ij->i", diff, diff)
-            n_dist += int(dist2.shape[0])
-            within = dist2 <= eps2
-            sink.emit(rows[q_idx[within]], c_idx[within])
-        lo = hi
+            continue
+        q_idx, c_idx = _expand_cell_pairs(order, index.A,
+                                          starts_s[chunk], sizes_s[chunk],
+                                          starts_t[chunk], sizes_t[chunk])
+        diff = probe_pts[q_idx]
+        diff -= index.points[c_idx]
+        dist2 = np.einsum("ij,ij->i", diff, diff)
+        n_dist += int(dist2.shape[0])
+        within = dist2 <= eps2
+        sink.emit(rows[q_idx[within]], c_idx[within])
     return n_dist
 
 

@@ -1,11 +1,11 @@
-"""Sink-based plan execution with one uniform batched merge path.
+"""Sink-based plan execution.
 
 :func:`execute` runs a :class:`~repro.engine.planner.QueryPlan` on its
-backend.  Every operator — batched or not, self-join or probe — emits pair
-fragments into :class:`~repro.core.result.PairFragments` sinks; batches use
-per-batch sinks (so a batch that overflows the planned result buffer can be
-discarded and split, exactly like a re-issued device kernel) that are merged
-by reference into one master sink.  Nothing is concatenated, sorted or
+backend.  Every operator — self-join (batched or not) or probe — emits pair
+fragments into :class:`~repro.core.result.PairFragments` sinks; self-join
+batches use per-batch sinks (so a batch that overflows the planned result
+buffer can be discarded and split, exactly like a re-issued device kernel)
+that are merged by reference into one master sink.  Nothing is concatenated, sorted or
 re-keyed until the caller materializes a view from the returned
 :class:`EngineResult`:
 
@@ -14,7 +14,7 @@ re-keyed until the caller materializes a view from the returned
     asked for ``sort_result``).
 ``neighbor_table``
     The CSR neighbor table, built natively from the fragments (bincount →
-    prefix-sum offsets → one stable placement); this is the hot path for
+    prefix-sum offsets → one fused-key sort); this is the hot path for
     DBSCAN / kNN and never materializes the intermediate pair list.
 """
 
@@ -28,7 +28,6 @@ import numpy as np
 from repro.core.batching import (
     PAIR_BYTES,
     BatchExecutionReport,
-    BatchPlan,
     run_adaptive_batches,
 )
 from repro.core.gridindex import GridIndex
@@ -125,31 +124,6 @@ def execute(plan: QueryPlan) -> EngineResult:
 # --------------------------------------------------------------------------
 # operators
 # --------------------------------------------------------------------------
-def _run_batched_merge(plan: QueryPlan, report_plan: BatchPlan, run_batch,
-                       master: PairFragments, stats: KernelStats,
-                       ) -> BatchExecutionReport:
-    """The one batched merge path shared by self-joins and probes.
-
-    Runs ``run_batch`` over ``report_plan``'s batches with adaptive overflow
-    splitting, absorbs each per-batch sink and its counters, and attaches
-    the stream-overlap timeline.
-    """
-    report = BatchExecutionReport(plan=report_plan)
-    payloads, report.batch_pairs, report.batch_times, report.splits_performed = \
-        run_adaptive_batches(report_plan.cell_batches, run_batch,
-                             report_plan.buffer_capacity_pairs)
-    for sink, batch_stats in payloads:
-        master.extend(sink)
-        stats.merge(batch_stats)
-    report.pipeline = simulate_pipeline(
-        report.batch_times,
-        [p * PAIR_BYTES for p in report.batch_pairs],
-        pcie_bandwidth_gbps=plan.device.spec.pcie_bandwidth_gbps,
-        n_streams=plan.n_streams,
-    )
-    return report
-
-
 def _execute_self_join(plan: QueryPlan) -> EngineResult:
     if plan.index is None:
         # Streamed plan: the backend reads the on-disk source shard-by-shard
@@ -180,47 +154,36 @@ def _execute_self_join(plan: QueryPlan) -> EngineResult:
             device=plan.device, threads_per_block=plan.threads_per_block)
         return sink.num_pairs, (sink, batch_stats)
 
-    report = _run_batched_merge(plan, plan.batch_plan, run_batch, master, stats)
+    # Adaptive overflow splitting over the planned batches; each per-batch
+    # sink and its counters are absorbed, then the stream overlap is timed.
+    report = BatchExecutionReport(plan=plan.batch_plan)
+    payloads, report.batch_pairs, report.batch_times, report.splits_performed = \
+        run_adaptive_batches(plan.batch_plan.cell_batches, run_batch,
+                             plan.batch_plan.buffer_capacity_pairs)
+    for sink, batch_stats in payloads:
+        master.extend(sink)
+        stats.merge(batch_stats)
+    report.pipeline = simulate_pipeline(
+        report.batch_times,
+        [p * PAIR_BYTES for p in report.batch_pairs],
+        pcie_bandwidth_gbps=plan.device.spec.pcie_bandwidth_gbps,
+        n_streams=plan.n_streams,
+    )
     return EngineResult(plan=plan, stats=stats, fragments=master,
                         batch_report=report)
 
 
 def _execute_probe(plan: QueryPlan) -> EngineResult:
-    queries = plan.probe_points
-    master = PairFragments(queries.shape[0])
+    master = PairFragments(plan.probe_points.shape[0])
     stats = KernelStats()
-
-    if plan.probe_batches is None:
-        stats.merge(plan.backend.run_probe(
-            queries, plan.index, plan.eps, master,
-            max_candidate_pairs=plan.max_candidate_pairs))
-        return _probe_result(plan, stats, master, None)
-
-    def run_batch(rows: np.ndarray):
-        sink = PairFragments(queries.shape[0])
-        batch_stats = plan.backend.run_probe(
-            queries, plan.index, plan.eps, sink, rows=rows,
-            max_candidate_pairs=plan.max_candidate_pairs)
-        return sink.num_pairs, (sink, batch_stats)
-
-    # Probes have no planned device buffer ("cell_batches" hold query-row
-    # batches here); batching exists purely for the transfer/compute
-    # overlap, so the capacity is unbounded and no adaptive split occurs.
-    pseudo_plan = BatchPlan(cell_batches=plan.probe_batches,
-                            estimated_total_pairs=0,
-                            buffer_capacity_pairs=np.iinfo(np.int64).max)
-    report = _run_batched_merge(plan, pseudo_plan, run_batch, master, stats)
-    return _probe_result(plan, stats, master, report)
-
-
-def _probe_result(plan: QueryPlan, stats: KernelStats, master: PairFragments,
-                  report: Optional[BatchExecutionReport]) -> EngineResult:
+    stats.merge(plan.backend.run_probe(
+        plan.probe_points, plan.index, plan.eps, master,
+        max_candidate_pairs=plan.max_candidate_pairs))
     # For a swapped bipartite join the sink rows are right-side rows; the
     # result views re-key on the left side, which has plan.num_rows rows.
     if plan.swapped:
         master.num_rows = plan.num_rows
-    return EngineResult(plan=plan, stats=stats, fragments=master,
-                        batch_report=report)
+    return EngineResult(plan=plan, stats=stats, fragments=master)
 
 
 def _execute_knn_candidates(plan: QueryPlan) -> EngineResult:

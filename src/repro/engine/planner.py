@@ -10,12 +10,17 @@ into an executable :class:`QueryPlan`:
    CSR result is keyed by query row.
 2. **Batch decomposition** — when the backend supports cell subsets (and
    does not own its decomposition, as the sharded/multiprocess backends
-   do), the existing :class:`~repro.core.batching.BatchPlanner` sizes the
-   result buffer against the device model and splits the non-empty cells
-   into at least ``min_batches`` batches; probe-side work is split into
-   contiguous query-row batches balanced by sampled per-row result-size
-   estimates (:func:`repro.core.batching.estimate_probe_row_costs`), so
-   both join types flow through the same batched executor.
+   do), a self-join is batched only when it has to be.  By default
+   (``min_batches=1``) that is when the result may not fit the device
+   model's result buffer: a join of n points never has more than n² pairs,
+   so when n² fits, no estimate is made and the plan is unbatched;
+   otherwise the :class:`~repro.core.batching.BatchPlanner` sample-estimates
+   the result and splits the non-empty cells only if one batch cannot hold
+   it.  ``min_batches > 1`` (the paper experiments pin 3, via
+   :class:`~repro.core.selfjoin.SelfJoinConfig`) always plans at least that
+   many batches, for the paper's transfer/compute overlap.  Probes (bipartite
+   joins, range queries, kNN candidates) run unbatched; the backends that
+   own their decomposition split probe rows themselves.
 3. **UNICOMP eligibility** — the work-avoidance rule applies to self-joins
    on backends that implement it; it is silently disabled where it cannot
    apply (bipartite probes, brute force).
@@ -24,16 +29,11 @@ into an executable :class:`QueryPlan`:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, List, Optional, Union
+from typing import TYPE_CHECKING, Optional, Union
 
 import numpy as np
 
-from repro.core.batching import (
-    BatchPlan,
-    BatchPlanner,
-    estimate_probe_row_costs,
-    split_by_cost,
-)
+from repro.core.batching import BatchPlan, BatchPlanner
 from repro.core.gridindex import GridIndex
 from repro.core.kernels import DEFAULT_MAX_CANDIDATE_PAIRS, KernelOutput
 from repro.core.result import PairFragments
@@ -69,8 +69,6 @@ class QueryPlan:
     eps: float
     #: Cell-batch decomposition of a self-join (``None`` when unbatched).
     batch_plan: Optional[BatchPlan]
-    #: Query-row batches of a batched probe (``None`` when unbatched).
-    probe_batches: Optional[List[np.ndarray]]
     device: Device
     max_candidate_pairs: int
     n_streams: int
@@ -100,7 +98,7 @@ class QueryPlanner:
     def __init__(self, backend: Union[str, ExecutionBackend] = "vectorized", *,
                  device: Optional[Device] = None,
                  device_spec: Optional[DeviceSpec] = None,
-                 batching: bool = True, min_batches: int = 3,
+                 batching: bool = True, min_batches: int = 1,
                  max_candidate_pairs: int = DEFAULT_MAX_CANDIDATE_PAIRS,
                  n_streams: int = 3, threads_per_block: int = 256,
                  validate_index: bool = False,
@@ -184,7 +182,7 @@ class QueryPlanner:
                              probe_points=None, swapped=False,
                              unicomp=self._resolve_unicomp(query),
                              eps=float(query.eps), batch_plan=None,
-                             probe_batches=None, device=self.device,
+                             device=self.device,
                              max_candidate_pairs=self.max_candidate_pairs,
                              n_streams=self.n_streams,
                              threads_per_block=self.threads_per_block,
@@ -221,12 +219,19 @@ class QueryPlanner:
                     threads_per_block=self.threads_per_block)
                 return KernelOutput(result=None, stats=stats)
 
-            batch_plan = planner.plan(index, query.eps, kernel=estimation_kernel)
+            # A self-join of n points has at most n² pairs: when those fit
+            # one result buffer, only a min_batches > 1 request splits it.
+            if planner.min_batches > 1 or index.num_points ** 2 \
+                    > planner.buffer_capacity_pairs(index):
+                batch_plan = planner.plan(index, query.eps,
+                                          kernel=estimation_kernel)
+                if batch_plan.n_batches == 1:
+                    batch_plan = None
 
         return QueryPlan(query=query, backend=self.backend, index=index,
                          probe_points=None, swapped=False, unicomp=unicomp,
                          eps=float(query.eps), batch_plan=batch_plan,
-                         probe_batches=None, device=self.device,
+                         device=self.device,
                          max_candidate_pairs=self.max_candidate_pairs,
                          n_streams=self.n_streams,
                          threads_per_block=self.threads_per_block,
@@ -255,20 +260,10 @@ class QueryPlanner:
                 swapped = True
             index, build_time = self._build_index(right, query.eps)
 
-        probe_batches = None
-        if self.batching and query.batching and left.shape[0] >= 2 * self.min_batches \
-                and not self.backend.owns_decomposition:
-            # Contiguous row batches balanced by sampled per-row result-size
-            # estimates (the probe-side analogue of the cell batcher), so a
-            # batch probing dense space carries as much work as one probing
-            # sparse space.
-            costs = estimate_probe_row_costs(left, index)
-            probe_batches = split_by_cost(costs, self.min_batches)
-
         return QueryPlan(query=query, backend=self.backend, index=index,
                          probe_points=left, swapped=swapped, unicomp=False,
                          eps=float(query.eps), batch_plan=None,
-                         probe_batches=probe_batches, device=self.device,
+                         device=self.device,
                          max_candidate_pairs=self.max_candidate_pairs,
                          n_streams=self.n_streams,
                          threads_per_block=self.threads_per_block,
@@ -288,7 +283,7 @@ class QueryPlanner:
         return QueryPlan(query=query, backend=self.backend, index=index,
                          probe_points=query.queries, swapped=False, unicomp=False,
                          eps=float(index.eps), batch_plan=None,
-                         probe_batches=None, device=self.device,
+                         device=self.device,
                          max_candidate_pairs=self.max_candidate_pairs,
                          n_streams=self.n_streams,
                          threads_per_block=self.threads_per_block,

@@ -63,7 +63,8 @@ class Query:
     sort_result:
         Sort the pair-list view by (key, value) before returning it.
     batching:
-        Allow the planner to decompose the work into batches.
+        Allow the planner to decompose a self-join into batches (probes
+        always run unbatched).
     """
 
     kind: str
@@ -107,26 +108,26 @@ class Query:
                    batching=batching)
 
     @classmethod
-    def bipartite_join(cls, left: np.ndarray, right: np.ndarray, eps: float,
-                       *, batching: bool = True) -> "Query":
+    def bipartite_join(cls, left: np.ndarray, right: np.ndarray,
+                       eps: float) -> "Query":
         """All pairs ``(a, b)``, ``a`` in ``left``, ``b`` in ``right``, within ε."""
         left = ensure_2d_float64(left, name="left")
         right = ensure_2d_float64(right, name="right")
         if left.shape[1] != right.shape[1]:
             raise ValueError("left and right must have the same dimensionality")
         return cls(kind=BIPARTITE_JOIN, points=right, queries=left,
-                   eps=check_eps(eps), unicomp=False, batching=batching)
+                   eps=check_eps(eps), unicomp=False)
 
     @classmethod
-    def range_query(cls, data: np.ndarray, queries: np.ndarray, eps: float,
-                    *, batching: bool = True) -> "Query":
+    def range_query(cls, data: np.ndarray, queries: np.ndarray,
+                    eps: float) -> "Query":
         """Per-query ε-neighborhoods over ``data`` (CSR rows keyed by query)."""
         data = ensure_2d_float64(data, name="data")
         queries = ensure_2d_float64(queries, name="queries")
         if data.shape[1] != queries.shape[1]:
             raise ValueError("data and queries must have the same dimensionality")
         return cls(kind=RANGE_QUERY, points=data, queries=queries,
-                   eps=check_eps(eps), unicomp=False, batching=batching)
+                   eps=check_eps(eps), unicomp=False)
 
     @classmethod
     def knn_candidates(cls, points: np.ndarray, k: int,

@@ -301,22 +301,18 @@ class EngineSession:
             indexed, eps, unicomp=unicomp, include_self=include_self,
             sort_result=sort_result, batching=batching))
 
-    def bipartite_join(self, left: np.ndarray, eps: float, *,
-                       batching: bool = True) -> EngineResult:
+    def bipartite_join(self, left: np.ndarray, eps: float) -> EngineResult:
         """Join an external ``left`` set against the session dataset.
 
         The session dataset is always the indexed (right) side — the
         planner's larger-side swap heuristic does not apply, which is what
         keeps the cached index reusable.
         """
-        return self.run(Query.bipartite_join(left, self.points, eps,
-                                             batching=batching))
+        return self.run(Query.bipartite_join(left, self.points, eps))
 
-    def range_query(self, queries: np.ndarray, eps: float, *,
-                    batching: bool = True) -> EngineResult:
+    def range_query(self, queries: np.ndarray, eps: float) -> EngineResult:
         """Per-query ε-neighborhoods over the session dataset."""
-        return self.run(Query.range_query(self.points, queries, eps,
-                                          batching=batching))
+        return self.run(Query.range_query(self.points, queries, eps))
 
     def knn_candidates(self, k: int, queries: Optional[np.ndarray] = None, *,
                        cell_width: Optional[float] = None,

@@ -153,6 +153,8 @@ class TestDistributedParity:
         ref = run_query(Query.self_join(points, eps), backend="vectorized")
         assert got.stats.result_pairs == ref.stats.result_pairs
         assert got.stats.distance_calcs == ref.stats.distance_calcs
+        # The counters describe exactly the copies whose pairs were emitted.
+        assert got.stats.result_pairs == got.fragments.num_pairs
 
 
 class TestSubprocessPoolParity:

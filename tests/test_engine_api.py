@@ -7,14 +7,19 @@ fix, and the ``join_index`` / ``join`` parity regression.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from repro import GPUSelfJoin, Query, QueryPlanner, SelfJoinConfig, run_query
+from repro.core.batching import PAIR_BYTES, BatchPlanner
+from repro.core.gridindex import GridIndex
 from repro.data.realworld import sw_dataset
 from repro.data.synthetic import uniform_dataset
 from repro.engine import execute, get_backend, list_backends
 from repro.engine.query import KNN_CANDIDATES, QUERY_KINDS
+from repro.gpusim import TITAN_X_PASCAL, Device
 
 
 class TestQueryDescriptions:
@@ -164,9 +169,80 @@ class TestJoinIndexParity:
 class TestEngineTimingAndStats:
     def test_kernel_time_and_stats_populated(self):
         points = uniform_dataset(300, 2, seed=24, low=0.0, high=8.0)
-        result = run_query(Query.self_join(points, 0.8))
+        result = run_query(Query.self_join(points, 0.8), min_batches=3)
         assert result.kernel_time >= 0.0
         assert result.stats.result_pairs == result.fragments.num_pairs
         assert result.stats.distance_calcs >= result.num_pairs
         assert result.batch_report is not None
         assert result.batch_report.total_pairs == result.fragments.num_pairs
+
+
+def _device_holding(index, pairs):
+    """A device model whose result buffer holds exactly ``pairs`` pairs."""
+    data_bytes = index.points.nbytes + index.memory_footprint()
+    return Device(replace(TITAN_X_PASCAL,
+                          global_mem_bytes=data_bytes + 2 * PAIR_BYTES * pairs))
+
+
+class TestBatchOnlyWhenNeeded:
+    """The default planner batches a self-join only when it may not fit."""
+
+    @pytest.fixture
+    def estimates(self, monkeypatch):
+        calls = []
+        original = BatchPlanner.estimate_result_pairs
+
+        def counting(self, *args, **kwargs):
+            calls.append(args)
+            return original(self, *args, **kwargs)
+
+        monkeypatch.setattr(BatchPlanner, "estimate_result_pairs", counting)
+        return calls
+
+    @pytest.fixture
+    def workload(self):
+        points = uniform_dataset(300, 2, seed=25, low=0.0, high=8.0)
+        return points, GridIndex.build(points, 0.8)
+
+    def test_no_estimate_when_every_pair_fits(self, estimates, workload):
+        points, index = workload
+        plan = QueryPlanner().plan(Query.self_join(points, 0.8), index=index)
+        assert plan.batch_plan is None
+        assert estimates == []
+        assert execute(plan).batch_report is None
+
+    def test_one_batch_estimate_runs_unbatched(self, estimates, workload):
+        points, index = workload
+        n_squared = points.shape[0] ** 2
+        device = _device_holding(index, n_squared - 1)
+        assert BatchPlanner(device=device).buffer_capacity_pairs(index) \
+            == n_squared - 1
+        plan = QueryPlanner(device=device).plan(Query.self_join(points, 0.8),
+                                                index=index)
+        assert len(estimates) == 1
+        assert plan.batch_plan is None
+
+    def test_result_over_buffer_is_batched_with_same_counters(self, workload):
+        points, index = workload
+        query = Query.self_join(points, 0.8)
+        unbatched = run_query(query, index=index)
+        true_pairs = unbatched.stats.result_pairs
+        batched = run_query(query, index=index,
+                            device=_device_holding(index, true_pairs // 3))
+        assert batched.plan.batch_plan is not None
+        assert batched.plan.batch_plan.n_batches > 1
+        assert batched.neighbor_table.same_contents_as(unbatched.neighbor_table)
+        for counter in ("cells_checked", "nonempty_cells_visited",
+                        "distance_calcs", "result_pairs"):
+            assert getattr(batched.stats, counter) \
+                == getattr(unbatched.stats, counter), counter
+
+    def test_paper_config_keeps_three_batches(self, estimates, workload):
+        points, _ = workload
+        result, report = GPUSelfJoin(SelfJoinConfig()).join_with_report(points,
+                                                                        0.8)
+        assert len(estimates) == 1
+        assert report.batch_plan is not None
+        assert report.batch_plan.n_batches >= 3
+        assert report.batch_report is not None
+        assert report.batch_report.total_pairs == result.num_pairs

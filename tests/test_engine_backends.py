@@ -92,15 +92,6 @@ class TestBipartiteParity:
         table = run_query(Query.bipartite_join(left, right, 0.8)).neighbor_table
         assert table.same_contents_as(reference)
 
-    def test_probe_batching_matches_unbatched(self):
-        left = uniform_dataset(150, 3, seed=9, low=0.0, high=5.0)
-        right = uniform_dataset(120, 3, seed=10, low=0.0, high=5.0)
-        batched = run_query(Query.bipartite_join(left, right, 0.9, batching=True))
-        unbatched = run_query(Query.bipartite_join(left, right, 0.9, batching=False))
-        assert batched.batch_report is not None
-        assert len(batched.batch_report.batch_pairs) >= 3
-        assert batched.neighbor_table.same_contents_as(unbatched.neighbor_table)
-
 
 class TestRangeAndKNNKinds:
     def test_range_query_kind_matches_bipartite(self):

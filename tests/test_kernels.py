@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from repro.baselines.kdtree_ref import kdtree_selfjoin
 from repro.core.gridindex import GridIndex
@@ -17,6 +18,23 @@ ALL_KERNELS = [
     ("vectorized-global", K.selfjoin_global_vectorized),
     ("vectorized-unicomp", K.selfjoin_unicomp_vectorized),
 ]
+
+
+def greedy_chunk_boundaries(pair_counts, max_candidate_pairs):
+    """Reference for ``_chunk_boundaries``: the one-pass greedy split loop."""
+    boundaries = []
+    lo = 0
+    running = 0
+    n = int(pair_counts.shape[0])
+    for i in range(n):
+        count = int(pair_counts[i])
+        if running and running + count > max_candidate_pairs:
+            boundaries.append((lo, i))
+            lo = i
+            running = 0
+        running += count
+    boundaries.append((lo, n))
+    return boundaries
 
 
 class TestKernelCorrectness:
@@ -164,6 +182,18 @@ class TestChunking:
         counts = np.array([1000])
         bounds = K._chunk_boundaries(counts, max_candidate_pairs=10)
         assert bounds == [(0, 1)]
+
+    @given(counts=st.lists(st.one_of(st.just(0), st.integers(1, 20),
+                                     st.integers(100, 10 ** 6)),
+                           max_size=60),
+           max_candidate_pairs=st.integers(0, 200))
+    @settings(max_examples=200, deadline=None)
+    @example(counts=[0, 0, 50, 0, 3, 4, 0, 60, 0, 0], max_candidate_pairs=10)
+    def test_chunk_boundaries_equal_greedy_loop(self, counts,
+                                                max_candidate_pairs):
+        counts = np.asarray(counts, dtype=np.int64)
+        assert K._chunk_boundaries(counts, max_candidate_pairs) \
+            == greedy_chunk_boundaries(counts, max_candidate_pairs)
 
 
 class TestKernelStats:

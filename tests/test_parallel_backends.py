@@ -210,33 +210,9 @@ class TestRegistry:
         points = uniform_dataset(300, 2, seed=3, low=0.0, high=10.0)
         plan = QueryPlanner(backend="sharded").plan(Query.self_join(points, 0.8))
         assert plan.batch_plan is None
-        plan = QueryPlanner(backend="vectorized").plan(
+        plan = QueryPlanner(backend="vectorized", min_batches=3).plan(
             Query.self_join(points, 0.8))
         assert plan.batch_plan is not None
-
-
-class TestProbeBatchBalancing:
-    def test_cost_balanced_probe_batches_cover_all_rows(self):
-        # left < right so the planner keeps left as the probe side (no swap).
-        left = uniform_dataset(120, 3, seed=9, low=0.0, high=5.0)
-        right = uniform_dataset(150, 3, seed=10, low=0.0, high=5.0)
-        plan = QueryPlanner(min_batches=3).plan(
-            Query.bipartite_join(left, right, 0.9))
-        assert not plan.swapped
-        assert plan.probe_batches is not None
-        joined = np.concatenate(plan.probe_batches)
-        # Batches are contiguous row ranges in order, covering every row once.
-        assert np.array_equal(joined, np.arange(left.shape[0]))
-
-    def test_batched_probe_result_unchanged(self):
-        left = uniform_dataset(150, 3, seed=9, low=0.0, high=5.0)
-        right = uniform_dataset(120, 3, seed=10, low=0.0, high=5.0)
-        batched = run_query(Query.bipartite_join(left, right, 0.9,
-                                                 batching=True))
-        unbatched = run_query(Query.bipartite_join(left, right, 0.9,
-                                                   batching=False))
-        assert batched.neighbor_table.same_contents_as(
-            unbatched.neighbor_table)
 
 
 class TestPlanSeedKnob:

@@ -4,8 +4,9 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from repro.core.result import NeighborTable, ResultSet
+from repro.core.result import NeighborTable, ResultSet, sort_pairs
 
 
 def make_result(pairs, n):
@@ -121,3 +122,69 @@ class TestNeighborTable:
                               neighbors=np.array([0, 1]), num_points=2)
         with pytest.raises(AssertionError):
             table.validate()
+
+
+@st.composite
+def pair_arrays(draw):
+    """Random (keys, values, num_rows) with duplicates and empty rows.
+
+    Values may exceed ``num_rows``: probe results key by query row but hold
+    data-side ids.
+    """
+    num_rows = draw(st.integers(1, 40))
+    n_values = draw(st.integers(1, 2 * num_rows))
+    n_pairs = draw(st.integers(0, 150))
+    keys = draw(st.lists(st.integers(0, num_rows - 1), min_size=n_pairs,
+                         max_size=n_pairs))
+    values = draw(st.lists(st.integers(0, n_values - 1), min_size=n_pairs,
+                           max_size=n_pairs))
+    return (np.asarray(keys, dtype=np.int64), np.asarray(values, dtype=np.int64),
+            num_rows)
+
+
+def lexsorted(keys, values):
+    order = np.lexsort((values, keys))
+    return keys[order], values[order]
+
+
+class TestFusedKeySort:
+    @given(pair_arrays())
+    @settings(max_examples=100, deadline=None)
+    def test_equals_lexsort(self, pairs):
+        keys, values, num_rows = pairs
+        expected_keys, expected_values = lexsorted(keys, values)
+        got_keys, got_values = sort_pairs(keys, values, num_rows, keep_keys=True)
+        assert np.array_equal(got_keys, expected_keys)
+        assert np.array_equal(got_values, expected_values)
+        sorted_set = ResultSet(keys=keys, values=values, num_points=num_rows).sort()
+        assert np.array_equal(sorted_set.keys, expected_keys)
+        assert np.array_equal(sorted_set.values, expected_values)
+
+    @given(pair_arrays())
+    @settings(max_examples=100, deadline=None)
+    def test_csr_rows_equal_lexsort(self, pairs):
+        keys, values, num_rows = pairs
+        table = NeighborTable.from_pairs(keys, values, num_rows)
+        _, expected_values = lexsorted(keys, values)
+        assert np.array_equal(table.neighbors, expected_values)
+        assert np.array_equal(table.counts(), np.bincount(keys, minlength=num_rows))
+
+    def test_inputs_are_not_modified(self):
+        keys = np.array([2, 0, 1, 0], dtype=np.int64)
+        values = np.array([1, 3, 0, 2], dtype=np.int64)
+        sort_pairs(keys, values, 3, keep_keys=True)
+        assert keys.tolist() == [2, 0, 1, 0]
+        assert values.tolist() == [1, 3, 0, 2]
+
+    def test_lexsort_fallback_beyond_int64_fused_range(self):
+        # With 2**32 rows the fused key would overflow int64 for these ids;
+        # the result is only right if the lexsort fallback ran.
+        big = 2 ** 32
+        keys = np.array([big - 1, 5, big - 1, 5, 0], dtype=np.int64)
+        values = np.array([big - 2, 7, 3, big - 1, 9], dtype=np.int64)
+        got_keys, got_values = sort_pairs(keys, values, big, keep_keys=True)
+        expected_keys, expected_values = lexsorted(keys, values)
+        assert np.array_equal(got_keys, expected_keys)
+        assert np.array_equal(got_values, expected_values)
+        sorted_set = ResultSet(keys=keys, values=values, num_points=big).sort()
+        assert np.array_equal(sorted_set.values, expected_values)
