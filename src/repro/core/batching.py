@@ -36,8 +36,7 @@ import numpy as np
 
 from repro.core import linearize as lin
 from repro.core.gridindex import GridIndex
-from repro.core.kernels import KernelOutput, KernelStats
-from repro.core.neighbors import all_neighbor_offsets
+from repro.core.kernels import KernelOutput, KernelStats, _walk_cell_pairs
 from repro.core.result import ResultSet
 from repro.gpusim.device import Device
 from repro.gpusim.streams import PipelineReport, simulate_pipeline
@@ -285,25 +284,15 @@ def candidate_counts_at(index: GridIndex, coords: np.ndarray) -> np.ndarray:
     """Candidate points reachable from each given cell coordinate.
 
     For every row of ``coords`` (n-dimensional cell coordinates in ``index``'s
-    grid), counts the points stored in the 3^n adjacent non-empty cells
-    (including the home cell) — the exact number of distance evaluations a
-    GLOBAL-kernel query point in that cell performs.
+    grid), sums the populations of the non-empty cells the shared cell-pair
+    walker (:func:`repro.core.kernels._walk_cell_pairs`) resolves among the
+    3^n adjacent cells (home included): the exact number of distance
+    evaluations a GLOBAL-kernel query point in that cell performs.
     """
     coords = np.asarray(coords, dtype=np.int64)
     counts = np.zeros(coords.shape[0], dtype=np.int64)
-    if coords.shape[0] == 0:
-        return counts
-    for offset in all_neighbor_offsets(index.num_dims, include_home=True):
-        neighbor = coords + offset[None, :]
-        inside = np.all((neighbor >= 0) & (neighbor < index.num_cells[None, :]),
-                        axis=1)
-        if not inside.any():
-            continue
-        linear = lin.linearize(neighbor[inside], index.strides)
-        target = index.lookup_cells(linear)
-        found = target >= 0
-        rows = np.flatnonzero(inside)[found]
-        counts[rows] += index.cell_counts[target[found]]
+    for src, tgt, _, _ in _walk_cell_pairs(index, coords):
+        np.add.at(counts, src, index.cell_counts[tgt])
     return counts
 
 

@@ -15,14 +15,15 @@ and its UNICOMP variant (Algorithm 2) are provided:
     cell's points and the candidate points are vectorized with NumPy.
 
 ``vectorized``
-    The production path.  The outer loop runs over the 3^n neighbor
-    *offsets*; for each offset every (source cell, target cell) pair is
-    resolved with one vectorized binary search, the ragged point-pair lists
-    are expanded with ``np.repeat`` arithmetic, and all distances for the
-    offset are evaluated in a single NumPy expression.  The visited cell
-    pairs and emitted results are identical to Algorithm 1; only the loop
-    nesting differs (data-parallel over cells rather than over points), which
-    mirrors how the CUDA kernel is data-parallel over points.
+    The production path.  One loop-free walker (:func:`_walk_cell_pairs`)
+    broadcasts source cell coordinates x neighbor offsets in bounded row
+    groups and resolves each group with one vectorized binary search of
+    ``B``; one emitter (:func:`_emit_pairs`) expands the cell pairs into
+    point pairs and filters them by distance in bounded chunks.  UNICOMP
+    keeps only the cell pairs Algorithm 2 selects.  The visited cell pairs
+    and results are identical to Algorithm 1; only the loop nesting differs
+    (data-parallel over cells rather than over points).  The bipartite
+    probe and the work estimators share the walker.
 
 All kernels operate on an optional subset of source cells so the batching
 scheme (Section V-A) can split the work into ≥ 3 batches whose union is the
@@ -32,20 +33,17 @@ complete self-join result.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence
+from functools import lru_cache
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.core import nativekernels
 from repro.core.gridindex import GridIndex
-from repro.core.neighbors import (
-    adjacent_ranges,
-    all_neighbor_offsets,
-    enumerate_candidate_cells,
-    mask_filter_ranges,
-)
+from repro.core.neighbors import adjacent_cells, all_neighbor_offsets
 from repro.core.result import PairFragments, ResultSet
-from repro.core.unicomp import unicomp_candidate_cells, unicomp_offset_mask
+from repro.core.unicomp import unicomp_candidate_cells
+from repro.utils.cancellation import check_cancelled
 
 #: Default bound on the number of candidate point pairs expanded at once by
 #: the vectorized kernel.  Bounds peak memory at roughly
@@ -149,16 +147,10 @@ def selfjoin_global_pointwise(index: GridIndex, eps: Optional[float] = None,
     ids = range(index.num_points) if query_ids is None else query_ids
     for gid in ids:
         point = points[gid]
-        coords = index.cell_of_point(gid)
-        ranges = adjacent_ranges(coords, index.num_cells)
-        filtered = mask_filter_ranges(ranges, index.masks)
-        for cand in enumerate_candidate_cells(filtered):
-            stats.cells_checked += 1
-            linear = int(index.coords_to_linear(cand))
-            h = index.lookup_cell(linear)
-            if h < 0:
-                continue
-            stats.nonempty_cells_visited += 1
+        checked, found = adjacent_cells(index, index.cell_of_point(gid))
+        stats.cells_checked += checked
+        stats.nonempty_cells_visited += len(found)
+        for h in found:
             candidate_ids = index.points_in_cell(h)
             diff = points[candidate_ids] - point
             dist2 = np.einsum("ij,ij->i", diff, diff)
@@ -190,20 +182,12 @@ def selfjoin_global_cellwise(index: GridIndex, eps: Optional[float] = None,
         else np.asarray(source_cells, dtype=np.int64)
     for h in cells:
         src_ids = index.points_in_cell(int(h))
-        coords = index.cell_coords[int(h)]
-        ranges = adjacent_ranges(coords, index.num_cells)
-        filtered = mask_filter_ranges(ranges, index.masks)
-        candidate_ids: List[np.ndarray] = []
-        for cand in enumerate_candidate_cells(filtered):
-            stats.cells_checked += 1
-            t = index.lookup_cell(int(index.coords_to_linear(cand)))
-            if t < 0:
-                continue
-            stats.nonempty_cells_visited += 1
-            candidate_ids.append(index.points_in_cell(t))
-        if not candidate_ids:
+        checked, found = adjacent_cells(index, index.cell_coords[int(h)])
+        stats.cells_checked += checked
+        stats.nonempty_cells_visited += len(found)
+        if not found:
             continue
-        cand_arr = np.concatenate(candidate_ids)
+        cand_arr = np.concatenate([index.points_in_cell(t) for t in found])
         diff = points[src_ids][:, None, :] - points[cand_arr][None, :, :]
         dist2 = np.einsum("ijk,ijk->ij", diff, diff)
         stats.distance_calcs += int(dist2.size)
@@ -280,37 +264,17 @@ def selfjoin_global_vectorized(index: GridIndex, eps: Optional[float] = None,
                                sink: Optional[PairFragments] = None,
                                native_kernel: Optional[Callable] = None,
                                ) -> KernelOutput:
-    """Vectorized GLOBAL kernel (offset-major loop order).
+    """Vectorized GLOBAL kernel: every source cell against all 3^n offsets.
 
-    For each of the ``3^n`` neighbor offsets, all (source, target) non-empty
-    cell pairs are resolved at once and their candidate point pairs expanded
-    and distance-filtered in chunks of at most ``max_candidate_pairs``.
-
-    ``native_kernel`` swaps the NumPy expand/filter step for one of the
-    compiled pair kernels from :mod:`repro.core.nativekernels`; the cell
-    walk, offset order, chunking and stats are unchanged.
+    The cell pairs come from the shared walker in row groups and are
+    expanded and distance-filtered in chunks of at most
+    ``max_candidate_pairs``.  ``native_kernel`` swaps the NumPy
+    expand/filter step for one of the compiled pair kernels from
+    :mod:`repro.core.nativekernels`; the walk, chunking and stats are
+    unchanged.
     """
-    eps = index.eps if eps is None else float(eps)
-    stats = KernelStats()
-    external = sink is not None
-    sink = sink if sink is not None else PairFragments(index.num_points)
-    before = sink.num_pairs
-    cells = np.arange(index.num_nonempty_cells, dtype=np.int64) if source_cells is None \
-        else np.asarray(source_cells, dtype=np.int64)
-    offsets = all_neighbor_offsets(index.num_dims, include_home=True)
-    for offset in offsets:
-        src, tgt, checked = _resolve_offset_pairs(index, cells, offset)
-        stats.cells_checked += checked
-        stats.nonempty_cells_visited += int(src.shape[0])
-        if src.shape[0] == 0:
-            continue
-        n_dist = _emit_pairs_chunked(index, src, tgt, eps, max_candidate_pairs,
-                                     sink, mirror=False,
-                                     native_kernel=native_kernel)
-        stats.distance_calcs += n_dist
-    stats.result_pairs = sink.num_pairs - before
-    result = None if external else sink.to_result_set()
-    return KernelOutput(result=result, stats=stats)
+    return _selfjoin_vectorized(index, eps, source_cells, max_candidate_pairs,
+                                sink, native_kernel, unicomp=False)
 
 
 def selfjoin_unicomp_vectorized(index: GridIndex, eps: Optional[float] = None,
@@ -319,12 +283,22 @@ def selfjoin_unicomp_vectorized(index: GridIndex, eps: Optional[float] = None,
                                 sink: Optional[PairFragments] = None,
                                 native_kernel: Optional[Callable] = None,
                                 ) -> KernelOutput:
-    """Vectorized UNICOMP kernel.
+    """Vectorized UNICOMP kernel, walking Algorithm 2's cell pairs.
 
-    The home offset is processed for every source cell; each non-home offset
-    is processed only for the source cells whose UNICOMP parity rule selects
-    it, and both ordered pairs are emitted for the matches found.
+    Every source cell scans its home cell and, per dimension ``k`` with an
+    odd ``k`` coordinate, the offsets whose highest non-zero dimension is
+    ``k``; both ordered pairs are emitted for the non-home matches.
     """
+    return _selfjoin_vectorized(index, eps, source_cells, max_candidate_pairs,
+                                sink, native_kernel, unicomp=True)
+
+
+def _selfjoin_vectorized(index: GridIndex, eps: Optional[float],
+                         source_cells: Optional[np.ndarray],
+                         max_candidate_pairs: int, sink: Optional[PairFragments],
+                         native_kernel: Optional[Callable],
+                         unicomp: bool) -> KernelOutput:
+    """The body of both vectorized kernels (see :func:`_walk_cell_pairs`)."""
     eps = index.eps if eps is None else float(eps)
     stats = KernelStats()
     external = sink is not None
@@ -332,25 +306,14 @@ def selfjoin_unicomp_vectorized(index: GridIndex, eps: Optional[float] = None,
     before = sink.num_pairs
     cells = np.arange(index.num_nonempty_cells, dtype=np.int64) if source_cells is None \
         else np.asarray(source_cells, dtype=np.int64)
-    offsets = all_neighbor_offsets(index.num_dims, include_home=True)
-    for offset in offsets:
-        is_home = bool(np.all(offset == 0))
-        if is_home:
-            selected = cells
-        else:
-            mask = unicomp_offset_mask(index.cell_coords[cells], offset)
-            selected = cells[mask]
-        if selected.shape[0] == 0:
-            continue
-        src, tgt, checked = _resolve_offset_pairs(index, selected, offset)
+    side = (index.points, index.A, index.cell_starts, index.cell_counts)
+    for src, tgt, checked, mirror in _walk_cell_pairs(
+            index, index.cell_coords[cells], unicomp):
         stats.cells_checked += checked
         stats.nonempty_cells_visited += int(src.shape[0])
-        if src.shape[0] == 0:
-            continue
-        n_dist = _emit_pairs_chunked(index, src, tgt, eps, max_candidate_pairs,
-                                     sink, mirror=not is_home,
-                                     native_kernel=native_kernel)
-        stats.distance_calcs += n_dist
+        stats.distance_calcs += _emit_pairs(
+            sink, side, cells[src], side, tgt, eps * eps, max_candidate_pairs,
+            mirror=mirror, native_kernel=native_kernel)
     stats.result_pairs = sink.num_pairs - before
     result = None if external else sink.to_result_set()
     return KernelOutput(result=result, stats=stats)
@@ -369,144 +332,217 @@ def selfjoin_tiered(index: GridIndex, eps: Optional[float] = None,
 
     This is the production dispatch behind the ``vectorized`` backend (and
     therefore behind ``sharded``/``multiprocess``, which run it once per
-    shard).  ``tier`` picks the implementation tier (``numpy``/``numba``,
-    ``auto`` preferring numba when available); ``kernel`` picks the cell
-    regime (``dense``/``sparse``, ``auto`` deciding from the cell subset's
-    population via
-    :func:`repro.core.nativekernels.choose_selfjoin_kernel`).  The chosen
-    tier and kernel are stamped on the returned
-    :class:`KernelStats` (``tier``, ``kernel_counts``).
+    shard); see :func:`_run_tiered` for how ``tier`` and ``kernel`` resolve.
+    """
+    external = sink is not None
+    sink = sink if sink is not None else PairFragments(index.num_points)
+    cellwise = selfjoin_unicomp_cellwise if unicomp else selfjoin_global_cellwise
+    stats = _run_tiered(
+        index, source_cells, max_candidate_pairs, tier, kernel,
+        vectorized=lambda native: _selfjoin_vectorized(
+            index, eps, source_cells, max_candidate_pairs, sink, native,
+            unicomp).stats,
+        cellwise=lambda: cellwise(index, eps, source_cells, sink=sink).stats)
+    return KernelOutput(result=None if external else sink.to_result_set(),
+                        stats=stats)
 
-    On the NumPy tier the dense regime routes to the per-cell kernels and
-    the sparse regime to the offset-major vectorized kernels; on the numba
-    tier both regimes run the offset-major walk with the corresponding
-    compiled pair kernel.  All routes emit identical pair sets.
+
+def _run_tiered(index: GridIndex, cells: Optional[np.ndarray],
+               max_candidate_pairs: int, tier: str, kernel: str,
+               vectorized: Callable[[Optional[Callable]], KernelStats],
+               cellwise: Callable[[], KernelStats]) -> KernelStats:
+    """Resolve the kernel tier and regime, run the chosen route, stamp it.
+
+    ``tier`` picks the implementation tier (``numpy``/``numba``, ``auto``
+    preferring numba when available); ``kernel`` picks the cell regime
+    (``dense``/``sparse``, ``auto`` deciding from the populations of
+    ``cells`` via :func:`repro.core.nativekernels.choose_selfjoin_kernel`).
+    On the numba tier both regimes run ``vectorized`` with the matching
+    compiled pair kernel; on the NumPy tier the dense regime runs
+    ``cellwise`` and the sparse regime ``vectorized(None)``.  All routes
+    emit identical pair sets.  The resolved tier and regime are stamped on
+    the returned :class:`KernelStats` (``tier``, ``kernel_counts``).  The
+    self-join and the probe share this dispatch.
     """
     resolved = nativekernels.resolve_kernel_tier(tier)
     choice = kernel if kernel != "auto" else nativekernels.choose_selfjoin_kernel(
-        index, source_cells, max_candidate_pairs)
+        index, cells, max_candidate_pairs)
     if resolved == "numba":
-        native = nativekernels.native_pair_kernels()[choice]
-        fn = selfjoin_unicomp_vectorized if unicomp else selfjoin_global_vectorized
-        out = fn(index, eps, source_cells, max_candidate_pairs, sink=sink,
-                 native_kernel=native)
+        stats = vectorized(nativekernels.native_pair_kernels()[choice])
     elif choice == "dense":
-        fn = selfjoin_unicomp_cellwise if unicomp else selfjoin_global_cellwise
-        out = fn(index, eps, source_cells, sink=sink)
+        stats = cellwise()
     else:
-        fn = selfjoin_unicomp_vectorized if unicomp else selfjoin_global_vectorized
-        out = fn(index, eps, source_cells, max_candidate_pairs, sink=sink)
-    out.stats.tier = resolved
-    out.stats.kernel_counts[choice] = out.stats.kernel_counts.get(choice, 0) + 1
-    return out
-
-
-#: Legacy dispatch table on (kernel implementation, unicomp flag).  Kept for
-#: backward compatibility; the production dispatch now goes through the
-#: pluggable backends of :mod:`repro.engine.backends`.
-KERNELS = {
-    ("pointwise", False): lambda index, eps, cells, chunk: selfjoin_global_pointwise(index, eps),
-    ("cellwise", False): lambda index, eps, cells, chunk: selfjoin_global_cellwise(index, eps, cells),
-    ("cellwise", True): lambda index, eps, cells, chunk: selfjoin_unicomp_cellwise(index, eps, cells),
-    ("vectorized", False): lambda index, eps, cells, chunk: selfjoin_global_vectorized(
-        index, eps, cells, chunk),
-    ("vectorized", True): lambda index, eps, cells, chunk: selfjoin_unicomp_vectorized(
-        index, eps, cells, chunk),
-}
+        stats = vectorized(None)
+    stats.tier = resolved
+    stats.kernel_counts[choice] = stats.kernel_counts.get(choice, 0) + 1
+    return stats
 
 
 # --------------------------------------------------------------------------
-# internal helpers
+# the cell-pair walker
 # --------------------------------------------------------------------------
-def _resolve_offset_pairs(index: GridIndex, source_cells: np.ndarray,
-                          offset: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
-    """Map each source cell to its neighbor cell at ``offset``.
+#: Rows (source cell x offset) one walker group broadcasts and resolves at
+#: once.  A group always holds at least one whole source cell.
+_WALK_ROWS = 16384
 
-    Returns ``(src, tgt, checked)`` where ``src``/``tgt`` are indices into
-    ``B`` for the pairs whose neighbor exists (is inside the grid, passes the
-    per-dimension masks and is non-empty), and ``checked`` is the number of
-    candidate cells that survived the mask filter and were binary-searched
-    (the quantity the masking arrays are designed to reduce).
+
+@lru_cache(maxsize=None)
+def _neighbor_offsets(n_dims: int) -> Tuple[np.ndarray, np.ndarray]:
+    """The 3^n offsets and, per offset, its highest non-zero dimension.
+
+    The home offset's highest dimension is ``-1``, the convention of
+    :func:`repro.core.unicomp.highest_nonzero_dim`.  Both cached arrays are
+    read-only.
     """
-    coords = index.cell_coords[source_cells]
-    neighbor = coords + np.asarray(offset, dtype=np.int64)[None, :]
-    inside = np.all((neighbor >= 0) & (neighbor < index.num_cells[None, :]), axis=1)
-    # Mask filter: each neighbor coordinate must be non-empty in its dimension.
+    offsets = all_neighbor_offsets(n_dims, include_home=True)
+    nonzero = offsets != 0
+    top = np.where(nonzero.any(axis=1),
+                   n_dims - 1 - nonzero[:, ::-1].argmax(axis=1), -1)
+    offsets.setflags(write=False)
+    top.setflags(write=False)
+    return offsets, top
+
+
+def _walk_cell_pairs(index: GridIndex, coords: np.ndarray, unicomp: bool = False,
+                     ) -> Iterator[Tuple[np.ndarray, np.ndarray, int,
+                                         Optional[np.ndarray]]]:
+    """Resolve source cells x neighbor offsets against the index's ``B``.
+
+    ``coords`` are ``(m, n)`` source cell coordinates in ``index``'s grid.
+    Each source cell is paired with the 3^n offsets; under ``unicomp`` only
+    with those Algorithm 2 selects: the home cell, and the offsets whose
+    highest non-zero dimension ``k`` has an odd ``k`` coordinate in the
+    source cell.  The rows are broadcast source-cell-major in groups of
+    whole source cells, at most ``_WALK_ROWS`` rows unless one cell alone is
+    more.  Each group is filtered by the grid bounds and the per-dimension
+    masks ``M_j`` and resolved with one
+    :meth:`~repro.core.gridindex.GridIndex.lookup_cells` (Algorithm 1,
+    lines 6-11).  Per group this yields ``(src, tgt, checked, mirror)``:
+    positions into ``coords`` and indices into ``B`` of the non-empty
+    neighbor cells found; the number of candidate cells that passed the
+    filter and were binary-searched; and, under ``unicomp``, which pairs are
+    non-home and so emit both ordered pairs (``None`` otherwise).
+
+    Because the walk is source-cell-major, the pairs of any contiguous
+    subset of the source cells are a contiguous run of the whole walk: a
+    shard split at a ``B``-order boundary emits, half after half, exactly
+    the unsplit shard's pair stream.  A cancellation checkpoint runs before
+    every group, so a deadline stops a kernel call between groups.
+    """
+    n_src = coords.shape[0]
+    offsets, top = _neighbor_offsets(index.num_dims)
+    if n_src == 0 or index.num_nonempty_cells == 0:
+        return
+    # admit[j][i, d + 1]: coordinate j of source cell i, moved by d, is in
+    # M_j (which also keeps it inside the grid).
+    admit = []
     for j, mask in enumerate(index.masks):
-        if not inside.any():
-            break
-        pos = np.searchsorted(mask, neighbor[:, j])
-        pos = np.minimum(pos, mask.shape[0] - 1)
-        inside &= mask[pos] == neighbor[:, j]
-    candidates = np.flatnonzero(inside)
-    checked = int(candidates.shape[0])
-    if checked == 0:
-        return (np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64), 0)
-    linear = index.coords_to_linear(neighbor[candidates])
-    tgt = index.lookup_cells(linear)
-    found = tgt >= 0
-    src = source_cells[candidates[found]]
-    return src.astype(np.int64), tgt[found].astype(np.int64), checked
+        moved = coords[:, j, None] + np.arange(-1, 2, dtype=np.int64)
+        pos = np.minimum(np.searchsorted(mask, moved), mask.shape[0] - 1)
+        admit.append(mask[pos] == moved)
+    if unicomp:
+        # evaluates[i, k]: source cell i evaluates the offsets whose highest
+        # non-zero dimension is k (odd k coordinate); column -1 is home.
+        evaluates = np.ones((n_src, index.num_dims + 1), dtype=bool)
+        evaluates[:, :-1] = coords % 2 == 1
+    base = index.coords_to_linear(coords)
+    shift = index.coords_to_linear(offsets)
+    step = max(1, _WALK_ROWS // offsets.shape[0])
+    for lo in range(0, n_src, step):
+        check_cancelled()
+        # An offset passes where every coordinate does: the outer product
+        # of the per-dimension admit rows, in the offsets' (row-major) order.
+        keep = admit[0][lo:lo + step]
+        for more in admit[1:]:
+            keep = (keep[:, :, None] & more[lo:lo + step, None, :]).reshape(
+                keep.shape[0], -1)
+        if unicomp:
+            keep = keep & evaluates[lo:lo + step][:, top]
+        src, offset = np.nonzero(keep)
+        if src.shape[0] == 0:
+            continue
+        src += lo
+        tgt = index.lookup_cells(base[src] + shift[offset])
+        found = tgt >= 0
+        mirror = top[offset[found]] >= 0 if unicomp else None
+        yield src[found], tgt[found], int(src.shape[0]), mirror
 
 
-def _emit_pairs_chunked(index: GridIndex, src: np.ndarray, tgt: np.ndarray,
-                        eps: float, max_candidate_pairs: int,
-                        sink: PairFragments, mirror: bool,
-                        native_kernel: Optional[Callable] = None) -> int:
+# --------------------------------------------------------------------------
+# the expand/filter/emit step
+# --------------------------------------------------------------------------
+#: One side of a cell-pair join: ``(points, lookup, starts, counts)``.  The
+#: points of the side's cell ``h`` are ``points[lookup[starts[h]:starts[h]
+#: + counts[h]]]``: the index's CSR arrays with ``A`` as the lookup, or a
+#: probe's query groups with their sort order as the lookup.
+_JoinSide = Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
+
+
+def _emit_pairs(sink: PairFragments, q_side: _JoinSide, q_cells: np.ndarray,
+                c_side: _JoinSide, c_cells: np.ndarray, eps2: float,
+                max_candidate_pairs: int, *,
+                mirror: Optional[np.ndarray] = None,
+                key_map: Optional[np.ndarray] = None,
+                native_kernel: Optional[Callable] = None) -> int:
     """Expand cell pairs into point pairs, filter by distance, emit into ``sink``.
 
-    Returns the number of distance evaluations performed.  When ``mirror`` is
-    true both ordered pairs are emitted for every match (UNICOMP non-home
-    offsets).  With ``native_kernel`` the expand/filter step runs as a
-    compiled pair kernel emitting into preallocated buffers instead of the
-    NumPy ragged expansion.
+    The k-th cell pair joins cell ``q_cells[k]`` of the query side with cell
+    ``c_cells[k]`` of the candidate side, in chunks whose expansion stays
+    within ``max_candidate_pairs``.  Returns the number of distance
+    evaluations.  Matches are emitted cell pair by cell pair, query point by
+    query point; where ``mirror[k]`` is set (UNICOMP's non-home pairs) each
+    match is followed by its reverse, as the compiled kernels emit it, so
+    the stream does not depend on the chunking.  ``key_map`` maps emitted
+    keys (a probe's local rows to global rows).  With ``native_kernel`` the
+    expand/filter step runs as a compiled pair kernel writing into
+    preallocated buffers instead of the NumPy ragged expansion.
     """
-    eps2 = eps * eps
-    points = index.points
-    # Gather the CSR ranges of the cell pairs once; the chunk loop below
-    # slices these views instead of re-indexing cell_counts/cell_starts for
-    # every chunk.
-    sizes_s = index.cell_counts[src].astype(np.int64)
-    sizes_t = index.cell_counts[tgt].astype(np.int64)
-    starts_s = index.cell_starts[src].astype(np.int64)
-    starts_t = index.cell_starts[tgt].astype(np.int64)
-    pair_counts = sizes_s * sizes_t
-    total = int(pair_counts.sum())
-    if total == 0:
-        return 0
+    q_points, q_lookup, q_starts, q_counts = q_side
+    c_points, c_lookup, c_starts, c_counts = c_side
+    # Gather the CSR ranges of the cell pairs once; the chunk loop slices
+    # these instead of re-indexing starts/counts for every chunk.
+    sizes_q = q_counts[q_cells]
+    sizes_c = c_counts[c_cells]
+    starts_q = q_starts[q_cells]
+    starts_c = c_starts[c_cells]
+    pair_counts = sizes_q * sizes_c
     n_dist = 0
-    # Split the cell-pair list into chunks whose expanded size stays bounded.
-    boundaries = _chunk_boundaries(pair_counts, max_candidate_pairs)
-    for lo, hi in boundaries:
+    for lo, hi in _chunk_boundaries(pair_counts, max_candidate_pairs):
         chunk_total = int(pair_counts[lo:hi].sum())
         if chunk_total == 0:
             continue
+        n_dist += chunk_total
+        chunk = (starts_q[lo:hi], sizes_q[lo:hi], starts_c[lo:hi], sizes_c[lo:hi])
         if native_kernel is not None:
-            capacity = chunk_total * (2 if mirror else 1)
+            twice = np.zeros(hi - lo, dtype=bool) if mirror is None else mirror[lo:hi]
+            capacity = chunk_total + int(pair_counts[lo:hi][twice].sum())
             keys = np.empty(capacity, dtype=np.int64)
             values = np.empty(capacity, dtype=np.int64)
-            n = native_kernel(points, points, index.A, index.A,
-                              starts_s[lo:hi], sizes_s[lo:hi],
-                              starts_t[lo:hi], sizes_t[lo:hi],
-                              eps2, keys, values, mirror)
-            n_dist += chunk_total
+            n = native_kernel(q_points, c_points, q_lookup, c_lookup, *chunk,
+                              eps2, keys, values, twice)
             # Copy off the oversized buffers so the sink holds right-sized
             # fragments, not views pinning full-capacity allocations.
-            sink.emit(keys[:n].copy(), values[:n].copy())
+            sink.emit(keys[:n].copy() if key_map is None else key_map[keys[:n]],
+                      values[:n].copy())
             continue
-        q_idx, c_idx = _expand_cell_pairs(index.A, index.A,
-                                          starts_s[lo:hi], sizes_s[lo:hi],
-                                          starts_t[lo:hi], sizes_t[lo:hi])
-        diff = points[q_idx]
-        diff -= points[c_idx]
-        dist2 = np.einsum("ij,ij->i", diff, diff)
-        n_dist += int(dist2.shape[0])
-        within = dist2 <= eps2
+        q_idx, c_idx = _expand_cell_pairs(q_lookup, c_lookup, *chunk)
+        diff = q_points[q_idx]
+        diff -= c_points[c_idx]
+        within = np.einsum("ij,ij->i", diff, diff) <= eps2
         q_sel = q_idx[within]
         c_sel = c_idx[within]
-        sink.emit(q_sel, c_sel)
-        if mirror:
-            sink.emit(c_sel, q_sel)
+        if mirror is None:
+            sink.emit(q_sel if key_map is None else key_map[q_sel], c_sel)
+            continue
+        # Each mirrored match takes two slots: the match, then its reverse.
+        twice = mirror[lo:hi].repeat(pair_counts[lo:hi])[within]
+        slots = twice + 1
+        keys = q_sel.repeat(slots)
+        values = c_sel.repeat(slots)
+        second = slots.cumsum()[twice] - 1
+        keys[second] = c_sel[twice]
+        values[second] = q_sel[twice]
+        sink.emit(keys, values)
     return n_dist
 
 
@@ -553,8 +589,8 @@ def _expand_cell_pairs(src_lookup: np.ndarray, tgt_lookup: np.ndarray,
     ``tgt_lookup`` for the target side (the index's ``A`` for both in a
     self-join; a probe's group order and ``A`` in a probe).
     """
-    # ndarray methods, not np.* wrappers: single-point probes call this
-    # once per offset on arrays of a few elements.
+    # ndarray methods, not np.* wrappers: single-point probes call this on
+    # arrays of a few elements.
     row_len = sizes_t.repeat(sizes_s)
     total = int(row_len.sum())
     if total == 0:

@@ -25,12 +25,12 @@ distinguish:
     no tiling setup.  Wins when cells hold few points (high dimensionality
     / small ε), where per-pair overhead dominates.
 
-Both exist in GLOBAL and UNICOMP use (the ``mirror`` flag emits both
-ordered pairs for UNICOMP's non-home offsets) and serve the self-join *and*
-the bipartite probe: the query side and the candidate side each come with
-their own point array and row-indirection map, so ``(points, A)`` twice is
-a self-join and ``(probe_pts, group_order)`` against ``(points, A)`` is a
-probe.
+Both exist in GLOBAL and UNICOMP use (per-cell-pair ``mirror`` flags emit
+both ordered pairs for UNICOMP's non-home cell pairs) and serve the
+self-join *and* the bipartite probe: the query side and the candidate side
+each come with their own point array and row-indirection map, so
+``(points, A)`` twice is a self-join and ``(probe_pts, group_order)``
+against ``(points, A)`` is a probe.
 
 Tier resolution mirrors :func:`repro.engine.backends.backend_availability`:
 the ``numba`` tier is *registered* everywhere but only *available* where
@@ -189,8 +189,8 @@ def parse_kernel_spec(spec: str) -> Tuple[str, str]:
 #   starts_*, counts_* : CSR ranges of the k-th cell pair into map_*
 #   eps2               : squared search distance
 #   keys, values       : preallocated int64 output buffers
-#   mirror             : emit both ordered pairs per match (UNICOMP
-#                        non-home offsets)
+#   mirror             : per cell pair, emit both ordered pairs per match
+#                        (UNICOMP non-home cell pairs)
 # Returns the number of buffer slots written.  The distance accumulates
 # dimension-by-dimension in float64, the same order as the NumPy tier's
 # einsum contraction, so the ε-boundary decision is bit-identical.
@@ -218,7 +218,7 @@ def _pairs_sparse_impl(q_points, c_points, map_q, map_c,
                     keys[pos] = qi
                     values[pos] = cj
                     pos += 1
-                    if mirror:
+                    if mirror[k]:
                         keys[pos] = cj
                         values[pos] = qi
                         pos += 1
@@ -259,7 +259,7 @@ def _pairs_dense_impl(q_points, c_points, map_q, map_c,
                         keys[pos] = qi
                         values[pos] = tile_ids[j]
                         pos += 1
-                        if mirror:
+                        if mirror[k]:
                             keys[pos] = tile_ids[j]
                             values[pos] = qi
                             pos += 1
@@ -307,9 +307,10 @@ def warm_jit_cache() -> bool:
     counts = np.full(1, 2, dtype=np.int64)
     keys = np.empty(8, dtype=np.int64)
     values = np.empty(8, dtype=np.int64)
+    mirror = np.ones(1, dtype=bool)
     for kernel in native_pair_kernels().values():
         kernel(pts, pts, rows, rows, starts, counts, starts, counts,
-               1.0, keys, values, True)
+               1.0, keys, values, mirror)
     _warmed = True
     return True
 

@@ -10,13 +10,13 @@ Two flavours are provided:
 
 * scalar/per-cell helpers used by the readable "cellwise" kernel and the
   per-thread simulated kernel, and
-* vectorized helpers (offset enumeration) used by the fast NumPy kernels.
+* the offset enumeration behind the vectorized cell-pair walker.
 """
 
 from __future__ import annotations
 
 from itertools import product
-from typing import Iterator, List, Sequence
+from typing import Iterator, List, Sequence, Tuple
 
 import numpy as np
 
@@ -73,31 +73,37 @@ def enumerate_candidate_cells(filtered: Sequence[np.ndarray]) -> Iterator[np.nda
         yield np.asarray(combo, dtype=np.int64)
 
 
-def candidate_cells_of_point(index: GridIndex, point_id: int) -> List[int]:
-    """Non-empty adjacent cells (indices into ``B``) of a point's cell.
+def adjacent_cells(index: GridIndex, cell_coords: np.ndarray) -> Tuple[int, List[int]]:
+    """Scalar adjacent-cell walk of one cell (Algorithm 1, lines 6-11).
 
-    Convenience wrapper combining range computation, mask filtering, candidate
-    enumeration and the binary search in ``B``; primarily used by tests and by
-    the readable reference kernels.
+    Computes the adjacent ranges, filters them by the masks ``M_j``,
+    enumerates the candidate cells and binary-searches each in ``B``.
+    Returns ``(checked, found)``: the number of candidate cells searched and
+    the non-empty ones among them (indices into ``B``).  The walk of the
+    readable reference kernels and probes.
     """
-    coords = index.cell_of_point(point_id)
-    ranges = adjacent_ranges(coords, index.num_cells)
-    filtered = mask_filter_ranges(ranges, index.masks)
+    ranges = adjacent_ranges(cell_coords, index.num_cells)
+    checked = 0
     found: List[int] = []
-    for cand in enumerate_candidate_cells(filtered):
-        linear = int(index.coords_to_linear(cand))
-        h = index.lookup_cell(linear)
+    for cand in enumerate_candidate_cells(mask_filter_ranges(ranges, index.masks)):
+        checked += 1
+        h = index.lookup_cell(int(index.coords_to_linear(cand)))
         if h >= 0:
             found.append(h)
-    return found
+    return checked, found
+
+
+def candidate_cells_of_point(index: GridIndex, point_id: int) -> List[int]:
+    """Non-empty adjacent cells (indices into ``B``) of a point's cell."""
+    return adjacent_cells(index, index.cell_of_point(point_id))[1]
 
 
 def all_neighbor_offsets(n_dims: int, include_home: bool = True) -> np.ndarray:
     """All offsets in ``{-1, 0, +1}^n`` as an ``(3^n, n)`` int64 array.
 
-    The vectorized kernels iterate offsets (outer loop) and cells (inner,
-    vectorized) instead of the per-point loops of Algorithm 1; the visited
-    cell pairs are identical.
+    The vectorized cell-pair walker of :mod:`repro.core.kernels` broadcasts
+    these offsets against many cells at once instead of the per-point loops
+    of Algorithm 1; the visited cell pairs are identical.
 
     Parameters
     ----------
@@ -112,34 +118,3 @@ def all_neighbor_offsets(n_dims: int, include_home: bool = True) -> np.ndarray:
         keep = ~np.all(offsets == 0, axis=1)
         offsets = offsets[keep]
     return offsets
-
-
-def neighbor_cells_for_offset(index: GridIndex, offset: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """For one offset, map every non-empty cell to its (possibly empty) neighbor.
-
-    Parameters
-    ----------
-    index:
-        A built :class:`~repro.core.gridindex.GridIndex`.
-    offset:
-        ``(n_dims,)`` offset in ``{-1, 0, 1}^n``.
-
-    Returns
-    -------
-    (source, target):
-        Two equal-length int64 arrays of indices into ``B``: ``source[k]`` is a
-        non-empty cell whose neighbor at ``offset`` is the non-empty cell
-        ``target[k]``.  Cells whose neighbor falls outside the grid or is
-        empty are dropped.
-    """
-    coords = index.cell_coords
-    neighbor = coords + np.asarray(offset, dtype=np.int64)[None, :]
-    inside = np.all((neighbor >= 0) & (neighbor < index.num_cells[None, :]), axis=1)
-    src = np.flatnonzero(inside)
-    if src.size == 0:
-        empty = np.empty(0, dtype=np.int64)
-        return empty, empty.copy()
-    linear = index.coords_to_linear(neighbor[src])
-    tgt = index.lookup_cells(linear)
-    found = tgt >= 0
-    return src[found].astype(np.int64), tgt[found].astype(np.int64)

@@ -9,9 +9,9 @@ cheaper one.
 
 The grid-join work estimate is the number of candidate point pairs the
 kernel will evaluate — the sum over adjacent non-empty cell pairs of the
-product of their populations — which the index can compute exactly in
-O(3^n · |G|) without expanding any pairs.  Brute force always evaluates
-``|D|^2`` pairs but touches no index structures.
+product of their populations — which the kernel's own cell-pair walk
+computes exactly in O(3^n · |G|) without expanding any pairs.  Brute force
+always evaluates ``|D|^2`` pairs but touches no index structures.
 """
 
 from __future__ import annotations
@@ -22,9 +22,8 @@ from typing import Optional
 import numpy as np
 
 from repro.core.gridindex import GridIndex
-from repro.core.neighbors import all_neighbor_offsets
+from repro.core.kernels import _walk_cell_pairs
 from repro.core.result import ResultSet
-from repro.core.unicomp import unicomp_offset_mask
 from repro.utils.validation import check_eps, check_points
 
 
@@ -96,25 +95,8 @@ def estimate_join_work(index: GridIndex, unicomp: bool = True) -> WorkEstimate:
         configuration of GPU-SJ).
     """
     counts = index.cell_counts.astype(np.int64)
-    total_pairs = 0
-    offsets = all_neighbor_offsets(index.num_dims, include_home=True)
-    for offset in offsets:
-        is_home = bool(np.all(offset == 0))
-        if unicomp and not is_home:
-            mask = unicomp_offset_mask(index.cell_coords, offset)
-            sources = np.flatnonzero(mask)
-        else:
-            sources = np.arange(index.num_nonempty_cells)
-        if sources.shape[0] == 0:
-            continue
-        neighbor = index.cell_coords[sources] + offset[None, :]
-        inside = np.all((neighbor >= 0) & (neighbor < index.num_cells[None, :]), axis=1)
-        sources = sources[inside]
-        if sources.shape[0] == 0:
-            continue
-        target = index.lookup_cells(index.coords_to_linear(neighbor[inside]))
-        found = target >= 0
-        total_pairs += int((counts[sources[found]] * counts[target[found]]).sum())
+    total_pairs = sum(int((counts[src] * counts[tgt]).sum()) for src, tgt, _, _
+                      in _walk_cell_pairs(index, index.cell_coords, unicomp))
     return WorkEstimate(
         grid_candidate_pairs=total_pairs,
         bruteforce_pairs=index.num_points ** 2,

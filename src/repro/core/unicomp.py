@@ -6,7 +6,7 @@ The paper selects, per dimension ``k`` with an **odd** cell coordinate, the
 neighbor cells that differ in dimension ``k``, range freely over the adjacent
 coordinates in dimensions ``< k`` and agree in dimensions ``> k``.
 
-An equivalent formulation (used by the vectorized kernel and proved in the
+An equivalent formulation (walked by the vectorized kernel and proved in the
 tests) is in terms of the cell *offset* ``delta = b - a`` between an adjacent
 pair ``(a, b)``:
 
@@ -46,29 +46,6 @@ def unicomp_evaluates(cell_coords: np.ndarray, offset: np.ndarray) -> bool:
     if k < 0:
         return True
     return bool(np.asarray(cell_coords, dtype=np.int64)[k] % 2 == 1)
-
-
-def unicomp_offset_mask(cell_coords: np.ndarray, offsets: np.ndarray) -> np.ndarray:
-    """Vectorized UNICOMP selection over many cells and one offset.
-
-    Parameters
-    ----------
-    cell_coords:
-        ``(n_cells, n_dims)`` coordinates of the source cells.
-    offsets:
-        ``(n_dims,)`` single offset vector.
-
-    Returns
-    -------
-    numpy.ndarray
-        Boolean array of length ``n_cells``; ``True`` where the source cell
-        evaluates its neighbor at this offset under UNICOMP.
-    """
-    cell_coords = np.asarray(cell_coords, dtype=np.int64)
-    k = highest_nonzero_dim(offsets)
-    if k < 0:
-        return np.ones(cell_coords.shape[0], dtype=bool)
-    return (cell_coords[:, k] % 2) == 1
 
 
 def unicomp_candidate_cells(cell_coords: np.ndarray,

@@ -15,13 +15,12 @@ Both operators emit pair fragments into a
 :class:`~repro.core.result.PairFragments` sink — the CSR-native result
 pipeline — and return the paper's :class:`~repro.core.kernels.KernelStats`
 work counters.  Backends register themselves in :data:`BACKENDS` via
-:func:`register_backend`; this registry replaces the old
-``KERNELS[(kernel, unicomp)]`` dispatch dict and the bespoke probe loop that
-used to live in :mod:`repro.core.join`.
+:func:`register_backend`.
 
 Available backends:
 
-* ``vectorized`` — the production path (offset-major NumPy kernels).
+* ``vectorized`` — the production path (the shared cell-pair walker and
+  emitter of :mod:`repro.core.kernels`).
 * ``cellwise`` — readable per-cell reference.
 * ``pointwise`` — literal Algorithm 1 transcription (reference, slow).
 * ``simulated`` — instrumented device-model path (Table II); probes fall
@@ -55,25 +54,20 @@ import numpy as np
 
 from repro.core import linearize as lin
 from repro.core import nativekernels
-from repro.core.gridindex import GridIndex
+from repro.core.gridindex import GridIndex, _run_length_encode
 from repro.core.kernels import (
     DEFAULT_MAX_CANDIDATE_PAIRS,
     KernelStats,
-    _chunk_boundaries,
-    _expand_cell_pairs,
+    _emit_pairs,
+    _run_tiered,
+    _walk_cell_pairs,
     selfjoin_global_cellwise,
     selfjoin_global_pointwise,
     selfjoin_tiered,
     selfjoin_unicomp_cellwise,
 )
-from repro.core.neighbors import (
-    adjacent_ranges,
-    all_neighbor_offsets,
-    enumerate_candidate_cells,
-    mask_filter_ranges,
-)
+from repro.core.neighbors import adjacent_cells
 from repro.core.result import PairFragments
-from repro.utils.cancellation import check_cancelled
 
 
 class ExecutionBackend(abc.ABC):
@@ -384,26 +378,26 @@ def available_backends() -> List[str]:
 # --------------------------------------------------------------------------
 # shared probe helpers (moved here from the bespoke loop in core/join.py)
 # --------------------------------------------------------------------------
-def _rle(sorted_ids: np.ndarray):
-    """Run-length encode a sorted id array (ids, starts, counts)."""
-    if sorted_ids.shape[0] == 0:
-        empty = np.empty(0, dtype=np.int64)
-        return empty, empty.copy(), empty.copy()
-    change = np.empty(sorted_ids.shape[0], dtype=bool)
-    change[0] = True
-    np.not_equal(sorted_ids[1:], sorted_ids[:-1], out=change[1:])
-    starts = np.flatnonzero(change).astype(np.int64)
-    counts = np.empty_like(starts)
-    counts[:-1] = np.diff(starts)
-    counts[-1] = sorted_ids.shape[0] - starts[-1]
-    return sorted_ids[starts], starts, counts
-
-
 def _probe_rows(queries: np.ndarray, rows: Optional[np.ndarray]) -> np.ndarray:
     """Resolve the probed row subset (all rows when ``None``)."""
     if rows is None:
         return np.arange(queries.shape[0], dtype=np.int64)
     return np.asarray(rows, dtype=np.int64)
+
+
+def _group_by_cell(probe_pts: np.ndarray, index: GridIndex):
+    """Group probe points by their cell in ``index``'s grid.
+
+    Returns ``(coords, order, starts, counts)``: each group's cell
+    coordinates, and the CSR ranges of the groups over ``order``, the
+    stable argsort of the points by cell id.
+    """
+    coords = lin.compute_cell_coords(probe_pts, index.gmin, index.eps,
+                                     index.num_cells)
+    cell_ids = lin.linearize(coords, index.strides)
+    order = np.argsort(cell_ids, kind="stable")
+    _, starts, counts = _run_length_encode(cell_ids[order])
+    return coords[order[starts]], order, starts, counts
 
 
 def _reject_cell_subset(backend: ExecutionBackend, cells) -> None:
@@ -421,13 +415,14 @@ def _vectorized_probe(queries: np.ndarray, index: GridIndex, eps: float,
                       sink: PairFragments, rows: Optional[np.ndarray],
                       max_candidate_pairs: int,
                       native_kernel: Optional[Callable] = None) -> KernelStats:
-    """Offset-major bipartite probe (production path).
+    """Bipartite probe on the shared cell-pair walker (production path).
 
-    The query points are grouped by their cell coordinates *in the index's
-    grid* so the adjacent-cell resolution is shared by co-located queries;
-    for each of the 3^n offsets, all (query group, index cell) pairs are
-    resolved with one vectorized binary search and their candidate point
-    pairs expanded and distance-filtered in bounded chunks.
+    The query points are grouped by their cell in the index's grid, so
+    co-located queries share one adjacent-cell resolution.  The groups' cell
+    coordinates are walked against all 3^n offsets by
+    :func:`repro.core.kernels._walk_cell_pairs`, and every resolved (query
+    group, index cell) pair is expanded and distance-filtered by the shared
+    emitter, which maps the group-local keys back to global rows.
     ``native_kernel`` swaps the expand/filter step for a compiled pair
     kernel from :mod:`repro.core.nativekernels`.
     """
@@ -436,92 +431,18 @@ def _vectorized_probe(queries: np.ndarray, index: GridIndex, eps: float,
     if rows.shape[0] == 0:
         return stats
     probe_pts = queries[rows]
-    eps2 = eps * eps
-
-    coords = lin.compute_cell_coords(probe_pts, index.gmin, index.eps,
-                                     index.num_cells)
-    cell_ids = lin.linearize(coords, index.strides)
-    order = np.argsort(cell_ids, kind="stable")
-    sorted_ids = cell_ids[order]
-    unique_ids, starts, counts = _rle(sorted_ids)
-    group_coords = lin.delinearize(unique_ids, index.num_cells)
-
+    group_coords, order, starts, counts = _group_by_cell(probe_pts, index)
+    groups = (probe_pts, order, starts, counts)
+    cells = (index.points, index.A, index.cell_starts, index.cell_counts)
     before = sink.num_pairs
-    offsets = all_neighbor_offsets(index.num_dims, include_home=True)
-    for offset in offsets:
-        # Cancellation checkpoint: in high dimensionality the 3^n offsets
-        # dominate runtime, so a deadline stops between offsets.
-        check_cancelled()
-        neighbor = group_coords + offset[None, :]
-        inside = np.all((neighbor >= 0) & (neighbor < index.num_cells[None, :]),
-                        axis=1)
-        for j, mask in enumerate(index.masks):
-            if not inside.any():
-                break
-            pos = np.searchsorted(mask, neighbor[:, j])
-            pos = np.minimum(pos, mask.shape[0] - 1)
-            inside &= mask[pos] == neighbor[:, j]
-        candidates = np.flatnonzero(inside)
-        stats.cells_checked += int(candidates.shape[0])
-        if candidates.shape[0] == 0:
-            continue
-        linear = lin.linearize(neighbor[candidates], index.strides)
-        target = index.lookup_cells(linear)
-        found = target >= 0
-        src_groups = candidates[found]
-        tgt_cells = target[found]
-        stats.nonempty_cells_visited += int(src_groups.shape[0])
-        if src_groups.shape[0] == 0:
-            continue
-        stats.distance_calcs += _emit_group_pairs(
-            probe_pts, rows, index, order, starts, counts, src_groups,
-            tgt_cells, eps2, max_candidate_pairs, sink,
-            native_kernel=native_kernel)
+    for src, tgt, checked, _ in _walk_cell_pairs(index, group_coords):
+        stats.cells_checked += checked
+        stats.nonempty_cells_visited += int(src.shape[0])
+        stats.distance_calcs += _emit_pairs(
+            sink, groups, src, cells, tgt, eps * eps, max_candidate_pairs,
+            key_map=rows, native_kernel=native_kernel)
     stats.result_pairs = sink.num_pairs - before
     return stats
-
-
-def _emit_group_pairs(probe_pts: np.ndarray, rows: np.ndarray, index: GridIndex,
-                      order: np.ndarray, starts: np.ndarray, counts: np.ndarray,
-                      src_groups: np.ndarray, tgt_cells: np.ndarray, eps2: float,
-                      max_candidate_pairs: int, sink: PairFragments,
-                      native_kernel: Optional[Callable] = None) -> int:
-    """Expand (query group, index cell) pairs, filter by distance, emit pairs."""
-    sizes_s = counts[src_groups].astype(np.int64)
-    sizes_t = index.cell_counts[tgt_cells].astype(np.int64)
-    starts_s = starts[src_groups].astype(np.int64)
-    starts_t = index.cell_starts[tgt_cells].astype(np.int64)
-    pair_counts = sizes_s * sizes_t
-    if int(pair_counts.sum()) == 0:
-        return 0
-    n_dist = 0
-    for lo, hi in _chunk_boundaries(pair_counts, max_candidate_pairs):
-        chunk = slice(lo, hi)
-        chunk_total = int(pair_counts[chunk].sum())
-        if chunk_total == 0:
-            continue
-        if native_kernel is not None:
-            keys = np.empty(chunk_total, dtype=np.int64)
-            values = np.empty(chunk_total, dtype=np.int64)
-            # The query side indirects through the group order array, so the
-            # kernel emits *local* probe rows; map them to global rows here.
-            n = native_kernel(probe_pts, index.points, order, index.A,
-                              starts_s[chunk], sizes_s[chunk],
-                              starts_t[chunk], sizes_t[chunk],
-                              eps2, keys, values, False)
-            n_dist += chunk_total
-            sink.emit(rows[keys[:n]], values[:n].copy())
-            continue
-        q_idx, c_idx = _expand_cell_pairs(order, index.A,
-                                          starts_s[chunk], sizes_s[chunk],
-                                          starts_t[chunk], sizes_t[chunk])
-        diff = probe_pts[q_idx]
-        diff -= index.points[c_idx]
-        dist2 = np.einsum("ij,ij->i", diff, diff)
-        n_dist += int(dist2.shape[0])
-        within = dist2 <= eps2
-        sink.emit(rows[q_idx[within]], c_idx[within])
-    return n_dist
 
 
 def _tiered_probe(queries: np.ndarray, index: GridIndex, eps: float,
@@ -530,26 +451,17 @@ def _tiered_probe(queries: np.ndarray, index: GridIndex, eps: float,
                   kernel: str) -> KernelStats:
     """Probe on the resolved kernel tier with adaptive kernel selection.
 
-    The probe-side analogue of :func:`repro.core.kernels.selfjoin_tiered`:
-    the dense/sparse choice reads the *index* side's cell populations (the
-    candidate side dominates the expansion work) and the chosen tier and
-    kernel are stamped on the returned stats.
+    The probe-side analogue of :func:`repro.core.kernels.selfjoin_tiered`,
+    through the same dispatch: the dense/sparse choice reads the *index*
+    side's cell populations (the candidate side dominates the expansion
+    work).
     """
-    resolved = nativekernels.resolve_kernel_tier(tier)
-    choice = kernel if kernel != "auto" else nativekernels.choose_selfjoin_kernel(
-        index, None, max_candidate_pairs)
-    if resolved == "numba":
-        native = nativekernels.native_pair_kernels()[choice]
-        stats = _vectorized_probe(queries, index, eps, sink, rows,
-                                  max_candidate_pairs, native_kernel=native)
-    elif choice == "dense":
-        stats = _cellwise_probe(queries, index, eps, sink, rows)
-    else:
-        stats = _vectorized_probe(queries, index, eps, sink, rows,
-                                  max_candidate_pairs)
-    stats.tier = resolved
-    stats.kernel_counts[choice] = stats.kernel_counts.get(choice, 0) + 1
-    return stats
+    return _run_tiered(
+        index, None, max_candidate_pairs, tier, kernel,
+        vectorized=lambda native: _vectorized_probe(
+            queries, index, eps, sink, rows, max_candidate_pairs,
+            native_kernel=native),
+        cellwise=lambda: _cellwise_probe(queries, index, eps, sink, rows))
 
 
 def _pointwise_probe(queries: np.ndarray, index: GridIndex, eps: float,
@@ -563,14 +475,10 @@ def _pointwise_probe(queries: np.ndarray, index: GridIndex, eps: float,
         point = queries[row]
         coords = lin.compute_cell_coords(point[None, :], index.gmin, index.eps,
                                          index.num_cells)[0]
-        ranges = adjacent_ranges(coords, index.num_cells)
-        filtered = mask_filter_ranges(ranges, index.masks)
-        for cand in enumerate_candidate_cells(filtered):
-            stats.cells_checked += 1
-            h = index.lookup_cell(int(index.coords_to_linear(cand)))
-            if h < 0:
-                continue
-            stats.nonempty_cells_visited += 1
+        checked, found = adjacent_cells(index, coords)
+        stats.cells_checked += checked
+        stats.nonempty_cells_visited += len(found)
+        for h in found:
             candidate_ids = index.points_in_cell(h)
             diff = index.points[candidate_ids] - point
             dist2 = np.einsum("ij,ij->i", diff, diff)
@@ -590,28 +498,16 @@ def _cellwise_probe(queries: np.ndarray, index: GridIndex, eps: float,
         return stats
     eps2 = eps * eps
     probe_pts = queries[rows]
-    coords = lin.compute_cell_coords(probe_pts, index.gmin, index.eps,
-                                     index.num_cells)
-    cell_ids = lin.linearize(coords, index.strides)
-    order = np.argsort(cell_ids, kind="stable")
-    unique_ids, starts, counts = _rle(cell_ids[order])
-    group_coords = lin.delinearize(unique_ids, index.num_cells)
+    group_coords, order, starts, counts = _group_by_cell(probe_pts, index)
     before = sink.num_pairs
-    for g in range(unique_ids.shape[0]):
+    for g in range(starts.shape[0]):
         members = order[starts[g]:starts[g] + counts[g]]
-        ranges = adjacent_ranges(group_coords[g], index.num_cells)
-        filtered = mask_filter_ranges(ranges, index.masks)
-        candidate_ids: List[np.ndarray] = []
-        for cand in enumerate_candidate_cells(filtered):
-            stats.cells_checked += 1
-            h = index.lookup_cell(int(index.coords_to_linear(cand)))
-            if h < 0:
-                continue
-            stats.nonempty_cells_visited += 1
-            candidate_ids.append(index.points_in_cell(h))
-        if not candidate_ids:
+        checked, found = adjacent_cells(index, group_coords[g])
+        stats.cells_checked += checked
+        stats.nonempty_cells_visited += len(found)
+        if not found:
             continue
-        cand_arr = np.concatenate(candidate_ids)
+        cand_arr = np.concatenate([index.points_in_cell(h) for h in found])
         diff = probe_pts[members][:, None, :] - index.points[cand_arr][None, :, :]
         dist2 = np.einsum("ijk,ijk->ij", diff, diff)
         stats.distance_calcs += int(dist2.size)
@@ -630,7 +526,7 @@ class VectorizedBackend(ExecutionBackend):
 
     Both operators route through the kernel-tier dispatch
     (:func:`repro.core.kernels.selfjoin_tiered` and the probe analogue):
-    the numba tier when available, the offset-major NumPy kernels
+    the numba tier when available, the NumPy walker-and-emitter kernels
     otherwise, with the dense/sparse kernel regime chosen adaptively from
     the cell populations at hand.  ``kernel`` pins either axis —
     ``"vectorized(kernel=numba)"``, ``"vectorized(kernel=sparse)"``,

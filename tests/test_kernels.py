@@ -5,10 +5,21 @@ from __future__ import annotations
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from repro.baselines.kdtree_ref import kdtree_selfjoin
 from repro.core.gridindex import GridIndex
 from repro.core import kernels as K
+from repro.core import nativekernels as nk
+from repro.core.result import NeighborTable, PairFragments
+from repro.core.unicomp import unicomp_evaluates
+from repro.data.synthetic import uniform_dataset
+from repro.engine.backends import VectorizedBackend
+from repro.utils.cancellation import (
+    CancellationToken,
+    OperationCancelled,
+    cancel_scope,
+)
 
 
 ALL_KERNELS = [
@@ -208,9 +219,144 @@ class TestKernelStats:
         assert a.distance_calcs == 15
         assert a.result_pairs == 5
 
-    def test_registry_covers_all_kernel_variants(self):
-        assert ("vectorized", True) in K.KERNELS
-        assert ("vectorized", False) in K.KERNELS
-        assert ("cellwise", True) in K.KERNELS
-        assert ("cellwise", False) in K.KERNELS
-        assert ("pointwise", False) in K.KERNELS
+
+def grid_point_sets():
+    """(n_points, n_dims) arrays over a few unit cells, dims 2-6."""
+    return st.integers(2, 6).flatmap(
+        lambda dims: hnp.arrays(
+            dtype=np.float64,
+            shape=st.tuples(st.integers(1, 40), st.just(dims)),
+            elements=st.floats(0.0, 4.0, allow_nan=False, width=64)))
+
+
+def walked_pairs(index, unicomp):
+    """The walk's (source, target, mirror) triples over all cells, in order."""
+    return [(int(s), int(t), bool(m))
+            for src, tgt, _, mirror in K._walk_cell_pairs(
+                index, index.cell_coords, unicomp)
+            for s, t, m in zip(src, tgt, np.zeros(src.shape, bool)
+                               if mirror is None else mirror)]
+
+
+def adjacent_pairs(index):
+    """Brute force: all non-empty cell pairs at Chebyshev distance <= 1."""
+    coords = index.cell_coords
+    return {(a, b) for a in range(coords.shape[0]) for b in range(coords.shape[0])
+            if np.abs(coords[a] - coords[b]).max() <= 1}
+
+
+class TestCellPairWalker:
+    @given(points=grid_point_sets())
+    @settings(max_examples=60, deadline=None)
+    def test_global_walk_is_every_adjacent_pair_once(self, points):
+        index = GridIndex.build(points, 1.0)
+        walked = walked_pairs(index, unicomp=False)
+        assert len(walked) == len(set(walked))
+        assert not any(mirror for _, _, mirror in walked)
+        assert {(s, t) for s, t, _ in walked} == adjacent_pairs(index)
+
+    @given(points=grid_point_sets())
+    @settings(max_examples=60, deadline=None)
+    def test_unicomp_walk_is_algorithm_2(self, points):
+        index = GridIndex.build(points, 1.0)
+        coords = index.cell_coords
+        walked = walked_pairs(index, unicomp=True)
+        pairs = {(s, t) for s, t, _ in walked}
+        assert len(walked) == len(pairs)
+        assert pairs == {(a, b) for a, b in adjacent_pairs(index)
+                         if unicomp_evaluates(coords[a], coords[b] - coords[a])}
+        for s, t, mirror in walked:
+            assert mirror == (s != t)
+        # Each unordered non-home pair is walked from exactly one side.
+        for a, b in adjacent_pairs(index):
+            if a != b:
+                assert ((a, b) in pairs) != ((b, a) in pairs)
+
+    @given(points=grid_point_sets(), unicomp=st.booleans())
+    @settings(max_examples=30, deadline=None)
+    def test_walk_is_source_cell_major(self, points, unicomp):
+        index = GridIndex.build(points, 1.0)
+        sources = [s for s, _, _ in walked_pairs(index, unicomp)]
+        assert sources == sorted(sources)
+
+    @pytest.mark.parametrize("native", [None, "dense", "sparse"])
+    @pytest.mark.parametrize("unicomp", [False, True])
+    def test_split_halves_emit_the_whole_stream(self, unicomp, native):
+        """A shard split at a B-order boundary emits, half after half, the
+        whole shard's pair stream (what ordered shard merging relies on)."""
+        index = GridIndex.build(uniform_dataset(300, 4, seed=3, low=0, high=1), 0.3)
+        kernel = {None: None, "dense": nk._pairs_dense_impl,
+                  "sparse": nk._pairs_sparse_impl}[native]
+        fn = K.selfjoin_unicomp_vectorized if unicomp else K.selfjoin_global_vectorized
+        cells = np.arange(index.num_nonempty_cells)
+
+        def stream(part, max_candidate_pairs=K.DEFAULT_MAX_CANDIDATE_PAIRS):
+            result = fn(index, source_cells=part, native_kernel=kernel,
+                        max_candidate_pairs=max_candidate_pairs).result
+            return result.keys.tolist(), result.values.tolist()
+
+        whole = stream(cells)
+        for mid in (1, cells.shape[0] // 3, cells.shape[0] - 1):
+            first, second = stream(cells[:mid], 50), stream(cells[mid:], 200)
+            assert (first[0] + second[0], first[1] + second[1]) == whole
+
+    @pytest.mark.parametrize("walk_rows", [1, 10 ** 9])
+    def test_row_bound_changes_nothing(self, monkeypatch, walk_rows):
+        points = uniform_dataset(500, 6, seed=1, low=0, high=1)
+        queries = np.random.default_rng(7).uniform(0, 1, (300, 6))
+        index = GridIndex.build(points, 0.25)
+        reference = run_pinned(index, queries)
+        monkeypatch.setattr(K, "_WALK_ROWS", walk_rows)
+        assert run_pinned(index, queries) == reference
+
+
+def run_pinned(index, queries):
+    """Counters and CSR table of GLOBAL, UNICOMP and a probe, NumPy tier."""
+    backend = VectorizedBackend("numpy")
+    runs = {}
+    for name in ("global", "unicomp", "probe"):
+        rows = queries.shape[0] if name == "probe" else index.num_points
+        sink = PairFragments(rows)
+        if name == "probe":
+            stats = backend.run_probe(queries, index, index.eps, sink)
+        else:
+            stats = backend.run_selfjoin(index, index.eps, None, sink,
+                                         unicomp=name == "unicomp")
+        table = NeighborTable.from_pairs(*sink.concatenated(), rows)
+        runs[name] = ((stats.cells_checked, stats.nonempty_cells_visited,
+                       stats.distance_calcs, stats.result_pairs),
+                      table.offsets.tobytes(), table.neighbors.tobytes())
+    return runs
+
+
+class TestPinnedCounters:
+    """The four work counters on fixed inputs: the walk must not change them."""
+
+    @pytest.mark.parametrize("n,dims,eps,expected", [
+        (500, 6, 0.25, {"global": (113300, 13501, 15304, 704),
+                        "unicomp": (57926, 6986, 7932, 704),
+                        "probe": (73051, 8241, 8885, 127)}),
+        (2000, 3, 0.05, {"global": (42830, 10648, 14102, 4058),
+                         "unicomp": (22527, 6203, 8317, 4058),
+                         "probe": (7326, 1589, 1825, 286)}),
+    ])
+    def test_counters(self, n, dims, eps, expected):
+        index = GridIndex.build(uniform_dataset(n, dims, seed=1, low=0, high=1), eps)
+        queries = np.random.default_rng(7).uniform(0, 1, (300, dims))
+        runs = run_pinned(index, queries)
+        assert {name: run[0] for name, run in runs.items()} == expected
+        # UNICOMP emits the GLOBAL table exactly.
+        assert runs["unicomp"][1:] == runs["global"][1:]
+
+
+class TestCancellation:
+    @pytest.mark.parametrize("unicomp", [False, True])
+    def test_expired_deadline_stops_selfjoin_before_emitting(self, unicomp):
+        index = GridIndex.build(uniform_dataset(500, 6, seed=1, low=0, high=1), 0.25)
+        sink = PairFragments(index.num_points)
+        with pytest.raises(OperationCancelled) as err:
+            with cancel_scope(CancellationToken.with_timeout(0)):
+                VectorizedBackend().run_selfjoin(index, index.eps, None, sink,
+                                                 unicomp=unicomp)
+        assert err.value.is_deadline
+        assert sink.num_pairs == 0

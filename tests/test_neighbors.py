@@ -84,17 +84,6 @@ class TestOffsets:
 
 
 class TestNeighborCellsForOffset:
-    def test_zero_offset_maps_each_cell_to_itself(self, index_2d):
-        src, tgt = nb.neighbor_cells_for_offset(index_2d, np.zeros(2, dtype=np.int64))
-        assert np.array_equal(src, tgt)
-        assert src.shape[0] == index_2d.num_nonempty_cells
-
-    def test_offset_pairs_are_truly_adjacent(self, index_2d):
-        offset = np.array([1, 0], dtype=np.int64)
-        src, tgt = nb.neighbor_cells_for_offset(index_2d, offset)
-        assert np.array_equal(index_2d.cell_coords[src] + offset,
-                              index_2d.cell_coords[tgt])
-
     def test_candidate_cells_of_point_contains_home(self, index_2d):
         for pid in (0, 5, 100):
             cells = nb.candidate_cells_of_point(index_2d, pid)

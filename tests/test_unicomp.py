@@ -54,21 +54,6 @@ class TestEvaluates:
                     assert forward != backward, (a, offset)
 
 
-class TestOffsetMask:
-    def test_matches_scalar_rule(self):
-        rng = np.random.default_rng(1)
-        coords = rng.integers(0, 10, size=(40, 3))
-        for offset in all_neighbor_offsets(3, include_home=False)[:10]:
-            mask = uc.unicomp_offset_mask(coords, offset)
-            expected = np.array([uc.unicomp_evaluates(c, offset) for c in coords])
-            assert np.array_equal(mask, expected)
-
-    def test_home_offset_selects_all(self):
-        coords = np.arange(12).reshape(6, 2)
-        mask = uc.unicomp_offset_mask(coords, np.zeros(2, dtype=np.int64))
-        assert mask.all()
-
-
 class TestCandidateCells:
     def _dense_index(self, n_dims: int) -> GridIndex:
         """A grid whose cells are all non-empty (one point per cell)."""
