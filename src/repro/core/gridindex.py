@@ -29,6 +29,7 @@ from typing import List
 import numpy as np
 
 from repro.core import linearize as lin
+from repro.core.result import sort_pairs
 from repro.utils.validation import check_eps, ensure_2d_float64
 
 
@@ -112,7 +113,11 @@ class GridIndex:
         The construction is a sort by linearized cell id followed by a
         run-length encoding of the sorted ids — far cheaper than building an
         R-tree, which is the point the paper makes when omitting index
-        construction time for the baseline but not for GPU-SJ.
+        construction time for the baseline but not for GPU-SJ.  The sort is
+        one in-place sort of the fused key ``cell_id * n + point_id``
+        (:func:`repro.core.result.sort_pairs`), which orders the points of a
+        cell by id, as a stable argsort would; ``M_j`` is read off the |B|
+        non-empty cells rather than the n points.
         """
         pts = ensure_2d_float64(points)
         eps = check_eps(eps)
@@ -124,18 +129,11 @@ class GridIndex:
         coords = lin.compute_cell_coords(pts, gmin, eps, num_cells)
         cell_ids = lin.linearize(coords, strides)
 
-        # Sort points by cell id -> A; stable sort keeps point order within a
-        # cell deterministic, which simplifies testing.
-        order = np.argsort(cell_ids, kind="stable")
-        A = order.astype(np.int64)
-        sorted_ids = cell_ids[order]
-
-        # Run-length encode the sorted ids to obtain B and G.
-        B, cell_starts, cell_counts = _run_length_encode(sorted_ids)
+        A, B, cell_starts, cell_counts = group_by_cell_id(cell_ids)
         cell_coords = lin.delinearize(B, num_cells)
 
         # Per-dimension masks of non-empty coordinates.
-        masks = [np.unique(coords[:, j]) for j in range(pts.shape[1])]
+        masks = [np.unique(cell_coords[:, j]) for j in range(pts.shape[1])]
 
         return cls(
             points=pts,
@@ -189,9 +187,8 @@ class GridIndex:
     def lookup_cells(self, linear_ids: np.ndarray) -> np.ndarray:
         """Vectorized :meth:`lookup_cell`: array of positions, ``-1`` where empty."""
         linear_ids = np.asarray(linear_ids, dtype=np.int64)
-        pos = np.searchsorted(self.B, linear_ids)
-        pos = np.minimum(pos, self.B.shape[0] - 1)
-        found = self.B[pos] == linear_ids
+        pos = self.B.searchsorted(linear_ids)
+        found = self.B.take(pos, mode="clip") == linear_ids
         return np.where(found, pos, -1)
 
     def points_in_cell(self, h: int) -> np.ndarray:
@@ -297,6 +294,20 @@ class SubsetIndex:
     def to_global(self, local_ids: np.ndarray) -> np.ndarray:
         """Translate local row ids of the slice to global point ids."""
         return self.global_ids[np.asarray(local_ids, dtype=np.int64)]
+
+
+def group_by_cell_id(cell_ids: np.ndarray,
+                     ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Sort points by cell id, then run-length encode the sorted ids.
+
+    Returns ``(order, unique_ids, starts, counts)``: the point ids ordered
+    by cell id (ties by point id, the stable argsort), and the CSR ranges
+    of the cells over ``order``.  Cell ids must be non-negative.
+    """
+    n = cell_ids.shape[0]
+    sorted_ids, order = sort_pairs(cell_ids, np.arange(n, dtype=np.int64), n,
+                                   keep_keys=True)
+    return (order, *_run_length_encode(sorted_ids))
 
 
 def _run_length_encode(sorted_ids: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

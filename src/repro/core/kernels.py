@@ -312,7 +312,7 @@ def _selfjoin_vectorized(index: GridIndex, eps: Optional[float],
         stats.cells_checked += checked
         stats.nonempty_cells_visited += int(src.shape[0])
         stats.distance_calcs += _emit_pairs(
-            sink, side, cells[src], side, tgt, eps * eps, max_candidate_pairs,
+            sink, side, cells.take(src), side, tgt, eps * eps, max_candidate_pairs,
             mirror=mirror, native_kernel=native_kernel)
     stats.result_pairs = sink.num_pairs - before
     result = None if external else sink.to_result_set()
@@ -415,8 +415,8 @@ def _walk_cell_pairs(index: GridIndex, coords: np.ndarray, unicomp: bool = False
     source cell.  The rows are broadcast source-cell-major in groups of
     whole source cells, at most ``_WALK_ROWS`` rows unless one cell alone is
     more.  Each group is filtered by the grid bounds and the per-dimension
-    masks ``M_j`` and resolved with one
-    :meth:`~repro.core.gridindex.GridIndex.lookup_cells` (Algorithm 1,
+    masks ``M_j`` and resolved with one binary search of ``B``, the search
+    of :meth:`~repro.core.gridindex.GridIndex.lookup_cells` (Algorithm 1,
     lines 6-11).  Per group this yields ``(src, tgt, checked, mirror)``:
     positions into ``coords`` and indices into ``B`` of the non-empty
     neighbor cells found; the number of candidate cells that passed the
@@ -438,13 +438,13 @@ def _walk_cell_pairs(index: GridIndex, coords: np.ndarray, unicomp: bool = False
     admit = []
     for j, mask in enumerate(index.masks):
         moved = coords[:, j, None] + np.arange(-1, 2, dtype=np.int64)
-        pos = np.minimum(np.searchsorted(mask, moved), mask.shape[0] - 1)
-        admit.append(mask[pos] == moved)
+        admit.append(mask.take(mask.searchsorted(moved), mode="clip") == moved)
     if unicomp:
         # evaluates[i, k]: source cell i evaluates the offsets whose highest
         # non-zero dimension is k (odd k coordinate); column -1 is home.
         evaluates = np.ones((n_src, index.num_dims + 1), dtype=bool)
         evaluates[:, :-1] = coords % 2 == 1
+    B = index.B
     base = index.coords_to_linear(coords)
     shift = index.coords_to_linear(offsets)
     step = max(1, _WALK_ROWS // offsets.shape[0])
@@ -457,15 +457,20 @@ def _walk_cell_pairs(index: GridIndex, coords: np.ndarray, unicomp: bool = False
             keep = (keep[:, :, None] & more[lo:lo + step, None, :]).reshape(
                 keep.shape[0], -1)
         if unicomp:
-            keep = keep & evaluates[lo:lo + step][:, top]
+            # In place: with one dimension ``keep`` is a view of this
+            # group's admit rows, which no later group reads.
+            keep &= evaluates[lo:lo + step].take(top, axis=1)
         src, offset = np.nonzero(keep)
         if src.shape[0] == 0:
             continue
         src += lo
-        tgt = index.lookup_cells(base[src] + shift[offset])
-        found = tgt >= 0
-        mirror = top[offset[found]] >= 0 if unicomp else None
-        yield src[found], tgt[found], int(src.shape[0]), mirror
+        # lookup_cells inlined, keeping only the hits: no -1 sentinel pass.
+        ids = base.take(src)
+        ids += shift.take(offset)
+        pos = B.searchsorted(ids)
+        hit = np.flatnonzero(B.take(pos, mode="clip") == ids)
+        mirror = top.take(offset.take(hit)) >= 0 if unicomp else None
+        yield src.take(hit), pos.take(hit), int(src.shape[0]), mirror
 
 
 # --------------------------------------------------------------------------
@@ -501,10 +506,10 @@ def _emit_pairs(sink: PairFragments, q_side: _JoinSide, q_cells: np.ndarray,
     c_points, c_lookup, c_starts, c_counts = c_side
     # Gather the CSR ranges of the cell pairs once; the chunk loop slices
     # these instead of re-indexing starts/counts for every chunk.
-    sizes_q = q_counts[q_cells]
-    sizes_c = c_counts[c_cells]
-    starts_q = q_starts[q_cells]
-    starts_c = c_starts[c_cells]
+    sizes_q = q_counts.take(q_cells)
+    sizes_c = c_counts.take(c_cells)
+    starts_q = q_starts.take(q_cells)
+    starts_c = c_starts.take(c_cells)
     pair_counts = sizes_q * sizes_c
     n_dist = 0
     for lo, hi in _chunk_boundaries(pair_counts, max_candidate_pairs):
@@ -526,16 +531,17 @@ def _emit_pairs(sink: PairFragments, q_side: _JoinSide, q_cells: np.ndarray,
                       values[:n].copy())
             continue
         q_idx, c_idx = _expand_cell_pairs(q_lookup, c_lookup, *chunk)
-        diff = q_points[q_idx]
-        diff -= c_points[c_idx]
-        within = np.einsum("ij,ij->i", diff, diff) <= eps2
-        q_sel = q_idx[within]
-        c_sel = c_idx[within]
+        # ndarray.take gathers rows about twice as fast as indexing.
+        diff = q_points.take(q_idx, axis=0)
+        diff -= c_points.take(c_idx, axis=0)
+        hit = np.flatnonzero(np.einsum("ij,ij->i", diff, diff) <= eps2)
+        q_sel = q_idx.take(hit)
+        c_sel = c_idx.take(hit)
         if mirror is None:
-            sink.emit(q_sel if key_map is None else key_map[q_sel], c_sel)
+            sink.emit(q_sel if key_map is None else key_map.take(q_sel), c_sel)
             continue
         # Each mirrored match takes two slots: the match, then its reverse.
-        twice = mirror[lo:hi].repeat(pair_counts[lo:hi])[within]
+        twice = mirror[lo:hi].repeat(pair_counts[lo:hi]).take(hit)
         slots = twice + 1
         keys = q_sel.repeat(slots)
         values = c_sel.repeat(slots)
@@ -602,4 +608,4 @@ def _expand_cell_pairs(src_lookup: np.ndarray, tgt_lookup: np.ndarray,
     tgt_pos = (starts_t.repeat(sizes_s)
                - (row_len.cumsum() - row_len)).repeat(row_len)
     tgt_pos += np.arange(total, dtype=np.int64)
-    return src_lookup[src_pos].repeat(row_len), tgt_lookup[tgt_pos]
+    return src_lookup.take(src_pos).repeat(row_len), tgt_lookup.take(tgt_pos)

@@ -55,7 +55,7 @@ from typing import List, Optional, Tuple, Union
 import numpy as np
 
 from repro.core import linearize as lin
-from repro.core.gridindex import _run_length_encode
+from repro.core.gridindex import group_by_cell_id
 from repro.utils.validation import check_eps, check_points
 
 #: On-disk format version (bump on incompatible layout changes).
@@ -269,9 +269,7 @@ class SpatialStore(DatasetSource):
         strides = lin.compute_strides(num_cells)
         coords = lin.compute_cell_coords(pts, gmin, width, num_cells)
         linear = lin.linearize(coords, strides)
-        order = np.argsort(linear, kind="stable").astype(np.int64)
-        sorted_ids = linear[order]
-        cell_ids, cell_starts, cell_counts = _run_length_encode(sorted_ids)
+        order, cell_ids, cell_starts, cell_counts = group_by_cell_id(linear)
 
         np.save(path / "points.npy", pts[order])
         np.save(path / "ids.npy", order)

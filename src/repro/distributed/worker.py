@@ -303,9 +303,12 @@ class WorkerServer:
             if task is not None:
                 self._conn_tasks.discard(task)
             writer.close()
+            # As in the service: a cancellation arriving during the close
+            # must not escape the connection task.
             try:
                 await writer.wait_closed()
-            except (ConnectionResetError, BrokenPipeError, OSError):
+            except (ConnectionResetError, BrokenPipeError, OSError,
+                    asyncio.CancelledError):
                 pass
 
     async def _send(self, writer: asyncio.StreamWriter, header: dict,

@@ -54,7 +54,7 @@ import numpy as np
 
 from repro.core import linearize as lin
 from repro.core import nativekernels
-from repro.core.gridindex import GridIndex, _run_length_encode
+from repro.core.gridindex import GridIndex, group_by_cell_id
 from repro.core.kernels import (
     DEFAULT_MAX_CANDIDATE_PAIRS,
     KernelStats,
@@ -390,13 +390,12 @@ def _group_by_cell(probe_pts: np.ndarray, index: GridIndex):
 
     Returns ``(coords, order, starts, counts)``: each group's cell
     coordinates, and the CSR ranges of the groups over ``order``, the
-    stable argsort of the points by cell id.
+    points ordered by cell id (:func:`repro.core.gridindex.group_by_cell_id`).
     """
     coords = lin.compute_cell_coords(probe_pts, index.gmin, index.eps,
                                      index.num_cells)
-    cell_ids = lin.linearize(coords, index.strides)
-    order = np.argsort(cell_ids, kind="stable")
-    _, starts, counts = _run_length_encode(cell_ids[order])
+    order, _, starts, counts = group_by_cell_id(
+        lin.linearize(coords, index.strides))
     return coords[order[starts]], order, starts, counts
 
 

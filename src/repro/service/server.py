@@ -315,9 +315,12 @@ class QueryService:
             pass
         finally:
             writer.close()
+            # Shutdown may cancel this task again while it waits here; an
+            # escaping CancelledError would be logged by the stream
+            # protocol's done callback.
             try:
                 await writer.wait_closed()
-            except (ConnectionError, BrokenPipeError):
+            except (ConnectionError, BrokenPipeError, asyncio.CancelledError):
                 pass
 
     async def _write(self, writer: asyncio.StreamWriter, header: dict,

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from repro.core.gridindex import GridIndex, _run_length_encode
 from repro.core import linearize as lin
@@ -78,6 +80,51 @@ class TestBuild:
             GridIndex.build(pts, 1.0)
 
 
+def point_sets():
+    """(n, dims) point sets, dims 1-6, single points and repeated rows."""
+    coordinate = st.one_of(st.sampled_from([0.0, 0.5, 1.0, 2.0]),
+                           st.floats(0.0, 3.0, allow_nan=False, width=64))
+    return st.integers(1, 6).flatmap(lambda dims: st.tuples(
+        hnp.arrays(np.float64, st.tuples(st.integers(1, 30), st.just(dims)),
+                   elements=coordinate),
+        st.integers(0, 4),
+    )).map(lambda sample: np.concatenate(
+        [sample[0]] + [sample[0][:1]] * sample[1]))
+
+
+def assert_sort_and_rle(index):
+    """``A``, ``B``, ``G`` and ``M_j`` as a stable argsort plus an RLE give them."""
+    order = np.argsort(index.point_cell_ids, kind="stable")
+    assert index.A.dtype == np.int64
+    assert np.array_equal(index.A, order)
+    B, starts, counts = _run_length_encode(index.point_cell_ids[order])
+    assert np.array_equal(index.B, B)
+    assert np.array_equal(index.cell_starts, starts)
+    assert np.array_equal(index.cell_counts, counts)
+    for j, mask in enumerate(index.masks):
+        assert np.array_equal(mask, np.unique(index.point_cell_coords[:, j]))
+
+
+class TestBuildEquivalence:
+    @given(points=point_sets(), eps=st.sampled_from([0.3, 1.0, 5.0]))
+    @settings(max_examples=80, deadline=None)
+    def test_matches_argsort_and_run_length_encoding(self, points, eps):
+        assert_sort_and_rle(GridIndex.build(points, eps))
+
+    def test_fused_key_overflow_falls_back_to_lexsort(self, monkeypatch):
+        """With max cell id x n >= 2**63 the fused sort key would overflow."""
+        points = np.random.default_rng(5).uniform(0.0, 1.0, (24, 2))
+        points[1] = points[0]
+        lexsorts = []
+        lexsort = np.lexsort
+        monkeypatch.setattr(np, "lexsort",
+                            lambda keys: lexsorts.append(1) or lexsort(keys))
+        index = GridIndex.build(points, 1e-9)
+        assert int(index.point_cell_ids.max()) * points.shape[0] >= 2 ** 63
+        assert lexsorts
+        assert_sort_and_rle(index)
+
+
 class TestLookups:
     def test_lookup_existing_cell(self, index_2d):
         for h in (0, index_2d.num_nonempty_cells // 2, index_2d.num_nonempty_cells - 1):
@@ -92,6 +139,14 @@ class TestLookups:
         vec = index_2d.lookup_cells(probe)
         scal = np.array([index_2d.lookup_cell(int(x)) for x in probe])
         assert np.array_equal(vec, scal)
+
+    def test_lookup_cells_outside_and_between_B_is_minus_one(self, index_2d):
+        B = index_2d.B
+        gaps = np.setdiff1d(np.arange(B[0], B[-1]), B)[:20]
+        assert gaps.size
+        probe = np.concatenate([[B[0] - 1, -1, B[-1] + 1, B[-1] + 10 ** 12], gaps])
+        assert np.all(index_2d.lookup_cells(probe) == -1)
+        assert np.array_equal(index_2d.lookup_cells(B), np.arange(B.shape[0]))
 
     def test_points_in_cell_out_of_range(self, index_2d):
         with pytest.raises(IndexError):

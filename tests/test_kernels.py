@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -311,7 +313,12 @@ class TestCellPairWalker:
 
 
 def run_pinned(index, queries):
-    """Counters and CSR table of GLOBAL, UNICOMP and a probe, NumPy tier."""
+    """Counters, stream digest and CSR table of GLOBAL, UNICOMP and a probe.
+
+    NumPy tier.  The digest is a sha256 over the sink's concatenated keys
+    then values (little-endian ``int64``): the emitted stream's order, which
+    ordered shard merging depends on and the finalized table hides.
+    """
     backend = VectorizedBackend("numpy")
     runs = {}
     for name in ("global", "unicomp", "probe"):
@@ -322,15 +329,32 @@ def run_pinned(index, queries):
         else:
             stats = backend.run_selfjoin(index, index.eps, None, sink,
                                          unicomp=name == "unicomp")
-        table = NeighborTable.from_pairs(*sink.concatenated(), rows)
+        keys, values = sink.concatenated()
+        digest = hashlib.sha256(keys.astype("<i8").tobytes()
+                                + values.astype("<i8").tobytes()).hexdigest()
+        table = NeighborTable.from_pairs(keys, values, rows)
         runs[name] = ((stats.cells_checked, stats.nonempty_cells_visited,
-                       stats.distance_calcs, stats.result_pairs),
+                       stats.distance_calcs, stats.result_pairs), digest,
                       table.offsets.tobytes(), table.neighbors.tobytes())
     return runs
 
 
+#: sha256 of each pinned run's emitted stream (see :func:`run_pinned`).
+PINNED_STREAMS = {
+    (500, 6): {
+        "global": "c10906ea17339a962cce6599264dbc1e095f09e4c52361be9f4aec125a5516d6",
+        "unicomp": "f71909bfb9909a06b44123dcfcb9698185c4b74010a243ce42b2efb47e0b61df",
+        "probe": "fd2bd776c9d54c883c610505a5719a232e4dad7567ed0d148ffbc068a55235c2"},
+    (2000, 3): {
+        "global": "ec5981a9d97b80f82aeaeca5f845c1a9b2e04802a90a06e634e1abf11783a9cf",
+        "unicomp": "152176fa8388d6d11c799f045ea65627345a7dcc88f3ffe1f79f03d05fc68e34",
+        "probe": "63a622ac4dd187dcdd7d3c17571024ffc0ea50bcb3a4a86f1aae51a833a8a722"},
+}
+
+
 class TestPinnedCounters:
-    """The four work counters on fixed inputs: the walk must not change them."""
+    """The four work counters and the emitted stream on fixed inputs: the
+    walk and the emitter must not change them."""
 
     @pytest.mark.parametrize("n,dims,eps,expected", [
         (500, 6, 0.25, {"global": (113300, 13501, 15304, 704),
@@ -345,8 +369,10 @@ class TestPinnedCounters:
         queries = np.random.default_rng(7).uniform(0, 1, (300, dims))
         runs = run_pinned(index, queries)
         assert {name: run[0] for name, run in runs.items()} == expected
+        assert {name: run[1] for name, run in runs.items()} == \
+            PINNED_STREAMS[(n, dims)]
         # UNICOMP emits the GLOBAL table exactly.
-        assert runs["unicomp"][1:] == runs["global"][1:]
+        assert runs["unicomp"][2:] == runs["global"][2:]
 
 
 class TestCancellation:

@@ -1,5 +1,7 @@
 """End-to-end service tests over real sockets (ServerThread + ServiceClient)."""
 
+import asyncio
+import logging
 import threading
 
 import numpy as np
@@ -7,9 +9,11 @@ import pytest
 
 from repro.apps.knn import knn_search
 from repro.data.store import SpatialStore
+from repro.distributed import WorkerServer
 from repro.engine import run_query
 from repro.engine.query import Query
 from repro.service import (
+    QueryService,
     ServerThread,
     ServiceClient,
     ServiceError,
@@ -235,3 +239,47 @@ class TestProtocolHardening:
                 assert resp is not None
                 assert resp[0]["status"] == protocol.STATUS_ERROR
                 assert "payload length" in resp[0]["message"]
+
+
+class _BlockingCloseWriter:
+    """A stream writer whose ``wait_closed`` blocks until released."""
+
+    def __init__(self) -> None:
+        self.closing = asyncio.Event()
+        self.release = asyncio.Event()
+
+    def close(self) -> None:
+        pass
+
+    async def wait_closed(self) -> None:
+        self.closing.set()
+        await self.release.wait()
+
+
+class TestConnectionShutdown:
+    @pytest.mark.parametrize("make_server", [QueryService, WorkerServer],
+                             ids=["service", "worker"])
+    def test_cancel_while_closing_is_swallowed(self, make_server, caplog):
+        """Shutdown cancelling a connection task during its final
+        ``wait_closed`` must end the task quietly: the stream protocol's
+        done callback would log an escaping ``CancelledError``."""
+        server = make_server()
+
+        async def scenario():
+            reader = asyncio.StreamReader()
+            reader.feed_eof()
+            writer = _BlockingCloseWriter()
+            task = asyncio.get_running_loop().create_task(
+                server._handle_connection(reader, writer))
+            # What asyncio.StreamReaderProtocol's done callback does.
+            task.add_done_callback(lambda done: done.exception())
+            await writer.closing.wait()
+            task.cancel()
+            await asyncio.wait([task])
+            return task
+
+        with caplog.at_level(logging.WARNING, logger="asyncio"):
+            task = asyncio.run(scenario())
+        assert not task.cancelled()
+        assert task.exception() is None
+        assert [r for r in caplog.records if r.name == "asyncio"] == []
