@@ -3,22 +3,19 @@
 
 Low-dimensional, dense data produces result sets that can exceed GPU global
 memory — the reason for the paper's batching scheme (Section V-A).  This
-example runs the 3-D space-weather surrogate on a device model whose memory
-has been shrunk so the batching scheme actually has to split the work, and
-prints the batch plan and the compute/transfer overlap report.
+example runs the 3-D space-weather surrogate against a memory budget shrunk
+so the batching scheme actually has to split the work, and prints the batch
+plan and the compute/transfer overlap report of the GPU device model.
 
 Run with:  python examples/ionosphere_batching.py
 """
 
 from __future__ import annotations
 
-from dataclasses import replace
-
 from repro.core.batching import BatchPlanner, execute_batched
 from repro.core.gridindex import GridIndex
 from repro.core.kernels import selfjoin_unicomp_vectorized
 from repro.data import sw_dataset
-from repro.gpusim import Device, TITAN_X_PASCAL
 
 
 def main() -> None:
@@ -31,20 +28,17 @@ def main() -> None:
           f"{stats.total_cells} total ({stats.occupancy_fraction:.3%} occupied), "
           f"{stats.memory_bytes / 1e6:.2f} MB")
 
-    # Shrink the modelled device memory so the planner is forced to batch.
-    tiny_spec = replace(TITAN_X_PASCAL, global_mem_bytes=8 * 1024 * 1024)
-    device = Device(tiny_spec)
-
     def kernel(idx, e, cells):
         return selfjoin_unicomp_vectorized(idx, e, cells)
 
-    planner = BatchPlanner(device=device, min_batches=3)
+    # Shrink the memory budget so the planner is forced to batch.
+    planner = BatchPlanner(memory_bytes=8 * 1024 * 1024, min_batches=3)
     plan = planner.plan(index, eps, kernel=kernel)
     print(f"\nbatch plan: {plan.n_batches} batches "
           f"(estimated {plan.estimated_total_pairs} pairs, "
           f"buffer capacity {plan.buffer_capacity_pairs} pairs/batch)")
 
-    result, kstats, report = execute_batched(index, eps, plan, kernel, device=device)
+    result, kstats, report = execute_batched(index, eps, plan, kernel)
     print(f"total result pairs : {result.num_pairs}")
     print(f"kernel time (all batches): {report.total_kernel_time * 1e3:.1f} ms")
     print(f"adaptive splits    : {report.splits_performed}")

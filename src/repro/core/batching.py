@@ -9,19 +9,21 @@ experiments (``SelfJoinConfig``, the figures and Table II) pin
 ``min_batches=3`` to keep the ≥3-batch overlap scheme.  This module provides:
 
 * :class:`BatchPlanner` — sizes the per-batch result buffer against the
-  device's free global memory (:meth:`BatchPlanner.buffer_capacity_pairs`),
+  host memory left once the dataset and index are placed
+  (:meth:`BatchPlanner.buffer_capacity_pairs`, :func:`host_memory_bytes`),
   estimates the total result size by joining a sample of the non-empty
   cells, and splits the non-empty cells into work-balanced batches (never
   fewer than ``min_batches``).
 * :func:`execute_batched` — runs a kernel batch-by-batch, verifies each batch
   fits the planned buffer (adaptively splitting a batch that overflows), and
   reports the compute/transfer overlap timeline via
-  :func:`repro.gpusim.streams.simulate_pipeline`.
+  :func:`repro.gpusim.streams.simulate_pipeline` (the Section V-A overlap
+  ablation's entry point; the engine executor does not model streams).
 * Sampled cost estimation — :func:`estimate_cell_costs` (per-cell self-join
   work) and :func:`estimate_probe_row_costs` (per-row probe work) generalize
   the :class:`BatchPlanner` sampling idea to *per-item* cost estimates, and
   :func:`split_by_cost` turns any such cost vector into contiguous
-  work-balanced slices.  These are shared by the device-model batcher, the
+  work-balanced slices.  These are shared by the result batcher, the
   shard planners of :mod:`repro.parallel` and :mod:`repro.distributed`, and
   the request fusion of :mod:`repro.service`.
 """
@@ -29,6 +31,8 @@ experiments (``SelfJoinConfig``, the figures and Table II) pin
 from __future__ import annotations
 
 import math
+import os
+import resource
 from dataclasses import dataclass, field
 from typing import Callable, List, Optional
 
@@ -66,15 +70,15 @@ class BatchPlan:
     estimated_total_pairs:
         Result-size estimate used for planning.
     buffer_capacity_pairs:
-        Capacity of the per-batch device result buffer in pairs.
-    device_bytes_for_data:
-        Bytes reserved on the device for the dataset and index.
+        Capacity of the per-batch result buffer in pairs.
+    data_bytes:
+        Bytes taken by the dataset and its index.
     """
 
     cell_batches: List[np.ndarray]
     estimated_total_pairs: int
     buffer_capacity_pairs: int
-    device_bytes_for_data: int = 0
+    data_bytes: int = 0
 
     @property
     def n_batches(self) -> int:
@@ -112,9 +116,9 @@ class BatchPlanner:
 
     Parameters
     ----------
-    device:
-        Device model providing the global-memory capacity (default: a fresh
-        TITAN X Pascal model).
+    memory_bytes:
+        Memory the dataset, index and result buffer share (default:
+        :func:`host_memory_bytes`).
     min_batches:
         Minimum number of batches; the paper fixes this to 3 so transfers can
         overlap with compute.
@@ -123,22 +127,25 @@ class BatchPlanner:
     max_sample_cells:
         Upper bound on the number of sampled cells (keeps planning cheap).
     result_buffer_fraction:
-        Fraction of the device memory left after data/index placement that
-        may be used for the per-batch result buffer.
+        Fraction of the memory left after data/index placement that may be
+        used for the per-batch result buffer.
     seed:
         RNG seed for the cell sample.
     """
 
-    def __init__(self, device: Optional[Device] = None, min_batches: int = 3,
+    def __init__(self, memory_bytes: Optional[int] = None, min_batches: int = 3,
                  sample_fraction: float = 0.02, max_sample_cells: int = 2048,
                  result_buffer_fraction: float = 0.5, seed: int = 0) -> None:
+        if memory_bytes is not None and memory_bytes <= 0:
+            raise ValueError("memory_bytes must be > 0")
         if min_batches < 1:
             raise ValueError("min_batches must be >= 1")
         if not (0.0 < sample_fraction <= 1.0):
             raise ValueError("sample_fraction must be in (0, 1]")
         if not (0.0 < result_buffer_fraction <= 1.0):
             raise ValueError("result_buffer_fraction must be in (0, 1]")
-        self.device = device or Device()
+        self.memory_bytes = host_memory_bytes() if memory_bytes is None \
+            else int(memory_bytes)
         self.min_batches = int(min_batches)
         self.sample_fraction = float(sample_fraction)
         self.max_sample_cells = int(max_sample_cells)
@@ -200,23 +207,31 @@ class BatchPlanner:
             cell_batches=cell_batches,
             estimated_total_pairs=int(estimated_pairs),
             buffer_capacity_pairs=int(buffer_capacity_pairs),
-            device_bytes_for_data=_device_data_bytes(index),
+            data_bytes=_data_bytes(index),
         )
 
     def buffer_capacity_pairs(self, index: GridIndex) -> int:
         """Result pairs one batch's buffer holds when joining ``index``.
 
-        The buffer gets ``result_buffer_fraction`` of the device's global
-        memory left over once the dataset and the index are placed.
+        The buffer gets ``result_buffer_fraction`` of ``memory_bytes`` left
+        over once the dataset and the index are placed.
         """
-        free_bytes = max(0, self.device.spec.global_mem_bytes
-                         - _device_data_bytes(index))
+        free_bytes = max(0, self.memory_bytes - _data_bytes(index))
         buffer_bytes = int(free_bytes * self.result_buffer_fraction)
         return max(1, buffer_bytes // PAIR_BYTES)
 
 
-def _device_data_bytes(index: GridIndex) -> int:
-    """Device bytes taken by the dataset and its grid index."""
+def host_memory_bytes() -> int:
+    """Physical memory of this host, capped by a finite soft ``RLIMIT_AS``."""
+    physical = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    soft, _ = resource.getrlimit(resource.RLIMIT_AS)
+    if soft == resource.RLIM_INFINITY:
+        return int(physical)
+    return int(min(physical, soft))
+
+
+def _data_bytes(index: GridIndex) -> int:
+    """Bytes taken by the dataset and its grid index."""
     return int(index.points.nbytes + index.memory_footprint())
 
 
@@ -441,7 +456,7 @@ def run_adaptive_batches(batches: List[np.ndarray], run_batch,
             pairs, payload = run_batch(batch)
         if (pairs > buffer_capacity_pairs and batch.shape[0] > 1
                 and splits < max_adaptive_splits):
-            # The batch would have overflowed the device result buffer:
+            # The batch would have overflowed the result buffer:
             # split it and re-run both halves.
             splits += 1
             mid = batch.shape[0] // 2

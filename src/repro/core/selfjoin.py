@@ -4,8 +4,8 @@
 
 1. build the non-empty-cell grid index with cell side length ε
    (:mod:`repro.core.gridindex`),
-2. plan the batch decomposition against the device's global memory
-   (:mod:`repro.core.batching`, minimum 3 batches),
+2. plan the batch decomposition (:mod:`repro.core.batching`, minimum 3
+   batches, more when the result may not fit host memory),
 3. run the GLOBAL or UNICOMP kernel over each batch
    (:mod:`repro.core.kernels`), and
 4. merge the result fragments (:mod:`repro.core.result`).
@@ -26,14 +26,13 @@ from typing import Dict, Optional, Tuple
 
 import numpy as np
 
-from repro.core.batching import BatchExecutionReport, BatchPlan
+from repro.core.batching import BatchExecutionReport, BatchPlan, BatchPlanner
 from repro.core.gridindex import GridIndex, GridIndexStats
 from repro.core.kernels import DEFAULT_MAX_CANDIDATE_PAIRS, KernelStats
 from repro.core.result import NeighborTable, ResultSet
 from repro.engine.executor import EngineResult, execute
 from repro.engine.planner import QueryPlanner
 from repro.engine.query import Query
-from repro.gpusim.device import Device, DeviceSpec
 from repro.utils.timing import Timer
 from repro.utils.validation import check_eps, check_points
 
@@ -58,7 +57,9 @@ class SelfJoinConfig:
     batching:
         Enable the result-set batching scheme (Section V-A).
     min_batches:
-        Minimum number of batches when batching is enabled (paper: 3).
+        Minimum number of batches when batching is enabled (paper: 3, so
+        result transfers can overlap with compute).  More batches are
+        planned when the result may not fit host memory.
     include_self:
         Whether the trivial (p, p) pairs (distance 0 ≤ ε) are kept.  The
         CUDA kernel naturally produces them; set ``False`` to drop them.
@@ -67,14 +68,8 @@ class SelfJoinConfig:
         host transfer).
     max_candidate_pairs:
         Memory bound of the vectorized kernel's pair expansion.
-    threads_per_block:
-        Launch configuration of the simulated kernel path.
     validate_index:
         Run the index invariants check after construction (slow; for tests).
-    device_spec:
-        Device specification used for batching/occupancy modelling.
-    n_streams:
-        Streams used by the batching overlap model.
     max_dims:
         Guard on dimensionality (the paper targets 2–6; ``None`` disables).
     """
@@ -86,10 +81,7 @@ class SelfJoinConfig:
     include_self: bool = True
     sort_result: bool = False
     max_candidate_pairs: int = DEFAULT_MAX_CANDIDATE_PAIRS
-    threads_per_block: int = 256
     validate_index: bool = False
-    device_spec: Optional[DeviceSpec] = None
-    n_streams: int = 3
     max_dims: Optional[int] = None
 
     def __post_init__(self) -> None:
@@ -167,7 +159,6 @@ class GPUSelfJoin:
 
     def __init__(self, config: Optional[SelfJoinConfig] = None) -> None:
         self.config = config or SelfJoinConfig()
-        self.device = Device(self.config.device_spec)
 
     # -------------------------------------------------------------- indexing
     def build_index(self, points: np.ndarray, eps: float) -> GridIndex:
@@ -242,13 +233,9 @@ class GPUSelfJoin:
         cfg = self.config
         return QueryPlanner(
             backend=cfg.kernel,
-            device=self.device,
-            batching=cfg.batching,
-            min_batches=cfg.min_batches,
             max_candidate_pairs=cfg.max_candidate_pairs,
-            n_streams=cfg.n_streams,
-            threads_per_block=cfg.threads_per_block,
             max_dims=cfg.max_dims,
+            batch_planner=BatchPlanner(min_batches=cfg.min_batches),
         )
 
     def _run_engine(self, index: GridIndex, eps: float) -> EngineResult:

@@ -660,8 +660,7 @@ class DistributedBackend(ExecutionBackend):
 
     # ------------------------------------------------------------- operators
     def run_selfjoin(self, index, eps, cells, sink, *, unicomp=False,
-                     max_candidate_pairs=DEFAULT_MAX_CANDIDATE_PAIRS,
-                     device=None, threads_per_block=256) -> KernelStats:
+                     max_candidate_pairs=DEFAULT_MAX_CANDIDATE_PAIRS) -> KernelStats:
         endpoints = self.endpoints()
         plan = ShardPlanner(n_shards=self._resolved_shards(len(endpoints)),
                             seed=self.seed).plan(index, cells)

@@ -6,11 +6,11 @@ generalization made executable: one declarative :class:`Query` description
 covers the self-join, the bipartite similarity join, per-query ε-range
 queries and kNN candidate generation; one :class:`QueryPlanner` decides the
 physical strategy (which side to index, whether UNICOMP applies, how to
-decompose the work into batches against the device model); and one pluggable
-:class:`ExecutionBackend` registry supplies the kernels.  Every workload in
+decompose the work into batches when the result may not fit memory); and
+one pluggable :class:`ExecutionBackend` registry supplies the kernels.  Every workload in
 the repo — ``selfjoin()``, ``similarity_join()``, DBSCAN, kNN, catalog
 cross-matching, the experiment harness — flows through this seam, so a new
-backend (sharded, multi-process, a real GPU) plugs in exactly once.
+backend (sharded, multi-process, distributed) plugs in exactly once.
 
 Results move through the CSR-native pipeline: kernels emit pair fragments
 into :class:`~repro.core.result.PairFragments` sinks, and the

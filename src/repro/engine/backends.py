@@ -27,9 +27,10 @@ Available backends:
   back to the pointwise reference since the paper's device model only
   covers the self-join kernels.
 * ``bruteforce`` — index-free chunked all-pairs reference.
-* ``sharded`` / ``multiprocess`` — the parallel execution subsystem
-  (:mod:`repro.parallel`), registered lazily so importing the engine never
-  pays for (or fails on) their dependencies.
+* ``sharded`` / ``multiprocess`` / ``distributed`` — the parallel and
+  distributed execution subsystems (:mod:`repro.parallel`,
+  :mod:`repro.distributed`), registered lazily so importing the engine
+  never pays for (or fails on) their dependencies.
 
 Backend lookup accepts parameterized names — ``"multiprocess(4)"`` builds
 the multiprocess backend with four workers, ``"sharded(7)"`` a seven-shard
@@ -39,7 +40,7 @@ decomposition, and keyword arguments are accepted too:
 is *lazy*: a backend whose optional dependency is missing stays listed in
 :func:`list_backends` but raises a clear :class:`BackendUnavailableError`
 from :func:`get_backend`; :func:`backend_availability` reports every
-backend's status (groundwork for a CuPy-gated real-GPU backend).
+backend's status.
 """
 
 from __future__ import annotations
@@ -86,7 +87,7 @@ class ExecutionBackend(abc.ABC):
     supports_cell_subset: bool = False
     supports_unicomp: bool = False
     #: The backend performs its own work decomposition (shards, worker
-    #: pools); the planner then skips the device-model batch split, which
+    #: pools); the planner then skips the result batch split, which
     #: would otherwise multiply the decomposition overhead per batch.
     owns_decomposition: bool = False
     #: The backend implements :meth:`run_selfjoin_streamed` — it can join a
@@ -131,7 +132,7 @@ class ExecutionBackend(abc.ABC):
                      cells: Optional[np.ndarray], sink: PairFragments, *,
                      unicomp: bool = False,
                      max_candidate_pairs: int = DEFAULT_MAX_CANDIDATE_PAIRS,
-                     device=None, threads_per_block: int = 256) -> KernelStats:
+                     ) -> KernelStats:
         """Self-join ``index`` over ``cells`` (all when ``None``), emit into ``sink``."""
 
     @abc.abstractmethod
@@ -194,7 +195,6 @@ class BackendProvider:
     name: str
     factory: Optional[Callable[..., ExecutionBackend]] = None
     module: Optional[str] = None
-    requires: Optional[str] = None
 
 
 #: Registry of backend providers by base name (see :class:`BackendProvider`).
@@ -229,15 +229,14 @@ def register_backend(cls: Type[ExecutionBackend]) -> Type[ExecutionBackend]:
     return cls
 
 
-def register_lazy_backend(name: str, module: str,
-                          requires: Optional[str] = None) -> None:
+def register_lazy_backend(name: str, module: str) -> None:
     """Register a backend resolved by importing ``module`` on first lookup.
 
     ``module`` must register a backend named ``name`` (via
-    :func:`register_backend`) as an import side effect.  ``requires`` names
-    the optional dependency for the error message when the import fails.
+    :func:`register_backend`) as an import side effect; when the import
+    fails, lookups raise :class:`BackendUnavailableError` naming the cause.
     """
-    BACKENDS[name] = BackendProvider(name=name, module=module, requires=requires)
+    BACKENDS[name] = BackendProvider(name=name, module=module)
     _evict_instances(name)
 
 
@@ -315,9 +314,8 @@ def _resolve_provider(base: str) -> BackendProvider:
     try:
         importlib.import_module(provider.module)
     except ImportError as exc:
-        dep = f" (requires {provider.requires})" if provider.requires else ""
         raise BackendUnavailableError(
-            f"backend {base!r} is unavailable{dep}: {exc}") from exc
+            f"backend {base!r} is unavailable: {exc}") from exc
     provider = BACKENDS[base]
     if provider.factory is None:
         raise BackendUnavailableError(
@@ -545,8 +543,7 @@ class VectorizedBackend(ExecutionBackend):
         return nativekernels.resolve_kernel_tier(self.tier)
 
     def run_selfjoin(self, index, eps, cells, sink, *, unicomp=False,
-                     max_candidate_pairs=DEFAULT_MAX_CANDIDATE_PAIRS,
-                     device=None, threads_per_block=256) -> KernelStats:
+                     max_candidate_pairs=DEFAULT_MAX_CANDIDATE_PAIRS) -> KernelStats:
         return selfjoin_tiered(index, eps, cells, max_candidate_pairs,
                                sink=sink, unicomp=unicomp, tier=self.tier,
                                kernel=self.kernel_choice).stats
@@ -567,8 +564,7 @@ class CellwiseBackend(ExecutionBackend):
     supports_unicomp = True
 
     def run_selfjoin(self, index, eps, cells, sink, *, unicomp=False,
-                     max_candidate_pairs=DEFAULT_MAX_CANDIDATE_PAIRS,
-                     device=None, threads_per_block=256) -> KernelStats:
+                     max_candidate_pairs=DEFAULT_MAX_CANDIDATE_PAIRS) -> KernelStats:
         kernel = selfjoin_unicomp_cellwise if unicomp else selfjoin_global_cellwise
         return kernel(index, eps, cells, sink=sink).stats
 
@@ -584,8 +580,7 @@ class PointwiseBackend(ExecutionBackend):
     name = "pointwise"
 
     def run_selfjoin(self, index, eps, cells, sink, *, unicomp=False,
-                     max_candidate_pairs=DEFAULT_MAX_CANDIDATE_PAIRS,
-                     device=None, threads_per_block=256) -> KernelStats:
+                     max_candidate_pairs=DEFAULT_MAX_CANDIDATE_PAIRS) -> KernelStats:
         if unicomp:
             raise ValueError("the pointwise reference kernel has no UNICOMP variant")
         _reject_cell_subset(self, cells)
@@ -604,15 +599,11 @@ class SimulatedBackend(ExecutionBackend):
     supports_unicomp = True
 
     def run_selfjoin(self, index, eps, cells, sink, *, unicomp=False,
-                     max_candidate_pairs=DEFAULT_MAX_CANDIDATE_PAIRS,
-                     device=None, threads_per_block=256) -> KernelStats:
+                     max_candidate_pairs=DEFAULT_MAX_CANDIDATE_PAIRS) -> KernelStats:
         from repro.core.simkernels import simulated_selfjoin
-        from repro.gpusim.device import Device
 
         _reject_cell_subset(self, cells)
-        out = simulated_selfjoin(index, eps, unicomp=unicomp,
-                                 device=device or Device(),
-                                 threads_per_block=threads_per_block)
+        out = simulated_selfjoin(index, eps, unicomp=unicomp)
         sink.emit(out.result.keys, out.result.values)
         return KernelStats(result_pairs=out.result.num_pairs)
 
@@ -635,8 +626,7 @@ class BruteForceBackend(ExecutionBackend):
     name = "bruteforce"
 
     def run_selfjoin(self, index, eps, cells, sink, *, unicomp=False,
-                     max_candidate_pairs=DEFAULT_MAX_CANDIDATE_PAIRS,
-                     device=None, threads_per_block=256) -> KernelStats:
+                     max_candidate_pairs=DEFAULT_MAX_CANDIDATE_PAIRS) -> KernelStats:
         _reject_cell_subset(self, cells)
         return self._all_pairs(index.points, index.points, eps, sink, None)
 
@@ -663,7 +653,3 @@ class BruteForceBackend(ExecutionBackend):
 register_lazy_backend("sharded", "repro.parallel.sharded")
 register_lazy_backend("multiprocess", "repro.parallel.mp")
 register_lazy_backend("distributed", "repro.distributed.backend")
-# Real-GPU backend: listed for discoverability even where CuPy is absent —
-# backend_availability() reports it as registered-but-unavailable with the
-# missing dependency instead of an unknown-name KeyError.
-register_lazy_backend("cupy", "repro.parallel.cupy_backend", requires="cupy")

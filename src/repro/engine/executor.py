@@ -25,17 +25,12 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from repro.core.batching import (
-    PAIR_BYTES,
-    BatchExecutionReport,
-    run_adaptive_batches,
-)
+from repro.core.batching import BatchExecutionReport, run_adaptive_batches
 from repro.core.gridindex import GridIndex
 from repro.core.kernels import KernelStats
 from repro.core.result import NeighborTable, PairFragments, ResultSet
 from repro.engine import query as Q
 from repro.engine.planner import QueryPlan
-from repro.gpusim.streams import simulate_pipeline
 from repro.utils.cancellation import check_cancelled
 from repro.utils.timing import Timer
 
@@ -142,20 +137,18 @@ def _execute_self_join(plan: QueryPlan) -> EngineResult:
     if plan.batch_plan is None:
         stats.merge(plan.backend.run_selfjoin(
             index, plan.eps, None, master, unicomp=plan.unicomp,
-            max_candidate_pairs=plan.max_candidate_pairs,
-            device=plan.device, threads_per_block=plan.threads_per_block))
+            max_candidate_pairs=plan.max_candidate_pairs))
         return EngineResult(plan=plan, stats=stats, fragments=master)
 
     def run_batch(cells: np.ndarray):
         sink = PairFragments(index.num_points)
         batch_stats = plan.backend.run_selfjoin(
             index, plan.eps, cells, sink, unicomp=plan.unicomp,
-            max_candidate_pairs=plan.max_candidate_pairs,
-            device=plan.device, threads_per_block=plan.threads_per_block)
+            max_candidate_pairs=plan.max_candidate_pairs)
         return sink.num_pairs, (sink, batch_stats)
 
     # Adaptive overflow splitting over the planned batches; each per-batch
-    # sink and its counters are absorbed, then the stream overlap is timed.
+    # sink and its counters are absorbed into the master sink.
     report = BatchExecutionReport(plan=plan.batch_plan)
     payloads, report.batch_pairs, report.batch_times, report.splits_performed = \
         run_adaptive_batches(plan.batch_plan.cell_batches, run_batch,
@@ -163,12 +156,6 @@ def _execute_self_join(plan: QueryPlan) -> EngineResult:
     for sink, batch_stats in payloads:
         master.extend(sink)
         stats.merge(batch_stats)
-    report.pipeline = simulate_pipeline(
-        report.batch_times,
-        [p * PAIR_BYTES for p in report.batch_pairs],
-        pcie_bandwidth_gbps=plan.device.spec.pcie_bandwidth_gbps,
-        n_streams=plan.n_streams,
-    )
     return EngineResult(plan=plan, stats=stats, fragments=master,
                         batch_report=report)
 

@@ -11,16 +11,16 @@ into an executable :class:`QueryPlan`:
 2. **Batch decomposition** — when the backend supports cell subsets (and
    does not own its decomposition, as the sharded/multiprocess backends
    do), a self-join is batched only when it has to be.  By default
-   (``min_batches=1``) that is when the result may not fit the device
-   model's result buffer: a join of n points never has more than n² pairs,
-   so when n² fits, no estimate is made and the plan is unbatched;
-   otherwise the :class:`~repro.core.batching.BatchPlanner` sample-estimates
-   the result and splits the non-empty cells only if one batch cannot hold
-   it.  ``min_batches > 1`` (the paper experiments pin 3, via
-   :class:`~repro.core.selfjoin.SelfJoinConfig`) always plans at least that
-   many batches, for the paper's transfer/compute overlap.  Probes (bipartite
-   joins, range queries, kNN candidates) run unbatched; the backends that
-   own their decomposition split probe rows themselves.
+   (``min_batches=1``) that is when the result may not fit the host-sized
+   result buffer: a join of n points never has more than n² pairs, so when
+   n² fits, no estimate is made and the plan is unbatched; otherwise the
+   :class:`~repro.core.batching.BatchPlanner` sample-estimates the result
+   and splits the non-empty cells only if one batch cannot hold it.  A
+   ``batch_planner`` with ``min_batches > 1`` (the paper experiments pin 3,
+   via :class:`~repro.core.selfjoin.SelfJoinConfig`) always plans at least
+   that many batches, for the paper's transfer/compute overlap.  Probes
+   (bipartite joins, range queries, kNN candidates) run unbatched; the
+   backends that own their decomposition split probe rows themselves.
 3. **UNICOMP eligibility** — the work-avoidance rule applies to self-joins
    on backends that implement it; it is silently disabled where it cannot
    apply (bipartite probes, brute force).
@@ -39,7 +39,6 @@ from repro.core.kernels import DEFAULT_MAX_CANDIDATE_PAIRS, KernelOutput
 from repro.core.result import PairFragments
 from repro.engine import query as Q
 from repro.engine.backends import ExecutionBackend, get_backend
-from repro.gpusim.device import Device, DeviceSpec
 from repro.utils.timing import Timer
 from repro.utils.validation import check_points
 
@@ -69,10 +68,7 @@ class QueryPlan:
     eps: float
     #: Cell-batch decomposition of a self-join (``None`` when unbatched).
     batch_plan: Optional[BatchPlan]
-    device: Device
     max_candidate_pairs: int
-    n_streams: int
-    threads_per_block: int
     index_build_time: float = 0.0
     #: The owning :class:`~repro.engine.session.EngineSession` when the plan
     #: was produced through one; the executor resolves index rebuilds (the
@@ -89,18 +85,15 @@ class QueryPlan:
 
 
 class QueryPlanner:
-    """Plans queries for a chosen backend and device model.
+    """Plans queries for a chosen backend.
 
-    Parameters mirror :class:`~repro.core.selfjoin.SelfJoinConfig` so the
-    legacy API can delegate without translation.
+    ``batch_planner`` sizes and splits batched self-joins; the default
+    batches only when the result may not fit host memory
+    (``BatchPlanner(min_batches=1)``).
     """
 
     def __init__(self, backend: Union[str, ExecutionBackend] = "vectorized", *,
-                 device: Optional[Device] = None,
-                 device_spec: Optional[DeviceSpec] = None,
-                 batching: bool = True, min_batches: int = 1,
                  max_candidate_pairs: int = DEFAULT_MAX_CANDIDATE_PAIRS,
-                 n_streams: int = 3, threads_per_block: int = 256,
                  validate_index: bool = False,
                  max_dims: Optional[int] = None,
                  batch_planner: Optional[BatchPlanner] = None) -> None:
@@ -109,15 +102,10 @@ class QueryPlanner:
         # shared registry cache.
         self.backend = backend if isinstance(backend, ExecutionBackend) \
             else get_backend(backend)
-        self.device = device if device is not None else Device(device_spec)
-        self.batching = bool(batching)
-        self.min_batches = int(min_batches)
         self.max_candidate_pairs = int(max_candidate_pairs)
-        self.n_streams = int(n_streams)
-        self.threads_per_block = int(threads_per_block)
         self.validate_index = bool(validate_index)
         self.max_dims = max_dims
-        self._batch_planner = batch_planner
+        self.batch_planner = batch_planner or BatchPlanner(min_batches=1)
 
     # ---------------------------------------------------------------- planning
     def plan(self, query: Q.Query, index: Optional[GridIndex] = None,
@@ -182,10 +170,7 @@ class QueryPlanner:
                              probe_points=None, swapped=False,
                              unicomp=self._resolve_unicomp(query),
                              eps=float(query.eps), batch_plan=None,
-                             device=self.device,
                              max_candidate_pairs=self.max_candidate_pairs,
-                             n_streams=self.n_streams,
-                             threads_per_block=self.threads_per_block,
                              index_build_time=0.0, session=session,
                              source=query.source)
         if query.source is not None:
@@ -205,18 +190,15 @@ class QueryPlanner:
         unicomp = self._resolve_unicomp(query)
 
         batch_plan = None
-        if self.batching and self.backend.supports_cell_subset \
-                and query.batching and not self.backend.owns_decomposition:
-            planner = self._batch_planner or BatchPlanner(
-                device=self.device, min_batches=self.min_batches)
+        if query.batching and self.backend.supports_cell_subset \
+                and not self.backend.owns_decomposition:
+            planner = self.batch_planner
 
             def estimation_kernel(idx, e, cells):
                 sink = PairFragments(idx.num_points)
                 stats = self.backend.run_selfjoin(
                     idx, e, cells, sink, unicomp=unicomp,
-                    max_candidate_pairs=self.max_candidate_pairs,
-                    device=self.device,
-                    threads_per_block=self.threads_per_block)
+                    max_candidate_pairs=self.max_candidate_pairs)
                 return KernelOutput(result=None, stats=stats)
 
             # A self-join of n points has at most n² pairs: when those fit
@@ -231,10 +213,7 @@ class QueryPlanner:
         return QueryPlan(query=query, backend=self.backend, index=index,
                          probe_points=None, swapped=False, unicomp=unicomp,
                          eps=float(query.eps), batch_plan=batch_plan,
-                         device=self.device,
                          max_candidate_pairs=self.max_candidate_pairs,
-                         n_streams=self.n_streams,
-                         threads_per_block=self.threads_per_block,
                          index_build_time=build_time, session=session,
                          source=query.source)
 
@@ -263,10 +242,7 @@ class QueryPlanner:
         return QueryPlan(query=query, backend=self.backend, index=index,
                          probe_points=left, swapped=swapped, unicomp=False,
                          eps=float(query.eps), batch_plan=None,
-                         device=self.device,
                          max_candidate_pairs=self.max_candidate_pairs,
-                         n_streams=self.n_streams,
-                         threads_per_block=self.threads_per_block,
                          index_build_time=build_time, session=session)
 
     def _plan_knn(self, query: Q.Query, index: Optional[GridIndex],
@@ -283,10 +259,7 @@ class QueryPlanner:
         return QueryPlan(query=query, backend=self.backend, index=index,
                          probe_points=query.queries, swapped=False, unicomp=False,
                          eps=float(index.eps), batch_plan=None,
-                         device=self.device,
                          max_candidate_pairs=self.max_candidate_pairs,
-                         n_streams=self.n_streams,
-                         threads_per_block=self.threads_per_block,
                          index_build_time=build_time, session=session)
 
     @staticmethod

@@ -20,9 +20,6 @@ multi-core speedups on that exact decomposition:
   backend instead keeps a *persistent pool keyed by dataset identity* with
   a ``multiprocessing.shared_memory`` view of the points array, so repeated
   queries pay neither pool start-up nor dataset shipping.
-* :mod:`~repro.parallel.cupy_backend` (``cupy``, lazily registered) is the
-  real-GPU backend seam: it is listed by the registry everywhere, reported
-  unavailable with the missing dependency where CuPy is not installed.
 * :mod:`~repro.parallel.scheduler` is the **adaptive scheduling layer**
   shared by the concurrent backends: plans oversplit into
   ``OVERSPLIT_FACTOR`` shards per worker and workers *pull* the next shard

@@ -753,8 +753,7 @@ class MultiprocessBackend(ExecutionBackend):
                                 state.n_workers, key_maps=key_maps)
 
     def run_selfjoin(self, index, eps, cells, sink, *, unicomp=False,
-                     max_candidate_pairs=DEFAULT_MAX_CANDIDATE_PAIRS,
-                     device=None, threads_per_block=256) -> KernelStats:
+                     max_candidate_pairs=DEFAULT_MAX_CANDIDATE_PAIRS) -> KernelStats:
         n_workers = self._resolved_workers()
         plan = ShardPlanner(n_shards=self._resolved_shards(n_workers),
                             seed=self.seed).plan(index, cells)

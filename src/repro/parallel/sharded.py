@@ -95,8 +95,7 @@ class ShardedBackend(ExecutionBackend):
 
     # ------------------------------------------------------------- operators
     def run_selfjoin(self, index, eps, cells, sink, *, unicomp=False,
-                     max_candidate_pairs=DEFAULT_MAX_CANDIDATE_PAIRS,
-                     device=None, threads_per_block=256) -> KernelStats:
+                     max_candidate_pairs=DEFAULT_MAX_CANDIDATE_PAIRS) -> KernelStats:
         inner = self.inner
         plan = ShardPlanner(n_shards=self._resolved_shards(),
                             seed=self.seed).plan(index, cells)
@@ -109,8 +108,7 @@ class ShardedBackend(ExecutionBackend):
             part = PairFragments(index.num_points)
             stats.merge(inner.run_selfjoin(
                 index, eps, shard, part, unicomp=unicomp,
-                max_candidate_pairs=max_candidate_pairs, device=device,
-                threads_per_block=threads_per_block))
+                max_candidate_pairs=max_candidate_pairs))
             parts.append(part)
         sink.extend(merge_fragments(index.num_points, parts))
         # Serial execution of the plan: shards ran in order, nothing was

@@ -8,8 +8,7 @@ results are disjoint: merging their :class:`~repro.core.result.PairFragments`
 needs no deduplication.  The :class:`ShardPlanner` chooses the slice
 boundaries on *sampled per-cell cost estimates*
 (:func:`repro.core.batching.estimate_cell_costs`, the same sampling idea the
-device-model :class:`~repro.core.batching.BatchPlanner` uses for its result
-buffer) rather than even cell counts, so a shard over a dense region stays
+:class:`~repro.core.batching.BatchPlanner` uses for its result buffer) rather than even cell counts, so a shard over a dense region stays
 comparable in work to one over sparse space.
 
 The plan is consumed serially by
@@ -113,7 +112,7 @@ class ShardPlanner:
         """Partition ``cells`` (all non-empty cells when ``None``) into shards.
 
         The given cell order is preserved, so a contiguous ``B``-order input
-        (the whole grid, or one device-model batch) yields contiguous
+        (the whole grid, or one planned batch) yields contiguous
         ``B``-order shards.
         """
         if cells is None:

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import os
+import resource
 from dataclasses import replace
 
 import numpy as np
@@ -11,6 +13,7 @@ from repro.core.batching import (
     PAIR_BYTES,
     BatchPlanner,
     execute_batched,
+    host_memory_bytes,
     split_cells_balanced,
 )
 from repro.core.gridindex import GridIndex
@@ -18,7 +21,6 @@ from repro.core.kernels import (
     selfjoin_global_vectorized,
     selfjoin_unicomp_vectorized,
 )
-from repro.gpusim import Device, TITAN_X_PASCAL
 
 
 def vec_kernel(index, eps, cells):
@@ -79,12 +81,11 @@ class TestPlanner:
         truth = selfjoin_global_vectorized(index_2d, eps_2d).result.num_pairs
         assert estimate == truth
 
-    def test_small_device_memory_forces_more_batches(self, index_2d, eps_2d):
+    def test_small_memory_forces_more_batches(self, index_2d, eps_2d):
         truth = selfjoin_global_vectorized(index_2d, eps_2d).result.num_pairs
         tiny_bytes = index_2d.points.nbytes + index_2d.memory_footprint() \
             + truth * PAIR_BYTES // 4
-        tiny = Device(replace(TITAN_X_PASCAL, global_mem_bytes=int(tiny_bytes)))
-        planner = BatchPlanner(device=tiny, min_batches=3,
+        planner = BatchPlanner(memory_bytes=int(tiny_bytes), min_batches=3,
                                result_buffer_fraction=1.0, sample_fraction=1.0,
                                max_sample_cells=10 ** 9)
         plan = planner.plan(index_2d, eps_2d, kernel=vec_kernel)
@@ -99,11 +100,27 @@ class TestPlanner:
 
     def test_invalid_parameters(self):
         with pytest.raises(ValueError):
+            BatchPlanner(memory_bytes=0)
+        with pytest.raises(ValueError):
             BatchPlanner(min_batches=0)
         with pytest.raises(ValueError):
             BatchPlanner(sample_fraction=0.0)
         with pytest.raises(ValueError):
             BatchPlanner(result_buffer_fraction=1.5)
+
+    def test_default_memory_is_host_memory(self):
+        assert BatchPlanner().memory_bytes == host_memory_bytes()
+
+    def test_host_memory_honours_finite_address_space_limit(self, monkeypatch):
+        physical = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+        cap = 64 * 1024 * 1024
+        monkeypatch.setattr(resource, "getrlimit",
+                            lambda which: (cap, resource.RLIM_INFINITY))
+        assert host_memory_bytes() == min(physical, cap)
+        monkeypatch.setattr(resource, "getrlimit",
+                            lambda which: (resource.RLIM_INFINITY,
+                                           resource.RLIM_INFINITY))
+        assert host_memory_bytes() == physical
 
     def test_plan_covers_all_cells(self, index_3d, eps_3d):
         plan = BatchPlanner().plan(index_3d, eps_3d, kernel=vec_kernel)

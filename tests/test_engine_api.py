@@ -7,8 +7,6 @@ fix, and the ``join_index`` / ``join`` parity regression.
 
 from __future__ import annotations
 
-from dataclasses import replace
-
 import numpy as np
 import pytest
 
@@ -19,7 +17,6 @@ from repro.data.realworld import sw_dataset
 from repro.data.synthetic import uniform_dataset
 from repro.engine import execute, get_backend, list_backends
 from repro.engine.query import KNN_CANDIDATES, QUERY_KINDS
-from repro.gpusim import TITAN_X_PASCAL, Device
 
 
 class TestQueryDescriptions:
@@ -67,7 +64,8 @@ class TestPlannerAndRegistry:
 
     def test_self_join_batch_plan_created(self):
         pts = uniform_dataset(300, 2, seed=3, low=0.0, high=10.0)
-        plan = QueryPlanner(min_batches=3).plan(Query.self_join(pts, 0.8))
+        plan = QueryPlanner(batch_planner=BatchPlanner(min_batches=3)).plan(
+            Query.self_join(pts, 0.8))
         assert plan.batch_plan is not None
         assert plan.batch_plan.n_batches >= 3
         assert plan.unicomp is True
@@ -169,7 +167,8 @@ class TestJoinIndexParity:
 class TestEngineTimingAndStats:
     def test_kernel_time_and_stats_populated(self):
         points = uniform_dataset(300, 2, seed=24, low=0.0, high=8.0)
-        result = run_query(Query.self_join(points, 0.8), min_batches=3)
+        result = run_query(Query.self_join(points, 0.8),
+                           batch_planner=BatchPlanner(min_batches=3))
         assert result.kernel_time >= 0.0
         assert result.stats.result_pairs == result.fragments.num_pairs
         assert result.stats.distance_calcs >= result.num_pairs
@@ -177,11 +176,11 @@ class TestEngineTimingAndStats:
         assert result.batch_report.total_pairs == result.fragments.num_pairs
 
 
-def _device_holding(index, pairs):
-    """A device model whose result buffer holds exactly ``pairs`` pairs."""
+def _planner_holding(index, pairs):
+    """A default-config batch planner whose buffer holds exactly ``pairs``."""
     data_bytes = index.points.nbytes + index.memory_footprint()
-    return Device(replace(TITAN_X_PASCAL,
-                          global_mem_bytes=data_bytes + 2 * PAIR_BYTES * pairs))
+    return BatchPlanner(memory_bytes=data_bytes + 2 * PAIR_BYTES * pairs,
+                        min_batches=1)
 
 
 class TestBatchOnlyWhenNeeded:
@@ -214,11 +213,10 @@ class TestBatchOnlyWhenNeeded:
     def test_one_batch_estimate_runs_unbatched(self, estimates, workload):
         points, index = workload
         n_squared = points.shape[0] ** 2
-        device = _device_holding(index, n_squared - 1)
-        assert BatchPlanner(device=device).buffer_capacity_pairs(index) \
-            == n_squared - 1
-        plan = QueryPlanner(device=device).plan(Query.self_join(points, 0.8),
-                                                index=index)
+        batch_planner = _planner_holding(index, n_squared - 1)
+        assert batch_planner.buffer_capacity_pairs(index) == n_squared - 1
+        plan = QueryPlanner(batch_planner=batch_planner).plan(
+            Query.self_join(points, 0.8), index=index)
         assert len(estimates) == 1
         assert plan.batch_plan is None
 
@@ -227,8 +225,9 @@ class TestBatchOnlyWhenNeeded:
         query = Query.self_join(points, 0.8)
         unbatched = run_query(query, index=index)
         true_pairs = unbatched.stats.result_pairs
-        batched = run_query(query, index=index,
-                            device=_device_holding(index, true_pairs // 3))
+        batched = run_query(
+            query, index=index,
+            batch_planner=_planner_holding(index, true_pairs // 3))
         assert batched.plan.batch_plan is not None
         assert batched.plan.batch_plan.n_batches > 1
         assert batched.neighbor_table.same_contents_as(unbatched.neighbor_table)

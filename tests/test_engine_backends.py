@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from repro.baselines.bruteforce import bruteforce_join, bruteforce_selfjoin
+from repro.core.batching import BatchPlanner
 from repro.core.result import NeighborTable
 from repro.data.synthetic import uniform_dataset
 from repro.engine import (Query, QueryPlanner, available_backends, execute,
@@ -26,7 +27,8 @@ EPS_BY_DIM = {2: 0.9, 3: 1.0, 4: 1.2, 5: 1.4, 6: 1.6}
 
 
 def _selfjoin_table(points, eps, backend, unicomp, batching=False) -> NeighborTable:
-    planner = QueryPlanner(backend=backend, batching=batching, min_batches=4)
+    planner = QueryPlanner(backend=backend,
+                           batch_planner=BatchPlanner(min_batches=4))
     query = Query.self_join(points, eps, unicomp=unicomp, batching=batching)
     return execute(planner.plan(query)).neighbor_table
 

@@ -87,7 +87,7 @@ class TestLifecycle:
     def test_session_and_planner_kwargs_are_exclusive(self):
         with pytest.raises(ValueError):
             EngineSession(_dataset(), planner=QueryPlanner(),
-                          batching=False)
+                          validate_index=True)
         with pytest.raises(ValueError):
             # A conflicting explicit backend must not be silently ignored.
             EngineSession(_dataset(), backend="cellwise",

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-from dataclasses import replace
-
 import numpy as np
 import pytest
 
@@ -15,7 +13,6 @@ from repro.core.kernels import selfjoin_unicomp_vectorized
 from repro.data.datasets import load_dataset
 from repro.data.synthetic import gaussian_clusters
 from repro.experiments.runner import run_response_time_experiment
-from repro.gpusim import Device, TITAN_X_PASCAL
 
 
 class TestDatasetToJoinPipeline:
@@ -30,7 +27,7 @@ class TestDatasetToJoinPipeline:
         assert report.batch_plan is not None and report.batch_plan.n_batches >= 3
         assert result.is_symmetric()
 
-    def test_memory_constrained_device_forces_batches(self):
+    def test_memory_constrained_join_forces_batches(self):
         points = load_dataset("Syn2D2M", n_points=2000, seed=1)
         eps = 4.0
         index = GridIndex.build(points, eps)
@@ -38,11 +35,10 @@ class TestDatasetToJoinPipeline:
         def kernel(idx, e, cells):
             return selfjoin_unicomp_vectorized(idx, e, cells)
 
-        tiny = Device(replace(TITAN_X_PASCAL, global_mem_bytes=256 * 1024))
-        planner = BatchPlanner(device=tiny, min_batches=3)
+        planner = BatchPlanner(memory_bytes=256 * 1024, min_batches=3)
         plan = planner.plan(index, eps, kernel=kernel)
         assert plan.n_batches > 3
-        result, _, report = execute_batched(index, eps, plan, kernel, device=tiny)
+        result, _, report = execute_batched(index, eps, plan, kernel)
         unbatched = selfjoin_unicomp_vectorized(index, eps)
         assert result.same_pairs_as(unbatched.result)
         assert report.pipeline is not None

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from repro.baselines.bruteforce import bruteforce_selfjoin
+from repro.core.batching import BatchPlanner
 from repro.core.result import PairFragments
 from repro.data.synthetic import uniform_dataset
 from repro.engine import (
@@ -172,45 +173,34 @@ class TestRegistry:
         assert status["sharded"] is None
         assert status["multiprocess"] is None
 
-    def test_cupy_stub_listed_with_missing_dep_message(self):
-        # The planned real-GPU backend is pre-registered lazily: it must be
-        # *listed* everywhere, and where CuPy is absent the availability
-        # report must name the missing dependency instead of an
-        # unknown-backend KeyError.
-        assert "cupy" in list_backends()
-        status = backend_availability()
-        if status["cupy"] is None:  # host actually has CuPy: must construct
-            assert get_backend("cupy") is not None
-        else:
-            assert "cupy" in status["cupy"]
-            assert "cupy" not in available_backends()
-            with pytest.raises(BackendUnavailableError, match="cupy"):
-                get_backend("cupy")
-
-    def test_unavailable_dependency_reports_clearly(self):
-        register_lazy_backend("needscupy", "repro_no_such_module_xyz",
-                              requires="cupy")
+    def test_missing_module_backend_listed_but_unavailable(self):
+        # A lazily registered backend whose module cannot be imported stays
+        # *listed*, and the availability report and the lookup error both
+        # name the failed import instead of an unknown-backend KeyError.
+        saved = dict(BACKENDS)
+        register_lazy_backend("needsdep", "repro_no_such_module_xyz")
         try:
-            status = backend_availability()
-            assert status["needscupy"] is not None
-            assert "cupy" in status["needscupy"]
-            assert "needscupy" in list_backends()
-            assert "needscupy" not in available_backends()
-            with pytest.raises(BackendUnavailableError) as excinfo:
-                get_backend("needscupy")
-            assert "cupy" in str(excinfo.value)
+            assert "needsdep" in list_backends()
+            assert "needsdep" not in available_backends()
+            reason = backend_availability()["needsdep"]
+            assert reason is not None and "repro_no_such_module_xyz" in reason
+            with pytest.raises(BackendUnavailableError,
+                               match="repro_no_such_module_xyz"):
+                get_backend("needsdep")
             # Still a KeyError for callers using the old contract.
             with pytest.raises(KeyError):
-                QueryPlanner(backend="needscupy")
+                QueryPlanner(backend="needsdep")
         finally:
-            BACKENDS.pop("needscupy", None)
-            _INSTANCES.pop("needscupy", None)
+            BACKENDS.clear()
+            BACKENDS.update(saved)
+            _INSTANCES.pop("needsdep", None)
 
     def test_planner_skips_device_batching_for_owning_backends(self):
         points = uniform_dataset(300, 2, seed=3, low=0.0, high=10.0)
         plan = QueryPlanner(backend="sharded").plan(Query.self_join(points, 0.8))
         assert plan.batch_plan is None
-        plan = QueryPlanner(backend="vectorized", min_batches=3).plan(
+        plan = QueryPlanner(backend="vectorized",
+                            batch_planner=BatchPlanner(min_batches=3)).plan(
             Query.self_join(points, 0.8))
         assert plan.batch_plan is not None
 
