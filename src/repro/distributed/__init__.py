@@ -1,4 +1,4 @@
-"""Distributed shard execution: the shard decomposition over TCP workers.
+"""Distributed shard execution: the shard executor over TCP workers.
 
 The paper's scaling story — decompose the ε-self-join into independent,
 cost-estimated units of work and keep the expensive index/data resident
@@ -7,35 +7,21 @@ machine boundaries.  Two halves:
 
 :class:`~repro.distributed.worker.WorkerServer`
     A stdlib-asyncio TCP server, one per process, speaking the query
-    service's length-prefixed frame protocol
-    (:mod:`repro.service.protocol`, reused verbatim including the
-    dtype-allow-listed array codec).  A dataset is *attached once* — as a
-    :class:`~repro.data.store.SpatialStore` path the worker memory-maps
-    locally (the dataset never crosses the wire), or as arrays shipped one
-    time — after which the worker serves shard work: self-join cell
-    shards, disk-streamed cell-range shards (the
-    ``run_selfjoin_streamed`` recipe executed worker-side against the
-    worker's own memmap), and cost-balanced probe batches for
-    bipartite/range/kNN.  Started standalone via the ``repro-worker``
-    CLI (:mod:`repro.distributed.__main__`) or in-process via
+    service's frame protocol (:mod:`repro.service.protocol`).  A dataset is
+    attached once, as a :class:`~repro.data.store.SpatialStore` path or as
+    arrays, after which the worker computes self-join, probe and
+    disk-streamed shards with the shard body every transport shares.
+    Started via the ``repro-worker`` CLI or in-process via
     :class:`~repro.distributed.worker.WorkerThread`.
 
 :class:`~repro.distributed.backend.DistributedBackend`
-    An :class:`~repro.engine.backends.ExecutionBackend` registered as
-    ``distributed(...)``: ``attach()`` ships the dataset/store reference
-    per worker, shards are assigned by the same sampled cost estimates as
-    the local parallel backends (``estimate_cell_costs`` /
-    ``split_by_cost``), returned pair fragments stream straight into the
-    caller's sink (peak RSS stays O(largest shard)), shards on slow or
-    dead workers are re-dispatched (hedged duplicates deduped by shard
-    id), and the cooperative-cancellation deadline scope is threaded
-    through the dispatch loop *and* into each shard request, so an
-    expired request stops remote work too.
+    The ``distributed(...)`` backend: the TCP transport of the one shard
+    executor (:mod:`repro.parallel.executor`) that ``sharded`` and
+    ``multiprocess`` run too, with all-or-nothing attach, re-dispatch off
+    dead workers and deadlines threaded into each shard request.
     :class:`~repro.distributed.backend.LocalWorkerPool` spawns localhost
-    ``repro-worker`` subprocesses — the multi-process harness the parity
-    tests, the straggler/kill fault tests and the scaling benchmark run
-    on in CI; pointing the same backend at remote addresses is the
-    multi-node story.
+    ``repro-worker`` subprocesses (the CI harness); pointing the same
+    backend at remote addresses is the multi-node story.
 """
 
 from repro.distributed.backend import (  # noqa: F401

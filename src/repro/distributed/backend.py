@@ -1,42 +1,27 @@
-"""The ``distributed`` execution backend: shard work farmed to TCP workers.
+"""The ``distributed`` execution backend: the shard executor over TCP.
 
-:class:`DistributedBackend` is the same cost-balanced shard decomposition
-as :mod:`repro.parallel.sharded` / :mod:`repro.parallel.mp`, executed by
-:class:`~repro.distributed.worker.WorkerServer` processes over sockets:
+:class:`DistributedBackend` runs the shard decomposition of
+:mod:`repro.parallel.shards` through the executor loop every parallel
+backend shares (:func:`repro.parallel.executor.run_tasks`).  Its transport
+talks to :class:`~repro.distributed.worker.WorkerServer` processes:
 
 * ``attach()`` ships the session dataset to every worker **once** — as a
-  :class:`~repro.data.store.SpatialStore` path each worker memory-maps
-  locally (nothing dataset-sized crosses the wire) or as arrays shipped
-  one time — after which every query of the session dispatches shard
-  requests against the workers' resident per-ε index caches.
-* Shards are *planned* by the same sampled cost model as the local
-  backends (``estimate_cell_costs`` inside
-  :class:`~repro.parallel.shards.ShardPlanner` for self-joins,
-  ``estimate_probe_row_costs`` / ``split_by_cost`` for probes) and
-  *executed* by the pull-based work-stealing scheduler of
-  :mod:`repro.parallel.scheduler`: ~4× oversplit, largest shards first, a
-  bounded per-worker outstanding ``window``, an EWMA of observed
-  per-worker throughput steering steals and mid-join rebalances away from
-  slow workers, in-flight resplitting at B-order boundaries when the
-  queue runs dry, and hedging only as the last resort
-  (``scheduling="static"`` pins the cost-balanced initial assignment
-  instead — the benchmark baseline).
-* Returned pair fragments stream **straight into the caller's sink** in
-  B-order shard order (out-of-order completions are buffered per shard id
-  by :class:`~repro.parallel.scheduler.OrderedShardMerger`) — the merge
-  path is the one every other backend uses, results are bit-identical to
-  static assignment regardless of completion order, worker count or
-  injected stragglers, and for the disk-streamed path peak parent RSS
-  stays O(largest shard).
+  :class:`~repro.data.store.SpatialStore` path each worker memory-maps or
+  as arrays — and later queries run against the workers' resident per-ε
+  index caches.  An attach is all or nothing: if a worker refuses it, the
+  workers that accepted it detach again.  A call outside a session
+  attaches, runs and detaches.
+* Each dispatched shard is one request/stream round-trip on its own
+  connection, ``window`` connection threads per endpoint.  The
+  work-stealing scheduler decides what each worker runs
+  (``scheduling="static"`` pins the cost-balanced initial assignment, the
+  benchmark baseline) and the executor merges fragments in B-order shard
+  order, so results are bit-identical to every other backend.
 * A shard on a **dead** worker (connection drop, process kill) is
-  re-dispatched to the survivors; duplicates (hedges, resplit halves,
-  re-dispatches) are deduplicated by shard key, so results stay
-  bit-identical under every fault mode.
-* The cooperative-cancellation scope of the calling thread
-  (:mod:`repro.utils.cancellation`) is threaded through the dispatch
-  loop *and* into every shard request as a ``deadline_ms`` budget, so an
-  expired request both unwinds the parent promptly and stops the
-  outstanding **remote** work at its next worker-side checkpoint.
+  re-dispatched to the survivors; duplicates are deduplicated by shard key.
+* The caller's cancellation scope (:mod:`repro.utils.cancellation`) is
+  checked by the loop *and* sent with every shard request as a
+  ``deadline_ms`` budget, so an expired request also stops remote work.
 
 Registered lazily as ``distributed``; the spec names the workers:
 ``distributed(127.0.0.1:9101, 127.0.0.1:9102)`` uses running workers (the
@@ -57,40 +42,32 @@ import socket
 import subprocess
 import sys
 import threading
-import time
 import weakref
+from contextlib import contextmanager
 from dataclasses import dataclass, field
+from functools import partial
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
-from repro.core.batching import estimate_probe_row_costs, split_by_cost
-from repro.core.kernels import DEFAULT_MAX_CANDIDATE_PAIRS, KernelStats
-from repro.core.nativekernels import parse_kernel_spec
 from repro.data.store import dataset_identity
-from repro.engine.backends import (
-    ExecutionBackend,
-    compose_kernel_spec,
-    get_backend,
-    register_backend,
-    _probe_rows,
-)
+from repro.engine.backends import register_backend
 from repro.distributed.worker import (
     DEFAULT_CHUNK_PAIRS,
+    SHARD_ARRAYS,
     stats_from_wire,
 )
-from repro.parallel.scheduler import (
-    OVERSPLIT_FACTOR,
-    SCHEDULING_MODES,
-    OrderedShardMerger,
-    ScheduleExhausted,
-    ShardTask,
-    WorkStealingScheduler,
+from repro.parallel.executor import (
+    POLL_SECONDS,
+    ShardExecutionBackend,
+    Transport,
+    WorkerTaskFailed,
 )
-from repro.parallel.shards import ShardPlanner, default_worker_count
+from repro.parallel.scheduler import OVERSPLIT_FACTOR, SCHEDULING_MODES
+from repro.parallel.shards import default_worker_count
 from repro.service import protocol
-from repro.utils.cancellation import check_cancelled, current_token
+from repro.utils.cancellation import current_token
 
 #: Environment override for the bare ``distributed`` spec: an integer spawns
 #: that many localhost workers; ``host:port,host:port`` uses running ones.
@@ -98,16 +75,6 @@ WORKERS_ENV_VAR = "REPRO_DISTRIBUTED_WORKERS"
 
 #: How long to wait for a spawned worker subprocess to print its banner.
 _SPAWN_BANNER_TIMEOUT = 30.0
-
-#: Poll granularity of the dispatch loop and the endpoint threads' task
-#: queue — also how often the parent's cancellation token is checked.
-_POLL_SECONDS = 0.05
-
-
-class WorkerTaskFailed(RuntimeError):
-    """A shard could not be completed by any worker (or a worker reported a
-    deterministic error, which re-dispatching would only repeat)."""
-
 
 Address = Tuple[str, int]
 
@@ -245,8 +212,7 @@ class _DatasetState:
 
     key: tuple
     name: str                       # wire name the workers know it by
-    transport: str                  # "store" | "arrays"
-    store_path: Optional[str]
+    store_path: Optional[str]       # None: arrays shipped to the workers
     #: The parent-side array while bound (operators match on identity);
     #: ``None`` for store attachments until the owning session materializes.
     points: Optional[np.ndarray]
@@ -309,48 +275,11 @@ class DistributedStats:
                 "last_schedule": self.last_schedule}
 
 
-@dataclass
-class _RequestContext:
-    """Builds the wire request for any copy of one operator's shard tasks.
-
-    Requests are built *at dispatch time* from the :class:`ShardTask`
-    itself, so a mid-join resplit child — whose cell slice did not exist at
-    planning time — ships exactly its own half of the parent's cells (or
-    probe rows, or store directory span).
-    """
-
-    op: str                              # selfjoin_shard|probe_shard|stream_shard
-    dataset: str
-    base: dict                           # op-specific constant header fields
-    queries: Optional[np.ndarray] = None  # probe: full query array
-
-    def build(self, task: ShardTask) -> Tuple[dict, bytes]:
-        header = dict(self.base)
-        header["op"] = self.op
-        header["dataset"] = self.dataset
-        header["shard"] = list(task.key)
-        if self.op == "selfjoin_shard":
-            meta, payload = protocol.pack_arrays([("cells", task.cells)])
-            header["arrays"] = meta
-            return header, payload
-        if self.op == "probe_shard":
-            meta, payload = protocol.pack_arrays(
-                [("queries", self.queries[task.cells])])
-            header["arrays"] = meta
-            return header, payload
-        header["lo"], header["hi"] = int(task.span[0]), int(task.span[1])
-        return header, b""
-
-    def key_map(self, task: ShardTask) -> Optional[np.ndarray]:
-        """Probe shards re-base slice-local result rows onto global rows."""
-        return task.cells if self.op == "probe_shard" else None
-
-
 # --------------------------------------------------------------------------
 # the backend
 # --------------------------------------------------------------------------
 @register_backend
-class DistributedBackend(ExecutionBackend):
+class DistributedBackend(ShardExecutionBackend):
     """Cost-balanced shards executed by remote TCP workers (module docstring).
 
     Parameters
@@ -395,9 +324,11 @@ class DistributedBackend(ExecutionBackend):
     """
 
     name = "distributed"
-    supports_cell_subset = True
-    owns_decomposition = True
     supports_streaming = True
+    # Bound on this class too, so per-class instrumentation (the layer
+    # benchmark's tracer) can wrap this backend's operators alone.
+    run_selfjoin = ShardExecutionBackend.run_selfjoin
+    run_probe = ShardExecutionBackend.run_probe
 
     def __init__(self, *spec, inner: str = "vectorized",
                  n_shards: Optional[int] = None, seed: int = 0,
@@ -407,11 +338,7 @@ class DistributedBackend(ExecutionBackend):
                  chunk_pairs: int = DEFAULT_CHUNK_PAIRS,
                  debug_shard_sleep_ms: float = 0.0,
                  store_root: Optional[str] = None) -> None:
-        self.kernel_spec = str(kernel)
-        parse_kernel_spec(self.kernel_spec)  # fail fast on typos
-        self.inner_name = compose_kernel_spec(str(inner), self.kernel_spec)
-        self.n_shards = int(n_shards) if n_shards is not None else None
-        self.seed = int(seed)
+        super().__init__(inner, kernel, n_shards, seed)
         if str(scheduling) not in SCHEDULING_MODES:
             raise ValueError(
                 f"scheduling must be one of {SCHEDULING_MODES}")
@@ -430,8 +357,6 @@ class DistributedBackend(ExecutionBackend):
         self._pool: Optional[LocalWorkerPool] = None
         self._active: Dict[tuple, _DatasetState] = {}
         self._lock = threading.RLock()      # states, pool, stats
-        self._open_sockets: Set[socket.socket] = set()
-        self._sockets_lock = threading.Lock()
 
     @staticmethod
     def _parse_spec(spec) -> Tuple[Optional[int], List[Address]]:
@@ -467,19 +392,6 @@ class DistributedBackend(ExecutionBackend):
         return n_local, addresses
 
     # -------------------------------------------------------------- plumbing
-    @property
-    def inner(self) -> ExecutionBackend:
-        """The backend each worker executes per shard (local resolution)."""
-        return get_backend(self.inner_name)
-
-    @property
-    def supports_unicomp(self) -> bool:  # type: ignore[override]
-        return self.inner.supports_unicomp
-
-    def kernel_tier(self) -> str:
-        """The inner spec's tier as it resolves *here* (workers re-resolve)."""
-        return self.inner.kernel_tier()
-
     def endpoints(self) -> List[Address]:
         """The worker endpoints, spawning the local pool on first use."""
         with self._lock:
@@ -499,9 +411,6 @@ class DistributedBackend(ExecutionBackend):
             if self._pool is not None:
                 self._pool.shutdown()
                 self._pool = None
-
-    def _resolved_shards(self, n_endpoints: int) -> int:
-        return self.n_shards or max(1, n_endpoints) * OVERSPLIT_FACTOR
 
     # ------------------------------------------------------ session lifecycle
     @staticmethod
@@ -548,8 +457,7 @@ class DistributedBackend(ExecutionBackend):
                   "arrays": meta}
         self._attach_rpc(header, payload)
         return _DatasetState(key=key or (identity,), name=name,
-                             transport="arrays", store_path=None,
-                             points=points)
+                             store_path=None, points=points)
 
     def _attach_store(self, descriptor: str,
                       key: Optional[tuple] = None) -> _DatasetState:
@@ -560,17 +468,15 @@ class DistributedBackend(ExecutionBackend):
                   "store_path": resolved}
         self._attach_rpc(header, b"")
         return _DatasetState(key=key or (("store", resolved),), name=name,
-                             transport="store", store_path=resolved,
-                             points=None)
+                             store_path=resolved, points=None)
 
     def _attach_rpc(self, header: dict, payload: bytes) -> None:
         """Attach the dataset on **all** workers concurrently.
 
-        The per-worker attach RPCs are independent (each worker maps the
-        store / unpacks the arrays and builds nothing shared), so they run
-        under one ``asyncio.gather`` — cold-start latency is the *slowest*
-        worker's attach, not the sum of all of them (~N× faster than the
-        sequential loop this replaces, for N workers).
+        The per-worker attach RPCs are independent, so they run under one
+        ``asyncio.gather``: cold-start latency is the *slowest* worker's
+        attach, not the sum.  All or nothing: if any worker fails, the
+        workers that accepted the dataset detach it again.
         """
         endpoints = self.endpoints()
         frame = protocol.encode_frame(header, payload)
@@ -603,30 +509,40 @@ class DistributedBackend(ExecutionBackend):
                 return_exceptions=True)
 
         replies = asyncio.run(_attach_all())
+        failure: Optional[Tuple[str, Optional[BaseException]]] = None
+        accepted = []
         for address, reply in zip(endpoints, replies):
             if isinstance(reply, BaseException):
-                raise WorkerTaskFailed(
-                    f"attach to worker {_format_address(address)} failed: "
-                    f"{type(reply).__name__}: {reply}") from reply
-            with self._lock:
-                self.stats.attach_rpcs += 1
-            if reply.get("status") != protocol.STATUS_OK:
-                raise WorkerTaskFailed(
-                    f"attach to worker {_format_address(address)} failed: "
-                    f"{reply.get('message', reply)}")
+                message, cause = f"{type(reply).__name__}: {reply}", reply
+            else:
+                with self._lock:
+                    self.stats.attach_rpcs += 1
+                if reply.get("status") == protocol.STATUS_OK:
+                    accepted.append(address)
+                    continue
+                message, cause = reply.get("message", reply), None
+            failure = failure or (
+                f"attach to worker {_format_address(address)} failed: "
+                f"{message}", cause)
+        if failure is not None:
+            self._detach_from(accepted, header["dataset"])
+            raise WorkerTaskFailed(failure[0]) from failure[1]
         with self._lock:
             self.stats.datasets_attached += 1
 
     def _detach_everywhere(self, state: _DatasetState) -> None:
-        for address in self.endpoints():
+        self._detach_from(self.endpoints(), state.name)
+        with self._lock:
+            self.stats.datasets_detached += 1
+
+    @staticmethod
+    def _detach_from(addresses: Sequence[Address], name: str) -> None:
+        for address in addresses:
             try:
-                worker_request(address,
-                               {"op": "detach", "dataset": state.name},
+                worker_request(address, {"op": "detach", "dataset": name},
                                timeout=2.0)
             except (OSError, protocol.ProtocolError):
                 pass  # a dead worker has nothing to detach
-        with self._lock:
-            self.stats.datasets_detached += 1
 
     # --------------------------------------------------------- state resolution
     def _state_for_points(self, points: np.ndarray) -> Optional[_DatasetState]:
@@ -650,7 +566,9 @@ class DistributedBackend(ExecutionBackend):
     def _state_for_source(self, source) -> Optional[_DatasetState]:
         descriptor = source.storage_descriptor()
         if descriptor is None:
-            return None
+            raise ValueError("the distributed streamed self-join needs a "
+                             "path-addressable store "
+                             "(source.storage_descriptor() is None)")
         resolved = str(Path(descriptor).resolve())
         with self._lock:
             for state in self._active.values():
@@ -658,259 +576,31 @@ class DistributedBackend(ExecutionBackend):
                     return state
         return None
 
-    # ------------------------------------------------------------- operators
-    def run_selfjoin(self, index, eps, cells, sink, *, unicomp=False,
-                     max_candidate_pairs=DEFAULT_MAX_CANDIDATE_PAIRS) -> KernelStats:
+    # ------------------------------------------------------------- executor
+    def _shard_count(self) -> int:
+        return self.n_shards or len(self.endpoints()) * OVERSPLIT_FACTOR
+
+    @contextmanager
+    def _transport(self, n_tasks, index=None, source=None):
+        """TCP transport over the attached dataset, attaching for one call
+        when no session holds it."""
         endpoints = self.endpoints()
-        plan = ShardPlanner(n_shards=self._resolved_shards(len(endpoints)),
-                            seed=self.seed).plan(index, cells)
-        state = self._state_for_points(index.points)
+        if source is not None:
+            state = self._state_for_source(source)
+            attach = partial(self._attach_store, source.storage_descriptor())
+        else:
+            state = self._state_for_points(index.points)
+            attach = partial(self._attach_arrays, index.points)
         ephemeral = state is None
         if ephemeral:
-            # One-shot call outside a session: ship the arrays for this
-            # call and drop the attachment afterwards (use a session to
-            # amortize the shipping, exactly like the multiprocess pool).
-            state = self._attach_arrays(index.points)
+            state = attach()
         try:
-            tasks = []
-            for shard, cell_costs in zip(plan.shards, plan.cell_costs):
-                if shard.shape[0] == 0:
-                    continue
-                tasks.append(ShardTask(
-                    key=(len(tasks),), cost=float(cell_costs.sum()),
-                    kind="selfjoin", cells=shard, item_costs=cell_costs))
-            ctx = _RequestContext(op="selfjoin_shard", dataset=state.name,
-                                  base={
-                "index_eps": float(index.eps), "eps": float(eps),
-                "unicomp": bool(unicomp),
-                "max_candidate_pairs": int(max_candidate_pairs),
-                "chunk_pairs": self.chunk_pairs})
-            return self._execute_tasks(endpoints, tasks, ctx, sink)
+            yield _TcpTransport(self, endpoints, state.name)
         finally:
             if ephemeral:
                 self._detach_everywhere(state)
 
-    def run_probe(self, queries, index, eps, sink, *, rows=None,
-                  max_candidate_pairs=DEFAULT_MAX_CANDIDATE_PAIRS) -> KernelStats:
-        rows = _probe_rows(queries, rows)
-        if rows.shape[0] == 0:
-            return KernelStats()
-        endpoints = self.endpoints()
-        state = self._state_for_points(index.points)
-        ephemeral = state is None
-        if ephemeral:
-            state = self._attach_arrays(index.points)
-        try:
-            costs = estimate_probe_row_costs(queries[rows], index,
-                                             seed=self.seed)
-            queries_arr = np.asarray(queries, dtype=np.float64)
-            # Workers emit slice-local keys; the task's global row ids
-            # (``cells``) double as the key_map re-basing them at merge
-            # time (each query row crosses the wire once per query copy,
-            # not once per task).
-            tasks = []
-            for group in split_by_cost(costs,
-                                       self._resolved_shards(len(endpoints))):
-                if group.shape[0] == 0:
-                    continue
-                tasks.append(ShardTask(
-                    key=(len(tasks),), cost=float(costs[group].sum()),
-                    kind="probe", cells=rows[group],
-                    item_costs=costs[group].astype(np.float64)))
-            ctx = _RequestContext(op="probe_shard", dataset=state.name,
-                                  queries=queries_arr, base={
-                "index_eps": float(index.eps), "eps": float(eps),
-                "max_candidate_pairs": int(max_candidate_pairs),
-                "chunk_pairs": self.chunk_pairs})
-            return self._execute_tasks(endpoints, tasks, ctx, sink)
-        finally:
-            if ephemeral:
-                self._detach_everywhere(state)
-
-    def run_selfjoin_streamed(self, source, eps, sink, *, unicomp=False,
-                              max_candidate_pairs=DEFAULT_MAX_CANDIDATE_PAIRS,
-                              ) -> KernelStats:
-        """Disk-streamed self-join, each shard read by its *worker* from the
-        shared store path.
-
-        Neither the dataset nor any index is materialized in the parent:
-        workers read their owned cell range plus ε-halo from their own
-        mapping of the store and return pairs in global ids.  ``unicomp``
-        is accepted for interface uniformity (the streamed recipe computes
-        full neighborhoods; results are identical either way).  Requires
-        every worker to reach the store path — localhost workers share the
-        filesystem; multi-node deployments need a shared mount.
-        """
-        descriptor = source.storage_descriptor()
-        if descriptor is None:
-            raise ValueError("the distributed streamed self-join needs a "
-                             "path-addressable store "
-                             "(source.storage_descriptor() is None)")
-        endpoints = self.endpoints()
-        state = self._state_for_source(source)
-        ephemeral = state is None
-        if ephemeral:
-            state = self._attach_store(descriptor)
-        try:
-            counts = source.cell_counts.astype(np.float64)
-            slices = split_by_cost(counts,
-                                   self._resolved_shards(len(endpoints)))
-            tasks = []
-            for cells in slices:
-                if cells.shape[0] == 0:
-                    continue
-                lo, hi = int(cells[0]), int(cells[-1]) + 1
-                tasks.append(ShardTask(
-                    key=(len(tasks),), cost=float(counts[lo:hi].sum()),
-                    kind="stream", span=(lo, hi),
-                    item_costs=counts[lo:hi]))
-            ctx = _RequestContext(op="stream_shard", dataset=state.name,
-                                  base={
-                "eps": float(eps),
-                "max_candidate_pairs": int(max_candidate_pairs),
-                "chunk_pairs": self.chunk_pairs})
-            return self._execute_tasks(endpoints, tasks, ctx, sink)
-        finally:
-            if ephemeral:
-                self._detach_everywhere(state)
-
-    # ----------------------------------------------------------- dispatch loop
-    def _execute_tasks(self, endpoints: Sequence[Address],
-                       tasks: List[ShardTask], ctx: _RequestContext,
-                       sink) -> KernelStats:
-        """Schedule shard tasks across the workers; merge into ``sink``.
-
-        The :class:`~repro.parallel.scheduler.WorkStealingScheduler` owns
-        every dispatch decision; this loop is its event pump.  ``window``
-        connection threads per endpoint pull built requests off that
-        endpoint's queue, run the request/stream round-trip and post events
-        back; this loop feeds each worker while its outstanding count is
-        under ``window``, and all sink emission goes through the
-        :class:`~repro.parallel.scheduler.OrderedShardMerger`, so fragments
-        reach the sink strictly in B-order shard order no matter the
-        completion order.  Failure semantics:
-
-        * socket/protocol error → the endpoint is considered dead, its
-          queued and in-flight shards re-queued for the survivors
-          (``shards_redispatched``); all endpoints dead raises.
-        * worker-side ``timeout``/``cancelled`` → re-queued **unless the
-          shard is already covered** — a cancelled hedge whose original
-          completed is dropped without a retry and without counting as
-          hedge waste (if the *parent's* deadline expired,
-          ``check_cancelled()`` unwinds this loop first).
-        * worker-side ``error`` → raised immediately (deterministic
-          failures don't improve with retries); per-shard attempts are
-          bounded either way.
-        * queue dry → the scheduler first *splits* the largest in-flight
-          shard at a B-order boundary and races the halves; hedging a full
-          duplicate is the last resort for unsplittable work.
-        """
-        stats = KernelStats()
-        if not tasks:
-            return stats
-        token = current_token()   # thread-locals don't cross threads: capture
-        names = [_format_address(address) for address in endpoints]
-        sched = WorkStealingScheduler(
-            tasks, names, mode=self.scheduling, hedge_after=self.hedge_after,
-            max_attempts=len(endpoints) + 2)
-        merger = OrderedShardMerger(sink, sched.roots)
-        #: Counters of accepted copies, merged only once a copy is chosen to
-        #: cover its root (a resplit half and its original can both finish).
-        copy_stats: Dict[Tuple[int, ...], KernelStats] = {}
-        #: Roots already covered — read lock-free by endpoint threads to
-        #: skip stale queued copies before wasting a round-trip on them.
-        covered: Set[int] = set()
-        events: "queue.Queue" = queue.Queue()
-        stop = threading.Event()
-        endpoint_queues: Dict[str, "queue.Queue"] = {
-            name: queue.Queue() for name in names}
-        threads: List[threading.Thread] = []
-        for name, address in zip(names, endpoints):
-            for slot in range(self.window):
-                thread = threading.Thread(
-                    target=self._endpoint_worker,
-                    args=(name, address, endpoint_queues[name], events, stop,
-                          covered, token),
-                    name=f"repro-dist-{name}#{slot}", daemon=True)
-                thread.start()
-                threads.append(thread)
-
-        def _fill(now: float) -> None:
-            """Pull work for every worker with window capacity."""
-            for name in sched.alive_workers():
-                while sched.outstanding_count(name) < self.window:
-                    task = sched.next_task(name, now)
-                    if task is None:
-                        break
-                    header, payload = ctx.build(task)
-                    endpoint_queues[name].put((task, header, payload))
-                    with self._lock:
-                        self.stats.shards_dispatched += 1
-
-        try:
-            _fill(time.monotonic())
-            while not sched.finished():
-                check_cancelled()
-                try:
-                    event = events.get(timeout=_POLL_SECONDS)
-                except queue.Empty:
-                    now = time.monotonic()
-                    sched.maybe_rebalance(now)
-                    _fill(now)
-                    continue
-                now = time.monotonic()
-                kind, name = event[0], event[1]
-                if kind == "start":
-                    sched.on_start(name, event[2].key, event[3])
-                elif kind == "skip":
-                    sched.on_skipped(name, event[2].key)
-                elif kind == "done":
-                    _, _, task, chunks, end = event
-                    final = end.get("final")
-                    if final == "ok":
-                        completion = sched.on_complete(
-                            name, task.key, now,
-                            pairs=int(end.get("pairs", 0) or 0))
-                        if completion.accepted:
-                            merger.stash(task.key, chunks,
-                                         key_map=ctx.key_map(task))
-                            copy_stats[tuple(task.key)] = stats_from_wire(
-                                end.get("stats") or {})
-                        if completion.newly_covered is not None:
-                            root, chosen = completion.newly_covered
-                            covered.add(root)
-                            merger.complete(root, chosen)
-                            for key in chosen:
-                                stats.merge(copy_stats.pop(tuple(key)))
-                    elif final in ("timeout", "cancelled"):
-                        sched.on_failure(name, task.key, now,
-                                         reason=f"worker-side {final}")
-                    else:
-                        raise WorkerTaskFailed(
-                            f"shard {task.key} failed on worker {name}: "
-                            f"{end.get('message', end)}")
-                elif kind == "dead":
-                    _, _, task, message = event
-                    with self._lock:
-                        self.stats.worker_failures += 1
-                    sched.on_worker_dead(name, now)
-                    if not sched.alive_workers():
-                        raise WorkerTaskFailed(
-                            "no distributed workers left alive; last "
-                            f"failure on {name}: {message}")
-                _fill(time.monotonic())
-        except ScheduleExhausted as exc:
-            raise WorkerTaskFailed(str(exc)) from exc
-        finally:
-            stop.set()
-            # Closing in-flight sockets interrupts endpoint threads blocked
-            # in recv on a long shard, so cancellation returns promptly.
-            self._close_open_sockets()
-            for thread in threads:
-                thread.join(timeout=5.0)
-        report = sched.finalize_report(
-            achieved_cost=float(stats.distance_calcs))
-        stats.schedule_counts = report.counts()
+    def _record_schedule(self, report) -> None:
         with self._lock:
             self.stats.shards_stolen += report.steals
             self.stats.shards_resplit += report.resplits
@@ -923,84 +613,6 @@ class DistributedBackend(ExecutionBackend):
             self.stats.resplit_wasted_shards += report.resplit_wasted_shards
             self.stats.resplit_wasted_pairs += report.resplit_wasted_pairs
             self.stats.last_schedule = report.snapshot()
-        return stats
-
-    # ------------------------------------------------------- endpoint threads
-    def _endpoint_worker(self, name: str, address: Address,
-                         work_queue: "queue.Queue", events: "queue.Queue",
-                         stop: threading.Event, covered: Set[int],
-                         token) -> None:
-        while not stop.is_set():
-            try:
-                task, header, payload = work_queue.get(timeout=_POLL_SECONDS)
-            except queue.Empty:
-                continue
-            if task.root in covered:
-                # Stale copy: its shard was covered while this was queued.
-                events.put(("skip", name, task))
-                continue
-            events.put(("start", name, task, time.monotonic()))
-            try:
-                chunks, end = self._request_shard(address, header, payload,
-                                                  token)
-            except (OSError, protocol.ProtocolError) as exc:
-                if not stop.is_set():
-                    events.put(("dead", name, task,
-                                f"{type(exc).__name__}: {exc}"))
-                return  # endpoint presumed dead; let survivors drain the queue
-            events.put(("done", name, task, chunks, end))
-
-    def _request_shard(self, address: Address, header: dict, payload: bytes,
-                       token,
-                       ) -> Tuple[List[Tuple[np.ndarray, np.ndarray]], dict]:
-        """One shard round-trip: send the request, collect its chunk stream."""
-        header = dict(header)
-        if self.debug_shard_sleep_ms > 0:
-            header["debug_sleep_ms"] = self.debug_shard_sleep_ms
-        if token is not None and token.deadline is not None:
-            # Thread the parent deadline into the remote work: the worker
-            # self-cancels when the budget lapses, so an expired request
-            # stops burning remote CPU even before this side unwinds.
-            header["deadline_ms"] = max(1.0, token.remaining() * 1000.0)
-        sock = socket.create_connection(address,
-                                        timeout=self.connect_timeout)
-        with self._sockets_lock:
-            self._open_sockets.add(sock)
-        try:
-            sock.settimeout(None)   # shard compute takes as long as it takes
-            sock.sendall(protocol.encode_frame(header, payload))
-            chunks: List[Tuple[np.ndarray, np.ndarray]] = []
-            while True:
-                frame = protocol.read_frame_sock(sock, self.max_payload)
-                if frame is None:
-                    raise protocol.ProtocolError(
-                        "worker closed the connection mid-shard")
-                fheader, fpayload = frame
-                status = fheader.get("status")
-                if status == protocol.STATUS_CHUNK:
-                    arrays = protocol.unpack_arrays(
-                        fheader.get("arrays", []), fpayload)
-                    chunks.append((arrays["keys"], arrays["values"]))
-                elif status == protocol.STATUS_END:
-                    return chunks, fheader
-                else:
-                    raise protocol.ProtocolError(
-                        f"unexpected frame status {status!r} in a shard "
-                        "response")
-        finally:
-            with self._sockets_lock:
-                self._open_sockets.discard(sock)
-            sock.close()
-
-    def _close_open_sockets(self) -> None:
-        with self._sockets_lock:
-            sockets = list(self._open_sockets)
-            self._open_sockets.clear()
-        for sock in sockets:
-            try:
-                sock.close()
-            except OSError:  # pragma: no cover - already closed
-                pass
 
     # ---------------------------------------------------------------- metrics
     def worker_liveness(self, timeout: float = 0.5) -> List[dict]:
@@ -1029,3 +641,142 @@ class DistributedBackend(ExecutionBackend):
                 "workers_alive": sum(1 for w in workers if w.get("alive")),
                 "workers_total": len(workers),
                 **counters}
+
+
+class _TcpTransport(Transport):
+    """Shard requests to worker endpoints, ``window`` connections each.
+
+    :meth:`submit` builds the request frame in the caller's thread and
+    queues it for the endpoint; each connection thread runs one
+    request/stream round-trip at a time and posts the outcome.  A queued
+    copy whose shard got covered meanwhile is skipped without a round-trip.
+    """
+
+    def __init__(self, backend: DistributedBackend,
+                 endpoints: Sequence[Address], dataset: str) -> None:
+        super().__init__()
+        self.backend = backend
+        self.dataset = dataset
+        self.workers = [_format_address(address) for address in endpoints]
+        self.window = backend.window
+        self._addresses = dict(zip(self.workers, endpoints))
+        self._queues: Dict[str, "queue.Queue"] = {
+            name: queue.Queue() for name in self.workers}
+        # Thread-locals don't cross threads: capture the caller's token.
+        self._token = current_token()
+        self._stop = threading.Event()
+        self._threads: List[threading.Thread] = []
+        self._sockets: Set[socket.socket] = set()
+        self._sockets_lock = threading.Lock()
+
+    def start(self, covered: Set[int]) -> None:
+        for name, address in self._addresses.items():
+            for slot in range(self.window):
+                thread = threading.Thread(
+                    target=self._serve, args=(name, address, covered),
+                    name=f"repro-dist-{name}#{slot}", daemon=True)
+                thread.start()
+                self._threads.append(thread)
+
+    def submit(self, worker, task, op) -> None:
+        kind, params, array = op.request(task)
+        header = {**params, "op": f"{kind}_shard", "dataset": self.dataset,
+                  "shard": list(task.key),
+                  "chunk_pairs": self.backend.chunk_pairs}
+        payload = b""
+        if array is not None:
+            header["arrays"], payload = protocol.pack_arrays(
+                [(SHARD_ARRAYS[kind], array)])
+        self._queues[worker].put((task, header, payload))
+        with self.backend._lock:
+            self.backend.stats.shards_dispatched += 1
+
+    def close(self) -> None:
+        self._stop.set()
+        # Closing in-flight sockets interrupts connection threads blocked in
+        # recv on a long shard, so cancellation returns promptly.
+        with self._sockets_lock:
+            sockets = list(self._sockets)
+            self._sockets.clear()
+        for sock in sockets:
+            try:
+                sock.close()
+            except OSError:  # pragma: no cover - already closed
+                pass
+        for thread in self._threads:
+            thread.join(timeout=5.0)
+
+    def _serve(self, name: str, address: Address, covered: Set[int]) -> None:
+        work = self._queues[name]
+        while not self._stop.is_set():
+            try:
+                task, header, payload = work.get(timeout=POLL_SECONDS)
+            except queue.Empty:
+                continue
+            if task.root in covered:
+                self.events.put(("skip", name, task))
+                continue
+            self.events.put(("start", name, task))
+            try:
+                chunks, end = self._request(address, header, payload)
+            except (OSError, protocol.ProtocolError) as exc:
+                if not self._stop.is_set():
+                    with self.backend._lock:
+                        self.backend.stats.worker_failures += 1
+                    self.events.put(("dead", name, task,
+                                     f"{type(exc).__name__}: {exc}"))
+                return  # endpoint presumed dead; survivors drain its work
+            final = end.get("final")
+            if final == "ok":
+                self.events.put(("done", name, task, chunks,
+                                 stats_from_wire(end.get("stats") or {})))
+            elif final in ("timeout", "cancelled"):
+                self.events.put(("failed", name, task,
+                                 f"worker-side {final}"))
+            else:
+                self.events.put(("error", name, task, WorkerTaskFailed(
+                    f"shard {task.key} failed on worker {name}: "
+                    f"{end.get('message', end)}")))
+
+    def _request(self, address: Address, header: dict, payload: bytes,
+                 ) -> Tuple[List[Tuple[np.ndarray, np.ndarray]], dict]:
+        """One shard round-trip: send the request, collect its chunk stream."""
+        backend = self.backend
+        header = dict(header)
+        if backend.debug_shard_sleep_ms > 0:
+            header["debug_sleep_ms"] = backend.debug_shard_sleep_ms
+        token = self._token
+        if token is not None and token.deadline is not None:
+            # Thread the parent deadline into the remote work: the worker
+            # self-cancels when the budget lapses, so an expired request
+            # stops burning remote CPU even before this side unwinds.
+            header["deadline_ms"] = max(1.0, token.remaining() * 1000.0)
+        sock = socket.create_connection(address,
+                                        timeout=backend.connect_timeout)
+        with self._sockets_lock:
+            self._sockets.add(sock)
+        try:
+            sock.settimeout(None)   # shard compute takes as long as it takes
+            sock.sendall(protocol.encode_frame(header, payload))
+            chunks: List[Tuple[np.ndarray, np.ndarray]] = []
+            while True:
+                frame = protocol.read_frame_sock(sock, backend.max_payload)
+                if frame is None:
+                    raise protocol.ProtocolError(
+                        "worker closed the connection mid-shard")
+                fheader, fpayload = frame
+                status = fheader.get("status")
+                if status == protocol.STATUS_CHUNK:
+                    arrays = protocol.unpack_arrays(
+                        fheader.get("arrays", []), fpayload)
+                    chunks.append((arrays["keys"], arrays["values"]))
+                elif status == protocol.STATUS_END:
+                    return chunks, fheader
+                else:
+                    raise protocol.ProtocolError(
+                        f"unexpected frame status {status!r} in a shard "
+                        "response")
+        finally:
+            with self._sockets_lock:
+                self._sockets.discard(sock)
+            sock.close()

@@ -7,30 +7,23 @@ dtype-allow-listed array codec (:mod:`repro.service.protocol`) — so the
 worker channel inherits the service's hard size bounds and
 reject-before-allocation behavior for free.
 
-The lifecycle mirrors the paper's amortization story and the multiprocess
-pool workers (:mod:`repro.parallel.mp`): a dataset is **attached once** —
-either as a :class:`~repro.data.store.SpatialStore` path the worker
-memory-maps locally (the points never cross the wire; a worker co-located
-with the storage reads it at disk speed) or as arrays shipped one time —
-and every subsequent shard request against that dataset reuses the
-worker-local per-ε :class:`~repro.core.gridindex.GridIndex` cache.  Store
-attachments index the *stored* (B-order) rows and translate emitted ids
-back to original dataset ids through the store's id directory, exactly like
-the store-backed pool workers, so results are bit-identical to in-memory
-execution.
+A dataset is **attached once** — as a :class:`~repro.data.store.SpatialStore`
+path the worker memory-maps locally (the points never cross the wire) or
+as arrays shipped one time — into a
+:class:`~repro.parallel.executor.ShardDataset`, whose per-ε index LRU every
+later shard request reuses.  Store attachments index the stored (B-order)
+rows and translate emitted ids back through the store's id directory, so
+results are bit-identical to in-memory execution.
 
-Shard operations (``selfjoin_shard``, ``probe_shard``, and the
-disk-streamed ``stream_shard``, which runs the
-``run_selfjoin_streamed`` recipe worker-side against the worker's own
-memmap) respond with zero or more ``status: "chunk"`` frames — bounded
-slices of the computed pair arrays — terminated by a ``status: "end"``
-frame carrying the final status, pair totals and the shard's serialized
-:class:`~repro.core.kernels.KernelStats`.  Each request may carry a
-``deadline_ms`` budget: the compute runs inside a
-:func:`~repro.utils.cancellation.cancel_scope` whose token expires after
-that budget, so a parent whose own deadline lapsed stops burning *remote*
-CPU within one cancellation checkpoint — the distributed extension of the
-service's cooperative-cancellation contract.
+Shard operations (``selfjoin_shard``, ``probe_shard`` and the
+disk-streamed ``stream_shard``) compute with the shard body every
+transport shares, :func:`repro.parallel.executor.run_shard`, and respond
+with zero or more ``status: "chunk"`` frames of the pair arrays, then a
+``status: "end"`` frame with the final status, pair total and serialized
+:class:`~repro.core.kernels.KernelStats`.  A request's ``deadline_ms``
+budget runs the compute inside a
+:func:`~repro.utils.cancellation.cancel_scope`, so a parent whose deadline
+lapsed stops burning *remote* CPU within one cancellation checkpoint.
 
 ``store_root`` restricts which paths a worker will memory-map (the
 ``--store-root`` flag of the ``repro-worker`` CLI): attach requests naming
@@ -47,19 +40,16 @@ import asyncio
 import os
 import threading
 import time
-from collections import OrderedDict
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.core.gridindex import GridIndex, SubsetIndex
-from repro.core.kernels import DEFAULT_MAX_CANDIDATE_PAIRS, KernelStats
-from repro.core.result import PairFragments
+from repro.core.kernels import KernelStats
 from repro.data.store import SpatialStore
-from repro.engine.backends import get_backend
+from repro.parallel.executor import ShardDataset, run_shard
 from repro.service import protocol
 from repro.utils.cancellation import (
     CancellationToken,
@@ -67,11 +57,6 @@ from repro.utils.cancellation import (
     cancel_scope,
     check_cancelled,
 )
-
-#: Per-dataset LRU bound on the worker-local per-ε index cache (mirrors
-#: ``WORKER_INDEX_CACHE_SIZE`` of the multiprocess pool workers: the kNN
-#: radius-doubling loop asks for one index per doubled ε).
-INDEX_CACHE_SIZE = 8
 
 #: Default bound on result pairs per streamed ``chunk`` frame; at 16 bytes a
 #: pair this keeps one frame's payload around 4 MB, far under the codec's
@@ -88,6 +73,14 @@ _SLEEP_CHECK_SECONDS = 0.01
 #: computing.  The straggler-injection tests start one worker of a pool with
 #: this set and assert the scheduler routes work around it.
 DEBUG_SLEEP_ENV_VAR = "REPRO_WORKER_DEBUG_SLEEP_MS"
+
+#: The array each shard op ships in its request payload.
+SHARD_ARRAYS = {"selfjoin": "cells", "probe": "queries"}
+
+#: ``WorkerStats`` counter bumped per executed shard kind.
+_SHARD_COUNTERS = {"selfjoin": "shards_executed",
+                   "probe": "probe_shards_executed",
+                   "stream": "stream_shards_executed"}
 
 
 def stats_to_wire(stats: KernelStats) -> dict:
@@ -147,32 +140,6 @@ class WorkerStats:
                 "chunks_sent": self.chunks_sent}
 
 
-@dataclass
-class _AttachedDataset:
-    """Worker-resident state of one attached dataset."""
-
-    name: str
-    points: np.ndarray                 # stored (B) order for store attachments
-    ids: Optional[np.ndarray]          # original-id directory (store only)
-    store: Optional[SpatialStore]
-    inner: str                         # backend executed per shard
-    transport: str                     # "store" | "arrays"
-    indexes: "OrderedDict[float, GridIndex]" = field(default_factory=OrderedDict)
-
-    def index_for(self, index_eps: float) -> GridIndex:
-        """Worker-local per-ε index, LRU-cached across shard requests."""
-        key = float(index_eps)
-        index = self.indexes.get(key)
-        if index is None:
-            index = GridIndex.build(self.points, key)
-            self.indexes[key] = index
-            while len(self.indexes) > INDEX_CACHE_SIZE:
-                self.indexes.popitem(last=False)
-        else:
-            self.indexes.move_to_end(key)
-        return index
-
-
 def _interruptible_sleep(seconds: float) -> None:
     """Sleep in checkpointed slices so a deadline interrupts it promptly."""
     end = time.monotonic() + float(seconds)
@@ -224,7 +191,7 @@ class WorkerServer:
         self.debug_shard_sleep_ms = float(debug_shard_sleep_ms)
         self.max_payload = int(max_payload)
         self.stats = WorkerStats()
-        self._datasets: Dict[str, _AttachedDataset] = {}
+        self._datasets: Dict[str, ShardDataset] = {}
         self._lock = threading.Lock()   # guards _datasets and stats
         self._executor = ThreadPoolExecutor(
             max_workers=int(compute_threads),
@@ -358,11 +325,8 @@ class WorkerServer:
                             "message": f"store path {str(resolved)!r} is "
                                        f"outside this worker's --store-root "
                                        f"({str(self.store_root)!r})"}
-                store = SpatialStore.open(resolved)
-                state = _AttachedDataset(
-                    name=name, points=store.stored_points(),
-                    ids=np.asarray(store.stored_ids()), store=store,
-                    inner=inner, transport="store")
+                state = ShardDataset.from_store(SpatialStore.open(resolved),
+                                                inner)
             else:
                 arrays = protocol.unpack_arrays(
                     header.get("arrays", []), payload)
@@ -375,23 +339,22 @@ class WorkerServer:
                 if points.ndim != 2:
                     return {"status": protocol.STATUS_ERROR,
                             "message": "attached points must be 2-D"}
-                state = _AttachedDataset(name=name, points=points, ids=None,
-                                         store=None, inner=inner,
-                                         transport="arrays")
+                state = ShardDataset(points=points, inner=inner)
         except (OSError, ValueError, protocol.ProtocolError) as exc:
             return {"status": protocol.STATUS_ERROR,
                     "message": f"attach failed: {exc}"}
+        mapped = state.store is not None
         with self._lock:
             self._datasets[name] = state
             self.stats.datasets_attached += 1
-            if state.transport == "store":
+            if mapped:
                 self.stats.datasets_mapped += 1
             else:
                 self.stats.datasets_shipped += 1
         return {"status": protocol.STATUS_OK, "dataset": name,
                 "n_points": int(state.points.shape[0]),
                 "n_dims": int(state.points.shape[1]),
-                "transport": state.transport}
+                "transport": "store" if mapped else "arrays"}
 
     # --------------------------------------------------------------- shard ops
     def _run_shard_op(self, header: dict,
@@ -406,7 +369,7 @@ class WorkerServer:
         the parent can distinguish re-dispatchable outcomes from poison
         shards.
         """
-        op = str(header.get("op"))
+        kind = str(header.get("op")).removesuffix("_shard")
         shard = header.get("shard")
         name = str(header.get("dataset"))
         with self._lock:
@@ -425,17 +388,10 @@ class WorkerServer:
                                self.debug_shard_sleep_ms)
                 if sleep_ms > 0:
                     _interruptible_sleep(sleep_ms / 1000.0)
-                if op == "selfjoin_shard":
-                    keys, values, stats = self._compute_selfjoin(state, header,
-                                                                 payload)
-                    counter = "shards_executed"
-                elif op == "probe_shard":
-                    keys, values, stats = self._compute_probe(state, header,
-                                                              payload)
-                    counter = "probe_shards_executed"
-                else:
-                    keys, values, stats = self._compute_stream(state, header)
-                    counter = "stream_shards_executed"
+                arrays = protocol.unpack_arrays(header.get("arrays", []),
+                                                payload)
+                keys, values, stats = run_shard(
+                    state, kind, header, arrays.get(SHARD_ARRAYS.get(kind)))
         except OperationCancelled as exc:
             with self._lock:
                 self.stats.shards_cancelled += 1
@@ -462,83 +418,12 @@ class WorkerServer:
                         "shard": shard, "pairs": int(keys.shape[0]),
                         "chunks": len(frames),
                         "stats": stats_to_wire(stats)}, b""))
+        counter = _SHARD_COUNTERS[kind]
         with self._lock:
             setattr(self.stats, counter, getattr(self.stats, counter) + 1)
             self.stats.pairs_returned += int(keys.shape[0])
             self.stats.chunks_sent += len(frames) - 1
         return frames
-
-    def _compute_selfjoin(self, state: _AttachedDataset, header: dict,
-                          payload: bytes):
-        """Self-join one cell shard (the ``_run_session_selfjoin`` recipe)."""
-        arrays = protocol.unpack_arrays(header.get("arrays", []), payload)
-        cells = np.asarray(arrays["cells"], dtype=np.int64)
-        index = state.index_for(float(header["index_eps"]))
-        sink = PairFragments(index.num_points)
-        stats = get_backend(state.inner).run_selfjoin(
-            index, float(header["eps"]), cells, sink,
-            unicomp=bool(header.get("unicomp", False)),
-            max_candidate_pairs=int(header.get("max_candidate_pairs",
-                                               DEFAULT_MAX_CANDIDATE_PAIRS)))
-        keys, values = sink.concatenated()
-        if state.ids is not None:
-            # Store attachment: the index is in stored (B) order; translate
-            # both sides back to original dataset ids.
-            keys, values = state.ids[keys], state.ids[values]
-        return keys, values, stats
-
-    def _compute_probe(self, state: _AttachedDataset, header: dict,
-                       payload: bytes):
-        """Probe a shipped query slice; emitted keys are slice-local rows."""
-        arrays = protocol.unpack_arrays(header.get("arrays", []), payload)
-        queries = np.ascontiguousarray(arrays["queries"], dtype=np.float64)
-        index = state.index_for(float(header["index_eps"]))
-        sink = PairFragments(queries.shape[0])
-        stats = get_backend(state.inner).run_probe(
-            queries, index, float(header["eps"]), sink,
-            max_candidate_pairs=int(header.get("max_candidate_pairs",
-                                               DEFAULT_MAX_CANDIDATE_PAIRS)))
-        keys, values = sink.concatenated()
-        if state.ids is not None:
-            # Only the index side is in stored order; keys stay slice-local
-            # (the parent re-bases them onto the global query rows).
-            values = state.ids[values]
-        return keys, values, stats
-
-    def _compute_stream(self, state: _AttachedDataset, header: dict):
-        """Disk-streamed self-join of one contiguous directory range.
-
-        The per-shard body of ``ShardedBackend.run_selfjoin_streamed``
-        executed worker-side against the worker's *own* store mapping: reads
-        the owned cell range plus its ε-halo as a few contiguous slices,
-        probes the owned points against a shard-local
-        :class:`~repro.core.gridindex.SubsetIndex`, and returns pairs in
-        global (original) ids — so the parent's merge path needs no
-        translation at all.
-        """
-        if state.store is None:
-            raise ValueError("stream_shard requires a store-attached dataset "
-                             f"({state.name!r} was shipped as arrays)")
-        store = state.store
-        eps = float(header["eps"])
-        lo, hi = int(header["lo"]), int(header["hi"])
-        max_candidate_pairs = int(header.get("max_candidate_pairs",
-                                             DEFAULT_MAX_CANDIDATE_PAIRS))
-        owned_pts, owned_ids = store.read_cell_range(lo, hi)
-        halo_pts, halo_ids = store.read_cell_positions(
-            store.halo_positions(lo, hi, store.halo_radius(eps)))
-        if halo_pts.shape[0]:
-            local_pts = np.concatenate([owned_pts, halo_pts])
-            local_ids = np.concatenate([owned_ids, halo_ids])
-        else:
-            local_pts, local_ids = owned_pts, owned_ids
-        sub = SubsetIndex.build(local_pts, local_ids, eps)
-        local_sink = PairFragments(owned_pts.shape[0])
-        stats = get_backend(state.inner).run_probe(
-            owned_pts, sub.index, eps, local_sink,
-            max_candidate_pairs=max_candidate_pairs)
-        keys, values = local_sink.concatenated()
-        return owned_ids[keys], sub.to_global(values), stats
 
 
 class WorkerThread:

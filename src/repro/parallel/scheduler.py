@@ -28,11 +28,9 @@ Everything here is a *pure, deterministic state machine*: decisions are a
 function of the event history (dispatch/start/complete/fail), all ties
 break on (cost, shard key), and the clock is passed in by the caller — the
 unit tests drive the scheduler with a fake clock and synthetic events, no
-sockets or processes involved.  The :class:`~repro.distributed.backend.
-DistributedBackend` drives the full event loop; the
-:class:`~repro.parallel.mp.MultiprocessBackend` reuses the planning and
-reporting halves (its ``multiprocessing.Pool`` task queue *is* the pull
-mechanism) via :func:`pool_schedule_report`.
+sockets or processes involved.  :func:`repro.parallel.executor.run_tasks`
+is its one event pump, for the ``sharded``, ``multiprocess`` and
+``distributed`` backends alike.
 
 Results stay **bit-identical** to static assignment no matter the
 completion order: every fragment is keyed by its hierarchical shard key,
@@ -304,7 +302,9 @@ class _Worker:
 
     name: str
     alive: bool = True
-    queue: List[ShardTask] = field(default_factory=list)  # sorted desc cost
+    #: Serve the queue largest cost first; otherwise in key (root) order.
+    largest_first: bool = True
+    queue: List[ShardTask] = field(default_factory=list)
     outstanding: Dict[Tuple[int, ...], _Copy] = field(default_factory=dict)
     ewma: Optional[float] = None          # cost units per second
     accepted: int = 0
@@ -314,7 +314,10 @@ class _Worker:
 
     def push(self, task: ShardTask) -> None:
         self.queue.append(task)
-        self.queue.sort(key=lambda t: (-t.cost, t.key))
+        if self.largest_first:
+            self.queue.sort(key=lambda t: (-t.cost, t.key))
+        else:
+            self.queue.sort(key=lambda t: t.key)
 
     def rate(self, fallback: float) -> float:
         return self.ewma if self.ewma is not None else fallback
@@ -365,12 +368,18 @@ class WorkStealingScheduler:
         factor gets its largest queued shard moved there.
     max_attempts:
         Dispatch bound per shard family (default ``len(workers) + 2``).
+    largest_first:
+        Serve each queue largest cost first, so the join's tail is made of
+        small shards.  With ``False`` queues are served in root order; the
+        executor does that for a single worker, which has no tail to
+        shorten and can then flush every completion at once.
     """
 
     def __init__(self, tasks: Sequence[ShardTask], workers: Sequence[str], *,
                  mode: str = "adaptive", hedge_after: float = 0.25,
                  ewma_alpha: float = 0.5, rebalance_ratio: float = 2.0,
-                 max_attempts: Optional[int] = None) -> None:
+                 max_attempts: Optional[int] = None,
+                 largest_first: bool = True) -> None:
         if mode not in SCHEDULING_MODES:
             raise ValueError(f"mode must be one of {SCHEDULING_MODES}")
         if not workers:
@@ -382,7 +391,8 @@ class WorkStealingScheduler:
         self.max_attempts = (int(max_attempts) if max_attempts is not None
                              else len(workers) + 2)
         self._workers: Dict[str, _Worker] = {
-            name: _Worker(name=name) for name in workers}
+            name: _Worker(name=name, largest_first=largest_first)
+            for name in workers}
         tasks = sorted(tasks, key=lambda t: t.key)
         self.roots: List[int] = [t.root for t in tasks]
         self._families: Dict[int, _Family] = {
@@ -406,10 +416,6 @@ class WorkStealingScheduler:
     def finished(self) -> bool:
         """All shard families covered."""
         return len(self._covered_roots) == len(self._families)
-
-    def covered_roots(self) -> set:
-        """Roots already covered (snapshot; safe to copy across threads)."""
-        return set(self._covered_roots)
 
     def is_stale(self, key: Tuple[int, ...]) -> bool:
         """Whether executing this copy can no longer contribute."""
@@ -767,43 +773,3 @@ class OrderedShardMerger:
     def pending(self) -> int:
         """Roots not yet flushed (0 once the join fully merged)."""
         return len(self.roots) - self._next
-
-
-# --------------------------------------------------------------------------
-# pool-mode reporting (multiprocess backend)
-# --------------------------------------------------------------------------
-def pool_schedule_report(tasks: Sequence[ShardTask],
-                         executions: Sequence[Tuple[Tuple[int, ...], str,
-                                                    float]],
-                         n_workers: int,
-                         achieved_cost: float = 0.0) -> ScheduleReport:
-    """Post-hoc schedule report for a ``multiprocessing.Pool`` run.
-
-    The pool's internal task queue is already the pull mechanism (workers
-    fetch the next shard as they free up, ``chunksize=1``), so the parent
-    only observes *which* process ran each shard and for how long.
-    ``executions`` holds one ``(key, worker, duration_s)`` triple per shard.
-
-    Steals are inferred against the fair share: with pull scheduling a fast
-    worker absorbs a slow peer's shards, so any shard a worker executes
-    beyond ``ceil(n_shards / n_workers)`` was stolen from the static plan.
-    """
-    report = ScheduleReport(mode="adaptive", n_workers=int(n_workers),
-                            n_shards=len(tasks),
-                            predicted_cost=float(sum(t.cost for t in tasks)),
-                            achieved_cost=float(achieved_cost))
-    costs = {t.key: t.cost for t in tasks}
-    by_worker: Dict[str, List[Tuple[float, float]]] = {}
-    for key, worker, duration in executions:
-        by_worker.setdefault(worker, []).append(
-            (costs.get(tuple(key), 0.0), float(duration)))
-        report.worker_shards[worker] = report.worker_shards.get(worker, 0) + 1
-    for worker, runs in by_worker.items():
-        total_cost = sum(c for c, _ in runs)
-        total_time = max(sum(d for _, d in runs), 1e-9)
-        report.worker_throughput[worker] = total_cost / total_time
-    if executions and n_workers > 0:
-        fair = -(-len(tasks) // int(n_workers))  # ceil
-        report.steals = sum(max(0, count - fair)
-                            for count in report.worker_shards.values())
-    return report

@@ -11,22 +11,27 @@ boundaries on *sampled per-cell cost estimates*
 :class:`~repro.core.batching.BatchPlanner` uses for its result buffer) rather than even cell counts, so a shard over a dense region stays
 comparable in work to one over sparse space.
 
-The plan is consumed serially by
-:class:`repro.parallel.sharded.ShardedBackend` and concurrently by
-:class:`repro.parallel.mp.MultiprocessBackend`.
+:func:`selfjoin_tasks`, :func:`probe_tasks` and :func:`stream_tasks` turn
+a plan into the :class:`~repro.parallel.scheduler.ShardTask` list one
+operator call runs through :func:`repro.parallel.executor.run_tasks`, on
+any backend.
 """
 
 from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field
-from typing import Iterable, List, Optional
+from typing import List, Optional
 
 import numpy as np
 
-from repro.core.batching import estimate_cell_costs, split_by_cost
+from repro.core.batching import (
+    estimate_cell_costs,
+    estimate_probe_row_costs,
+    split_by_cost,
+)
 from repro.core.gridindex import GridIndex
-from repro.core.result import PairFragments
+from repro.parallel.scheduler import ShardTask, tasks_from_arrays
 
 #: Environment override for the default worker/shard count.
 WORKERS_ENV_VAR = "REPRO_PARALLEL_WORKERS"
@@ -134,16 +139,38 @@ class ShardPlanner:
             cell_costs=[costs[s].astype(np.float64) for s in slices])
 
 
-def merge_fragments(num_rows: int,
-                    parts: Iterable[PairFragments]) -> PairFragments:
-    """Merge per-shard sinks into one master sink (no dedup, no sort).
+def selfjoin_tasks(index: GridIndex, cells: Optional[np.ndarray],
+                   n_shards: int, seed: int) -> List[ShardTask]:
+    """Self-join tasks: cost-balanced contiguous cell shards."""
+    plan = ShardPlanner(n_shards=n_shards, seed=seed).plan(index, cells)
+    return tasks_from_arrays(plan.shards, plan.cell_costs)
 
-    Shards partition the origin cells, so their fragments are disjoint by
-    construction; the merge is a pure fragment-list concatenation.  Empty
-    sinks are absorbed without effect.  All sinks must cover the same row
-    space (``num_rows``) or :class:`ValueError` is raised.
+
+def probe_tasks(queries: np.ndarray, rows: np.ndarray, index: GridIndex,
+                n_shards: int, seed: int) -> List[ShardTask]:
+    """Probe tasks: cost-balanced contiguous groups of the probed rows."""
+    if rows.shape[0] == 0:
+        return []
+    costs = estimate_probe_row_costs(queries[rows], index, seed=seed)
+    groups = split_by_cost(costs, n_shards)
+    return tasks_from_arrays([rows[g] for g in groups],
+                             [costs[g].astype(np.float64) for g in groups],
+                             kind="probe")
+
+
+def stream_tasks(source, n_shards: int) -> List[ShardTask]:
+    """Streamed self-join tasks: store directory ranges balanced by count.
+
+    The per-cell population is already in the store's directory, so no
+    sampling pass over the file is needed.
     """
-    master = PairFragments(num_rows)
-    for part in parts:
-        master.extend(part)
-    return master
+    counts = source.cell_counts.astype(np.float64)
+    tasks = []
+    for i, cells in enumerate(split_by_cost(counts, n_shards)):
+        if cells.shape[0] == 0:
+            continue
+        lo, hi = int(cells[0]), int(cells[-1]) + 1
+        tasks.append(ShardTask(key=(i,), cost=float(counts[lo:hi].sum()),
+                               kind="stream", span=(lo, hi),
+                               item_costs=counts[lo:hi]))
+    return tasks

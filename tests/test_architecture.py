@@ -1,10 +1,15 @@
-"""Architecture guard: the GPU device model stays out of the CPU engine.
+"""Architecture guards, checked on the source tree with ``ast``.
 
-``repro.gpusim`` models the paper's TITAN X for Table II and the batching
-ablation.  The query path — the engine, the parallel and distributed
-backends and the service — sizes its batches from host memory and must not
-depend on it; the only consumer on that path is the ``simulated`` backend,
-which imports the instrumented kernels inside its ``run_selfjoin``.
+* The GPU device model stays out of the CPU engine.  ``repro.gpusim``
+  models the paper's TITAN X for Table II and the batching ablation.  The
+  query path — the engine, the parallel and distributed backends and the
+  service — sizes its batches from host memory and must not depend on it;
+  the only consumer on that path is the ``simulated`` backend, which
+  imports the instrumented kernels inside its ``run_selfjoin``.
+* One shard executor.  Only ``repro/parallel/executor.py`` builds the
+  work-stealing scheduler and the ordered merger, and no parallel or
+  distributed module dispatches through ``imap_unordered``: every parallel
+  backend runs the executor's one loop.
 """
 
 from __future__ import annotations
@@ -119,3 +124,59 @@ def test_selfjoin_config_fields():
 def test_no_cupy_backend():
     assert "cupy" not in list_backends()
     assert importlib.util.find_spec("repro.parallel.cupy_backend") is None
+
+
+# --------------------------------------------------------------------------
+# one shard executor
+# --------------------------------------------------------------------------
+EXECUTOR_MODULE = "parallel/executor.py"
+EXECUTOR_ONLY = {"WorkStealingScheduler", "OrderedShardMerger"}
+
+
+def _called_names(tree: ast.AST):
+    """Yield ``(name, line)`` of every call to a bare or dotted name."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call):
+            func = node.func
+            if isinstance(func, ast.Name):
+                yield func.id, node.lineno
+            elif isinstance(func, ast.Attribute):
+                yield func.attr, node.lineno
+
+
+def _package_modules():
+    yield from sorted(PACKAGE_ROOT.rglob("*.py"))
+
+
+@pytest.mark.parametrize(
+    "path", list(_package_modules()),
+    ids=lambda p: p.relative_to(PACKAGE_ROOT).as_posix())
+def test_only_the_executor_builds_scheduler_and_merger(path):
+    relative = path.relative_to(PACKAGE_ROOT).as_posix()
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    built = [(name, line) for name, line in _called_names(tree)
+             if name in EXECUTOR_ONLY]
+    if relative == EXECUTOR_MODULE:
+        assert {name for name, _ in built} == EXECUTOR_ONLY
+    else:
+        assert built == [], f"{relative} builds {built}"
+
+
+@pytest.mark.parametrize(
+    "path", [p for package in ("parallel", "distributed")
+             for p in sorted((PACKAGE_ROOT / package).rglob("*.py"))],
+    ids=lambda p: p.relative_to(PACKAGE_ROOT).as_posix())
+def test_no_imap_unordered_dispatch(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    calls = [line for name, line in _called_names(tree)
+             if name == "imap_unordered"]
+    assert calls == [], f"imap_unordered called at lines {calls}"
+
+
+def test_executor_guard_sees_bare_and_dotted_calls():
+    tree = ast.parse("WorkStealingScheduler(t, w)\n"
+                     "scheduler.OrderedShardMerger(s, r)\n"
+                     "pool.imap_unordered(f, xs)\n")
+    assert list(_called_names(tree)) == [
+        ("WorkStealingScheduler", 1), ("OrderedShardMerger", 2),
+        ("imap_unordered", 3)]

@@ -16,6 +16,7 @@ worker must kill a real process.
 
 from __future__ import annotations
 
+import socket
 import threading
 import time
 
@@ -156,6 +157,43 @@ class TestDistributedParity:
         # The counters describe exactly the copies whose pairs were emitted.
         assert got.stats.result_pairs == got.fragments.num_pairs
 
+    @pytest.mark.parametrize("unicomp", [False, True])
+    def test_one_executor_one_stream_across_transports(self, workers,
+                                                       unicomp):
+        # The inline, local-pool and TCP transports run one plan through
+        # the same loop: the emitted pair stream (not just the table) and
+        # the work counters equal the serial vectorized run's.
+        import hashlib
+
+        from repro.core.gridindex import GridIndex
+        from repro.core.result import PairFragments
+        from repro.parallel import MultiprocessBackend, ShardedBackend
+
+        index = GridIndex.build(_dataset(3, seed_base=64), EPS_BY_DIM[3])
+
+        def run(backend):
+            sink = PairFragments(index.num_points)
+            stats = backend.run_selfjoin(index, index.eps, None, sink,
+                                         unicomp=unicomp)
+            keys, values = sink.concatenated()
+            digest = hashlib.sha256(keys.astype("<i8").tobytes()
+                                    + values.astype("<i8").tobytes())
+            return (digest.hexdigest(), stats.distance_calcs,
+                    stats.result_pairs)
+
+        # One kernel tier everywhere: the numba tier sums distances in
+        # another order, which can move a boundary pair.
+        pool = MultiprocessBackend(2, n_shards=6, kernel="numpy")
+        try:
+            runs = [run(backend) for backend in (
+                get_backend("vectorized(kernel=numpy)"),
+                ShardedBackend(6, kernel="numpy"), pool,
+                DistributedBackend(*[f"{h}:{p}" for h, p in workers[:2]],
+                                   n_shards=6, kernel="numpy"))]
+        finally:
+            pool.shutdown()
+        assert runs[1:] == runs[:1] * 3, runs
+
 
 class TestSubprocessPoolParity:
     """The acceptance spellings ``distributed(2)`` / ``distributed(4)``:
@@ -176,6 +214,27 @@ class TestSubprocessPoolParity:
 
 
 class TestFaultInjection:
+    def test_failed_attach_leaves_no_dataset_behind(self):
+        # One live worker plus one port nobody listens on: the attach fails
+        # as a whole, and the live worker must not keep the dataset (no
+        # session owns it, so nothing would ever detach it).
+        probe = socket.socket()
+        probe.bind(("127.0.0.1", 0))
+        dead_port = probe.getsockname()[1]
+        probe.close()
+        points = uniform_dataset(60, 2, seed=67, low=0.0, high=4.0)
+        with WorkerThread() as live:
+            backend = DistributedBackend(
+                f"{live.address[0]}:{live.address[1]}",
+                f"127.0.0.1:{dead_port}", connect_timeout=2.0)
+            with pytest.raises(WorkerTaskFailed, match="attach"):
+                EngineSession(points, backend=backend).open()
+            reply, _ = worker_request(live.address, {"op": "stats"})
+            assert reply["datasets"] == []
+            backend.shutdown()
+            reply, _ = worker_request(live.address, {"op": "stats"})
+            assert reply["datasets"] == []
+
     def test_killed_worker_redispatches_bit_identically(self):
         points = uniform_dataset(250, 3, seed=63, low=0.0, high=4.0)
         eps = 1.0

@@ -349,6 +349,23 @@ class TestPersistentPool:
             shm.close()
             shm.unlink()
 
+    def test_shutdown_lets_running_copies_finish(self):
+        # A join that raised or was cancelled leaves its other shards
+        # running.  Shutting the pool down must wait for them: killing a
+        # worker mid-way through writing its result would leave the pool's
+        # result reader (and so the shutdown) blocked.
+        import time
+
+        points = _dataset(seed=46)
+        backend = MultiprocessBackend(n_workers=1, max_idle=0)
+        returned = []
+        with EngineSession(points, backend=backend) as session:
+            session.self_join(0.9)
+            state = backend._session_pool_for(session.points)
+            state.apply(time.sleep, (0.3,), returned.append, returned.append)
+        assert backend.stats.pools_shut_down == 1
+        assert returned == [None]
+
     def test_max_idle_zero_shuts_down_on_detach(self):
         points = _dataset(seed=33)
         backend = MultiprocessBackend(n_workers=2, max_idle=0)

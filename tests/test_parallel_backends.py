@@ -222,11 +222,11 @@ class TestPlanSeedKnob:
             sharded = get_backend("sharded(4, vectorized, 11)")
             assert (sharded.n_shards, sharded.inner_name, sharded.seed) \
                 == (4, "vectorized", 11)
-            mp = get_backend("multiprocess(2, vectorized, 4, fork, 2, 1, 9)")
+            mp = get_backend("multiprocess(2, vectorized, 4, 2, 9)")
             assert (mp.n_workers, mp.n_shards, mp.seed) == (2, 4, 9)
         finally:
             _INSTANCES.pop("sharded(4, vectorized, 11)", None)
-            _INSTANCES.pop("multiprocess(2, vectorized, 4, fork, 2, 1, 9)", None)
+            _INSTANCES.pop("multiprocess(2, vectorized, 4, 2, 9)", None)
 
     def test_same_seed_reproduces_the_shard_plan(self):
         from repro.core.gridindex import GridIndex

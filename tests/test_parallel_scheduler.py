@@ -2,11 +2,11 @@
 
 The scheduler is a pure state machine: every test here drives it with a
 fake clock and synthetic dispatch/complete/fail events, no processes or
-sockets.  The integration half (the distributed backend's event loop, the
-multiprocessing pool) is covered by ``test_distributed*.py`` and
-``test_parallel_backends.py``; what this file pins down is the *decision
-logic* — waterfall order, split boundaries, family coverage, the hedge
-accounting fix, and the deterministic merge.
+sockets.  The loop that drives it is covered by ``test_executor.py`` and
+the backends by ``test_distributed*.py`` and ``test_parallel_backends.py``;
+what this file pins down is the *decision logic* — waterfall order, split
+boundaries, family coverage, the hedge accounting fix, and the
+deterministic merge.
 """
 
 from __future__ import annotations
@@ -23,7 +23,6 @@ from repro.parallel.scheduler import (
     ShardTask,
     WorkStealingScheduler,
     dispatch_order,
-    pool_schedule_report,
     tasks_from_arrays,
 )
 
@@ -370,17 +369,6 @@ class TestReporting:
         assert report.worker_shards == {"w0": 2}
         snap = report.snapshot()
         assert snap["mode"] == "adaptive" and snap["n_workers"] == 1
-
-    def test_pool_report_infers_steals_beyond_fair_share(self):
-        tasks = [_task(i, 2.0) for i in range(8)]
-        # Worker a executed 6 of 8 shards; fair share at 2 workers is 4.
-        execs = [((i,), "a" if i < 6 else "b", 0.1) for i in range(8)]
-        report = pool_schedule_report(tasks, execs, n_workers=2,
-                                      achieved_cost=16.0)
-        assert report.steals == 2
-        assert report.worker_shards == {"a": 6, "b": 2}
-        assert report.worker_throughput["a"] == pytest.approx(12.0 / 0.6)
-        assert report.counts()["cost_ratio_pct"] == 100
 
     def test_oversplit_factor_is_the_planning_contract(self):
         # The knob the backends size their plans with; pinned so a silent

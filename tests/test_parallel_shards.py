@@ -1,4 +1,4 @@
-"""Unit tests for the shard planner, cost estimators and fragment merge."""
+"""Unit tests for the shard planner and cost estimators."""
 
 from __future__ import annotations
 
@@ -13,13 +13,8 @@ from repro.core.batching import (
     split_cells_balanced,
 )
 from repro.core.gridindex import GridIndex
-from repro.core.result import PairFragments
 from repro.data.synthetic import uniform_dataset
-from repro.parallel import (
-    ShardPlanner,
-    default_worker_count,
-    merge_fragments,
-)
+from repro.parallel import ShardPlanner, default_worker_count
 from repro.parallel.shards import WORKERS_ENV_VAR
 
 
@@ -153,54 +148,3 @@ class TestShardPlanner:
         assert default_worker_count() == 5
         monkeypatch.delenv(WORKERS_ENV_VAR)
         assert default_worker_count() >= 1
-
-
-class TestMergeFragments:
-    def test_merges_disjoint_parts(self):
-        a = PairFragments(10)
-        a.emit(np.array([0, 1]), np.array([1, 0]))
-        b = PairFragments(10)
-        b.emit(np.array([5]), np.array([6]))
-        merged = merge_fragments(10, [a, b])
-        assert merged.num_pairs == 3
-        keys, values = merged.concatenated()
-        assert np.array_equal(keys, [0, 1, 5])
-        assert np.array_equal(values, [1, 0, 6])
-
-    def test_empty_shards_are_absorbed(self):
-        parts = [PairFragments(4), PairFragments(4), PairFragments(4)]
-        parts[1].emit(np.array([2]), np.array([3]))
-        merged = merge_fragments(4, parts)
-        assert merged.num_pairs == 1
-        assert merged.to_neighbor_table().num_pairs == 1
-
-    def test_all_empty(self):
-        merged = merge_fragments(7, [PairFragments(7) for _ in range(3)])
-        assert merged.num_pairs == 0
-        table = merged.to_neighbor_table()
-        assert table.num_points == 7 and table.num_pairs == 0
-
-    def test_single_cell_shards_equal_unsharded(self):
-        # One shard per cell is the finest possible decomposition; the merged
-        # CSR table must be identical to the unsharded kernel's.
-        from repro.core.kernels import selfjoin_global_vectorized
-
-        index = _index(n=120, eps=0.9)
-        whole = PairFragments(index.num_points)
-        selfjoin_global_vectorized(index, index.eps, sink=whole)
-        parts = []
-        for h in range(index.num_nonempty_cells):
-            part = PairFragments(index.num_points)
-            selfjoin_global_vectorized(index, index.eps,
-                                       np.array([h], dtype=np.int64),
-                                       sink=part)
-            parts.append(part)
-        merged = merge_fragments(index.num_points, parts)
-        assert merged.to_neighbor_table().same_contents_as(
-            whole.to_neighbor_table())
-
-    def test_row_space_mismatch_rejected(self):
-        a = PairFragments(5)
-        b = PairFragments(6)
-        with pytest.raises(ValueError):
-            merge_fragments(5, [a, b])
