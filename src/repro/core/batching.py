@@ -407,9 +407,7 @@ def estimate_probe_row_costs(queries: np.ndarray, index: GridIndex,
     n_rows = queries.shape[0]
     if n_rows == 0:
         return np.zeros(0, dtype=np.float64)
-    coords = lin.compute_cell_coords(queries, index.gmin, index.eps,
-                                     index.num_cells)
-    cell_ids = lin.linearize(coords, index.strides)
+    cell_ids = index.coords_to_linear(index.cell_coords_of(queries))
     unique_ids, inverse = np.unique(cell_ids, return_inverse=True)
     n_unique = unique_ids.shape[0]
     sample = _sample_positions(n_unique, sample_fraction, max_sample_cells, seed)

@@ -19,12 +19,22 @@ the paper:
 
 The space complexity is ``O(|B| + |G| + |A|) = O(|D|)`` because every stored
 cell contains at least one point.
+
+The grid may index only ``k <= n`` of the points' ``n`` dimensions (the
+*indexed dims*, :attr:`GridIndex.dims`).  ``B``, ``G``, ``M_j``, the cell
+coordinates, the 3^k adjacent-cell offsets and UNICOMP's parity rule are
+then k-dimensional, while ``points`` and the distance filter keep all n
+dimensions.  A pair within ε is within ε in every projection, so the
+candidate cells of a k-dim grid still hold every neighbour: the result is
+the same, only the balance between cells walked and distances computed
+moves.  :meth:`GridIndex.build` indexes all n dimensions unless told
+otherwise, which is the paper's layout.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -38,7 +48,10 @@ class GridIndexStats:
     """Summary statistics of a built :class:`GridIndex` (used in reports/tests)."""
 
     num_points: int
+    #: Point dimensionality ``n``.
     num_dims: int
+    #: Indexed dimensionality ``k`` (the walk visits 3^k cells per cell).
+    num_grid_dims: int
     num_nonempty_cells: int
     total_cells: int
     min_points_per_cell: int
@@ -61,20 +74,26 @@ class GridIndex:
     Build with :meth:`GridIndex.build`; the constructor is considered
     internal (all arrays must be mutually consistent).
 
+    Every grid-side array is over the ``k`` indexed dimensions ``dims``
+    (grid dimension ``i`` is point dimension ``dims[i]``); only ``points``
+    has all ``n``.
+
     Attributes
     ----------
     points:
-        The original point set ``D`` (``(n_points, n_dims)`` float64).
+        The original point set ``D`` (``(n_points, n)`` float64).
     eps:
         Grid cell side length (= the ε search distance).
+    dims:
+        The indexed point dimensions, ascending (all ``n`` by default).
     gmin, gmax:
-        ε-padded grid bounds per dimension.
+        ε-padded grid bounds per indexed dimension.
     num_cells:
-        Cells per dimension ``|g_j|``.
+        Cells per indexed dimension ``|g_j|``.
     strides:
         Row-major linearization strides.
     point_cell_coords:
-        ``(n_points, n_dims)`` cell coordinates of each point.
+        ``(n_points, k)`` cell coordinates of each point.
     point_cell_ids:
         ``(n_points,)`` linearized cell id of each point.
     A:
@@ -85,13 +104,15 @@ class GridIndex:
         The ``G`` structure: the points of non-empty cell ``h`` are
         ``A[cell_starts[h] : cell_starts[h] + cell_counts[h]]``.
     cell_coords:
-        ``(|G|, n_dims)`` n-dimensional coordinates of each non-empty cell.
+        ``(|G|, k)`` coordinates of each non-empty cell.
     masks:
-        Per-dimension sorted arrays of non-empty coordinates (``M_j``).
+        Per-indexed-dimension sorted arrays of non-empty coordinates
+        (``M_j``).
     """
 
     points: np.ndarray
     eps: float
+    dims: Tuple[int, ...]
     gmin: np.ndarray
     gmax: np.ndarray
     num_cells: np.ndarray
@@ -107,8 +128,12 @@ class GridIndex:
 
     # ------------------------------------------------------------------ build
     @classmethod
-    def build(cls, points: np.ndarray, eps: float) -> "GridIndex":
+    def build(cls, points: np.ndarray, eps: float,
+              dims: Optional[Sequence[int]] = None) -> "GridIndex":
         """Construct the index for ``points`` with cell side length ``eps``.
+
+        ``dims`` names the point dimensions the grid indexes (any order,
+        stored ascending); ``None`` indexes all of them.
 
         The construction is a sort by linearized cell id followed by a
         run-length encoding of the sorted ids — far cheaper than building an
@@ -121,23 +146,31 @@ class GridIndex:
         """
         pts = ensure_2d_float64(points)
         eps = check_eps(eps)
+        n_dims = pts.shape[1]
+        dims = tuple(range(n_dims)) if dims is None \
+            else tuple(sorted({int(j) for j in dims}))
+        if not dims or dims[0] < 0 or dims[-1] >= n_dims:
+            raise ValueError(f"dims must name 1..{n_dims} of the point "
+                             f"dimensions 0..{n_dims - 1}, got {dims}")
+        grid_pts = _indexed_columns(pts, dims)
 
-        gmin, gmax = lin.compute_grid_bounds(pts, eps)
+        gmin, gmax = lin.compute_grid_bounds(grid_pts, eps)
         num_cells = lin.compute_num_cells(gmin, gmax, eps)
         strides = lin.compute_strides(num_cells)
 
-        coords = lin.compute_cell_coords(pts, gmin, eps, num_cells)
+        coords = lin.compute_cell_coords(grid_pts, gmin, eps, num_cells)
         cell_ids = lin.linearize(coords, strides)
 
         A, B, cell_starts, cell_counts = group_by_cell_id(cell_ids)
         cell_coords = lin.delinearize(B, num_cells)
 
         # Per-dimension masks of non-empty coordinates.
-        masks = [np.unique(cell_coords[:, j]) for j in range(pts.shape[1])]
+        masks = [np.unique(cell_coords[:, j]) for j in range(len(dims))]
 
         return cls(
             points=pts,
             eps=eps,
+            dims=dims,
             gmin=gmin,
             gmax=gmax,
             num_cells=num_cells,
@@ -160,8 +193,13 @@ class GridIndex:
 
     @property
     def num_dims(self) -> int:
-        """Dimensionality ``n`` of the indexed points."""
+        """Dimensionality ``n`` of the points (the distance's width)."""
         return int(self.points.shape[1])
+
+    @property
+    def num_grid_dims(self) -> int:
+        """Number ``k`` of indexed dimensions: the grid's dimensionality."""
+        return len(self.dims)
 
     @property
     def num_nonempty_cells(self) -> int:
@@ -200,8 +238,18 @@ class GridIndex:
         return self.A[start:start + count]
 
     def cell_of_point(self, i: int) -> np.ndarray:
-        """n-dimensional cell coordinates of point ``i``."""
+        """Cell coordinates (over the indexed dims) of indexed point ``i``."""
         return self.point_cell_coords[i]
+
+    def cell_coords_of(self, points: np.ndarray) -> np.ndarray:
+        """Cell coordinates in this grid of arbitrary ``(m, n)`` points.
+
+        Reads the indexed dims of ``points`` and clips into the grid as
+        :func:`repro.core.linearize.compute_cell_coords` does; probes,
+        range queries and kNN locate their query points with it.
+        """
+        return lin.compute_cell_coords(_indexed_columns(points, self.dims),
+                                       self.gmin, self.eps, self.num_cells)
 
     def coords_to_linear(self, coords: np.ndarray) -> np.ndarray:
         """Linearize arbitrary cell coordinates with this grid's strides."""
@@ -225,6 +273,7 @@ class GridIndex:
         return GridIndexStats(
             num_points=self.num_points,
             num_dims=self.num_dims,
+            num_grid_dims=self.num_grid_dims,
             num_nonempty_cells=self.num_nonempty_cells,
             total_cells=self.total_cells,
             min_points_per_cell=int(counts.min()) if counts.size else 0,
@@ -294,6 +343,13 @@ class SubsetIndex:
     def to_global(self, local_ids: np.ndarray) -> np.ndarray:
         """Translate local row ids of the slice to global point ids."""
         return self.global_ids[np.asarray(local_ids, dtype=np.int64)]
+
+
+def _indexed_columns(points: np.ndarray, dims: Tuple[int, ...]) -> np.ndarray:
+    """The ``dims`` columns of ``points``; the array itself when that is all."""
+    if len(dims) == points.shape[1]:
+        return points
+    return points[:, list(dims)]
 
 
 def group_by_cell_id(cell_ids: np.ndarray,

@@ -264,7 +264,7 @@ def selfjoin_global_vectorized(index: GridIndex, eps: Optional[float] = None,
                                sink: Optional[PairFragments] = None,
                                native_kernel: Optional[Callable] = None,
                                ) -> KernelOutput:
-    """Vectorized GLOBAL kernel: every source cell against all 3^n offsets.
+    """Vectorized GLOBAL kernel: every source cell against all 3^k offsets.
 
     The cell pairs come from the shared walker in row groups and are
     expanded and distance-filtered in chunks of at most
@@ -388,7 +388,8 @@ _WALK_ROWS = 16384
 
 @lru_cache(maxsize=None)
 def _neighbor_offsets(n_dims: int) -> Tuple[np.ndarray, np.ndarray]:
-    """The 3^n offsets and, per offset, its highest non-zero dimension.
+    """The 3^n offsets of an n-dim grid and, per offset, its highest
+    non-zero dimension.
 
     The home offset's highest dimension is ``-1``, the convention of
     :func:`repro.core.unicomp.highest_nonzero_dim`.  Both cached arrays are
@@ -408,13 +409,13 @@ def _walk_cell_pairs(index: GridIndex, coords: np.ndarray, unicomp: bool = False
                                          Optional[np.ndarray]]]:
     """Resolve source cells x neighbor offsets against the index's ``B``.
 
-    ``coords`` are ``(m, n)`` source cell coordinates in ``index``'s grid.
-    Each source cell is paired with the 3^n offsets; under ``unicomp`` only
-    with those Algorithm 2 selects: the home cell, and the offsets whose
-    highest non-zero dimension ``k`` has an odd ``k`` coordinate in the
-    source cell.  The rows are broadcast source-cell-major in groups of
-    whole source cells, at most ``_WALK_ROWS`` rows unless one cell alone is
-    more.  Each group is filtered by the grid bounds and the per-dimension
+    ``coords`` are ``(m, k)`` source cell coordinates in ``index``'s grid
+    of ``k`` indexed dims.  Each source cell is paired with the 3^k
+    offsets; under ``unicomp`` only with those Algorithm 2 selects: the
+    home cell, and the offsets whose highest non-zero dimension ``j`` has
+    an odd ``j`` coordinate in the source cell.  The rows are broadcast
+    source-cell-major in groups of whole source cells, at most
+    ``_WALK_ROWS`` rows unless one cell alone is more.  Each group is filtered by the grid bounds and the per-dimension
     masks ``M_j`` and resolved with one binary search of ``B``, the search
     of :meth:`~repro.core.gridindex.GridIndex.lookup_cells` (Algorithm 1,
     lines 6-11).  Per group this yields ``(src, tgt, checked, mirror)``:
@@ -430,7 +431,7 @@ def _walk_cell_pairs(index: GridIndex, coords: np.ndarray, unicomp: bool = False
     every group, so a deadline stops a kernel call between groups.
     """
     n_src = coords.shape[0]
-    offsets, top = _neighbor_offsets(index.num_dims)
+    offsets, top = _neighbor_offsets(index.num_grid_dims)
     if n_src == 0 or index.num_nonempty_cells == 0:
         return
     # admit[j][i, d + 1]: coordinate j of source cell i, moved by d, is in
@@ -442,7 +443,7 @@ def _walk_cell_pairs(index: GridIndex, coords: np.ndarray, unicomp: bool = False
     if unicomp:
         # evaluates[i, k]: source cell i evaluates the offsets whose highest
         # non-zero dimension is k (odd k coordinate); column -1 is home.
-        evaluates = np.ones((n_src, index.num_dims + 1), dtype=bool)
+        evaluates = np.ones((n_src, index.num_grid_dims + 1), dtype=bool)
         evaluates[:, :-1] = coords % 2 == 1
     B = index.B
     base = index.coords_to_linear(coords)

@@ -336,6 +336,6 @@ def choose_selfjoin_kernel(index, cells: Optional[np.ndarray],
     if float(counts.mean()) < DENSE_POINTS_PER_CELL_THRESHOLD:
         return "sparse"
     max_count = int(counts.max())
-    if max_count * max_count * 3 ** index.num_dims > max_candidate_pairs:
+    if max_count * max_count * 3 ** index.num_grid_dims > max_candidate_pairs:
         return "sparse"
     return "dense"

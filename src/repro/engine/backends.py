@@ -53,7 +53,6 @@ from typing import Callable, Dict, List, Optional, Tuple, Type, Union
 
 import numpy as np
 
-from repro.core import linearize as lin
 from repro.core import nativekernels
 from repro.core.gridindex import GridIndex, group_by_cell_id
 from repro.core.kernels import (
@@ -95,6 +94,9 @@ class ExecutionBackend(abc.ABC):
     #: :class:`~repro.data.store.SpatialStore`) slice-at-a-time without the
     #: planner ever materializing the dataset or a global grid index.
     supports_streaming: bool = False
+    #: The backend models the paper's GPU, whose grid indexes every
+    #: dimension: the planner then never reduces the indexed dims.
+    models_device: bool = False
 
     # ------------------------------------------------------ session lifecycle
     def attach(self, session) -> None:
@@ -390,10 +392,8 @@ def _group_by_cell(probe_pts: np.ndarray, index: GridIndex):
     coordinates, and the CSR ranges of the groups over ``order``, the
     points ordered by cell id (:func:`repro.core.gridindex.group_by_cell_id`).
     """
-    coords = lin.compute_cell_coords(probe_pts, index.gmin, index.eps,
-                                     index.num_cells)
-    order, _, starts, counts = group_by_cell_id(
-        lin.linearize(coords, index.strides))
+    coords = index.cell_coords_of(probe_pts)
+    order, _, starts, counts = group_by_cell_id(index.coords_to_linear(coords))
     return coords[order[starts]], order, starts, counts
 
 
@@ -416,7 +416,7 @@ def _vectorized_probe(queries: np.ndarray, index: GridIndex, eps: float,
 
     The query points are grouped by their cell in the index's grid, so
     co-located queries share one adjacent-cell resolution.  The groups' cell
-    coordinates are walked against all 3^n offsets by
+    coordinates are walked against all 3^k offsets of the k indexed dims by
     :func:`repro.core.kernels._walk_cell_pairs`, and every resolved (query
     group, index cell) pair is expanded and distance-filtered by the shared
     emitter, which maps the group-local keys back to global rows.
@@ -470,8 +470,7 @@ def _pointwise_probe(queries: np.ndarray, index: GridIndex, eps: float,
     before = sink.num_pairs
     for row in rows:
         point = queries[row]
-        coords = lin.compute_cell_coords(point[None, :], index.gmin, index.eps,
-                                         index.num_cells)[0]
+        coords = index.cell_coords_of(point[None, :])[0]
         checked, found = adjacent_cells(index, coords)
         stats.cells_checked += checked
         stats.nonempty_cells_visited += len(found)
@@ -597,6 +596,7 @@ class SimulatedBackend(ExecutionBackend):
 
     name = "simulated"
     supports_unicomp = True
+    models_device = True
 
     def run_selfjoin(self, index, eps, cells, sink, *, unicomp=False,
                      max_candidate_pairs=DEFAULT_MAX_CANDIDATE_PAIRS) -> KernelStats:

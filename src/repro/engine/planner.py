@@ -24,17 +24,25 @@ into an executable :class:`QueryPlan`:
 3. **UNICOMP eligibility** — the work-avoidance rule applies to self-joins
    on backends that implement it; it is silently disabled where it cannot
    apply (bipartite probes, brute force).
+4. **Indexed dimensions** — where the engine indexes a whole dataset
+   (:meth:`QueryPlanner.index_dataset`, behind every planned index build
+   and :meth:`~repro.engine.session.EngineSession.index_for`), the grid may
+   index only the ``k`` dimensions of widest spread
+   (:func:`choose_index_dims`): fewer indexed dims walk 3^k instead of
+   3^n neighbour cells per cell, at the price of more distance calcs.  A
+   supplied index, and the ``simulated`` device model, keep theirs.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Optional, Union
+from typing import TYPE_CHECKING, Optional, Tuple, Union
 
 import numpy as np
 
+from repro.core import linearize as lin
 from repro.core.batching import BatchPlan, BatchPlanner
-from repro.core.gridindex import GridIndex
+from repro.core.gridindex import GridIndex, _run_length_encode
 from repro.core.kernels import DEFAULT_MAX_CANDIDATE_PAIRS, KernelOutput
 from repro.core.result import PairFragments
 from repro.engine import query as Q
@@ -45,6 +53,77 @@ from repro.utils.validation import check_points
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (session → planner)
     from repro.data.store import DatasetSource
     from repro.engine.session import EngineSession
+
+
+#: Cost of one walk row (a source cell paired with one neighbour offset:
+#: broadcast, filtered by ``M_j`` and, if admitted, binary-searched in
+#: ``B``) in units of one distance calc (gather, subtract, square-sum,
+#: compare).  Calibrated once, not per host, against NumPy-tier UNICOMP
+#: kernel times on uniform data (2-CPU x86 host): at 0.4 the model picks
+#: the measured fastest k on 6-D 2k points at ε=0.25 (k=5), 6-D 20k at
+#: ε=0.1 (k=4), 5-D 50k at ε=0.08 (k=4) and 3-D 100k at ε=0.025 (k=3).
+#: Any value in [0.35, 0.45] picks the same; at 0.5 some 6-D 2k seeds flip
+#: to the slower k=4.
+WALK_ROW_COST = 0.4
+
+
+def choose_index_dims(index: GridIndex) -> Tuple[int, ...]:
+    """The dimensions a whole-dataset index should grid, from ``index``.
+
+    ``index`` grids all ``n`` dimensions.  The dimensions are ranked by the
+    cells they span (``num_cells``; ties go to the lower dimension), and
+    the top ``k`` for ``k = n, n - 1, ...`` are scored from integer
+    statistics of the non-empty cells projected onto them, with no walk
+    and no kernel::
+
+        cost(k) = WALK_ROW_COST * |G_k| * 3^k + D_k
+        D_k     = 1/2 * sum |c_k|^2 * (1 + (3^k - 1) * nu_k)
+        nu_k    = |G_k| / prod m_j * prod (3 m_j - 2) / (3 m_j)
+
+    ``|G_k|`` counts the projected non-empty cells and ``|c_k|`` their
+    populations; ``m_j = |M_j|``.  ``D_k`` estimates UNICOMP's distance
+    calcs: each cell against itself and against its ``3^k - 1``
+    neighbours, each non-empty with probability ``nu_k`` (the occupancy of
+    the box the masks span, times the share of in-grid neighbours).  The
+    scan stops at the first ``k`` that scores worse than the best so far
+    and returns the best ``k`` dimensions, ascending; ``index.dims`` when
+    that is all of them.
+    """
+    n = index.num_grid_dims
+    counts = index.cell_counts
+    if n < 2 or counts.shape[0] < 2:
+        return index.dims
+    spans = np.array([mask.shape[0] for mask in index.masks], dtype=np.float64)
+    rank = np.argsort(-index.num_cells, kind="stable")
+
+    def cost(top: np.ndarray) -> float:
+        k = top.shape[0]
+        if k == n:
+            pops = counts
+        else:
+            ids = index.cell_coords[:, top] @ lin.compute_strides(
+                index.num_cells[top])
+            order = ids.argsort()
+            _, starts, _ = _run_length_encode(ids.take(order))
+            pops = np.add.reduceat(counts.take(order), starts)
+        # Integer sums: a float ``@`` dispatches to BLAS, which took longer
+        # than the whole scan on a 2-CPU host.
+        cells, square_sum = pops.shape[0], int((pops * pops).sum())
+        m = spans.take(top)
+        occupancy = cells / np.prod(m) * np.prod((3 * m - 2) / (3 * m))
+        distance_calcs = 0.5 * square_sum * (1 + (3 ** k - 1) * occupancy)
+        return float(WALK_ROW_COST * cells * 3 ** k + distance_calcs)
+
+    best, best_cost = rank, cost(rank)
+    for k in range(n - 1, 0, -1):
+        top = np.sort(rank[:k])
+        score = cost(top)
+        if score >= best_cost:
+            break
+        best, best_cost = top, score
+    if best.shape[0] == n:
+        return index.dims
+    return tuple(int(index.dims[j]) for j in best)
 
 
 @dataclass
@@ -128,11 +207,26 @@ class QueryPlanner:
             return self._plan_knn(query, index, session)
         raise ValueError(f"unplannable query kind {query.kind!r}")
 
+    def index_dataset(self, points: np.ndarray, eps: float) -> GridIndex:
+        """The grid index over a whole dataset at cell width ``eps``.
+
+        Indexes the dimensions :func:`choose_index_dims` picks, unless the
+        backend models the paper's device (``simulated``), whose grid
+        always spans all dimensions.  Every choice gives the same result
+        pairs.
+        """
+        index = GridIndex.build(points, eps)
+        if not self.backend.models_device:
+            dims = choose_index_dims(index)
+            if dims != index.dims:
+                index = GridIndex.build(points, eps, dims=dims)
+        if self.validate_index:
+            index.validate()
+        return index
+
     def _build_index(self, points: np.ndarray, eps: float) -> tuple[GridIndex, float]:
         with Timer() as timer:
-            index = GridIndex.build(points, eps)
-            if self.validate_index:
-                index.validate()
+            index = self.index_dataset(points, eps)
         return index, timer.elapsed
 
     @staticmethod

@@ -222,7 +222,10 @@ class EngineSession:
 
         Cached per ε with LRU eviction; the executor's kNN radius-doubling
         loop resolves its rebuilt indexes through here, so repeated kNN
-        queries hit the cache on every doubling round.
+        queries hit the cache on every doubling round.  The planner builds
+        it (:meth:`~repro.engine.planner.QueryPlanner.index_dataset`), so
+        its indexed dims are a function of (dataset, ε) and ε alone keys
+        the cache.
         """
         key = check_eps(eps)
         with self._lock:
@@ -231,9 +234,7 @@ class EngineSession:
                 self._indexes.move_to_end(key)
                 self.stats.index_hits += 1
                 return index
-            index = GridIndex.build(self.points, key)
-            if self.planner.validate_index:
-                index.validate()
+            index = self.planner.index_dataset(self.points, key)
             self.stats.index_misses += 1
             self._indexes[key] = index
             while len(self._indexes) > self.max_cached_indexes:

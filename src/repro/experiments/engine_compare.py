@@ -5,7 +5,9 @@ engine: it runs the same self-join *and* bipartite-join workload through
 every registered execution backend (``repro.engine.backends``) and reports
 response time, pair counts and the kernels' work counters side by side.
 Besides being a quick performance overview, it doubles as an end-to-end
-consistency check: every backend must report the same pair count.
+consistency check: every backend must report the same pair count.  Each
+trial builds the same all-dimension grid, so the backends' work counters
+compare like for like.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
 from repro.analysis.stats import mean_and_std
+from repro.core.gridindex import GridIndex
 from repro.data.synthetic import uniform_dataset
 from repro.engine import Query, QueryPlanner, execute
 from repro.experiments.report import format_table
@@ -66,7 +69,8 @@ def run_engine_compare(n_points: Optional[int] = None, trials: int = 1,
             result = None
             for _ in range(max(1, trials)):
                 with Timer() as timer:
-                    result = execute(planner.plan(query))
+                    index = GridIndex.build(points, eps)
+                    result = execute(planner.plan(query, index=index))
                     pairs = result.num_pairs
                 times.append(timer.elapsed)
             mean, _ = mean_and_std(times)

@@ -111,11 +111,13 @@ from repro.experiments.outofcore import pair_multiset_digest
 """
 
 _ARRAY_CHILD = _CHILD_PRELUDE + """\
+from repro.core.gridindex import GridIndex
 from repro.data.synthetic import uniform_dataset
 from repro.engine import Query, run_query
 
 points = uniform_dataset({n}, {dims}, seed={seed})
-result = run_query(Query.self_join(points, {eps}))
+result = run_query(Query.self_join(points, {eps}),
+                   index=GridIndex.build(points, {eps}))
 digest = pair_multiset_digest(result.fragments)
 rss_kb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
 print("RESULT", result.num_pairs, digest, rss_kb)

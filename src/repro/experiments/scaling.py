@@ -16,7 +16,8 @@ the dataset: the **cold** column is the session's first query (pool
 creation + shared-memory attach + index build + join), the **warm** column
 the mean of the following trials (index cached, pool persistent, dataset
 never re-shipped).  The cold−warm gap is exactly the per-query start-up
-cost the session lifecycle amortizes away.
+cost the session lifecycle amortizes away.  The grid spans all dimensions
+on every backend, so the rows differ only in how the join is executed.
 """
 
 from __future__ import annotations
@@ -26,8 +27,9 @@ from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 from repro.analysis.stats import mean_and_std
+from repro.core.gridindex import GridIndex
 from repro.data.datasets import DATASETS
-from repro.engine import EngineSession
+from repro.engine import EngineSession, Query
 from repro.experiments.report import format_table
 from repro.utils.timing import Timer
 
@@ -66,10 +68,12 @@ def _time_backend(backend: str, points, eps: float,
         # copy — is timed together with the first query.
         with Timer() as cold_timer:
             session.open()
-            num_pairs = session.self_join(eps).num_pairs
+            index = GridIndex.build(session.points, eps)
+            query = Query.self_join(session.points, eps)
+            num_pairs = session.run(query, index=index).num_pairs
         for _ in range(max(1, trials)):
             with Timer() as timer:
-                num_pairs = session.self_join(eps).num_pairs
+                num_pairs = session.run(query, index=index).num_pairs
             times.append(timer.elapsed)
     finally:
         session.close()

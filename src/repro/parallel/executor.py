@@ -77,7 +77,7 @@ class WorkerTaskFailed(RuntimeError):
 # --------------------------------------------------------------------------
 @dataclass
 class ShardDataset:
-    """A worker's resident dataset plus its per-ε index LRU.
+    """A worker's resident dataset plus its index LRU, keyed by (ε, dims).
 
     ``points`` is in stored (``B``) order for a store attachment, whose
     ``ids`` directory maps emitted rows back to original dataset ids; a
@@ -88,7 +88,7 @@ class ShardDataset:
     inner: str                                   # backend run per shard
     ids: Optional[np.ndarray] = None
     store: Optional[object] = None
-    indexes: "OrderedDict[float, GridIndex]" = field(default_factory=OrderedDict)
+    indexes: "OrderedDict[tuple, GridIndex]" = field(default_factory=OrderedDict)
 
     @classmethod
     def from_store(cls, store, inner: str) -> "ShardDataset":
@@ -99,14 +99,24 @@ class ShardDataset:
     def for_index(cls, index: GridIndex, inner: str) -> "ShardDataset":
         """A dataset whose cache already holds the caller's index."""
         return cls(points=index.points, inner=inner,
-                   indexes=OrderedDict([(float(index.eps), index)]))
+                   indexes=OrderedDict([((float(index.eps), index.dims),
+                                         index)]))
 
-    def index_for(self, index_eps: float) -> GridIndex:
-        """The index at ``index_eps``, built once and LRU-cached."""
-        key = float(index_eps)
+    def index_for(self, index_eps: float,
+                  dims: Optional[Sequence[int]] = None) -> GridIndex:
+        """The index at ``index_eps`` over ``dims`` (all when ``None``),
+        built once and LRU-cached.
+
+        The parent sends the dims its planner chose, so a worker builds
+        the parent's grid exactly: same ``B``, same cell indices, same
+        stream.
+        """
+        if dims is None:
+            dims = range(self.points.shape[1])
+        key = (float(index_eps), tuple(sorted(int(j) for j in dims)))
         index = self.indexes.get(key)
         if index is None:
-            index = GridIndex.build(self.points, key)
+            index = GridIndex.build(self.points, key[0], dims=key[1])
             self.indexes[key] = index
             while len(self.indexes) > INDEX_CACHE_SIZE:
                 self.indexes.popitem(last=False)
@@ -121,7 +131,7 @@ def _chunk_bound(params: dict) -> int:
 
 def selfjoin_shard(dataset: ShardDataset, params: dict, cells):
     """Self-join one cell shard; ids come back in original dataset ids."""
-    index = dataset.index_for(params["index_eps"])
+    index = dataset.index_for(params["index_eps"], params.get("index_dims"))
     sink = PairFragments(index.num_points)
     stats = get_backend(dataset.inner).run_selfjoin(
         index, float(params["eps"]), np.asarray(cells, dtype=np.int64), sink,
@@ -136,7 +146,7 @@ def selfjoin_shard(dataset: ShardDataset, params: dict, cells):
 def probe_shard(dataset: ShardDataset, params: dict, queries):
     """Probe a query slice; keys are rows of the slice."""
     queries = np.ascontiguousarray(queries, dtype=np.float64)
-    index = dataset.index_for(params["index_eps"])
+    index = dataset.index_for(params["index_eps"], params.get("index_dims"))
     sink = PairFragments(queries.shape[0])
     stats = get_backend(dataset.inner).run_probe(
         queries, index, float(params["eps"]), sink,
@@ -451,7 +461,8 @@ class ShardExecutionBackend(ExecutionBackend):
                      max_candidate_pairs=DEFAULT_MAX_CANDIDATE_PAIRS) -> KernelStats:
         tasks = selfjoin_tasks(index, cells, self._shard_count(), self.seed)
         op = ShardOp("selfjoin", {
-            "index_eps": float(index.eps), "eps": float(eps),
+            "index_eps": float(index.eps), "index_dims": list(index.dims),
+            "eps": float(eps),
             "unicomp": bool(unicomp),
             "max_candidate_pairs": int(max_candidate_pairs)})
         return self._execute(tasks, op, sink, index=index)
@@ -462,7 +473,8 @@ class ShardExecutionBackend(ExecutionBackend):
         tasks = probe_tasks(queries, rows, index, self._shard_count(),
                             self.seed)
         op = ShardOp("probe", {
-            "index_eps": float(index.eps), "eps": float(eps),
+            "index_eps": float(index.eps), "index_dims": list(index.dims),
+            "eps": float(eps),
             "max_candidate_pairs": int(max_candidate_pairs)},
             queries=np.asarray(queries, dtype=np.float64))
         return self._execute(tasks, op, sink, index=index)

@@ -10,6 +10,10 @@
   work-stealing scheduler and the ordered merger, and no parallel or
   distributed module dispatches through ``imap_unordered``: every parallel
   backend runs the executor's one loop.
+* One dims chooser, off the paper's paths.  Only
+  ``QueryPlanner.index_dataset`` calls ``choose_index_dims``, and the
+  experiments, ``GPUSelfJoin`` and the ``simulated`` backend never reach
+  it, so the paper's figures and Table II keep the all-dims grid.
 """
 
 from __future__ import annotations
@@ -23,8 +27,10 @@ from pathlib import Path
 import pytest
 
 import repro
-from repro.core.selfjoin import SelfJoinConfig
-from repro.engine import QueryPlanner, list_backends
+from repro.core.selfjoin import GPUSelfJoin, SelfJoinConfig
+from repro.data.synthetic import uniform_dataset
+from repro.engine import EngineSession, Query, QueryPlanner, list_backends, run_query
+from repro.engine import planner as planner_module
 from repro.engine.backends import ExecutionBackend, _resolve_provider
 
 PACKAGE_ROOT = Path(repro.__file__).parent
@@ -48,15 +54,15 @@ def _imports_gpusim(node: ast.AST) -> bool:
     return False
 
 
-def _gpusim_imports(tree: ast.Module):
-    """Yield ``(enclosing qualname, line)`` of every ``repro.gpusim`` import.
+def _scoped(tree: ast.Module, match):
+    """Yield ``(enclosing qualname, line)`` of every node ``match`` accepts.
 
-    The qualname is ``""`` for a module-level import (including imports
-    under ``if`` / ``try`` at module level).
+    The qualname is ``""`` at module level (including under ``if`` /
+    ``try`` at module level).
     """
     def visit(node: ast.AST, scope: tuple):
         for child in ast.iter_child_nodes(node):
-            if _imports_gpusim(child):
+            if match(child):
                 yield ".".join(scope), child.lineno
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef,
                                   ast.ClassDef)):
@@ -65,6 +71,11 @@ def _gpusim_imports(tree: ast.Module):
                 yield from visit(child, scope)
 
     yield from visit(tree, ())
+
+
+def _gpusim_imports(tree: ast.Module):
+    """``(enclosing qualname, line)`` of every ``repro.gpusim`` import."""
+    return _scoped(tree, _imports_gpusim)
 
 
 def _query_path_modules():
@@ -133,15 +144,23 @@ EXECUTOR_MODULE = "parallel/executor.py"
 EXECUTOR_ONLY = {"WorkStealingScheduler", "OrderedShardMerger"}
 
 
+def _call_name(node: ast.AST):
+    """The bare or dotted name a call node calls (``None`` otherwise)."""
+    if isinstance(node, ast.Call):
+        func = node.func
+        if isinstance(func, ast.Name):
+            return func.id
+        if isinstance(func, ast.Attribute):
+            return func.attr
+    return None
+
+
 def _called_names(tree: ast.AST):
     """Yield ``(name, line)`` of every call to a bare or dotted name."""
     for node in ast.walk(tree):
-        if isinstance(node, ast.Call):
-            func = node.func
-            if isinstance(func, ast.Name):
-                yield func.id, node.lineno
-            elif isinstance(func, ast.Attribute):
-                yield func.attr, node.lineno
+        name = _call_name(node)
+        if name is not None:
+            yield name, node.lineno
 
 
 def _package_modules():
@@ -180,3 +199,73 @@ def test_executor_guard_sees_bare_and_dotted_calls():
     assert list(_called_names(tree)) == [
         ("WorkStealingScheduler", 1), ("OrderedShardMerger", 2),
         ("imap_unordered", 3)]
+
+
+# --------------------------------------------------------------------------
+# one dims chooser, off the paper's paths
+# --------------------------------------------------------------------------
+CHOOSER = "choose_index_dims"
+ALLOWED_CHOOSER_CALLS = {("engine/planner.py", "QueryPlanner.index_dataset")}
+
+
+def test_only_index_dataset_calls_the_chooser():
+    calls = set()
+    for path in _package_modules():
+        relative = path.relative_to(PACKAGE_ROOT).as_posix()
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        calls |= {(relative, scope) for scope, _ in
+                  _scoped(tree, lambda node: _call_name(node) == CHOOSER)}
+    assert calls == ALLOWED_CHOOSER_CALLS
+
+
+@pytest.fixture
+def chooser_refused(monkeypatch):
+    """Make any call to the dims chooser fail the test."""
+    def refuse(index):
+        raise AssertionError(f"{CHOOSER} ran on a {index.num_dims}-D index")
+
+    monkeypatch.setattr(planner_module, CHOOSER, refuse)
+
+
+def _six_dim_points(n=150):
+    # 6-D, where the chooser would drop a dimension.
+    return uniform_dataset(n, 6, seed=1, low=0.0, high=1.0)
+
+
+def test_refusal_is_effective(chooser_refused):
+    with pytest.raises(AssertionError, match=CHOOSER):
+        run_query(Query.self_join(_six_dim_points(), 0.25))
+
+
+@pytest.mark.parametrize("kernel", ["vectorized", "cellwise", "simulated"])
+def test_gpuselfjoin_never_calls_the_chooser(chooser_refused, kernel):
+    points = _six_dim_points()
+    result, report = GPUSelfJoin(SelfJoinConfig(kernel=kernel)) \
+        .join_with_report(points, 0.25)
+    assert report.index_stats.num_grid_dims == 6
+    assert result.num_pairs > 0
+
+
+def test_simulated_backend_never_calls_the_chooser(chooser_refused):
+    points = _six_dim_points()
+    run_query(Query.self_join(points, 0.25), backend="simulated")
+    with EngineSession(points, backend="simulated") as session:
+        session.self_join(0.25)
+        session.range_query(points[:5], 0.25)
+        assert session.index_for(0.25).num_grid_dims == 6
+
+
+def test_experiments_never_call_the_chooser(chooser_refused):
+    from repro.experiments import engine_compare, fig5, scaling, table2
+    from repro.experiments.runner import run_algorithm_sweep
+
+    points = _six_dim_points()
+    for algorithm in ("Engine[vectorized]", "Engine[sharded]",
+                      "Engine[multiprocess]"):
+        run_algorithm_sweep(algorithm, points, [0.25])
+    engine_compare.run_engine_compare(
+        n_points=150, backends=("vectorized", "sharded", "simulated"))
+    scaling.run_scaling(n_points=300, workers=(1,))
+    table2.run_table2(n_points=150, timing_repeats=1)
+    fig5.run_fig5(n_points=150, datasets=("Syn6D2M",),
+                  algorithms=("GPU: unicomp", "Engine[vectorized]"))

@@ -375,6 +375,32 @@ class TestPinnedCounters:
         assert runs["unicomp"][2:] == runs["global"][2:]
 
 
+class TestPinnedChooserIndex:
+    """The same four counters and stream on the index the planner builds
+    for 6-D 2,000 points at ε=0.25, which grids only dims 0-4: fewer cells
+    checked, more distance calcs, the same tables as the all-dims index."""
+
+    def test_counters(self):
+        from repro.engine.planner import QueryPlanner
+
+        points = uniform_dataset(2000, 6, seed=1, low=0, high=1)
+        index = QueryPlanner().index_dataset(points, 0.25)
+        assert index.dims == (0, 1, 2, 3, 4)
+        queries = np.random.default_rng(7).uniform(0, 1, (300, 6))
+        runs = run_pinned(index, queries)
+        assert {name: run[0] for name, run in runs.items()} == {
+            "global": (85357, 72981, 383476, 5198),
+            "unicomp": (44084, 36926, 194750, 5198),
+            "probe": (26206, 22407, 58073, 488)}
+        assert {name: run[1] for name, run in runs.items()} == {
+            "global": "705144e4fddf4c6ce4e66c87a26af4b8703f2e0b43105e9aa1f2e63bd47d1528",
+            "unicomp": "dafdf400b3e994a0c0a7b0061afcf239d64e5ffe79dc5d4d28febaeff4fb545f",
+            "probe": "2f0db01fb166b8ccf068637cad2f4e8124f0fefbce29ac2287c72fc9b3f12002"}
+        full = run_pinned(GridIndex.build(points, 0.25), queries)
+        assert {name: run[2:] for name, run in runs.items()} == \
+            {name: run[2:] for name, run in full.items()}
+
+
 class TestCancellation:
     @pytest.mark.parametrize("unicomp", [False, True])
     def test_expired_deadline_stops_selfjoin_before_emitting(self, unicomp):
