@@ -48,13 +48,10 @@ def test_bench_kernel_implementations(benchmark, write_report):
                 out = kernel(index)
             rows.append((name, t.elapsed, out.result.num_pairs))
         for tier in tiers:
-            for choice in ("dense", "sparse"):
-                sink = PairFragments(index.num_points)
-                with Timer() as t:
-                    out = selfjoin_tiered(index, eps, sink=sink, tier=tier,
-                                          kernel=choice)
-                rows.append((f"tiered ({tier}/{choice})", t.elapsed,
-                             out.stats.result_pairs))
+            sink = PairFragments(index.num_points)
+            with Timer() as t:
+                out = selfjoin_tiered(index, eps, sink=sink, tier=tier)
+            rows.append((f"tiered ({tier})", t.elapsed, out.stats.result_pairs))
         return rows
 
     rows = benchmark.pedantic(run_all, rounds=1, iterations=1)

@@ -325,31 +325,9 @@ def _sample_positions(n_items: int, sample_fraction: float, max_sample: int,
         [picked, np.array([0, n_items - 1], dtype=np.int64)])).astype(np.int64)
 
 
-@dataclass
-class CellCostEstimate:
-    """Sampled per-cell self-join work estimates plus the density behind them.
-
-    ``costs`` is what :func:`estimate_cell_costs` returns; the other fields
-    expose the per-cell-density statistics the estimate is built from, so
-    the kernel-regime selection (dense-tiled vs sparse-gather, see
-    :mod:`repro.core.nativekernels`) can reuse the same sampling pass the
-    shard planner already pays for.
-    """
-
-    #: Estimated distance calculations originating in each cell (length |G|).
-    costs: np.ndarray
-    #: Interpolated candidates-per-point for each cell (length |G|).
-    candidate_density: np.ndarray
-    #: Mean/max points per non-empty cell — the statistics the dense/sparse
-    #: kernel threshold is compared against.
-    mean_points_per_cell: float
-    max_points_per_cell: int
-
-
-def estimate_cell_stats(index: GridIndex, sample_fraction: float = 0.05,
-                        max_sample_cells: int = 512,
-                        seed: int = 0) -> CellCostEstimate:
-    """Sampled per-cell work estimates with their density statistics.
+def estimate_cell_costs(index: GridIndex, sample_fraction: float = 0.05,
+                        max_sample_cells: int = 512, seed: int = 0) -> np.ndarray:
+    """Sampled per-cell work estimates for a self-join (length ``|G|``).
 
     A uniform sample of non-empty cells gets *exact* candidate counts
     (:func:`candidate_counts_at`); the per-point candidate density is then
@@ -360,10 +338,7 @@ def estimate_cell_stats(index: GridIndex, sample_fraction: float = 0.05,
     """
     n_cells = index.num_nonempty_cells
     if n_cells == 0:
-        empty = np.zeros(0, dtype=np.float64)
-        return CellCostEstimate(costs=empty, candidate_density=empty.copy(),
-                                mean_points_per_cell=0.0,
-                                max_points_per_cell=0)
+        return np.zeros(0, dtype=np.float64)
     sample = _sample_positions(n_cells, sample_fraction, max_sample_cells, seed)
     candidates = candidate_counts_at(index, index.cell_coords[sample])
     # Every point of a cell evaluates that cell's candidate count, so the
@@ -371,24 +346,7 @@ def estimate_cell_stats(index: GridIndex, sample_fraction: float = 0.05,
     density = np.interp(np.arange(n_cells, dtype=np.float64),
                         sample.astype(np.float64),
                         candidates.astype(np.float64))
-    counts = index.cell_counts.astype(np.float64)
-    return CellCostEstimate(
-        costs=counts * density,
-        candidate_density=density,
-        mean_points_per_cell=float(counts.mean()),
-        max_points_per_cell=int(counts.max()))
-
-
-def estimate_cell_costs(index: GridIndex, sample_fraction: float = 0.05,
-                        max_sample_cells: int = 512, seed: int = 0) -> np.ndarray:
-    """Sampled per-cell work estimates for a self-join (length ``|G|``).
-
-    The cost vector of :func:`estimate_cell_stats` (see there for the
-    estimation scheme).
-    """
-    return estimate_cell_stats(index, sample_fraction=sample_fraction,
-                               max_sample_cells=max_sample_cells,
-                               seed=seed).costs
+    return index.cell_counts.astype(np.float64) * density
 
 
 def estimate_probe_row_costs(queries: np.ndarray, index: GridIndex,

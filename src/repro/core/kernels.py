@@ -12,14 +12,17 @@ and its UNICOMP variant (Algorithm 2) are provided:
 ``cellwise``
     One iteration per non-empty *cell*: the candidate cells are enumerated
     once per source cell and the distance computations between the source
-    cell's points and the candidate points are vectorized with NumPy.
+    cell's points and the candidate points are vectorized with NumPy.  A
+    readable reference (the ``cellwise`` backend) that tests and
+    experiments compare against; no production dispatch runs it.
 
 ``vectorized``
-    The production path.  One loop-free walker (:func:`_walk_cell_pairs`)
-    broadcasts source cell coordinates x neighbor offsets in bounded row
-    groups and resolves each group with one vectorized binary search of
-    ``B``; one emitter (:func:`_emit_pairs`) expands the cell pairs into
-    point pairs and filters them by distance in bounded chunks.  UNICOMP
+    The production path, on both kernel tiers.  One loop-free walker
+    (:func:`_walk_cell_pairs`) broadcasts source cell coordinates x
+    neighbor offsets in bounded row groups and resolves each group with
+    one vectorized binary search of ``B``; one emitter
+    (:func:`_emit_pairs`) expands the cell pairs into point pairs and
+    filters them by distance in bounded chunks.  UNICOMP
     keeps only the cell pairs Algorithm 2 selects.  The visited cell pairs
     and results are identical to Algorithm 1; only the loop nesting differs
     (data-parallel over cells rather than over points).  The bipartite
@@ -70,9 +73,10 @@ class KernelStats:
     #: empty until a tier-dispatched kernel stamps it.  Merging stats from
     #: different tiers joins the names with ``+``.
     tier: str = ""
-    #: How many tier-dispatched kernel invocations ran each kernel regime
-    #: (``"dense"``/``"sparse"``).  Under sharded execution one invocation is
-    #: one shard, so this records the adaptive per-shard selection outcome.
+    #: How many numba-tier kernel invocations ran each compiled kernel
+    #: (``"dense"``/``"sparse"``); empty on the NumPy tier, which has one
+    #: route.  Under sharded execution one invocation is one shard, so this
+    #: records the adaptive per-shard selection outcome.
     kernel_counts: Dict[str, int] = field(default_factory=dict)
     #: Scheduling counters stamped by the parallel backends
     #: (:meth:`repro.parallel.scheduler.ScheduleReport.counts`): shards
@@ -326,55 +330,46 @@ def selfjoin_tiered(index: GridIndex, eps: Optional[float] = None,
                     source_cells: Optional[np.ndarray] = None,
                     max_candidate_pairs: int = DEFAULT_MAX_CANDIDATE_PAIRS,
                     sink: Optional[PairFragments] = None, *,
-                    unicomp: bool = False, tier: str = "auto",
-                    kernel: str = "auto") -> KernelOutput:
-    """Run the self-join on the resolved kernel tier with adaptive selection.
+                    unicomp: bool = False, tier: str = "auto") -> KernelOutput:
+    """Run the vectorized self-join on the resolved kernel tier.
 
     This is the production dispatch behind the ``vectorized`` backend (and
     therefore behind ``sharded``/``multiprocess``, which run it once per
-    shard); see :func:`_run_tiered` for how ``tier`` and ``kernel`` resolve.
+    shard); see :func:`_run_tiered` for how ``tier`` resolves.
     """
     external = sink is not None
     sink = sink if sink is not None else PairFragments(index.num_points)
-    cellwise = selfjoin_unicomp_cellwise if unicomp else selfjoin_global_cellwise
     stats = _run_tiered(
-        index, source_cells, max_candidate_pairs, tier, kernel,
-        vectorized=lambda native: _selfjoin_vectorized(
+        index, source_cells, tier,
+        lambda native: _selfjoin_vectorized(
             index, eps, source_cells, max_candidate_pairs, sink, native,
-            unicomp).stats,
-        cellwise=lambda: cellwise(index, eps, source_cells, sink=sink).stats)
+            unicomp).stats)
     return KernelOutput(result=None if external else sink.to_result_set(),
                         stats=stats)
 
 
-def _run_tiered(index: GridIndex, cells: Optional[np.ndarray],
-               max_candidate_pairs: int, tier: str, kernel: str,
-               vectorized: Callable[[Optional[Callable]], KernelStats],
-               cellwise: Callable[[], KernelStats]) -> KernelStats:
-    """Resolve the kernel tier and regime, run the chosen route, stamp it.
+def _run_tiered(index: GridIndex, cells: Optional[np.ndarray], tier: str,
+                run: Callable[[Optional[Callable]], KernelStats]) -> KernelStats:
+    """Resolve the kernel tier, run the walker-and-emitter path on it, stamp it.
 
-    ``tier`` picks the implementation tier (``numpy``/``numba``, ``auto``
-    preferring numba when available); ``kernel`` picks the cell regime
-    (``dense``/``sparse``, ``auto`` deciding from the populations of
-    ``cells`` via :func:`repro.core.nativekernels.choose_selfjoin_kernel`).
-    On the numba tier both regimes run ``vectorized`` with the matching
-    compiled pair kernel; on the NumPy tier the dense regime runs
-    ``cellwise`` and the sparse regime ``vectorized(None)``.  All routes
-    emit identical pair sets.  The resolved tier and regime are stamped on
-    the returned :class:`KernelStats` (``tier``, ``kernel_counts``).  The
-    self-join and the probe share this dispatch.
+    ``tier`` is ``numpy``, ``numba`` or ``auto`` (numba when available).
+    ``run`` is called with the emitter's pair kernel: ``None`` on the NumPy
+    tier, which has one route; on the numba tier the compiled ``dense`` or
+    ``sparse`` kernel that
+    :func:`repro.core.nativekernels.choose_selfjoin_kernel` picks from the
+    populations of ``cells``, counted in ``kernel_counts``.  Every route
+    emits the same pair stream.  The resolved tier is stamped on the
+    returned :class:`KernelStats`.  The self-join and the probe share this
+    dispatch.
     """
     resolved = nativekernels.resolve_kernel_tier(tier)
-    choice = kernel if kernel != "auto" else nativekernels.choose_selfjoin_kernel(
-        index, cells, max_candidate_pairs)
-    if resolved == "numba":
-        stats = vectorized(nativekernels.native_pair_kernels()[choice])
-    elif choice == "dense":
-        stats = cellwise()
+    if resolved == "numpy":
+        stats = run(None)
     else:
-        stats = vectorized(None)
+        choice = nativekernels.choose_selfjoin_kernel(index, cells)
+        stats = run(nativekernels.native_pair_kernels()[choice])
+        stats.kernel_counts[choice] = stats.kernel_counts.get(choice, 0) + 1
     stats.tier = resolved
-    stats.kernel_counts[choice] = stats.kernel_counts.get(choice, 0) + 1
     return stats
 
 

@@ -10,20 +10,18 @@ kernels that run the same walk as compiled machine code, emitting directly
 into preallocated int64 pair buffers compatible with
 :class:`~repro.core.result.PairFragments`.
 
-Two kernels cover the two cell-population regimes the ablation reports
-(``benchmarks/reports/ablation_kernels.txt``, ``ablation_densegrid.txt``)
-distinguish:
+Two compiled kernels cover two cell-population regimes:
 
 ``dense``
     Tiled all-pairs: the target cell's points are gathered into a small
     contiguous tile that stays cache-resident while every source point is
-    streamed against it.  Wins when cells hold many points (low
+    streamed against it.  Meant for cells that hold many points (low
     dimensionality / large ε), where the paper's GPU kernel is
     compute-bound.
 ``sparse``
     Gather/scatter: a plain row-indirected nested loop per cell pair with
-    no tiling setup.  Wins when cells hold few points (high dimensionality
-    / small ε), where per-pair overhead dominates.
+    no tiling setup.  Meant for cells that hold few points (high
+    dimensionality / small ε), where per-pair overhead dominates.
 
 Both exist in GLOBAL and UNICOMP use (per-cell-pair ``mirror`` flags emit
 both ordered pairs for UNICOMP's non-home cell pairs) and serve the
@@ -40,18 +38,21 @@ raises :class:`KernelTierUnavailableError` with the reason.  The kernel
 bodies are written in the nopython subset and are usable uncompiled, so the
 parity suite exercises their logic even on hosts without numba.
 
-Adaptive selection: :func:`choose_selfjoin_kernel` picks ``dense`` vs
-``sparse`` from the *exact* per-cell populations of the cell subset at
-hand.  Because the sharded/multiprocess backends call the inner backend
-once per shard, the choice is naturally per-shard — a shard over a dense
-cluster runs the tiled kernel while a shard over sparse space runs the
-gather kernel, and :class:`~repro.core.kernels.KernelStats.kernel_counts`
-records how many shards each kernel served.
+Adaptive selection, numba tier only: :func:`choose_selfjoin_kernel` picks
+``dense`` vs ``sparse`` from the *exact* per-cell populations of the cell
+subset at hand.  Because the sharded/multiprocess backends call the inner
+backend once per shard, the choice is naturally per-shard — a shard over a
+dense cluster runs the tiled kernel while a shard over sparse space runs
+the gather kernel, and :class:`~repro.core.kernels.KernelStats.kernel_counts`
+records how many shards each kernel served.  The NumPy tier has one route
+(the walker and emitter of :mod:`repro.core.kernels`) and records no
+kernel counts.  A backend's ``kernel=`` spec names a tier only
+(:func:`parse_kernel_spec`).
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Optional, Tuple
+from typing import Callable, Dict, Optional
 
 import numpy as np
 
@@ -59,17 +60,11 @@ import numpy as np
 #: resolved lazily (see :func:`kernel_tier_availability`).
 KERNEL_TIER_NAMES = ("numpy", "numba")
 
-#: Kernel regimes the adaptive selector chooses between.
-KERNEL_CHOICES = ("dense", "sparse")
-
-#: Mean points-per-cell at or above which a cell subset is considered
-#: *dense* and routed to the tiled all-pairs kernel.  Calibrated from the
-#: kernel-regime ablation (``benchmarks/reports/kernel_tier.txt`` and
-#: ``ablation_kernels.txt``): on the NumPy tier the per-cell kernel ties
-#: the offset-major expansion near ~17 points/cell and wins ~1.7x by ~50;
-#: on the native tier the tile pays for itself once a target cell spans a
-#: few tile rows.  16 is the measured crossover — below it the sparse
-#: regime always wins, above it the dense regime never loses.
+#: Mean points-per-cell at or above which the numba tier runs a cell subset
+#: through the tiled ``dense`` kernel instead of the ``sparse`` gather
+#: kernel: the crossover where a target cell spans enough tile rows to pay
+#: for staging the tile.  It is the numba tile's crossover and is unmeasured
+#: on hosts without numba; the NumPy tier has one route and no split.
 DENSE_POINTS_PER_CELL_THRESHOLD = 16.0
 
 #: Rows of the dense kernel's target tile.  64 points x 6 dims x 8 bytes =
@@ -154,29 +149,21 @@ def resolve_kernel_tier(tier: str = "auto") -> str:
         f"{KERNEL_TIER_NAMES}")
 
 
-def parse_kernel_spec(spec: str) -> Tuple[str, str]:
-    """Split a backend kernel spec into ``(tier, choice)``.
+def parse_kernel_spec(spec: str) -> str:
+    """The kernel tier a backend's ``kernel=`` spec names.
 
-    Accepted forms: a tier (``"numba"``), a kernel choice (``"dense"``), or
-    ``"<tier>/<choice>"`` (``"numba/sparse"``); ``"auto"`` — the default —
-    leaves both to be resolved at run time.  This is the value of the
-    ``kernel=`` knob in backend specs such as ``"sharded(4, kernel=numba)"``.
+    The spec is a tier: ``"auto"`` (the default, resolved at run time by
+    :func:`resolve_kernel_tier`), ``"numpy"`` or ``"numba"``, as in
+    ``"sharded(4, kernel=numba)"``.  Anything else raises ``ValueError``;
+    the numba tier picks its compiled kernel itself
+    (:func:`choose_selfjoin_kernel`).
     """
-    tier, choice = "auto", "auto"
-    for part in str(spec).split("/"):
-        part = part.strip()
-        if part in ("", "auto"):
-            continue
-        if part in KERNEL_TIER_NAMES:
-            tier = part
-        elif part in KERNEL_CHOICES:
-            choice = part
-        else:
-            raise ValueError(
-                f"unknown kernel spec token {part!r} in {spec!r}; expected a "
-                f"tier {KERNEL_TIER_NAMES}, a kernel {KERNEL_CHOICES}, "
-                "'auto', or '<tier>/<kernel>'")
-    return tier, choice
+    tier = str(spec).strip()
+    if tier != "auto" and tier not in KERNEL_TIER_NAMES:
+        raise ValueError(
+            f"unknown kernel spec {spec!r}; kernel= takes a tier: 'auto' or "
+            f"one of {KERNEL_TIER_NAMES}")
+    return tier
 
 
 # --------------------------------------------------------------------------
@@ -318,24 +305,14 @@ def warm_jit_cache() -> bool:
 # --------------------------------------------------------------------------
 # adaptive kernel selection
 # --------------------------------------------------------------------------
-def choose_selfjoin_kernel(index, cells: Optional[np.ndarray],
-                           max_candidate_pairs: int) -> str:
-    """Pick ``dense`` or ``sparse`` for a cell subset from its populations.
+def choose_selfjoin_kernel(index, cells: Optional[np.ndarray]) -> str:
+    """Pick the numba tier's ``dense`` or ``sparse`` kernel for a cell subset.
 
     The decision reads the *exact* per-cell counts of the subset (O(|cells|),
-    no sampling): the tiled/per-cell regime wins once cells average
-    :data:`DENSE_POINTS_PER_CELL_THRESHOLD` points.  A memory guard keeps
-    the dense regime off subsets whose largest cell would expand a
-    candidate block beyond ``max_candidate_pairs`` (the NumPy dense kernel
-    materializes one cell's full candidate matrix at a time).
+    no sampling): the tiled kernel is chosen once cells average
+    :data:`DENSE_POINTS_PER_CELL_THRESHOLD` points.
     """
     counts = index.cell_counts if cells is None \
         else index.cell_counts[np.asarray(cells, dtype=np.int64)]
-    if counts.size == 0:
-        return "sparse"
-    if float(counts.mean()) < DENSE_POINTS_PER_CELL_THRESHOLD:
-        return "sparse"
-    max_count = int(counts.max())
-    if max_count * max_count * 3 ** index.num_grid_dims > max_candidate_pairs:
-        return "sparse"
-    return "dense"
+    return "dense" if counts.size and \
+        float(counts.mean()) >= DENSE_POINTS_PER_CELL_THRESHOLD else "sparse"

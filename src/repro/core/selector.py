@@ -39,10 +39,6 @@ class WorkEstimate:
     #: distance-calculation equivalents; used to avoid recommending the grid
     #: when almost every cell pair must be visited anyway.
     cell_overhead_equivalent: int = 8
-    #: Per-cell-density statistics of the indexed grid, feeding the kernel
-    #: regime recommendation (see :attr:`recommended_kernel`).
-    avg_points_per_cell: float = 0.0
-    max_points_per_cell: int = 0
 
     @property
     def grid_cost(self) -> float:
@@ -67,21 +63,6 @@ class WorkEstimate:
             return 1.0
         return self.grid_candidate_pairs / self.bruteforce_pairs
 
-    @property
-    def recommended_kernel(self) -> str:
-        """Kernel regime (``"dense"``/``"sparse"``) recommended grid-wide.
-
-        Applies the same ablation-calibrated points-per-cell threshold the
-        per-shard adaptive dispatch uses
-        (:data:`repro.core.nativekernels.DENSE_POINTS_PER_CELL_THRESHOLD`);
-        per-shard selection can still override this grid-wide view on
-        shards whose local density differs.
-        """
-        from repro.core.nativekernels import DENSE_POINTS_PER_CELL_THRESHOLD
-
-        return "dense" if self.avg_points_per_cell >= \
-            DENSE_POINTS_PER_CELL_THRESHOLD else "sparse"
-
 
 def estimate_join_work(index: GridIndex, unicomp: bool = True) -> WorkEstimate:
     """Predict the candidate-pair count of the grid self-join from the index.
@@ -102,8 +83,6 @@ def estimate_join_work(index: GridIndex, unicomp: bool = True) -> WorkEstimate:
         bruteforce_pairs=index.num_points ** 2,
         num_points=index.num_points,
         num_nonempty_cells=index.num_nonempty_cells,
-        avg_points_per_cell=float(counts.mean()) if counts.size else 0.0,
-        max_points_per_cell=int(counts.max()) if counts.size else 0,
     )
 
 

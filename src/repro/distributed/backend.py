@@ -297,7 +297,8 @@ class DistributedBackend(ShardExecutionBackend):
     seed:
         Seed of the sampled cost estimates (reproducible shard plans).
     kernel:
-        Kernel-tier spec threaded into the workers' inner backend.
+        Kernel tier (``auto``, ``numpy`` or ``numba``) threaded into the
+        workers' inner backend.
     scheduling:
         ``"adaptive"`` (default): the work-stealing scheduler — steal,
         mid-join rebalance, in-flight resplit, hedge last.  ``"static"``:

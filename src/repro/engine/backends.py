@@ -21,7 +21,8 @@ Available backends:
 
 * ``vectorized`` — the production path (the shared cell-pair walker and
   emitter of :mod:`repro.core.kernels`).
-* ``cellwise`` — readable per-cell reference.
+* ``cellwise`` — readable per-cell reference (no production path runs
+  its kernels; tests and experiments compare against it).
 * ``pointwise`` — literal Algorithm 1 transcription (reference, slow).
 * ``simulated`` — instrumented device-model path (Table II); probes fall
   back to the pointwise reference since the paper's device model only
@@ -36,7 +37,8 @@ Backend lookup accepts parameterized names — ``"multiprocess(4)"`` builds
 the multiprocess backend with four workers, ``"sharded(7)"`` a seven-shard
 decomposition, and keyword arguments are accepted too:
 ``"sharded(4, kernel=numba)"`` forces the numba kernel tier (see
-:mod:`repro.core.nativekernels`) under a four-shard decomposition.  Lookup
+:mod:`repro.core.nativekernels`) under a four-shard decomposition;
+``kernel=`` takes a tier only (``auto``, ``numpy`` or ``numba``).  Lookup
 is *lazy*: a backend whose optional dependency is missing stays listed in
 :func:`list_backends` but raises a clear :class:`BackendUnavailableError`
 from :func:`get_backend`; :func:`backend_availability` reports every
@@ -444,21 +446,19 @@ def _vectorized_probe(queries: np.ndarray, index: GridIndex, eps: float,
 
 def _tiered_probe(queries: np.ndarray, index: GridIndex, eps: float,
                   sink: PairFragments, rows: Optional[np.ndarray],
-                  max_candidate_pairs: int, tier: str,
-                  kernel: str) -> KernelStats:
-    """Probe on the resolved kernel tier with adaptive kernel selection.
+                  max_candidate_pairs: int, tier: str) -> KernelStats:
+    """Probe on the resolved kernel tier.
 
     The probe-side analogue of :func:`repro.core.kernels.selfjoin_tiered`,
-    through the same dispatch: the dense/sparse choice reads the *index*
-    side's cell populations (the candidate side dominates the expansion
-    work).
+    through the same dispatch: on the numba tier the dense/sparse choice
+    reads the *index* side's cell populations (the candidate side
+    dominates the expansion work).
     """
     return _run_tiered(
-        index, None, max_candidate_pairs, tier, kernel,
-        vectorized=lambda native: _vectorized_probe(
+        index, None, tier,
+        lambda native: _vectorized_probe(
             queries, index, eps, sink, rows, max_candidate_pairs,
-            native_kernel=native),
-        cellwise=lambda: _cellwise_probe(queries, index, eps, sink, rows))
+            native_kernel=native))
 
 
 def _pointwise_probe(queries: np.ndarray, index: GridIndex, eps: float,
@@ -522,11 +522,10 @@ class VectorizedBackend(ExecutionBackend):
 
     Both operators route through the kernel-tier dispatch
     (:func:`repro.core.kernels.selfjoin_tiered` and the probe analogue):
-    the numba tier when available, the NumPy walker-and-emitter kernels
-    otherwise, with the dense/sparse kernel regime chosen adaptively from
-    the cell populations at hand.  ``kernel`` pins either axis —
-    ``"vectorized(kernel=numba)"``, ``"vectorized(kernel=sparse)"``,
-    ``"vectorized(kernel=numpy/dense)"``.
+    the shared walker and emitter, with the numba tier's compiled pair
+    kernels when available and the NumPy expand/filter step otherwise.
+    ``kernel`` pins the tier — ``"vectorized(kernel=numba)"``,
+    ``"vectorized(kernel=numpy)"``.
     """
 
     name = "vectorized"
@@ -534,9 +533,7 @@ class VectorizedBackend(ExecutionBackend):
     supports_unicomp = True
 
     def __init__(self, kernel: str = "auto") -> None:
-        self.kernel_spec = str(kernel)
-        self.tier, self.kernel_choice = nativekernels.parse_kernel_spec(
-            self.kernel_spec)
+        self.tier = nativekernels.parse_kernel_spec(kernel)
 
     def kernel_tier(self) -> str:
         return nativekernels.resolve_kernel_tier(self.tier)
@@ -544,14 +541,13 @@ class VectorizedBackend(ExecutionBackend):
     def run_selfjoin(self, index, eps, cells, sink, *, unicomp=False,
                      max_candidate_pairs=DEFAULT_MAX_CANDIDATE_PAIRS) -> KernelStats:
         return selfjoin_tiered(index, eps, cells, max_candidate_pairs,
-                               sink=sink, unicomp=unicomp, tier=self.tier,
-                               kernel=self.kernel_choice).stats
+                               sink=sink, unicomp=unicomp,
+                               tier=self.tier).stats
 
     def run_probe(self, queries, index, eps, sink, *, rows=None,
                   max_candidate_pairs=DEFAULT_MAX_CANDIDATE_PAIRS) -> KernelStats:
         return _tiered_probe(queries, index, eps, sink, rows,
-                             max_candidate_pairs, self.tier,
-                             self.kernel_choice)
+                             max_candidate_pairs, self.tier)
 
 
 @register_backend

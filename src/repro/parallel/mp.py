@@ -311,10 +311,11 @@ class MultiprocessBackend(ShardExecutionBackend):
         ``multiprocess(4, seed=11)`` (positionally every earlier argument
         must be spelled out).
     kernel:
-        Kernel-tier spec threaded into the inner backend (see
+        Kernel tier threaded into the inner backend (see
         :mod:`repro.core.nativekernels`): ``multiprocess(4, kernel=numba)``
         forces the numba tier inside every worker; the default ``auto``
-        lets each shard pick its tier and dense/sparse kernel adaptively.
+        uses numba where it imports.  On the numba tier each shard picks
+        the dense or sparse compiled kernel from its cell populations.
     """
 
     name = "multiprocess"

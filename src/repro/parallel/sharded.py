@@ -21,9 +21,10 @@ Registered as ``sharded``; parameterized lookups configure it:
 cellwise reference under a four-shard decomposition, and
 ``sharded(4, vectorized, 11)`` pins the cost-sampling seed so shard plans
 are reproducible from one knob.  ``sharded(4, kernel=numba)`` forces the
-inner backend's kernel tier (see :mod:`repro.core.nativekernels`); with
-the default ``kernel=auto`` the tiered inner backend picks the dense or
-sparse kernel *per shard* from that shard's cell populations.
+inner backend's kernel tier (see :mod:`repro.core.nativekernels`);
+``kernel=`` takes a tier only.  On the numba tier the inner backend picks
+the dense or sparse compiled kernel *per shard* from that shard's cell
+populations; the NumPy tier runs its one route on every shard.
 """
 
 from __future__ import annotations

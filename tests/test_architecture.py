@@ -14,6 +14,9 @@
   ``QueryPlanner.index_dataset`` calls ``choose_index_dims``, and the
   experiments, ``GPUSelfJoin`` and the ``simulated`` backend never reach
   it, so the paper's figures and Table II keep the all-dims grid.
+* One NumPy kernel route.  On the NumPy tier every production backend
+  runs the vectorized walker and emitter, however dense the cells; the
+  per-cell ``cellwise`` kernels are a reference only.
 """
 
 from __future__ import annotations
@@ -24,9 +27,11 @@ import importlib.util
 import inspect
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import repro
+from repro.core.gridindex import GridIndex
 from repro.core.selfjoin import GPUSelfJoin, SelfJoinConfig
 from repro.data.synthetic import uniform_dataset
 from repro.engine import EngineSession, Query, QueryPlanner, list_backends, run_query
@@ -269,3 +274,57 @@ def test_experiments_never_call_the_chooser(chooser_refused):
     table2.run_table2(n_points=150, timing_repeats=1)
     fig5.run_fig5(n_points=150, datasets=("Syn6D2M",),
                   algorithms=("GPU: unicomp", "Engine[vectorized]"))
+
+
+# --------------------------------------------------------------------------
+# one NumPy kernel route
+# --------------------------------------------------------------------------
+#: The per-cell reference kernels, by module: ``repro.core.kernels`` for
+#: the tiered dispatch's lookups, ``repro.engine.backends`` for the
+#: ``cellwise`` backend's own names (which make the refusal checkable).
+CELLWISE_KERNELS = (
+    ("repro.core.kernels", "selfjoin_global_cellwise"),
+    ("repro.core.kernels", "selfjoin_unicomp_cellwise"),
+    ("repro.engine.backends", "selfjoin_global_cellwise"),
+    ("repro.engine.backends", "selfjoin_unicomp_cellwise"),
+    ("repro.engine.backends", "_cellwise_probe"),
+)
+
+
+def _dense_query(kind: str) -> Query:
+    """A GLOBAL or UNICOMP self-join, or a probe, over 2-D cells averaging
+    at least 16 points."""
+    rng = np.random.default_rng(19)
+    points = rng.uniform(0.0, 2.0, (400, 2))
+    assert GridIndex.build(points, 1.0).cell_counts.mean() >= 16
+    if kind == "probe":
+        return Query.bipartite_join(rng.uniform(0.0, 2.0, (100, 2)),
+                                    points, 1.0)
+    return Query.self_join(points, 1.0, unicomp=kind == "unicomp")
+
+
+@pytest.mark.parametrize("kind", ["global", "unicomp", "probe"])
+@pytest.mark.parametrize("backend", ["vectorized(kernel=numpy)",
+                                     "sharded(4, kernel=numpy)",
+                                     "multiprocess(2, kernel=numpy)"])
+def test_numpy_tier_never_runs_a_cellwise_kernel(monkeypatch, backend, kind):
+    """Dense cells still take the one vectorized route on the NumPy tier.
+
+    The pool workers start after the patch, so under the ``fork`` start
+    method (Linux's default before Python 3.14) the refusal reaches them
+    too; the empty ``kernel_counts`` holds under any start method.
+    """
+    query = _dense_query(kind)
+    expected = run_query(query, backend="cellwise").neighbor_table
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a cellwise kernel ran")
+
+    for module, name in CELLWISE_KERNELS:
+        monkeypatch.setattr(importlib.import_module(module), name, refuse)
+    with pytest.raises(AssertionError, match="cellwise kernel ran"):
+        run_query(query, backend="cellwise")
+    result = run_query(query, backend=backend)
+    assert result.stats.tier == "numpy"
+    assert result.stats.kernel_counts == {}
+    assert result.neighbor_table.same_contents_as(expected)

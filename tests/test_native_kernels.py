@@ -17,7 +17,6 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 from repro.core import nativekernels as nk
-from repro.core.batching import estimate_cell_costs, estimate_cell_stats
 from repro.core.gridindex import GridIndex
 from repro.core.kernels import (
     DEFAULT_MAX_CANDIDATE_PAIRS,
@@ -27,7 +26,6 @@ from repro.core.kernels import (
     selfjoin_unicomp_vectorized,
 )
 from repro.core.result import NeighborTable, PairFragments
-from repro.core.selector import estimate_join_work
 from repro.core.selfjoin import GPUSelfJoin, SelfJoinConfig
 from repro.data.synthetic import uniform_dataset
 from repro.engine import EngineSession, Query, run_query
@@ -74,7 +72,8 @@ def mixed_density_points(seed: int = 3) -> np.ndarray:
 
     With ``eps = 1`` the cluster's cells hold dozens of points (dense
     regime) while the field's cells hold about one (sparse regime), so a
-    sharded run over the whole dataset must route shards to both kernels.
+    sharded numba-tier run over the whole dataset must route shards to
+    both compiled kernels.
     """
     rng = np.random.default_rng(seed)
     cluster = rng.normal(50.0, 0.6, size=(600, 2))
@@ -157,11 +156,10 @@ class TestNativeKernelBodyParity:
 
 
 class TestTieredDispatch:
-    """selfjoin_tiered routes/stamps correctly on the NumPy tier."""
+    """selfjoin_tiered runs the one NumPy route and stamps its tier."""
 
-    @pytest.mark.parametrize("choice", ["dense", "sparse", "auto"])
     @pytest.mark.parametrize("unicomp", [False, True])
-    def test_numpy_tier_routes_match_vectorized(self, unicomp, choice):
+    def test_numpy_tier_routes_match_vectorized(self, unicomp):
         points = uniform_dataset(400, 3, seed=5, low=0.0, high=6.0)
         eps = 1.0
         index = GridIndex.build(points, eps)
@@ -170,9 +168,9 @@ class TestTieredDispatch:
         ref = kernel_fn(index, eps)
         sink = PairFragments(index.num_points)
         out = selfjoin_tiered(index, eps, sink=sink, unicomp=unicomp,
-                              tier="numpy", kernel=choice)
+                              tier="numpy")
         assert out.stats.tier == "numpy"
-        assert sum(out.stats.kernel_counts.values()) == 1
+        assert out.stats.kernel_counts == {}
         _assert_bit_identical(index.num_points, sink.concatenated(),
                               (ref.result.keys, ref.result.values))
 
@@ -182,10 +180,9 @@ class TestTieredDispatch:
         queries = rng.uniform(0, 5.0, (60, 2))
         sink = PairFragments(queries.shape[0])
         stats = _tiered_probe(queries, GridIndex.build(data, 1.0), 1.0, sink,
-                              None, DEFAULT_MAX_CANDIDATE_PAIRS, "numpy",
-                              "auto")
+                              None, DEFAULT_MAX_CANDIDATE_PAIRS, "numpy")
         assert stats.tier == "numpy"
-        assert sum(stats.kernel_counts.values()) == 1
+        assert stats.kernel_counts == {}
 
 
 # --------------------------------------------------------------------------
@@ -203,13 +200,11 @@ class TestKernelTierRegistry:
             nk.resolve_kernel_tier("cuda")
 
     def test_parse_kernel_spec(self):
-        assert nk.parse_kernel_spec("auto") == ("auto", "auto")
-        assert nk.parse_kernel_spec("numba") == ("numba", "auto")
-        assert nk.parse_kernel_spec("dense") == ("auto", "dense")
-        assert nk.parse_kernel_spec("numpy/sparse") == ("numpy", "sparse")
-        assert nk.parse_kernel_spec("auto/dense") == ("auto", "dense")
-        with pytest.raises(ValueError, match="unknown kernel spec token"):
-            nk.parse_kernel_spec("fast")
+        for tier in ("auto", "numpy", "numba"):
+            assert nk.parse_kernel_spec(tier) == tier
+        for spec in ("dense", "sparse", "numpy/sparse", "auto/dense", "fast"):
+            with pytest.raises(ValueError, match="unknown kernel spec"):
+                nk.parse_kernel_spec(spec)
 
     def test_forced_fallback_selects_numpy_with_clear_message(self, monkeypatch):
         """With numba 'absent', auto resolves to numpy and says why."""
@@ -250,24 +245,16 @@ class TestKernelTierRegistry:
 # adaptive per-shard selection
 # --------------------------------------------------------------------------
 class TestAdaptiveSelection:
+    """The numba tier's dense/sparse choice (pure; runs without numba)."""
+
     def test_choose_kernel_by_density(self):
         dense = GridIndex.build(np.random.default_rng(0).uniform(
             0, 2.0, (400, 2)), 1.0)
         assert float(dense.cell_counts.mean()) >= \
             nk.DENSE_POINTS_PER_CELL_THRESHOLD
-        assert nk.choose_selfjoin_kernel(
-            dense, None, DEFAULT_MAX_CANDIDATE_PAIRS) == "dense"
+        assert nk.choose_selfjoin_kernel(dense, None) == "dense"
         sparse = GridIndex.build(uniform_dataset(300, 2, seed=0), 1.0)
-        assert nk.choose_selfjoin_kernel(
-            sparse, None, DEFAULT_MAX_CANDIDATE_PAIRS) == "sparse"
-
-    def test_memory_guard_forces_sparse(self):
-        """A huge cell must not route to the matrix-materializing dense path."""
-        index = GridIndex.build(np.random.default_rng(0).uniform(
-            0, 0.9, (200, 2)), 1.0)  # everything in one cell
-        assert nk.choose_selfjoin_kernel(index, None, 10_000) == "sparse"
-        assert nk.choose_selfjoin_kernel(
-            index, None, DEFAULT_MAX_CANDIDATE_PAIRS) == "dense"
+        assert nk.choose_selfjoin_kernel(sparse, None) == "sparse"
 
     def test_choice_respects_cell_subset(self):
         """The per-shard decision reads the shard's cells, not the grid."""
@@ -278,45 +265,8 @@ class TestAdaptiveSelection:
             counts >= nk.DENSE_POINTS_PER_CELL_THRESHOLD)
         sparse_cells = np.flatnonzero(counts <= 2)
         assert dense_cells.size and sparse_cells.size
-        assert nk.choose_selfjoin_kernel(
-            index, dense_cells, DEFAULT_MAX_CANDIDATE_PAIRS) == "dense"
-        assert nk.choose_selfjoin_kernel(
-            index, sparse_cells, DEFAULT_MAX_CANDIDATE_PAIRS) == "sparse"
-
-    def test_mixed_density_routes_shards_to_both_kernels(self):
-        """Acceptance: a sharded run uses each kernel on at least one shard."""
-        points = mixed_density_points()
-        result = run_query(Query.self_join(points, 1.0, unicomp=True),
-                           backend="sharded(6)")
-        assert result.stats.kernel_counts.get("dense", 0) >= 1
-        assert result.stats.kernel_counts.get("sparse", 0) >= 1
-        assert result.stats.tier in ("numpy", "numba")
-        # Pair-identical to the unsharded single-kernel run.
-        ref = run_query(Query.self_join(points, 1.0, unicomp=True),
-                        backend="vectorized(kernel=sparse)")
-        got_k, got_v = result.pairs()
-        ref_k, ref_v = ref.pairs()
-        _assert_bit_identical(points.shape[0], (got_k, got_v), (ref_k, ref_v))
-
-    def test_work_estimate_recommends_kernel(self):
-        dense = GridIndex.build(np.random.default_rng(0).uniform(
-            0, 2.0, (400, 2)), 1.0)
-        est = estimate_join_work(dense)
-        assert est.avg_points_per_cell >= nk.DENSE_POINTS_PER_CELL_THRESHOLD
-        assert est.max_points_per_cell >= est.avg_points_per_cell
-        assert est.recommended_kernel == "dense"
-        sparse_est = estimate_join_work(
-            GridIndex.build(uniform_dataset(300, 2, seed=0), 1.0))
-        assert sparse_est.recommended_kernel == "sparse"
-
-    def test_estimate_cell_stats_exposes_density(self):
-        index = GridIndex.build(mixed_density_points(), 1.0)
-        stats = estimate_cell_stats(index, seed=0)
-        np.testing.assert_allclose(stats.costs, estimate_cell_costs(index))
-        assert stats.candidate_density.shape == (index.num_nonempty_cells,)
-        assert stats.mean_points_per_cell == pytest.approx(
-            float(index.cell_counts.mean()))
-        assert stats.max_points_per_cell == int(index.cell_counts.max())
+        assert nk.choose_selfjoin_kernel(index, dense_cells) == "dense"
+        assert nk.choose_selfjoin_kernel(index, sparse_cells) == "sparse"
 
 
 # --------------------------------------------------------------------------
@@ -342,16 +292,16 @@ class TestStatsAndSpecs:
         assert report.kernel_stats.tier == report.kernel_tier
 
     def test_selfjoin_config_accepts_kernel_spec(self):
-        cfg = SelfJoinConfig(kernel="vectorized(kernel=sparse)")
-        assert cfg.kernel == "vectorized(kernel=sparse)"
+        cfg = SelfJoinConfig(kernel="vectorized(kernel=numpy)")
+        assert cfg.kernel == "vectorized(kernel=numpy)"
         with pytest.raises(ValueError, match="kernel must be one of"):
             SelfJoinConfig(kernel="bogus(kernel=numba)")
 
     def test_parse_backend_name_kwargs(self):
         assert _parse_backend_name("sharded(4, kernel=numba)") == \
             ("sharded", (4,), {"kernel": "numba"})
-        assert _parse_backend_name("vectorized(kernel=numpy/dense)") == \
-            ("vectorized", (), {"kernel": "numpy/dense"})
+        assert _parse_backend_name("vectorized(kernel=numpy)") == \
+            ("vectorized", (), {"kernel": "numpy"})
         assert _parse_backend_name("multiprocess(2)") == \
             ("multiprocess", (2,), {})
         with pytest.raises(KeyError, match="follows a keyword"):
@@ -361,24 +311,27 @@ class TestStatsAndSpecs:
         assert compose_kernel_spec("vectorized", "auto") == "vectorized"
         assert compose_kernel_spec("vectorized", "numba") == \
             "vectorized(kernel=numba)"
-        assert compose_kernel_spec("sharded(4)", "sparse") == \
-            "sharded(4, kernel=sparse)"
+        assert compose_kernel_spec("sharded(4)", "numpy") == \
+            "sharded(4, kernel=numpy)"
 
     def test_sharded_composes_kernel_into_inner(self):
-        backend = get_backend("sharded(2, kernel=sparse)")
-        assert backend.inner_name == "vectorized(kernel=sparse)"
+        backend = get_backend("sharded(2, kernel=numpy)")
+        assert backend.inner_name == "vectorized(kernel=numpy)"
         assert backend.kernel_tier() == "numpy"
 
     def test_multiprocess_composes_kernel_into_inner(self):
         from repro.parallel.mp import MultiprocessBackend
 
-        backend = MultiprocessBackend(n_workers=1, kernel="sparse")
-        assert backend.inner_name == "vectorized(kernel=sparse)"
+        backend = MultiprocessBackend(n_workers=1, kernel="numpy")
+        assert backend.inner_name == "vectorized(kernel=numpy)"
         assert backend.kernel_tier() == "numpy"
 
-    def test_bad_kernel_spec_fails_fast(self):
-        with pytest.raises(ValueError, match="unknown kernel spec token"):
-            get_backend("sharded(2, kernel=warp)")
+    @pytest.mark.parametrize("spec", ["sharded(2, kernel=warp)",
+                                      "vectorized(kernel=dense)",
+                                      "sharded(2, kernel=numpy/sparse)"])
+    def test_bad_kernel_spec_fails_fast(self, spec):
+        with pytest.raises(ValueError, match="unknown kernel spec"):
+            get_backend(spec)
 
     def test_default_backend_tier_is_numpy(self):
         assert get_backend("cellwise").kernel_tier() == "numpy"
@@ -389,8 +342,8 @@ class TestStatsAndSpecs:
             "sharded(kernel=numba)"
         assert engine_backend_of("Engine[sharded(4)/numba]") == \
             "sharded(4, kernel=numba)"
-        assert engine_backend_of("Engine[vectorized/numpy/dense]") == \
-            "vectorized(kernel=numpy/dense)"
+        assert engine_backend_of("Engine[vectorized/numpy]") == \
+            "vectorized(kernel=numpy)"
         assert engine_backend_of("Engine[vectorized]") == "vectorized"
         assert engine_backend_of("GPU: unicomp") is None
 
@@ -475,6 +428,19 @@ class TestNumbaTierParity:
             assert nk._warmed is True
             report = session.self_join(4.0)
             assert report.stats.tier == "numba"
+
+    def test_mixed_density_routes_shards_to_both_kernels(self):
+        """Acceptance: a sharded run uses each kernel on at least one shard."""
+        points = mixed_density_points()
+        result = run_query(Query.self_join(points, 1.0, unicomp=True),
+                           backend="sharded(6)")
+        assert result.stats.kernel_counts.get("dense", 0) >= 1
+        assert result.stats.kernel_counts.get("sparse", 0) >= 1
+        assert result.stats.tier == "numba"
+        # Pair-identical to the per-cell reference.
+        ref = run_query(Query.self_join(points, 1.0, unicomp=True),
+                        backend="cellwise")
+        _assert_bit_identical(points.shape[0], result.pairs(), ref.pairs())
 
     def test_explicit_numba_spec_resolves(self):
         assert nk.resolve_kernel_tier("numba") == "numba"
