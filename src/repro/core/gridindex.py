@@ -33,14 +33,18 @@ otherwise, which is the paper's layout.
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple
+from typing import (Any, Callable, Dict, Hashable, List, Optional, Sequence,
+                    Tuple, TypeVar)
 
 import numpy as np
 
 from repro.core import linearize as lin
 from repro.core.result import sort_pairs
 from repro.utils.validation import check_eps, ensure_2d_float64
+
+T = TypeVar("T")
 
 
 @dataclass
@@ -108,6 +112,15 @@ class GridIndex:
     masks:
         Per-indexed-dimension sorted arrays of non-empty coordinates
         (``M_j``).
+
+    Besides these arrays an index keeps data derived from them, each
+    built lazily, once, under the index's lock (:meth:`cached`): its
+    points in ``A`` order (:meth:`cell_ordered_points`), and per UNICOMP
+    flag the self-join's cell-pair adjacency
+    (:class:`repro.core.kernels.CellAdjacency`).  They live and die with
+    the index, in whichever cache holds it.  :meth:`memory_footprint`
+    stays the paper's ``B`` + ``G`` + ``A`` + ``M`` size and does not
+    count them.
     """
 
     points: np.ndarray
@@ -125,6 +138,10 @@ class GridIndex:
     cell_counts: np.ndarray
     cell_coords: np.ndarray
     masks: List[np.ndarray] = field(default_factory=list)
+    _derived: Dict[Hashable, Any] = field(
+        default_factory=dict, init=False, repr=False, compare=False)
+    _derived_lock: threading.RLock = field(
+        default_factory=threading.RLock, init=False, repr=False, compare=False)
 
     # ------------------------------------------------------------------ build
     @classmethod
@@ -255,12 +272,42 @@ class GridIndex:
         """Linearize arbitrary cell coordinates with this grid's strides."""
         return lin.linearize(coords, self.strides)
 
+    # ------------------------------------------------------------ derived data
+    def cached(self, key: Hashable, build: Callable[[], T]) -> T:
+        """``build()``, run once per ``key`` and kept for the index's life.
+
+        The first caller builds under the index's lock (one for all
+        keys), and callers that arrive meanwhile wait instead of building
+        their own; later callers read the kept value without locking.  A
+        build that raises keeps nothing.
+        """
+        try:
+            return self._derived[key]
+        except KeyError:
+            pass
+        with self._derived_lock:
+            if key not in self._derived:
+                self._derived[key] = build()
+            return self._derived[key]
+
+    def cell_ordered_points(self) -> np.ndarray:
+        """``points`` in ``A`` order: row ``p`` is point ``A[p]``, so the
+        points of each cell are one contiguous block.  Read-only; built
+        once (:meth:`cached`)."""
+        def build() -> np.ndarray:
+            ordered = self.points.take(self.A, axis=0)
+            ordered.setflags(write=False)
+            return ordered
+
+        return self.cached("cell_ordered_points", build)
+
     # ------------------------------------------------------------- statistics
     def memory_footprint(self) -> int:
         """Approximate index size in bytes (``B`` + ``G`` + ``A`` + masks).
 
         The point data itself is excluded, matching the paper's discussion of
-        index size versus GPU global-memory capacity.
+        index size versus GPU global-memory capacity, and so are the
+        derived caches (:meth:`cached`).
         """
         nbytes = int(self.B.nbytes + self.A.nbytes + self.cell_starts.nbytes
                      + self.cell_counts.nbytes + self.cell_coords.nbytes)

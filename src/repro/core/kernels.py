@@ -28,6 +28,27 @@ and its UNICOMP variant (Algorithm 2) are provided:
     (data-parallel over cells rather than over points).  The bipartite
     probe and the work estimators share the walker.
 
+Who walks, and when.  The cell pairs of a self-join depend only on the
+index and the UNICOMP flag, so each :class:`GridIndex` keeps them: one
+:class:`CellAdjacency` per flag, stored through
+:meth:`GridIndex.cached <repro.core.gridindex.GridIndex.cached>` and
+living and dying with the index in whichever cache holds it (the session's
+per-ε LRU, a worker's :class:`~repro.parallel.executor.ShardDataset` LRU,
+the inline ``sharded`` dataset).  The first self-join on an index walks
+every non-empty cell once, even when it asks for one shard's cells: a
+whole-index call emits each walk group as it stores it, a subset call
+stores the whole walk and then reads its subset back.  Every later
+self-join on that index, for any cell subset, reads the stored pairs and
+does not walk.  A cold shard therefore walks the whole index once per
+process: a one-shot ``multiprocess(2)`` call builds the index and walks it
+in each of its two workers.  An adjacency past a byte bound derived from
+the index (:data:`_ADJACENCY_BYTES_PER_POINT_BYTE`) is not kept, and every
+call walks its own cells as before.  Probes always walk (their query cells
+are arbitrary), and so do the sampled cost estimators.  The index also
+keeps its points in ``A`` order
+(:meth:`~repro.core.gridindex.GridIndex.cell_ordered_points`), from which
+the NumPy emitter gathers coordinates.
+
 All kernels operate on an optional subset of source cells so the batching
 scheme (Section V-A) can split the work into ≥ 3 batches whose union is the
 complete self-join result.
@@ -37,7 +58,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import (Callable, Dict, Iterator, List, NamedTuple, Optional,
+                    Sequence, Tuple)
 
 import numpy as np
 
@@ -270,7 +292,8 @@ def selfjoin_global_vectorized(index: GridIndex, eps: Optional[float] = None,
                                ) -> KernelOutput:
     """Vectorized GLOBAL kernel: every source cell against all 3^k offsets.
 
-    The cell pairs come from the shared walker in row groups and are
+    The cell pairs come from the index's cached adjacency (walked once by
+    the shared walker, :func:`_visit_cell_pairs`) in groups and are
     expanded and distance-filtered in chunks of at most
     ``max_candidate_pairs``.  ``native_kernel`` swaps the NumPy
     expand/filter step for one of the compiled pair kernels from
@@ -302,22 +325,26 @@ def _selfjoin_vectorized(index: GridIndex, eps: Optional[float],
                          max_candidate_pairs: int, sink: Optional[PairFragments],
                          native_kernel: Optional[Callable],
                          unicomp: bool) -> KernelOutput:
-    """The body of both vectorized kernels (see :func:`_walk_cell_pairs`)."""
+    """The body of both vectorized kernels (see :func:`_visit_cell_pairs`)."""
     eps = index.eps if eps is None else float(eps)
+    eps2 = eps * eps
     stats = KernelStats()
     external = sink is not None
     sink = sink if sink is not None else PairFragments(index.num_points)
     before = sink.num_pairs
-    cells = np.arange(index.num_nonempty_cells, dtype=np.int64) if source_cells is None \
+    cells = None if source_cells is None \
         else np.asarray(source_cells, dtype=np.int64)
-    side = (index.points, index.A, index.cell_starts, index.cell_counts)
-    for src, tgt, checked, mirror in _walk_cell_pairs(
-            index, index.cell_coords[cells], unicomp):
+    side = _index_side(index, native_kernel)
+
+    def emit(src: np.ndarray, tgt: np.ndarray, checked: int,
+             mirror: Optional[np.ndarray]) -> None:
         stats.cells_checked += checked
         stats.nonempty_cells_visited += int(src.shape[0])
         stats.distance_calcs += _emit_pairs(
-            sink, side, cells.take(src), side, tgt, eps * eps, max_candidate_pairs,
+            sink, side, src, side, tgt, eps2, max_candidate_pairs,
             mirror=mirror, native_kernel=native_kernel)
+
+    _visit_cell_pairs(index, cells, unicomp, emit)
     stats.result_pairs = sink.num_pairs - before
     result = None if external else sink.to_result_set()
     return KernelOutput(result=result, stats=stats)
@@ -400,7 +427,7 @@ def _neighbor_offsets(n_dims: int) -> Tuple[np.ndarray, np.ndarray]:
 
 
 def _walk_cell_pairs(index: GridIndex, coords: np.ndarray, unicomp: bool = False,
-                     ) -> Iterator[Tuple[np.ndarray, np.ndarray, int,
+                     ) -> Iterator[Tuple[np.ndarray, np.ndarray, np.ndarray,
                                          Optional[np.ndarray]]]:
     """Resolve source cells x neighbor offsets against the index's ``B``.
 
@@ -410,20 +437,26 @@ def _walk_cell_pairs(index: GridIndex, coords: np.ndarray, unicomp: bool = False
     home cell, and the offsets whose highest non-zero dimension ``j`` has
     an odd ``j`` coordinate in the source cell.  The rows are broadcast
     source-cell-major in groups of whole source cells, at most
-    ``_WALK_ROWS`` rows unless one cell alone is more.  Each group is filtered by the grid bounds and the per-dimension
+    ``_WALK_ROWS`` rows unless one cell alone is more.  Each group is
+    filtered by the grid bounds and the per-dimension
     masks ``M_j`` and resolved with one binary search of ``B``, the search
     of :meth:`~repro.core.gridindex.GridIndex.lookup_cells` (Algorithm 1,
     lines 6-11).  Per group this yields ``(src, tgt, checked, mirror)``:
     positions into ``coords`` and indices into ``B`` of the non-empty
-    neighbor cells found; the number of candidate cells that passed the
-    filter and were binary-searched; and, under ``unicomp``, which pairs are
+    neighbor cells found; per source cell of the group, in order, the
+    number of candidate cells that passed the filter and were
+    binary-searched (the groups' ``checked`` arrays concatenate to one
+    entry per row of ``coords``); and, under ``unicomp``, which pairs are
     non-home and so emit both ordered pairs (``None`` otherwise).
 
-    Because the walk is source-cell-major, the pairs of any contiguous
-    subset of the source cells are a contiguous run of the whole walk: a
-    shard split at a ``B``-order boundary emits, half after half, exactly
-    the unsplit shard's pair stream.  A cancellation checkpoint runs before
-    every group, so a deadline stops a kernel call between groups.
+    A self-join walks only to fill its index's cached adjacency, or when
+    that adjacency is past its byte bound (:func:`_visit_cell_pairs`);
+    probes and the cost estimators walk on every call.  Because the walk is source-cell-major, the pairs
+    of any contiguous subset of the source cells are a contiguous run of
+    the whole walk: a shard split at a ``B``-order boundary emits, half
+    after half, exactly the unsplit shard's pair stream.  A cancellation
+    checkpoint runs before every group, so a deadline stops a kernel call
+    between groups.
     """
     n_src = coords.shape[0]
     offsets, top = _neighbor_offsets(index.num_grid_dims)
@@ -457,8 +490,6 @@ def _walk_cell_pairs(index: GridIndex, coords: np.ndarray, unicomp: bool = False
             # group's admit rows, which no later group reads.
             keep &= evaluates[lo:lo + step].take(top, axis=1)
         src, offset = np.nonzero(keep)
-        if src.shape[0] == 0:
-            continue
         src += lo
         # lookup_cells inlined, keeping only the hits: no -1 sentinel pass.
         ids = base.take(src)
@@ -466,17 +497,189 @@ def _walk_cell_pairs(index: GridIndex, coords: np.ndarray, unicomp: bool = False
         pos = B.searchsorted(ids)
         hit = np.flatnonzero(B.take(pos, mode="clip") == ids)
         mirror = top.take(offset.take(hit)) >= 0 if unicomp else None
-        yield src.take(hit), pos.take(hit), int(src.shape[0]), mirror
+        yield (src.take(hit), pos.take(hit), np.count_nonzero(keep, axis=1),
+               mirror)
+
+
+# --------------------------------------------------------------------------
+# the cell-pair adjacency cache
+# --------------------------------------------------------------------------
+#: Byte bound of a cached adjacency, as a multiple of the bytes of the
+#: indexed points: a cache may not outgrow a few copies of the data it
+#: indexes.  Past it the adjacency is not kept and each call walks.
+_ADJACENCY_BYTES_PER_POINT_BYTE = 4
+
+#: Cell pairs per group read back from a cached adjacency (whole source
+#: cells, so a cell with more pairs is a group of its own).
+_CACHED_GROUP_PAIRS = 8192
+
+
+@dataclass(frozen=True)
+class CellAdjacency:
+    """Every cell pair of an index's self-join walk, source-cell-major.
+
+    A CSR over the non-empty cells: the pairs of source cell ``h`` are
+    ``targets[starts[h]:starts[h + 1]]``, ``B`` positions (int32 below
+    2^31 cells) in the walker's order, and ``checked[h]`` is the number of
+    candidate cells the walk binary-searched for ``h``.  The four
+    :class:`KernelStats` counters of any cell subset are therefore those
+    of an uncached walk.  A UNICOMP pair mirrors exactly when it is not
+    the home pair (target != source), so the flags are not stored.
+    """
+
+    starts: np.ndarray
+    targets: np.ndarray
+    checked: np.ndarray
+
+
+def _visit_cell_pairs(index: GridIndex, cells: Optional[np.ndarray],
+                      unicomp: bool,
+                      visit: Callable[[np.ndarray, np.ndarray, int,
+                                       Optional[np.ndarray]], None]) -> None:
+    """Pass the self-join cell pairs of ``cells`` to ``visit``, in groups.
+
+    ``cells`` are ``B`` positions (all non-empty cells when ``None``).
+    Each group is ``visit(src, tgt, checked, mirror)``: the ``B``
+    positions of each pair's source and target cell, the number of
+    candidate cells binary-searched for the group's source cells, and
+    UNICOMP's mirror flags (``None`` for GLOBAL).  The pairs come
+    source-cell-major in the order of ``cells``, exactly as
+    :func:`_walk_cell_pairs` would resolve them, so the emitted stream and
+    counters do not depend on whether they were walked or read back.
+
+    On the index's first self-join (per UNICOMP flag) this walks every
+    non-empty cell once and stores the walk as a :class:`CellAdjacency`
+    under the index's lock; a whole-index call visits each group while it
+    stores it, so the walk output is never passed over twice.  Later calls
+    read their cells back: a contiguous cell range is one slice of the
+    store, any other subset one ragged gather per group.  Past the byte
+    bound nothing is stored and each call walks its own cells.  A
+    cancellation checkpoint runs before every group either way.
+    """
+    if cells is not None and cells.shape[0] == 0:
+        return
+    whole = cells is None or (cells.shape[0] == index.num_nonempty_cells
+                              and cells[0] == 0 and _is_cell_range(cells))
+    walked = False
+
+    def walk_and_store() -> Optional[CellAdjacency]:
+        nonlocal walked
+        walked = whole
+        return _walk_adjacency(index, unicomp, visit if whole else None)
+
+    adjacency = index.cached(("cell_pairs", unicomp), walk_and_store)
+    if walked:
+        return
+    if adjacency is None:
+        coords = index.cell_coords if cells is None else index.cell_coords[cells]
+        for src, tgt, checked, mirror in _walk_cell_pairs(index, coords, unicomp):
+            visit(src if cells is None else cells.take(src), tgt,
+                  int(checked.sum()), mirror)
+        return
+    if cells is None:
+        cells = np.arange(index.num_nonempty_cells, dtype=np.int64)
+    first = adjacency.starts.take(cells)
+    sizes = adjacency.starts.take(cells + 1) - first
+    contiguous = _is_cell_range(cells)
+    for lo, hi in _chunk_boundaries(sizes, _CACHED_GROUP_PAIRS):
+        check_cancelled()
+        group_sizes = sizes[lo:hi]
+        if contiguous:
+            tgt = adjacency.targets[first[lo]:first[hi - 1] + sizes[hi - 1]]
+        else:
+            tgt = adjacency.targets.take(
+                _ragged_positions(first[lo:hi], group_sizes))
+        src = cells[lo:hi].repeat(group_sizes)
+        visit(src, tgt, int(adjacency.checked.take(cells[lo:hi]).sum()),
+              tgt != src if unicomp else None)
+
+
+def _walk_adjacency(index: GridIndex, unicomp: bool,
+                    visit: Optional[Callable] = None,
+                    ) -> Optional[CellAdjacency]:
+    """Walk every non-empty cell once and keep the pairs as a
+    :class:`CellAdjacency`; ``None`` past the byte bound.
+
+    With ``visit`` every walk group is also passed on as it is walked (the
+    whole-index self-join emitting while it fills), and the walk runs to
+    the end past the bound; without, it stops there.
+    """
+    n_cells = index.num_nonempty_cells
+    dtype = np.dtype(np.int32 if n_cells <= np.iinfo(np.int32).max
+                     else np.int64)
+    starts = np.zeros(n_cells + 1, dtype=np.int64)
+    checked = np.empty(n_cells, dtype=np.int32)
+    budget = _ADJACENCY_BYTES_PER_POINT_BYTE * index.points.nbytes \
+        - starts.nbytes - checked.nbytes
+    targets: Optional[List[np.ndarray]] = [np.empty(0, dtype=dtype)]
+    lo = 0
+    for src, tgt, group_checked, mirror in _walk_cell_pairs(
+            index, index.cell_coords, unicomp):
+        if visit is not None:
+            visit(src, tgt, int(group_checked.sum()), mirror)
+        if targets is None:
+            continue
+        budget -= tgt.shape[0] * dtype.itemsize
+        if budget < 0:
+            if visit is None:
+                return None
+            targets = None
+            continue
+        hi = lo + group_checked.shape[0]
+        targets.append(tgt.astype(dtype))
+        checked[lo:hi] = group_checked
+        starts[lo + 1:hi + 1] = np.bincount(src - lo, minlength=hi - lo)
+        lo = hi
+    if targets is None:
+        return None
+    np.cumsum(starts, out=starts)
+    return CellAdjacency(starts=starts, targets=np.concatenate(targets),
+                         checked=checked)
+
+
+def _is_cell_range(cells: np.ndarray) -> bool:
+    """Whether ``cells`` are consecutive ascending ``B`` positions."""
+    return bool((np.diff(cells) == 1).all())
+
+
+def _ragged_positions(starts: np.ndarray, sizes: np.ndarray) -> np.ndarray:
+    """The ranges ``starts[i] .. starts[i] + sizes[i]``, concatenated."""
+    # A running index plus a per-range base: the range start minus where
+    # the range's run begins.
+    pos = (starts - (sizes.cumsum() - sizes)).repeat(sizes)
+    pos += np.arange(pos.shape[0], dtype=np.int64)
+    return pos
 
 
 # --------------------------------------------------------------------------
 # the expand/filter/emit step
 # --------------------------------------------------------------------------
-#: One side of a cell-pair join: ``(points, lookup, starts, counts)``.  The
-#: points of the side's cell ``h`` are ``points[lookup[starts[h]:starts[h]
-#: + counts[h]]]``: the index's CSR arrays with ``A`` as the lookup, or a
-#: probe's query groups with their sort order as the lookup.
-_JoinSide = Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
+class _JoinSide(NamedTuple):
+    """One side of a cell-pair join.
+
+    The side's cell ``h`` holds the positions ``starts[h] .. starts[h] +
+    counts[h]``; ``lookup`` maps a position to its point id and
+    ``ordered`` holds the coordinates by position (``ordered[p] ==
+    points[lookup[p]]``): the index's CSR arrays with ``A`` as the lookup
+    and its cell-ordered points, or a probe's query groups with their sort
+    order as the lookup.  The NumPy emitter reads ``ordered`` and
+    ``lookup``; the compiled pair kernels read ``points`` and ``lookup``,
+    and get no ``ordered`` copy.
+    """
+
+    points: np.ndarray
+    lookup: np.ndarray
+    starts: np.ndarray
+    counts: np.ndarray
+    ordered: Optional[np.ndarray]
+
+
+def _index_side(index: GridIndex, native_kernel: Optional[Callable]) -> _JoinSide:
+    """The index as a join side, with its cached cell-ordered points on the
+    NumPy tier."""
+    return _JoinSide(index.points, index.A, index.cell_starts, index.cell_counts,
+                     None if native_kernel is not None
+                     else index.cell_ordered_points())
 
 
 def _emit_pairs(sink: PairFragments, q_side: _JoinSide, q_cells: np.ndarray,
@@ -494,18 +697,23 @@ def _emit_pairs(sink: PairFragments, q_side: _JoinSide, q_cells: np.ndarray,
     query point; where ``mirror[k]`` is set (UNICOMP's non-home pairs) each
     match is followed by its reverse, as the compiled kernels emit it, so
     the stream does not depend on the chunking.  ``key_map`` maps emitted
-    keys (a probe's local rows to global rows).  With ``native_kernel`` the
-    expand/filter step runs as a compiled pair kernel writing into
-    preallocated buffers instead of the NumPy ragged expansion.
+    keys (a probe's local rows to global rows).
+
+    The cell pairs come from a self-join's cached adjacency or a probe's
+    walk (:func:`_visit_cell_pairs`); this step runs on every call.  On the
+    NumPy tier the candidates are positions into both sides: coordinates
+    are gathered from the sides' cell-ordered copies, where a cell's points
+    are contiguous, and only the matches are mapped to point ids through
+    the lookups.  With ``native_kernel`` the expand/filter step runs as a
+    compiled pair kernel on the sides' points and lookups, writing into
+    preallocated buffers.
     """
-    q_points, q_lookup, q_starts, q_counts = q_side
-    c_points, c_lookup, c_starts, c_counts = c_side
     # Gather the CSR ranges of the cell pairs once; the chunk loop slices
     # these instead of re-indexing starts/counts for every chunk.
-    sizes_q = q_counts.take(q_cells)
-    sizes_c = c_counts.take(c_cells)
-    starts_q = q_starts.take(q_cells)
-    starts_c = c_starts.take(c_cells)
+    sizes_q = q_side.counts.take(q_cells)
+    sizes_c = c_side.counts.take(c_cells)
+    starts_q = q_side.starts.take(q_cells)
+    starts_c = c_side.starts.take(c_cells)
     pair_counts = sizes_q * sizes_c
     n_dist = 0
     for lo, hi in _chunk_boundaries(pair_counts, max_candidate_pairs):
@@ -519,20 +727,20 @@ def _emit_pairs(sink: PairFragments, q_side: _JoinSide, q_cells: np.ndarray,
             capacity = chunk_total + int(pair_counts[lo:hi][twice].sum())
             keys = np.empty(capacity, dtype=np.int64)
             values = np.empty(capacity, dtype=np.int64)
-            n = native_kernel(q_points, c_points, q_lookup, c_lookup, *chunk,
-                              eps2, keys, values, twice)
+            n = native_kernel(q_side.points, c_side.points, q_side.lookup,
+                              c_side.lookup, *chunk, eps2, keys, values, twice)
             # Copy off the oversized buffers so the sink holds right-sized
             # fragments, not views pinning full-capacity allocations.
             sink.emit(keys[:n].copy() if key_map is None else key_map[keys[:n]],
                       values[:n].copy())
             continue
-        q_idx, c_idx = _expand_cell_pairs(q_lookup, c_lookup, *chunk)
+        q_pos, c_pos = _expand_cell_pairs(*chunk)
         # ndarray.take gathers rows about twice as fast as indexing.
-        diff = q_points.take(q_idx, axis=0)
-        diff -= c_points.take(c_idx, axis=0)
+        diff = q_side.ordered.take(q_pos, axis=0)
+        diff -= c_side.ordered.take(c_pos, axis=0)
         hit = np.flatnonzero(np.einsum("ij,ij->i", diff, diff) <= eps2)
-        q_sel = q_idx.take(hit)
-        c_sel = c_idx.take(hit)
+        q_sel = q_side.lookup.take(q_pos.take(hit))
+        c_sel = c_side.lookup.take(c_pos.take(hit))
         if mirror is None:
             sink.emit(q_sel if key_map is None else key_map.take(q_sel), c_sel)
             continue
@@ -574,8 +782,7 @@ def _chunk_boundaries(pair_counts: np.ndarray, max_candidate_pairs: int) -> List
     return boundaries
 
 
-def _expand_cell_pairs(src_lookup: np.ndarray, tgt_lookup: np.ndarray,
-                       starts_s: np.ndarray, sizes_s: np.ndarray,
+def _expand_cell_pairs(starts_s: np.ndarray, sizes_s: np.ndarray,
                        starts_t: np.ndarray, sizes_t: np.ndarray,
                        ) -> tuple[np.ndarray, np.ndarray]:
     """Expand (source cell, target cell) pairs into all candidate point pairs.
@@ -585,23 +792,15 @@ def _expand_cell_pairs(src_lookup: np.ndarray, tgt_lookup: np.ndarray,
     k-th cell pair, with ``s_k`` source and ``t_k`` target points, yields
     its ``s_k * t_k`` candidates source-row-major, in two ragged steps: the
     pair becomes ``s_k`` source rows (arrays of row length), and each row
-    becomes ``t_k`` candidates, one ``np.repeat`` of its source id and a
-    running position in the target cell's range.  Positions index the
-    point lookup arrays: ``src_lookup`` for the source side and
-    ``tgt_lookup`` for the target side (the index's ``A`` for both in a
-    self-join; a probe's group order and ``A`` in a probe).
+    becomes ``t_k`` candidates, one ``np.repeat`` of its source position
+    and a running position in the target cell's range.  Returns positions
+    into the two sides' CSR order (see :class:`_JoinSide`), not point ids.
     """
     # ndarray methods, not np.* wrappers: single-point probes call this on
     # arrays of a few elements.
     row_len = sizes_t.repeat(sizes_s)
-    total = int(row_len.sum())
-    if total == 0:
+    if int(row_len.sum()) == 0:
         return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
-    # A running index plus a per-row (per-candidate) base yields each
-    # position: base = range start minus where the pair's (row's) run begins.
-    src_pos = (starts_s - (sizes_s.cumsum() - sizes_s)).repeat(sizes_s)
-    src_pos += np.arange(src_pos.shape[0], dtype=np.int64)
-    tgt_pos = (starts_t.repeat(sizes_s)
-               - (row_len.cumsum() - row_len)).repeat(row_len)
-    tgt_pos += np.arange(total, dtype=np.int64)
-    return src_lookup.take(src_pos).repeat(row_len), tgt_lookup.take(tgt_pos)
+    src_pos = _ragged_positions(starts_s, sizes_s)
+    tgt_pos = _ragged_positions(starts_t.repeat(sizes_s), row_len)
+    return src_pos.repeat(row_len), tgt_pos

@@ -61,6 +61,8 @@ from repro.core.kernels import (
     DEFAULT_MAX_CANDIDATE_PAIRS,
     KernelStats,
     _emit_pairs,
+    _index_side,
+    _JoinSide,
     _run_tiered,
     _walk_cell_pairs,
     selfjoin_global_cellwise,
@@ -419,9 +421,11 @@ def _vectorized_probe(queries: np.ndarray, index: GridIndex, eps: float,
     The query points are grouped by their cell in the index's grid, so
     co-located queries share one adjacent-cell resolution.  The groups' cell
     coordinates are walked against all 3^k offsets of the k indexed dims by
-    :func:`repro.core.kernels._walk_cell_pairs`, and every resolved (query
+    :func:`repro.core.kernels._walk_cell_pairs` on every call (query cells
+    are arbitrary, so no adjacency is cached), and every resolved (query
     group, index cell) pair is expanded and distance-filtered by the shared
-    emitter, which maps the group-local keys back to global rows.
+    emitter, which gathers from the groups' and the index's cell-ordered
+    points and maps the group-local keys back to global rows.
     ``native_kernel`` swaps the expand/filter step for a compiled pair
     kernel from :mod:`repro.core.nativekernels`.
     """
@@ -431,11 +435,13 @@ def _vectorized_probe(queries: np.ndarray, index: GridIndex, eps: float,
         return stats
     probe_pts = queries[rows]
     group_coords, order, starts, counts = _group_by_cell(probe_pts, index)
-    groups = (probe_pts, order, starts, counts)
-    cells = (index.points, index.A, index.cell_starts, index.cell_counts)
+    groups = _JoinSide(probe_pts, order, starts, counts,
+                       None if native_kernel is not None
+                       else probe_pts.take(order, axis=0))
+    cells = _index_side(index, native_kernel)
     before = sink.num_pairs
     for src, tgt, checked, _ in _walk_cell_pairs(index, group_coords):
-        stats.cells_checked += checked
+        stats.cells_checked += int(checked.sum())
         stats.nonempty_cells_visited += int(src.shape[0])
         stats.distance_calcs += _emit_pairs(
             sink, groups, src, cells, tgt, eps * eps, max_candidate_pairs,

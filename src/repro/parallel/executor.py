@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import abc
 import queue
+import threading
 import time
 from collections import OrderedDict
 from dataclasses import dataclass, field
@@ -89,6 +90,9 @@ class ShardDataset:
     ids: Optional[np.ndarray] = None
     store: Optional[object] = None
     indexes: "OrderedDict[tuple, GridIndex]" = field(default_factory=OrderedDict)
+    #: Guards ``indexes``: a worker may run two shards at once.
+    _lock: threading.Lock = field(default_factory=threading.Lock,
+                                  repr=False, compare=False)
 
     @classmethod
     def from_store(cls, store, inner: str) -> "ShardDataset":
@@ -109,20 +113,21 @@ class ShardDataset:
 
         The parent sends the dims its planner chose, so a worker builds
         the parent's grid exactly: same ``B``, same cell indices, same
-        stream.
+        stream.  Shards that miss together wait for one build.
         """
         if dims is None:
             dims = range(self.points.shape[1])
         key = (float(index_eps), tuple(sorted(int(j) for j in dims)))
-        index = self.indexes.get(key)
-        if index is None:
-            index = GridIndex.build(self.points, key[0], dims=key[1])
-            self.indexes[key] = index
-            while len(self.indexes) > INDEX_CACHE_SIZE:
-                self.indexes.popitem(last=False)
-        else:
-            self.indexes.move_to_end(key)
-        return index
+        with self._lock:
+            index = self.indexes.get(key)
+            if index is None:
+                index = GridIndex.build(self.points, key[0], dims=key[1])
+                self.indexes[key] = index
+                while len(self.indexes) > INDEX_CACHE_SIZE:
+                    self.indexes.popitem(last=False)
+            else:
+                self.indexes.move_to_end(key)
+            return index
 
 
 def _chunk_bound(params: dict) -> int:

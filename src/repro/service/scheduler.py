@@ -1,18 +1,13 @@
 """Admission scheduling and request fusion for the query service.
 
-The paper sizes GPU batches with sampled work estimates (per-cell self-join
-costs, per-probe-row costs); the service reuses exactly that currency as an
-*admission scheduler*: a burst of single-point range (or kNN) queries
-against the same ``(dataset, ε)`` — the signature workload of "many users,
-one resident catalog" — is fused into **one** bipartite batch per scheduler
-tick.  The fused probe rows are cost-weighted with
-:func:`repro.core.batching.estimate_probe_row_costs` and partitioned into
-cost-balanced sub-batches with :func:`repro.core.batching.split_by_cost`
-(one query probing a dense region no longer rides with — and stalls — a
-dozen probing empty space), executed through the shared operator seam, and
-the merged CSR result is de-multiplexed back into per-client slices.  The
-per-row answers are bit-identical to running each query alone: the probe
-operator's pair set for a row depends only on that row's point.
+A burst of single-point range (or kNN) queries against the same
+``(dataset, ε)`` — the signature workload of "many users, one resident
+catalog" — is fused into **one** bipartite probe per scheduler tick, run
+through the session backend's probe operator (a ``sharded`` or parallel
+backend splits it into cost-balanced shards itself), and the CSR result is
+de-multiplexed back into per-client slices.  The per-row answers are
+bit-identical to running each query alone: the probe operator's pair set
+for a row depends only on that row's point.
 
 Everything here is synchronous and socket-free so the fusion and deadline
 logic can be unit-tested in isolation; :mod:`repro.service.server` provides
@@ -29,7 +24,6 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.apps.knn import knn_search
-from repro.core.batching import estimate_probe_row_costs, split_by_cost
 from repro.core.result import PairFragments
 from repro.engine.session import EngineSession
 from repro.service import protocol
@@ -42,9 +36,6 @@ from repro.utils.cancellation import (
 
 #: Result pairs per streamed response chunk (bounded frames, ~1 MiB each).
 DEFAULT_CHUNK_PAIRS = 65536
-
-#: Cost-balanced sub-batches a fused probe batch is split into per tick.
-DEFAULT_FUSION_SUBBATCHES = 4
 
 #: Ops whose single-point instances the scheduler may fuse.
 FUSABLE_OPS = frozenset({"range_query", "knn"})
@@ -223,10 +214,8 @@ def _post_pairs_chunked(post: Callable[[np.ndarray, np.ndarray], None],
 # execution
 # --------------------------------------------------------------------------
 def execute_fused_range(session: EngineSession, reqs: Sequence[PendingRequest],
-                        eps: float, *,
-                        n_subbatches: int = DEFAULT_FUSION_SUBBATCHES,
-                        ) -> List[Tuple[np.ndarray, np.ndarray]]:
-    """Run fused single-point range queries as one cost-balanced batch.
+                        eps: float) -> List[Tuple[np.ndarray, np.ndarray]]:
+    """Run fused single-point range queries as one probe.
 
     Returns one ``(keys, values)`` pair-array slice per request (keys are
     local row ids, always 0 for single-point members).  Row ``i`` of the
@@ -235,14 +224,8 @@ def execute_fused_range(session: EngineSession, reqs: Sequence[PendingRequest],
     """
     stacked = np.concatenate([r.points for r in reqs]).astype(np.float64,
                                                               copy=False)
-    index = session.index_for(eps)
-    # The admission scheduler's currency: the same sampled per-probe-row
-    # work model that sizes the paper's GPU batches balances the fused
-    # batch across sub-batches here.
-    costs = estimate_probe_row_costs(stacked, index)
     sink = PairFragments(stacked.shape[0])
-    for rows in split_by_cost(costs, min(n_subbatches, stacked.shape[0])):
-        session.backend.run_probe(stacked, index, eps, sink, rows=rows)
+    session.backend.run_probe(stacked, session.index_for(eps), eps, sink)
     keys, values = sink.concatenated()
     order = np.argsort(keys, kind="stable")
     keys, values = keys[order], values[order]

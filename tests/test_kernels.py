@@ -309,7 +309,9 @@ class TestCellPairWalker:
         index = GridIndex.build(points, 0.25)
         reference = run_pinned(index, queries)
         monkeypatch.setattr(K, "_WALK_ROWS", walk_rows)
-        assert run_pinned(index, queries) == reference
+        # A fresh index: the first one keeps its walked cell pairs, and a
+        # self-join on it would read them back instead of walking.
+        assert run_pinned(GridIndex.build(points, 0.25), queries) == reference
 
 
 def run_pinned(index, queries):
