@@ -9,7 +9,7 @@ experiments (``SelfJoinConfig``, the figures and Table II) pin
 ``min_batches=3`` to keep the ≥3-batch overlap scheme.  This module provides:
 
 * :class:`BatchPlanner` — sizes the per-batch result buffer against the
-  host memory left once the dataset and index are placed
+  host memory left once the dataset, the index and its caches are placed
   (:meth:`BatchPlanner.buffer_capacity_pairs`, :func:`host_memory_bytes`),
   estimates the total result size by joining a sample of the non-empty
   cells, and splits the non-empty cells into work-balanced batches (never
@@ -72,7 +72,8 @@ class BatchPlan:
     buffer_capacity_pairs:
         Capacity of the per-batch result buffer in pairs.
     data_bytes:
-        Bytes taken by the dataset and its index.
+        Bytes taken by the dataset, its index and the index's kept
+        caches (:func:`data_bytes`).
     """
 
     cell_batches: List[np.ndarray]
@@ -207,7 +208,7 @@ class BatchPlanner:
             cell_batches=cell_batches,
             estimated_total_pairs=int(estimated_pairs),
             buffer_capacity_pairs=int(buffer_capacity_pairs),
-            data_bytes=_data_bytes(index),
+            data_bytes=data_bytes(index),
         )
 
     def buffer_capacity_pairs(self, index: GridIndex) -> int:
@@ -216,7 +217,7 @@ class BatchPlanner:
         The buffer gets ``result_buffer_fraction`` of ``memory_bytes`` left
         over once the dataset and the index are placed.
         """
-        free_bytes = max(0, self.memory_bytes - _data_bytes(index))
+        free_bytes = max(0, self.memory_bytes - data_bytes(index))
         buffer_bytes = int(free_bytes * self.result_buffer_fraction)
         return max(1, buffer_bytes // PAIR_BYTES)
 
@@ -230,9 +231,16 @@ def host_memory_bytes() -> int:
     return int(min(physical, soft))
 
 
-def _data_bytes(index: GridIndex) -> int:
-    """Bytes taken by the dataset and its grid index."""
-    return int(index.points.nbytes + index.memory_footprint())
+def data_bytes(index: GridIndex) -> int:
+    """Bytes taken by the dataset and its grid index: the points, the
+    paper's index arrays (:meth:`GridIndex.memory_footprint`) and what the
+    kernels keep on the index so far (:meth:`GridIndex.cached_nbytes`).
+
+    A self-join's sample estimate fills the index's caches, so a plan made
+    after one counts them.
+    """
+    return int(index.points.nbytes + index.memory_footprint()
+               + index.cached_nbytes())
 
 
 def split_by_cost(costs: np.ndarray, n_parts: int) -> List[np.ndarray]:

@@ -33,7 +33,6 @@ otherwise, which is the paper's layout.
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass, field
 from typing import (Any, Callable, Dict, Hashable, List, Optional, Sequence,
                     Tuple, TypeVar)
@@ -42,6 +41,7 @@ import numpy as np
 
 from repro.core import linearize as lin
 from repro.core.result import sort_pairs
+from repro.utils.buildonce import KeyedBuilds
 from repro.utils.validation import check_eps, ensure_2d_float64
 
 T = TypeVar("T")
@@ -114,13 +114,14 @@ class GridIndex:
         (``M_j``).
 
     Besides these arrays an index keeps data derived from them, each
-    built lazily, once, under the index's lock (:meth:`cached`): its
+    built lazily and once (:meth:`cached`): its
     points in ``A`` order (:meth:`cell_ordered_points`), and per UNICOMP
     flag the self-join's cell-pair adjacency
     (:class:`repro.core.kernels.CellAdjacency`).  They live and die with
     the index, in whichever cache holds it.  :meth:`memory_footprint`
     stays the paper's ``B`` + ``G`` + ``A`` + ``M`` size and does not
-    count them.
+    count them (:meth:`cached_nbytes` does); the kernels keep at most
+    nine times the bytes of the points.
     """
 
     points: np.ndarray
@@ -140,8 +141,8 @@ class GridIndex:
     masks: List[np.ndarray] = field(default_factory=list)
     _derived: Dict[Hashable, Any] = field(
         default_factory=dict, init=False, repr=False, compare=False)
-    _derived_lock: threading.RLock = field(
-        default_factory=threading.RLock, init=False, repr=False, compare=False)
+    _derived_builds: KeyedBuilds = field(
+        default_factory=KeyedBuilds, init=False, repr=False, compare=False)
 
     # ------------------------------------------------------------------ build
     @classmethod
@@ -276,19 +277,21 @@ class GridIndex:
     def cached(self, key: Hashable, build: Callable[[], T]) -> T:
         """``build()``, run once per ``key`` and kept for the index's life.
 
-        The first caller builds under the index's lock (one for all
-        keys), and callers that arrive meanwhile wait instead of building
-        their own; later callers read the kept value without locking.  A
-        build that raises keeps nothing.
+        The first caller builds; callers of the same key that arrive
+        meanwhile wait for that build instead of running their own, while
+        other keys are built and read as usual (:class:`KeyedBuilds`).
+        Later callers read the kept value without locking.  A build that
+        raises keeps nothing.
         """
         try:
             return self._derived[key]
         except KeyError:
-            pass
-        with self._derived_lock:
-            if key not in self._derived:
-                self._derived[key] = build()
-            return self._derived[key]
+            return self._derived_builds.get(self._derived, key, build)
+
+    def cached_nbytes(self) -> int:
+        """Bytes of the derived data kept so far (:meth:`cached`)."""
+        return int(sum(getattr(value, "nbytes", 0)
+                       for value in list(self._derived.values())))
 
     def cell_ordered_points(self) -> np.ndarray:
         """``points`` in ``A`` order: row ``p`` is point ``A[p]``, so the

@@ -35,19 +35,21 @@ index and the UNICOMP flag, so each :class:`GridIndex` keeps them: one
 living and dying with the index in whichever cache holds it (the session's
 per-ε LRU, a worker's :class:`~repro.parallel.executor.ShardDataset` LRU,
 the inline ``sharded`` dataset).  The first self-join on an index walks
-every non-empty cell once, even when it asks for one shard's cells: a
-whole-index call emits each walk group as it stores it, a subset call
-stores the whole walk and then reads its subset back.  Every later
-self-join on that index, for any cell subset, reads the stored pairs and
-does not walk.  A cold shard therefore walks the whole index once per
-process: a one-shot ``multiprocess(2)`` call builds the index and walks it
-in each of its two workers.  An adjacency past a byte bound derived from
-the index (:data:`_ADJACENCY_BYTES_PER_POINT_BYTE`) is not kept, and every
-call walks its own cells as before.  Probes always walk (their query cells
-are arbitrary), and so do the sampled cost estimators.  The index also
-keeps its points in ``A`` order
+every non-empty cell once, even when it asks for one shard's cells, and
+stores the walk; that call and every later self-join on the index, for
+any cell subset, read their cells back from the store and do not walk.
+A cold shard therefore walks the whole index once per process: a one-shot
+``multiprocess(2)`` call builds the index and walks it in each of its two
+workers.  An adjacency past a byte bound derived from the index
+(:data:`_ADJACENCY_BYTES_PER_POINT_BYTE`) is not kept, and every call
+walks its own cells as before.  Probes always walk (their query cells are
+arbitrary), and so do the sampled cost estimators.  The index also keeps
+its points in ``A`` order
 (:meth:`~repro.core.gridindex.GridIndex.cell_ordered_points`), from which
-the NumPy emitter gathers coordinates.
+the NumPy emitter gathers coordinates.  Together these keep at most nine
+times the bytes of the points per index (one copy plus two adjacencies
+of four), and the batch planner counts what an index keeps
+(:meth:`~repro.core.gridindex.GridIndex.cached_nbytes`).
 
 All kernels operate on an optional subset of source cells so the batching
 scheme (Section V-A) can split the work into ≥ 3 batches whose union is the
@@ -426,6 +428,11 @@ def _neighbor_offsets(n_dims: int) -> Tuple[np.ndarray, np.ndarray]:
     return offsets, top
 
 
+def _group_cells(index: GridIndex) -> int:
+    """Source cells per walker group: ``_WALK_ROWS`` rows of 3^k offsets."""
+    return max(1, _WALK_ROWS // 3 ** index.num_grid_dims)
+
+
 def _walk_cell_pairs(index: GridIndex, coords: np.ndarray, unicomp: bool = False,
                      ) -> Iterator[Tuple[np.ndarray, np.ndarray, np.ndarray,
                                          Optional[np.ndarray]]]:
@@ -436,10 +443,10 @@ def _walk_cell_pairs(index: GridIndex, coords: np.ndarray, unicomp: bool = False
     offsets; under ``unicomp`` only with those Algorithm 2 selects: the
     home cell, and the offsets whose highest non-zero dimension ``j`` has
     an odd ``j`` coordinate in the source cell.  The rows are broadcast
-    source-cell-major in groups of whole source cells, at most
-    ``_WALK_ROWS`` rows unless one cell alone is more.  Each group is
-    filtered by the grid bounds and the per-dimension
-    masks ``M_j`` and resolved with one binary search of ``B``, the search
+    source-cell-major in groups of :func:`_group_cells` whole source
+    cells, at most ``_WALK_ROWS`` rows unless one cell alone is more.
+    Each group is filtered by the grid bounds and the per-dimension masks
+    ``M_j`` and resolved with one binary search of ``B``, the search
     of :meth:`~repro.core.gridindex.GridIndex.lookup_cells` (Algorithm 1,
     lines 6-11).  Per group this yields ``(src, tgt, checked, mirror)``:
     positions into ``coords`` and indices into ``B`` of the non-empty
@@ -476,7 +483,7 @@ def _walk_cell_pairs(index: GridIndex, coords: np.ndarray, unicomp: bool = False
     B = index.B
     base = index.coords_to_linear(coords)
     shift = index.coords_to_linear(offsets)
-    step = max(1, _WALK_ROWS // offsets.shape[0])
+    step = _group_cells(index)
     for lo in range(0, n_src, step):
         check_cancelled()
         # An offset passes where every coordinate does: the outer product
@@ -506,12 +513,10 @@ def _walk_cell_pairs(index: GridIndex, coords: np.ndarray, unicomp: bool = False
 # --------------------------------------------------------------------------
 #: Byte bound of a cached adjacency, as a multiple of the bytes of the
 #: indexed points: a cache may not outgrow a few copies of the data it
-#: indexes.  Past it the adjacency is not kept and each call walks.
+#: indexes.  Past it the adjacency is not kept and each call walks.  The
+#: bound is per UNICOMP flag, so an index keeps at most twice this plus
+#: its cell-ordered copy of the points.
 _ADJACENCY_BYTES_PER_POINT_BYTE = 4
-
-#: Cell pairs per group read back from a cached adjacency (whole source
-#: cells, so a cell with more pairs is a group of its own).
-_CACHED_GROUP_PAIRS = 8192
 
 
 @dataclass(frozen=True)
@@ -531,6 +536,12 @@ class CellAdjacency:
     targets: np.ndarray
     checked: np.ndarray
 
+    @property
+    def nbytes(self) -> int:
+        """Bytes of the three arrays."""
+        return int(self.starts.nbytes + self.targets.nbytes
+                   + self.checked.nbytes)
+
 
 def _visit_cell_pairs(index: GridIndex, cells: Optional[np.ndarray],
                       unicomp: bool,
@@ -548,28 +559,20 @@ def _visit_cell_pairs(index: GridIndex, cells: Optional[np.ndarray],
     counters do not depend on whether they were walked or read back.
 
     On the index's first self-join (per UNICOMP flag) this walks every
-    non-empty cell once and stores the walk as a :class:`CellAdjacency`
-    under the index's lock; a whole-index call visits each group while it
-    stores it, so the walk output is never passed over twice.  Later calls
-    read their cells back: a contiguous cell range is one slice of the
-    store, any other subset one ragged gather per group.  Past the byte
-    bound nothing is stored and each call walks its own cells.  A
-    cancellation checkpoint runs before every group either way.
+    non-empty cell once, whatever ``cells`` asks for, and stores the walk
+    as a :class:`CellAdjacency` (:meth:`GridIndex.cached
+    <repro.core.gridindex.GridIndex.cached>`).  Every call, that first one
+    included, then reads its cells back in the walker's groups of source
+    cells (:func:`_group_cells`), so the emitter gets the groups an
+    uncached walk of ``cells`` would give it: a contiguous cell range is
+    one slice of the store, any other subset one ragged gather per group.
+    Past the byte bound nothing is stored and each call walks its own
+    cells.  A cancellation checkpoint runs before every group either way.
     """
     if cells is not None and cells.shape[0] == 0:
         return
-    whole = cells is None or (cells.shape[0] == index.num_nonempty_cells
-                              and cells[0] == 0 and _is_cell_range(cells))
-    walked = False
-
-    def walk_and_store() -> Optional[CellAdjacency]:
-        nonlocal walked
-        walked = whole
-        return _walk_adjacency(index, unicomp, visit if whole else None)
-
-    adjacency = index.cached(("cell_pairs", unicomp), walk_and_store)
-    if walked:
-        return
+    adjacency = index.cached(("cell_pairs", unicomp),
+                             lambda: _walk_adjacency(index, unicomp))
     if adjacency is None:
         coords = index.cell_coords if cells is None else index.cell_coords[cells]
         for src, tgt, checked, mirror in _walk_cell_pairs(index, coords, unicomp):
@@ -581,8 +584,10 @@ def _visit_cell_pairs(index: GridIndex, cells: Optional[np.ndarray],
     first = adjacency.starts.take(cells)
     sizes = adjacency.starts.take(cells + 1) - first
     contiguous = _is_cell_range(cells)
-    for lo, hi in _chunk_boundaries(sizes, _CACHED_GROUP_PAIRS):
+    step = _group_cells(index)
+    for lo in range(0, cells.shape[0], step):
         check_cancelled()
+        hi = min(lo + step, cells.shape[0])
         group_sizes = sizes[lo:hi]
         if contiguous:
             tgt = adjacency.targets[first[lo]:first[hi - 1] + sizes[hi - 1]]
@@ -594,16 +599,10 @@ def _visit_cell_pairs(index: GridIndex, cells: Optional[np.ndarray],
               tgt != src if unicomp else None)
 
 
-def _walk_adjacency(index: GridIndex, unicomp: bool,
-                    visit: Optional[Callable] = None,
-                    ) -> Optional[CellAdjacency]:
+def _walk_adjacency(index: GridIndex, unicomp: bool) -> Optional[CellAdjacency]:
     """Walk every non-empty cell once and keep the pairs as a
-    :class:`CellAdjacency`; ``None`` past the byte bound.
-
-    With ``visit`` every walk group is also passed on as it is walked (the
-    whole-index self-join emitting while it fills), and the walk runs to
-    the end past the bound; without, it stops there.
-    """
+    :class:`CellAdjacency`; ``None`` (and the walk stops) past the byte
+    bound."""
     n_cells = index.num_nonempty_cells
     dtype = np.dtype(np.int32 if n_cells <= np.iinfo(np.int32).max
                      else np.int64)
@@ -611,27 +610,18 @@ def _walk_adjacency(index: GridIndex, unicomp: bool,
     checked = np.empty(n_cells, dtype=np.int32)
     budget = _ADJACENCY_BYTES_PER_POINT_BYTE * index.points.nbytes \
         - starts.nbytes - checked.nbytes
-    targets: Optional[List[np.ndarray]] = [np.empty(0, dtype=dtype)]
+    targets = [np.empty(0, dtype=dtype)]
     lo = 0
-    for src, tgt, group_checked, mirror in _walk_cell_pairs(
+    for src, tgt, group_checked, _ in _walk_cell_pairs(
             index, index.cell_coords, unicomp):
-        if visit is not None:
-            visit(src, tgt, int(group_checked.sum()), mirror)
-        if targets is None:
-            continue
         budget -= tgt.shape[0] * dtype.itemsize
         if budget < 0:
-            if visit is None:
-                return None
-            targets = None
-            continue
+            return None
         hi = lo + group_checked.shape[0]
         targets.append(tgt.astype(dtype))
         checked[lo:hi] = group_checked
         starts[lo + 1:hi + 1] = np.bincount(src - lo, minlength=hi - lo)
         lo = hi
-    if targets is None:
-        return None
     np.cumsum(starts, out=starts)
     return CellAdjacency(starts=starts, targets=np.concatenate(targets),
                          checked=checked)

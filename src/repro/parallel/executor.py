@@ -30,7 +30,6 @@ from __future__ import annotations
 
 import abc
 import queue
-import threading
 import time
 from collections import OrderedDict
 from dataclasses import dataclass, field
@@ -57,6 +56,7 @@ from repro.parallel.scheduler import (
     WorkStealingScheduler,
 )
 from repro.parallel.shards import probe_tasks, selfjoin_tasks, stream_tasks
+from repro.utils.buildonce import KeyedBuilds
 from repro.utils.cancellation import check_cancelled
 
 #: LRU bound on a worker's per-ε index cache (the kNN radius-doubling loop
@@ -90,9 +90,10 @@ class ShardDataset:
     ids: Optional[np.ndarray] = None
     store: Optional[object] = None
     indexes: "OrderedDict[tuple, GridIndex]" = field(default_factory=OrderedDict)
-    #: Guards ``indexes``: a worker may run two shards at once.
-    _lock: threading.Lock = field(default_factory=threading.Lock,
-                                  repr=False, compare=False)
+    #: Builds each index once and guards ``indexes``: a worker may run two
+    #: shards at once.
+    _builds: KeyedBuilds = field(default_factory=KeyedBuilds,
+                                 repr=False, compare=False)
 
     @classmethod
     def from_store(cls, store, inner: str) -> "ShardDataset":
@@ -113,21 +114,24 @@ class ShardDataset:
 
         The parent sends the dims its planner chose, so a worker builds
         the parent's grid exactly: same ``B``, same cell indices, same
-        stream.  Shards that miss together wait for one build.
+        stream.  Shards that miss one key together wait for one build;
+        lookups of other keys do not wait for it.
         """
         if dims is None:
             dims = range(self.points.shape[1])
         key = (float(index_eps), tuple(sorted(int(j) for j in dims)))
-        with self._lock:
+        with self._builds.lock:
             index = self.indexes.get(key)
-            if index is None:
-                index = GridIndex.build(self.points, key[0], dims=key[1])
-                self.indexes[key] = index
-                while len(self.indexes) > INDEX_CACHE_SIZE:
-                    self.indexes.popitem(last=False)
-            else:
+            if index is not None:
                 self.indexes.move_to_end(key)
-            return index
+                return index
+        index = self._builds.get(
+            self.indexes, key,
+            lambda: GridIndex.build(self.points, key[0], dims=key[1]))
+        with self._builds.lock:
+            while len(self.indexes) > INDEX_CACHE_SIZE:
+                self.indexes.popitem(last=False)
+        return index
 
 
 def _chunk_bound(params: dict) -> int:

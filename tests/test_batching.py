@@ -12,6 +12,7 @@ import pytest
 from repro.core.batching import (
     PAIR_BYTES,
     BatchPlanner,
+    data_bytes,
     execute_batched,
     host_memory_bytes,
     split_cells_balanced,
@@ -83,8 +84,7 @@ class TestPlanner:
 
     def test_small_memory_forces_more_batches(self, index_2d, eps_2d):
         truth = selfjoin_global_vectorized(index_2d, eps_2d).result.num_pairs
-        tiny_bytes = index_2d.points.nbytes + index_2d.memory_footprint() \
-            + truth * PAIR_BYTES // 4
+        tiny_bytes = data_bytes(index_2d) + truth * PAIR_BYTES // 4
         planner = BatchPlanner(memory_bytes=int(tiny_bytes), min_batches=3,
                                result_buffer_fraction=1.0, sample_fraction=1.0,
                                max_sample_cells=10 ** 9)

@@ -26,6 +26,7 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 from repro.core import kernels as K
+from repro.core.batching import BatchPlanner, data_bytes
 from repro.core.gridindex import GridIndex
 from repro.core.result import PairFragments
 from repro.data.synthetic import uniform_dataset
@@ -171,9 +172,32 @@ class TestByteBound:
         adjacency = kept_adjacency(index, True)
         assert adjacency.targets.dtype == np.int32
         assert adjacency.starts[-1] == adjacency.targets.shape[0]
-        nbytes = (adjacency.starts.nbytes + adjacency.targets.nbytes
-                  + adjacency.checked.nbytes)
-        assert nbytes <= K._ADJACENCY_BYTES_PER_POINT_BYTE * index.points.nbytes
+        assert adjacency.nbytes == (adjacency.starts.nbytes
+                                    + adjacency.targets.nbytes
+                                    + adjacency.checked.nbytes)
+        assert adjacency.nbytes \
+            <= K._ADJACENCY_BYTES_PER_POINT_BYTE * index.points.nbytes
+
+    def test_batch_planner_counts_the_kept_bytes(self):
+        index = GridIndex.build(uniform_dataset(2000, 3, seed=2, low=0, high=1),
+                                0.05)
+        paper_bytes = index.points.nbytes + index.memory_footprint()
+        planner = BatchPlanner(memory_bytes=4 * 1024 * 1024)
+        cold = planner.buffer_capacity_pairs(index)
+        assert index.cached_nbytes() == 0
+        assert data_bytes(index) == paper_bytes
+        for unicomp in (False, True):
+            run_query(Query.self_join(index.points, index.eps,
+                                      unicomp=unicomp),
+                      index=index, backend="vectorized")
+        kept = (index.cell_ordered_points().nbytes
+                + kept_adjacency(index, False).nbytes
+                + kept_adjacency(index, True).nbytes)
+        assert index.cached_nbytes() == kept
+        assert data_bytes(index) == paper_bytes + kept
+        assert kept <= (1 + 2 * K._ADJACENCY_BYTES_PER_POINT_BYTE) \
+            * index.points.nbytes
+        assert planner.buffer_capacity_pairs(index) < cold
 
     def test_cell_ordered_points(self):
         index = GridIndex.build(uniform_dataset(500, 4, seed=3, low=0, high=1),
@@ -232,6 +256,81 @@ def test_shard_dataset_builds_each_index_once(monkeypatch):
     assert len(builds) == 1
     assert all(index is got[0] for index in got)
     assert list(dataset.indexes) == [(0.1, (0, 2))]
+
+
+def finishes_while_blocked(blocked_build, other):
+    """Whether ``other()`` returns while ``blocked_build`` (a function
+    taking a build callback) is inside its build on another thread."""
+    started, release = threading.Event(), threading.Event()
+
+    def build():
+        started.set()
+        assert release.wait(timeout=30)
+        return "slow"
+
+    slow = threading.Thread(target=blocked_build, args=(build,))
+    slow.start()
+    try:
+        assert started.wait(timeout=10)
+        quick = threading.Thread(target=other)
+        quick.start()
+        quick.join(timeout=10)
+        return not quick.is_alive()
+    finally:
+        release.set()
+        slow.join(timeout=30)
+
+
+def test_index_caches_wait_per_key(monkeypatch):
+    index = GridIndex.build(uniform_dataset(500, 3, seed=7, low=0, high=1), 0.1)
+    assert finishes_while_blocked(
+        lambda build: index.cached("slow", build),
+        lambda: K._visit_cell_pairs(index, None, True,
+                                    lambda *group: None))
+    assert index.cached("slow", lambda: "rebuilt") == "slow"
+
+    # A cold build at one ε blocks neither a warm lookup nor a cold build
+    # at another.
+    dataset = ShardDataset(points=index.points, inner="vectorized")
+    warm = dataset.index_for(0.1)
+    real_build = GridIndex.build.__func__
+    slow = {}
+
+    def build(cls, points, eps, dims=None):
+        if eps == 0.2:
+            return slow["build"]()
+        return real_build(cls, points, eps, dims=dims)
+
+    def slow_index(slow_build):
+        slow["build"] = slow_build
+        dataset.index_for(0.2)
+
+    monkeypatch.setattr(GridIndex, "build", classmethod(build))
+    assert finishes_while_blocked(
+        slow_index, lambda: (dataset.index_for(0.1), dataset.index_for(0.3)))
+    assert dataset.index_for(0.1) is warm
+
+
+def test_failed_build_keeps_nothing_and_a_waiter_builds():
+    index = GridIndex.build(uniform_dataset(100, 2, seed=8, low=0, high=1), 0.2)
+    calls = []
+
+    def failing_then_fine(i):
+        def build():
+            calls.append(i)
+            time.sleep(0.05)
+            if len(calls) == 1:
+                raise RuntimeError("first build fails")
+            return "built"
+
+        try:
+            assert index.cached("key", build) == "built"
+        except RuntimeError:
+            pass
+
+    run_concurrently(failing_then_fine, 3)
+    assert len(calls) == 2
+    assert index.cached("key", lambda: "unused") == "built"
 
 
 @pytest.mark.parametrize("unicomp", [False, True])

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from repro import GPUSelfJoin, Query, QueryPlanner, SelfJoinConfig, run_query
-from repro.core.batching import PAIR_BYTES, BatchPlanner
+from repro.core.batching import PAIR_BYTES, BatchPlanner, data_bytes
 from repro.core.gridindex import GridIndex
 from repro.data.realworld import sw_dataset
 from repro.data.synthetic import uniform_dataset
@@ -178,8 +178,7 @@ class TestEngineTimingAndStats:
 
 def _planner_holding(index, pairs):
     """A default-config batch planner whose buffer holds exactly ``pairs``."""
-    data_bytes = index.points.nbytes + index.memory_footprint()
-    return BatchPlanner(memory_bytes=data_bytes + 2 * PAIR_BYTES * pairs,
+    return BatchPlanner(memory_bytes=data_bytes(index) + 2 * PAIR_BYTES * pairs,
                         min_batches=1)
 
 
