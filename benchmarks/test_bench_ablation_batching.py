@@ -25,12 +25,14 @@ def test_bench_batch_count_sweep(benchmark, write_report):
     n_points = bench_points(8000)
     points = uniform_dataset(n_points, 2, seed=2)
     eps = 0.5 * (10_000_000 / n_points) ** 0.5
-    index = GridIndex.build(points, eps)
     device = Device()
 
     def sweep():
+        # A fresh index per batch count: an index keeps the cell pairs of
+        # its first self-join, so a shared one would time later counts warm.
         rows = []
         for n_batches in (1, 3, 6, 12):
+            index = GridIndex.build(points, eps)
             plan = BatchPlan(cell_batches=split_cells_balanced(index, n_batches),
                              estimated_total_pairs=0, buffer_capacity_pairs=2 ** 62)
             result, _, report = execute_batched(index, eps, plan, kernel, device=device)

@@ -32,7 +32,6 @@ def test_bench_kernel_implementations(benchmark, write_report):
     n_points = min(2000, bench_points(2000))
     points = uniform_dataset(n_points, 2, seed=4)
     eps = 0.6 * (2_000_000 / n_points) ** 0.5
-    index = GridIndex.build(points, eps)
 
     tiers = [t for t, err in nk.kernel_tier_availability().items()
              if err is None]
@@ -40,14 +39,18 @@ def test_bench_kernel_implementations(benchmark, write_report):
         nk.warm_jit_cache()
 
     def run_all():
+        # A fresh index per variant: an index keeps the cell pairs of its
+        # first self-join, so a shared one would time later variants warm.
         rows = []
         for name, kernel in (("pointwise (Algorithm 1)", selfjoin_global_pointwise),
                              ("cellwise", selfjoin_global_cellwise),
                              ("vectorized (production)", selfjoin_global_vectorized)):
+            index = GridIndex.build(points, eps)
             with Timer() as t:
                 out = kernel(index)
             rows.append((name, t.elapsed, out.result.num_pairs))
         for tier in tiers:
+            index = GridIndex.build(points, eps)
             sink = PairFragments(index.num_points)
             with Timer() as t:
                 out = selfjoin_tiered(index, eps, sink=sink, tier=tier)

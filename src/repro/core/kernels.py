@@ -19,8 +19,11 @@ and its UNICOMP variant (Algorithm 2) are provided:
 ``vectorized``
     The production path, on both kernel tiers.  One loop-free walker
     (:func:`_walk_cell_pairs`) broadcasts source cell coordinates x
-    neighbor offsets in bounded row groups and resolves each group with
-    one vectorized binary search of ``B``; one emitter
+    neighbor offsets in bounded row groups, filters them by the masks
+    ``M_j`` and finds each candidate cell in one vectorized step: a dense
+    table of every grid cell's ``B`` position when the grid is small
+    next to the walk and the points, else a binary search of ``B``
+    (:func:`_dense_cell_table`); one emitter
     (:func:`_emit_pairs`) expands the cell pairs into point pairs and
     filters them by distance in bounded chunks.  UNICOMP
     keeps only the cell pairs Algorithm 2 selects.  The visited cell pairs
@@ -49,7 +52,11 @@ its points in ``A`` order
 the NumPy emitter gathers coordinates.  Together these keep at most nine
 times the bytes of the points per index (one copy plus two adjacencies
 of four), and the batch planner counts what an index keeps
-(:meth:`~repro.core.gridindex.GridIndex.cached_nbytes`).
+(:meth:`~repro.core.gridindex.GridIndex.cached_nbytes`).  The walker's
+dense cell table is not kept: each walk that takes it builds its own and
+drops it, so neither ``memory_footprint()`` nor ``cached_nbytes()``
+counts it.  Either lookup leaves ``cells_checked`` counting Algorithm 1's
+candidate lookups, the adjacent cells that pass the masks ``M_j``.
 
 All kernels operate on an optional subset of source cells so the batching
 scheme (Section V-A) can split the work into ≥ 3 batches whose union is the
@@ -428,9 +435,51 @@ def _neighbor_offsets(n_dims: int) -> Tuple[np.ndarray, np.ndarray]:
     return offsets, top
 
 
+@lru_cache(maxsize=None)
+def _parity_offsets(n_dims: int) -> np.ndarray:
+    """UNICOMP's selected offsets per parity class of source cell.
+
+    A read-only ``(2^n, 3^n)`` bool table over the offsets of
+    :func:`_neighbor_offsets`, in their order.  A source cell's class sets
+    bit ``j`` where its ``j`` coordinate is odd, and row ``c`` marks what
+    a class-``c`` cell evaluates under Algorithm 2: the home offset and
+    every offset whose highest non-zero dimension ``j`` has bit ``j``
+    set in ``c``.
+    """
+    _, top = _neighbor_offsets(n_dims)
+    classes = np.arange(2 ** n_dims, dtype=np.int64)[:, None]
+    selected = (top < 0) | ((classes >> np.maximum(top, 0)) & 1 == 1)
+    selected.setflags(write=False)
+    return selected
+
+
 def _group_cells(index: GridIndex) -> int:
     """Source cells per walker group: ``_WALK_ROWS`` rows of 3^k offsets."""
     return max(1, _WALK_ROWS // 3 ** index.num_grid_dims)
+
+
+def _position_dtype(n_cells: int) -> np.dtype:
+    """The narrowest of int32/int64 holding ``B`` positions of ``n_cells``."""
+    return np.dtype(np.int32 if n_cells <= np.iinfo(np.int32).max
+                    else np.int64)
+
+
+def _dense_cell_table(index: GridIndex, n_rows: int) -> Optional[np.ndarray]:
+    """Every cell of the full grid to its ``B`` position, ``-1`` where
+    empty; ``None`` where the walker should binary-search ``B`` instead.
+
+    The table costs a pass over the whole grid, so a walk of ``n_rows``
+    candidate rows takes it only when the grid has no more cells than
+    that, and when it is no larger than the indexed points.  It lives for
+    one walk and is kept nowhere.
+    """
+    dtype = _position_dtype(index.num_nonempty_cells)
+    total = index.total_cells
+    if total > n_rows or total * dtype.itemsize > index.points.nbytes:
+        return None
+    table = np.full(total, -1, dtype=dtype)
+    table[index.B] = np.arange(index.num_nonempty_cells, dtype=dtype)
+    return table
 
 
 def _walk_cell_pairs(index: GridIndex, coords: np.ndarray, unicomp: bool = False,
@@ -442,44 +491,55 @@ def _walk_cell_pairs(index: GridIndex, coords: np.ndarray, unicomp: bool = False
     of ``k`` indexed dims.  Each source cell is paired with the 3^k
     offsets; under ``unicomp`` only with those Algorithm 2 selects: the
     home cell, and the offsets whose highest non-zero dimension ``j`` has
-    an odd ``j`` coordinate in the source cell.  The rows are broadcast
+    an odd ``j`` coordinate in the source cell (one row of
+    :func:`_parity_offsets` per parity class).  The rows are broadcast
     source-cell-major in groups of :func:`_group_cells` whole source
     cells, at most ``_WALK_ROWS`` rows unless one cell alone is more.
-    Each group is filtered by the grid bounds and the per-dimension masks
-    ``M_j`` and resolved with one binary search of ``B``, the search
-    of :meth:`~repro.core.gridindex.GridIndex.lookup_cells` (Algorithm 1,
-    lines 6-11).  Per group this yields ``(src, tgt, checked, mirror)``:
-    positions into ``coords`` and indices into ``B`` of the non-empty
-    neighbor cells found; per source cell of the group, in order, the
-    number of candidate cells that passed the filter and were
-    binary-searched (the groups' ``checked`` arrays concatenate to one
-    entry per row of ``coords``); and, under ``unicomp``, which pairs are
-    non-home and so emit both ordered pairs (``None`` otherwise).
+
+    Each group is filtered by the per-dimension masks ``M_j``, which also
+    keep every candidate inside the grid (Algorithm 1, lines 6-10).  The
+    candidates that pass are Algorithm 1's lookups of ``B`` (line 11) and
+    are what ``checked`` counts, however they are then found: in a dense
+    table of every grid cell's ``B`` position, built for this call when
+    the grid is small enough (:func:`_dense_cell_table`), or else by the
+    binary search of :meth:`~repro.core.gridindex.GridIndex.lookup_cells`.
+    Both find the same cells.
+
+    Per group this yields ``(src, tgt, checked, mirror)``:
+
+    - ``src``: positions into ``coords`` of the pairs' source cells;
+    - ``tgt``: indices into ``B`` of the non-empty neighbor cells found;
+    - ``checked``: per source cell of the group, in order, the number of
+      candidate cells that passed the filter (the groups' arrays
+      concatenate to one entry per row of ``coords``);
+    - ``mirror``: under ``unicomp``, which pairs are non-home and so emit
+      both ordered pairs (``None`` otherwise).
 
     A self-join walks only to fill its index's cached adjacency, or when
     that adjacency is past its byte bound (:func:`_visit_cell_pairs`);
-    probes and the cost estimators walk on every call.  Because the walk is source-cell-major, the pairs
-    of any contiguous subset of the source cells are a contiguous run of
-    the whole walk: a shard split at a ``B``-order boundary emits, half
-    after half, exactly the unsplit shard's pair stream.  A cancellation
-    checkpoint runs before every group, so a deadline stops a kernel call
-    between groups.
+    probes and the cost estimators walk on every call.  Because the walk
+    is source-cell-major, the pairs of any contiguous subset of the
+    source cells are a contiguous run of the whole walk: a shard split at
+    a ``B``-order boundary emits, half after half, exactly the unsplit
+    shard's pair stream.  A cancellation checkpoint runs before every
+    group, so a deadline stops a kernel call between groups.
     """
     n_src = coords.shape[0]
     offsets, top = _neighbor_offsets(index.num_grid_dims)
     if n_src == 0 or index.num_nonempty_cells == 0:
         return
-    # admit[j][i, d + 1]: coordinate j of source cell i, moved by d, is in
-    # M_j (which also keeps it inside the grid).
+    # admit[j][d + 1, i]: coordinate j of source cell i, moved by d, is in
+    # M_j (which also keeps it inside the grid).  Source cells run along
+    # the last axis here and below, so the broadcasts run over whole rows.
     admit = []
     for j, mask in enumerate(index.masks):
-        moved = coords[:, j, None] + np.arange(-1, 2, dtype=np.int64)
+        moved = coords[:, j] + np.arange(-1, 2, dtype=np.int64)[:, None]
         admit.append(mask.take(mask.searchsorted(moved), mode="clip") == moved)
+    n_offsets = offsets.shape[0]
     if unicomp:
-        # evaluates[i, k]: source cell i evaluates the offsets whose highest
-        # non-zero dimension is k (odd k coordinate); column -1 is home.
-        evaluates = np.ones((n_src, index.num_grid_dims + 1), dtype=bool)
-        evaluates[:, :-1] = coords % 2 == 1
+        selected = _parity_offsets(index.num_grid_dims)
+        parity = (coords & 1) @ (1 << np.arange(index.num_grid_dims))
+    table = _dense_cell_table(index, n_src * n_offsets)
     B = index.B
     base = index.coords_to_linear(coords)
     shift = index.coords_to_linear(offsets)
@@ -488,24 +548,31 @@ def _walk_cell_pairs(index: GridIndex, coords: np.ndarray, unicomp: bool = False
         check_cancelled()
         # An offset passes where every coordinate does: the outer product
         # of the per-dimension admit rows, in the offsets' (row-major) order.
-        keep = admit[0][lo:lo + step]
+        keep = admit[0][:, lo:lo + step]
         for more in admit[1:]:
-            keep = (keep[:, :, None] & more[lo:lo + step, None, :]).reshape(
-                keep.shape[0], -1)
+            keep = (keep[:, None, :] & more[None, :, lo:lo + step]).reshape(
+                -1, keep.shape[1])
         if unicomp:
             # In place: with one dimension ``keep`` is a view of this
             # group's admit rows, which no later group reads.
-            keep &= evaluates[lo:lo + step].take(top, axis=1)
-        src, offset = np.nonzero(keep)
-        src += lo
-        # lookup_cells inlined, keeping only the hits: no -1 sentinel pass.
+            keep &= selected.take(parity[lo:lo + step], axis=0).T
+        checked = keep.sum(axis=0)
+        # Source-cell-major: the rows of each source cell, offsets ascending.
+        row = np.flatnonzero(keep.T)
+        src = np.arange(lo, lo + checked.shape[0]).repeat(checked)
+        offset = row - (src - lo) * n_offsets
+        # Every admitted row is a cell inside the grid.  Look it up in the
+        # dense table, or else as lookup_cells does, keeping only the hits.
         ids = base.take(src)
         ids += shift.take(offset)
-        pos = B.searchsorted(ids)
-        hit = np.flatnonzero(B.take(pos, mode="clip") == ids)
+        if table is None:
+            pos = B.searchsorted(ids)
+            hit = np.flatnonzero(B.take(pos, mode="clip") == ids)
+        else:
+            pos = table.take(ids)
+            hit = np.flatnonzero(pos >= 0)
         mirror = top.take(offset.take(hit)) >= 0 if unicomp else None
-        yield (src.take(hit), pos.take(hit), np.count_nonzero(keep, axis=1),
-               mirror)
+        yield src.take(hit), pos.take(hit), checked, mirror
 
 
 # --------------------------------------------------------------------------
@@ -526,7 +593,7 @@ class CellAdjacency:
     A CSR over the non-empty cells: the pairs of source cell ``h`` are
     ``targets[starts[h]:starts[h + 1]]``, ``B`` positions (int32 below
     2^31 cells) in the walker's order, and ``checked[h]`` is the number of
-    candidate cells the walk binary-searched for ``h``.  The four
+    candidate cells the walk looked up for ``h``.  The four
     :class:`KernelStats` counters of any cell subset are therefore those
     of an uncached walk.  A UNICOMP pair mirrors exactly when it is not
     the home pair (target != source), so the flags are not stored.
@@ -552,7 +619,7 @@ def _visit_cell_pairs(index: GridIndex, cells: Optional[np.ndarray],
     ``cells`` are ``B`` positions (all non-empty cells when ``None``).
     Each group is ``visit(src, tgt, checked, mirror)``: the ``B``
     positions of each pair's source and target cell, the number of
-    candidate cells binary-searched for the group's source cells, and
+    candidate cells looked up for the group's source cells, and
     UNICOMP's mirror flags (``None`` for GLOBAL).  The pairs come
     source-cell-major in the order of ``cells``, exactly as
     :func:`_walk_cell_pairs` would resolve them, so the emitted stream and
@@ -604,8 +671,7 @@ def _walk_adjacency(index: GridIndex, unicomp: bool) -> Optional[CellAdjacency]:
     :class:`CellAdjacency`; ``None`` (and the walk stops) past the byte
     bound."""
     n_cells = index.num_nonempty_cells
-    dtype = np.dtype(np.int32 if n_cells <= np.iinfo(np.int32).max
-                     else np.int64)
+    dtype = _position_dtype(n_cells)
     starts = np.zeros(n_cells + 1, dtype=np.int64)
     checked = np.empty(n_cells, dtype=np.int32)
     budget = _ADJACENCY_BYTES_PER_POINT_BYTE * index.points.nbytes \
@@ -618,7 +684,7 @@ def _walk_adjacency(index: GridIndex, unicomp: bool) -> Optional[CellAdjacency]:
         if budget < 0:
             return None
         hi = lo + group_checked.shape[0]
-        targets.append(tgt.astype(dtype))
+        targets.append(tgt.astype(dtype, copy=False))
         checked[lo:hi] = group_checked
         starts[lo + 1:hi + 1] = np.bincount(src - lo, minlength=hi - lo)
         lo = hi

@@ -56,7 +56,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard (session → planner)
 
 
 #: Cost of one walk row (a source cell paired with one neighbour offset:
-#: broadcast, filtered by ``M_j`` and, if admitted, binary-searched in
+#: broadcast, filtered by ``M_j`` and, if admitted, looked up in
 #: ``B``) in units of one distance calc (gather, subtract, square-sum,
 #: compare).  Calibrated once, not per host, against NumPy-tier UNICOMP
 #: kernel times on uniform data (2-CPU x86 host): at 0.4 the model picks

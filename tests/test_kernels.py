@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import hashlib
+from contextlib import nullcontext
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -15,7 +17,7 @@ from repro.core import kernels as K
 from repro.core import nativekernels as nk
 from repro.core.result import NeighborTable, PairFragments
 from repro.core.unicomp import unicomp_evaluates
-from repro.data.synthetic import uniform_dataset
+from repro.data.synthetic import exponential_dataset, uniform_dataset
 from repro.engine.backends import VectorizedBackend
 from repro.utils.cancellation import (
     CancellationToken,
@@ -247,6 +249,25 @@ def adjacent_pairs(index):
             if np.abs(coords[a] - coords[b]).max() <= 1}
 
 
+def every_cell_table(index, n_rows):
+    """A dense cell table whatever the grid's size (the walker's own
+    builder declines large grids)."""
+    table = np.full(index.total_cells, -1, dtype=np.int32)
+    table[index.B] = np.arange(index.num_nonempty_cells, dtype=np.int32)
+    return table
+
+
+def walk_groups(index, coords, unicomp, cell_table):
+    """The walker's groups, as lists, with ``K._dense_cell_table`` replaced
+    by ``cell_table`` (``None`` leaves the walker's own choice)."""
+    with (nullcontext() if cell_table is None
+          else mock.patch.object(K, "_dense_cell_table", cell_table)):
+        return [(src.tolist(), tgt.tolist(), checked.tolist(),
+                 None if mirror is None else mirror.tolist())
+                for src, tgt, checked, mirror in K._walk_cell_pairs(
+                    index, coords, unicomp)]
+
+
 class TestCellPairWalker:
     @given(points=grid_point_sets())
     @settings(max_examples=60, deadline=None)
@@ -312,6 +333,61 @@ class TestCellPairWalker:
         # A fresh index: the first one keeps its walked cell pairs, and a
         # self-join on it would read them back instead of walking.
         assert run_pinned(GridIndex.build(points, 0.25), queries) == reference
+
+    @given(dims=st.integers(2, 6), data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_table_and_search_lookups_walk_alike(self, dims, data):
+        """The dense cell table and the binary search of ``B`` resolve the
+        same cell pairs, group by group, for any source coordinates."""
+        points = data.draw(hnp.arrays(
+            np.float64, st.tuples(st.integers(1, 60), st.just(dims)),
+            elements=st.floats(0.0, 4.0, allow_nan=False, width=64)))
+        grid_dims = None if data.draw(st.booleans()) else data.draw(
+            st.sets(st.integers(0, dims - 1), min_size=1, max_size=dims))
+        index = GridIndex.build(points, 0.7, dims=grid_dims)
+        unicomp = data.draw(st.booleans())
+        k = index.num_grid_dims
+        if data.draw(st.booleans()):
+            coords = index.cell_coords
+        else:
+            # Arbitrary cells in and around the grid, with its two corners.
+            drawn = data.draw(hnp.arrays(
+                np.int64, st.tuples(st.integers(0, 30), st.just(k)),
+                elements=st.integers(-2, int(index.num_cells.max()) + 1)))
+            coords = np.concatenate([drawn, np.zeros((1, k), np.int64),
+                                     index.num_cells[None, :] - 1])
+        searched = walk_groups(index, coords, unicomp, lambda *_: None)
+        assert walk_groups(index, coords, unicomp, every_cell_table) == searched
+        assert walk_groups(index, coords, unicomp, None) == searched
+
+    def test_table_is_taken_only_for_small_grids(self):
+        lowdim = GridIndex.build(uniform_dataset(5000, 3, seed=1, low=0, high=1),
+                                 0.07)
+        whole = lowdim.num_nonempty_cells * 27
+        table = K._dense_cell_table(lowdim, whole)
+        assert table is not None and table.dtype == np.int32
+        assert table.shape == (lowdim.total_cells,)
+        assert table[lowdim.B].tolist() == list(range(lowdim.num_nonempty_cells))
+        assert np.count_nonzero(table >= 0) == lowdim.num_nonempty_cells
+        # A single-point probe broadcasts 27 rows: fewer than the grid's cells.
+        assert K._dense_cell_table(lowdim, 27) is None
+        # A skewed grid of many more cells than the points' bytes allow.
+        sparse = GridIndex.build(exponential_dataset(2000, 3, seed=1), 0.5)
+        assert sparse.total_cells * 4 > sparse.points.nbytes
+        assert K._dense_cell_table(sparse, sparse.total_cells) is None
+
+    @pytest.mark.parametrize("k", range(1, 7))
+    def test_parity_table_is_the_per_cell_mask(self, k):
+        """Row ``c`` of the per-parity table is the offset mask a source
+        cell of parity class ``c`` computed for itself."""
+        _, top = K._neighbor_offsets(k)
+        selected = K._parity_offsets(k)
+        assert selected.shape == (2 ** k, 3 ** k)
+        for c in range(2 ** k):
+            coords = (c >> np.arange(k)) & 1
+            evaluates = np.ones(k + 1, dtype=bool)
+            evaluates[:-1] = coords % 2 == 1
+            assert np.array_equal(selected[c], evaluates.take(top))
 
 
 def run_pinned(index, queries):
