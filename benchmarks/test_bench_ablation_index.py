@@ -1,6 +1,6 @@
 """Ablation: the index design choices the paper motivates (Section IV).
 
-Two ablations over the grid index:
+Three ablations over the grid index:
 
 * **non-empty-cell storage** — the paper stores only non-empty cells so the
   index is O(|D|) rather than O(prod |g_j|).  The benchmark reports the ratio
@@ -10,6 +10,12 @@ Two ablations over the grid index:
   cells before the binary search in B.  The benchmark compares the number of
   binary-searched cells with and without the filter (counted by the kernel's
   ``cells_checked`` statistic).
+* **reduced dims** — the planner may grid only k < n dims (the JPDC
+  follow-up's layout): 3^k cells walked per cell instead of 3^n, at the
+  price of more candidates.  The emitter drops a candidate on one
+  non-indexed dim alone before the full distance.  Per k the benchmark
+  reports the walk's lookups, the candidates, the share that survives that
+  pre-filter (recomputed here from the data) and the UNICOMP kernel time.
 """
 
 from __future__ import annotations
@@ -17,11 +23,16 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.gridindex import GridIndex
-from repro.core.kernels import selfjoin_global_vectorized
+from repro.core.kernels import (_expand_cell_pairs, _visit_cell_pairs,
+                                selfjoin_global_vectorized, selfjoin_tiered)
 from repro.core.neighbors import all_neighbor_offsets
+from repro.core.result import PairFragments
 from repro.data.synthetic import uniform_dataset
+from repro.engine.planner import QueryPlanner
 from repro.experiments.report import format_table
-from benchmarks.conftest import bench_points
+from repro.utils.timing import Timer
+from benchmarks.conftest import bench_points, bench_trials
+from perfbench.run import host_metadata
 
 
 def test_bench_index_sparsity_vs_dimension(benchmark, write_report):
@@ -80,3 +91,86 @@ def test_bench_mask_filtering(benchmark, write_report):
     assert out.stats.cells_checked <= unmasked_checks
     benchmark.extra_info["masked_checks"] = out.stats.cells_checked
     benchmark.extra_info["unmasked_checks"] = unmasked_checks
+
+
+def _prefilter_survivors(index: GridIndex) -> tuple[int, int]:
+    """(candidates, pre-filter survivors) of the index's UNICOMP self-join.
+
+    Expands the same cell pairs the kernel does and applies the emitter's
+    test, ``d * d <= eps2`` on every non-indexed dim, to every candidate.
+    """
+    eps2 = index.eps * index.eps
+    columns = [index.points[:, j] for j in index.unindexed_dims]
+    counts = [0, 0]
+
+    def visit(src, tgt, _checked, _mirror):
+        q, c = _expand_cell_pairs(
+            index.cell_starts.take(src), index.cell_counts.take(src),
+            index.cell_starts.take(tgt), index.cell_counts.take(tgt))
+        q_ids, c_ids = index.A.take(q), index.A.take(c)
+        near = np.ones(q.shape[0], dtype=bool)
+        for column in columns:
+            d = column.take(q_ids) - column.take(c_ids)
+            near &= d * d <= eps2
+        counts[0] += q.shape[0]
+        counts[1] += int(near.sum())
+
+    _visit_cell_pairs(index, None, True, visit)
+    return counts[0], counts[1]
+
+
+def test_bench_reduced_dims(benchmark, write_report):
+    """Per indexed dimensionality k: walk, candidates, pre-filter, time."""
+    n_points = bench_points(4000)
+    n_dims, eps = 6, 0.25
+    points = uniform_dataset(n_points, n_dims, seed=1, low=0.0, high=1.0)
+    planned = QueryPlanner().index_dataset(points, eps).num_grid_dims
+    trials = max(1, bench_trials())
+
+    def sweep():
+        rows = []
+        for k in range(1, n_dims + 1):
+            # Uniform data: every dim spans the same cells, so the
+            # chooser's top k are the first k.
+            dims = tuple(range(k))
+            best = float("inf")
+            for _ in range(trials):
+                # A fresh index per trial: the timed call walks its cells.
+                index = GridIndex.build(points, eps, dims=dims)
+                sink = PairFragments(index.num_points)
+                with Timer() as timer:
+                    out = selfjoin_tiered(index, eps, sink=sink,
+                                          unicomp=True, tier="numpy")
+                best = min(best, timer.elapsed)
+            candidates, survivors = _prefilter_survivors(index)
+            assert candidates == out.stats.distance_calcs
+            rows.append((f"{k}{' (planner)' if k == planned else ''}",
+                         out.stats.cells_checked, out.stats.distance_calcs,
+                         survivors / candidates if candidates else 1.0,
+                         out.stats.result_pairs, best))
+        return rows
+
+    rows = benchmark.pedantic(sweep, rounds=1, iterations=1)
+    host = host_metadata()
+    header = "\n".join([
+        f"host: {host['cpu_model']}, {host['nproc']} CPUs",
+        f"python: {host['python']}, numpy: {host['numpy']}",
+        f"input: uniform {n_points} points, {n_dims}-D, eps={eps}, UNICOMP, "
+        f"NumPy tier; kernel_s is one self-join on a fresh index, so its "
+        f"cold walk is timed; best of {trials}",
+        "prefilter_share: candidates left for the full distance after the "
+        "non-indexed dims' d*d <= eps2 test (1 when every dim is indexed)",
+    ])
+    write_report("ablation_reduced_dims", header + "\n" + format_table(
+        ("k", "cells_checked", "distance_calcs", "prefilter_share",
+         "result_pairs", "kernel_s"),
+        rows, title="Ablation: reduced-dims grid with the pre-filter"))
+
+    # More indexed dims never add candidates: adjacency in k + 1 dims
+    # implies adjacency in the first k.  Every k finds the same pairs.
+    calcs = [row[2] for row in rows]
+    assert calcs == sorted(calcs, reverse=True)
+    assert len({row[4] for row in rows}) == 1
+    assert rows[-1][3] == 1.0
+    assert all(row[3] < 1.0 for row in rows[:-1])
+    benchmark.extra_info["planner_k"] = planned

@@ -115,13 +115,14 @@ class GridIndex:
 
     Besides these arrays an index keeps data derived from them, each
     built lazily and once (:meth:`cached`): its
-    points in ``A`` order (:meth:`cell_ordered_points`), and per UNICOMP
-    flag the self-join's cell-pair adjacency
+    points in ``A`` order (:meth:`cell_ordered_points`), when ``k < n``
+    their non-indexed columns in that order (:meth:`unindexed_columns`),
+    and per UNICOMP flag the self-join's cell-pair adjacency
     (:class:`repro.core.kernels.CellAdjacency`).  They live and die with
     the index, in whichever cache holds it.  :meth:`memory_footprint`
     stays the paper's ``B`` + ``G`` + ``A`` + ``M`` size and does not
     count them (:meth:`cached_nbytes` does); the kernels keep at most
-    nine times the bytes of the points.
+    ten times the bytes of the points.
     """
 
     points: np.ndarray
@@ -174,19 +175,55 @@ class GridIndex:
 
         gmin, gmax = lin.compute_grid_bounds(grid_pts, eps)
         num_cells = lin.compute_num_cells(gmin, gmax, eps)
-        strides = lin.compute_strides(num_cells)
-
         coords = lin.compute_cell_coords(grid_pts, gmin, eps, num_cells)
+        return cls._from_cell_coords(pts, eps, dims, gmin, gmax, num_cells,
+                                     coords)
+
+    def project(self, dims: Sequence[int]) -> "GridIndex":
+        """The index over the ``dims`` subset of this index's dims.
+
+        Equal, array by array, to ``GridIndex.build(points, eps, dims)``,
+        but cheaper: the bounds, cell counts, per-point cell coordinates
+        and masks ``M_j`` are per-dimension, so their ``dims`` columns are
+        reused, and only the linearize and group steps run again.
+        The planner derives its reduced index from the all-dims one it
+        scores the dims with (:meth:`QueryPlanner.index_dataset
+        <repro.engine.planner.QueryPlanner.index_dataset>`).
+        """
+        dims = tuple(sorted({int(j) for j in dims}))
+        if not dims or not set(dims) <= set(self.dims):
+            raise ValueError(f"dims must name 1..{self.num_grid_dims} of "
+                             f"the indexed dimensions {self.dims}, got {dims}")
+        if dims == self.dims:
+            return self
+        cols = [self.dims.index(j) for j in dims]
+        return self._from_cell_coords(
+            self.points, self.eps, dims, self.gmin[cols], self.gmax[cols],
+            self.num_cells[cols], self.point_cell_coords[:, cols],
+            [self.masks[c] for c in cols])
+
+    @classmethod
+    def _from_cell_coords(cls, points: np.ndarray, eps: float,
+                          dims: Tuple[int, ...], gmin: np.ndarray,
+                          gmax: np.ndarray, num_cells: np.ndarray,
+                          coords: np.ndarray,
+                          masks: Optional[List[np.ndarray]] = None,
+                          ) -> "GridIndex":
+        """The index whose points have cell coordinates ``coords``: the
+        linearize, group-by-cell and (unless given) mask steps of
+        :meth:`build`."""
+        strides = lin.compute_strides(num_cells)
         cell_ids = lin.linearize(coords, strides)
 
         A, B, cell_starts, cell_counts = group_by_cell_id(cell_ids)
         cell_coords = lin.delinearize(B, num_cells)
 
         # Per-dimension masks of non-empty coordinates.
-        masks = [np.unique(cell_coords[:, j]) for j in range(len(dims))]
+        if masks is None:
+            masks = [np.unique(cell_coords[:, j]) for j in range(len(dims))]
 
         return cls(
-            points=pts,
+            points=points,
             eps=eps,
             dims=dims,
             gmin=gmin,
@@ -304,6 +341,28 @@ class GridIndex:
 
         return self.cached("cell_ordered_points", build)
 
+    @property
+    def unindexed_dims(self) -> Tuple[int, ...]:
+        """The point dimensions the grid does not index, ascending."""
+        return tuple(j for j in range(self.num_dims) if j not in self.dims)
+
+    def unindexed_columns(self) -> Optional[np.ndarray]:
+        """The :attr:`unindexed_dims` columns of :meth:`cell_ordered_points`
+        as an ``(n - k, |D|)`` array, one contiguous row per dimension;
+        ``None`` (and nothing kept) when the grid indexes every dimension.
+        The emitter's pre-filter reads it.  Read-only; built once
+        (:meth:`cached`)."""
+        if self.num_grid_dims == self.num_dims:
+            return None
+
+        def build() -> np.ndarray:
+            columns = column_rows(self.cell_ordered_points(),
+                                  self.unindexed_dims)
+            columns.setflags(write=False)
+            return columns
+
+        return self.cached("unindexed_columns", build)
+
     # ------------------------------------------------------------- statistics
     def memory_footprint(self) -> int:
         """Approximate index size in bytes (``B`` + ``G`` + ``A`` + masks).
@@ -400,6 +459,11 @@ def _indexed_columns(points: np.ndarray, dims: Tuple[int, ...]) -> np.ndarray:
     if len(dims) == points.shape[1]:
         return points
     return points[:, list(dims)]
+
+
+def column_rows(points: np.ndarray, dims: Tuple[int, ...]) -> np.ndarray:
+    """The ``dims`` columns of ``points``, one contiguous row each."""
+    return np.ascontiguousarray(points[:, list(dims)].T)
 
 
 def group_by_cell_id(cell_ids: np.ndarray,

@@ -31,6 +31,19 @@ and its UNICOMP variant (Algorithm 2) are provided:
     (data-parallel over cells rather than over points).  The bipartite
     probe and the work estimators share the walker.
 
+Reduced dims.  An index over ``k < n`` dims (the JPDC follow-up's layout)
+walks 3^k cells per cell but expands more candidates, most of them far
+apart in some non-indexed dim.  So on the NumPy tier the emitter first
+tests each non-indexed dim alone, dropping a candidate whose rounded
+``d * d`` exceeds ``eps2``, and gathers full rows only for the survivors.
+The test is exact: the full distance sums rounded non-negative squares,
+and in any order, fused multiply-adds included, such a sum is at least
+each of its rounded terms, so a dropped candidate is never a hit
+(``|d| > eps`` would not be the same test).  Streams, tables and all four
+:class:`KernelStats` counters are those of the unfiltered path;
+``distance_calcs`` still counts every expanded candidate.  An index over
+every dim, and the numba tier, skip the filter.
+
 Who walks, and when.  The cell pairs of a self-join depend only on the
 index and the UNICOMP flag, so each :class:`GridIndex` keeps them: one
 :class:`CellAdjacency` per flag, stored through
@@ -49,9 +62,11 @@ walks its own cells as before.  Probes always walk (their query cells are
 arbitrary), and so do the sampled cost estimators.  The index also keeps
 its points in ``A`` order
 (:meth:`~repro.core.gridindex.GridIndex.cell_ordered_points`), from which
-the NumPy emitter gathers coordinates.  Together these keep at most nine
-times the bytes of the points per index (one copy plus two adjacencies
-of four), and the batch planner counts what an index keeps
+the NumPy emitter gathers coordinates, and for ``k < n`` their non-indexed
+columns (:meth:`~repro.core.gridindex.GridIndex.unindexed_columns`), which
+its pre-filter reads.  Together these keep at most ten times the bytes of
+the points per index (one copy, the columns, and two adjacencies of
+four), and the batch planner counts what an index keeps
 (:meth:`~repro.core.gridindex.GridIndex.cached_nbytes`).  The walker's
 dense cell table is not kept: each walk that takes it builds its own and
 drops it, so neither ``memory_footprint()`` nor ``cached_nbytes()``
@@ -582,7 +597,8 @@ def _walk_cell_pairs(index: GridIndex, coords: np.ndarray, unicomp: bool = False
 #: indexed points: a cache may not outgrow a few copies of the data it
 #: indexes.  Past it the adjacency is not kept and each call walks.  The
 #: bound is per UNICOMP flag, so an index keeps at most twice this plus
-#: its cell-ordered copy of the points.
+#: its cell-ordered copy of the points and, for ``k < n``, that copy's
+#: non-indexed columns.
 _ADJACENCY_BYTES_PER_POINT_BYTE = 4
 
 
@@ -728,14 +744,21 @@ class _JoinSide(NamedTuple):
     starts: np.ndarray
     counts: np.ndarray
     ordered: Optional[np.ndarray]
+    #: The columns of ``ordered`` the grid does not index, one contiguous
+    #: row per dimension (``None`` when the grid indexes every dimension,
+    #: and on the numba tier): the emitter's pre-filter reads them.
+    unindexed: Optional[np.ndarray] = None
 
 
 def _index_side(index: GridIndex, native_kernel: Optional[Callable]) -> _JoinSide:
-    """The index as a join side, with its cached cell-ordered points on the
-    NumPy tier."""
-    return _JoinSide(index.points, index.A, index.cell_starts, index.cell_counts,
-                     None if native_kernel is not None
-                     else index.cell_ordered_points())
+    """The index as a join side, with its cached cell-ordered points and
+    non-indexed columns on the NumPy tier."""
+    if native_kernel is not None:
+        return _JoinSide(index.points, index.A, index.cell_starts,
+                         index.cell_counts, None)
+    return _JoinSide(index.points, index.A, index.cell_starts,
+                     index.cell_counts, index.cell_ordered_points(),
+                     index.unindexed_columns())
 
 
 def _emit_pairs(sink: PairFragments, q_side: _JoinSide, q_cells: np.ndarray,
@@ -763,6 +786,16 @@ def _emit_pairs(sink: PairFragments, q_side: _JoinSide, q_cells: np.ndarray,
     the lookups.  With ``native_kernel`` the expand/filter step runs as a
     compiled pair kernel on the sides' points and lookups, writing into
     preallocated buffers.
+
+    When the sides carry ``unindexed`` columns (a grid over ``k < n``
+    dims, NumPy tier), each non-indexed dim is tested alone first: its
+    column is gathered on both sides, ``d = q - c``, and the candidate is
+    dropped where ``d * d > eps2``.  The full-row gather, the ``einsum``
+    and the mirror handling run on the survivors, whose hits are mapped
+    back to their candidate slots, so UNICOMP's flags and the stream are
+    unchanged.  The test is exact (see the module docstring): the full
+    distance is never below one of its rounded squares.  The returned
+    count, ``distance_calcs``, is still every expanded candidate.
     """
     # Gather the CSR ranges of the cell pairs once; the chunk loop slices
     # these instead of re-indexing starts/counts for every chunk.
@@ -791,6 +824,19 @@ def _emit_pairs(sink: PairFragments, q_side: _JoinSide, q_cells: np.ndarray,
                       values[:n].copy())
             continue
         q_pos, c_pos = _expand_cell_pairs(*chunk)
+        # The pre-filter: a candidate farther than ε in one non-indexed
+        # dim alone is dropped before the full-row gather.  ``slot`` maps
+        # the survivors back to their candidate slots.
+        slot = None
+        if q_side.unindexed is not None:
+            for q_col, c_col in zip(q_side.unindexed, c_side.unindexed):
+                d = q_col.take(q_pos)
+                d -= c_col.take(c_pos)
+                d *= d
+                near = np.flatnonzero(d <= eps2)
+                q_pos = q_pos.take(near)
+                c_pos = c_pos.take(near)
+                slot = near if slot is None else slot.take(near)
         # ndarray.take gathers rows about twice as fast as indexing.
         diff = q_side.ordered.take(q_pos, axis=0)
         diff -= c_side.ordered.take(c_pos, axis=0)
@@ -801,7 +847,8 @@ def _emit_pairs(sink: PairFragments, q_side: _JoinSide, q_cells: np.ndarray,
             sink.emit(q_sel if key_map is None else key_map.take(q_sel), c_sel)
             continue
         # Each mirrored match takes two slots: the match, then its reverse.
-        twice = mirror[lo:hi].repeat(pair_counts[lo:hi]).take(hit)
+        twice = mirror[lo:hi].repeat(pair_counts[lo:hi]).take(
+            hit if slot is None else slot.take(hit))
         slots = twice + 1
         keys = q_sel.repeat(slots)
         values = c_sel.repeat(slots)

@@ -56,7 +56,7 @@ from typing import Callable, Dict, List, Optional, Tuple, Type, Union
 import numpy as np
 
 from repro.core import nativekernels
-from repro.core.gridindex import GridIndex, group_by_cell_id
+from repro.core.gridindex import GridIndex, column_rows, group_by_cell_id
 from repro.core.kernels import (
     DEFAULT_MAX_CANDIDATE_PAIRS,
     KernelStats,
@@ -425,7 +425,9 @@ def _vectorized_probe(queries: np.ndarray, index: GridIndex, eps: float,
     are arbitrary, so no adjacency is cached), and every resolved (query
     group, index cell) pair is expanded and distance-filtered by the shared
     emitter, which gathers from the groups' and the index's cell-ordered
-    points and maps the group-local keys back to global rows.
+    points (and, for a ``k < n`` grid, pre-filters on their non-indexed
+    columns, the queries' built per call) and maps the group-local keys
+    back to global rows.
     ``native_kernel`` swaps the expand/filter step for a compiled pair
     kernel from :mod:`repro.core.nativekernels`.
     """
@@ -435,9 +437,14 @@ def _vectorized_probe(queries: np.ndarray, index: GridIndex, eps: float,
         return stats
     probe_pts = queries[rows]
     group_coords, order, starts, counts = _group_by_cell(probe_pts, index)
-    groups = _JoinSide(probe_pts, order, starts, counts,
-                       None if native_kernel is not None
-                       else probe_pts.take(order, axis=0))
+    if native_kernel is not None:
+        groups = _JoinSide(probe_pts, order, starts, counts, None)
+    else:
+        ordered = probe_pts.take(order, axis=0)
+        unindexed = index.unindexed_dims
+        groups = _JoinSide(probe_pts, order, starts, counts, ordered,
+                           column_rows(ordered, unindexed) if unindexed
+                           else None)
     cells = _index_side(index, native_kernel)
     before = sink.num_pairs
     for src, tgt, checked, _ in _walk_cell_pairs(index, group_coords):

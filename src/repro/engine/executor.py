@@ -222,11 +222,12 @@ def _execute_knn_candidates(plan: QueryPlan) -> EngineResult:
         radius *= 2.0
         # Session-planned queries resolve the doubled-radius index through
         # the session's per-ε cache, so repeated kNN calls (and their
-        # doubling rounds) stop paying index construction each time.
+        # doubling rounds) stop paying index construction each time.  A
+        # one-shot query rebuilds over the dims its plan's index grids.
         if plan.session is not None:
             index = plan.session.index_for(radius)
         else:
-            index = GridIndex.build(data, radius)
+            index = GridIndex.build(data, radius, dims=plan.index.dims)
 
     if remaining.shape[0]:
         # Degenerate grids / extreme outliers: hand the stragglers every

@@ -213,13 +213,15 @@ class QueryPlanner:
         Indexes the dimensions :func:`choose_index_dims` picks, unless the
         backend models the paper's device (``simulated``), whose grid
         always spans all dimensions.  Every choice gives the same result
-        pairs.
+        pairs.  One index is built, over all dimensions, and the chooser
+        scores it; a smaller pick is derived from it
+        (:meth:`GridIndex.project`), equal array by array to a build over
+        the picked dims but without recomputing bounds, cell coordinates
+        or masks.
         """
         index = GridIndex.build(points, eps)
         if not self.backend.models_device:
-            dims = choose_index_dims(index)
-            if dims != index.dims:
-                index = GridIndex.build(points, eps, dims=dims)
+            index = index.project(choose_index_dims(index))
         if self.validate_index:
             index.validate()
         return index

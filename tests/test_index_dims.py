@@ -9,6 +9,7 @@ build the parent's grid, so its stream and counters match ``vectorized``.
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 
 import numpy as np
@@ -110,23 +111,157 @@ class TestReducedIndexTables:
                       index=index)
 
 
+@st.composite
+def boundary_cases(draw):
+    """Points with partners exactly ε, or one ulp either side of it, away
+    along one non-indexed dim, and the same distance along no other."""
+    n_dims = draw(st.integers(3, 6))
+    dims = draw(st.permutations(range(n_dims)))[:draw(st.integers(1, n_dims - 1))]
+    free = [j for j in range(n_dims) if j not in dims]
+    eps = draw(st.sampled_from([0.25, 0.5, 1.0]) | st.floats(0.1, 2.0))
+    n_base = draw(st.integers(1, 30))
+    base = draw(hnp.arrays(np.float64, (n_base, n_dims),
+                           elements=st.floats(0.0, 4.0)))
+    partners = base.copy()
+    for i in range(n_base):
+        j = draw(st.sampled_from(free))
+        sign = draw(st.sampled_from([-1.0, 1.0]))
+        at = base[i, j] + sign * eps
+        ulps = draw(st.sampled_from([-1, 0, 1]))
+        partners[i, j] = at if ulps == 0 else np.nextafter(at, ulps * np.inf)
+    return base, partners, eps, dims
+
+
+def _boundary_tables(index, queries):
+    """Byte tables of a GLOBAL and a UNICOMP self-join on ``index`` and of
+    a probe of ``queries`` against it."""
+    backend = get_backend("vectorized")
+    tables = []
+    for name in ("global", "unicomp", "probe"):
+        rows = queries.shape[0] if name == "probe" else index.num_points
+        sink = PairFragments(rows)
+        if name == "probe":
+            backend.run_probe(queries, index, index.eps, sink)
+        else:
+            backend.run_selfjoin(index, index.eps, None, sink,
+                                 unicomp=name == "unicomp")
+        table = NeighborTable.from_pairs(*sink.concatenated(), rows)
+        tables.append((table.offsets.tobytes(), table.neighbors.tobytes()))
+    return tables
+
+
+def _bruteforce_tables(points, queries, eps):
+    """The same three tables from the all-pairs oracle."""
+    join = run_query(Query.self_join(points, eps),
+                     backend="bruteforce").neighbor_table
+    probe = run_query(Query.range_query(points, queries, eps),
+                      backend="bruteforce").neighbor_table
+    return [(t.offsets.tobytes(), t.neighbors.tobytes())
+            for t in (join, join, probe)]
+
+
+class TestPreFilterBoundary:
+    """The emitter drops a candidate on one non-indexed dim alone when
+    ``d * d > eps2``.  At exactly ε, and one ulp either side, it must keep
+    what the full distance keeps: the tables equal the all-pairs oracle's,
+    which computes the same full distance with no grid."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(boundary_cases())
+    def test_tables_at_eps_on_a_non_indexed_dim(self, case):
+        # Each partner differs from its point on a non-indexed dim only, so
+        # the reduced grid puts both in one cell and only the distance
+        # decides.  The all-dims grid is not the reference here: it grids
+        # that dim and can put a pair one ulp past ε two cells apart
+        # (test_all_dims_grid_bins_a_pair_one_ulp_past_eps).
+        base, partners, eps, dims = case
+        points = np.concatenate([base, partners])
+        index = GridIndex.build(points, eps, dims=dims)
+        assert index.num_grid_dims < index.num_dims
+        assert _boundary_tables(index, partners) \
+            == _bruteforce_tables(points, partners, eps)
+
+    @pytest.mark.parametrize("far", [False, True])
+    def test_only_the_boundary_decides(self, far):
+        # Exactly ε apart on the non-indexed dim 2 is a hit, one ulp more
+        # is not; the all-dims index, whose cells hold both points
+        # exactly, agrees.
+        eps = 0.25
+        partner = np.nextafter(1.25, np.inf) if far else 1.25
+        points = np.array([[0.5, 0.5, 1.0], [0.5, 0.5, partner],
+                           [0.5, 0.75, 1.0]])
+        queries = points[:2]
+        reduced = GridIndex.build(points, eps, dims=(0, 1))
+        got = _boundary_tables(reduced, queries)
+        assert got == _boundary_tables(GridIndex.build(points, eps), queries)
+        assert got == _bruteforce_tables(points, queries, eps)
+        table = run_query(Query.range_query(points, queries, eps),
+                          index=reduced).neighbor_table
+        assert table.neighbors_of(0).tolist() == ([0, 2] if far
+                                                  else [0, 1, 2])
+
+    @pytest.mark.xfail(strict=True, reason=(
+        "the grid bins by floor((x - gmin) / eps): a pair one ulp past ε "
+        "whose difference rounds to ε can land two cells apart, while the "
+        "distance calls it a hit (a defect of every grid, before and "
+        "after the pre-filter)"))
+    def test_all_dims_grid_bins_a_pair_one_ulp_past_eps(self):
+        points = np.array([[0.125, 0.125, 0.125],
+                           [0.125, 0.125, np.nextafter(-0.125, -np.inf)]])
+        index = GridIndex.build(points, 0.25)
+        assert _boundary_tables(index, points) \
+            == _bruteforce_tables(points, points, 0.25)
+
+
 class TestChooser:
     """The chooser's picks on the benchmark inputs (no timing)."""
-
-    @pytest.mark.parametrize("points,eps", [
-        (uniform_dataset(100_000, 3, seed=1, low=0.0, high=1.0), 0.025),
-        (uniform_dataset(20_000, 3, seed=1, low=0.0, high=1.0), 0.08),
-        (exponential_dataset(100_000, 3, scale=10, seed=1), 0.5),
-    ], ids=["lowdim", "service", "distributed"])
-    def test_three_dims_keep_every_dim(self, points, eps):
-        index = GridIndex.build(points, eps)
-        assert choose_index_dims(index) == (0, 1, 2)
-        assert QueryPlanner().index_dataset(points, eps).dims == (0, 1, 2)
 
     @pytest.mark.parametrize("seed", range(1, 11))
     def test_highdim_indexes_five_dims(self, seed):
         index = GridIndex.build(_highdim(seed), HIGHDIM["eps"])
         assert choose_index_dims(index) == (0, 1, 2, 3, 4)
+
+    @pytest.mark.parametrize("make,eps,expected", [
+        (lambda: uniform_dataset(100_000, 3, seed=1, low=0.0, high=1.0),
+         0.025, (0, 1, 2)),
+        (lambda: exponential_dataset(100_000, 3, scale=10, seed=1),
+         0.5, (0, 1, 2)),
+        (lambda: uniform_dataset(20_000, 3, seed=1, low=0.0, high=1.0),
+         0.08, (0, 1, 2)),
+        (lambda: uniform_dataset(20_000, 6, seed=1, low=0.0, high=1.0),
+         0.1, (0, 1, 2, 3)),
+    ], ids=["lowdim", "distributed", "service", "6d-20k"])
+    def test_planned_index_is_the_built_one(self, make, eps, expected):
+        # The planner derives its pick from the all-dims index; the result
+        # must be the index a build over the picked dims gives.
+        points = make()
+        assert choose_index_dims(GridIndex.build(points, eps)) == expected
+        planned = QueryPlanner().index_dataset(points, eps)
+        assert planned.dims == expected
+        built = GridIndex.build(points, eps, dims=expected)
+        for field in dataclasses.fields(GridIndex):
+            if not field.compare:
+                continue
+            got, want = getattr(planned, field.name), getattr(built, field.name)
+            if field.name == "masks":
+                assert len(got) == len(want)
+                for a, b in zip(got, want):
+                    assert a.dtype == b.dtype and np.array_equal(a, b)
+            elif isinstance(want, np.ndarray):
+                assert got.dtype == want.dtype and got.shape == want.shape
+                assert np.array_equal(got, want), field.name
+            else:
+                assert got == want, field.name
+        # An all-dims pick is the all-dims index itself, not a copy.
+        if expected == tuple(range(points.shape[1])):
+            assert planned.project(expected) is planned
+
+    def test_project_rejects_dims_outside_the_index(self):
+        index = GridIndex.build(_highdim(), HIGHDIM["eps"], dims=(0, 1, 2))
+        with pytest.raises(ValueError, match="dims"):
+            index.project((2, 3))
+        with pytest.raises(ValueError, match="dims"):
+            index.project(())
 
     def test_one_dim_and_one_cell_keep_the_index(self):
         line = GridIndex.build(np.linspace(0, 1, 50)[:, None], 0.1)
@@ -146,6 +281,65 @@ class TestChooser:
             assert session.index_for(0.25).dims == (0, 1, 2, 3, 4)
         assert QueryPlanner("simulated").index_dataset(points, 0.25).dims \
             == tuple(range(6))
+
+
+class TestUnindexedColumnCache:
+    """What the pre-filter keeps on an index, and who counts it."""
+
+    def test_reduced_index_keeps_and_counts_its_columns(self):
+        from repro.core.batching import data_bytes
+
+        index = QueryPlanner().index_dataset(_highdim(), HIGHDIM["eps"])
+        assert index.unindexed_dims == (5,)
+        before_cached = index.cached_nbytes()
+        before_data = data_bytes(index)
+        columns = index.unindexed_columns()
+        assert columns.shape == (1, index.num_points)
+        assert columns.flags.c_contiguous and not columns.flags.writeable
+        assert np.array_equal(columns[0], index.points[index.A, 5])
+        assert index.unindexed_columns() is columns
+        # The columns and the cell-ordered copy they are read from.
+        grown = columns.nbytes + index.cell_ordered_points().nbytes
+        assert index.cached_nbytes() == before_cached + grown
+        assert data_bytes(index) == before_data + grown
+
+    def test_all_dims_index_never_creates_the_entry(self):
+        points = uniform_dataset(2000, 3, seed=1, low=0.0, high=1.0)
+        index = QueryPlanner().index_dataset(points, 0.08)
+        assert index.dims == (0, 1, 2) and index.unindexed_dims == ()
+        assert index.unindexed_columns() is None
+        run_query(Query.self_join(points, 0.08), index=index)
+        run_query(Query.range_query(points, points[:20], 0.08), index=index)
+        assert "unindexed_columns" not in index._derived
+
+
+class TestKnnRebuildKeepsThePlansDims:
+    def test_one_shot_rebuild_grids_the_planned_dims(self, monkeypatch):
+        points = _highdim()
+        # Far outside the data: the first radii find too few candidates,
+        # so the executor doubles the radius and rebuilds the index.
+        queries = np.full((3, 6), 3.0)
+        query = Query.knn_candidates(points, 4, queries=queries)
+        builds = []
+        real_build = GridIndex.build.__func__
+
+        def spy(cls, pts, eps, dims=None):
+            index = real_build(cls, pts, eps, dims)
+            builds.append(index)
+            return index
+
+        monkeypatch.setattr(GridIndex, "build", classmethod(spy))
+        got = run_query(query)
+        planned = got.plan.index
+        assert planned.num_grid_dims < planned.num_dims
+        rebuilt = [index for index in builds if index.eps > planned.eps]
+        assert rebuilt and all(index.dims == planned.dims
+                               for index in rebuilt)
+        monkeypatch.undo()
+        # The rows an all-dims plan (the rebuild before the fix) gives.
+        reference = run_query(query, index=GridIndex.build(points,
+                                                           planned.eps))
+        assert got.neighbor_table.same_contents_as(reference.neighbor_table)
 
 
 def _stream(result):
