@@ -15,7 +15,11 @@ What the numbers must show (asserted, not just reported):
   slow worker's queue instead of waiting behind it;
 * adaptive dispatches **no more hedges** than static — the waterfall makes
   full-shard duplication the last resort;
-* every configuration returns the identical pair count.
+* every configuration returns the identical pair count;
+* every run's achieved cost equals its planned cost (``cost_ratio`` 1.0):
+  each cell's cost is its exact distance calculations, so a plan and the
+  ``distance_calcs`` its accepted shards report cannot drift apart, with or
+  without resplits and hedges.
 
 Writes ``benchmarks/reports/schedule.txt`` (rendered table) and
 ``benchmarks/reports/BENCH_schedule.json`` (machine-readable rows).
@@ -25,7 +29,10 @@ from __future__ import annotations
 
 import json
 import os
+import platform
 import time
+
+import numpy as np
 
 from repro.data.synthetic import exponential_dataset
 from repro.distributed import DistributedBackend, WorkerThread
@@ -93,15 +100,17 @@ def test_bench_schedule(benchmark, report_dir, write_report):
 
     by_key = {(r["workers"], r["mode"]): r for r in rows}
     cores = os.cpu_count() or 1
+    host = (f"host: {cores} cpus, {platform.machine()}, Python "
+            f"{platform.python_version()}, NumPy {np.__version__}")
     lines = [
         "Static vs work-stealing scheduling under one injected straggler "
-        f"(host cpus: {cores}; n={n_points} exponential-density points, "
+        f"({host}; n={n_points} exponential-density points, "
         f"{DIMS}-D, eps={EPS}; worker 0 sleeps {SLEEP_MS:.0f} ms per shard; "
         "speedup = static wall / adaptive wall at the same worker count)",
         f"{'workers':<8} {'mode':<9} {'wall_s':<8} {'shards':<7} "
         f"{'steals':<7} {'resplits':<9} {'hedges':<7} {'speedup':<8} "
-        f"{'pairs':<8}",
-        "-" * 78,
+        f"{'pairs':<8} {'cost_ratio':<10}",
+        "-" * 89,
     ]
     for n_workers in WORKER_COUNTS:
         static_wall = by_key[(n_workers, "static")]["wall_s"]
@@ -111,12 +120,13 @@ def test_bench_schedule(benchmark, report_dir, write_report):
             lines.append(
                 f"{r['workers']:<8} {r['mode']:<9} {r['wall_s']:<8.4f} "
                 f"{r['shards']:<7} {r['steals']:<7} {r['resplits']:<9} "
-                f"{r['hedges']:<7} {speedup:<8.4f} {r['pairs']:<8}")
+                f"{r['hedges']:<7} {speedup:<8.4f} {r['pairs']:<8} "
+                f"{r['cost_ratio']:<10.4f}")
     write_report("schedule", "\n".join(lines))
     payload = {
         "n_points": n_points, "dims": DIMS, "eps": EPS,
         "sleep_ms": SLEEP_MS, "hedge_after": HEDGE_AFTER,
-        "host_cpus": cores, "rows": rows,
+        "host_cpus": cores, "host": host, "rows": rows,
         "speedup_at_4": by_key[(4, "static")]["wall_s"]
         / by_key[(4, "adaptive")]["wall_s"],
     }
@@ -125,6 +135,9 @@ def test_bench_schedule(benchmark, report_dir, write_report):
 
     # Bit-identical pair counts across every mode and worker count.
     assert len({r["pairs"] for r in rows}) == 1 and rows[0]["pairs"] > 0
+    # The plan's cost is the accepted shards' distance calculations.
+    for r in rows:
+        assert r["cost_ratio"] == 1.0, r
     # Work stealing must beat the static plan where there is capacity to
     # steal into: 4 workers, one of them slow.
     assert by_key[(4, "adaptive")]["wall_s"] \

@@ -19,13 +19,12 @@ experiments (``SelfJoinConfig``, the figures and Table II) pin
   reports the compute/transfer overlap timeline via
   :func:`repro.gpusim.streams.simulate_pipeline` (the Section V-A overlap
   ablation's entry point; the engine executor does not model streams).
-* Sampled cost estimation — :func:`estimate_cell_costs` (per-cell self-join
-  work) and :func:`estimate_probe_row_costs` (per-row probe work) generalize
-  the :class:`BatchPlanner` sampling idea to *per-item* cost estimates, and
-  :func:`split_by_cost` turns any such cost vector into contiguous
-  work-balanced slices.  These are shared by the result batcher, the
-  shard planners of :mod:`repro.parallel` and :mod:`repro.distributed`, and
-  the request fusion of :mod:`repro.service`.
+* Per-item costs — :func:`estimate_probe_row_costs` gives each probe row
+  its exact candidate count, and :func:`split_by_cost` turns any cost
+  vector into contiguous work-balanced slices.  The shard planner
+  (:mod:`repro.parallel.shards`) splits probe rows on the former and
+  self-join cells on :func:`repro.core.kernels.selfjoin_cell_costs`, the
+  exact per-cell cost read from the index's kept cell pairs.
 """
 
 from __future__ import annotations
@@ -38,7 +37,6 @@ from typing import Callable, List, Optional
 
 import numpy as np
 
-from repro.core import linearize as lin
 from repro.core.gridindex import GridIndex
 from repro.core.kernels import KernelOutput, KernelStats, _walk_cell_pairs
 from repro.core.result import ResultSet
@@ -301,7 +299,7 @@ def split_cells_balanced(index: GridIndex, n_batches: int) -> List[np.ndarray]:
 
 
 # --------------------------------------------------------------------------
-# sampled per-item cost estimation
+# exact per-item probe costs
 # --------------------------------------------------------------------------
 def candidate_counts_at(index: GridIndex, coords: np.ndarray) -> np.ndarray:
     """Candidate points reachable from each given cell coordinate.
@@ -319,70 +317,22 @@ def candidate_counts_at(index: GridIndex, coords: np.ndarray) -> np.ndarray:
     return counts
 
 
-def _sample_positions(n_items: int, sample_fraction: float, max_sample: int,
-                      seed: int) -> np.ndarray:
-    """Sorted uniform sample of item positions, anchored at both ends."""
-    sample_size = max(1, min(max_sample,
-                             int(math.ceil(n_items * sample_fraction))))
-    if sample_size >= n_items:
-        return np.arange(n_items, dtype=np.int64)
-    rng = np.random.default_rng(seed)
-    picked = rng.choice(n_items, size=sample_size, replace=False)
-    # Anchor the interpolation at the first and last item.
-    return np.unique(np.concatenate(
-        [picked, np.array([0, n_items - 1], dtype=np.int64)])).astype(np.int64)
+def estimate_probe_row_costs(queries: np.ndarray, index: GridIndex) -> np.ndarray:
+    """Per-row work of a bipartite probe (int64, length ``n_rows``).
 
-
-def estimate_cell_costs(index: GridIndex, sample_fraction: float = 0.05,
-                        max_sample_cells: int = 512, seed: int = 0) -> np.ndarray:
-    """Sampled per-cell work estimates for a self-join (length ``|G|``).
-
-    A uniform sample of non-empty cells gets *exact* candidate counts
-    (:func:`candidate_counts_at`); the per-point candidate density is then
-    interpolated over ``B`` order — adjacent positions in ``B`` are spatially
-    close under the row-major linearization, so density varies smoothly —
-    and each cell's cost is ``points_in_cell * interpolated_density``,
-    i.e. an estimate of the distance calculations originating in that cell.
-    """
-    n_cells = index.num_nonempty_cells
-    if n_cells == 0:
-        return np.zeros(0, dtype=np.float64)
-    sample = _sample_positions(n_cells, sample_fraction, max_sample_cells, seed)
-    candidates = candidate_counts_at(index, index.cell_coords[sample])
-    # Every point of a cell evaluates that cell's candidate count, so the
-    # candidate count *is* the per-point cost.
-    density = np.interp(np.arange(n_cells, dtype=np.float64),
-                        sample.astype(np.float64),
-                        candidates.astype(np.float64))
-    return index.cell_counts.astype(np.float64) * density
-
-
-def estimate_probe_row_costs(queries: np.ndarray, index: GridIndex,
-                             sample_fraction: float = 0.25,
-                             max_sample_cells: int = 512,
-                             seed: int = 0) -> np.ndarray:
-    """Sampled per-row work estimates for a bipartite probe (length ``n_rows``).
-
-    Query rows are grouped by their cell in the index's grid; candidate
-    counts are computed exactly for a sample of the distinct query cells and
-    interpolated over sorted-cell-id order for the rest.  Every row gets its
-    cell's candidate count plus a constant base cost, so even rows probing
-    empty space carry non-zero weight.
+    Query rows are grouped by their cell in the index's grid, and one walk
+    of the distinct query cells (:func:`candidate_counts_at`) gives each
+    row its cell's candidate count: the distance evaluations the probe
+    performs for it.  Every row also carries a base cost of 1, so even rows
+    probing empty space carry weight.
     """
     queries = np.asarray(queries, dtype=np.float64)
-    n_rows = queries.shape[0]
-    if n_rows == 0:
-        return np.zeros(0, dtype=np.float64)
-    cell_ids = index.coords_to_linear(index.cell_coords_of(queries))
-    unique_ids, inverse = np.unique(cell_ids, return_inverse=True)
-    n_unique = unique_ids.shape[0]
-    sample = _sample_positions(n_unique, sample_fraction, max_sample_cells, seed)
-    candidates = candidate_counts_at(
-        index, lin.delinearize(unique_ids[sample], index.num_cells))
-    per_cell = np.interp(np.arange(n_unique, dtype=np.float64),
-                         sample.astype(np.float64),
-                         candidates.astype(np.float64))
-    return per_cell[inverse] + 1.0
+    if queries.shape[0] == 0:
+        return np.zeros(0, dtype=np.int64)
+    coords = index.cell_coords_of(queries)
+    _, first, inverse = np.unique(index.coords_to_linear(coords),
+                                  return_index=True, return_inverse=True)
+    return candidate_counts_at(index, coords[first]).take(inverse) + 1
 
 
 def run_adaptive_batches(batches: List[np.ndarray], run_batch,

@@ -29,7 +29,7 @@ and its UNICOMP variant (Algorithm 2) are provided:
     keeps only the cell pairs Algorithm 2 selects.  The visited cell pairs
     and results are identical to Algorithm 1; only the loop nesting differs
     (data-parallel over cells rather than over points).  The bipartite
-    probe and the work estimators share the walker.
+    probe shares the walker.
 
 Reduced dims.  An index over ``k < n`` dims (the JPDC follow-up's layout)
 walks 3^k cells per cell but expands more candidates, most of them far
@@ -59,14 +59,18 @@ A cold shard therefore walks the whole index once per process: a one-shot
 workers.  An adjacency past a byte bound derived from the index
 (:data:`_ADJACENCY_BYTES_PER_POINT_BYTE`) is not kept, and every call
 walks its own cells as before.  Probes always walk (their query cells are
-arbitrary), and so do the sampled cost estimators.  The index also keeps
+arbitrary).  The work of a self-join is read from the same cell pairs:
+:func:`selfjoin_cell_costs` gives each source cell's distance
+calculations exactly, and it is the one cost the shard planner, the
+scheduler and the grid-vs-brute-force selector use.  The index also keeps
 its points in ``A`` order
 (:meth:`~repro.core.gridindex.GridIndex.cell_ordered_points`), from which
 the NumPy emitter gathers coordinates, and for ``k < n`` their non-indexed
 columns (:meth:`~repro.core.gridindex.GridIndex.unindexed_columns`), which
 its pre-filter reads.  Together these keep at most ten times the bytes of
 the points per index (one copy, the columns, and two adjacencies of
-four), and the batch planner counts what an index keeps
+four), plus 8 bytes per non-empty cell and UNICOMP flag for the cell
+costs, and the batch planner counts what an index keeps
 (:meth:`~repro.core.gridindex.GridIndex.cached_nbytes`).  The walker's
 dense cell table is not kept: each walk that takes it builds its own and
 drops it, so neither ``memory_footprint()`` nor ``cached_nbytes()``
@@ -532,9 +536,9 @@ def _walk_cell_pairs(index: GridIndex, coords: np.ndarray, unicomp: bool = False
 
     A self-join walks only to fill its index's cached adjacency, or when
     that adjacency is past its byte bound (:func:`_visit_cell_pairs`);
-    probes and the cost estimators walk on every call.  Because the walk
-    is source-cell-major, the pairs of any contiguous subset of the
-    source cells are a contiguous run of the whole walk: a shard split at
+    probes walk on every call.  Because the walk is source-cell-major,
+    the pairs of any contiguous subset of the source cells are a
+    contiguous run of the whole walk: a shard split at
     a ``B``-order boundary emits, half after half, exactly the unsplit
     shard's pair stream.  A cancellation checkpoint runs before every
     group, so a deadline stops a kernel call between groups.
@@ -707,6 +711,34 @@ def _walk_adjacency(index: GridIndex, unicomp: bool) -> Optional[CellAdjacency]:
     np.cumsum(starts, out=starts)
     return CellAdjacency(starts=starts, targets=np.concatenate(targets),
                          checked=checked)
+
+
+def selfjoin_cell_costs(index: GridIndex, unicomp: bool) -> np.ndarray:
+    """Distance calculations of each non-empty cell's self-join (int64,
+    length ``|G|``, read-only).
+
+    Source cell ``h`` evaluates ``cell_counts[h] * cell_counts[t]``
+    candidates against each cell ``t`` it pairs with, so its cost is
+    ``cell_counts[h]`` times the populations of its targets: the sum over
+    any cell subset equals the ``distance_calcs`` of joining that subset.
+    The pairs are read through :func:`_visit_cell_pairs`, so the first call
+    fills (or reuses) the index's adjacency, and the vector is kept on the
+    index (:meth:`GridIndex.cached
+    <repro.core.gridindex.GridIndex.cached>`) for later calls.
+    """
+    def build() -> np.ndarray:
+        counts = index.cell_counts.astype(np.int64)
+        costs = np.zeros(index.num_nonempty_cells, dtype=np.int64)
+
+        def visit(src, tgt, checked, mirror) -> None:
+            np.add.at(costs, src, counts.take(tgt))
+
+        _visit_cell_pairs(index, None, unicomp, visit)
+        costs *= counts
+        costs.setflags(write=False)
+        return costs
+
+    return index.cached(("cell_costs", unicomp), build)
 
 
 def _is_cell_range(cells: np.ndarray) -> bool:

@@ -9,9 +9,11 @@ cheaper one.
 
 The grid-join work estimate is the number of candidate point pairs the
 kernel will evaluate — the sum over adjacent non-empty cell pairs of the
-product of their populations — which the kernel's own cell-pair walk
-computes exactly in O(3^n · |G|) without expanding any pairs.  Brute force
-always evaluates ``|D|^2`` pairs but touches no index structures.
+product of their populations — read exactly from the index's kept cell
+pairs (:func:`repro.core.kernels.selfjoin_cell_costs`) without expanding
+any pairs; a grid join that follows reads the same cell pairs back instead
+of walking again.  Brute force always evaluates ``|D|^2`` pairs but touches
+no index structures.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from typing import Optional
 import numpy as np
 
 from repro.core.gridindex import GridIndex
-from repro.core.kernels import _walk_cell_pairs
+from repro.core.kernels import selfjoin_cell_costs
 from repro.core.result import ResultSet
 from repro.utils.validation import check_eps, check_points
 
@@ -75,11 +77,8 @@ def estimate_join_work(index: GridIndex, unicomp: bool = True) -> WorkEstimate:
         Account for the UNICOMP work-avoidance rule (the default
         configuration of GPU-SJ).
     """
-    counts = index.cell_counts.astype(np.int64)
-    total_pairs = sum(int((counts[src] * counts[tgt]).sum()) for src, tgt, _, _
-                      in _walk_cell_pairs(index, index.cell_coords, unicomp))
     return WorkEstimate(
-        grid_candidate_pairs=total_pairs,
+        grid_candidate_pairs=int(selfjoin_cell_costs(index, unicomp).sum()),
         bruteforce_pairs=index.num_points ** 2,
         num_points=index.num_points,
         num_nonempty_cells=index.num_nonempty_cells,

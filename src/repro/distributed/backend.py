@@ -294,8 +294,6 @@ class DistributedBackend(ShardExecutionBackend):
     n_shards:
         Shard count (``workers * scheduler.OVERSPLIT_FACTOR`` when omitted
         — the pull queue's rebalancing slack).
-    seed:
-        Seed of the sampled cost estimates (reproducible shard plans).
     kernel:
         Kernel tier (``auto``, ``numpy`` or ``numba``) threaded into the
         workers' inner backend.
@@ -332,14 +330,14 @@ class DistributedBackend(ShardExecutionBackend):
     run_probe = ShardExecutionBackend.run_probe
 
     def __init__(self, *spec, inner: str = "vectorized",
-                 n_shards: Optional[int] = None, seed: int = 0,
+                 n_shards: Optional[int] = None,
                  kernel: str = "auto", scheduling: str = "adaptive",
                  window: int = 1, hedge_after: float = 0.25,
                  connect_timeout: float = 10.0,
                  chunk_pairs: int = DEFAULT_CHUNK_PAIRS,
                  debug_shard_sleep_ms: float = 0.0,
                  store_root: Optional[str] = None) -> None:
-        super().__init__(inner, kernel, n_shards, seed)
+        super().__init__(inner, kernel, n_shards)
         if str(scheduling) not in SCHEDULING_MODES:
             raise ValueError(
                 f"scheduling must be one of {SCHEDULING_MODES}")

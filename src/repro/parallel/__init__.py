@@ -5,7 +5,8 @@ independent batches that can execute concurrently.  This package runs that
 decomposition through one executor with three transports:
 
 * :mod:`~repro.parallel.shards` plans contiguous ``B``-order shards of the
-  non-empty cells, balanced by sampled per-cell cost estimates, and turns
+  non-empty cells, balanced by each cell's exact distance calculations
+  (:func:`repro.core.kernels.selfjoin_cell_costs`), and turns
   them into :class:`~repro.parallel.scheduler.ShardTask` lists (one helper
   per operator).  Shards partition the origin cells, so their pairs need
   no deduplication — with or without UNICOMP.

@@ -416,8 +416,8 @@ class ShardExecutionBackend(ExecutionBackend):
     scheduling = "adaptive"
     hedge_after = 0.25
 
-    def __init__(self, inner: str, kernel: str, n_shards: Optional[int],
-                 seed: int) -> None:
+    def __init__(self, inner: str, kernel: str,
+                 n_shards: Optional[int]) -> None:
         if n_shards is not None and int(n_shards) < 1:
             raise ValueError("n_shards must be >= 1")
         self.n_shards = int(n_shards) if n_shards is not None else None
@@ -425,7 +425,6 @@ class ShardExecutionBackend(ExecutionBackend):
         parse_kernel_spec(self.kernel_spec)  # fail fast on typos
         # A plain string, so it ships to pool and TCP workers unchanged.
         self.inner_name = compose_kernel_spec(str(inner), self.kernel_spec)
-        self.seed = int(seed)
 
     @property
     def inner(self) -> ExecutionBackend:
@@ -468,7 +467,7 @@ class ShardExecutionBackend(ExecutionBackend):
 
     def run_selfjoin(self, index, eps, cells, sink, *, unicomp=False,
                      max_candidate_pairs=DEFAULT_MAX_CANDIDATE_PAIRS) -> KernelStats:
-        tasks = selfjoin_tasks(index, cells, self._shard_count(), self.seed)
+        tasks = selfjoin_tasks(index, cells, self._shard_count(), unicomp)
         op = ShardOp("selfjoin", {
             "index_eps": float(index.eps), "index_dims": list(index.dims),
             "eps": float(eps),
@@ -479,8 +478,7 @@ class ShardExecutionBackend(ExecutionBackend):
     def run_probe(self, queries, index, eps, sink, *, rows=None,
                   max_candidate_pairs=DEFAULT_MAX_CANDIDATE_PAIRS) -> KernelStats:
         rows = _probe_rows(queries, rows)
-        tasks = probe_tasks(queries, rows, index, self._shard_count(),
-                            self.seed)
+        tasks = probe_tasks(queries, rows, index, self._shard_count())
         op = ShardOp("probe", {
             "index_eps": float(index.eps), "index_dims": list(index.dims),
             "eps": float(eps),

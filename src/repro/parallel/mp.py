@@ -304,12 +304,6 @@ class MultiprocessBackend(ShardExecutionBackend):
     max_idle:
         How many detached session pools to keep warm for revival (LRU);
         ``0`` shuts a pool down on the last detach.
-    seed:
-        RNG seed for the sampled cost estimates behind the shard and
-        probe-row decompositions, so plans are reproducible from one knob:
-        ``MultiprocessBackend(seed=11)``, or in a registry spec —
-        ``multiprocess(4, seed=11)`` (positionally every earlier argument
-        must be spelled out).
     kernel:
         Kernel tier threaded into the inner backend (see
         :mod:`repro.core.nativekernels`): ``multiprocess(4, kernel=numba)``
@@ -324,13 +318,12 @@ class MultiprocessBackend(ShardExecutionBackend):
                  inner: str = "vectorized",
                  n_shards: Optional[int] = None,
                  max_idle: int = 2,
-                 seed: int = 0,
                  kernel: str = "auto") -> None:
         if n_workers is not None and int(n_workers) < 1:
             raise ValueError("n_workers must be >= 1")
         if int(max_idle) < 0:
             raise ValueError("max_idle must be >= 0")
-        super().__init__(inner, kernel, n_shards, seed)
+        super().__init__(inner, kernel, n_shards)
         self.n_workers = int(n_workers) if n_workers is not None else None
         self.max_idle = int(max_idle)
         self.stats = MultiprocessStats()

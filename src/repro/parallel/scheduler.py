@@ -1,13 +1,13 @@
 """Adaptive mid-join scheduling: a pull-based work-stealing shard queue.
 
-The paper's scheduling currency is a *sampled per-cell cost model*
-(:func:`repro.core.batching.estimate_cell_costs`): it decides where batch
-and shard boundaries fall.  A cost model is only an estimate, though — and
-under a static shard→worker assignment every estimation error (or a plainly
-slow worker) turns directly into tail latency, which PR 8 could only paper
-over with hedged duplicates.  This module replaces static assignment with
-**dynamic, pull-based scheduling**, so runtime observation corrects what
-the cost model mispredicts:
+Shard boundaries fall on a per-item cost: for a self-join, the exact
+distance calculations of each cell
+(:func:`repro.core.kernels.selfjoin_cell_costs`).  An exact cost still does
+not make a static shard→worker assignment fast: a plainly slow or loaded
+worker turns its queue directly into tail latency, which a static
+dispatcher can only paper over with hedged duplicates.  This module
+replaces static assignment with **dynamic, pull-based scheduling**, so
+runtime observation corrects what the plan cannot foresee:
 
 * The planner **oversplits** into :data:`OVERSPLIT_FACTOR` (~4×) shards per
   worker, dispatch-ordered largest first, so the pull queue always has
@@ -16,8 +16,9 @@ the cost model mispredicts:
   receiving a fixed partition up front.  Idle workers **steal** queued
   shards from the most-backlogged peer.
 * The scheduler tracks an **EWMA of observed per-worker throughput** (cost
-  units — roughly points·cells — per second) and **reassigns still-queued
-  shards away from slow workers** before they become the tail.
+  units — distance calculations for a self-join — per second) and
+  **reassigns still-queued shards away from slow workers** before they
+  become the tail.
 * When the queue runs dry it **splits the largest in-flight shard at a
   B-order boundary** and races the halves on idle workers rather than
   letting them idle; **hedging** (a full duplicate) remains the last
@@ -203,9 +204,10 @@ class ScheduleReport:
     hedge_wasted_pairs: int = 0
     resplit_wasted_shards: int = 0
     resplit_wasted_pairs: int = 0
-    #: Cost-model total for the plan vs the work the accepted shards
-    #: actually reported (distance calculations): the achieved-vs-predicted
-    #: cost ratio says how well the sampled estimator steered the plan.
+    #: The plan's total cost vs the work the accepted shards reported
+    #: (distance calculations).  A self-join's costs are its cells' exact
+    #: distance calculations, so the ratio is 1.0 whatever was resplit,
+    #: hedged or re-dispatched; probe rows add a base cost of 1 each.
     predicted_cost: float = 0.0
     achieved_cost: float = 0.0
     #: EWMA throughput per worker (cost units/s) at the end of the join.

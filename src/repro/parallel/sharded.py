@@ -17,10 +17,9 @@ executor dispatches in root order and flushes each shard as it completes,
 so peak memory is O(largest shard + halo) instead of O(n).
 
 Registered as ``sharded``; parameterized lookups configure it:
-``sharded(7)`` uses seven shards, ``sharded(4, cellwise)`` runs the
-cellwise reference under a four-shard decomposition, and
-``sharded(4, vectorized, 11)`` pins the cost-sampling seed so shard plans
-are reproducible from one knob.  ``sharded(4, kernel=numba)`` forces the
+``sharded(7)`` uses seven shards and ``sharded(4, cellwise)`` runs the
+cellwise reference under a four-shard decomposition.
+``sharded(4, kernel=numba)`` forces the
 inner backend's kernel tier (see :mod:`repro.core.nativekernels`);
 ``kernel=`` takes a tier only.  On the numba tier the inner backend picks
 the dense or sparse compiled kernel *per shard* from that shard's cell
@@ -49,9 +48,8 @@ class ShardedBackend(ShardExecutionBackend):
     supports_streaming = True
 
     def __init__(self, n_shards: Optional[int] = None,
-                 inner: str = "vectorized", seed: int = 0,
-                 kernel: str = "auto") -> None:
-        super().__init__(inner, kernel, n_shards, seed)
+                 inner: str = "vectorized", kernel: str = "auto") -> None:
+        super().__init__(inner, kernel, n_shards)
 
     def _shard_count(self) -> int:
         return self.n_shards or default_worker_count()

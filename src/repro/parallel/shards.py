@@ -6,10 +6,11 @@ UNICOMP rule assigns every unordered adjacent-cell pair to exactly one
 evaluating cell — any partition of the cells yields shards whose self-join
 results are disjoint: merging their :class:`~repro.core.result.PairFragments`
 needs no deduplication.  The :class:`ShardPlanner` chooses the slice
-boundaries on *sampled per-cell cost estimates*
-(:func:`repro.core.batching.estimate_cell_costs`, the same sampling idea the
-:class:`~repro.core.batching.BatchPlanner` uses for its result buffer) rather than even cell counts, so a shard over a dense region stays
-comparable in work to one over sparse space.
+boundaries on the exact per-cell self-join cost
+(:func:`repro.core.kernels.selfjoin_cell_costs`: the distance calculations
+each cell's kept cell pairs cost) rather than even cell counts, so a shard
+over a dense region stays comparable in work to one over sparse space, and
+a plan's cost is the ``distance_calcs`` its shards report.
 
 :func:`selfjoin_tasks`, :func:`probe_tasks` and :func:`stream_tasks` turn
 a plan into the :class:`~repro.parallel.scheduler.ShardTask` list one
@@ -25,12 +26,9 @@ from typing import List, Optional
 
 import numpy as np
 
-from repro.core.batching import (
-    estimate_cell_costs,
-    estimate_probe_row_costs,
-    split_by_cost,
-)
+from repro.core.batching import estimate_probe_row_costs, split_by_cost
 from repro.core.gridindex import GridIndex
+from repro.core.kernels import selfjoin_cell_costs
 from repro.parallel.scheduler import ShardTask, tasks_from_arrays
 
 #: Environment override for the default worker/shard count.
@@ -61,9 +59,9 @@ class ShardPlan:
         isolated into its own shard).  Only the degenerate plan over an
         empty cell subset holds a single empty shard.
     estimated_costs:
-        Estimated work per shard, aligned with ``shards``.
+        Work per shard (distance calculations), aligned with ``shards``.
     cell_costs:
-        Per-cell cost estimates, one array per shard aligned with its cell
+        Per-cell costs, one array per shard aligned with its cell
         array.  The adaptive scheduler uses these to place the cost-weighted
         ``B``-order boundary when it splits an in-flight shard
         (:meth:`repro.parallel.scheduler.ShardTask.split`).
@@ -98,23 +96,17 @@ class ShardPlanner:
     n_shards:
         Number of shards to produce (clamped to the cell count); defaults to
         :func:`default_worker_count`.
-    sample_fraction, max_sample_cells, seed:
-        Forwarded to :func:`repro.core.batching.estimate_cell_costs`.
     """
 
-    def __init__(self, n_shards: Optional[int] = None,
-                 sample_fraction: float = 0.05, max_sample_cells: int = 512,
-                 seed: int = 0) -> None:
+    def __init__(self, n_shards: Optional[int] = None) -> None:
         if n_shards is not None and n_shards < 1:
             raise ValueError("n_shards must be >= 1")
         self.n_shards = int(n_shards) if n_shards is not None else None
-        self.sample_fraction = float(sample_fraction)
-        self.max_sample_cells = int(max_sample_cells)
-        self.seed = int(seed)
 
-    def plan(self, index: GridIndex,
-             cells: Optional[np.ndarray] = None) -> ShardPlan:
-        """Partition ``cells`` (all non-empty cells when ``None``) into shards.
+    def plan(self, index: GridIndex, cells: Optional[np.ndarray] = None,
+             unicomp: bool = False) -> ShardPlan:
+        """Partition ``cells`` (all non-empty cells when ``None``) of the
+        ``unicomp`` (or GLOBAL) self-join into shards.
 
         The given cell order is preserved, so a contiguous ``B``-order input
         (the whole grid, or one planned batch) yields contiguous
@@ -129,9 +121,7 @@ class ShardPlanner:
             return ShardPlan(shards=[np.empty(0, dtype=np.int64)],
                              estimated_costs=np.zeros(1, dtype=np.float64),
                              cell_costs=[np.empty(0, dtype=np.float64)])
-        costs = estimate_cell_costs(index, sample_fraction=self.sample_fraction,
-                                    max_sample_cells=self.max_sample_cells,
-                                    seed=self.seed)[cells]
+        costs = selfjoin_cell_costs(index, unicomp).take(cells)
         slices = split_by_cost(costs, n_shards)
         return ShardPlan(
             shards=[cells[s] for s in slices],
@@ -140,18 +130,18 @@ class ShardPlanner:
 
 
 def selfjoin_tasks(index: GridIndex, cells: Optional[np.ndarray],
-                   n_shards: int, seed: int) -> List[ShardTask]:
+                   n_shards: int, unicomp: bool) -> List[ShardTask]:
     """Self-join tasks: cost-balanced contiguous cell shards."""
-    plan = ShardPlanner(n_shards=n_shards, seed=seed).plan(index, cells)
+    plan = ShardPlanner(n_shards=n_shards).plan(index, cells, unicomp)
     return tasks_from_arrays(plan.shards, plan.cell_costs)
 
 
 def probe_tasks(queries: np.ndarray, rows: np.ndarray, index: GridIndex,
-                n_shards: int, seed: int) -> List[ShardTask]:
+                n_shards: int) -> List[ShardTask]:
     """Probe tasks: cost-balanced contiguous groups of the probed rows."""
     if rows.shape[0] == 0:
         return []
-    costs = estimate_probe_row_costs(queries[rows], index, seed=seed)
+    costs = estimate_probe_row_costs(queries[rows], index)
     groups = split_by_cost(costs, n_shards)
     return tasks_from_arrays([rows[g] for g in groups],
                              [costs[g].astype(np.float64) for g in groups],
@@ -162,7 +152,7 @@ def stream_tasks(source, n_shards: int) -> List[ShardTask]:
     """Streamed self-join tasks: store directory ranges balanced by count.
 
     The per-cell population is already in the store's directory, so no
-    sampling pass over the file is needed.
+    pass over the file is needed.
     """
     counts = source.cell_counts.astype(np.float64)
     tasks = []

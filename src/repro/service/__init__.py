@@ -11,8 +11,8 @@ bipartite requests over a length-prefixed JSON + binary frame protocol
 (:mod:`repro.service.scheduler`):
 
 * bursts of single-point range/kNN queries against the same (dataset, ε)
-  **fuse** into one cost-balanced bipartite batch — the paper's sampled
-  work estimates, reused as an admission scheduler;
+  **fuse** into one bipartite probe, which the parallel backends split
+  into shards by each row's exact candidate count;
 * per-request **deadlines** cancel cooperatively, actually stopping shard
   loops (:mod:`repro.utils.cancellation`), and a bounded admission queue
   rejects overload with a structured response instead of melting down;

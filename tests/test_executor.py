@@ -111,7 +111,7 @@ def serial(request, index):
 
 
 def _selfjoin(index, unicomp, transport, **kwargs):
-    tasks = selfjoin_tasks(index, None, 9, seed=0)
+    tasks = selfjoin_tasks(index, None, 9, unicomp)
     op = ShardOp("selfjoin", {"index_eps": float(index.eps),
                               "eps": float(index.eps), "unicomp": unicomp})
     sink = PairFragments(index.num_points)
@@ -192,6 +192,21 @@ class TestScriptedSchedules:
         assert _counters(stats) == counters
         assert report.steals + report.resplits >= 1
 
+    @pytest.mark.parametrize("script", SCRIPTS, ids=lambda s: s.__name__)
+    def test_planned_cost_is_the_accepted_work(self, index, serial, script):
+        # Each cell's cost is its exact distance calculations, so the plan
+        # predicts the accepted shards' work whatever was resplit, hedged,
+        # re-dispatched or delivered twice.
+        unicomp, _, counters = serial
+        transport = ScriptedTransport(ShardDataset(index.points, INNER),
+                                      script)
+        _, stats, report = _selfjoin(index, unicomp, transport,
+                                     hedge_after=0.0)
+        assert report.predicted_cost == report.achieved_cost \
+            == stats.distance_calcs == counters[2]
+        if script is newest_first:
+            assert report.resplits >= 1
+
     def test_duplicate_delivery_is_waste_not_pairs(self, index, serial):
         unicomp, digest, counters = serial
         transport = ScriptedTransport(ShardDataset(index.points, INNER),
@@ -207,7 +222,7 @@ class TestScriptedSchedules:
         ref = VectorizedBackend("numpy").run_probe(queries, index, index.eps,
                                                    ref_sink)
         rows = np.arange(queries.shape[0], dtype=np.int64)
-        tasks = probe_tasks(queries, rows, index, 6, seed=0)
+        tasks = probe_tasks(queries, rows, index, 6)
         op = ShardOp("probe", {"index_eps": float(index.eps),
                                "eps": float(index.eps)}, queries=queries)
         transport = ScriptedTransport(ShardDataset(index.points, INNER),
@@ -241,7 +256,7 @@ class TestLoopEdges:
 
     def test_inline_transport_matches_serial(self, index, serial):
         unicomp, digest, counters = serial
-        tasks = selfjoin_tasks(index, None, 5, seed=0)
+        tasks = selfjoin_tasks(index, None, 5, unicomp)
         op = ShardOp("selfjoin", {"index_eps": float(index.eps),
                                   "eps": float(index.eps),
                                   "unicomp": unicomp})

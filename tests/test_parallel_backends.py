@@ -205,43 +205,38 @@ class TestRegistry:
         assert plan.batch_plan is not None
 
 
-class TestPlanSeedKnob:
-    """One explicit seed drives every sampled cost estimate of a backend.
+class TestExactShardCosts:
+    """A self-join's shard plan costs exactly the work its shards report.
 
-    Both `default_rng(seed)` sites in ``core/batching.py`` —
-    ``estimate_cell_costs`` behind the shard split and
-    ``estimate_probe_row_costs`` behind the probe-row split — resolve from
-    the backend's single ``seed`` parameter, reachable through the registry
-    spec, so shard plans are reproducible from one knob.
+    Each cell's cost is its distance calculations
+    (:func:`repro.core.kernels.selfjoin_cell_costs`), so the plan's total
+    is the join's ``distance_calcs`` and the schedule report's predicted
+    and achieved costs are equal, under UNICOMP and GLOBAL, on an index
+    over every dim and on one over ``k < n`` dims.
     """
 
-    def test_seed_exposed_in_registry_specs(self):
-        from repro.engine.backends import _INSTANCES
-
-        try:
-            sharded = get_backend("sharded(4, vectorized, 11)")
-            assert (sharded.n_shards, sharded.inner_name, sharded.seed) \
-                == (4, "vectorized", 11)
-            mp = get_backend("multiprocess(2, vectorized, 4, 2, 9)")
-            assert (mp.n_workers, mp.n_shards, mp.seed) == (2, 4, 9)
-        finally:
-            _INSTANCES.pop("sharded(4, vectorized, 11)", None)
-            _INSTANCES.pop("multiprocess(2, vectorized, 4, 2, 9)", None)
-
-    def test_same_seed_reproduces_the_shard_plan(self):
+    @pytest.mark.parametrize("unicomp", [False, True],
+                             ids=["global", "unicomp"])
+    @pytest.mark.parametrize("dims,index_dims", [
+        (2, None), (3, None), (4, None), (5, None), (6, None),
+        (6, (0, 1, 2, 3))])
+    def test_predicted_cost_is_achieved_cost(self, dims, index_dims, unicomp):
         from repro.core.gridindex import GridIndex
         from repro.parallel.shards import ShardPlanner
 
-        points = uniform_dataset(400, 2, seed=21, low=0.0, high=10.0)
-        index = GridIndex.build(points, 0.6)
-        plans = [ShardPlanner(n_shards=5, seed=13).plan(index)
-                 for _ in range(2)]
-        for a, b in zip(plans[0].shards, plans[1].shards):
-            assert np.array_equal(a, b)
-
-    def test_seeded_backends_remain_pair_identical(self):
-        points = uniform_dataset(250, 2, seed=22, low=0.0, high=8.0)
-        ref = run_query(Query.self_join(points, 0.7))
-        for spec in ("sharded(3, vectorized, 1)", "sharded(3, vectorized, 2)"):
-            got = run_query(Query.self_join(points, 0.7), backend=spec)
-            assert got.result_set.sort().same_pairs_as(ref.result_set.sort()), spec
+        eps = EPS_BY_DIM[dims]
+        index = GridIndex.build(_dataset(dims), eps, dims=index_dims)
+        backend = ShardedBackend(3, kernel="numpy")
+        backend.scheduling = "static"
+        reports = []
+        backend._record_schedule = reports.append
+        stats = backend.run_selfjoin(index, eps, None,
+                                     PairFragments(index.num_points),
+                                     unicomp=unicomp)
+        plan = ShardPlanner(n_shards=3).plan(index, unicomp=unicomp)
+        assert plan.n_shards == 3
+        assert int(plan.estimated_costs.sum()) == stats.distance_calcs
+        (report,) = reports
+        assert report.predicted_cost == report.achieved_cost \
+            == stats.distance_calcs
+        assert stats.schedule_counts["cost_ratio_pct"] == 100

@@ -1,4 +1,4 @@
-"""Unit tests for the shard planner and cost estimators."""
+"""Unit tests for the shard planner and the exact per-item costs."""
 
 from __future__ import annotations
 
@@ -7,12 +7,14 @@ import pytest
 
 from repro.core.batching import (
     candidate_counts_at,
-    estimate_cell_costs,
     estimate_probe_row_costs,
     split_by_cost,
     split_cells_balanced,
 )
 from repro.core.gridindex import GridIndex
+from repro.core.kernels import selfjoin_cell_costs
+from repro.core.result import PairFragments
+from repro.engine.backends import VectorizedBackend
 from repro.data.synthetic import uniform_dataset
 from repro.parallel import ShardPlanner, default_worker_count
 from repro.parallel.shards import WORKERS_ENV_VAR
@@ -79,24 +81,58 @@ class TestCostEstimators:
         counts = candidate_counts_at(index, index.cell_coords)
         assert np.array_equal(np.sort(counts), np.sort(np.array([4, 3])))
 
-    def test_estimate_cell_costs_full_sample_is_exact_work(self):
-        index = _index()
-        costs = estimate_cell_costs(index, sample_fraction=1.0,
-                                    max_sample_cells=10 ** 6)
-        exact = index.cell_counts * candidate_counts_at(index, index.cell_coords)
-        assert np.allclose(costs, exact)
-        # The full-sample estimate equals the GLOBAL kernel's distance count.
-        from repro.core.kernels import selfjoin_global_vectorized
-        out = selfjoin_global_vectorized(index, index.eps)
-        assert int(costs.sum()) == out.stats.distance_calcs
+    @pytest.mark.parametrize("unicomp", [False, True],
+                             ids=["global", "unicomp"])
+    @pytest.mark.parametrize("dims", [2, 3, 6])
+    def test_cell_costs_are_the_kernel_distance_calcs(self, dims, unicomp):
+        index = _index(n=400, dims=dims, eps={2: 0.7, 3: 1.2, 6: 2.5}[dims])
+        costs = selfjoin_cell_costs(index, unicomp)
+        assert costs.dtype == np.int64
+        assert costs.shape == (index.num_nonempty_cells,)
+        if not unicomp:
+            assert np.array_equal(
+                costs,
+                index.cell_counts * candidate_counts_at(index,
+                                                        index.cell_coords))
+        # Any cell subset's cost is the distance work of joining it.
+        for cells in (None, np.arange(3, index.num_nonempty_cells, 4)):
+            stats = VectorizedBackend("numpy").run_selfjoin(
+                index, index.eps, cells, PairFragments(index.num_points),
+                unicomp=unicomp)
+            want = costs.sum() if cells is None else costs[cells].sum()
+            assert int(want) == stats.distance_calcs
 
-    def test_estimate_cell_costs_sampled_is_positive_and_sized(self):
-        index = _index(n=800)
-        costs = estimate_cell_costs(index, sample_fraction=0.1,
-                                    max_sample_cells=32)
-        assert costs.shape[0] == index.num_nonempty_cells
-        assert np.all(costs >= 0) and np.all(np.isfinite(costs))
-        assert costs.sum() > 0
+    def test_cell_costs_past_the_adjacency_bound(self, monkeypatch):
+        # No adjacency is kept, so the costs come from a plain walk.
+        import repro.core.kernels as K
+
+        monkeypatch.setattr(K, "_ADJACENCY_BYTES_PER_POINT_BYTE", 0)
+        index = _index(n=400, dims=3, eps=1.2)
+        costs = selfjoin_cell_costs(index, True)
+        assert index.cached(("cell_pairs", True), lambda: "unused") is None
+        stats = VectorizedBackend("numpy").run_selfjoin(
+            index, index.eps, None, PairFragments(index.num_points),
+            unicomp=True)
+        assert int(costs.sum()) == stats.distance_calcs
+
+    def test_cell_costs_are_kept_on_the_index(self):
+        index = _index()
+        costs = selfjoin_cell_costs(index, True)
+        assert selfjoin_cell_costs(index, True) is costs
+        assert not costs.flags.writeable
+        assert index.cached_nbytes() >= costs.nbytes
+
+    def test_probe_row_costs_are_the_probe_distance_calcs(self):
+        # Some queries lie outside the data box: they clip into the edge
+        # cells and probe the same candidates the kernel evaluates.
+        index = _index(n=500, dims=3, eps=0.8)
+        queries = np.random.default_rng(7).uniform(-2.0, 8.0, (300, 3))
+        assert (queries < 0).any() and (queries > 6).any()
+        costs = estimate_probe_row_costs(queries, index)
+        assert costs.dtype == np.int64 and costs.shape == (300,)
+        stats = VectorizedBackend("numpy").run_probe(
+            queries, index, index.eps, PairFragments(queries.shape[0]))
+        assert int((costs - 1).sum()) == stats.distance_calcs
 
     def test_probe_row_costs_reflect_density(self):
         # Index has a dense blob near the origin and nothing elsewhere; a

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import sys
+
 import numpy as np
 import pytest
 
@@ -87,3 +89,32 @@ class TestAdaptiveSelfJoin:
             adaptive_selfjoin(np.empty((0, 2)), 1.0)
         with pytest.raises(ValueError):
             adaptive_selfjoin(uniform_dataset(10, 2, seed=0), -1.0)
+
+    @pytest.mark.parametrize("unicomp", [False, True])
+    def test_grid_path_walks_the_cell_pairs_once(self, monkeypatch, unicomp):
+        # The estimate fills the index's adjacency and the grid join reads
+        # it back, so the cell pairs are walked once per call.  Every
+        # module's binding of the walker is counted, not only the kernels'.
+        import repro.core.kernels as K
+
+        counts = {"adjacency": 0, "walk": 0}
+
+        def counting(name, original):
+            def counted(*args, **kwargs):
+                counts[name] += 1
+                return original(*args, **kwargs)
+            return counted
+
+        monkeypatch.setattr(K, "_walk_adjacency",
+                            counting("adjacency", K._walk_adjacency))
+        walk = K._walk_cell_pairs
+        counted_walk = counting("walk", walk)
+        for module in list(sys.modules.values()):
+            if getattr(module, "__name__", "").startswith("repro.") \
+                    and getattr(module, "_walk_cell_pairs", None) is walk:
+                monkeypatch.setattr(module, "_walk_cell_pairs", counted_walk)
+        points = uniform_dataset(600, 2, seed=2, low=0.0, high=30.0)
+        result, estimate = adaptive_selfjoin(points, 1.0, unicomp=unicomp)
+        assert estimate.recommended == "grid"
+        assert result.same_pairs_as(kdtree_selfjoin(points, 1.0))
+        assert counts == {"adjacency": 1, "walk": 1}
