@@ -26,10 +26,14 @@ and its UNICOMP variant (Algorithm 2) are provided:
     (:func:`_dense_cell_table`); one emitter
     (:func:`_emit_pairs`) expands the cell pairs into point pairs and
     filters them by distance in bounded chunks.  UNICOMP
-    keeps only the cell pairs Algorithm 2 selects.  The visited cell pairs
-    and results are identical to Algorithm 1; only the loop nesting differs
-    (data-parallel over cells rather than over points).  The bipartite
-    probe shares the walker.
+    keeps only the cell pairs Algorithm 2 selects, and on the NumPy tier
+    emits each match of a non-home cell pair once, flagged as mirrored:
+    the sink keeps it compact, the CSR finalize makes the reverse pair
+    inside its one sort, and every other view expands it right after its
+    match (:class:`~repro.core.result.PairFragments`).  The visited cell
+    pairs and results are identical to Algorithm 1; only the loop nesting
+    differs (data-parallel over cells rather than over points).  The
+    bipartite probe shares the walker.
 
 Reduced dims.  An index over ``k < n`` dims (the JPDC follow-up's layout)
 walks 3^k cells per cell but expands more candidates, most of them far
@@ -342,7 +346,8 @@ def selfjoin_unicomp_vectorized(index: GridIndex, eps: Optional[float] = None,
 
     Every source cell scans its home cell and, per dimension ``k`` with an
     odd ``k`` coordinate, the offsets whose highest non-zero dimension is
-    ``k``; both ordered pairs are emitted for the non-home matches.
+    ``k``; both ordered pairs stand in the stream for each non-home match
+    (on the NumPy tier as one flagged entry, see :func:`_emit_pairs`).
     """
     return _selfjoin_vectorized(index, eps, source_cells, max_candidate_pairs,
                                 sink, native_kernel, unicomp=True)
@@ -806,9 +811,14 @@ def _emit_pairs(sink: PairFragments, q_side: _JoinSide, q_cells: np.ndarray,
     within ``max_candidate_pairs``.  Returns the number of distance
     evaluations.  Matches are emitted cell pair by cell pair, query point by
     query point; where ``mirror[k]`` is set (UNICOMP's non-home pairs) each
-    match is followed by its reverse, as the compiled kernels emit it, so
-    the stream does not depend on the chunking.  ``key_map`` maps emitted
-    keys (a probe's local rows to global rows).
+    match stands for itself followed by its reverse.  The NumPy tier emits
+    such matches once, as ``(q_sel, c_sel, twice)`` with ``twice`` the
+    per-match mirror flag, and the sink keeps them compact
+    (:class:`~repro.core.result.PairFragments`); the compiled kernels write
+    the reverse right after its match and emit unflagged pairs.  Either
+    way the expanded stream is the same and does not depend on the
+    chunking.  ``key_map`` maps emitted keys (a probe's local rows to
+    global rows; probes carry no mirror flags).
 
     The cell pairs come from a self-join's cached adjacency or a probe's
     walk (:func:`_visit_cell_pairs`); this step runs on every call.  On the
@@ -878,16 +888,10 @@ def _emit_pairs(sink: PairFragments, q_side: _JoinSide, q_cells: np.ndarray,
         if mirror is None:
             sink.emit(q_sel if key_map is None else key_map.take(q_sel), c_sel)
             continue
-        # Each mirrored match takes two slots: the match, then its reverse.
-        twice = mirror[lo:hi].repeat(pair_counts[lo:hi]).take(
-            hit if slot is None else slot.take(hit))
-        slots = twice + 1
-        keys = q_sel.repeat(slots)
-        values = c_sel.repeat(slots)
-        second = slots.cumsum()[twice] - 1
-        keys[second] = c_sel[twice]
-        values[second] = q_sel[twice]
-        sink.emit(keys, values)
+        # Each match keeps its cell pair's mirror flag: the sink stands a
+        # flagged match for itself and then its reverse.
+        sink.emit(q_sel, c_sel, mirror[lo:hi].repeat(pair_counts[lo:hi]).take(
+            hit if slot is None else slot.take(hit)))
     return n_dist
 
 

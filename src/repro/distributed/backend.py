@@ -738,8 +738,9 @@ class _TcpTransport(Transport):
                     f"{end.get('message', end)}")))
 
     def _request(self, address: Address, header: dict, payload: bytes,
-                 ) -> Tuple[List[Tuple[np.ndarray, np.ndarray]], dict]:
-        """One shard round-trip: send the request, collect its chunk stream."""
+                 ) -> Tuple[List[tuple], dict]:
+        """One shard round-trip: send the request, collect its compact
+        ``(keys, values, twice)`` chunk stream."""
         backend = self.backend
         header = dict(header)
         if backend.debug_shard_sleep_ms > 0:
@@ -757,7 +758,7 @@ class _TcpTransport(Transport):
         try:
             sock.settimeout(None)   # shard compute takes as long as it takes
             sock.sendall(protocol.encode_frame(header, payload))
-            chunks: List[Tuple[np.ndarray, np.ndarray]] = []
+            chunks: List[tuple] = []
             while True:
                 frame = protocol.read_frame_sock(sock, backend.max_payload)
                 if frame is None:
@@ -768,7 +769,8 @@ class _TcpTransport(Transport):
                 if status == protocol.STATUS_CHUNK:
                     arrays = protocol.unpack_arrays(
                         fheader.get("arrays", []), fpayload)
-                    chunks.append((arrays["keys"], arrays["values"]))
+                    chunks.append((arrays["keys"], arrays["values"],
+                                   arrays.get("twice")))
                 elif status == protocol.STATUS_END:
                     return chunks, fheader
                 else:

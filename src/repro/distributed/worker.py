@@ -20,8 +20,12 @@ disk-streamed ``stream_shard``) compute with the shard body every
 transport shares, :func:`repro.parallel.executor.run_shard`, and respond
 with zero or more ``status: "chunk"`` frames of the pair arrays, then a
 ``status: "end"`` frame with the final status, pair total and serialized
-:class:`~repro.core.kernels.KernelStats`.  A request's ``deadline_ms``
-budget runs the compute inside a
+:class:`~repro.core.kernels.KernelStats`.  A chunk carries ``keys`` and
+``values`` as ``int32`` ids while the dataset has fewer than ``2 ** 31``
+points (:func:`wire_id_dtype`), and for a UNICOMP self-join a ``bool``
+``twice`` array: a flagged match also stands for its reverse pair, so each
+mirrored pair crosses the wire once (9 bytes, not two int64 pairs' 32).
+A request's ``deadline_ms`` budget runs the compute inside a
 :func:`~repro.utils.cancellation.cancel_scope`, so a parent whose deadline
 lapsed stops burning *remote* CPU within one cancellation checkpoint.
 
@@ -48,6 +52,7 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from repro.core.kernels import KernelStats
+from repro.core.result import expanded_pairs
 from repro.data.store import SpatialStore
 from repro.parallel.executor import ShardDataset, run_shard
 from repro.service import protocol
@@ -58,9 +63,9 @@ from repro.utils.cancellation import (
     check_cancelled,
 )
 
-#: Default bound on result pairs per streamed ``chunk`` frame; at 16 bytes a
-#: pair this keeps one frame's payload around 4 MB, far under the codec's
-#: payload bound.
+#: Default bound on compact result pairs per streamed ``chunk`` frame; at
+#: 9 bytes a pair (int32 ids and a flag) this keeps one frame's payload
+#: around 2.4 MB, far under the codec's payload bound.
 DEFAULT_CHUNK_PAIRS = 262_144
 
 #: Granularity of the cancellation-checkpointed debug sleep (fault tests
@@ -81,6 +86,13 @@ SHARD_ARRAYS = {"selfjoin": "cells", "probe": "queries"}
 _SHARD_COUNTERS = {"selfjoin": "shards_executed",
                    "probe": "probe_shards_executed",
                    "stream": "stream_shards_executed"}
+
+
+def wire_id_dtype(n_ids: int) -> np.dtype:
+    """The id dtype of a shard's result chunks: ``int32`` while every id
+    (below ``n_ids``: dataset points, or a probe slice's rows) fits it,
+    ``int64`` from ``2 ** 31`` ids on."""
+    return np.dtype(np.int32 if n_ids < 2 ** 31 else np.int64)
 
 
 def stats_to_wire(stats: KernelStats) -> dict:
@@ -390,8 +402,9 @@ class WorkerServer:
                     _interruptible_sleep(sleep_ms / 1000.0)
                 arrays = protocol.unpack_arrays(header.get("arrays", []),
                                                 payload)
-                keys, values, stats = run_shard(
-                    state, kind, header, arrays.get(SHARD_ARRAYS.get(kind)))
+                array = arrays.get(SHARD_ARRAYS.get(kind))
+                keys, values, twice, stats = run_shard(state, kind, header,
+                                                       array)
         except OperationCancelled as exc:
             with self._lock:
                 self.stats.shards_cancelled += 1
@@ -407,21 +420,28 @@ class WorkerServer:
 
         chunk_pairs = int(header.get("chunk_pairs", DEFAULT_CHUNK_PAIRS))
         chunk_pairs = max(1, chunk_pairs)
+        ids = wire_id_dtype(max(state.points.shape[0],
+                                0 if array is None else array.shape[0]))
+        keys = keys.astype(ids, copy=False)
+        values = values.astype(ids, copy=False)
         frames: List[Tuple[dict, bytes]] = []
         for seq, lo in enumerate(range(0, keys.shape[0], chunk_pairs)):
-            meta, chunk_payload = protocol.pack_arrays(
-                [("keys", keys[lo:lo + chunk_pairs]),
-                 ("values", values[lo:lo + chunk_pairs])])
+            hi = lo + chunk_pairs
+            chunk = [("keys", keys[lo:hi]), ("values", values[lo:hi])]
+            if twice is not None:
+                chunk.append(("twice", twice[lo:hi]))
+            meta, chunk_payload = protocol.pack_arrays(chunk)
             frames.append(({"status": protocol.STATUS_CHUNK, "shard": shard,
                             "seq": seq, "arrays": meta}, chunk_payload))
+        pairs = expanded_pairs(keys, values, twice)
         frames.append(({"status": protocol.STATUS_END, "final": "ok",
-                        "shard": shard, "pairs": int(keys.shape[0]),
+                        "shard": shard, "pairs": pairs,
                         "chunks": len(frames),
                         "stats": stats_to_wire(stats)}, b""))
         counter = _SHARD_COUNTERS[kind]
         with self._lock:
             setattr(self.stats, counter, getattr(self.stats, counter) + 1)
-            self.stats.pairs_returned += int(keys.shape[0])
+            self.stats.pairs_returned += pairs
             self.stats.chunks_sent += len(frames) - 1
         return frames
 

@@ -13,9 +13,10 @@ re-keyed until the caller materializes a view from the returned
     The legacy flat pair list (one concatenation, no sort unless the query
     asked for ``sort_result``).
 ``neighbor_table``
-    The CSR neighbor table, built natively from the fragments (bincount →
-    prefix-sum offsets → one fused-key sort); this is the hot path for
-    DBSCAN / kNN and never materializes the intermediate pair list.
+    The CSR neighbor table, built natively from the compact fragments (one
+    fused-key sort that also makes UNICOMP's reverse pairs → bincount →
+    prefix-sum offsets); this is the hot path for DBSCAN / kNN and never
+    materializes the intermediate pair list.
 """
 
 from __future__ import annotations
@@ -91,11 +92,16 @@ class EngineResult:
 
     @property
     def neighbor_table(self) -> NeighborTable:
-        """CSR view, built natively from the fragments (rows sorted by id)."""
+        """CSR view, built natively from the compact fragments (rows sorted
+        by id); the flat pair stream of :meth:`pairs` is never built."""
         if self._table is None:
-            keys, values = self.pairs()
-            self._table = NeighborTable.from_pairs(keys, values,
-                                                   self.plan.num_rows)
+            keys, values, twice = self.fragments.columns()
+            if self.plan.swapped:
+                keys, values = values, keys
+            query = self.plan.query
+            self._table = NeighborTable.from_pairs(
+                keys, values, self.plan.num_rows, twice,
+                include_self=query.kind != Q.SELF_JOIN or query.include_self)
         return self._table
 
 

@@ -41,7 +41,7 @@ import numpy as np
 from repro.core.gridindex import GridIndex, SubsetIndex
 from repro.core.kernels import DEFAULT_MAX_CANDIDATE_PAIRS, KernelStats
 from repro.core.nativekernels import parse_kernel_spec
-from repro.core.result import PairFragments
+from repro.core.result import PairFragments, expanded_pairs
 from repro.engine.backends import (
     ExecutionBackend,
     _probe_rows,
@@ -139,17 +139,19 @@ def _chunk_bound(params: dict) -> int:
 
 
 def selfjoin_shard(dataset: ShardDataset, params: dict, cells):
-    """Self-join one cell shard; ids come back in original dataset ids."""
+    """Self-join one cell shard; ids come back in original dataset ids,
+    mirrored UNICOMP matches once with their flag
+    (:meth:`~repro.core.result.PairFragments.compact`)."""
     index = dataset.index_for(params["index_eps"], params.get("index_dims"))
     sink = PairFragments(index.num_points)
     stats = get_backend(dataset.inner).run_selfjoin(
         index, float(params["eps"]), np.asarray(cells, dtype=np.int64), sink,
         unicomp=bool(params.get("unicomp", False)),
         max_candidate_pairs=_chunk_bound(params))
-    keys, values = sink.concatenated()
+    keys, values, twice = sink.compact()
     if dataset.ids is not None:
         keys, values = dataset.ids[keys], dataset.ids[values]
-    return keys, values, stats
+    return keys, values, twice, stats
 
 
 def probe_shard(dataset: ShardDataset, params: dict, queries):
@@ -163,7 +165,7 @@ def probe_shard(dataset: ShardDataset, params: dict, queries):
     keys, values = sink.concatenated()
     if dataset.ids is not None:
         values = dataset.ids[values]
-    return keys, values, stats
+    return keys, values, None, stats
 
 
 def stream_shard(dataset: ShardDataset, params: dict, _array=None):
@@ -195,7 +197,7 @@ def stream_shard(dataset: ShardDataset, params: dict, _array=None):
         max_candidate_pairs=_chunk_bound(params))
     keys, values = sink.concatenated()
     # Owned points are the local rows [0, n_owned).
-    return owned_ids[keys], sub.to_global(values), stats
+    return owned_ids[keys], sub.to_global(values), None, stats
 
 
 SHARD_KINDS: Dict[str, Callable] = {
@@ -204,7 +206,11 @@ SHARD_KINDS: Dict[str, Callable] = {
 
 def run_shard(dataset: ShardDataset, kind: str, params: dict,
               array: Optional[np.ndarray] = None):
-    """Compute one shard: ``(keys, values, KernelStats)``."""
+    """Compute one shard: ``(keys, values, twice, KernelStats)``.
+
+    ``twice`` flags the mirrored UNICOMP matches that also stand for their
+    reverse pair (``None`` when none is flagged, and always for probes).
+    """
     return SHARD_KINDS[kind](dataset, params, array)
 
 
@@ -251,8 +257,9 @@ class Transport:
 
     * ``("start", w, t)``: the copy began executing;
     * ``("skip", w, t)``: a stale copy was dropped without executing;
-    * ``("done", w, t, chunks, stats)``: ``chunks`` is a list of
-      ``(keys, values)`` arrays, ``stats`` its :class:`KernelStats`;
+    * ``("done", w, t, chunks, stats)``: ``chunks`` is a list of compact
+      ``(keys, values, twice)`` arrays (``twice`` may be ``None``; see
+      :func:`run_shard`), ``stats`` its :class:`KernelStats`;
     * ``("failed", w, t, reason)``: cancelled or timed out worker-side,
       worth re-dispatching;
     * ``("dead", w, t, message)``: the worker is gone;
@@ -296,8 +303,8 @@ class InlineTransport(Transport):
         self.dataset = dataset
 
     def submit(self, worker: str, task: ShardTask, op: ShardOp) -> None:
-        keys, values, stats = run_shard(self.dataset, *op.request(task))
-        self.events.put(("done", worker, task, [(keys, values)], stats))
+        *chunk, stats = run_shard(self.dataset, *op.request(task))
+        self.events.put(("done", worker, task, [tuple(chunk)], stats))
 
 
 def run_tasks(tasks: List[ShardTask], op: ShardOp, transport: Transport,
@@ -369,7 +376,7 @@ def run_tasks(tasks: List[ShardTask], op: ShardOp, transport: Transport,
                 chunks, copy = event[3], event[4]
                 completion = sched.on_complete(
                     name, task.key, now,
-                    pairs=sum(int(keys.shape[0]) for keys, _ in chunks))
+                    pairs=sum(expanded_pairs(*chunk) for chunk in chunks))
                 if completion.accepted:
                     merger.stash(task.key, chunks, key_map=op.key_map(task))
                     copy_stats[tuple(task.key)] = copy
@@ -394,7 +401,11 @@ def run_tasks(tasks: List[ShardTask], op: ShardOp, transport: Transport,
         raise WorkerTaskFailed(str(exc)) from exc
     finally:
         transport.close()
-    report = sched.finalize_report(achieved_cost=float(stats.distance_calcs))
+    # A streamed plan costs its shards in stored points, which no counter
+    # measures, so it reports no predicted cost and no ratio.
+    report = sched.finalize_report(
+        achieved_cost=None if op.kind == "stream"
+        else float(stats.distance_calcs))
     stats.schedule_counts = report.counts()
     return stats, report
 

@@ -549,7 +549,7 @@ class _PoolTransport(Transport):
         events = self.events
 
         def done(out) -> None:
-            events.put(("done", worker, task, [out[:2]], out[2]))
+            events.put(("done", worker, task, [out[:3]], out[3]))
 
         def failed(exc: BaseException) -> None:
             events.put(("error", worker, task, exc))

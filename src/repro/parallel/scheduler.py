@@ -712,11 +712,20 @@ class WorkStealingScheduler:
         return True
 
     # ---------------------------------------------------------------- report
-    def finalize_report(self, achieved_cost: float = 0.0) -> ScheduleReport:
-        """Stamp end-of-join observability (throughput map, cost ratio)."""
+    def finalize_report(self, achieved_cost: Optional[float] = 0.0,
+                        ) -> ScheduleReport:
+        """Stamp end-of-join observability (throughput map, cost ratio).
+
+        ``achieved_cost=None`` says the plan's costs are in a unit no
+        counter measures: the report then carries no predicted cost, so no
+        cost ratio either.
+        """
         self.report.worker_throughput = {
             w.name: float(w.ewma) for w in self._workers.values()
             if w.ewma is not None}
+        if achieved_cost is None:
+            self.report.predicted_cost = 0.0
+            achieved_cost = 0.0
         self.report.achieved_cost = float(achieved_cost)
         return self.report
 
@@ -741,14 +750,17 @@ class OrderedShardMerger:
         self.sink = sink
         self.roots = list(roots)
         self._next = 0
-        self._chunks: Dict[Tuple[int, ...], List[Tuple[np.ndarray, np.ndarray]]] = {}
+        self._chunks: Dict[Tuple[int, ...], List[tuple]] = {}
         self._key_maps: Dict[Tuple[int, ...], Optional[np.ndarray]] = {}
         self._chosen: Dict[int, List[Tuple[int, ...]]] = {}
 
-    def stash(self, key: Tuple[int, ...],
-              chunks: List[Tuple[np.ndarray, np.ndarray]],
+    def stash(self, key: Tuple[int, ...], chunks: List[tuple],
               key_map: Optional[np.ndarray] = None) -> None:
-        """Hold an accepted copy's fragments until its turn to emit."""
+        """Hold an accepted copy's fragments until its turn to emit.
+
+        A chunk is ``(keys, values)`` or a compact ``(keys, values,
+        twice)`` (``twice`` may be ``None``).
+        """
         key = tuple(key)
         self._chunks[key] = list(chunks)
         self._key_maps[key] = key_map
@@ -766,10 +778,15 @@ class OrderedShardMerger:
                 return
             for key in chosen:
                 key_map = self._key_maps.pop(key, None)
-                for keys, values in self._chunks.pop(key, []):
+                for keys, values, *twice in self._chunks.pop(key, []):
                     if key_map is not None:
                         keys = key_map[keys]
-                    self.sink.emit(keys, values)
+                    # A chunk without flags emits as plain pairs, so a sink
+                    # whose ``emit`` takes two arrays still takes it.
+                    if twice and twice[0] is not None:
+                        self.sink.emit(keys, values, twice[0])
+                    else:
+                        self.sink.emit(keys, values)
             self._next += 1
 
     def pending(self) -> int:

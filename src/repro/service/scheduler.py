@@ -24,7 +24,7 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.apps.knn import knn_search
-from repro.core.result import PairFragments
+from repro.core.result import PairFragments, expand_mirrored
 from repro.engine.session import EngineSession
 from repro.service import protocol
 from repro.service.catalog import SessionCatalog
@@ -164,9 +164,12 @@ class ChunkForwardingSink(PairFragments):
         self._buf_values: List[np.ndarray] = []
         self._buffered = 0
 
-    def emit(self, keys: np.ndarray, values: np.ndarray) -> None:
+    def emit(self, keys: np.ndarray, values: np.ndarray,
+             twice: Optional[np.ndarray] = None) -> None:
         if keys.shape[0] != values.shape[0]:
             raise ValueError("keys and values must have the same length")
+        # Chunks go out as the expanded stream.
+        keys, values = expand_mirrored(keys, values, twice)
         if self._drop_self and keys.shape[0]:
             keep = keys != values
             keys, values = keys[keep], values[keep]

@@ -164,3 +164,30 @@ class TestExecuteBatched:
         unbatched = selfjoin_global_vectorized(index_2d, eps_2d)
         assert stats.distance_calcs == unbatched.stats.distance_calcs
         assert stats.result_pairs == unbatched.stats.result_pairs
+
+    @pytest.mark.parametrize("spare", [0, -1], ids=["fits", "overflows"])
+    def test_overflow_check_counts_expanded_unicomp_pairs(self, index_3d,
+                                                          eps_3d, spare):
+        # A UNICOMP sink stores each mirrored match once, but its result
+        # buffer holds both ordered pairs: a buffer one pair short of the
+        # expanded count must overflow and split, whatever the compact
+        # count.
+        from repro.core.batching import BatchPlan
+        from repro.engine import Query, QueryPlanner, execute
+
+        query = Query.self_join(index_3d.points, eps_3d)
+        # The NumPy tier keeps mirrored matches compact (numba expands).
+        plan = QueryPlanner("vectorized(kernel=numpy)").plan(query,
+                                                             index=index_3d)
+        serial = execute(plan)
+        expanded = serial.fragments.num_pairs
+        compact = sum(keys.shape[0] for keys in serial.fragments.columns()[0])
+        assert compact < expanded + spare
+        cells = np.arange(index_3d.num_nonempty_cells, dtype=np.int64)
+        batched = execute(replace(plan, batch_plan=BatchPlan(
+            cell_batches=[cells], estimated_total_pairs=expanded,
+            buffer_capacity_pairs=expanded + spare)))
+        assert (batched.batch_report.splits_performed > 0) == (spare < 0)
+        assert sum(batched.batch_report.batch_pairs) == expanded \
+            == batched.stats.result_pairs
+        assert batched.neighbor_table.same_contents_as(serial.neighbor_table)

@@ -490,3 +490,142 @@ class TestWorkerCLI:
             assert "store-root" in reply["message"]
         finally:
             pool.shutdown()
+
+
+class TestCompactWire:
+    """Result chunks cross the wire compact: int32 ids, and each mirrored
+    UNICOMP match once with a ``bool`` flag standing for its reverse."""
+
+    @staticmethod
+    def _received(monkeypatch):
+        """Record every shard round-trip's ``(chunks, end frame)``."""
+        from repro.distributed import backend as dist_backend
+
+        received = []
+        request = dist_backend._TcpTransport._request
+
+        def spy(self, address, header, payload):
+            chunks, end = request(self, address, header, payload)
+            received.append((chunks, end))
+            return chunks, end
+
+        monkeypatch.setattr(dist_backend._TcpTransport, "_request", spy)
+        return received
+
+    def test_unicomp_join_ships_int32_ids_and_flags(self, workers,
+                                                    monkeypatch):
+        import hashlib
+
+        from repro.core.result import expanded_pairs
+
+        points = uniform_dataset(600, 3, seed=83, low=0.0, high=4.0)
+        eps = 0.6
+        received = self._received(monkeypatch)
+        # The NumPy tier flags mirrored matches; the numba tier writes
+        # both pairs and ships unflagged chunks.
+        reference = run_query(Query.self_join(points, eps),
+                              backend="vectorized(kernel=numpy)")
+        got = run_query(Query.self_join(points, eps),
+                        backend=DistributedBackend(
+                            *[f"{h}:{p}" for h, p in workers[:2]],
+                            kernel="numpy"))
+        chunks = [chunk for shard_chunks, _ in received
+                  for chunk in shard_chunks]
+        assert chunks
+        for keys, values, twice in chunks:
+            assert keys.dtype == values.dtype == np.int32
+            assert twice is not None and twice.dtype == bool
+        compact = sum(keys.shape[0] for keys, _, _ in chunks)
+        payload = sum(k.nbytes + v.nbytes + t.nbytes for k, v, t in chunks)
+        assert payload <= 9 * compact
+        # Every shard's END frame counts the expanded pairs of its chunks.
+        for shard_chunks, end in received:
+            assert end["pairs"] == sum(expanded_pairs(*chunk)
+                                       for chunk in shard_chunks)
+        # Bit-identical to vectorized: the expanded stream and the table.
+        def digest(result):
+            keys, values = result.pairs()
+            return hashlib.sha256(keys.astype("<i8").tobytes()
+                                  + values.astype("<i8").tobytes()).hexdigest()
+
+        assert digest(got) == digest(reference)
+        assert got.neighbor_table.same_contents_as(reference.neighbor_table)
+        assert compact < got.stats.result_pairs
+
+    def test_global_join_ships_no_flags(self, workers, monkeypatch):
+        points = uniform_dataset(300, 2, seed=84, low=0.0, high=4.0)
+        received = self._received(monkeypatch)
+        got = run_query(Query.self_join(points, 0.5, unicomp=False),
+                        backend=_spec(workers[:2]))
+        chunks = [chunk for shard_chunks, _ in received
+                  for chunk in shard_chunks]
+        assert chunks and all(twice is None for _, _, twice in chunks)
+        assert got.neighbor_table.same_contents_as(
+            run_query(Query.self_join(points, 0.5, unicomp=False)
+                      ).neighbor_table)
+
+    def test_id_dtype_switches_to_int64_at_two_to_the_31(self):
+        from repro.distributed.worker import wire_id_dtype
+
+        assert wire_id_dtype(0) == np.int32
+        assert wire_id_dtype(2 ** 31 - 1) == np.int32
+        assert wire_id_dtype(2 ** 31) == np.int64
+        assert wire_id_dtype(2 ** 40) == np.int64
+        for dtype in (wire_id_dtype(10), wire_id_dtype(2 ** 31)):
+            assert dtype.name in protocol.WIRE_DTYPES
+        assert "bool" in protocol.WIRE_DTYPES
+
+    def test_resplit_unicomp_join_counts_expanded_pairs(self, monkeypatch):
+        # One slow shard under the adaptive scheduler gets resplit (as in
+        # TestFaultInjection); every pair count the loop and the scheduler
+        # see must be the expanded one, not the compact chunk length.
+        from repro.core.result import expanded_pairs
+        from repro.parallel import scheduler
+
+        points = uniform_dataset(150, 2, seed=65, low=0.0, high=4.0)
+        eps = 0.9
+        reference = run_query(Query.self_join(points, eps),
+                              backend="vectorized(kernel=numpy)")
+        completions = []
+        on_complete = scheduler.WorkStealingScheduler.on_complete
+
+        def spy(self, worker, key, now, pairs=0):
+            completions.append((tuple(key), pairs))
+            return on_complete(self, worker, key, now, pairs=pairs)
+
+        monkeypatch.setattr(scheduler.WorkStealingScheduler, "on_complete",
+                            spy)
+        received = self._received(monkeypatch)
+        with WorkerThread() as w1, WorkerThread() as w2:
+            backend = DistributedBackend(
+                *[f"{h}:{p}" for h, p in (w1.address, w2.address)],
+                n_shards=1, hedge_after=0.05, debug_shard_sleep_ms=200.0,
+                kernel="numpy")
+            with EngineSession(points, backend=backend) as session:
+                got = session.self_join(eps)
+        report = backend.stats.last_schedule
+        assert report["resplits"] >= 1
+        table = got.neighbor_table
+        assert table.same_contents_as(reference.neighbor_table)
+        # KernelStats, the sink and the table agree: no counter excess.
+        assert got.stats.result_pairs == reference.stats.result_pairs \
+            == got.fragments.num_pairs == table.num_pairs
+        # The scheduler is told each copy's expanded pair count, which its
+        # worker's END frame reports too.
+        shipped = {}
+        for chunks, end in received:
+            shipped.setdefault(tuple(end["shard"]), set()).add(
+                (sum(expanded_pairs(*c) for c in chunks),
+                 sum(c[0].shape[0] for c in chunks), end["pairs"]))
+        assert completions
+        for key, pairs in completions:
+            ((expanded, compact, end_pairs),) = shipped[key]
+            assert pairs == expanded == end_pairs
+        totals = [next(iter(copies)) for copies in shipped.values()]
+        assert sum(compact for _, compact, _ in totals) \
+            < sum(expanded for expanded, _, _ in totals)
+        # The copies that lost a race are counted in expanded pairs: with
+        # them taken out, what is left covers the result at least once.
+        wasted = report["resplit_wasted_pairs"] + report["hedge_wasted_pairs"]
+        assert sum(pairs for _, pairs in completions) - wasted \
+            >= got.stats.result_pairs

@@ -77,9 +77,9 @@ class ScriptedTransport(Transport):
                 self.pending = [p for p in self.pending if p[0] != worker]
                 self._out.append(("dead", worker, task, "connection reset"))
             else:
-                keys, values, stats = run_shard(self.dataset,
-                                                *op.request(task))
-                event = ("done", worker, task, [(keys, values)], stats)
+                keys, values, twice, stats = run_shard(self.dataset,
+                                                       *op.request(task))
+                event = ("done", worker, task, [(keys, values, twice)], stats)
                 self._out.extend([event] * (2 if outcome == "twice" else 1))
         return self._out.popleft() if self._out else None
 

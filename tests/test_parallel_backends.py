@@ -240,3 +240,25 @@ class TestExactShardCosts:
         assert report.predicted_cost == report.achieved_cost \
             == stats.distance_calcs
         assert stats.schedule_counts["cost_ratio_pct"] == 100
+
+    def test_streamed_plan_reports_no_cost_ratio(self, tmp_path):
+        # A streamed join costs its shards in stored points, which no
+        # counter measures: comparing them with distance_calcs read 2418%
+        # on this join, so the report carries no prediction and no ratio.
+        from repro.data.store import SpatialStore
+
+        points = uniform_dataset(3000, 2, seed=23, low=0.0, high=1.0)
+        store = SpatialStore.write(points, tmp_path / "store")
+        backend = ShardedBackend(4, kernel="numpy")
+        reports = []
+        backend._record_schedule = reports.append
+        sink = PairFragments(store.n_points)
+        stats = backend.run_selfjoin_streamed(store, 0.3, sink)
+        (report,) = reports
+        assert report.n_shards == 4
+        assert report.predicted_cost == report.achieved_cost == 0.0
+        assert report.cost_ratio == 0.0
+        assert "cost_ratio_pct" not in stats.schedule_counts
+        assert stats.distance_calcs > 0
+        reference = run_query(Query.self_join(points, 0.3)).neighbor_table
+        assert sink.to_neighbor_table().same_contents_as(reference)

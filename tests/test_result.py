@@ -1,4 +1,4 @@
-"""Unit tests for ResultSet and NeighborTable."""
+"""Unit tests for ResultSet, NeighborTable and the PairFragments sink."""
 
 from __future__ import annotations
 
@@ -6,7 +6,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core.result import NeighborTable, ResultSet, sort_pairs
+from repro.core.result import (
+    NeighborTable,
+    PairFragments,
+    ResultSet,
+    expand_mirrored,
+    expanded_pairs,
+    sort_pairs,
+)
 
 
 def make_result(pairs, n):
@@ -188,3 +195,134 @@ class TestFusedKeySort:
         assert np.array_equal(got_values, expected_values)
         sorted_set = ResultSet(keys=keys, values=values, num_points=big).sort()
         assert np.array_equal(sorted_set.values, expected_values)
+
+
+# --------------------------------------------------------------------------
+# compact (mirror-flagged) fragments
+# --------------------------------------------------------------------------
+@st.composite
+def flagged_fragments(draw):
+    """Random fragments, flagged or not, int32 or int64 ids, spread over
+    up to three sinks; returns ``(num_rows, [[(keys, values, twice)]])``.
+    A self-pair is never flagged, as no kernel flags one."""
+    num_rows = draw(st.integers(min_value=1, max_value=30))
+    ids = st.integers(min_value=0, max_value=num_rows - 1)
+    sinks = []
+    for _ in range(draw(st.integers(min_value=1, max_value=3))):
+        fragments = []
+        for _ in range(draw(st.integers(min_value=0, max_value=4))):
+            n = draw(st.integers(min_value=0, max_value=12))
+            dtype = draw(st.sampled_from([np.int32, np.int64]))
+            keys = np.asarray(draw(st.lists(ids, min_size=n, max_size=n)),
+                              dtype=dtype)
+            values = np.asarray(draw(st.lists(ids, min_size=n, max_size=n)),
+                                dtype=dtype)
+            twice = None
+            if draw(st.booleans()):
+                twice = np.asarray(draw(st.lists(st.booleans(), min_size=n,
+                                                 max_size=n)), dtype=bool)
+                twice &= keys != values
+            fragments.append((keys, values, twice))
+        sinks.append(fragments)
+    return num_rows, sinks
+
+
+def interleaved(keys, values, twice):
+    """The stream a fragment stands for: each flagged match, then its
+    reverse (the emitter's order before fragments were kept compact)."""
+    out = []
+    for i in range(keys.shape[0]):
+        out.append((int(keys[i]), int(values[i])))
+        if twice is not None and twice[i]:
+            out.append((int(values[i]), int(keys[i])))
+    return out
+
+
+def merged_sink(num_rows, sinks):
+    merged = PairFragments(num_rows)
+    for fragments in sinks:
+        sink = PairFragments(num_rows)
+        for fragment in fragments:
+            sink.emit(*fragment)
+        merged.extend(sink)
+    return merged
+
+
+class TestCompactFragments:
+    @given(flagged_fragments())
+    @settings(max_examples=150, deadline=None)
+    def test_views_expand_in_stream_order(self, case):
+        num_rows, sinks = case
+        sink = merged_sink(num_rows, sinks)
+        expected = [pair for fragments in sinks for fragment in fragments
+                    for pair in interleaved(*fragment)]
+        keys, values = sink.concatenated()
+        assert keys.dtype == values.dtype == np.int64
+        assert list(zip(keys.tolist(), values.tolist())) == expected
+        walked = [(int(k), int(v)) for part_keys, part_values in sink.parts()
+                  for k, v in zip(part_keys, part_values)]
+        assert walked == expected
+        assert sink.num_pairs == len(expected)
+        result = sink.to_result_set()
+        assert list(zip(result.keys.tolist(), result.values.tolist())) \
+            == expected
+
+    @given(flagged_fragments(), st.booleans())
+    @settings(max_examples=150, deadline=None)
+    def test_compact_table_equals_expanded_table(self, case, include_self):
+        num_rows, sinks = case
+        sink = merged_sink(num_rows, sinks)
+        keys, values = sink.concatenated()
+        if not include_self:
+            keep = keys != values
+            keys, values = keys[keep], values[keep]
+        expected = NeighborTable.from_pairs(keys, values, num_rows)
+        compact_keys, compact_values, twice = sink.columns()
+        got = NeighborTable.from_pairs(compact_keys, compact_values, num_rows,
+                                       twice, include_self=include_self)
+        if include_self:
+            assert got.same_contents_as(sink.to_neighbor_table())
+        assert got.same_contents_as(expected)
+        assert got.offsets.dtype == got.neighbors.dtype == np.int64
+        got.validate()
+
+    @given(flagged_fragments())
+    @settings(max_examples=100, deadline=None)
+    def test_compact_is_what_the_views_expand(self, case):
+        num_rows, sinks = case
+        sink = merged_sink(num_rows, sinks)
+        keys, values, twice = sink.compact()
+        assert keys.shape == values.shape
+        assert twice is None or twice.shape == keys.shape
+        expected_keys, expected_values = sink.concatenated()
+        got_keys, got_values = expand_mirrored(keys, values, twice)
+        assert np.array_equal(got_keys, expected_keys)
+        assert np.array_equal(got_values, expected_values)
+        assert expanded_pairs(keys, values, twice) == sink.num_pairs
+
+    def test_int32_ids_fuse_without_overflow(self):
+        # 70,000 rows: key << 17 passes 2**31, so the fused key is only
+        # right if the ids were upcast before the shift.
+        n = 70_000
+        keys = np.array([n - 1, 3, n - 2], dtype=np.int32)
+        values = np.array([n - 2, n - 1, n - 1], dtype=np.int32)
+        twice = np.array([True, True, False])
+        table = NeighborTable.from_pairs([keys], [values], n, [twice])
+        expected = NeighborTable.from_pairs(
+            *expand_mirrored(keys.astype(np.int64), values.astype(np.int64),
+                             twice), n)
+        assert table.same_contents_as(expected)
+        assert table.neighbors_of(n - 1).tolist() == [3, n - 2]
+
+    def test_unflagged_fragments_are_stored_unflagged(self):
+        sink = PairFragments(4)
+        sink.emit(np.array([0, 1]), np.array([1, 2]),
+                  np.zeros(2, dtype=bool))
+        assert sink.columns()[2] == [None]
+        assert sink.compact()[2] is None
+        assert sink.num_pairs == 2
+
+    def test_flag_length_must_match(self):
+        with pytest.raises(ValueError):
+            PairFragments(3).emit(np.array([0, 1]), np.array([1, 2]),
+                                  np.array([True]))
