@@ -23,7 +23,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.gridindex import GridIndex
-from repro.core.kernels import (_expand_cell_pairs, _visit_cell_pairs,
+from repro.core.kernels import (_expand_cell_pairs, _walk_cell_pairs,
                                 selfjoin_global_vectorized, selfjoin_tiered)
 from repro.core.neighbors import all_neighbor_offsets
 from repro.core.result import PairFragments
@@ -96,14 +96,15 @@ def test_bench_mask_filtering(benchmark, write_report):
 def _prefilter_survivors(index: GridIndex) -> tuple[int, int]:
     """(candidates, pre-filter survivors) of the index's UNICOMP self-join.
 
-    Expands the same cell pairs the kernel does and applies the emitter's
-    test, ``d * d <= eps2`` on every non-indexed dim, to every candidate.
+    Expands every cell pair the walker resolves, which is what the
+    kernel's ``distance_calcs`` counts (the kernel itself expands only the
+    pairs the box prune keeps), and applies the emitter's test, ``d * d <=
+    eps2`` on every non-indexed dim, to every candidate.
     """
     eps2 = index.eps * index.eps
     columns = [index.points[:, j] for j in index.unindexed_dims]
     counts = [0, 0]
-
-    def visit(src, tgt, _checked, _mirror):
+    for src, tgt, _, _ in _walk_cell_pairs(index, index.cell_coords, True):
         q, c = _expand_cell_pairs(
             index.cell_starts.take(src), index.cell_counts.take(src),
             index.cell_starts.take(tgt), index.cell_counts.take(tgt))
@@ -114,8 +115,6 @@ def _prefilter_survivors(index: GridIndex) -> tuple[int, int]:
             near &= d * d <= eps2
         counts[0] += q.shape[0]
         counts[1] += int(near.sum())
-
-    _visit_cell_pairs(index, None, True, visit)
     return counts[0], counts[1]
 
 

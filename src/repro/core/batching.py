@@ -33,17 +33,19 @@ import math
 import os
 import resource
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional
+from typing import TYPE_CHECKING, Callable, List, Optional
 
 import numpy as np
 
 from repro.core.gridindex import GridIndex
 from repro.core.kernels import KernelOutput, KernelStats, _walk_cell_pairs
 from repro.core.result import ResultSet
-from repro.gpusim.device import Device
-from repro.gpusim.streams import PipelineReport, simulate_pipeline
 from repro.utils.cancellation import check_cancelled
 from repro.utils.timing import Timer
+
+if TYPE_CHECKING:  # pragma: no cover - the device model loads on use only
+    from repro.gpusim.device import Device
+    from repro.gpusim.streams import PipelineReport
 
 #: Bytes per result pair: two int64 ids (key and value), as in the paper's
 #: key/value result buffer.
@@ -391,8 +393,12 @@ def execute_batched(index: GridIndex, eps: float, plan: BatchPlan, kernel: Kerne
 
     Returns the merged result, the accumulated kernel work counters and a
     :class:`BatchExecutionReport` containing the per-batch sizes/times and
-    the stream-overlap timeline.
+    the stream-overlap timeline.  The GPU device model that times the
+    overlap is imported here, so the query path never loads it.
     """
+    from repro.gpusim.device import Device
+    from repro.gpusim.streams import simulate_pipeline
+
     device = device or Device()
     report = BatchExecutionReport(plan=plan)
     stats = KernelStats()

@@ -25,8 +25,10 @@ and its UNICOMP variant (Algorithm 2) are provided:
     next to the walk and the points, else a binary search of ``B``
     (:func:`_dense_cell_table`); one emitter
     (:func:`_emit_pairs`) expands the cell pairs into point pairs and
-    filters them by distance in bounded chunks.  UNICOMP
-    keeps only the cell pairs Algorithm 2 selects, and on the NumPy tier
+    filters them by distance in bounded chunks.  A self-join expands only
+    the cell pairs whose point boxes may lie within ε (see "Who walks,
+    and when" below).  UNICOMP keeps only the cell pairs Algorithm 2
+    selects, and on the NumPy tier
     emits each match of a non-home cell pair once, flagged as mirrored:
     the sink keeps it compact, the CSR finalize makes the reverse pair
     inside its one sort, and every other view expands it right after its
@@ -61,20 +63,43 @@ any cell subset, read their cells back from the store and do not walk.
 A cold shard therefore walks the whole index once per process: a one-shot
 ``multiprocess(2)`` call builds the index and walks it in each of its two
 workers.  An adjacency past a byte bound derived from the index
-(:data:`_ADJACENCY_BYTES_PER_POINT_BYTE`) is not kept, and every call
-walks its own cells as before.  Probes always walk (their query cells are
-arbitrary).  The work of a self-join is read from the same cell pairs:
+(:data:`_ADJACENCY_BYTES_PER_POINT_BYTE`, charged on the walked pairs) is
+not kept, and every call walks its own cells as before.  Probes always
+walk (their query cells are arbitrary).
+
+A self-join's walk keeps only the cell pairs whose point boxes may lie
+within ε (:func:`_near_pairs`).  The walk builds each non-empty cell's
+box over all n dims from the cell-ordered points (so it builds those on
+either tier), uses the boxes and drops them, and a pair is dropped when its rounded squared box gap exceeds ``eps2 *
+(1 + m)``.  Per dim the gap ``max(fl(lo_t - hi_s), fl(lo_s - hi_t), 0)``
+is never above any of its point pairs' ``|fl(q_j - c_j)|`` (rounding is
+monotone), and the margin ``m = 2 (2n + 2) u`` (:func:`_box_limit`, ``u``
+the float64 unit roundoff) covers the rounding of both sums of squares in
+any order, fused multiply-adds included.  So a dropped pair holds no
+point pair any route's distance would keep, and a home pair (gap 0) is
+never dropped: streams and tables are those of the unpruned walk, on both
+kernel tiers and past the byte bound, where each call walks and prunes
+its own cells alike.  The walk on a ``k < n`` grid drops most of its pairs
+on the dims it does not index; on the benchmark inputs it keeps 46% of
+lowdim's UNICOMP pairs and 28% of highdim's.  The counters keep their
+meaning: per source cell the walk records the candidate cells it looked
+up (``checked``), the non-empty cells it paired (``visited``) and their
+candidates (``costs``), all before the prune, and ``cells_checked``,
+``nonempty_cells_visited`` and ``distance_calcs`` are summed from these,
+so they count Algorithm 1/2's lookups, cell pairs and candidates as an
+unpruned walk does.  The work of a self-join is that cost vector:
 :func:`selfjoin_cell_costs` gives each source cell's distance
 calculations exactly, and it is the one cost the shard planner, the
-scheduler and the grid-vs-brute-force selector use.  The index also keeps
+scheduler, the grid-vs-brute-force selector and the batch planner's
+exact result bound use.  The index also keeps
 its points in ``A`` order
 (:meth:`~repro.core.gridindex.GridIndex.cell_ordered_points`), from which
 the NumPy emitter gathers coordinates, and for ``k < n`` their non-indexed
 columns (:meth:`~repro.core.gridindex.GridIndex.unindexed_columns`), which
 its pre-filter reads.  Together these keep at most ten times the bytes of
 the points per index (one copy, the columns, and two adjacencies of
-four), plus 8 bytes per non-empty cell and UNICOMP flag for the cell
-costs, and the batch planner counts what an index keeps
+four; past the bound, 8 bytes per non-empty cell and UNICOMP flag for
+the cell costs instead), and the batch planner counts what an index keeps
 (:meth:`~repro.core.gridindex.GridIndex.cached_nbytes`).  The walker's
 dense cell table is not kept: each walk that takes it builds its own and
 drops it, so neither ``memory_footprint()`` nor ``cached_nbytes()``
@@ -324,8 +349,8 @@ def selfjoin_global_vectorized(index: GridIndex, eps: Optional[float] = None,
                                ) -> KernelOutput:
     """Vectorized GLOBAL kernel: every source cell against all 3^k offsets.
 
-    The cell pairs come from the index's cached adjacency (walked once by
-    the shared walker, :func:`_visit_cell_pairs`) in groups and are
+    The cell pairs come from the index's cached adjacency (walked and
+    box-pruned once, :func:`_visit_cell_pairs`) in groups and are
     expanded and distance-filtered in chunks of at most
     ``max_candidate_pairs``.  ``native_kernel`` swaps the NumPy
     expand/filter step for one of the compiled pair kernels from
@@ -369,13 +394,13 @@ def _selfjoin_vectorized(index: GridIndex, eps: Optional[float],
         else np.asarray(source_cells, dtype=np.int64)
     side = _index_side(index, native_kernel)
 
-    def emit(src: np.ndarray, tgt: np.ndarray, checked: int,
-             mirror: Optional[np.ndarray]) -> None:
-        stats.cells_checked += checked
-        stats.nonempty_cells_visited += int(src.shape[0])
-        stats.distance_calcs += _emit_pairs(
-            sink, side, src, side, tgt, eps2, max_candidate_pairs,
-            mirror=mirror, native_kernel=native_kernel)
+    def emit(src: np.ndarray, tgt: np.ndarray, mirror: Optional[np.ndarray],
+             work: Tuple[int, int, int]) -> None:
+        stats.cells_checked += work[0]
+        stats.nonempty_cells_visited += work[1]
+        stats.distance_calcs += work[2]
+        _emit_pairs(sink, side, src, side, tgt, eps2, max_candidate_pairs,
+                    mirror=mirror, native_kernel=native_kernel)
 
     _visit_cell_pairs(index, cells, unicomp, emit)
     stats.result_pairs = sink.num_pairs - before
@@ -605,71 +630,169 @@ def _walk_cell_pairs(index: GridIndex, coords: np.ndarray, unicomp: bool = False
 #: Byte bound of a cached adjacency, as a multiple of the bytes of the
 #: indexed points: a cache may not outgrow a few copies of the data it
 #: indexes.  Past it the adjacency is not kept and each call walks.  The
-#: bound is per UNICOMP flag, so an index keeps at most twice this plus
-#: its cell-ordered copy of the points and, for ``k < n``, that copy's
+#: bound is charged on the walked cell pairs, before the prune, so whether
+#: an index keeps its adjacency depends on its grid alone.  It is per
+#: UNICOMP flag, so an index keeps at most twice this plus its
+#: cell-ordered copy of the points and, for ``k < n``, that copy's
 #: non-indexed columns.
 _ADJACENCY_BYTES_PER_POINT_BYTE = 4
 
 
 @dataclass(frozen=True)
 class CellAdjacency:
-    """Every cell pair of an index's self-join walk, source-cell-major.
+    """The kept cell pairs of an index's self-join walk, source-cell-major.
 
-    A CSR over the non-empty cells: the pairs of source cell ``h`` are
-    ``targets[starts[h]:starts[h + 1]]``, ``B`` positions (int32 below
-    2^31 cells) in the walker's order, and ``checked[h]`` is the number of
-    candidate cells the walk looked up for ``h``.  The four
-    :class:`KernelStats` counters of any cell subset are therefore those
-    of an uncached walk.  A UNICOMP pair mirrors exactly when it is not
-    the home pair (target != source), so the flags are not stored.
+    A CSR over the non-empty cells: the kept pairs of source cell ``h``
+    are ``targets[starts[h]:starts[h + 1]]``, ``B`` positions (int32
+    below 2^31 cells) in the walker's order, without the pairs the box
+    prune drops (:func:`_near_pairs`).  Per source cell the walk also
+    records its work before the prune: ``checked[h]``, the candidate
+    cells looked up, ``visited[h]``, the non-empty cells paired with it,
+    and ``costs[h]``, its distance calculations (read-only; what
+    :func:`selfjoin_cell_costs` returns).  The four :class:`KernelStats`
+    counters of any cell subset are therefore those of an unpruned,
+    uncached walk.  A UNICOMP pair mirrors exactly when it is not the home
+    pair (target != source), so the flags are not stored.
     """
 
     starts: np.ndarray
     targets: np.ndarray
     checked: np.ndarray
+    visited: np.ndarray
+    costs: np.ndarray
 
     @property
     def nbytes(self) -> int:
-        """Bytes of the three arrays."""
+        """Bytes of the five arrays."""
         return int(self.starts.nbytes + self.targets.nbytes
-                   + self.checked.nbytes)
+                   + self.checked.nbytes + self.visited.nbytes
+                   + self.costs.nbytes)
+
+
+def _cell_boxes(index: GridIndex) -> Tuple[np.ndarray, np.ndarray]:
+    """Each non-empty cell's point box over all n dims, as two ``(|G|,
+    2n)`` rows per cell: ``[lo, -hi]`` for the cell as a target and
+    ``[-hi, lo]`` as a source, from the cell-ordered points.  Built per
+    walk and kept nowhere."""
+    ordered = index.cell_ordered_points()
+    lo = np.minimum.reduceat(ordered, index.cell_starts)
+    neg_hi = np.maximum.reduceat(ordered, index.cell_starts)
+    np.negative(neg_hi, out=neg_hi)
+    return np.hstack([lo, neg_hi]), np.hstack([neg_hi, lo])
+
+
+def _box_limit(eps2: float, n_dims: int) -> float:
+    """The squared box gap above which a cell pair holds no hit at
+    ``eps2``: ``eps2 * (1 + m)`` with ``m = 2 (2n + 2) u``, ``u`` the unit
+    roundoff of float64 (see :func:`_near_pairs`)."""
+    return eps2 * (1.0 + (2 * n_dims + 2) * float(np.finfo(np.float64).eps))
+
+
+def _near_pairs(boxes: Tuple[np.ndarray, np.ndarray], src: np.ndarray,
+                tgt: np.ndarray, limit: float) -> np.ndarray:
+    """Positions of the cell pairs ``(src[i], tgt[i])`` whose point boxes
+    may hold a pair within ε, ascending.
+
+    Per dim the box gap is ``g_j = max(a_j, b_j, 0)`` with ``a_j =
+    fl(lo_t - hi_s)`` and ``b_j = fl(lo_s - hi_t)``, one row sum of the
+    boxes of :func:`_cell_boxes`.  Any ``q`` of cell ``s`` and ``c`` of
+    cell ``t`` are at least that far apart exactly, and since rounding is
+    monotone the emitter's ``|fl(q_j - c_j)|`` is never below ``g_j``, nor
+    its rounded square below ``fl(g_j^2)``.  ``a_j + b_j <= 0`` exactly and
+    rounding keeps signs, so at most one of them is positive and ``g_j^2``
+    is ``max(a_j, 0)^2 + max(b_j, 0)^2``: the pair's squared gap is one
+    sum of ``2n`` non-negative terms, at most ``n`` of them non-zero.  A
+    sum of ``n`` non-negative terms rounded in any order, fused
+    multiply-adds included, is within a factor ``1 ± γ_n`` (``γ_n ≈ n u``)
+    of its exact value, so a pair whose rounded squared gap exceeds
+    ``eps2 * (1 + m)`` (:func:`_box_limit`, whose ``m`` is more than the
+    ``2 γ_n + u`` that covers both sums and the rounding of the limit) has
+    every computed distance above ``eps2`` and is dropped.  A home pair's
+    gaps are 0, so it is always kept, and so is a pair whose gaps are NaN.
+    """
+    as_target, as_source = boxes
+    gap = as_target.take(tgt, axis=0)
+    gap += as_source.take(src, axis=0)
+    np.maximum(gap, 0.0, out=gap)
+    return np.flatnonzero(~(np.einsum("ij,ij->i", gap, gap) > limit))
+
+
+def _walk_near_pairs(index: GridIndex, cells: Optional[np.ndarray],
+                     unicomp: bool) -> Iterator[Tuple[
+                         np.ndarray, np.ndarray, np.ndarray, np.ndarray,
+                         np.ndarray]]:
+    """Walk ``cells`` (``B`` positions; every non-empty cell when
+    ``None``) with :func:`_walk_cell_pairs` and keep the cell pairs whose
+    point boxes may lie within ε (:func:`_near_pairs`).
+
+    Per walker group this yields ``(src, tgt, checked, visited, costs)``:
+    the ``B`` positions of the kept pairs' source and target cells, in
+    the walk's order, and per source cell of the group the walk's work
+    before the prune (candidate cells looked up, non-empty cells paired,
+    distance calculations).  The boxes are built once per call and dropped
+    with it.  The prune is at the index's ε, which is exact for any
+    self-join the index serves (``eps <= index.eps``).
+    """
+    coords = index.cell_coords if cells is None else index.cell_coords[cells]
+    if coords.shape[0] == 0:
+        return
+    boxes = _cell_boxes(index)
+    limit = _box_limit(index.eps * index.eps, index.num_dims)
+    counts = index.cell_counts
+    lo = 0
+    for src, tgt, checked, _ in _walk_cell_pairs(index, coords, unicomp):
+        hi = lo + checked.shape[0]
+        local = src - lo
+        visited = np.bincount(local, minlength=hi - lo)
+        # Each source cell's candidates: its population times the summed
+        # populations of its targets (float sums of counts are exact).
+        reach = np.bincount(local, weights=counts.take(tgt), minlength=hi - lo)
+        costs = reach.astype(np.int64)
+        costs *= counts[lo:hi] if cells is None else counts.take(cells[lo:hi])
+        if cells is not None:
+            src = cells.take(src)
+        near = _near_pairs(boxes, src, tgt, limit)
+        yield src.take(near), tgt.take(near), checked, visited, costs
+        lo = hi
 
 
 def _visit_cell_pairs(index: GridIndex, cells: Optional[np.ndarray],
                       unicomp: bool,
-                      visit: Callable[[np.ndarray, np.ndarray, int,
-                                       Optional[np.ndarray]], None]) -> None:
-    """Pass the self-join cell pairs of ``cells`` to ``visit``, in groups.
+                      visit: Callable[[np.ndarray, np.ndarray,
+                                       Optional[np.ndarray],
+                                       Tuple[int, int, int]], None]) -> None:
+    """Pass the kept self-join cell pairs of ``cells`` to ``visit``, in groups.
 
     ``cells`` are ``B`` positions (all non-empty cells when ``None``).
-    Each group is ``visit(src, tgt, checked, mirror)``: the ``B``
-    positions of each pair's source and target cell, the number of
-    candidate cells looked up for the group's source cells, and
-    UNICOMP's mirror flags (``None`` for GLOBAL).  The pairs come
-    source-cell-major in the order of ``cells``, exactly as
-    :func:`_walk_cell_pairs` would resolve them, so the emitted stream and
-    counters do not depend on whether they were walked or read back.
+    Each group is ``visit(src, tgt, mirror, work)``: the ``B`` positions
+    of each kept pair's source and target cell, UNICOMP's mirror flags
+    (``None`` for GLOBAL), and the walk's work for the group's source
+    cells before the prune, ``(checked, visited, distance_calcs)``.  The
+    pairs come source-cell-major in the order of ``cells``, exactly as
+    :func:`_walk_near_pairs` would keep them, so the emitted stream and
+    counters do not depend on whether they were walked or read back, and
+    the dropped pairs would have emitted nothing.
 
     On the index's first self-join (per UNICOMP flag) this walks every
-    non-empty cell once, whatever ``cells`` asks for, and stores the walk
-    as a :class:`CellAdjacency` (:meth:`GridIndex.cached
+    non-empty cell once, whatever ``cells`` asks for, and stores the kept
+    pairs as a :class:`CellAdjacency` (:meth:`GridIndex.cached
     <repro.core.gridindex.GridIndex.cached>`).  Every call, that first one
     included, then reads its cells back in the walker's groups of source
     cells (:func:`_group_cells`), so the emitter gets the groups an
     uncached walk of ``cells`` would give it: a contiguous cell range is
     one slice of the store, any other subset one ragged gather per group.
-    Past the byte bound nothing is stored and each call walks its own
-    cells.  A cancellation checkpoint runs before every group either way.
+    Past the byte bound nothing is stored and each call walks and prunes
+    its own cells.  A cancellation checkpoint runs before every group
+    either way.
     """
     if cells is not None and cells.shape[0] == 0:
         return
-    adjacency = index.cached(("cell_pairs", unicomp),
-                             lambda: _walk_adjacency(index, unicomp))
+    adjacency = _adjacency(index, unicomp)
     if adjacency is None:
-        coords = index.cell_coords if cells is None else index.cell_coords[cells]
-        for src, tgt, checked, mirror in _walk_cell_pairs(index, coords, unicomp):
-            visit(src if cells is None else cells.take(src), tgt,
-                  int(checked.sum()), mirror)
+        for src, tgt, checked, visited, costs in _walk_near_pairs(
+                index, cells, unicomp):
+            visit(src, tgt, tgt != src if unicomp else None,
+                  (int(checked.sum()), int(visited.sum()), int(costs.sum())))
         return
     if cells is None:
         cells = np.arange(index.num_nonempty_cells, dtype=np.int64)
@@ -683,39 +806,54 @@ def _visit_cell_pairs(index: GridIndex, cells: Optional[np.ndarray],
         group_sizes = sizes[lo:hi]
         if contiguous:
             tgt = adjacency.targets[first[lo]:first[hi - 1] + sizes[hi - 1]]
+            group = slice(cells[lo], cells[hi - 1] + 1)
         else:
             tgt = adjacency.targets.take(
                 _ragged_positions(first[lo:hi], group_sizes))
+            group = cells[lo:hi]
         src = cells[lo:hi].repeat(group_sizes)
-        visit(src, tgt, int(adjacency.checked.take(cells[lo:hi]).sum()),
-              tgt != src if unicomp else None)
+        visit(src, tgt, tgt != src if unicomp else None,
+              tuple(int(work[group].sum()) for work in (
+                  adjacency.checked, adjacency.visited, adjacency.costs)))
+
+
+def _adjacency(index: GridIndex, unicomp: bool) -> Optional[CellAdjacency]:
+    """The index's kept adjacency for ``unicomp``, walked on first use;
+    ``None`` past the byte bound."""
+    return index.cached(("cell_pairs", unicomp),
+                        lambda: _walk_adjacency(index, unicomp))
 
 
 def _walk_adjacency(index: GridIndex, unicomp: bool) -> Optional[CellAdjacency]:
-    """Walk every non-empty cell once and keep the pairs as a
-    :class:`CellAdjacency`; ``None`` (and the walk stops) past the byte
-    bound."""
+    """Walk every non-empty cell once and keep the near pairs and the
+    per-cell work as a :class:`CellAdjacency`; ``None`` (and the walk
+    stops) once the walked pairs pass the byte bound."""
     n_cells = index.num_nonempty_cells
     dtype = _position_dtype(n_cells)
     starts = np.zeros(n_cells + 1, dtype=np.int64)
     checked = np.empty(n_cells, dtype=np.int32)
+    visited = np.empty(n_cells, dtype=np.int32)
+    costs = np.empty(n_cells, dtype=np.int64)
     budget = _ADJACENCY_BYTES_PER_POINT_BYTE * index.points.nbytes \
-        - starts.nbytes - checked.nbytes
+        - starts.nbytes - checked.nbytes - visited.nbytes - costs.nbytes
     targets = [np.empty(0, dtype=dtype)]
     lo = 0
-    for src, tgt, group_checked, _ in _walk_cell_pairs(
-            index, index.cell_coords, unicomp):
-        budget -= tgt.shape[0] * dtype.itemsize
+    for src, tgt, group_checked, group_visited, group_costs in \
+            _walk_near_pairs(index, None, unicomp):
+        budget -= int(group_visited.sum()) * dtype.itemsize
         if budget < 0:
             return None
         hi = lo + group_checked.shape[0]
         targets.append(tgt.astype(dtype, copy=False))
         checked[lo:hi] = group_checked
+        visited[lo:hi] = group_visited
+        costs[lo:hi] = group_costs
         starts[lo + 1:hi + 1] = np.bincount(src - lo, minlength=hi - lo)
         lo = hi
     np.cumsum(starts, out=starts)
+    costs.setflags(write=False)
     return CellAdjacency(starts=starts, targets=np.concatenate(targets),
-                         checked=checked)
+                         checked=checked, visited=visited, costs=costs)
 
 
 def selfjoin_cell_costs(index: GridIndex, unicomp: bool) -> np.ndarray:
@@ -723,23 +861,22 @@ def selfjoin_cell_costs(index: GridIndex, unicomp: bool) -> np.ndarray:
     length ``|G|``, read-only).
 
     Source cell ``h`` evaluates ``cell_counts[h] * cell_counts[t]``
-    candidates against each cell ``t`` it pairs with, so its cost is
-    ``cell_counts[h]`` times the populations of its targets: the sum over
-    any cell subset equals the ``distance_calcs`` of joining that subset.
-    The pairs are read through :func:`_visit_cell_pairs`, so the first call
-    fills (or reuses) the index's adjacency, and the vector is kept on the
-    index (:meth:`GridIndex.cached
-    <repro.core.gridindex.GridIndex.cached>`) for later calls.
+    candidates against each cell ``t`` its walk pairs it with, so its cost
+    is ``cell_counts[h]`` times the populations of those cells: the sum
+    over any cell subset equals the ``distance_calcs`` of joining that
+    subset.  The walk records the vector in the index's adjacency (the
+    first call fills it); past the byte bound a walk builds the vector
+    alone and the index keeps it (:meth:`GridIndex.cached
+    <repro.core.gridindex.GridIndex.cached>`).
     """
+    adjacency = _adjacency(index, unicomp)
+    if adjacency is not None:
+        return adjacency.costs
+
     def build() -> np.ndarray:
-        counts = index.cell_counts.astype(np.int64)
-        costs = np.zeros(index.num_nonempty_cells, dtype=np.int64)
-
-        def visit(src, tgt, checked, mirror) -> None:
-            np.add.at(costs, src, counts.take(tgt))
-
-        _visit_cell_pairs(index, None, unicomp, visit)
-        costs *= counts
+        parts = [np.empty(0, dtype=np.int64)]
+        parts += [costs for *_, costs in _walk_near_pairs(index, None, unicomp)]
+        costs = np.concatenate(parts)
         costs.setflags(write=False)
         return costs
 
@@ -820,8 +957,9 @@ def _emit_pairs(sink: PairFragments, q_side: _JoinSide, q_cells: np.ndarray,
     chunking.  ``key_map`` maps emitted keys (a probe's local rows to
     global rows; probes carry no mirror flags).
 
-    The cell pairs come from a self-join's cached adjacency or a probe's
-    walk (:func:`_visit_cell_pairs`); this step runs on every call.  On the
+    The cell pairs come from a self-join's box-pruned adjacency
+    (:func:`_visit_cell_pairs`) or a probe's walk; this step runs on
+    every call, and its return counts only the pairs it is given.  On the
     NumPy tier the candidates are positions into both sides: coordinates
     are gathered from the sides' cell-ordered copies, where a cell's points
     are contiguous, and only the matches are mapped to point ids through

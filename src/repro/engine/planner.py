@@ -12,15 +12,20 @@ into an executable :class:`QueryPlan`:
    does not own its decomposition, as the sharded/multiprocess backends
    do), a self-join is batched only when it has to be.  By default
    (``min_batches=1``) that is when the result may not fit the host-sized
-   result buffer: a join of n points never has more than n² pairs, so when
-   n² fits, no estimate is made and the plan is unbatched; otherwise the
-   :class:`~repro.core.batching.BatchPlanner` sample-estimates the result
-   and splits the non-empty cells only if one batch cannot hold it.  A
-   ``batch_planner`` with ``min_batches > 1`` (the paper experiments pin 3,
-   via :class:`~repro.core.selfjoin.SelfJoinConfig`) always plans at least
-   that many batches, for the paper's transfer/compute overlap.  Probes
-   (bipartite joins, range queries, kNN candidates) run unbatched; the
-   backends that own their decomposition split probe rows themselves.
+   result buffer.  Two exact bounds come first: a join of n points never
+   has more than n² pairs, and it emits at most its distance calculations
+   (twice them under UNICOMP, which emits each non-home match both ways),
+   read from the index's cell costs
+   (:func:`~repro.core.kernels.selfjoin_cell_costs`).  When either fits
+   one buffer, no estimate is made and the plan is unbatched; otherwise
+   the :class:`~repro.core.batching.BatchPlanner` sample-estimates the
+   result and splits the non-empty cells only if one batch cannot hold
+   it.  A ``batch_planner`` with ``min_batches > 1`` (the paper
+   experiments pin 3, via :class:`~repro.core.selfjoin.SelfJoinConfig`)
+   always plans at least that many batches, for the paper's
+   transfer/compute overlap.  Probes (bipartite joins, range queries, kNN
+   candidates) run unbatched; the backends that own their decomposition
+   split probe rows themselves.
 3. **UNICOMP eligibility** — the work-avoidance rule applies to self-joins
    on backends that implement it; it is silently disabled where it cannot
    apply (bipartite probes, brute force).
@@ -43,7 +48,8 @@ import numpy as np
 from repro.core import linearize as lin
 from repro.core.batching import BatchPlan, BatchPlanner
 from repro.core.gridindex import GridIndex, _run_length_encode
-from repro.core.kernels import DEFAULT_MAX_CANDIDATE_PAIRS, KernelOutput
+from repro.core.kernels import (DEFAULT_MAX_CANDIDATE_PAIRS, KernelOutput,
+                                selfjoin_cell_costs)
 from repro.core.result import PairFragments
 from repro.engine import query as Q
 from repro.engine.backends import ExecutionBackend, get_backend
@@ -161,6 +167,22 @@ class QueryPlan:
     def num_rows(self) -> int:
         """CSR rows of the result (query-side cardinality, never swapped)."""
         return self.query.num_rows
+
+
+def _result_bound_fits(index: GridIndex, unicomp: bool,
+                       planner: BatchPlanner) -> bool:
+    """Whether an exact bound on a self-join's result fits one buffer.
+
+    A join of n points has at most n² pairs, and it emits at most its
+    distance calculations, twice them under UNICOMP.  The second bound
+    reads the index's cell costs, walking its adjacency on a cold index
+    (the kernel then reads the walk back), so it is taken only when n²
+    does not fit; the buffer is sized after, counting what the walk kept.
+    """
+    if index.num_points ** 2 <= planner.buffer_capacity_pairs(index):
+        return True
+    bound = int(selfjoin_cell_costs(index, unicomp).sum()) * (2 if unicomp else 1)
+    return bound <= planner.buffer_capacity_pairs(index)
 
 
 class QueryPlanner:
@@ -297,10 +319,10 @@ class QueryPlanner:
                     max_candidate_pairs=self.max_candidate_pairs)
                 return KernelOutput(result=None, stats=stats)
 
-            # A self-join of n points has at most n² pairs: when those fit
-            # one result buffer, only a min_batches > 1 request splits it.
-            if planner.min_batches > 1 or index.num_points ** 2 \
-                    > planner.buffer_capacity_pairs(index):
+            # When an exact bound on the result fits one buffer, only a
+            # min_batches > 1 request splits it.
+            if planner.min_batches > 1 \
+                    or not _result_bound_fits(index, unicomp, planner):
                 batch_plan = planner.plan(index, query.eps,
                                           kernel=estimation_kernel)
                 if batch_plan.n_batches == 1:

@@ -5,7 +5,9 @@
   query path — the engine, the parallel and distributed backends and the
   service — sizes its batches from host memory and must not depend on it;
   the only consumer on that path is the ``simulated`` backend, which
-  imports the instrumented kernels inside its ``run_selfjoin``.
+  imports the instrumented kernels inside its ``run_selfjoin``.  A fresh
+  interpreter also checks what the query path imports from elsewhere
+  (``execute_batched`` imports the device model when called).
 * One shard executor.  Only ``repro/parallel/executor.py`` builds the
   work-stealing scheduler and the ordered merger, and no parallel or
   distributed module dispatches through ``imap_unordered``: every parallel
@@ -25,6 +27,9 @@ import ast
 import dataclasses
 import importlib.util
 import inspect
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -103,6 +108,23 @@ def test_no_device_model_import_on_query_path(path):
                  for scope, line in _gpusim_imports(tree)
                  if (relative, scope) not in ALLOWED_GPUSIM_IMPORTS]
     assert offending == [], f"{relative} imports repro.gpusim at {offending}"
+
+
+def test_query_path_does_not_load_the_device_model():
+    """A fresh interpreter that imports the engine, a distributed worker
+    and the service server has not loaded ``repro.gpusim``: the AST guard
+    above sees only the query-path packages, this sees what they import."""
+    code = ("import sys\n"
+            "import repro.engine, repro.distributed.worker, "
+            "repro.service.server\n"
+            "print(sorted(m for m in sys.modules "
+            "if m.split('.')[:2] == ['repro', 'gpusim']))\n")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(PACKAGE_ROOT.parent)] + [p for p in os.environ.get(
+            "PYTHONPATH", "").split(os.pathsep) if p]))
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"
 
 
 def test_guard_detects_module_level_and_nested_imports():

@@ -174,7 +174,9 @@ class TestByteBound:
         assert adjacency.starts[-1] == adjacency.targets.shape[0]
         assert adjacency.nbytes == (adjacency.starts.nbytes
                                     + adjacency.targets.nbytes
-                                    + adjacency.checked.nbytes)
+                                    + adjacency.checked.nbytes
+                                    + adjacency.visited.nbytes
+                                    + adjacency.costs.nbytes)
         assert adjacency.nbytes \
             <= K._ADJACENCY_BYTES_PER_POINT_BYTE * index.points.nbytes
 

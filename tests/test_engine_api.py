@@ -13,6 +13,7 @@ import pytest
 from repro import GPUSelfJoin, Query, QueryPlanner, SelfJoinConfig, run_query
 from repro.core.batching import PAIR_BYTES, BatchPlanner, data_bytes
 from repro.core.gridindex import GridIndex
+from repro.core.kernels import selfjoin_cell_costs
 from repro.data.realworld import sw_dataset
 from repro.data.synthetic import uniform_dataset
 from repro.engine import execute, get_backend, list_backends
@@ -209,15 +210,62 @@ class TestBatchOnlyWhenNeeded:
         assert estimates == []
         assert execute(plan).batch_report is None
 
-    def test_one_batch_estimate_runs_unbatched(self, estimates, workload):
+    @pytest.fixture
+    def kernel_calls(self, monkeypatch):
+        calls = []
+        backend = type(get_backend("vectorized"))
+        original = backend.run_selfjoin
+
+        def counting(self, *args, **kwargs):
+            calls.append(args)
+            return original(self, *args, **kwargs)
+
+        monkeypatch.setattr(backend, "run_selfjoin", counting)
+        return calls
+
+    @staticmethod
+    def result_bound(index, unicomp=True):
+        """The exact result bound: distance calcs, twice under UNICOMP.
+        Reading it fills the index's adjacency, as planning does."""
+        return int(selfjoin_cell_costs(index, unicomp).sum()) \
+            * (2 if unicomp else 1)
+
+    @pytest.mark.parametrize("unicomp", [False, True])
+    def test_no_kernel_when_the_exact_bound_fits(self, estimates, kernel_calls,
+                                                 workload, unicomp):
         points, index = workload
-        n_squared = points.shape[0] ** 2
-        batch_planner = _planner_holding(index, n_squared - 1)
-        assert batch_planner.buffer_capacity_pairs(index) == n_squared - 1
+        bound = self.result_bound(index, unicomp)
+        assert bound < points.shape[0] ** 2
+        batch_planner = _planner_holding(index, bound)
+        assert batch_planner.buffer_capacity_pairs(index) == bound
         plan = QueryPlanner(batch_planner=batch_planner).plan(
+            Query.self_join(points, 0.8, unicomp=unicomp), index=index)
+        assert plan.batch_plan is None
+        assert estimates == [] and kernel_calls == []
+        result = execute(plan)
+        assert result.batch_report is None
+        assert result.stats.result_pairs <= bound
+
+    def test_one_batch_estimate_runs_unbatched(self, estimates, kernel_calls,
+                                               workload):
+        # Neither n² nor the exact bound fits, so the planner samples; the
+        # padded estimate of a GLOBAL join, about half its bound here,
+        # fits one buffer.
+        points, index = workload
+        bound = self.result_bound(index, unicomp=False)
+        batch_planner = _planner_holding(index, bound - 1)
+        assert batch_planner.buffer_capacity_pairs(index) == bound - 1
+        plan = QueryPlanner(batch_planner=batch_planner).plan(
+            Query.self_join(points, 0.8, unicomp=False), index=index)
+        assert len(estimates) == 1 and len(kernel_calls) == 1
+        assert plan.batch_plan is None
+
+    def test_min_batches_still_samples(self, estimates, workload):
+        points, index = workload
+        plan = QueryPlanner(batch_planner=BatchPlanner(min_batches=3)).plan(
             Query.self_join(points, 0.8), index=index)
         assert len(estimates) == 1
-        assert plan.batch_plan is None
+        assert plan.batch_plan is not None and plan.batch_plan.n_batches >= 3
 
     def test_result_over_buffer_is_batched_with_same_counters(self, workload):
         points, index = workload
