@@ -54,7 +54,8 @@ def _size(default: int) -> int:
 def _walked(index: GridIndex):
     """Every walked UNICOMP cell pair: sources, targets, mirror flags."""
     groups = list(K._walk_cell_pairs(index, index.cell_coords, True))
-    return tuple(np.concatenate([g[i] for g in groups]) for i in (0, 1, 3))
+    src, tgt = (np.concatenate([g[i] for g in groups]) for i in (0, 1))
+    return src, tgt, tgt != src
 
 
 def _kept(index: GridIndex):

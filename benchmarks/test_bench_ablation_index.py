@@ -104,7 +104,7 @@ def _prefilter_survivors(index: GridIndex) -> tuple[int, int]:
     eps2 = index.eps * index.eps
     columns = [index.points[:, j] for j in index.unindexed_dims]
     counts = [0, 0]
-    for src, tgt, _, _ in _walk_cell_pairs(index, index.cell_coords, True):
+    for src, tgt, _ in _walk_cell_pairs(index, index.cell_coords, True):
         q, c = _expand_cell_pairs(
             index.cell_starts.take(src), index.cell_counts.take(src),
             index.cell_starts.take(tgt), index.cell_counts.take(tgt))

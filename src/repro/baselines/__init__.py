@@ -10,6 +10,9 @@
   ε-independent "GPU brute force" reference of the figures).
 * :mod:`repro.baselines.kdtree_ref` — a scipy cKDTree reference used solely
   for correctness validation in the test suite.
+* :mod:`repro.baselines.cellwise` — the per-cell transcription of the
+  grid kernels (Algorithms 1 and 2) and of the probe, the oracle the tests
+  compare the engine against; not imported here, and never by the engine.
 """
 
 from repro.baselines.rtree import RTree, Rect

@@ -314,7 +314,7 @@ def candidate_counts_at(index: GridIndex, coords: np.ndarray) -> np.ndarray:
     """
     coords = np.asarray(coords, dtype=np.int64)
     counts = np.zeros(coords.shape[0], dtype=np.int64)
-    for src, tgt, _, _ in _walk_cell_pairs(index, coords):
+    for src, tgt, _ in _walk_cell_pairs(index, coords):
         np.add.at(counts, src, index.cell_counts[tgt])
     return counts
 

@@ -1,41 +1,26 @@
 """Self-join kernels over the grid index.
 
-Three implementations of the paper's GPUSELFJOINGLOBAL kernel (Algorithm 1)
-and its UNICOMP variant (Algorithm 2) are provided:
-
-``pointwise``
-    A literal, per-query-point transcription of Algorithm 1.  One "thread"
-    per point, nested loops over the filtered adjacent ranges, binary search
-    of ``B``.  Readable and used as the semantic reference in tests; far too
-    slow for benchmark-scale inputs.
-
-``cellwise``
-    One iteration per non-empty *cell*: the candidate cells are enumerated
-    once per source cell and the distance computations between the source
-    cell's points and the candidate points are vectorized with NumPy.  A
-    readable reference (the ``cellwise`` backend) that tests and
-    experiments compare against; no production dispatch runs it.
-
-``vectorized``
-    The production path, on both kernel tiers.  One loop-free walker
-    (:func:`_walk_cell_pairs`) broadcasts source cell coordinates x
-    neighbor offsets in bounded row groups, filters them by the masks
-    ``M_j`` and finds each candidate cell in one vectorized step: a dense
-    table of every grid cell's ``B`` position when the grid is small
-    next to the walk and the points, else a binary search of ``B``
-    (:func:`_dense_cell_table`); one emitter
-    (:func:`_emit_pairs`) expands the cell pairs into point pairs and
-    filters them by distance in bounded chunks.  A self-join expands only
-    the cell pairs whose point boxes may lie within ε (see "Who walks,
-    and when" below).  UNICOMP keeps only the cell pairs Algorithm 2
-    selects, and on the NumPy tier
-    emits each match of a non-home cell pair once, flagged as mirrored:
-    the sink keeps it compact, the CSR finalize makes the reverse pair
-    inside its one sort, and every other view expands it right after its
-    match (:class:`~repro.core.result.PairFragments`).  The visited cell
-    pairs and results are identical to Algorithm 1; only the loop nesting
-    differs (data-parallel over cells rather than over points).  The
-    bipartite probe shares the walker.
+The paper's GPUSELFJOINGLOBAL kernel (Algorithm 1) and its UNICOMP
+variant (Algorithm 2) run here, on both kernel tiers, as one loop-free
+walker (:func:`_walk_cell_pairs`) and one emitter (:func:`_emit_pairs`).
+The walker broadcasts source cell coordinates x neighbor offsets in
+bounded row groups, filters them by the masks ``M_j`` and finds each
+candidate cell in one vectorized step: a dense table of every grid cell's
+``B`` position when the grid is small next to the walk and the points,
+else a binary search of ``B`` (:func:`_dense_cell_table`).  The emitter
+expands the cell pairs into point pairs and filters them by distance in
+bounded chunks.  A self-join expands only the cell pairs whose point
+boxes may lie within ε (see "Who walks, and when" below).  UNICOMP keeps
+only the cell pairs Algorithm 2 selects, and on the NumPy tier emits each
+match of a non-home cell pair once, flagged as mirrored: the sink keeps it
+compact, the CSR finalize makes the reverse pair inside its one sort, and
+every other view expands it right after its match
+(:class:`~repro.core.result.PairFragments`).  The visited cell pairs and
+results are identical to Algorithm 1; only the loop nesting differs
+(data-parallel over cells rather than over points).  The bipartite probe
+shares the walker.  A per-cell transcription of both algorithms, the
+oracle the tests compare against, lives off the query path in
+:mod:`repro.baselines.cellwise`.
 
 Reduced dims.  An index over ``k < n`` dims (the JPDC follow-up's layout)
 walks 3^k cells per cell but expands more candidates, most of them far
@@ -115,16 +100,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import (Callable, Dict, Iterator, List, NamedTuple, Optional,
-                    Sequence, Tuple)
+from typing import Callable, Dict, Iterator, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
 from repro.core import nativekernels
 from repro.core.gridindex import GridIndex
-from repro.core.neighbors import adjacent_cells, all_neighbor_offsets
+from repro.core.neighbors import all_neighbor_offsets
 from repro.core.result import PairFragments, ResultSet
-from repro.core.unicomp import unicomp_candidate_cells
 from repro.utils.cancellation import check_cancelled
 
 #: Default bound on the number of candidate point pairs expanded at once by
@@ -195,147 +178,6 @@ class KernelOutput:
 
     result: Optional[ResultSet]
     stats: KernelStats = field(default_factory=KernelStats)
-
-
-# --------------------------------------------------------------------------
-# pointwise reference kernel (Algorithm 1, literal transcription)
-# --------------------------------------------------------------------------
-def selfjoin_global_pointwise(index: GridIndex, eps: Optional[float] = None,
-                              query_ids: Optional[Sequence[int]] = None,
-                              sink: Optional[PairFragments] = None) -> KernelOutput:
-    """Literal per-point transcription of Algorithm 1 (reference, slow).
-
-    Parameters
-    ----------
-    index:
-        Built grid index.
-    eps:
-        Search distance; defaults to the index's cell length (the standard
-        configuration of the paper, where the cell side length equals ε).
-    query_ids:
-        Optional subset of query point ids (defaults to all points).
-    sink:
-        Optional external :class:`PairFragments` to emit into (the engine's
-        CSR-native path); when given, ``KernelOutput.result`` is ``None``.
-    """
-    eps = index.eps if eps is None else float(eps)
-    eps2 = eps * eps
-    points = index.points
-    stats = KernelStats()
-    external = sink is not None
-    sink = sink if sink is not None else PairFragments(index.num_points)
-    before = sink.num_pairs
-    keys: List[int] = []
-    values: List[int] = []
-    ids = range(index.num_points) if query_ids is None else query_ids
-    for gid in ids:
-        point = points[gid]
-        checked, found = adjacent_cells(index, index.cell_of_point(gid))
-        stats.cells_checked += checked
-        stats.nonempty_cells_visited += len(found)
-        for h in found:
-            candidate_ids = index.points_in_cell(h)
-            diff = points[candidate_ids] - point
-            dist2 = np.einsum("ij,ij->i", diff, diff)
-            stats.distance_calcs += int(candidate_ids.shape[0])
-            within = candidate_ids[dist2 <= eps2]
-            keys.extend([gid] * int(within.shape[0]))
-            values.extend(within.tolist())
-    sink.emit(np.asarray(keys, dtype=np.int64), np.asarray(values, dtype=np.int64))
-    stats.result_pairs = sink.num_pairs - before
-    result = None if external else sink.to_result_set()
-    return KernelOutput(result=result, stats=stats)
-
-
-# --------------------------------------------------------------------------
-# cellwise kernels
-# --------------------------------------------------------------------------
-def selfjoin_global_cellwise(index: GridIndex, eps: Optional[float] = None,
-                             source_cells: Optional[np.ndarray] = None,
-                             sink: Optional[PairFragments] = None) -> KernelOutput:
-    """Per-cell GLOBAL kernel: every source cell scans its non-empty adjacent cells."""
-    eps = index.eps if eps is None else float(eps)
-    eps2 = eps * eps
-    points = index.points
-    stats = KernelStats()
-    external = sink is not None
-    sink = sink if sink is not None else PairFragments(index.num_points)
-    before = sink.num_pairs
-    cells = np.arange(index.num_nonempty_cells) if source_cells is None \
-        else np.asarray(source_cells, dtype=np.int64)
-    for h in cells:
-        src_ids = index.points_in_cell(int(h))
-        checked, found = adjacent_cells(index, index.cell_coords[int(h)])
-        stats.cells_checked += checked
-        stats.nonempty_cells_visited += len(found)
-        if not found:
-            continue
-        cand_arr = np.concatenate([index.points_in_cell(t) for t in found])
-        diff = points[src_ids][:, None, :] - points[cand_arr][None, :, :]
-        dist2 = np.einsum("ijk,ijk->ij", diff, diff)
-        stats.distance_calcs += int(dist2.size)
-        qi, ci = np.nonzero(dist2 <= eps2)
-        sink.emit(src_ids[qi], cand_arr[ci])
-    stats.result_pairs = sink.num_pairs - before
-    result = None if external else sink.to_result_set()
-    return KernelOutput(result=result, stats=stats)
-
-
-def selfjoin_unicomp_cellwise(index: GridIndex, eps: Optional[float] = None,
-                              source_cells: Optional[np.ndarray] = None,
-                              sink: Optional[PairFragments] = None) -> KernelOutput:
-    """Per-cell UNICOMP kernel following Algorithm 2's loop structure.
-
-    The home cell is scanned normally (each ordered intra-cell pair emitted
-    once); for the UNICOMP-selected neighbor cells both ordered pairs
-    ``(p, q)`` and ``(q, p)`` are emitted, so the output matches the GLOBAL
-    kernel exactly.
-    """
-    eps = index.eps if eps is None else float(eps)
-    eps2 = eps * eps
-    points = index.points
-    stats = KernelStats()
-    external = sink is not None
-    sink = sink if sink is not None else PairFragments(index.num_points)
-    before = sink.num_pairs
-    cells = np.arange(index.num_nonempty_cells) if source_cells is None \
-        else np.asarray(source_cells, dtype=np.int64)
-    for h in cells:
-        src_ids = index.points_in_cell(int(h))
-        coords = index.cell_coords[int(h)]
-
-        # Home cell: all ordered pairs within the cell (including self-pairs).
-        stats.cells_checked += 1
-        stats.nonempty_cells_visited += 1
-        diff = points[src_ids][:, None, :] - points[src_ids][None, :, :]
-        dist2 = np.einsum("ijk,ijk->ij", diff, diff)
-        stats.distance_calcs += int(dist2.size)
-        qi, ci = np.nonzero(dist2 <= eps2)
-        sink.emit(src_ids[qi], src_ids[ci])
-
-        # UNICOMP-selected neighbor cells.
-        candidate_ids: List[np.ndarray] = []
-        for cand in unicomp_candidate_cells(coords, index.masks, index.num_cells):
-            stats.cells_checked += 1
-            t = index.lookup_cell(int(index.coords_to_linear(cand)))
-            if t < 0:
-                continue
-            stats.nonempty_cells_visited += 1
-            candidate_ids.append(index.points_in_cell(t))
-        if not candidate_ids:
-            continue
-        cand_arr = np.concatenate(candidate_ids)
-        diff = points[src_ids][:, None, :] - points[cand_arr][None, :, :]
-        dist2 = np.einsum("ijk,ijk->ij", diff, diff)
-        stats.distance_calcs += int(dist2.size)
-        qi, ci = np.nonzero(dist2 <= eps2)
-        q_pts = src_ids[qi]
-        c_pts = cand_arr[ci]
-        sink.emit(q_pts, c_pts)
-        sink.emit(c_pts, q_pts)
-    stats.result_pairs = sink.num_pairs - before
-    result = None if external else sink.to_result_set()
-    return KernelOutput(result=result, stats=stats)
 
 
 # --------------------------------------------------------------------------
@@ -532,8 +374,7 @@ def _dense_cell_table(index: GridIndex, n_rows: int) -> Optional[np.ndarray]:
 
 
 def _walk_cell_pairs(index: GridIndex, coords: np.ndarray, unicomp: bool = False,
-                     ) -> Iterator[Tuple[np.ndarray, np.ndarray, np.ndarray,
-                                         Optional[np.ndarray]]]:
+                     ) -> Iterator[Tuple[np.ndarray, np.ndarray, np.ndarray]]:
     """Resolve source cells x neighbor offsets against the index's ``B``.
 
     ``coords`` are ``(m, k)`` source cell coordinates in ``index``'s grid
@@ -554,15 +395,17 @@ def _walk_cell_pairs(index: GridIndex, coords: np.ndarray, unicomp: bool = False
     binary search of :meth:`~repro.core.gridindex.GridIndex.lookup_cells`.
     Both find the same cells.
 
-    Per group this yields ``(src, tgt, checked, mirror)``:
+    Per group this yields ``(src, tgt, checked)``:
 
     - ``src``: positions into ``coords`` of the pairs' source cells;
     - ``tgt``: indices into ``B`` of the non-empty neighbor cells found;
     - ``checked``: per source cell of the group, in order, the number of
       candidate cells that passed the filter (the groups' arrays
-      concatenate to one entry per row of ``coords``);
-    - ``mirror``: under ``unicomp``, which pairs are non-home and so emit
-      both ordered pairs (``None`` otherwise).
+      concatenate to one entry per row of ``coords``).
+
+    Under ``unicomp`` a pair emits both ordered pairs exactly when it is
+    not the home pair (its target is not its source cell), so no flag is
+    yielded.
 
     A self-join walks only to fill its index's cached adjacency, or when
     that adjacency is past its byte bound (:func:`_visit_cell_pairs`);
@@ -574,7 +417,7 @@ def _walk_cell_pairs(index: GridIndex, coords: np.ndarray, unicomp: bool = False
     group, so a deadline stops a kernel call between groups.
     """
     n_src = coords.shape[0]
-    offsets, top = _neighbor_offsets(index.num_grid_dims)
+    offsets, _ = _neighbor_offsets(index.num_grid_dims)
     if n_src == 0 or index.num_nonempty_cells == 0:
         return
     # admit[j][d + 1, i]: coordinate j of source cell i, moved by d, is in
@@ -620,8 +463,7 @@ def _walk_cell_pairs(index: GridIndex, coords: np.ndarray, unicomp: bool = False
         else:
             pos = table.take(ids)
             hit = np.flatnonzero(pos >= 0)
-        mirror = top.take(offset.take(hit)) >= 0 if unicomp else None
-        yield src.take(hit), pos.take(hit), checked, mirror
+        yield src.take(hit), pos.take(hit), checked
 
 
 # --------------------------------------------------------------------------
@@ -740,7 +582,7 @@ def _walk_near_pairs(index: GridIndex, cells: Optional[np.ndarray],
     limit = _box_limit(index.eps * index.eps, index.num_dims)
     counts = index.cell_counts
     lo = 0
-    for src, tgt, checked, _ in _walk_cell_pairs(index, coords, unicomp):
+    for src, tgt, checked in _walk_cell_pairs(index, coords, unicomp):
         hi = lo + checked.shape[0]
         local = src - lo
         visited = np.bincount(local, minlength=hi - lo)

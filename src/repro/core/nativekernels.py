@@ -40,7 +40,7 @@ parity suite exercises their logic even on hosts without numba.
 
 Adaptive selection, numba tier only: :func:`choose_selfjoin_kernel` picks
 ``dense`` vs ``sparse`` from the *exact* per-cell populations of the cell
-subset at hand.  Because the sharded/multiprocess backends call the inner
+subset at hand.  Because the parallel backends call the vectorized
 backend once per shard, the choice is naturally per-shard — a shard over a
 dense cluster runs the tiled kernel while a shard over sparse space runs
 the gather kernel, and :class:`~repro.core.kernels.KernelStats.kernel_counts`

@@ -8,8 +8,9 @@ then enumerate the candidate cells and binary-search them in ``B``.
 
 Two flavours are provided:
 
-* scalar/per-cell helpers used by the readable "cellwise" kernel and the
-  per-thread simulated kernel, and
+* scalar/per-cell helpers used by the per-cell oracle
+  (:mod:`repro.baselines.cellwise`) and the per-thread simulated kernel,
+  and
 * the offset enumeration behind the vectorized cell-pair walker.
 """
 

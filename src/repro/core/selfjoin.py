@@ -38,7 +38,7 @@ from repro.utils.validation import check_eps, check_points
 
 #: Kernel implementations accepted by :class:`SelfJoinConfig.kernel`; these
 #: are names of registered engine backends (see ``repro.engine.backends``).
-VALID_KERNELS = ("vectorized", "cellwise", "pointwise", "simulated")
+VALID_KERNELS = ("vectorized", "simulated")
 
 
 @dataclass
@@ -51,8 +51,7 @@ class SelfJoinConfig:
         Enable the UNICOMP work-avoidance optimization (Section V-B).  The
         paper's headline configuration ("GPU: unicomp") enables it.
     kernel:
-        Execution backend: ``"vectorized"`` (production),
-        ``"cellwise"``/``"pointwise"`` (readable references) or
+        Execution backend: ``"vectorized"`` (production) or
         ``"simulated"`` (instrumented device-model path used for Table II).
     batching:
         Enable the result-set batching scheme (Section V-A).
@@ -90,8 +89,6 @@ class SelfJoinConfig:
         base = self.kernel.split("(", 1)[0]
         if base not in VALID_KERNELS:
             raise ValueError(f"kernel must be one of {VALID_KERNELS}, got {self.kernel!r}")
-        if self.kernel == "pointwise" and self.unicomp:
-            raise ValueError("the pointwise reference kernel has no UNICOMP variant")
         if self.min_batches < 1:
             raise ValueError("min_batches must be >= 1")
 

@@ -289,14 +289,12 @@ class DistributedBackend(ShardExecutionBackend):
         single integer spawning that many :class:`LocalWorkerPool`
         subprocesses.  Empty falls back to :data:`WORKERS_ENV_VAR`, then to
         one local worker per CPU.
-    inner:
-        Backend each worker executes per shard.
     n_shards:
         Shard count (``workers * scheduler.OVERSPLIT_FACTOR`` when omitted
         — the pull queue's rebalancing slack).
     kernel:
-        Kernel tier (``auto``, ``numpy`` or ``numba``) threaded into the
-        workers' inner backend.
+        Kernel tier (``auto``, ``numpy`` or ``numba``) the workers run
+        their shards on.
     scheduling:
         ``"adaptive"`` (default): the work-stealing scheduler — steal,
         mid-join rebalance, in-flight resplit, hedge last.  ``"static"``:
@@ -329,15 +327,14 @@ class DistributedBackend(ShardExecutionBackend):
     run_selfjoin = ShardExecutionBackend.run_selfjoin
     run_probe = ShardExecutionBackend.run_probe
 
-    def __init__(self, *spec, inner: str = "vectorized",
-                 n_shards: Optional[int] = None,
+    def __init__(self, *spec, n_shards: Optional[int] = None,
                  kernel: str = "auto", scheduling: str = "adaptive",
                  window: int = 1, hedge_after: float = 0.25,
                  connect_timeout: float = 10.0,
                  chunk_pairs: int = DEFAULT_CHUNK_PAIRS,
                  debug_shard_sleep_ms: float = 0.0,
                  store_root: Optional[str] = None) -> None:
-        super().__init__(inner, kernel, n_shards)
+        super().__init__(kernel, n_shards)
         if str(scheduling) not in SCHEDULING_MODES:
             raise ValueError(
                 f"scheduling must be one of {SCHEDULING_MODES}")
@@ -452,7 +449,7 @@ class DistributedBackend(ShardExecutionBackend):
         name = (f"mem-{identity.fingerprint[:16]}"
                 f"-{identity.array_id & 0xFFFFFFFF:08x}")
         meta, payload = protocol.pack_arrays([("points", points)])
-        header = {"op": "attach", "dataset": name, "inner": self.inner_name,
+        header = {"op": "attach", "dataset": name, "kernel": self.tier,
                   "arrays": meta}
         self._attach_rpc(header, payload)
         return _DatasetState(key=key or (identity,), name=name,
@@ -463,7 +460,7 @@ class DistributedBackend(ShardExecutionBackend):
         resolved = str(Path(descriptor).resolve())
         name = "store-" + hashlib.blake2b(resolved.encode(),
                                           digest_size=8).hexdigest()
-        header = {"op": "attach", "dataset": name, "inner": self.inner_name,
+        header = {"op": "attach", "dataset": name, "kernel": self.tier,
                   "store_path": resolved}
         self._attach_rpc(header, b"")
         return _DatasetState(key=key or (("store", resolved),), name=name,

@@ -52,6 +52,7 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from repro.core.kernels import KernelStats
+from repro.core.nativekernels import parse_kernel_spec
 from repro.core.result import expanded_pairs
 from repro.data.store import SpatialStore
 from repro.parallel.executor import ShardDataset, run_shard
@@ -316,6 +317,11 @@ class WorkerServer:
 
     def _op_attach(self, header: dict, payload: bytes) -> dict:
         name = str(header.get("dataset"))
+        try:
+            kernel = parse_kernel_spec(header.get("kernel", "auto"))
+        except ValueError as exc:
+            return {"status": protocol.STATUS_ERROR,
+                    "message": f"attach failed: {exc}"}
         with self._lock:
             state = self._datasets.get(name)
         if state is not None:
@@ -326,7 +332,6 @@ class WorkerServer:
                     "n_points": int(state.points.shape[0]),
                     "n_dims": int(state.points.shape[1]),
                     "transport": "cached"}
-        inner = str(header.get("inner", "vectorized"))
         store_path = header.get("store_path")
         try:
             if store_path is not None:
@@ -338,7 +343,7 @@ class WorkerServer:
                                        f"outside this worker's --store-root "
                                        f"({str(self.store_root)!r})"}
                 state = ShardDataset.from_store(SpatialStore.open(resolved),
-                                                inner)
+                                                kernel)
             else:
                 arrays = protocol.unpack_arrays(
                     header.get("arrays", []), payload)
@@ -351,7 +356,7 @@ class WorkerServer:
                 if points.ndim != 2:
                     return {"status": protocol.STATUS_ERROR,
                             "message": "attached points must be 2-D"}
-                state = ShardDataset(points=points, inner=inner)
+                state = ShardDataset(points=points, kernel=kernel)
         except (OSError, ValueError, protocol.ProtocolError) as exc:
             return {"status": protocol.STATUS_ERROR,
                     "message": f"attach failed: {exc}"}

@@ -35,7 +35,7 @@ True
 >>> matches.neighbor_table.num_points      # CSR rows = left-side points
 1000
 
-Backends are chosen per planner: ``run_query(query, backend="cellwise")``
+Backends are chosen per planner: ``run_query(query, backend="bruteforce")``
 or ``QueryPlanner(backend="simulated")``; parameterized names configure a
 backend (``backend="multiprocess(4)"`` for four workers).
 ``list_backends()`` enumerates the registry, ``backend_availability()``
@@ -120,7 +120,7 @@ def run_query(query: Query, index: Optional[GridIndex] = None,
         Optional pre-built grid index over the indexed side.
     planner:
         Optional pre-configured :class:`QueryPlanner`; mutually exclusive
-        with ``planner_kwargs`` (e.g. ``backend="cellwise"``), which are
+        with ``planner_kwargs`` (e.g. ``backend="bruteforce"``), which are
         forwarded to a fresh planner.
     session:
         Optional open :class:`EngineSession` owning the query's indexed

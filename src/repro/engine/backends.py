@@ -21,12 +21,9 @@ Available backends:
 
 * ``vectorized`` — the production path (the shared cell-pair walker and
   emitter of :mod:`repro.core.kernels`).
-* ``cellwise`` — readable per-cell reference (no production path runs
-  its kernels; tests and experiments compare against it).
-* ``pointwise`` — literal Algorithm 1 transcription (reference, slow).
-* ``simulated`` — instrumented device-model path (Table II); probes fall
-  back to the pointwise reference since the paper's device model only
-  covers the self-join kernels.
+* ``simulated`` — instrumented device-model path (Table II); probes run
+  the production probe on the NumPy tier, since the paper's device model
+  only covers the self-join kernels.
 * ``bruteforce`` — index-free chunked all-pairs reference.
 * ``sharded`` / ``multiprocess`` / ``distributed`` — the parallel and
   distributed execution subsystems (:mod:`repro.parallel`,
@@ -65,12 +62,8 @@ from repro.core.kernels import (
     _JoinSide,
     _run_tiered,
     _walk_cell_pairs,
-    selfjoin_global_cellwise,
-    selfjoin_global_pointwise,
     selfjoin_tiered,
-    selfjoin_unicomp_cellwise,
 )
-from repro.core.neighbors import adjacent_cells
 from repro.core.result import PairFragments
 
 
@@ -292,23 +285,6 @@ def _parse_backend_name(name: str) -> Tuple[str, Tuple[Union[int, float, str], .
     return base, tuple(args), kwargs
 
 
-def compose_kernel_spec(inner: str, kernel: str) -> str:
-    """Thread a ``kernel=`` knob into an inner-backend spec string.
-
-    Decomposing backends (``sharded``, ``multiprocess``) take the kernel
-    spec as their own knob and forward it to their inner backend by name —
-    ``compose_kernel_spec("vectorized", "numba")`` is
-    ``"vectorized(kernel=numba)"`` — so the spec survives pickling to pool
-    workers as a plain string.  ``"auto"`` composes to the inner spec
-    unchanged (resolution happens inside the tiered dispatch).
-    """
-    if kernel == "auto":
-        return inner
-    if inner.endswith(")"):
-        return f"{inner[:-1]}, kernel={kernel})"
-    return f"{inner}(kernel={kernel})"
-
-
 def _resolve_provider(base: str) -> BackendProvider:
     """Return a provider with a usable factory, importing lazily if needed."""
     try:
@@ -389,18 +365,6 @@ def _probe_rows(queries: np.ndarray, rows: Optional[np.ndarray]) -> np.ndarray:
     return np.asarray(rows, dtype=np.int64)
 
 
-def _group_by_cell(probe_pts: np.ndarray, index: GridIndex):
-    """Group probe points by their cell in ``index``'s grid.
-
-    Returns ``(coords, order, starts, counts)``: each group's cell
-    coordinates, and the CSR ranges of the groups over ``order``, the
-    points ordered by cell id (:func:`repro.core.gridindex.group_by_cell_id`).
-    """
-    coords = index.cell_coords_of(probe_pts)
-    order, _, starts, counts = group_by_cell_id(index.coords_to_linear(coords))
-    return coords[order[starts]], order, starts, counts
-
-
 def _reject_cell_subset(backend: ExecutionBackend, cells) -> None:
     """Fail fast when a cell batch reaches a backend that cannot honor it.
 
@@ -418,8 +382,9 @@ def _vectorized_probe(queries: np.ndarray, index: GridIndex, eps: float,
                       native_kernel: Optional[Callable] = None) -> KernelStats:
     """Bipartite probe on the shared cell-pair walker (production path).
 
-    The query points are grouped by their cell in the index's grid, so
-    co-located queries share one adjacent-cell resolution.  The groups' cell
+    The query points are grouped by their cell in the index's grid
+    (:func:`repro.core.gridindex.group_by_cell_id`), so co-located queries
+    share one adjacent-cell resolution.  The groups' cell
     coordinates are walked against all 3^k offsets of the k indexed dims by
     :func:`repro.core.kernels._walk_cell_pairs` on every call (query cells
     are arbitrary, so no adjacency is cached), and every resolved (query
@@ -436,7 +401,9 @@ def _vectorized_probe(queries: np.ndarray, index: GridIndex, eps: float,
     if rows.shape[0] == 0:
         return stats
     probe_pts = queries[rows]
-    group_coords, order, starts, counts = _group_by_cell(probe_pts, index)
+    coords = index.cell_coords_of(probe_pts)
+    order, _, starts, counts = group_by_cell_id(index.coords_to_linear(coords))
+    group_coords = coords[order[starts]]
     if native_kernel is not None:
         groups = _JoinSide(probe_pts, order, starts, counts, None)
     else:
@@ -447,7 +414,7 @@ def _vectorized_probe(queries: np.ndarray, index: GridIndex, eps: float,
                            else None)
     cells = _index_side(index, native_kernel)
     before = sink.num_pairs
-    for src, tgt, checked, _ in _walk_cell_pairs(index, group_coords):
+    for src, tgt, checked in _walk_cell_pairs(index, group_coords):
         stats.cells_checked += int(checked.sum())
         stats.nonempty_cells_visited += int(src.shape[0])
         stats.distance_calcs += _emit_pairs(
@@ -472,58 +439,6 @@ def _tiered_probe(queries: np.ndarray, index: GridIndex, eps: float,
         lambda native: _vectorized_probe(
             queries, index, eps, sink, rows, max_candidate_pairs,
             native_kernel=native))
-
-
-def _pointwise_probe(queries: np.ndarray, index: GridIndex, eps: float,
-                     sink: PairFragments, rows: Optional[np.ndarray]) -> KernelStats:
-    """Per-query-point reference probe (literal adjacent-cell walk)."""
-    stats = KernelStats()
-    rows = _probe_rows(queries, rows)
-    eps2 = eps * eps
-    before = sink.num_pairs
-    for row in rows:
-        point = queries[row]
-        coords = index.cell_coords_of(point[None, :])[0]
-        checked, found = adjacent_cells(index, coords)
-        stats.cells_checked += checked
-        stats.nonempty_cells_visited += len(found)
-        for h in found:
-            candidate_ids = index.points_in_cell(h)
-            diff = index.points[candidate_ids] - point
-            dist2 = np.einsum("ij,ij->i", diff, diff)
-            stats.distance_calcs += int(candidate_ids.shape[0])
-            within = candidate_ids[dist2 <= eps2]
-            sink.emit(np.full(within.shape[0], row, dtype=np.int64), within)
-    stats.result_pairs = sink.num_pairs - before
-    return stats
-
-
-def _cellwise_probe(queries: np.ndarray, index: GridIndex, eps: float,
-                    sink: PairFragments, rows: Optional[np.ndarray]) -> KernelStats:
-    """Per-query-cell-group reference probe (vectorized distances per group)."""
-    stats = KernelStats()
-    rows = _probe_rows(queries, rows)
-    if rows.shape[0] == 0:
-        return stats
-    eps2 = eps * eps
-    probe_pts = queries[rows]
-    group_coords, order, starts, counts = _group_by_cell(probe_pts, index)
-    before = sink.num_pairs
-    for g in range(starts.shape[0]):
-        members = order[starts[g]:starts[g] + counts[g]]
-        checked, found = adjacent_cells(index, group_coords[g])
-        stats.cells_checked += checked
-        stats.nonempty_cells_visited += len(found)
-        if not found:
-            continue
-        cand_arr = np.concatenate([index.points_in_cell(h) for h in found])
-        diff = probe_pts[members][:, None, :] - index.points[cand_arr][None, :, :]
-        dist2 = np.einsum("ijk,ijk->ij", diff, diff)
-        stats.distance_calcs += int(dist2.size)
-        qi, ci = np.nonzero(dist2 <= eps2)
-        sink.emit(rows[members[qi]], cand_arr[ci])
-    stats.result_pairs = sink.num_pairs - before
-    return stats
 
 
 # --------------------------------------------------------------------------
@@ -564,42 +479,6 @@ class VectorizedBackend(ExecutionBackend):
 
 
 @register_backend
-class CellwiseBackend(ExecutionBackend):
-    """Readable per-cell reference implementation."""
-
-    name = "cellwise"
-    supports_cell_subset = True
-    supports_unicomp = True
-
-    def run_selfjoin(self, index, eps, cells, sink, *, unicomp=False,
-                     max_candidate_pairs=DEFAULT_MAX_CANDIDATE_PAIRS) -> KernelStats:
-        kernel = selfjoin_unicomp_cellwise if unicomp else selfjoin_global_cellwise
-        return kernel(index, eps, cells, sink=sink).stats
-
-    def run_probe(self, queries, index, eps, sink, *, rows=None,
-                  max_candidate_pairs=DEFAULT_MAX_CANDIDATE_PAIRS) -> KernelStats:
-        return _cellwise_probe(queries, index, eps, sink, rows)
-
-
-@register_backend
-class PointwiseBackend(ExecutionBackend):
-    """Literal Algorithm 1 transcription (reference, slow; no UNICOMP)."""
-
-    name = "pointwise"
-
-    def run_selfjoin(self, index, eps, cells, sink, *, unicomp=False,
-                     max_candidate_pairs=DEFAULT_MAX_CANDIDATE_PAIRS) -> KernelStats:
-        if unicomp:
-            raise ValueError("the pointwise reference kernel has no UNICOMP variant")
-        _reject_cell_subset(self, cells)
-        return selfjoin_global_pointwise(index, eps, sink=sink).stats
-
-    def run_probe(self, queries, index, eps, sink, *, rows=None,
-                  max_candidate_pairs=DEFAULT_MAX_CANDIDATE_PAIRS) -> KernelStats:
-        return _pointwise_probe(queries, index, eps, sink, rows)
-
-
-@register_backend
 class SimulatedBackend(ExecutionBackend):
     """Instrumented device-model path (per-thread simulation, Table II)."""
 
@@ -618,9 +497,10 @@ class SimulatedBackend(ExecutionBackend):
 
     def run_probe(self, queries, index, eps, sink, *, rows=None,
                   max_candidate_pairs=DEFAULT_MAX_CANDIDATE_PAIRS) -> KernelStats:
-        # The device model only covers the self-join kernels; probes use the
-        # uninstrumented pointwise reference.
-        return _pointwise_probe(queries, index, eps, sink, rows)
+        # The device model only covers the self-join kernels; probes run
+        # the uninstrumented production probe.
+        return _tiered_probe(queries, index, eps, sink, rows,
+                             max_candidate_pairs, "numpy")
 
 
 @register_backend

@@ -264,8 +264,6 @@ class QueryPlanner:
     def _resolve_unicomp(self, query: Q.Query) -> bool:
         if not query.unicomp or query.kind != Q.SELF_JOIN:
             return False
-        if query.unicomp and self.backend.name == "pointwise":
-            raise ValueError("the pointwise reference kernel has no UNICOMP variant")
         return self.backend.supports_unicomp
 
     def _plan_self_join(self, query: Q.Query, index: Optional[GridIndex],

@@ -24,12 +24,11 @@ from repro.utils.timing import Timer
 
 #: Backends compared by default; the reference backends are orders of
 #: magnitude slower, so they only run at small scales (see ``run``).
-DEFAULT_BACKENDS = ("vectorized", "sharded", "multiprocess", "cellwise",
-                    "bruteforce")
+DEFAULT_BACKENDS = ("vectorized", "sharded", "multiprocess", "bruteforce")
 
 #: Reference backends excluded above this dataset size.
 SLOW_BACKEND_LIMIT = 1500
-SLOW_BACKENDS = ("pointwise", "simulated")
+SLOW_BACKENDS = ("simulated",)
 
 
 @dataclass
@@ -58,9 +57,9 @@ def run_engine_compare(n_points: Optional[int] = None, trials: int = 1,
 
     rows: List[EngineCompareRow] = []
     for name in names:
-        unicomp = name not in ("pointwise", "bruteforce")
+        # The planner drops UNICOMP for a backend without it.
         queries = {
-            "self-join": Query.self_join(points, eps, unicomp=unicomp),
+            "self-join": Query.self_join(points, eps),
             "bipartite": Query.bipartite_join(probe, points, eps),
         }
         for kind, query in queries.items():

@@ -49,9 +49,8 @@ EPS_INDEPENDENT = ("GPU: Brute Force",)
 #: ``Engine[sharded/numba]`` is the sharded backend on the numba tier
 #: (shorthand for ``Engine[sharded(kernel=numba)]``).
 ENGINE_ALGORITHM_PREFIX = "Engine["
-ENGINE_ALGORITHMS = ("Engine[vectorized]", "Engine[cellwise]",
-                     "Engine[bruteforce]", "Engine[sharded]",
-                     "Engine[multiprocess]")
+ENGINE_ALGORITHMS = ("Engine[vectorized]", "Engine[bruteforce]",
+                     "Engine[sharded]", "Engine[multiprocess]")
 
 #: Parallel engine variants appended to the fig4–fig6 default algorithm sets
 #: on a multi-core reference machine.  On fewer cores the pool/shard overhead

@@ -40,14 +40,9 @@ import numpy as np
 
 from repro.core.gridindex import GridIndex, SubsetIndex
 from repro.core.kernels import DEFAULT_MAX_CANDIDATE_PAIRS, KernelStats
-from repro.core.nativekernels import parse_kernel_spec
+from repro.core.nativekernels import parse_kernel_spec, resolve_kernel_tier
 from repro.core.result import PairFragments, expanded_pairs
-from repro.engine.backends import (
-    ExecutionBackend,
-    _probe_rows,
-    compose_kernel_spec,
-    get_backend,
-)
+from repro.engine.backends import ExecutionBackend, VectorizedBackend, _probe_rows
 from repro.parallel.scheduler import (
     OrderedShardMerger,
     ScheduleExhausted,
@@ -83,10 +78,12 @@ class ShardDataset:
     ``points`` is in stored (``B``) order for a store attachment, whose
     ``ids`` directory maps emitted rows back to original dataset ids; a
     streamed join needs only ``store`` (``points`` may stay ``None``).
+    Every shard runs the ``vectorized`` backend on the ``kernel`` tier
+    (``auto``, ``numpy`` or ``numba``).
     """
 
     points: Optional[np.ndarray]
-    inner: str                                   # backend run per shard
+    kernel: str
     ids: Optional[np.ndarray] = None
     store: Optional[object] = None
     indexes: "OrderedDict[tuple, GridIndex]" = field(default_factory=OrderedDict)
@@ -96,14 +93,14 @@ class ShardDataset:
                                  repr=False, compare=False)
 
     @classmethod
-    def from_store(cls, store, inner: str) -> "ShardDataset":
-        return cls(points=store.stored_points(), inner=inner,
+    def from_store(cls, store, kernel: str) -> "ShardDataset":
+        return cls(points=store.stored_points(), kernel=kernel,
                    ids=np.asarray(store.stored_ids()), store=store)
 
     @classmethod
-    def for_index(cls, index: GridIndex, inner: str) -> "ShardDataset":
+    def for_index(cls, index: GridIndex, kernel: str) -> "ShardDataset":
         """A dataset whose cache already holds the caller's index."""
-        return cls(points=index.points, inner=inner,
+        return cls(points=index.points, kernel=kernel,
                    indexes=OrderedDict([((float(index.eps), index.dims),
                                          index)]))
 
@@ -144,7 +141,7 @@ def selfjoin_shard(dataset: ShardDataset, params: dict, cells):
     (:meth:`~repro.core.result.PairFragments.compact`)."""
     index = dataset.index_for(params["index_eps"], params.get("index_dims"))
     sink = PairFragments(index.num_points)
-    stats = get_backend(dataset.inner).run_selfjoin(
+    stats = VectorizedBackend(dataset.kernel).run_selfjoin(
         index, float(params["eps"]), np.asarray(cells, dtype=np.int64), sink,
         unicomp=bool(params.get("unicomp", False)),
         max_candidate_pairs=_chunk_bound(params))
@@ -159,7 +156,7 @@ def probe_shard(dataset: ShardDataset, params: dict, queries):
     queries = np.ascontiguousarray(queries, dtype=np.float64)
     index = dataset.index_for(params["index_eps"], params.get("index_dims"))
     sink = PairFragments(queries.shape[0])
-    stats = get_backend(dataset.inner).run_probe(
+    stats = VectorizedBackend(dataset.kernel).run_probe(
         queries, index, float(params["eps"]), sink,
         max_candidate_pairs=_chunk_bound(params))
     keys, values = sink.concatenated()
@@ -192,7 +189,7 @@ def stream_shard(dataset: ShardDataset, params: dict, _array=None):
         local_pts, local_ids = owned_pts, owned_ids
     sub = SubsetIndex.build(local_pts, local_ids, eps)
     sink = PairFragments(owned_pts.shape[0])
-    stats = get_backend(dataset.inner).run_probe(
+    stats = VectorizedBackend(dataset.kernel).run_probe(
         owned_pts, sub.index, eps, sink,
         max_candidate_pairs=_chunk_bound(params))
     keys, values = sink.concatenated()
@@ -422,33 +419,23 @@ class ShardExecutionBackend(ExecutionBackend):
     """
 
     supports_cell_subset = True
+    supports_unicomp = True
     owns_decomposition = True
     #: Scheduler mode and hedge fuse (``distributed`` exposes both).
     scheduling = "adaptive"
     hedge_after = 0.25
 
-    def __init__(self, inner: str, kernel: str,
-                 n_shards: Optional[int]) -> None:
+    def __init__(self, kernel: str, n_shards: Optional[int]) -> None:
         if n_shards is not None and int(n_shards) < 1:
             raise ValueError("n_shards must be >= 1")
         self.n_shards = int(n_shards) if n_shards is not None else None
-        self.kernel_spec = str(kernel)
-        parse_kernel_spec(self.kernel_spec)  # fail fast on typos
-        # A plain string, so it ships to pool and TCP workers unchanged.
-        self.inner_name = compose_kernel_spec(str(inner), self.kernel_spec)
-
-    @property
-    def inner(self) -> ExecutionBackend:
-        """The backend executed per shard."""
-        return get_backend(self.inner_name)
-
-    @property
-    def supports_unicomp(self) -> bool:  # type: ignore[override]
-        return self.inner.supports_unicomp
+        # The shards' kernel tier, checked here; a plain string, so it
+        # ships to pool and TCP workers unchanged.
+        self.tier = parse_kernel_spec(kernel)
 
     def kernel_tier(self) -> str:
-        """The inner backend's kernel tier as it resolves here."""
-        return self.inner.kernel_tier()
+        """The shards' kernel tier as it resolves here."""
+        return resolve_kernel_tier(self.tier)
 
     # ----------------------------------------------------------------- hooks
     @abc.abstractmethod

@@ -30,7 +30,7 @@ B-ordered points instead and translate emitted ids back through its
 ``ids`` directory, so no copy of the points is made at all.
 
 Registered as ``multiprocess``: ``multiprocess(4)`` uses four workers,
-``multiprocess(2, cellwise)`` runs the cellwise reference kernels in two.
+``multiprocess(2, kernel=numpy)`` runs two on the NumPy kernel tier.
 ``REPRO_MP_START_METHOD`` picks the pool start method.
 """
 
@@ -121,7 +121,7 @@ def _attach_shared_view(name: str, shape: Tuple[int, ...],
     return shm, view
 
 
-def _init_pool_worker(inner: str, dataset: tuple) -> None:
+def _init_pool_worker(kernel: str, dataset: tuple) -> None:
     """Pool initializer: map (or receive) the dataset once.
 
     ``dataset`` is, in order of preference: ``("store", path)`` — the
@@ -133,14 +133,14 @@ def _init_pool_worker(inner: str, dataset: tuple) -> None:
         from repro.data.store import SpatialStore
 
         _POOL_WORKER["dataset"] = ShardDataset.from_store(
-            SpatialStore.open(dataset[1]), inner)
+            SpatialStore.open(dataset[1]), kernel)
         return
     if dataset[0] == "shm":
         shm, points = _attach_shared_view(*dataset[1:])
         _POOL_WORKER["shm"] = shm  # keep the mapping alive
     else:
         points = dataset[1]
-    _POOL_WORKER["dataset"] = ShardDataset(points=points, inner=inner)
+    _POOL_WORKER["dataset"] = ShardDataset(points=points, kernel=kernel)
 
 
 def _run_pool_shard(kind: str, params: dict, array: Optional[np.ndarray]):
@@ -296,8 +296,6 @@ class MultiprocessBackend(ShardExecutionBackend):
     ----------
     n_workers:
         Pool size (``REPRO_PARALLEL_WORKERS`` / CPU count when omitted).
-    inner:
-        Backend executed per shard inside the workers.
     n_shards:
         Shard count (``n_workers * scheduler.OVERSPLIT_FACTOR`` when
         omitted — the pull queue's rebalancing slack).
@@ -305,7 +303,7 @@ class MultiprocessBackend(ShardExecutionBackend):
         How many detached session pools to keep warm for revival (LRU);
         ``0`` shuts a pool down on the last detach.
     kernel:
-        Kernel tier threaded into the inner backend (see
+        Kernel tier of the shards (see
         :mod:`repro.core.nativekernels`): ``multiprocess(4, kernel=numba)``
         forces the numba tier inside every worker; the default ``auto``
         uses numba where it imports.  On the numba tier each shard picks
@@ -315,7 +313,6 @@ class MultiprocessBackend(ShardExecutionBackend):
     name = "multiprocess"
 
     def __init__(self, n_workers: Optional[int] = None,
-                 inner: str = "vectorized",
                  n_shards: Optional[int] = None,
                  max_idle: int = 2,
                  kernel: str = "auto") -> None:
@@ -323,7 +320,7 @@ class MultiprocessBackend(ShardExecutionBackend):
             raise ValueError("n_workers must be >= 1")
         if int(max_idle) < 0:
             raise ValueError("max_idle must be >= 0")
-        super().__init__(inner, kernel, n_shards)
+        super().__init__(kernel, n_shards)
         self.n_workers = int(n_workers) if n_workers is not None else None
         self.max_idle = int(max_idle)
         self.stats = MultiprocessStats()
@@ -468,7 +465,7 @@ class MultiprocessBackend(ShardExecutionBackend):
         try:
             pool = ctx.Pool(processes=n_workers,
                             initializer=_init_pool_worker,
-                            initargs=(self.inner_name, dataset))
+                            initargs=(self.tier, dataset))
         except Exception:
             # Pool creation failed (fork pressure, process limits): the
             # dataset segment must not outlive this attempt.

@@ -5,8 +5,8 @@
 (:func:`repro.parallel.executor.run_tasks`) over the *inline* transport: a
 single worker that computes each shard in the caller's thread.  It is the
 same dispatch and merge path ``multiprocess`` and ``distributed`` run,
-without concurrency, and its pair stream is identical to the inner backend
-run unsharded.
+without concurrency, and its pair stream is identical to the
+``vectorized`` backend run unsharded.
 
 It is also the **out-of-core** backend: for a self-join over an on-disk
 :class:`~repro.data.store.SpatialStore` it implements
@@ -17,13 +17,10 @@ executor dispatches in root order and flushes each shard as it completes,
 so peak memory is O(largest shard + halo) instead of O(n).
 
 Registered as ``sharded``; parameterized lookups configure it:
-``sharded(7)`` uses seven shards and ``sharded(4, cellwise)`` runs the
-cellwise reference under a four-shard decomposition.
-``sharded(4, kernel=numba)`` forces the
-inner backend's kernel tier (see :mod:`repro.core.nativekernels`);
-``kernel=`` takes a tier only.  On the numba tier the inner backend picks
-the dense or sparse compiled kernel *per shard* from that shard's cell
-populations; the NumPy tier runs its one route on every shard.
+``sharded(7)`` uses seven shards and ``sharded(4, kernel=numba)`` forces
+the shards' kernel tier (see :mod:`repro.core.nativekernels`).  On the
+numba tier each shard picks the dense or sparse compiled kernel from its
+cell populations; the NumPy tier runs its one route on every shard.
 """
 
 from __future__ import annotations
@@ -42,14 +39,14 @@ from repro.parallel.shards import default_worker_count
 
 @register_backend
 class ShardedBackend(ShardExecutionBackend):
-    """Shard-decomposed execution of an inner backend in the caller's thread."""
+    """Shard-decomposed ``vectorized`` execution in the caller's thread."""
 
     name = "sharded"
     supports_streaming = True
 
     def __init__(self, n_shards: Optional[int] = None,
-                 inner: str = "vectorized", kernel: str = "auto") -> None:
-        super().__init__(inner, kernel, n_shards)
+                 kernel: str = "auto") -> None:
+        super().__init__(kernel, n_shards)
 
     def _shard_count(self) -> int:
         return self.n_shards or default_worker_count()
@@ -57,8 +54,7 @@ class ShardedBackend(ShardExecutionBackend):
     @contextmanager
     def _transport(self, n_tasks, index=None, source=None):
         if source is not None:
-            dataset = ShardDataset(points=None, inner=self.inner_name,
-                                   store=source)
+            dataset = ShardDataset(points=None, kernel=self.tier, store=source)
         else:
-            dataset = ShardDataset.for_index(index, self.inner_name)
+            dataset = ShardDataset.for_index(index, self.tier)
         yield InlineTransport(dataset)

@@ -17,8 +17,10 @@
   experiments, ``GPUSelfJoin`` and the ``simulated`` backend never reach
   it, so the paper's figures and Table II keep the all-dims grid.
 * One NumPy kernel route.  On the NumPy tier every production backend
-  runs the vectorized walker and emitter, however dense the cells; the
-  per-cell ``cellwise`` kernels are a reference only.
+  runs the vectorized walker and emitter, however dense the cells.  The
+  per-cell oracle, :mod:`repro.baselines.cellwise`, is for tests only: no
+  module of the engine, parallel, distributed, service or core packages
+  imports it.
 """
 
 from __future__ import annotations
@@ -36,6 +38,7 @@ import numpy as np
 import pytest
 
 import repro
+from repro.baselines.cellwise import probe_cellwise, selfjoin_cellwise
 from repro.core.gridindex import GridIndex
 from repro.core.selfjoin import GPUSelfJoin, SelfJoinConfig
 from repro.data.synthetic import uniform_dataset
@@ -51,16 +54,16 @@ QUERY_PATH_PACKAGES = ("engine", "parallel", "distributed", "service")
 ALLOWED_GPUSIM_IMPORTS = {("engine/backends.py", "SimulatedBackend.run_selfjoin")}
 
 
-def _imports_gpusim(node: ast.AST) -> bool:
+def _imports(node: ast.AST, module: str) -> bool:
+    """Whether ``node`` imports ``module`` or one of its submodules."""
+    def within(name: str) -> bool:
+        return name == module or name.startswith(module + ".")
+
     if isinstance(node, ast.Import):
-        return any(alias.name == "repro.gpusim"
-                   or alias.name.startswith("repro.gpusim.")
-                   for alias in node.names)
+        return any(within(alias.name) for alias in node.names)
     if isinstance(node, ast.ImportFrom) and node.level == 0 and node.module:
-        if node.module == "repro":
-            return any(alias.name == "gpusim" for alias in node.names)
-        return node.module == "repro.gpusim" \
-            or node.module.startswith("repro.gpusim.")
+        return within(node.module) or any(
+            within(f"{node.module}.{alias.name}") for alias in node.names)
     return False
 
 
@@ -83,13 +86,18 @@ def _scoped(tree: ast.Module, match):
     yield from visit(tree, ())
 
 
+def _module_imports(tree: ast.Module, module: str):
+    """``(enclosing qualname, line)`` of every import of ``module``."""
+    return _scoped(tree, lambda node: _imports(node, module))
+
+
 def _gpusim_imports(tree: ast.Module):
     """``(enclosing qualname, line)`` of every ``repro.gpusim`` import."""
-    return _scoped(tree, _imports_gpusim)
+    return _module_imports(tree, "repro.gpusim")
 
 
-def _query_path_modules():
-    for package in QUERY_PATH_PACKAGES:
+def _query_path_modules(packages=QUERY_PATH_PACKAGES):
+    for package in packages:
         yield from sorted((PACKAGE_ROOT / package).rglob("*.py"))
 
 
@@ -133,6 +141,31 @@ def test_guard_detects_module_level_and_nested_imports():
                      "def f():\n    from repro.gpusim.streams import x\n"
                      "from repro.gpusimulator import y\n")
     assert list(_gpusim_imports(tree)) == [("", 1), ("", 2), ("f", 4)]
+
+
+#: The per-cell oracle, and the packages that may not import it.
+ORACLE = "repro.baselines.cellwise"
+ORACLE_FREE_PACKAGES = QUERY_PATH_PACKAGES + ("core",)
+
+
+@pytest.mark.parametrize(
+    "path", list(_query_path_modules(ORACLE_FREE_PACKAGES)),
+    ids=lambda p: p.relative_to(PACKAGE_ROOT).as_posix())
+def test_no_oracle_import_on_query_path_or_core(path):
+    relative = path.relative_to(PACKAGE_ROOT).as_posix()
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    offending = [(scope or "<module>", line)
+                 for scope, line in _module_imports(tree, ORACLE)]
+    assert offending == [], f"{relative} imports {ORACLE} at {offending}"
+
+
+def test_oracle_guard_detects_every_import_form():
+    tree = ast.parse("import repro.baselines.cellwise\n"
+                     "from repro.baselines import cellwise\n"
+                     "def f():\n"
+                     "    from repro.baselines.cellwise import probe_cellwise\n"
+                     "from repro.baselines import bruteforce\n")
+    assert list(_module_imports(tree, ORACLE)) == [("", 1), ("", 2), ("f", 4)]
 
 
 @pytest.mark.parametrize("name", list_backends())
@@ -264,7 +297,7 @@ def test_refusal_is_effective(chooser_refused):
         run_query(Query.self_join(_six_dim_points(), 0.25))
 
 
-@pytest.mark.parametrize("kernel", ["vectorized", "cellwise", "simulated"])
+@pytest.mark.parametrize("kernel", ["vectorized", "simulated"])
 def test_gpuselfjoin_never_calls_the_chooser(chooser_refused, kernel):
     points = _six_dim_points()
     result, report = GPUSelfJoin(SelfJoinConfig(kernel=kernel)) \
@@ -301,52 +334,32 @@ def test_experiments_never_call_the_chooser(chooser_refused):
 # --------------------------------------------------------------------------
 # one NumPy kernel route
 # --------------------------------------------------------------------------
-#: The per-cell reference kernels, by module: ``repro.core.kernels`` for
-#: the tiered dispatch's lookups, ``repro.engine.backends`` for the
-#: ``cellwise`` backend's own names (which make the refusal checkable).
-CELLWISE_KERNELS = (
-    ("repro.core.kernels", "selfjoin_global_cellwise"),
-    ("repro.core.kernels", "selfjoin_unicomp_cellwise"),
-    ("repro.engine.backends", "selfjoin_global_cellwise"),
-    ("repro.engine.backends", "selfjoin_unicomp_cellwise"),
-    ("repro.engine.backends", "_cellwise_probe"),
-)
-
-
-def _dense_query(kind: str) -> Query:
+def _dense_case(kind: str):
     """A GLOBAL or UNICOMP self-join, or a probe, over 2-D cells averaging
-    at least 16 points."""
+    at least 16 points, and the oracle's result for it."""
     rng = np.random.default_rng(19)
     points = rng.uniform(0.0, 2.0, (400, 2))
-    assert GridIndex.build(points, 1.0).cell_counts.mean() >= 16
+    index = GridIndex.build(points, 1.0)
+    assert index.cell_counts.mean() >= 16
     if kind == "probe":
-        return Query.bipartite_join(rng.uniform(0.0, 2.0, (100, 2)),
-                                    points, 1.0)
-    return Query.self_join(points, 1.0, unicomp=kind == "unicomp")
+        queries = rng.uniform(0.0, 2.0, (100, 2))
+        return (Query.bipartite_join(queries, points, 1.0),
+                probe_cellwise(queries, index).result)
+    unicomp = kind == "unicomp"
+    return (Query.self_join(points, 1.0, unicomp=unicomp),
+            selfjoin_cellwise(index, unicomp=unicomp).result)
 
 
 @pytest.mark.parametrize("kind", ["global", "unicomp", "probe"])
 @pytest.mark.parametrize("backend", ["vectorized(kernel=numpy)",
                                      "sharded(4, kernel=numpy)",
                                      "multiprocess(2, kernel=numpy)"])
-def test_numpy_tier_never_runs_a_cellwise_kernel(monkeypatch, backend, kind):
-    """Dense cells still take the one vectorized route on the NumPy tier.
-
-    The pool workers start after the patch, so under the ``fork`` start
-    method (Linux's default before Python 3.14) the refusal reaches them
-    too; the empty ``kernel_counts`` holds under any start method.
-    """
-    query = _dense_query(kind)
-    expected = run_query(query, backend="cellwise").neighbor_table
-
-    def refuse(*args, **kwargs):
-        raise AssertionError("a cellwise kernel ran")
-
-    for module, name in CELLWISE_KERNELS:
-        monkeypatch.setattr(importlib.import_module(module), name, refuse)
-    with pytest.raises(AssertionError, match="cellwise kernel ran"):
-        run_query(query, backend="cellwise")
+def test_numpy_tier_never_runs_a_cellwise_kernel(backend, kind):
+    """Dense cells still take the one vectorized route on the NumPy tier
+    (no compiled kernel is counted), and find the oracle's pairs; the
+    import guard above keeps the oracle itself off that route."""
+    query, expected = _dense_case(kind)
     result = run_query(query, backend=backend)
     assert result.stats.tier == "numpy"
     assert result.stats.kernel_counts == {}
-    assert result.neighbor_table.same_contents_as(expected)
+    assert result.neighbor_table.same_contents_as(expected.to_neighbor_table())

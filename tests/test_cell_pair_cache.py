@@ -50,12 +50,14 @@ def uncached_run(index, cells, unicomp):
     side = K._index_side(index, None)
     counters = [0, 0, 0]
     coords = index.cell_coords if cells is None else index.cell_coords[cells]
-    for src, tgt, checked, mirror in K._walk_cell_pairs(index, coords, unicomp):
+    for src, tgt, checked in K._walk_cell_pairs(index, coords, unicomp):
         counters[0] += int(checked.sum())
         counters[1] += int(src.shape[0])
+        src = src if cells is None else cells.take(src)
         counters[2] += K._emit_pairs(
-            sink, side, src if cells is None else cells.take(src), side, tgt,
-            index.eps * index.eps, K.DEFAULT_MAX_CANDIDATE_PAIRS, mirror=mirror)
+            sink, side, src, side, tgt, index.eps * index.eps,
+            K.DEFAULT_MAX_CANDIDATE_PAIRS,
+            mirror=tgt != src if unicomp else None)
     return digest(sink), (*counters, sink.num_pairs)
 
 
@@ -252,7 +254,7 @@ def test_shard_dataset_builds_each_index_once(monkeypatch):
         return build(cls, *args, **kwargs)
 
     monkeypatch.setattr(GridIndex, "build", classmethod(slow_build))
-    dataset = ShardDataset(points=points, inner="vectorized")
+    dataset = ShardDataset(points=points, kernel="auto")
     got = [None] * 4
     run_concurrently(lambda i: got.__setitem__(i, dataset.index_for(0.1, (0, 2))))
     assert len(builds) == 1
@@ -293,7 +295,7 @@ def test_index_caches_wait_per_key(monkeypatch):
 
     # A cold build at one ε blocks neither a warm lookup nor a cold build
     # at another.
-    dataset = ShardDataset(points=index.points, inner="vectorized")
+    dataset = ShardDataset(points=index.points, kernel="auto")
     warm = dataset.index_for(0.1)
     real_build = GridIndex.build.__func__
     slow = {}

@@ -51,14 +51,15 @@ def unpruned_run(index, unicomp, native=None):
     sink = PairFragments(index.num_points)
     side = K._index_side(index, native)
     counters = [0, 0, 0]
-    for src, tgt, checked, mirror in K._walk_cell_pairs(
+    for src, tgt, checked in K._walk_cell_pairs(
             index, index.cell_coords, unicomp):
         counters[0] += int(checked.sum())
         counters[1] += int(src.shape[0])
         counters[2] += K._emit_pairs(sink, side, src, side, tgt,
                                      index.eps * index.eps,
                                      K.DEFAULT_MAX_CANDIDATE_PAIRS,
-                                     mirror=mirror, native_kernel=native)
+                                     mirror=tgt != src if unicomp else None,
+                                     native_kernel=native)
     return digest(sink), (*counters, sink.num_pairs), sink
 
 

@@ -368,13 +368,26 @@ class TestWorkerServer:
     def test_attach_is_idempotent_by_name(self, workers):
         points = uniform_dataset(40, 2, seed=67, low=0.0, high=4.0)
         meta, payload = protocol.pack_arrays([("points", points)])
-        header = {"op": "attach", "dataset": "idem", "inner": "vectorized",
+        header = {"op": "attach", "dataset": "idem", "kernel": "numpy",
                   "arrays": meta}
         first, _ = worker_request(workers[0], header, payload)
         second, _ = worker_request(workers[0], header, payload)
         assert first["transport"] == "arrays"
         assert second["transport"] == "cached"
         worker_request(workers[0], {"op": "detach", "dataset": "idem"})
+
+    @pytest.mark.parametrize("kernel", ["cellwise", "numpy/sparse", None])
+    def test_attach_rejects_an_unknown_kernel_tier(self, workers, kernel):
+        points = uniform_dataset(40, 2, seed=67, low=0.0, high=4.0)
+        meta, payload = protocol.pack_arrays([("points", points)])
+        reply, _ = worker_request(
+            workers[0], {"op": "attach", "dataset": "bad-tier",
+                         "kernel": kernel, "arrays": meta}, payload)
+        assert reply["status"] == "error"
+        assert "unknown kernel spec" in reply["message"]
+        # Nothing was attached under the name.
+        stats, _ = worker_request(workers[0], {"op": "stats"})
+        assert "bad-tier" not in stats["datasets"]
 
     def test_store_root_restricts_attach_paths(self, tmp_path):
         points = uniform_dataset(60, 2, seed=68, low=0.0, high=4.0)

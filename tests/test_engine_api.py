@@ -60,8 +60,11 @@ class TestPlannerAndRegistry:
             get_backend("quantum")
 
     def test_registry_contents(self):
-        assert {"vectorized", "cellwise", "pointwise", "simulated",
-                "bruteforce"} <= set(list_backends())
+        assert {"vectorized", "simulated", "bruteforce"} <= set(list_backends())
+        assert not {"cellwise", "pointwise"} & set(list_backends())
+        for name in ("cellwise", "pointwise"):
+            with pytest.raises(KeyError):
+                get_backend(name)
 
     def test_self_join_batch_plan_created(self):
         pts = uniform_dataset(300, 2, seed=3, low=0.0, high=10.0)
@@ -90,7 +93,7 @@ class TestPlannerAndRegistry:
         pts = uniform_dataset(20, 2, seed=8)
         with pytest.raises(ValueError):
             run_query(Query.self_join(pts, 0.5), planner=QueryPlanner(),
-                      backend="cellwise")
+                      backend="bruteforce")
 
 
 class TestCSRNativeBitIdentity:

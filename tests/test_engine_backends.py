@@ -21,7 +21,7 @@ from repro.engine import (Query, QueryPlanner, available_backends, execute,
 ALL_DIMS = [2, 3, 4, 5, 6]
 
 #: Dataset size per dimensionality (smaller in high dimensions, where the
-#: 3^n candidate-cell walks of the reference backends dominate runtime).
+#: device model's per-thread 3^n candidate-cell walks dominate runtime).
 POINTS_BY_DIM = {2: 140, 3: 120, 4: 90, 5: 70, 6: 50}
 EPS_BY_DIM = {2: 0.9, 3: 1.0, 4: 1.2, 5: 1.4, 6: 1.6}
 
@@ -47,13 +47,11 @@ class TestSelfJoinParity:
         reference = _reference_selfjoin_table(points, eps)
         assert reference.num_pairs > points.shape[0]  # non-trivial workload
         for backend in available_backends():
-            if backend == "pointwise" and unicomp:
-                continue  # no UNICOMP variant (rejected at planning time)
             table = _selfjoin_table(points, eps, backend, unicomp)
             assert table.same_contents_as(reference), (backend, dims, unicomp)
 
     @pytest.mark.parametrize("dims", ALL_DIMS)
-    @pytest.mark.parametrize("backend", ["vectorized", "cellwise"])
+    @pytest.mark.parametrize("backend", ["vectorized"])
     @pytest.mark.parametrize("unicomp", [False, True])
     def test_batched_equals_unbatched(self, dims, backend, unicomp):
         points = uniform_dataset(POINTS_BY_DIM[dims], dims, seed=60 + dims,
@@ -62,12 +60,6 @@ class TestSelfJoinParity:
         unbatched = _selfjoin_table(points, eps, backend, unicomp, batching=False)
         batched = _selfjoin_table(points, eps, backend, unicomp, batching=True)
         assert batched.same_contents_as(unbatched), (backend, dims, unicomp)
-
-    def test_pointwise_unicomp_rejected(self):
-        points = uniform_dataset(50, 2, seed=1)
-        with pytest.raises(ValueError):
-            run_query(Query.self_join(points, 0.5, unicomp=True),
-                      backend="pointwise")
 
 
 class TestBipartiteParity:
@@ -103,7 +95,7 @@ class TestRangeAndKNNKinds:
         join_table = run_query(Query.bipartite_join(queries, data, 0.9)).neighbor_table
         assert range_table.same_contents_as(join_table)
 
-    @pytest.mark.parametrize("backend", ["vectorized", "cellwise", "bruteforce"])
+    @pytest.mark.parametrize("backend", ["vectorized", "bruteforce"])
     def test_knn_candidates_contain_true_neighbors(self, backend):
         from scipy.spatial import cKDTree
 

@@ -90,7 +90,7 @@ class TestLifecycle:
                           validate_index=True)
         with pytest.raises(ValueError):
             # A conflicting explicit backend must not be silently ignored.
-            EngineSession(_dataset(), backend="cellwise",
+            EngineSession(_dataset(), backend="bruteforce",
                           planner=QueryPlanner())
 
     def test_run_query_accepts_session(self):
@@ -102,7 +102,7 @@ class TestLifecycle:
             assert via_session.num_pairs > 0
             with pytest.raises(ValueError):
                 run_query(Query.self_join(points, 0.9), session=session,
-                          backend="cellwise")
+                          backend="bruteforce")
 
 
 class TestIndexCache:

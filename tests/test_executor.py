@@ -33,7 +33,7 @@ from repro.parallel.executor import (
 )
 from repro.parallel.shards import probe_tasks, selfjoin_tasks
 
-INNER = "vectorized(kernel=numpy)"
+KERNEL = "numpy"
 WORKERS = ("w0", "w1", "w2")
 
 
@@ -155,7 +155,7 @@ class TestScriptedSchedules:
     def test_stream_and_counters_match_serial(self, index, serial, script,
                                               window):
         unicomp, digest, counters = serial
-        transport = ScriptedTransport(ShardDataset(index.points, INNER),
+        transport = ScriptedTransport(ShardDataset(index.points, KERNEL),
                                       script, window=window)
         sink, stats, report = _selfjoin(index, unicomp, transport,
                                         hedge_after=1.5)
@@ -166,7 +166,7 @@ class TestScriptedSchedules:
 
     def test_failed_copies_are_redispatched(self, index, serial):
         unicomp, digest, _ = serial
-        transport = ScriptedTransport(ShardDataset(index.points, INNER),
+        transport = ScriptedTransport(ShardDataset(index.points, KERNEL),
                                       fail_first_attempt)
         sink, _, report = _selfjoin(index, unicomp, transport)
         assert _digest(sink) == digest
@@ -175,7 +175,7 @@ class TestScriptedSchedules:
 
     def test_dead_worker_gets_no_more_work(self, index, serial):
         unicomp, digest, _ = serial
-        transport = ScriptedTransport(ShardDataset(index.points, INNER),
+        transport = ScriptedTransport(ShardDataset(index.points, KERNEL),
                                       kill_w1)
         sink, _, report = _selfjoin(index, unicomp, transport)
         assert _digest(sink) == digest
@@ -184,7 +184,7 @@ class TestScriptedSchedules:
 
     def test_out_of_order_completions_resplit_and_steal(self, index, serial):
         unicomp, digest, counters = serial
-        transport = ScriptedTransport(ShardDataset(index.points, INNER),
+        transport = ScriptedTransport(ShardDataset(index.points, KERNEL),
                                       newest_first)
         sink, stats, report = _selfjoin(index, unicomp, transport,
                                         hedge_after=0.0)
@@ -198,7 +198,7 @@ class TestScriptedSchedules:
         # predicts the accepted shards' work whatever was resplit, hedged,
         # re-dispatched or delivered twice.
         unicomp, _, counters = serial
-        transport = ScriptedTransport(ShardDataset(index.points, INNER),
+        transport = ScriptedTransport(ShardDataset(index.points, KERNEL),
                                       script)
         _, stats, report = _selfjoin(index, unicomp, transport,
                                      hedge_after=0.0)
@@ -209,7 +209,7 @@ class TestScriptedSchedules:
 
     def test_duplicate_delivery_is_waste_not_pairs(self, index, serial):
         unicomp, digest, counters = serial
-        transport = ScriptedTransport(ShardDataset(index.points, INNER),
+        transport = ScriptedTransport(ShardDataset(index.points, KERNEL),
                                       deliver_twice)
         sink, stats, report = _selfjoin(index, unicomp, transport)
         assert _digest(sink) == digest
@@ -225,7 +225,7 @@ class TestScriptedSchedules:
         tasks = probe_tasks(queries, rows, index, 6)
         op = ShardOp("probe", {"index_eps": float(index.eps),
                                "eps": float(index.eps)}, queries=queries)
-        transport = ScriptedTransport(ShardDataset(index.points, INNER),
+        transport = ScriptedTransport(ShardDataset(index.points, KERNEL),
                                       newest_first)
         sink = PairFragments(queries.shape[0])
         # Static mode without hedges: completions still arrive out of
@@ -239,7 +239,7 @@ class TestScriptedSchedules:
         # the same plan run serially; the distance work is the unsplit one.
         inline_sink = PairFragments(queries.shape[0])
         inline, _ = run_tasks(
-            tasks, op, InlineTransport(ShardDataset.for_index(index, INNER)),
+            tasks, op, InlineTransport(ShardDataset.for_index(index, KERNEL)),
             inline_sink)
         assert _digest(sink) == _digest(inline_sink)
         assert _counters(stats) == _counters(inline)
@@ -248,7 +248,7 @@ class TestScriptedSchedules:
 
 class TestLoopEdges:
     def test_one_worker_dispatches_in_root_order(self, index):
-        transport = ScriptedTransport(ShardDataset(index.points, INNER),
+        transport = ScriptedTransport(ShardDataset(index.points, KERNEL),
                                       in_order, workers=("only",))
         _selfjoin(index, False, transport)
         assert transport.submitted == sorted(transport.submitted)
@@ -262,7 +262,7 @@ class TestLoopEdges:
                                   "unicomp": unicomp})
         sink = PairFragments(index.num_points)
         stats, report = run_tasks(
-            tasks, op, InlineTransport(ShardDataset.for_index(index, INNER)),
+            tasks, op, InlineTransport(ShardDataset.for_index(index, KERNEL)),
             sink)
         assert _digest(sink) == digest
         assert _counters(stats) == counters
@@ -274,12 +274,12 @@ class TestLoopEdges:
                 worker, task, _ = self.pending.pop(0)
                 return ("error", worker, task, ValueError("poison shard"))
 
-        transport = Failing(ShardDataset(index.points, INNER), in_order)
+        transport = Failing(ShardDataset(index.points, KERNEL), in_order)
         with pytest.raises(ValueError, match="poison shard"):
             _selfjoin(index, False, transport)
 
     def test_all_workers_dead_raises(self, index):
-        transport = ScriptedTransport(ShardDataset(index.points, INNER),
+        transport = ScriptedTransport(ShardDataset(index.points, KERNEL),
                                       lambda t: (0, "dead"))
         with pytest.raises(WorkerTaskFailed):
             _selfjoin(index, False, transport)

@@ -1,9 +1,10 @@
 """Integration tests: every self-join implementation agrees on every fixture.
 
 This is the repo's strongest correctness statement — the paper's algorithm
-(all kernel variants, batched and unbatched, with and without UNICOMP), every
-baseline (CPU-RTREE, SUPEREGO, brute force) and the instrumented simulator
-path produce the exact same pair set, cross-checked against scipy's KD-tree.
+(batched and unbatched, with and without UNICOMP), its per-cell oracle,
+every baseline (CPU-RTREE, SUPEREGO, brute force) and the instrumented
+simulator path produce the exact same pair set, cross-checked against
+scipy's KD-tree.
 """
 
 from __future__ import annotations
@@ -13,9 +14,11 @@ import pytest
 
 from repro import selfjoin
 from repro.baselines.bruteforce import bruteforce_selfjoin
+from repro.baselines.cellwise import selfjoin_cellwise
 from repro.baselines.kdtree_ref import kdtree_selfjoin
 from repro.baselines.rtree_selfjoin import rtree_selfjoin
 from repro.baselines.superego import superego_selfjoin
+from repro.core.gridindex import GridIndex
 from repro.data.realworld import sdss_dataset, sw_dataset
 from repro.data.synthetic import gaussian_clusters, uniform_dataset
 
@@ -41,7 +44,8 @@ class TestAllAlgorithmsAgree:
             "gpu-unicomp": selfjoin(points, eps, unicomp=True).canonical_pairs(),
             "gpu-global": selfjoin(points, eps, unicomp=False).canonical_pairs(),
             "gpu-unbatched": selfjoin(points, eps, batching=False).canonical_pairs(),
-            "gpu-cellwise": selfjoin(points, eps, kernel="cellwise").canonical_pairs(),
+            "cellwise-oracle": selfjoin_cellwise(
+                GridIndex.build(points, eps)).result.canonical_pairs(),
             "rtree": rtree_selfjoin(points, eps).result.canonical_pairs(),
             "superego": superego_selfjoin(points, eps).result.canonical_pairs(),
             "bruteforce": bruteforce_selfjoin(points, eps).result.canonical_pairs(),

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
+from repro.baselines.cellwise import probe_cellwise, selfjoin_cellwise
 from repro.baselines.kdtree_ref import kdtree_selfjoin
 from repro.core.gridindex import GridIndex
 from repro.core import kernels as K
@@ -26,10 +27,19 @@ from repro.utils.cancellation import (
 )
 
 
+def selfjoin_global_cellwise(index):
+    """The per-cell oracle, GLOBAL."""
+    return selfjoin_cellwise(index)
+
+
+def selfjoin_unicomp_cellwise(index):
+    """The per-cell oracle, UNICOMP."""
+    return selfjoin_cellwise(index, unicomp=True)
+
+
 ALL_KERNELS = [
-    ("pointwise-global", K.selfjoin_global_pointwise),
-    ("cellwise-global", K.selfjoin_global_cellwise),
-    ("cellwise-unicomp", K.selfjoin_unicomp_cellwise),
+    ("cellwise-global", selfjoin_global_cellwise),
+    ("cellwise-unicomp", selfjoin_unicomp_cellwise),
     ("vectorized-global", K.selfjoin_global_vectorized),
     ("vectorized-unicomp", K.selfjoin_unicomp_vectorized),
 ]
@@ -65,7 +75,7 @@ class TestKernelCorrectness:
         out = kernel(index)
         assert np.array_equal(out.result.canonical_pairs(), reference_pairs_3d), name
 
-    @pytest.mark.parametrize("name,kernel", [k for k in ALL_KERNELS if "pointwise" not in k[0]])
+    @pytest.mark.parametrize("name,kernel", ALL_KERNELS)
     def test_matches_kdtree_5d(self, name, kernel, uniform_5d):
         eps = 1.2
         index = GridIndex.build(uniform_5d, eps)
@@ -234,12 +244,11 @@ def grid_point_sets():
 
 
 def walked_pairs(index, unicomp):
-    """The walk's (source, target, mirror) triples over all cells, in order."""
-    return [(int(s), int(t), bool(m))
-            for src, tgt, _, mirror in K._walk_cell_pairs(
+    """The walk's (source, target) pairs over all cells, in order."""
+    return [(int(s), int(t))
+            for src, tgt, _ in K._walk_cell_pairs(
                 index, index.cell_coords, unicomp)
-            for s, t, m in zip(src, tgt, np.zeros(src.shape, bool)
-                               if mirror is None else mirror)]
+            for s, t in zip(src, tgt)]
 
 
 def adjacent_pairs(index):
@@ -262,9 +271,8 @@ def walk_groups(index, coords, unicomp, cell_table):
     by ``cell_table`` (``None`` leaves the walker's own choice)."""
     with (nullcontext() if cell_table is None
           else mock.patch.object(K, "_dense_cell_table", cell_table)):
-        return [(src.tolist(), tgt.tolist(), checked.tolist(),
-                 None if mirror is None else mirror.tolist())
-                for src, tgt, checked, mirror in K._walk_cell_pairs(
+        return [(src.tolist(), tgt.tolist(), checked.tolist())
+                for src, tgt, checked in K._walk_cell_pairs(
                     index, coords, unicomp)]
 
 
@@ -275,8 +283,7 @@ class TestCellPairWalker:
         index = GridIndex.build(points, 1.0)
         walked = walked_pairs(index, unicomp=False)
         assert len(walked) == len(set(walked))
-        assert not any(mirror for _, _, mirror in walked)
-        assert {(s, t) for s, t, _ in walked} == adjacent_pairs(index)
+        assert set(walked) == adjacent_pairs(index)
 
     @given(points=grid_point_sets())
     @settings(max_examples=60, deadline=None)
@@ -284,12 +291,10 @@ class TestCellPairWalker:
         index = GridIndex.build(points, 1.0)
         coords = index.cell_coords
         walked = walked_pairs(index, unicomp=True)
-        pairs = {(s, t) for s, t, _ in walked}
+        pairs = set(walked)
         assert len(walked) == len(pairs)
         assert pairs == {(a, b) for a, b in adjacent_pairs(index)
                          if unicomp_evaluates(coords[a], coords[b] - coords[a])}
-        for s, t, mirror in walked:
-            assert mirror == (s != t)
         # Each unordered non-home pair is walked from exactly one side.
         for a, b in adjacent_pairs(index):
             if a != b:
@@ -299,7 +304,7 @@ class TestCellPairWalker:
     @settings(max_examples=30, deadline=None)
     def test_walk_is_source_cell_major(self, points, unicomp):
         index = GridIndex.build(points, 1.0)
-        sources = [s for s, _, _ in walked_pairs(index, unicomp)]
+        sources = [s for s, _ in walked_pairs(index, unicomp)]
         assert sources == sorted(sources)
 
     @pytest.mark.parametrize("native", [None, "dense", "sparse"])
@@ -477,6 +482,32 @@ class TestPinnedChooserIndex:
         full = run_pinned(GridIndex.build(points, 0.25), queries)
         assert {name: run[2:] for name, run in runs.items()} == \
             {name: run[2:] for name, run in full.items()}
+
+
+class TestCellwiseOracle:
+    """The per-cell oracle counts Algorithm 1/2's work as the production
+    kernels do and finds the same tables, on all-dims and reduced grids."""
+
+    @pytest.mark.parametrize("n,dims,eps,grid_dims", [
+        (300, 2, 0.05, None), (400, 3, 0.1, None),
+        (300, 5, 0.3, None), (300, 5, 0.3, (0, 1, 2))])
+    def test_counters_and_tables_match_the_production_kernels(
+            self, n, dims, eps, grid_dims):
+        points = uniform_dataset(n, dims, seed=2, low=0, high=1)
+        index = GridIndex.build(points, eps, dims=grid_dims)
+        queries = np.random.default_rng(3).uniform(-0.1, 1.1, (120, dims))
+        runs = run_pinned(index, queries)
+        oracle = {"global": selfjoin_cellwise(index),
+                  "unicomp": selfjoin_cellwise(index, unicomp=True),
+                  "probe": probe_cellwise(queries, index)}
+        for name, out in oracle.items():
+            stats, result = out.stats, out.result
+            table = NeighborTable.from_pairs(result.keys, result.values,
+                                             result.num_points)
+            assert ((stats.cells_checked, stats.nonempty_cells_visited,
+                     stats.distance_calcs, stats.result_pairs),
+                    table.offsets.tobytes(), table.neighbors.tobytes()) == \
+                (runs[name][0], *runs[name][2:]), name
 
 
 class TestCancellation:

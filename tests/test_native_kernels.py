@@ -4,9 +4,10 @@ The native kernel bodies of :mod:`repro.core.nativekernels` are written in
 the Numba nopython subset but remain callable uncompiled, so their *logic*
 is property-tested against the NumPy tier on every host; the
 ``@pytest.mark.skipif``-gated classes additionally run the compiled tier
-end-to-end (all backends, the streamed store path) where numba is
-installed.  A forced-fallback test monkeypatches numba away and asserts
-the ``numpy`` tier is selected with a clear availability message.
+end-to-end (the vectorized and parallel backends, the streamed store
+path) where numba is installed.  A forced-fallback test monkeypatches
+numba away and asserts the ``numpy`` tier is selected with a clear
+availability message.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
+from repro.baselines.cellwise import selfjoin_cellwise
 from repro.core import nativekernels as nk
 from repro.core.gridindex import GridIndex
 from repro.core.kernels import (
@@ -33,7 +35,6 @@ from repro.engine.backends import (
     _parse_backend_name,
     _tiered_probe,
     _vectorized_probe,
-    compose_kernel_spec,
     get_backend,
 )
 from repro.experiments.runner import engine_backend_of
@@ -307,23 +308,16 @@ class TestStatsAndSpecs:
         with pytest.raises(KeyError, match="follows a keyword"):
             _parse_backend_name("sharded(kernel=numba, 4)")
 
-    def test_compose_kernel_spec(self):
-        assert compose_kernel_spec("vectorized", "auto") == "vectorized"
-        assert compose_kernel_spec("vectorized", "numba") == \
-            "vectorized(kernel=numba)"
-        assert compose_kernel_spec("sharded(4)", "numpy") == \
-            "sharded(4, kernel=numpy)"
-
-    def test_sharded_composes_kernel_into_inner(self):
+    def test_sharded_takes_the_kernel_tier(self):
         backend = get_backend("sharded(2, kernel=numpy)")
-        assert backend.inner_name == "vectorized(kernel=numpy)"
+        assert backend.tier == "numpy"
         assert backend.kernel_tier() == "numpy"
 
-    def test_multiprocess_composes_kernel_into_inner(self):
+    def test_multiprocess_takes_the_kernel_tier(self):
         from repro.parallel.mp import MultiprocessBackend
 
         backend = MultiprocessBackend(n_workers=1, kernel="numpy")
-        assert backend.inner_name == "vectorized(kernel=numpy)"
+        assert backend.tier == "numpy"
         assert backend.kernel_tier() == "numpy"
 
     @pytest.mark.parametrize("spec", ["sharded(2, kernel=warp)",
@@ -334,8 +328,8 @@ class TestStatsAndSpecs:
             get_backend(spec)
 
     def test_default_backend_tier_is_numpy(self):
-        assert get_backend("cellwise").kernel_tier() == "numpy"
-        assert get_backend("pointwise").kernel_tier() == "numpy"
+        assert get_backend("simulated").kernel_tier() == "numpy"
+        assert get_backend("bruteforce").kernel_tier() == "numpy"
 
     def test_engine_label_kernel_suffix(self):
         assert engine_backend_of("Engine[sharded/numba]") == \
@@ -437,10 +431,11 @@ class TestNumbaTierParity:
         assert result.stats.kernel_counts.get("dense", 0) >= 1
         assert result.stats.kernel_counts.get("sparse", 0) >= 1
         assert result.stats.tier == "numba"
-        # Pair-identical to the per-cell reference.
-        ref = run_query(Query.self_join(points, 1.0, unicomp=True),
-                        backend="cellwise")
-        _assert_bit_identical(points.shape[0], result.pairs(), ref.pairs())
+        # Pair-identical to the per-cell oracle.
+        ref = selfjoin_cellwise(GridIndex.build(points, 1.0),
+                                unicomp=True).result
+        _assert_bit_identical(points.shape[0], result.pairs(),
+                              (ref.keys, ref.values))
 
     def test_explicit_numba_spec_resolves(self):
         assert nk.resolve_kernel_tier("numba") == "numba"

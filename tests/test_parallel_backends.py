@@ -60,13 +60,6 @@ class TestShardedParity:
         table = _table(points, eps, f"sharded({n_shards})", unicomp)
         assert table.same_contents_as(reference), (dims, unicomp, n_shards)
 
-    def test_sharded_inner_backend_parameter(self):
-        points = _dataset(3)
-        eps = EPS_BY_DIM[3]
-        reference = _table(points, eps, "vectorized", False)
-        table = _table(points, eps, "sharded(3, cellwise)", False)
-        assert table.same_contents_as(reference)
-
     def test_bipartite_and_range_parity(self):
         left = uniform_dataset(90, 3, seed=81, low=0.0, high=4.0)
         right = uniform_dataset(130, 3, seed=91, low=0.0, high=4.0)
@@ -149,9 +142,12 @@ class TestRegistry:
         assert isinstance(backend, MultiprocessBackend)
         assert backend.n_workers == 3
         assert get_backend("multiprocess(3)") is backend  # cached
-        sharded = get_backend("sharded(4, cellwise)")
+        sharded = get_backend("sharded(4, kernel=numpy)")
         assert isinstance(sharded, ShardedBackend)
-        assert sharded.n_shards == 4 and sharded.inner_name == "cellwise"
+        assert sharded.n_shards == 4 and sharded.tier == "numpy"
+        # No inner backend: a second positional argument is the tier.
+        with pytest.raises(ValueError, match="unknown kernel spec"):
+            get_backend("sharded(4, cellwise)")
 
     def test_unknown_backend_lists_known_names(self):
         with pytest.raises(KeyError, match="vectorized"):

@@ -22,12 +22,10 @@ class TestConfig:
         assert SelfJoinConfig(unicomp=False).algorithm_name == "GPU"
 
     def test_invalid_kernel(self):
-        with pytest.raises(ValueError):
-            SelfJoinConfig(kernel="magic")
-
-    def test_pointwise_has_no_unicomp(self):
-        with pytest.raises(ValueError):
-            SelfJoinConfig(kernel="pointwise", unicomp=True)
+        # The per-cell and per-point references are not engine backends.
+        for kernel in ("magic", "cellwise", "pointwise"):
+            with pytest.raises(ValueError):
+                SelfJoinConfig(kernel=kernel)
 
     def test_invalid_min_batches(self):
         with pytest.raises(ValueError):
@@ -47,10 +45,6 @@ class TestJoinCorrectness:
         cfg = SelfJoinConfig(unicomp=unicomp, batching=batching)
         result = GPUSelfJoin(cfg).join(uniform_2d, eps_2d)
         assert np.array_equal(result.canonical_pairs(), reference_pairs_2d)
-
-    def test_cellwise_kernel_via_api(self, uniform_3d, eps_3d, reference_pairs_3d):
-        result = selfjoin(uniform_3d, eps_3d, kernel="cellwise")
-        assert np.array_equal(result.canonical_pairs(), reference_pairs_3d)
 
     def test_simulated_kernel_via_api(self):
         pts = np.random.default_rng(5).uniform(0, 5, (120, 2))
