@@ -13,7 +13,7 @@ counters.  Slow, and kept off the query path: tests compare against it.
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 import numpy as np
 
@@ -24,17 +24,16 @@ from repro.core.result import PairFragments
 from repro.core.unicomp import unicomp_candidate_cells
 
 
-def selfjoin_cellwise(index: GridIndex, eps: Optional[float] = None, *,
-                      unicomp: bool = False) -> KernelOutput:
+def selfjoin_cellwise(index: GridIndex, *, unicomp: bool = False) -> KernelOutput:
     """Self-join ``index`` one non-empty cell at a time.
 
     Each cell is joined with its adjacent non-empty cells (Algorithm 1).
     Under ``unicomp`` it is joined with its home cell, which yields each
     ordered intra-cell pair once, and with the neighbor cells Algorithm 2
     selects, whose matches are emitted in both orders: the pairs are
-    Algorithm 1's.  ``eps`` defaults to the index's cell length.
+    Algorithm 1's.  Distances are compared with the index's cell length.
     """
-    eps = index.eps if eps is None else float(eps)
+    eps = index.eps
     stats = KernelStats()
     sink = PairFragments(index.num_points)
     for h in range(index.num_nonempty_cells):
@@ -51,8 +50,7 @@ def selfjoin_cellwise(index: GridIndex, eps: Optional[float] = None, *,
     return _output(sink, stats)
 
 
-def probe_cellwise(queries: np.ndarray, index: GridIndex,
-                   eps: Optional[float] = None) -> KernelOutput:
+def probe_cellwise(queries: np.ndarray, index: GridIndex) -> KernelOutput:
     """Probe every row of ``queries`` against ``index``; keys are rows.
 
     The queries are grouped by their cell in the index's grid, and each
@@ -60,7 +58,7 @@ def probe_cellwise(queries: np.ndarray, index: GridIndex,
     production probe groups them.
     """
     queries = np.asarray(queries, dtype=np.float64)
-    eps = index.eps if eps is None else float(eps)
+    eps = index.eps
     stats = KernelStats()
     sink = PairFragments(queries.shape[0])
     coords = index.cell_coords_of(queries)

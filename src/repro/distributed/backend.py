@@ -447,7 +447,7 @@ class DistributedBackend(ShardExecutionBackend):
                        key: Optional[tuple] = None) -> _DatasetState:
         identity = dataset_identity(points)
         name = (f"mem-{identity.fingerprint[:16]}"
-                f"-{identity.array_id & 0xFFFFFFFF:08x}")
+                f"-{identity.array_id & 0xFFFFFFFF:08x}-{self.tier}")
         meta, payload = protocol.pack_arrays([("points", points)])
         header = {"op": "attach", "dataset": name, "kernel": self.tier,
                   "arrays": meta}
@@ -458,8 +458,9 @@ class DistributedBackend(ShardExecutionBackend):
     def _attach_store(self, descriptor: str,
                       key: Optional[tuple] = None) -> _DatasetState:
         resolved = str(Path(descriptor).resolve())
-        name = "store-" + hashlib.blake2b(resolved.encode(),
-                                          digest_size=8).hexdigest()
+        name = ("store-" + hashlib.blake2b(resolved.encode(),
+                                           digest_size=8).hexdigest()
+                + f"-{self.tier}")
         header = {"op": "attach", "dataset": name, "kernel": self.tier,
                   "store_path": resolved}
         self._attach_rpc(header, b"")

@@ -327,7 +327,11 @@ class WorkerServer:
         if state is not None:
             # Idempotent by dataset name: a re-dispatching parent (or a
             # second backend instance over the same dataset) finds the
-            # attachment already resident.
+            # attachment already resident, on the tier it was attached with.
+            if state.kernel != kernel:
+                return {"status": protocol.STATUS_ERROR,
+                        "message": f"dataset {name!r} is attached with "
+                                   f"kernel {state.kernel!r}, not {kernel!r}"}
             return {"status": protocol.STATUS_OK, "dataset": name,
                     "n_points": int(state.points.shape[0]),
                     "n_dims": int(state.points.shape[1]),

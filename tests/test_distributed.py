@@ -376,6 +376,34 @@ class TestWorkerServer:
         assert second["transport"] == "cached"
         worker_request(workers[0], {"op": "detach", "dataset": "idem"})
 
+    def test_reattach_under_another_kernel_tier_is_refused(self, workers):
+        points = uniform_dataset(40, 2, seed=67, low=0.0, high=4.0)
+        meta, payload = protocol.pack_arrays([("points", points)])
+        header = {"op": "attach", "dataset": "tiered", "kernel": "numpy",
+                  "arrays": meta}
+        first, _ = worker_request(workers[0], header, payload)
+        other, _ = worker_request(workers[0], dict(header, kernel="auto"),
+                                  payload)
+        assert first["transport"] == "arrays"
+        assert other["status"] == "error"
+        assert "attached with kernel 'numpy'" in other["message"]
+        worker_request(workers[0], {"op": "detach", "dataset": "tiered"})
+
+    def test_backends_on_different_tiers_attach_apart(self, workers):
+        points = uniform_dataset(300, 2, seed=68, low=0.0, high=4.0)
+        names = []
+        for kernel in ("numpy", "auto"):
+            backend = DistributedBackend(
+                *[f"{h}:{p}" for h, p in workers[:2]], n_shards=2,
+                kernel=kernel)
+            with EngineSession(points, backend=backend) as session:
+                session.self_join(0.4)
+                stats, _ = worker_request(workers[0], {"op": "stats"})
+            names.append(set(stats["datasets"]))
+            backend.shutdown()
+        assert any(name.endswith("-numpy") for name in names[0])
+        assert any(name.endswith("-auto") for name in names[1])
+
     @pytest.mark.parametrize("kernel", ["cellwise", "numpy/sparse", None])
     def test_attach_rejects_an_unknown_kernel_tier(self, workers, kernel):
         points = uniform_dataset(40, 2, seed=67, low=0.0, high=4.0)
