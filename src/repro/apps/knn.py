@@ -118,9 +118,8 @@ def knn_search(points: Optional[np.ndarray], k: int,
     else:
         # One-shot wrapper: a private session scoped to this call, so the
         # radius-doubling rounds share their per-ε indexes (and a stateful
-        # backend keeps one pool across the rounds).  keep_warm=False: the
-        # call must not leave a parked pool or shared memory behind.
-        with EngineSession(pts, backend=backend, keep_warm=False) as one_shot:
+        # backend keeps one pool across the rounds).
+        with EngineSession(pts, backend=backend) as one_shot:
             engine_result = one_shot.run(query)
     table = engine_result.neighbor_table
 

@@ -5,12 +5,13 @@
 backend shares (:func:`repro.parallel.executor.run_tasks`).  Its transport
 talks to :class:`~repro.distributed.worker.WorkerServer` processes:
 
-* ``attach()`` ships the session dataset to every worker **once** — as a
-  :class:`~repro.data.store.SpatialStore` path each worker memory-maps or
-  as arrays — and later queries run against the workers' resident per-ε
-  index caches.  An attach is all or nothing: if a worker refuses it, the
-  workers that accepted it detach again.  A call outside a session
-  attaches, runs and detaches.
+* The first session over a dataset ships it to every worker **once** — as
+  a :class:`~repro.data.store.SpatialStore` path each worker memory-maps
+  or as arrays — and later queries run against the workers' resident per-ε
+  index caches (the session lifecycle of
+  :class:`~repro.parallel.executor.ShardExecutionBackend`).  An attach is
+  all or nothing: if a worker refuses it, the workers that accepted it
+  detach again.  A call outside a session attaches, runs and detaches.
 * Each dispatched shard is one request/stream round-trip on its own
   connection, ``window`` connection threads per endpoint.  The
   work-stealing scheduler decides what each worker runs
@@ -43,13 +44,8 @@ import subprocess
 import sys
 import threading
 import weakref
-from contextlib import contextmanager
-from dataclasses import dataclass, field
-from functools import partial
-from pathlib import Path
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Set, Tuple
-
-import numpy as np
 
 from repro.data.store import dataset_identity
 from repro.engine.backends import register_backend
@@ -207,22 +203,6 @@ class LocalWorkerPool:
 # backend state
 # --------------------------------------------------------------------------
 @dataclass
-class _DatasetState:
-    """Parent-side record of one dataset attached across the workers."""
-
-    key: tuple
-    name: str                       # wire name the workers know it by
-    store_path: Optional[str]       # None: arrays shipped to the workers
-    #: The parent-side array while bound (operators match on identity);
-    #: ``None`` for store attachments until the owning session materializes.
-    points: Optional[np.ndarray]
-    #: Weakref to the owning session (store attachments bind lazily: the
-    #: session may materialize its array after attach).
-    session_ref: Optional[weakref.ref] = None
-    attached_tokens: Set[int] = field(default_factory=set)
-
-
-@dataclass
 class DistributedStats:
     """Dispatch counters of one :class:`DistributedBackend` instance.
 
@@ -351,8 +331,6 @@ class DistributedBackend(ShardExecutionBackend):
         self.stats = DistributedStats()
         self._n_local, self._addresses = self._parse_spec(spec)
         self._pool: Optional[LocalWorkerPool] = None
-        self._active: Dict[tuple, _DatasetState] = {}
-        self._lock = threading.RLock()      # states, pool, stats
 
     @staticmethod
     def _parse_spec(spec) -> Tuple[Optional[int], List[Address]]:
@@ -401,71 +379,40 @@ class DistributedBackend(ShardExecutionBackend):
     def shutdown(self) -> None:
         """Detach every dataset and stop a spawned local pool."""
         with self._lock:
-            for state in list(self._active.values()):
-                self._detach_everywhere(state)
-            self._active.clear()
+            super().shutdown()
             if self._pool is not None:
                 self._pool.shutdown()
                 self._pool = None
 
-    # ------------------------------------------------------ session lifecycle
-    @staticmethod
-    def _pool_key(session) -> tuple:
-        return (session.identity,)
+    # ------------------------------------------------------ dataset lifecycle
+    def _open_dataset(self, points, store_path, n_tasks=None) -> str:
+        """Attach the dataset on every worker; returns its wire name.
 
-    def attach(self, session) -> None:
-        """Ship the session dataset (or its store path) to every worker once."""
-        key = self._pool_key(session)
-        with self._lock:
-            state = self._active.get(key)
-            if state is None:
-                descriptor = session.source.storage_descriptor()
-                if descriptor is not None:
-                    # Store-path transport: each worker memmaps the file
-                    # itself; the parent never materializes the array here.
-                    state = self._attach_store(descriptor, key=key)
-                    state.session_ref = weakref.ref(session)
-                else:
-                    state = self._attach_arrays(session.points, key=key)
-                self._active[key] = state
-            state.attached_tokens.add(session.token)
-
-    def detach(self, session) -> None:
-        """Drop the workers' attachment once the last session lets go."""
-        key = self._pool_key(session)
-        with self._lock:
-            state = self._active.get(key)
-            if state is None:
-                return
-            state.attached_tokens.discard(session.token)
-            if state.attached_tokens:
-                return
-            del self._active[key]
-            self._detach_everywhere(state)
-
-    def _attach_arrays(self, points: np.ndarray,
-                       key: Optional[tuple] = None) -> _DatasetState:
-        identity = dataset_identity(points)
-        name = (f"mem-{identity.fingerprint[:16]}"
-                f"-{identity.array_id & 0xFFFFFFFF:08x}-{self.tier}")
-        meta, payload = protocol.pack_arrays([("points", points)])
-        header = {"op": "attach", "dataset": name, "kernel": self.tier,
-                  "arrays": meta}
+        A store is attached by path (each worker memory-maps the file);
+        arrays ship once.  The name ends in the kernel tier, so backends on
+        different tiers never share a worker-side attachment.
+        """
+        if store_path is not None:
+            name = ("store-" + hashlib.blake2b(store_path.encode(),
+                                               digest_size=8).hexdigest()
+                    + f"-{self.tier}")
+            header = {"op": "attach", "dataset": name, "kernel": self.tier,
+                      "store_path": store_path}
+            payload = b""
+        else:
+            identity = dataset_identity(points)
+            name = (f"mem-{identity.fingerprint[:16]}"
+                    f"-{identity.array_id & 0xFFFFFFFF:08x}-{self.tier}")
+            meta, payload = protocol.pack_arrays([("points", points)])
+            header = {"op": "attach", "dataset": name, "kernel": self.tier,
+                      "arrays": meta}
         self._attach_rpc(header, payload)
-        return _DatasetState(key=key or (identity,), name=name,
-                             store_path=None, points=points)
+        return name
 
-    def _attach_store(self, descriptor: str,
-                      key: Optional[tuple] = None) -> _DatasetState:
-        resolved = str(Path(descriptor).resolve())
-        name = ("store-" + hashlib.blake2b(resolved.encode(),
-                                           digest_size=8).hexdigest()
-                + f"-{self.tier}")
-        header = {"op": "attach", "dataset": name, "kernel": self.tier,
-                  "store_path": resolved}
-        self._attach_rpc(header, b"")
-        return _DatasetState(key=key or (("store", resolved),), name=name,
-                             store_path=resolved, points=None)
+    def _close_dataset(self, name: str) -> None:
+        self._detach_from(self.endpoints(), name)
+        with self._lock:
+            self.stats.datasets_detached += 1
 
     def _attach_rpc(self, header: dict, payload: bytes) -> None:
         """Attach the dataset on **all** workers concurrently.
@@ -527,11 +474,6 @@ class DistributedBackend(ShardExecutionBackend):
         with self._lock:
             self.stats.datasets_attached += 1
 
-    def _detach_everywhere(self, state: _DatasetState) -> None:
-        self._detach_from(self.endpoints(), state.name)
-        with self._lock:
-            self.stats.datasets_detached += 1
-
     @staticmethod
     def _detach_from(addresses: Sequence[Address], name: str) -> None:
         for address in addresses:
@@ -541,61 +483,12 @@ class DistributedBackend(ShardExecutionBackend):
             except (OSError, protocol.ProtocolError):
                 pass  # a dead worker has nothing to detach
 
-    # --------------------------------------------------------- state resolution
-    def _state_for_points(self, points: np.ndarray) -> Optional[_DatasetState]:
-        """The attached state whose dataset *is* ``points`` (identity match).
-
-        Store-backed sessions bind lazily: the array materializes on the
-        session after attach, so the match goes through the session's
-        private ``_points`` (never triggering a materialization here).
-        """
-        with self._lock:
-            for state in self._active.values():
-                if state.points is points:
-                    return state
-                if state.points is None and state.session_ref is not None:
-                    session = state.session_ref()
-                    if session is not None and session._points is points:
-                        state.points = points
-                        return state
-        return None
-
-    def _state_for_source(self, source) -> Optional[_DatasetState]:
-        descriptor = source.storage_descriptor()
-        if descriptor is None:
-            raise ValueError("the distributed streamed self-join needs a "
-                             "path-addressable store "
-                             "(source.storage_descriptor() is None)")
-        resolved = str(Path(descriptor).resolve())
-        with self._lock:
-            for state in self._active.values():
-                if state.store_path == resolved:
-                    return state
-        return None
-
     # ------------------------------------------------------------- executor
     def _shard_count(self) -> int:
         return self.n_shards or len(self.endpoints()) * OVERSPLIT_FACTOR
 
-    @contextmanager
-    def _transport(self, n_tasks, index=None, source=None):
-        """TCP transport over the attached dataset, attaching for one call
-        when no session holds it."""
-        endpoints = self.endpoints()
-        if source is not None:
-            state = self._state_for_source(source)
-            attach = partial(self._attach_store, source.storage_descriptor())
-        else:
-            state = self._state_for_points(index.points)
-            attach = partial(self._attach_arrays, index.points)
-        ephemeral = state is None
-        if ephemeral:
-            state = attach()
-        try:
-            yield _TcpTransport(self, endpoints, state.name)
-        finally:
-            if ephemeral:
-                self._detach_everywhere(state)
+    def _transport(self, name, index=None, source=None):
+        return _TcpTransport(self, self.endpoints(), name)
 
     def _record_schedule(self, report) -> None:
         with self._lock:

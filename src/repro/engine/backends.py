@@ -101,14 +101,16 @@ class ExecutionBackend(abc.ABC):
 
         Called once when an :class:`~repro.engine.session.EngineSession`
         opens.  Stateful backends override this to build resources that
-        outlive a single operator call — the ``multiprocess`` backend
-        creates its persistent worker pool and the shared-memory view of
-        ``session.points`` here.  The default is a no-op, so stateless
-        backends need not care about sessions at all.
+        outlive a single operator call — the shard backends share one
+        implementation in
+        :class:`~repro.parallel.executor.ShardExecutionBackend`, where
+        ``multiprocess`` creates its persistent worker pool and the
+        shared-memory view of ``session.points``.  The default is a no-op,
+        so stateless backends need not care about sessions at all.
         """
 
     def detach(self, session) -> None:
-        """Release (or idle) the per-dataset state of a closing session.
+        """Release the per-dataset state of a closing session.
 
         Paired with :meth:`attach`; called from ``EngineSession.close()``.
         The default is a no-op.

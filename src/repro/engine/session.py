@@ -9,7 +9,9 @@ loop and repeated experiment trials stop rebuilding it), and drives the
 backend lifecycle hooks ``attach``/``detach`` through which stateful
 backends keep per-dataset resources alive between queries (the
 ``multiprocess`` backend keeps a persistent worker pool and a
-shared-memory view of the points array; see :mod:`repro.parallel.mp`).
+shared-memory view of the points array, ``distributed`` the dataset
+resident on its TCP workers; see
+:class:`repro.parallel.executor.ShardExecutionBackend`).
 
 Lifecycle::
 
@@ -21,7 +23,8 @@ Lifecycle::
         ├─ session.range_query(..) ├─ index cache: ε → GridIndex
         ├─ session.knn_candidates()┘  (hits skip the rebuild)
         └  __exit__/close():  backend.detach(session)
-               pool kept idle for reuse (``max_idle``) or shut down
+               last session over the dataset: pool shut down,
+               shared memory unlinked
 
 Use a session whenever the same dataset is queried more than once (sweeps
 over ε, kNN, DBSCAN parameter searches, repeated trials); use the one-shot
@@ -40,8 +43,8 @@ The session's dataset is normalized once (:func:`~repro.utils.validation.
 check_points`) and must not be mutated while the session is open: cached
 indexes — and, for attached backends, worker-side copies or shared-memory
 views — would go stale silently.  Mutating it *between* sessions is safe:
-idle-pool revival is guarded by a full-content digest taken when the pool
-was parked, so a stale snapshot is discarded rather than revived.
+a pool lives only while some session holds its dataset, so the next
+session ships the array as it is then.
 """
 
 from __future__ import annotations
@@ -105,19 +108,12 @@ class EngineSession:
     max_cached_indexes:
         LRU bound on the per-ε index cache (the kNN radius-doubling loop
         creates one index per doubling).
-    keep_warm:
-        Whether a stateful backend may park this session's per-dataset
-        resources for revival after :meth:`close` (the ``multiprocess``
-        backend's idle-pool list).  Ephemeral sessions wrapped around a
-        single one-shot call pass ``False`` so the call leaves no pool,
-        shared memory or dataset reference behind.
     """
 
     def __init__(self, points: Union[np.ndarray, DatasetSource],
                  backend: Union[str, ExecutionBackend, None] = None, *,
                  planner: Optional[QueryPlanner] = None,
                  max_cached_indexes: int = 8,
-                 keep_warm: bool = True,
                  **planner_kwargs) -> None:
         if planner is not None and (backend is not None or planner_kwargs):
             raise ValueError("pass either a planner instance or a backend/"
@@ -128,7 +124,6 @@ class EngineSession:
             backend=backend if backend is not None else "vectorized",
             **planner_kwargs)
         self.max_cached_indexes = int(max_cached_indexes)
-        self.keep_warm = bool(keep_warm)
         self.identity = self.source.identity()
         self.token = next(_SESSION_TOKENS)
         self.stats = SessionStats()
@@ -194,9 +189,9 @@ class EngineSession:
     def close(self) -> None:
         """Detach the backend and drop the cached indexes (idempotent).
 
-        A closed session can be reopened; its caches start cold again, but
-        an idle backend pool for the same dataset identity may be revived
-        (see ``max_idle`` on :class:`repro.parallel.mp.MultiprocessBackend`).
+        A closed session can be reopened; its caches start cold again, and
+        so does a backend pool or worker attachment that no other open
+        session over the same dataset holds: the last detach releases it.
         """
         with self._lock:
             if self._open:

@@ -58,10 +58,7 @@ def _time_backend(backend: str, points, eps: float,
     """Time one backend inside a session: ``(warm_mean, warm_std, cold, pairs)``."""
     num_pairs = 0
     times: List[float] = []
-    # keep_warm=False: the sweep's sessions are never revived (every run
-    # regenerates the dataset), so parking pools would only leak idle
-    # workers and shared-memory copies until interpreter exit.
-    session = EngineSession(points, backend=backend, keep_warm=False)
+    session = EngineSession(points, backend=backend)
     try:
         # Cold must cover the whole first-query cost the session amortizes,
         # so the open() — backend attach: pool fork + shared-memory dataset

@@ -17,9 +17,12 @@ plans them); this module runs them, the same way for every backend:
 * :func:`run_shard` computes one shard of any kind against a
   :class:`ShardDataset`, the worker-resident dataset with its per-ε index
   LRU; the inline transport, pool workers and ``WorkerServer`` all call it.
-* :class:`ShardExecutionBackend` holds the operators the three backends
-  share: build the tasks, describe the request once (:class:`ShardOp`),
-  open the backend's transport and run the loop.
+* :class:`ShardExecutionBackend` holds what the three backends share:
+  the session lifecycle (a dataset is opened on the workers by its first
+  attached session and closed by its last detach; a call outside any
+  session opens it for that call alone) and the operators (build the
+  tasks, describe the request once as a :class:`ShardOp`, open the
+  backend's transport over the dataset and run the loop).
 
 With one worker there is no tail to shorten, so the loop dispatches in root
 order: every completion flushes at once, and a streamed out-of-core join
@@ -30,11 +33,15 @@ from __future__ import annotations
 
 import abc
 import queue
+import threading
 import time
+import weakref
 from collections import OrderedDict
+from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import (Callable, ContextManager, Dict, List, Optional, Sequence,
-                    Set, Tuple)
+from pathlib import Path
+from typing import (Callable, Dict, Iterator, List, Optional, Sequence, Set,
+                    Tuple)
 
 import numpy as np
 
@@ -408,14 +415,48 @@ def run_tasks(tasks: List[ShardTask], op: ShardOp, transport: Transport,
 
 
 # --------------------------------------------------------------------------
-# the operators the three backends share
+# the lifecycle and operators the three backends share
 # --------------------------------------------------------------------------
-class ShardExecutionBackend(ExecutionBackend):
-    """Operators of a backend that runs shards through :func:`run_tasks`.
+def _store_path(source) -> Optional[str]:
+    """The resolved file a source's workers can map (``None``: memory-only)."""
+    descriptor = source.storage_descriptor()
+    return None if descriptor is None else str(Path(descriptor).resolve())
 
-    Subclasses provide :meth:`_shard_count` and :meth:`_transport`; they may
-    fold the schedule report into their own counters in
-    :meth:`_record_schedule`.
+
+@dataclass
+class _Attachment:
+    """A dataset a backend holds open for the sessions attached to it."""
+
+    #: What :meth:`ShardExecutionBackend._open_dataset` returned.
+    handle: object
+    #: The store the workers read (``None``: the points were shipped).
+    store_path: Optional[str]
+    #: The attached sessions by token, held weakly.
+    sessions: Dict[int, weakref.ref] = field(default_factory=dict)
+
+    def serves(self, index: Optional[GridIndex],
+               store_path: Optional[str]) -> bool:
+        """Whether a join over ``index`` (``None``: a streamed join over the
+        store at ``store_path``) runs on this dataset: on the array of one
+        of its sessions, matched by identity.
+
+        Sessions over one store each materialize their own array, and only
+        after attach, so the arrays are read here and never materialized.
+        """
+        if index is None:
+            return store_path is not None and store_path == self.store_path
+        return any(getattr(ref(), "_points", None) is index.points
+                   for ref in self.sessions.values())
+
+
+class ShardExecutionBackend(ExecutionBackend):
+    """Session lifecycle and operators of a backend that runs shards
+    through :func:`run_tasks`.
+
+    Subclasses provide :meth:`_shard_count` and :meth:`_transport`, and
+    :meth:`_open_dataset`/:meth:`_close_dataset` when their workers keep
+    the dataset resident; they may fold the schedule report into their own
+    counters in :meth:`_record_schedule`.
     """
 
     supports_cell_subset = True
@@ -432,21 +473,95 @@ class ShardExecutionBackend(ExecutionBackend):
         # The shards' kernel tier, checked here; a plain string, so it
         # ships to pool and TCP workers unchanged.
         self.tier = parse_kernel_spec(kernel)
+        #: Open datasets by ``session.identity``.
+        self._attached: Dict[object, _Attachment] = {}
+        self._lock = threading.RLock()      # attachments and counters
 
     def kernel_tier(self) -> str:
         """The shards' kernel tier as it resolves here."""
         return resolve_kernel_tier(self.tier)
 
+    # ------------------------------------------------------ session lifecycle
+    def attach(self, session) -> None:
+        """Open the session's dataset on the workers, once per dataset.
+
+        Sessions over one dataset share it.  A store-backed session sends
+        its path, so the array is never materialized for the attach.
+        """
+        with self._lock:
+            attachment = self._attached.get(session.identity)
+            if attachment is None:
+                store_path = _store_path(session.source)
+                attachment = _Attachment(self._open_dataset(
+                    None if store_path else session.points, store_path),
+                    store_path)
+                self._attached[session.identity] = attachment
+            attachment.sessions[session.token] = weakref.ref(session)
+
+    def detach(self, session) -> None:
+        """Close the session's dataset once its last session lets go."""
+        with self._lock:
+            attachment = self._attached.get(session.identity)
+            if attachment is None:
+                return
+            attachment.sessions.pop(session.token, None)
+            if not attachment.sessions:
+                del self._attached[session.identity]
+                self._close_dataset(attachment.handle)
+
+    def shutdown(self) -> None:
+        """Close every attached dataset."""
+        with self._lock:
+            attachments = list(self._attached.values())
+            self._attached.clear()
+            for attachment in attachments:
+                self._close_dataset(attachment.handle)
+
+    @contextmanager
+    def _dataset(self, n_tasks: int, index: Optional[GridIndex] = None,
+                 source=None) -> Iterator[object]:
+        """The handle of the attached dataset a join over ``index`` (or a
+        streamed ``source``) runs on, or of one opened for this call alone."""
+        store_path = None if source is None else _store_path(source)
+        with self._lock:
+            attached = next((attachment for attachment
+                             in self._attached.values()
+                             if attachment.serves(index, store_path)), None)
+        if attached is not None:
+            yield attached.handle
+            return
+        handle = self._open_dataset(
+            None if source is not None else index.points, store_path, n_tasks)
+        try:
+            yield handle
+        finally:
+            self._close_dataset(handle)
+
     # ----------------------------------------------------------------- hooks
+    def _open_dataset(self, points: Optional[np.ndarray],
+                      store_path: Optional[str],
+                      n_tasks: Optional[int] = None) -> object:
+        """Make a dataset resident on the workers; returns its handle.
+
+        ``points`` is ``None`` when the workers read the store at
+        ``store_path``; ``n_tasks`` is the shard count of the one call a
+        dataset is opened for (``None``: a session's dataset).  The default
+        keeps nothing: the inline transport reads the caller's index.
+        """
+        return None
+
+    def _close_dataset(self, handle: object) -> None:
+        """Release what :meth:`_open_dataset` made resident."""
+
     @abc.abstractmethod
     def _shard_count(self) -> int:
         """Shards to plan per operator call."""
 
     @abc.abstractmethod
-    def _transport(self, n_tasks: int, index: Optional[GridIndex] = None,
-                   source=None) -> ContextManager[Transport]:
-        """The transport for ``n_tasks`` shards of a join over ``index``
-        (or of a streamed ``source``), open for the ``with`` block."""
+    def _transport(self, handle: object, index: Optional[GridIndex] = None,
+                   source=None) -> Transport:
+        """The transport for a join over ``index`` (or a streamed
+        ``source``) on the dataset behind ``handle``."""
 
     def _record_schedule(self, report: ScheduleReport) -> None:
         """Fold one join's schedule report into backend counters."""
@@ -456,8 +571,9 @@ class ShardExecutionBackend(ExecutionBackend):
                  **target) -> KernelStats:
         if not tasks:
             return KernelStats()
-        with self._transport(len(tasks), **target) as transport:
-            stats, report = run_tasks(tasks, op, transport, sink,
+        with self._dataset(len(tasks), **target) as handle:
+            stats, report = run_tasks(tasks, op,
+                                      self._transport(handle, **target), sink,
                                       mode=self.scheduling,
                                       hedge_after=self.hedge_after)
         self._record_schedule(report)

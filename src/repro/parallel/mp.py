@@ -13,21 +13,22 @@ Workers compute with :func:`repro.parallel.executor.run_shard`, rebuild the
 grid index locally per ε (far cheaper than the join) and return each
 shard's pairs as two int64 arrays.
 
-**Pools follow the dataset** (the lifecycle of
-:class:`repro.engine.session.EngineSession`): :meth:`attach` creates a
-persistent pool keyed by dataset identity plus a
+**Pools follow the dataset** (the session lifecycle of
+:class:`~repro.parallel.executor.ShardExecutionBackend`): the first
+session to attach a dataset creates a persistent pool plus a
 ``multiprocessing.shared_memory`` segment holding the points, which every
 worker maps read-only (``track=False`` on Python ≥ 3.13, a resource-tracker
 workaround below that; the initializer pickles the points where shared
 memory is unavailable).  Later queries of the session, at any ε, dispatch
-onto the warm pool with no pool creation and no dataset re-shipping.
-:meth:`detach` parks the pool on an LRU idle list (``max_idle`` deep) for a
-later session over the same dataset; a finalizer tears down whatever is
-still alive at interpreter exit.  A call outside any session runs on an
-ephemeral pool: attach, run, detach.  For an **on-disk source** (a
-:class:`~repro.data.store.SpatialStore`) the workers memory-map the store's
-B-ordered points instead and translate emitted ids back through its
-``ids`` directory, so no copy of the points is made at all.
+onto the warm pool with no pool creation and no dataset re-shipping.  The
+pool lives exactly while some session holds it: the last detach shuts it
+down and unlinks the segment, and a ``weakref.finalize`` tears down what a
+collected backend, or the interpreter at exit, still holds.  A call outside
+any session runs on a pool of its own: attach, run, detach.  For an
+**on-disk source** (a :class:`~repro.data.store.SpatialStore`) the workers
+memory-map the store's B-ordered points instead and translate emitted ids
+back through its ``ids`` directory, so no copy of the points is made at
+all.
 
 Registered as ``multiprocess``: ``multiprocess(4)`` uses four workers,
 ``multiprocess(2, kernel=numpy)`` runs two on the NumPy kernel tier.
@@ -36,17 +37,14 @@ Registered as ``multiprocess``: ``multiprocess(4)`` uses four workers,
 
 from __future__ import annotations
 
-import hashlib
 import multiprocessing
 import os
 import sys
 import threading
 import weakref
-from collections import OrderedDict
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import partial
-from typing import Dict, Optional, Set, Tuple
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
@@ -115,8 +113,8 @@ def _attach_shared_view(name: str, shape: Tuple[int, ...],
             resource_tracker.register = original_register
     view = np.ndarray(shape, dtype=np.dtype(dtype), buffer=shm.buf)
     # Every worker maps the same segment: a stray in-place write anywhere
-    # would silently corrupt the dataset under all of them (and under the
-    # park-time content digest).  Make that an immediate ValueError instead.
+    # would silently corrupt the dataset under all of them.  Make that an
+    # immediate ValueError instead.
     view.flags.writeable = False
     return shm, view
 
@@ -151,45 +149,14 @@ def _run_pool_shard(kind: str, params: dict, array: Optional[np.ndarray]):
 # --------------------------------------------------------------------------
 # parent-side pool state
 # --------------------------------------------------------------------------
-def _full_digest(points: np.ndarray) -> str:
-    """Full-content hash guarding idle-pool revival against mutation.
-
-    Computed when a pool is *parked* and re-checked when it would be
-    *revived* — the only moments a stale worker-side snapshot could slip
-    in — so the O(n) hashing cost is paid per park/revive, never per query.
-    """
-    digest = hashlib.blake2b(digest_size=16)
-    digest.update(np.ascontiguousarray(points).data)
-    return digest.hexdigest()
-
-
 @dataclass
 class _SessionPool:
-    """One persistent pool plus the dataset resources it holds."""
+    """One persistent pool plus the shared-memory segment it maps."""
 
-    key: tuple
     pool: multiprocessing.pool.Pool
     n_workers: int
     worker_pids: Tuple[int, ...]
-    #: The parent-side dataset while the pool is attached; released
-    #: (``None``) while parked idle so the pool does not pin the caller's
-    #: array — revival re-binds it from the attaching session, guarded by
-    #: ``content_digest``.
-    points: Optional[np.ndarray]
     shm: Optional[object] = None  # parent-side SharedMemory (None: pickled)
-    #: Path of the on-disk store the workers mapped (None: shm/pickle
-    #: transport); those workers index stored row order and translate ids.
-    store_path: Optional[str] = None
-    attached: Set[int] = field(default_factory=set)  # session tokens
-    #: Full-content hash of ``points`` taken when the pool was parked idle.
-    content_digest: Optional[str] = None
-    #: The pool was revived from the idle list at least once — a previous
-    #: warm-keeping owner parked it, so even a ``keep_warm=False`` session
-    #: must re-park it on detach rather than destroy it.
-    revived: bool = False
-    #: Some attached session asked for warm-pool reuse; parking on the last
-    #: detach honors *any* attacher's preference, not just the last one's.
-    keep_warm_requested: bool = False
     #: Shards dispatched and not yet returned: a join that raised or was
     #: cancelled leaves its other shards running to the end.
     running: int = 0
@@ -222,7 +189,6 @@ class MultiprocessStats:
     """
 
     pools_created: int = 0
-    pools_revived: int = 0
     pools_shut_down: int = 0
     #: Times the full dataset entered pool-initializer args (pickled under
     #: ``spawn``, copied-on-write under ``fork``): the fallback where shared
@@ -271,21 +237,18 @@ def _shutdown_state(state: _SessionPool) -> bool:
     return released
 
 
-def _shutdown_states(active: Dict[tuple, _SessionPool],
-                     idle: "OrderedDict[tuple, _SessionPool]") -> None:
-    """Finalizer: tear down whatever pools a backend still owns.
+def _shutdown_pools(attached: Dict[object, object]) -> None:
+    """Finalizer: tear down the pools of a backend's attached datasets.
 
     Runs when the backend is garbage-collected *or* at interpreter exit
     (``weakref.finalize`` covers both), so neither a dropped throwaway
     backend nor a process-long one can orphan worker processes or
     dataset-sized shared-memory segments — and the finalizer holds only the
-    state containers, never the backend, so pool-less backends stay
-    collectable.
+    attachment map, never the backend, so the backend stays collectable.
     """
-    for state in list(active.values()) + list(idle.values()):
-        _shutdown_state(state)
-    active.clear()
-    idle.clear()
+    for attachment in list(attached.values()):
+        _shutdown_state(attachment.handle)
+    attached.clear()
 
 
 @register_backend
@@ -299,9 +262,6 @@ class MultiprocessBackend(ShardExecutionBackend):
     n_shards:
         Shard count (``n_workers * scheduler.OVERSPLIT_FACTOR`` when
         omitted — the pull queue's rebalancing slack).
-    max_idle:
-        How many detached session pools to keep warm for revival (LRU);
-        ``0`` shuts a pool down on the last detach.
     kernel:
         Kernel tier of the shards (see
         :mod:`repro.core.nativekernels`): ``multiprocess(4, kernel=numba)``
@@ -314,128 +274,34 @@ class MultiprocessBackend(ShardExecutionBackend):
 
     def __init__(self, n_workers: Optional[int] = None,
                  n_shards: Optional[int] = None,
-                 max_idle: int = 2,
                  kernel: str = "auto") -> None:
         if n_workers is not None and int(n_workers) < 1:
             raise ValueError("n_workers must be >= 1")
-        if int(max_idle) < 0:
-            raise ValueError("max_idle must be >= 0")
         super().__init__(kernel, n_shards)
         self.n_workers = int(n_workers) if n_workers is not None else None
-        self.max_idle = int(max_idle)
         self.stats = MultiprocessStats()
         #: :class:`~repro.parallel.scheduler.ScheduleReport` of the most
         #: recent operator call (None before any dispatch).
         self.last_schedule = None
-        self._active: Dict[tuple, _SessionPool] = {}
-        self._idle: "OrderedDict[tuple, _SessionPool]" = OrderedDict()
-        self._finalizer = weakref.finalize(self, _shutdown_states,
-                                           self._active, self._idle)
+        self._finalizer = weakref.finalize(self, _shutdown_pools,
+                                           self._attached)
 
     def _resolved_workers(self) -> int:
         return self.n_workers or default_worker_count()
 
-    # ------------------------------------------------------ session lifecycle
-    @staticmethod
-    def _pool_key(session) -> tuple:
-        # The DatasetIdentity couples the array's object id with a sampled
-        # content fingerprint, guarding idle-pool revival against id reuse
-        # after the original array is freed.
-        return (session.identity,)
-
-    def attach(self, session) -> None:
-        """Create (or revive) the persistent pool for the session's dataset."""
-        key = self._pool_key(session)
-        state = self._active.get(key)
-        if state is None:
-            state = self._idle.pop(key, None)
-            if state is not None:
-                # A store-backed pool needs no digest check: its pool key
-                # already embeds the store's path-derived id and sampled
-                # file fingerprint (the guard DatasetIdentity gives
-                # arrays), and the workers read the file itself — there is
-                # no parent-side array snapshot to go stale.
-                if state.store_path is None \
-                        and _full_digest(session.points) != state.content_digest:
-                    # The array was mutated in place between sessions: the
-                    # workers' shared-memory snapshot (and their cached
-                    # indexes) are stale — joining them against freshly
-                    # planned shards would be silently wrong.
-                    self._shutdown_pool(state)
-                    state = None
-                else:
-                    state.revived = True
-                    # Re-pin for the active span.  For an on-disk source
-                    # this materializes the parent-side array — which any
-                    # query on this backend needs anyway (the parent plans
-                    # against a global index), and which is how dispatched
-                    # work is matched back to this pool.
-                    state.points = session.points
-                    self.stats.pools_revived += 1
-                    self._active[key] = state
-        if state is None:
-            state = self._create_session_pool(
-                key, session.points,
-                store_path=session.source.storage_descriptor())
-            self._active[key] = state
-        state.attached.add(session.token)
-        if getattr(session, "keep_warm", True):
-            state.keep_warm_requested = True
-
-    def detach(self, session) -> None:
-        """Park the session's pool on the idle list (or shut it down).
-
-        A pool is parked when *any* of its attachers asked for warm reuse,
-        or when it was revived from the idle list (an earlier warm-keeping
-        owner parked it); a pool used only by opted-out ephemeral sessions
-        (``keep_warm=False`` — the one-shot wrappers) is released
-        immediately.  Parking drops the parent-side dataset reference: the
-        park-time content digest is what guards revival, so the caller's
-        array is free to be collected.
-        """
-        key = self._pool_key(session)
-        state = self._active.get(key)
-        if state is None:
-            return
-        state.attached.discard(session.token)
-        if state.attached:
-            return
-        del self._active[key]
-        if self.max_idle > 0 and (state.keep_warm_requested or state.revived):
-            # Store-backed pools skip the O(n) park digest — revival is
-            # guarded by the store fingerprint inside the pool key instead.
-            state.content_digest = _full_digest(state.points) \
-                if state.store_path is None else None
-            state.points = None  # do not pin the dataset while idle
-            self._idle[key] = state
-            while len(self._idle) > self.max_idle:
-                _, evicted = self._idle.popitem(last=False)
-                self._shutdown_pool(evicted)
-        else:
-            self._shutdown_pool(state)
-
-    def shutdown(self) -> None:
-        """Terminate every pool (active and idle) and release their memory."""
-        for state in list(self._active.values()):
-            self._shutdown_pool(state)
-        self._active.clear()
-        for state in list(self._idle.values()):
-            self._shutdown_pool(state)
-        self._idle.clear()
-
     def worker_pids(self, session) -> Tuple[int, ...]:
         """PIDs of the persistent pool serving ``session`` (``()`` if none)."""
-        state = self._active.get(self._pool_key(session))
-        return state.worker_pids if state is not None else ()
+        attachment = self._attached.get(session.identity)
+        return attachment.handle.worker_pids if attachment is not None else ()
 
-    def has_idle_pool_for(self, session) -> bool:
-        """Whether a detached pool for the session's dataset is kept warm."""
-        return self._pool_key(session) in self._idle
-
-    def _create_session_pool(self, key: tuple, points: np.ndarray,
-                             store_path: Optional[str] = None,
-                             n_workers: Optional[int] = None) -> _SessionPool:
-        n_workers = n_workers or self._resolved_workers()
+    # ------------------------------------------------------ dataset lifecycle
+    def _open_dataset(self, points, store_path, n_tasks=None) -> _SessionPool:
+        """A pool whose workers hold the dataset: the store at
+        ``store_path`` mapped, or ``points`` in shared memory; one call's
+        pool gets no more workers than it has shards."""
+        n_workers = self._resolved_workers()
+        if n_tasks is not None:
+            n_workers = min(n_workers, n_tasks)
         ctx = multiprocessing.get_context(
             os.environ.get(START_METHOD_ENV_VAR))
         shm = None
@@ -479,40 +345,20 @@ class MultiprocessBackend(ShardExecutionBackend):
         # Pool keeps its Process handles in the private ``_pool`` list (no
         # public accessor exists).
         pids = tuple(proc.pid for proc in pool._pool)
-        return _SessionPool(key=key, pool=pool, n_workers=n_workers,
-                            worker_pids=pids, points=points, shm=shm,
-                            store_path=store_path)
+        return _SessionPool(pool=pool, n_workers=n_workers,
+                            worker_pids=pids, shm=shm)
 
-    def _shutdown_pool(self, state: _SessionPool) -> None:
+    def _close_dataset(self, state: _SessionPool) -> None:
         if _shutdown_state(state):
             self.stats.shm_segments_released += 1
         self.stats.pools_shut_down += 1
-
-    def _session_pool_for(self, points: np.ndarray) -> Optional[_SessionPool]:
-        """The attached pool whose dataset *is* ``points`` (identity match)."""
-        for state in self._active.values():
-            if state.points is points:
-                return state
-        return None
 
     # ------------------------------------------------------------- executor
     def _shard_count(self) -> int:
         return self.n_shards or self._resolved_workers() * OVERSPLIT_FACTOR
 
-    @contextmanager
-    def _transport(self, n_tasks, index=None, source=None):
-        """The session's warm pool, or an ephemeral one for this call."""
-        state = self._session_pool_for(index.points)
-        ephemeral = state is None
-        if ephemeral:
-            state = self._create_session_pool(
-                (), index.points,
-                n_workers=min(self._resolved_workers(), n_tasks))
-        try:
-            yield _PoolTransport(state)
-        finally:
-            if ephemeral:
-                self._shutdown_pool(state)
+    def _transport(self, state, index=None, source=None):
+        return _PoolTransport(state)
 
     def _record_schedule(self, report) -> None:
         self.stats.shards_stolen += report.steals

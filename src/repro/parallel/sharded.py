@@ -25,7 +25,6 @@ cell populations; the NumPy tier runs its one route on every shard.
 
 from __future__ import annotations
 
-from contextlib import contextmanager
 from typing import Optional
 
 from repro.engine.backends import register_backend
@@ -51,10 +50,8 @@ class ShardedBackend(ShardExecutionBackend):
     def _shard_count(self) -> int:
         return self.n_shards or default_worker_count()
 
-    @contextmanager
-    def _transport(self, n_tasks, index=None, source=None):
+    def _transport(self, handle, index=None, source=None):
         if source is not None:
-            dataset = ShardDataset(points=None, kernel=self.tier, store=source)
-        else:
-            dataset = ShardDataset.for_index(index, self.tier)
-        yield InlineTransport(dataset)
+            return InlineTransport(
+                ShardDataset(points=None, kernel=self.tier, store=source))
+        return InlineTransport(ShardDataset.for_index(index, self.tier))

@@ -5,7 +5,8 @@ backend state, memmapped stores); the catalog is the service-side directory
 of such residencies.  ``register`` opens a session — from an in-memory array
 shipped over the wire, or from a :class:`~repro.data.store.SpatialStore`
 path so the dataset never crosses the socket at all — and ``evict`` closes
-it (detaching the backend, which may park a multiprocess pool for revival).
+it (detaching the backend, which shuts down a multiprocess pool or detaches
+the distributed workers once no other session holds the dataset).
 
 All methods are thread-safe: registrations arrive on the asyncio loop
 thread while query execution resolves sessions from worker threads.

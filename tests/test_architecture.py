@@ -12,6 +12,10 @@
   work-stealing scheduler and the ordered merger, and no parallel or
   distributed module dispatches through ``imap_unordered``: every parallel
   backend runs the executor's one loop.
+* One session lifecycle.  ``ShardExecutionBackend`` alone implements
+  ``attach``/``detach`` for the shard backends; no subclass of it in the
+  parallel or distributed packages defines either, so a pool and a TCP
+  attachment open, close and are found the same way.
 * One dims chooser, off the paper's paths.  Only
   ``QueryPlanner.index_dataset`` calls ``choose_index_dims``, and the
   experiments, ``GPUSelfJoin`` and the ``simulated`` backend never reach
@@ -259,6 +263,68 @@ def test_executor_guard_sees_bare_and_dotted_calls():
     assert list(_called_names(tree)) == [
         ("WorkStealingScheduler", 1), ("OrderedShardMerger", 2),
         ("imap_unordered", 3)]
+
+
+# --------------------------------------------------------------------------
+# one session lifecycle for the shard backends
+# --------------------------------------------------------------------------
+SHARD_BASE = "ShardExecutionBackend"
+LIFECYCLE_HOOKS = {"attach", "detach"}
+
+
+def _base_name(node: ast.AST):
+    if isinstance(node, ast.Name):
+        return node.id
+    if isinstance(node, ast.Attribute):
+        return node.attr
+    return None
+
+
+def _shard_backend_hooks(trees) -> dict:
+    """Every class deriving from ``ShardExecutionBackend``, directly or
+    through another such class, mapped to the lifecycle hooks it defines
+    (as a method or an assigned attribute)."""
+    classes = [node for tree in trees for node in ast.walk(tree)
+               if isinstance(node, ast.ClassDef)]
+    found: dict = {}
+    grew = True
+    while grew:
+        grew = False
+        for node in classes:
+            if node.name in found or not any(
+                    _base_name(base) in found.keys() | {SHARD_BASE}
+                    for base in node.bases):
+                continue
+            defined = set()
+            for item in node.body:
+                if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    defined.add(item.name)
+                elif isinstance(item, ast.Assign):
+                    defined |= {target.id for target in item.targets
+                                if isinstance(target, ast.Name)}
+            found[node.name] = sorted(defined & LIFECYCLE_HOOKS)
+            grew = True
+    return found
+
+
+def test_only_the_shard_base_implements_attach_and_detach():
+    trees = [ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+             for package in ("parallel", "distributed")
+             for path in sorted((PACKAGE_ROOT / package).rglob("*.py"))]
+    hooks = _shard_backend_hooks(trees)
+    assert {"ShardedBackend", "MultiprocessBackend",
+            "DistributedBackend"} <= hooks.keys()
+    assert {name: defined for name, defined in hooks.items() if defined} == {}
+
+
+def test_lifecycle_guard_sees_direct_and_indirect_subclasses():
+    tree = ast.parse("class A(executor.ShardExecutionBackend):\n"
+                     "    def attach(self, session): pass\n"
+                     "class B(A):\n"
+                     "    detach = A.attach\n"
+                     "class C(ExecutionBackend):\n"
+                     "    def attach(self, session): pass\n")
+    assert _shard_backend_hooks([tree]) == {"A": ["attach"], "B": ["detach"]}
 
 
 # --------------------------------------------------------------------------

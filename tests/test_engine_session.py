@@ -6,6 +6,10 @@ The acceptance properties of the session-based engine lifecycle:
   ε changes (including the kNN radius-doubling rounds);
 * a warm ``multiprocess`` session query performs **no pool creation and no
   dataset re-shipping** (pool identity + lifecycle counters);
+* a pool lives exactly while some session holds its dataset: the last
+  ``detach()`` shuts it down, and repeated sessions over fresh arrays (ε
+  sweeps, catalog register/evict rounds) leave no pool, worker process or
+  shared-memory segment behind;
 * shared-memory segments are released on ``detach()`` and at interpreter
   exit without ``resource_tracker`` warnings;
 * session-path results are **bit-identical** to the one-shot path across
@@ -14,6 +18,8 @@ The acceptance properties of the session-based engine lifecycle:
 
 from __future__ import annotations
 
+import multiprocessing
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -29,7 +35,7 @@ from repro.engine import (
     available_backends,
     run_query,
 )
-from repro.parallel.mp import MultiprocessBackend
+from repro.parallel.mp import START_METHOD_ENV_VAR, MultiprocessBackend
 
 ALL_DIMS = [2, 3, 4, 5, 6]
 POINTS_BY_DIM = {2: 120, 3: 100, 4: 80, 5: 60, 6: 40}
@@ -37,10 +43,21 @@ EPS_BY_DIM = {2: 0.9, 3: 1.0, 4: 1.2, 5: 1.4, 6: 1.6}
 
 SRC_DIR = str(Path(__file__).resolve().parent.parent / "src")
 
+#: Environment of the interpreter-exit subprocesses: the package, plus the
+#: pool start method when one is set.
+CHILD_ENV = {"PYTHONPATH": SRC_DIR, "PATH": "/usr/bin:/bin",
+             **{key: os.environ[key] for key in (START_METHOD_ENV_VAR,)
+                if key in os.environ}}
+
 
 def _dataset(dims=2, seed=7, n=None):
     return uniform_dataset(n or POINTS_BY_DIM[dims], dims, seed=seed,
                            low=0.0, high=4.0)
+
+
+def _live_children() -> set:
+    """PIDs of this process's live ``multiprocessing`` children."""
+    return {proc.pid for proc in multiprocessing.active_children()}
 
 
 def _bit_identical(a, b) -> bool:
@@ -216,117 +233,72 @@ class TestPersistentPool:
             assert backend.stats.datasets_shipped == 0
         backend.shutdown()
 
-    def test_detach_parks_pool_and_reattach_revives_it(self):
-        points = _dataset(seed=32)
-        backend = MultiprocessBackend(n_workers=2, max_idle=1)
+    def test_detach_shuts_the_pool_down(self):
+        points = _dataset(seed=33)
+        backend = MultiprocessBackend(n_workers=2)
         with EngineSession(points, backend=backend) as session:
             session.self_join(0.9)
             pids = backend.worker_pids(session)
-        assert backend.has_idle_pool_for(session)
-        with EngineSession(points, backend=backend) as revived:
-            revived.self_join(0.9)
-            assert backend.worker_pids(revived) == pids
+        assert backend.worker_pids(session) == ()
+        assert backend.stats.pools_shut_down == 1
         assert backend.stats.pools_created == 1
-        assert backend.stats.pools_revived == 1
-        backend.shutdown()
+        assert backend.stats.shm_segments_released == \
+            backend.stats.shm_segments_created == 1
+        assert not set(pids) & _live_children()
 
-    def test_mutated_dataset_never_revives_a_stale_pool(self):
-        # In-place mutation between sessions must not resurrect the parked
-        # pool's shared-memory snapshot: revival is guarded by a
-        # full-content digest taken at park time, so the second session gets
-        # a fresh pool and correct results.  n=600 makes the sampled
-        # identity fingerprint stride 2, so mutating odd row 1 keeps the
-        # DatasetIdentity (and hence the pool key) unchanged — the digest
-        # branch is the only thing standing between us and stale results.
+    def test_pool_lives_while_any_session_holds_it(self):
+        points = _dataset(seed=43)
+        backend = MultiprocessBackend(n_workers=2)
+        first = EngineSession(points, backend=backend).open()
+        second = EngineSession(points, backend=backend).open()
+        pids = backend.worker_pids(first)
+        first.close()
+        second.self_join(0.9)             # still on the shared pool
+        assert backend.worker_pids(second) == pids
+        assert backend.stats.pools_shut_down == 0
+        second.close()
+        assert backend.stats.pools_created == 1
+        assert backend.stats.pools_shut_down == 1
+
+    def test_session_over_a_mutated_array_gets_a_fresh_pool(self):
+        # n=600 makes the sampled identity fingerprint stride 2, so mutating
+        # odd row 1 keeps the DatasetIdentity unchanged: only the pool's
+        # shutdown at the first session's close keeps its stale snapshot
+        # from serving the second session.
         points = _dataset(seed=41, n=600)
         eps = 0.5
-        backend = MultiprocessBackend(n_workers=2, max_idle=1)
+        backend = MultiprocessBackend(n_workers=2)
         with EngineSession(points, backend=backend) as session:
             session.self_join(eps)
-        assert backend.has_idle_pool_for(session)
-        points[1] = [0.05, 0.05]  # unsampled row: identity/pool key unchanged
+        points[1] = [0.05, 0.05]  # unsampled row: identity unchanged
         with EngineSession(points, backend=backend) as session2:
-            assert session2.identity == session.identity  # same pool key
+            assert session2.identity == session.identity
             got = session2.self_join(eps)
-        backend.shutdown()
-        assert backend.stats.pools_revived == 0  # digest refused the revival
-        assert backend.stats.pools_created == 2  # stale pool was NOT revived
+        assert backend.stats.pools_created == 2
         ref = run_query(Query.self_join(points, eps))
-        assert got.neighbor_table.same_contents_as(ref.neighbor_table)
+        assert _bit_identical(got, ref)
 
-    def test_ephemeral_session_re_parks_a_revived_pool(self):
-        # A keep_warm=False one-shot riding on another owner's parked pool
-        # must return it to the idle list, not destroy it.
-        from repro.apps.knn import knn_search
-
-        points = _dataset(seed=42)
-        backend = MultiprocessBackend(n_workers=2, max_idle=1)
-        with EngineSession(points, backend=backend) as owner:
-            owner.self_join(0.9)
-            pids = backend.worker_pids(owner)
-        assert backend.has_idle_pool_for(owner)
-        knn_search(points, 3, backend=backend)  # ephemeral keep_warm=False
-        assert backend.has_idle_pool_for(owner)
-        with EngineSession(points, backend=backend) as again:
-            again.self_join(0.9)
-            assert backend.worker_pids(again) == pids
-        assert backend.stats.pools_created == 1
-        backend.shutdown()
-
-    def test_any_warm_keeping_attacher_wins_park_decision(self):
-        # A co-attached ephemeral session detaching last must not destroy a
-        # pool a warm-keeping session expects to find parked.
-        points = _dataset(seed=43)
-        backend = MultiprocessBackend(n_workers=2, max_idle=1)
-        warm = EngineSession(points, backend=backend).open()
-        ephemeral = EngineSession(points, backend=backend,
-                                  keep_warm=False).open()
-        warm.self_join(0.9)
-        warm.close()                      # ephemeral still attached
-        ephemeral.close()                 # last out: must park, not destroy
-        assert backend.has_idle_pool_for(warm)
-        with EngineSession(points, backend=backend) as again:
-            again.self_join(0.9)
-        assert backend.stats.pools_created == 1
-        backend.shutdown()
-
-    def test_parked_pool_does_not_pin_the_dataset(self):
-        # Parking releases the parent-side array reference (the content
-        # digest guards revival), so dropping the caller's references frees
-        # the dataset even while the pool idles.
-        import gc
-        import weakref
-
-        points = _dataset(seed=44)
-        ref = weakref.ref(points)
-        backend = MultiprocessBackend(n_workers=2, max_idle=1)
-        session = EngineSession(points, backend=backend)
-        session.self_join(0.9)
-        session.close()
-        assert backend.has_idle_pool_for(session)
-        del session, points
-        gc.collect()
-        assert ref() is None              # idle pool holds no array pin
-        backend.shutdown()
-
-    def test_collected_backend_tears_down_its_parked_pools(self):
-        # A throwaway backend instance dropped with pools parked must not
-        # orphan worker processes or shared memory: the finalizer tears
-        # them down at collection (and would at interpreter exit).
+    def test_collected_backend_tears_down_an_attached_pool(self):
+        # A throwaway backend dropped while a session is still attached
+        # must not orphan worker processes or shared memory: the finalizer
+        # tears them down at collection (and would at interpreter exit).
+        # The backend is attached directly, so the session's own close()
+        # has nothing to detach and only the finalizer can clean up.
         import gc
         from multiprocessing import shared_memory
 
         points = _dataset(seed=45)
         backend = MultiprocessBackend(n_workers=2)
-        with EngineSession(points, backend=backend) as session:
-            session.self_join(0.9)
-        state = next(iter(backend._idle.values()))
-        assert state.shm is not None
-        shm_name = state.shm.name
-        del backend, session, state
+        session = EngineSession(points, backend=backend)
+        backend.attach(session)
+        session.self_join(0.9)
+        pids = backend.worker_pids(session)
+        shm_name = backend._attached[session.identity].handle.shm.name
+        del backend, session
         gc.collect()
         with pytest.raises(FileNotFoundError):
             shared_memory.SharedMemory(name=shm_name)
+        assert not set(pids) & _live_children()
 
     def test_worker_shared_view_is_read_only(self):
         # Workers map one shared segment; in-place writes there must fail
@@ -357,31 +329,21 @@ class TestPersistentPool:
         import time
 
         points = _dataset(seed=46)
-        backend = MultiprocessBackend(n_workers=1, max_idle=0)
+        backend = MultiprocessBackend(n_workers=1)
         returned = []
         with EngineSession(points, backend=backend) as session:
             session.self_join(0.9)
-            state = backend._session_pool_for(session.points)
+            state = backend._attached[session.identity].handle
             state.apply(time.sleep, (0.3,), returned.append, returned.append)
         assert backend.stats.pools_shut_down == 1
         assert returned == [None]
-
-    def test_max_idle_zero_shuts_down_on_detach(self):
-        points = _dataset(seed=33)
-        backend = MultiprocessBackend(n_workers=2, max_idle=0)
-        with EngineSession(points, backend=backend) as session:
-            session.self_join(0.9)
-        assert not backend.has_idle_pool_for(session)
-        assert backend.stats.pools_shut_down == 1
-        assert backend.stats.shm_segments_released == \
-            backend.stats.shm_segments_created
 
     def test_shared_memory_released_on_shutdown(self):
         points = _dataset(seed=34)
         backend = MultiprocessBackend(n_workers=2)
         session = EngineSession(points, backend=backend)
         session.self_join(0.9)
-        state = backend._active[backend._pool_key(session)]
+        state = backend._attached[session.identity].handle
         assert state.shm is not None
         shm_name = state.shm.name
         session.close()
@@ -408,16 +370,16 @@ class TestPersistentPool:
             run_query(Query.bipartite_join(queries, points, eps)).neighbor_table)
 
     def test_one_shot_knn_wrapper_leaves_no_warm_pool(self):
-        # knn_search without a session wraps an ephemeral keep_warm=False
-        # session: after the call, its backend must hold neither an active
-        # nor an idle pool (no processes, no shared memory, no dataset ref).
+        # knn_search without a session wraps a private session: after the
+        # call, its backend holds no pool (no processes, no shared memory,
+        # no dataset reference).
         from repro.apps.knn import knn_search
 
         points = _dataset(seed=38)
         backend = MultiprocessBackend(n_workers=2)
         result = knn_search(points, 3, backend=backend)
         assert result.indices.shape == (points.shape[0], 3)
-        assert backend._active == {} and len(backend._idle) == 0
+        assert backend._attached == {}
         assert backend.stats.pools_shut_down == backend.stats.pools_created
 
     def test_sessions_results_match_one_shot_multiprocess(self):
@@ -434,11 +396,48 @@ class TestPersistentPool:
         assert _bit_identical(one_shot, warm2)
 
 
+class TestNoPoolLeaks:
+    """Sessions over fresh arrays leave no pool, worker or segment behind."""
+
+    @staticmethod
+    def _assert_released(backend, children_before) -> None:
+        stats = backend.stats
+        assert stats.pools_shut_down == stats.pools_created
+        assert stats.shm_segments_released == stats.shm_segments_created
+        assert not _live_children() - children_before
+
+    def test_engine_sweeps_over_fresh_arrays(self):
+        from repro.engine.backends import get_backend
+        from repro.experiments.runner import run_algorithm_sweep
+
+        children = _live_children()
+        for seed in (51, 52, 53):
+            run_algorithm_sweep("Engine[multiprocess(2)]",
+                                _dataset(seed=seed), [0.9])
+        backend = get_backend("multiprocess(2)")
+        assert backend.stats.pools_created >= 3
+        self._assert_released(backend, children)
+
+    def test_catalog_register_query_evict_rounds(self):
+        from repro.engine.backends import get_backend
+        from repro.service.catalog import SessionCatalog
+
+        catalog = SessionCatalog(default_backend="multiprocess(1)")
+        children = _live_children()
+        for seed in (61, 62, 63):
+            catalog.register("points", _dataset(seed=seed))
+            assert catalog.get("points").self_join(0.9).num_pairs > 0
+            catalog.evict("points")
+        backend = get_backend("multiprocess(1)")
+        assert backend.stats.pools_created >= 3
+        self._assert_released(backend, children)
+
+
 class TestSharedMemoryExit:
     def test_interpreter_exit_leaves_no_tracker_warnings(self):
         # A session left open at interpreter exit must be torn down by the
-        # atexit hook: no resource_tracker "leaked shared_memory" noise, no
-        # orphaned segment.
+        # backend's finalizer: no resource_tracker "leaked shared_memory"
+        # noise, no orphaned segment.
         script = (
             "import numpy as np\n"
             "from repro.engine import EngineSession\n"
@@ -452,7 +451,7 @@ class TestSharedMemoryExit:
         proc = subprocess.run(
             [sys.executable, "-c", script],
             capture_output=True, text=True, timeout=120,
-            env={"PYTHONPATH": SRC_DIR, "PATH": "/usr/bin:/bin"},
+            env=CHILD_ENV,
         )
         assert proc.returncode == 0, proc.stderr
         assert "pairs" in proc.stdout
@@ -465,7 +464,7 @@ class TestSharedMemoryExit:
             "from repro.engine import EngineSession\n"
             "from repro.parallel.mp import MultiprocessBackend\n"
             "pts = np.random.default_rng(0).uniform(0, 4, (120, 2))\n"
-            "be = MultiprocessBackend(n_workers=2, max_idle=0)\n"
+            "be = MultiprocessBackend(n_workers=2)\n"
             "with EngineSession(pts, backend=be) as session:\n"
             "    session.self_join(0.9)\n"
             "print('released', be.stats.shm_segments_released)\n"
@@ -473,7 +472,7 @@ class TestSharedMemoryExit:
         proc = subprocess.run(
             [sys.executable, "-c", script],
             capture_output=True, text=True, timeout=120,
-            env={"PYTHONPATH": SRC_DIR, "PATH": "/usr/bin:/bin"},
+            env=CHILD_ENV,
         )
         assert proc.returncode == 0, proc.stderr
         assert "released 1" in proc.stdout

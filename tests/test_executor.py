@@ -8,11 +8,17 @@ advances one second per event, so hedges and resplits fire on schedule.
 Whatever the script, the merged pair stream must hash to the serial
 ``vectorized`` run's sha256, and the :class:`KernelStats` counters must
 equal the serial run's exactly.
+
+:class:`TestSessionLifecycle` drives the attach/detach lifecycle every
+shard backend inherits through a backend that counts the datasets it
+opens and closes.
 """
 
 from __future__ import annotations
 
 import hashlib
+import sys
+import threading
 from collections import deque
 
 import numpy as np
@@ -21,6 +27,7 @@ import pytest
 from repro.core.gridindex import GridIndex
 from repro.core.result import PairFragments
 from repro.data.synthetic import uniform_dataset
+from repro.engine import EngineSession, Query, run_query
 from repro.engine.backends import VectorizedBackend
 from repro.parallel.executor import (
     InlineTransport,
@@ -31,6 +38,7 @@ from repro.parallel.executor import (
     run_shard,
     run_tasks,
 )
+from repro.parallel.sharded import ShardedBackend
 from repro.parallel.shards import probe_tasks, selfjoin_tasks
 
 KERNEL = "numpy"
@@ -283,3 +291,73 @@ class TestLoopEdges:
                                       lambda t: (0, "dead"))
         with pytest.raises(WorkerTaskFailed):
             _selfjoin(index, False, transport)
+
+
+class CountingBackend(ShardedBackend):
+    """Inline shards; records every dataset the lifecycle opens and closes."""
+
+    def __init__(self) -> None:
+        super().__init__(n_shards=3, kernel=KERNEL)
+        self.opened = self.closed = self.max_live = 0
+        self.live = set()
+
+    def _open_dataset(self, points, store_path, n_tasks=None):
+        handle = object()
+        self.opened += 1
+        self.live.add(handle)
+        self.max_live = max(self.max_live, len(self.live))
+        return handle
+
+    def _close_dataset(self, handle) -> None:
+        self.closed += 1
+        self.live.remove(handle)
+
+
+class TestSessionLifecycle:
+    def test_sessions_share_one_dataset_and_calls_outside_open_their_own(
+            self, index):
+        backend = CountingBackend()
+        first = EngineSession(index.points, backend=backend).open()
+        second = EngineSession(index.points, backend=backend).open()
+        first.self_join(index.eps)
+        second.self_join(index.eps)
+        assert (backend.opened, backend.closed) == (1, 0)
+        run_query(Query.self_join(index.points.copy(), index.eps),
+                  backend=backend)          # not the attached array
+        assert (backend.opened, backend.closed) == (2, 1)
+        first.close()
+        assert backend.closed == 1          # ``second`` still holds it
+        second.close()
+        assert (backend.opened, backend.closed) == (2, 2)
+        assert backend._attached == {} and backend.max_live == 2
+
+    def test_concurrent_open_and_close_open_each_dataset_once(self, index):
+        # More threads than cores, switching every microsecond: a lost
+        # update in the attach/detach bookkeeping would open a second
+        # dataset beside a live one, or leave one open at the end.
+        backend = CountingBackend()
+        errors = []
+
+        def churn() -> None:
+            try:
+                for _ in range(50):
+                    with EngineSession(index.points, backend=backend):
+                        pass
+            except Exception as exc:  # reported below, not lost in a thread
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=churn) for _ in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        assert backend.max_live == 1
+        assert backend.opened == backend.closed >= 1
+        assert backend._attached == {}

@@ -84,7 +84,7 @@ class TestStoreParity:
         eps = EPS_BY_DIM[dims]
         store = _store_for(points, tmp_path, eps)
         ref = run_query(Query.self_join(points, eps, unicomp=unicomp))
-        backend = MultiprocessBackend(n_workers=2, max_idle=0)
+        backend = MultiprocessBackend(n_workers=2)
         with EngineSession(store, backend=backend) as session:
             got = session.self_join(eps, unicomp=unicomp)
         backend.shutdown()
@@ -314,28 +314,26 @@ class TestAddressSpaceCap:
 
 
 class TestStorePoolLifecycle:
-    def test_store_pool_parks_and_revives_without_digest(self, tmp_path):
-        # Two sessions over the same store path share the pool key (the
-        # path-derived identity), so the parked pool revives — and since
-        # workers read the file itself, no park-time content digest exists.
+    def test_sessions_over_one_store_share_its_pool(self, tmp_path):
+        # Each session over the store materializes its own array after
+        # attach; joins of either must still find the one attached pool
+        # rather than open a pool of their own.
         from repro.parallel.mp import MultiprocessBackend
 
         points = _dataset(2, seed=96, n=250)
         store = _store_for(points, tmp_path, 0.9)
-        backend = MultiprocessBackend(n_workers=2, max_idle=1)
-        with EngineSession(store, backend=backend) as session:
-            first = session.self_join(0.9)
-            pids = backend.worker_pids(session)
-        assert backend.has_idle_pool_for(session)
-        state = next(iter(backend._idle.values()))
-        assert state.content_digest is None  # guarded by the pool key
-        reopened = SpatialStore.open(store.path)
-        with EngineSession(reopened, backend=backend) as again:
-            second = again.self_join(0.9)
-            assert backend.worker_pids(again) == pids
+        backend = MultiprocessBackend(n_workers=2)
+        with EngineSession(store, backend=backend) as first, \
+                EngineSession(SpatialStore.open(store.path),
+                              backend=backend) as second:
+            assert first.identity == second.identity
+            got = [session.self_join(0.9) for session in (first, second)]
+            assert backend.worker_pids(second) == backend.worker_pids(first)
         assert backend.stats.pools_created == 1
-        assert backend.stats.pools_revived == 1
-        backend.shutdown()
-        fk, fv = _canonical(first)
-        sk, sv = _canonical(second)
-        assert np.array_equal(fk, sk) and np.array_equal(fv, sv)
+        assert backend.stats.pools_shut_down == 1
+        assert backend.stats.datasets_mapped == 1
+        ref = _canonical(run_query(Query.self_join(points, 0.9)))
+        for result in got:
+            keys, values = _canonical(result)
+            assert np.array_equal(keys, ref[0])
+            assert np.array_equal(values, ref[1])
