@@ -37,7 +37,7 @@ import threading
 import time
 import weakref
 from collections import OrderedDict
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import (Callable, Dict, Iterator, List, Optional, Sequence, Set,
@@ -465,6 +465,13 @@ class ShardExecutionBackend(ExecutionBackend):
     #: Scheduler mode and hedge fuse (``distributed`` exposes both).
     scheduling = "adaptive"
     hedge_after = 0.25
+    #: Whether each :meth:`_open_dataset` call makes a dataset of its own
+    #: (a private pool) rather than one the workers share by name with
+    #: other opens of the same data.  Private datasets open and close
+    #: outside the backend lock, so starting or stopping one dataset's
+    #: pool does not stall joins on the others; a shared name is opened
+    #: and closed under the lock, so an attach never races its own close.
+    private_datasets = False
 
     def __init__(self, kernel: str, n_shards: Optional[int]) -> None:
         if n_shards is not None and int(n_shards) < 1:
@@ -488,34 +495,49 @@ class ShardExecutionBackend(ExecutionBackend):
         Sessions over one dataset share it.  A store-backed session sends
         its path, so the array is never materialized for the attach.
         """
-        with self._lock:
-            attachment = self._attached.get(session.identity)
-            if attachment is None:
-                store_path = _store_path(session.source)
-                attachment = _Attachment(self._open_dataset(
-                    None if store_path else session.points, store_path),
-                    store_path)
-                self._attached[session.identity] = attachment
-            attachment.sessions[session.token] = weakref.ref(session)
+        ref = weakref.ref(session)
+        with self._lifecycle_lock():
+            with self._lock:
+                attachment = self._attached.get(session.identity)
+                if attachment is not None:
+                    attachment.sessions[session.token] = ref
+                    return
+            store_path = _store_path(session.source)
+            handle = self._open_dataset(
+                None if store_path else session.points, store_path)
+            with self._lock:
+                attachment = self._attached.setdefault(
+                    session.identity, _Attachment(handle, store_path))
+                attachment.sessions[session.token] = ref
+        if attachment.handle is not handle:     # another attach won the race
+            self._close_dataset(handle)
 
     def detach(self, session) -> None:
         """Close the session's dataset once its last session lets go."""
-        with self._lock:
-            attachment = self._attached.get(session.identity)
-            if attachment is None:
-                return
-            attachment.sessions.pop(session.token, None)
-            if not attachment.sessions:
+        with self._lifecycle_lock():
+            with self._lock:
+                attachment = self._attached.get(session.identity)
+                if attachment is None:
+                    return
+                attachment.sessions.pop(session.token, None)
+                if attachment.sessions:
+                    return
                 del self._attached[session.identity]
-                self._close_dataset(attachment.handle)
+            self._close_dataset(attachment.handle)
 
     def shutdown(self) -> None:
         """Close every attached dataset."""
-        with self._lock:
-            attachments = list(self._attached.values())
-            self._attached.clear()
+        with self._lifecycle_lock():
+            with self._lock:
+                attachments = list(self._attached.values())
+                self._attached.clear()
             for attachment in attachments:
                 self._close_dataset(attachment.handle)
+
+    def _lifecycle_lock(self):
+        """What a dataset opens and closes under: the backend lock for a
+        name the workers share, nothing for a private dataset."""
+        return nullcontext() if self.private_datasets else self._lock
 
     @contextmanager
     def _dataset(self, n_tasks: int, index: Optional[GridIndex] = None,

@@ -271,6 +271,7 @@ class MultiprocessBackend(ShardExecutionBackend):
     """
 
     name = "multiprocess"
+    private_datasets = True     # each dataset gets its own pool and segment
 
     def __init__(self, n_workers: Optional[int] = None,
                  n_shards: Optional[int] = None,

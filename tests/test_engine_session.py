@@ -282,23 +282,24 @@ class TestPersistentPool:
         # A throwaway backend dropped while a session is still attached
         # must not orphan worker processes or shared memory: the finalizer
         # tears them down at collection (and would at interpreter exit).
-        # The backend is attached directly, so the session's own close()
-        # has nothing to detach and only the finalizer can clean up.
+        # The session plans on the default backend and stays alive, so
+        # nothing detaches it: only the finalizer can clean up.
         import gc
         from multiprocessing import shared_memory
 
         points = _dataset(seed=45)
+        session = EngineSession(points)
         backend = MultiprocessBackend(n_workers=2)
-        session = EngineSession(points, backend=backend)
         backend.attach(session)
-        session.self_join(0.9)
         pids = backend.worker_pids(session)
+        assert len(pids) == 2 and set(pids) <= _live_children()
         shm_name = backend._attached[session.identity].handle.shm.name
-        del backend, session
+        del backend
         gc.collect()
         with pytest.raises(FileNotFoundError):
             shared_memory.SharedMemory(name=shm_name)
         assert not set(pids) & _live_children()
+        assert session.self_join(0.9).num_pairs > 0   # still usable
 
     def test_worker_shared_view_is_read_only(self):
         # Workers map one shared segment; in-place writes there must fail

@@ -296,21 +296,25 @@ class TestLoopEdges:
 class CountingBackend(ShardedBackend):
     """Inline shards; records every dataset the lifecycle opens and closes."""
 
-    def __init__(self) -> None:
+    def __init__(self, private_datasets: bool = False) -> None:
         super().__init__(n_shards=3, kernel=KERNEL)
+        self.private_datasets = private_datasets
         self.opened = self.closed = self.max_live = 0
         self.live = set()
+        self._count_lock = threading.Lock()  # private opens run unlocked
 
     def _open_dataset(self, points, store_path, n_tasks=None):
         handle = object()
-        self.opened += 1
-        self.live.add(handle)
-        self.max_live = max(self.max_live, len(self.live))
+        with self._count_lock:
+            self.opened += 1
+            self.live.add(handle)
+            self.max_live = max(self.max_live, len(self.live))
         return handle
 
     def _close_dataset(self, handle) -> None:
-        self.closed += 1
-        self.live.remove(handle)
+        with self._count_lock:
+            self.closed += 1
+            self.live.remove(handle)
 
 
 class TestSessionLifecycle:
@@ -331,18 +335,18 @@ class TestSessionLifecycle:
         assert (backend.opened, backend.closed) == (2, 2)
         assert backend._attached == {} and backend.max_live == 2
 
-    def test_concurrent_open_and_close_open_each_dataset_once(self, index):
-        # More threads than cores, switching every microsecond: a lost
-        # update in the attach/detach bookkeeping would open a second
-        # dataset beside a live one, or leave one open at the end.
-        backend = CountingBackend()
+    @staticmethod
+    def _churn(index, backend, check=lambda session: None) -> None:
+        """Open and close sessions over one dataset from eight threads,
+        switching every microsecond, calling ``check`` inside each."""
         errors = []
 
         def churn() -> None:
             try:
                 for _ in range(50):
-                    with EngineSession(index.points, backend=backend):
-                        pass
+                    with EngineSession(index.points,
+                                       backend=backend) as session:
+                        check(session)
             except Exception as exc:  # reported below, not lost in a thread
                 errors.append(exc)
 
@@ -358,6 +362,26 @@ class TestSessionLifecycle:
             sys.setswitchinterval(interval)
         assert not any(thread.is_alive() for thread in threads)
         assert errors == []
-        assert backend.max_live == 1
         assert backend.opened == backend.closed >= 1
-        assert backend._attached == {}
+        assert backend._attached == {} and backend.live == set()
+
+    def test_concurrent_open_and_close_open_each_dataset_once(self, index):
+        # A lost update in the attach/detach bookkeeping would open a
+        # second dataset beside a live one, or leave one open at the end.
+        backend = CountingBackend()
+        self._churn(index, backend)
+        assert backend.max_live == 1
+
+    def test_private_datasets_stay_open_while_a_session_holds_them(
+            self, index):
+        # Private datasets open and close outside the lock, so two attaches
+        # may both open one; the loser's must be closed, and the one a
+        # session was attached to must stay open until it detaches.
+        backend = CountingBackend(private_datasets=True)
+
+        def check(session) -> None:
+            with backend._lock:
+                handle = backend._attached[session.identity].handle
+            assert handle in backend.live
+
+        self._churn(index, backend, check)
