@@ -80,16 +80,16 @@ def test_bench_schedule(benchmark, report_dir, write_report):
                         *addresses, scheduling=mode, hedge_after=HEDGE_AFTER)
                     warm, pairs = _timed_session_selfjoin(points, backend,
                                                           trials)
-                    snap = backend.stats.last_schedule or {}
+                    last = backend.stats.last_schedule
+                    totals = backend.stats.schedule
                     rows.append({
                         "workers": n_workers, "mode": mode, "wall_s": warm,
-                        "pairs": pairs,
-                        "shards": snap.get("shards", 0),
-                        "steals": backend.stats.shards_stolen,
-                        "resplits": backend.stats.shards_resplit,
-                        "rebalances": backend.stats.shards_rebalanced,
-                        "hedges": backend.stats.shards_hedged,
-                        "cost_ratio": snap.get("cost_ratio", 0.0),
+                        "pairs": pairs, "shards": last.shards,
+                        "steals": totals["steals"],
+                        "resplits": totals["resplits"],
+                        "rebalances": totals["rebalances"],
+                        "hedges": totals["hedges"],
+                        "cost_ratio": last.cost_ratio,
                     })
             finally:
                 for thread in threads:

@@ -141,9 +141,8 @@ class KernelStats:
     #: records the adaptive per-shard selection outcome.
     kernel_counts: Dict[str, int] = field(default_factory=dict)
     #: Scheduling counters stamped by the parallel backends
-    #: (:meth:`repro.parallel.scheduler.ScheduleReport.counts`): shards
-    #: planned, steals, resplits, rebalances, hedges, re-dispatches and the
-    #: achieved-vs-predicted cost ratio.  Empty when execution was serial.
+    #: (:meth:`repro.parallel.scheduler.ScheduleReport.counts`), merged by
+    #: :func:`merge_schedule_counts`.  Empty when execution was serial.
     schedule_counts: Dict[str, int] = field(default_factory=dict)
 
     def merge(self, other: "KernelStats") -> "KernelStats":
@@ -160,10 +159,26 @@ class KernelStats:
                     set(self.tier.split("+")) | set(other.tier.split("+"))))
         for kernel, count in other.kernel_counts.items():
             self.kernel_counts[kernel] = self.kernel_counts.get(kernel, 0) + count
-        for counter, count in other.schedule_counts.items():
-            self.schedule_counts[counter] = \
-                self.schedule_counts.get(counter, 0) + count
+        merge_schedule_counts(self.schedule_counts, other.schedule_counts)
         return self
+
+
+def merge_schedule_counts(into: Dict[str, int],
+                          other: Dict[str, int]) -> Dict[str, int]:
+    """Add ``other``'s schedule counters to ``into`` (returned).
+
+    ``cost_ratio_pct`` is not added but derived from the summed
+    ``achieved_cost`` over the summed ``predicted_cost``, when both are
+    positive.
+    """
+    for counter, count in other.items():
+        if counter != "cost_ratio_pct":
+            into[counter] = into.get(counter, 0) + count
+    predicted = into.get("predicted_cost", 0)
+    achieved = into.get("achieved_cost", 0)
+    if predicted > 0 and achieved > 0:
+        into["cost_ratio_pct"] = int(round(achieved / predicted * 100))
+    return into
 
 
 @dataclass

@@ -21,8 +21,8 @@ the one-call convenience entry point used throughout the examples and tests.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Optional, Tuple
+from dataclasses import dataclass
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -116,14 +116,6 @@ class JoinReport:
     #: Whether ``num_pairs`` still counts the trivial (p, p) self-pairs
     #: (i.e. the join ran with ``include_self=True``).
     includes_self_pairs: bool = True
-    #: Kernel tier that produced the numbers (``"numpy"``/``"numba"``), so
-    #: experiment reports record which implementation tier ran.
-    kernel_tier: str = "numpy"
-    #: Scheduling counters from the parallel backends (steals, resplits,
-    #: rebalances, hedges, ...; see
-    #: :attr:`repro.core.kernels.KernelStats.schedule_counts`); empty for
-    #: serial execution.
-    schedule_counts: Dict[str, int] = field(default_factory=dict)
 
     @property
     def avg_neighbors(self) -> float:
@@ -200,8 +192,6 @@ class GPUSelfJoin:
             batch_plan=engine_result.plan.batch_plan,
             batch_report=engine_result.batch_report,
             includes_self_pairs=self.config.include_self,
-            kernel_tier=engine_result.stats.tier or "numpy",
-            schedule_counts=dict(engine_result.stats.schedule_counts),
         )
         return result, report
 

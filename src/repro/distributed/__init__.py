@@ -26,7 +26,6 @@ machine boundaries.  Two halves:
 
 from repro.distributed.backend import (  # noqa: F401
     DistributedBackend,
-    DistributedStats,
     LocalWorkerPool,
     WorkerTaskFailed,
     worker_request,
@@ -35,7 +34,6 @@ from repro.distributed.worker import WorkerServer, WorkerThread  # noqa: F401
 
 __all__ = [
     "DistributedBackend",
-    "DistributedStats",
     "LocalWorkerPool",
     "WorkerServer",
     "WorkerTaskFailed",

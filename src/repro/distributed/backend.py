@@ -44,7 +44,6 @@ import subprocess
 import sys
 import threading
 import weakref
-from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.data.store import dataset_identity
@@ -200,62 +199,6 @@ class LocalWorkerPool:
 
 
 # --------------------------------------------------------------------------
-# backend state
-# --------------------------------------------------------------------------
-@dataclass
-class DistributedStats:
-    """Dispatch counters of one :class:`DistributedBackend` instance.
-
-    ``shards_redispatched`` counts shards re-queued off dead (or
-    worker-side-cancelled) workers; ``shards_stolen`` / ``shards_resplit``
-    / ``shards_rebalanced`` the adaptive scheduler's interventions;
-    ``shards_hedged`` last-resort duplicates dispatched against stragglers;
-    ``hedge_wasted_*`` / ``resplit_wasted_*`` the work a lost duplicate
-    race actually threw away, while ``duplicates_dropped`` counts stale
-    copies dropped *without* executing (no work wasted — the hedge
-    accounting distinguishes the two).  ``last_schedule`` is the full
-    :meth:`~repro.parallel.scheduler.ScheduleReport.snapshot` of the most
-    recent join (per-worker throughput, achieved-vs-predicted cost ratio).
-    All of it surfaces in the query service's stats endpoint.
-    """
-
-    attach_rpcs: int = 0
-    datasets_attached: int = 0
-    datasets_detached: int = 0
-    shards_dispatched: int = 0
-    shards_redispatched: int = 0
-    shards_stolen: int = 0
-    shards_resplit: int = 0
-    shards_rebalanced: int = 0
-    shards_hedged: int = 0
-    hedge_wasted_shards: int = 0
-    hedge_wasted_pairs: int = 0
-    resplit_wasted_shards: int = 0
-    resplit_wasted_pairs: int = 0
-    duplicates_dropped: int = 0
-    worker_failures: int = 0
-    last_schedule: Optional[dict] = None
-
-    def snapshot(self) -> dict:
-        return {"attach_rpcs": self.attach_rpcs,
-                "datasets_attached": self.datasets_attached,
-                "datasets_detached": self.datasets_detached,
-                "shards_dispatched": self.shards_dispatched,
-                "shards_redispatched": self.shards_redispatched,
-                "shards_stolen": self.shards_stolen,
-                "shards_resplit": self.shards_resplit,
-                "shards_rebalanced": self.shards_rebalanced,
-                "shards_hedged": self.shards_hedged,
-                "hedge_wasted_shards": self.hedge_wasted_shards,
-                "hedge_wasted_pairs": self.hedge_wasted_pairs,
-                "resplit_wasted_shards": self.resplit_wasted_shards,
-                "resplit_wasted_pairs": self.resplit_wasted_pairs,
-                "duplicates_dropped": self.duplicates_dropped,
-                "worker_failures": self.worker_failures,
-                "last_schedule": self.last_schedule}
-
-
-# --------------------------------------------------------------------------
 # the backend
 # --------------------------------------------------------------------------
 @register_backend
@@ -328,7 +271,6 @@ class DistributedBackend(ShardExecutionBackend):
         self.debug_shard_sleep_ms = float(debug_shard_sleep_ms)
         self.store_root = store_root
         self.max_payload = protocol.DEFAULT_MAX_PAYLOAD_BYTES
-        self.stats = DistributedStats()
         self._n_local, self._addresses = self._parse_spec(spec)
         self._pool: Optional[LocalWorkerPool] = None
 
@@ -411,8 +353,6 @@ class DistributedBackend(ShardExecutionBackend):
 
     def _close_dataset(self, name: str) -> None:
         self._detach_from(self.endpoints(), name)
-        with self._lock:
-            self.stats.datasets_detached += 1
 
     def _attach_rpc(self, header: dict, payload: bytes) -> None:
         """Attach the dataset on **all** workers concurrently.
@@ -471,8 +411,6 @@ class DistributedBackend(ShardExecutionBackend):
         if failure is not None:
             self._detach_from(accepted, header["dataset"])
             raise WorkerTaskFailed(failure[0]) from failure[1]
-        with self._lock:
-            self.stats.datasets_attached += 1
 
     @staticmethod
     def _detach_from(addresses: Sequence[Address], name: str) -> None:
@@ -489,20 +427,6 @@ class DistributedBackend(ShardExecutionBackend):
 
     def _transport(self, name, index=None, source=None):
         return _TcpTransport(self, self.endpoints(), name)
-
-    def _record_schedule(self, report) -> None:
-        with self._lock:
-            self.stats.shards_stolen += report.steals
-            self.stats.shards_resplit += report.resplits
-            self.stats.shards_rebalanced += report.rebalances
-            self.stats.shards_hedged += report.hedges
-            self.stats.shards_redispatched += report.redispatches
-            self.stats.duplicates_dropped += report.duplicates_dropped
-            self.stats.hedge_wasted_shards += report.hedge_wasted_shards
-            self.stats.hedge_wasted_pairs += report.hedge_wasted_pairs
-            self.stats.resplit_wasted_shards += report.resplit_wasted_shards
-            self.stats.resplit_wasted_pairs += report.resplit_wasted_pairs
-            self.stats.last_schedule = report.snapshot()
 
     # ---------------------------------------------------------------- metrics
     def worker_liveness(self, timeout: float = 0.5) -> List[dict]:
@@ -523,7 +447,8 @@ class DistributedBackend(ShardExecutionBackend):
         return report
 
     def distributed_snapshot(self, liveness_timeout: float = 0.5) -> dict:
-        """Liveness + dispatch counters for the service stats endpoint."""
+        """Worker liveness plus :attr:`stats` for the service stats
+        endpoint."""
         with self._lock:
             counters = self.stats.snapshot()
         workers = self.worker_liveness(timeout=liveness_timeout)
@@ -578,8 +503,6 @@ class _TcpTransport(Transport):
             header["arrays"], payload = protocol.pack_arrays(
                 [(SHARD_ARRAYS[kind], array)])
         self._queues[worker].put((task, header, payload))
-        with self.backend._lock:
-            self.backend.stats.shards_dispatched += 1
 
     def close(self) -> None:
         self._stop.set()
@@ -611,8 +534,6 @@ class _TcpTransport(Transport):
                 chunks, end = self._request(address, header, payload)
             except (OSError, protocol.ProtocolError) as exc:
                 if not self._stop.is_set():
-                    with self.backend._lock:
-                        self.backend.stats.worker_failures += 1
                     self.events.put(("dead", name, task,
                                      f"{type(exc).__name__}: {exc}"))
                 return  # endpoint presumed dead; survivors drain its work

@@ -63,6 +63,7 @@ from repro.utils.cancellation import (
     cancel_scope,
     check_cancelled,
 )
+from repro.utils.counters import snapshot
 
 #: Default bound on compact result pairs per streamed ``chunk`` frame; at
 #: 9 bytes a pair (int32 ids and a flag) this keeps one frame's payload
@@ -141,16 +142,7 @@ class WorkerStats:
     chunks_sent: int = 0
 
     def snapshot(self) -> dict:
-        return {"datasets_attached": self.datasets_attached,
-                "datasets_mapped": self.datasets_mapped,
-                "datasets_shipped": self.datasets_shipped,
-                "shards_executed": self.shards_executed,
-                "probe_shards_executed": self.probe_shards_executed,
-                "stream_shards_executed": self.stream_shards_executed,
-                "shards_cancelled": self.shards_cancelled,
-                "shards_failed": self.shards_failed,
-                "pairs_returned": self.pairs_returned,
-                "chunks_sent": self.chunks_sent}
+        return snapshot(self)
 
 
 def _interruptible_sleep(seconds: float) -> None:

@@ -35,7 +35,8 @@ from repro.parallel.shards import (
     default_worker_count,
 )
 from repro.parallel.sharded import ShardedBackend
-from repro.parallel.mp import MultiprocessBackend, MultiprocessStats
+from repro.parallel.executor import ShardStats
+from repro.parallel.mp import MultiprocessBackend
 from repro.parallel.scheduler import (
     OVERSPLIT_FACTOR,
     OrderedShardMerger,
@@ -53,7 +54,7 @@ __all__ = [
     "ShardTask",
     "ShardedBackend",
     "MultiprocessBackend",
-    "MultiprocessStats",
+    "ShardStats",
     "WorkStealingScheduler",
     "default_worker_count",
 ]

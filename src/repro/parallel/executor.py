@@ -20,9 +20,10 @@ plans them); this module runs them, the same way for every backend:
 * :class:`ShardExecutionBackend` holds what the three backends share:
   the session lifecycle (a dataset is opened on the workers by its first
   attached session and closed by its last detach; a call outside any
-  session opens it for that call alone) and the operators (build the
+  session opens it for that call alone), the operators (build the
   tasks, describe the request once as a :class:`ShardOp`, open the
-  backend's transport over the dataset and run the loop).
+  backend's transport over the dataset and run the loop) and the
+  counters of both (:class:`ShardStats`).
 
 With one worker there is no tail to shorten, so the loop dispatches in root
 order: every completion flushes at once, and a streamed out-of-core join
@@ -46,7 +47,8 @@ from typing import (Callable, Dict, Iterator, List, Optional, Sequence, Set,
 import numpy as np
 
 from repro.core.gridindex import GridIndex, SubsetIndex
-from repro.core.kernels import DEFAULT_MAX_CANDIDATE_PAIRS, KernelStats
+from repro.core.kernels import (DEFAULT_MAX_CANDIDATE_PAIRS, KernelStats,
+                                merge_schedule_counts)
 from repro.core.nativekernels import parse_kernel_spec, resolve_kernel_tier
 from repro.core.result import PairFragments, expanded_pairs
 from repro.engine.backends import ExecutionBackend, VectorizedBackend, _probe_rows
@@ -60,6 +62,7 @@ from repro.parallel.scheduler import (
 from repro.parallel.shards import probe_tasks, selfjoin_tasks, stream_tasks
 from repro.utils.buildonce import KeyedBuilds
 from repro.utils.cancellation import check_cancelled
+from repro.utils.counters import snapshot
 
 #: LRU bound on a worker's per-ε index cache (the kNN radius-doubling loop
 #: asks for one index per doubled ε).
@@ -328,7 +331,8 @@ def run_tasks(tasks: List[ShardTask], op: ShardOp, transport: Transport,
       hedging a full duplicate is the last resort.
 
     ``KernelStats`` sum the copies whose pairs were emitted, so they match
-    a serial run exactly; ``schedule_counts`` carries the report's counts.
+    a serial run exactly; ``schedule_counts`` carries the report's counts,
+    among them the copies submitted and the workers lost.
     """
     names = list(transport.workers)
     sched = WorkStealingScheduler(
@@ -359,6 +363,7 @@ def run_tasks(tasks: List[ShardTask], op: ShardOp, transport: Transport,
                     hungry.remove(name)
                 else:
                     transport.submit(name, task, op)
+                    sched.report.dispatches += 1
 
     transport.start(covered)
     try:
@@ -393,7 +398,9 @@ def run_tasks(tasks: List[ShardTask], op: ShardOp, transport: Transport,
             elif kind == "failed":
                 sched.on_failure(name, task.key, now, reason=event[3])
             elif kind == "dead":
-                sched.on_worker_dead(name, now)
+                if name in sched.alive_workers():
+                    sched.report.workers_lost += 1
+                    sched.on_worker_dead(name, now)
                 if not sched.alive_workers():
                     raise WorkerTaskFailed(
                         f"no workers left alive; last failure on {name}: "
@@ -449,14 +456,45 @@ class _Attachment:
                    for ref in self.sessions.values())
 
 
+@dataclass
+class ShardStats:
+    """Counters of one shard backend (``backend.stats``).
+
+    The shared code counts the first four for every backend: datasets
+    opened and closed (a pool on ``multiprocess``, an attachment on every
+    TCP worker on ``distributed``), the totals of every join's
+    :meth:`~repro.parallel.scheduler.ScheduleReport.counts`, added as
+    :attr:`KernelStats.schedule_counts` add, and the last join's report.
+    The rest are counted by the one backend whose transport sees them.
+    """
+
+    datasets_opened: int = 0
+    datasets_closed: int = 0
+    schedule: Dict[str, int] = field(default_factory=dict)
+    last_schedule: Optional[ScheduleReport] = None
+    #: ``multiprocess``: shared-memory segments holding the points, pools
+    #: whose workers received the points pickled (no shared memory), and
+    #: pools whose workers memory-mapped an on-disk store instead.
+    shm_segments_created: int = 0
+    shm_segments_released: int = 0
+    datasets_shipped: int = 0
+    datasets_mapped: int = 0
+    #: ``distributed``: attach requests a worker answered.
+    attach_rpcs: int = 0
+
+    def snapshot(self) -> dict:
+        return snapshot(self)
+
+
 class ShardExecutionBackend(ExecutionBackend):
-    """Session lifecycle and operators of a backend that runs shards
-    through :func:`run_tasks`.
+    """Session lifecycle, operators and counters of a backend that runs
+    shards through :func:`run_tasks`.
 
     Subclasses provide :meth:`_shard_count` and :meth:`_transport`, and
     :meth:`_open_dataset`/:meth:`_close_dataset` when their workers keep
-    the dataset resident; they may fold the schedule report into their own
-    counters in :meth:`_record_schedule`.
+    the dataset resident.  The base counts what every backend does in
+    :attr:`stats`, under the backend lock: each dataset it opens and
+    closes, and each join's schedule report (:meth:`_record_schedule`).
     """
 
     supports_cell_subset = True
@@ -483,6 +521,7 @@ class ShardExecutionBackend(ExecutionBackend):
         #: Open datasets by ``session.identity``.
         self._attached: Dict[object, _Attachment] = {}
         self._lock = threading.RLock()      # attachments and counters
+        self.stats = ShardStats()
 
     def kernel_tier(self) -> str:
         """The shards' kernel tier as it resolves here."""
@@ -503,14 +542,14 @@ class ShardExecutionBackend(ExecutionBackend):
                     attachment.sessions[session.token] = ref
                     return
             store_path = _store_path(session.source)
-            handle = self._open_dataset(
-                None if store_path else session.points, store_path)
+            handle = self._open(None if store_path else session.points,
+                                store_path)
             with self._lock:
                 attachment = self._attached.setdefault(
                     session.identity, _Attachment(handle, store_path))
                 attachment.sessions[session.token] = ref
         if attachment.handle is not handle:     # another attach won the race
-            self._close_dataset(handle)
+            self._close(handle)
 
     def detach(self, session) -> None:
         """Close the session's dataset once its last session lets go."""
@@ -523,7 +562,7 @@ class ShardExecutionBackend(ExecutionBackend):
                 if attachment.sessions:
                     return
                 del self._attached[session.identity]
-            self._close_dataset(attachment.handle)
+            self._close(attachment.handle)
 
     def shutdown(self) -> None:
         """Close every attached dataset."""
@@ -532,7 +571,7 @@ class ShardExecutionBackend(ExecutionBackend):
                 attachments = list(self._attached.values())
                 self._attached.clear()
             for attachment in attachments:
-                self._close_dataset(attachment.handle)
+                self._close(attachment.handle)
 
     def _lifecycle_lock(self):
         """What a dataset opens and closes under: the backend lock for a
@@ -552,12 +591,25 @@ class ShardExecutionBackend(ExecutionBackend):
         if attached is not None:
             yield attached.handle
             return
-        handle = self._open_dataset(
-            None if source is not None else index.points, store_path, n_tasks)
+        handle = self._open(None if source is not None else index.points,
+                            store_path, n_tasks)
         try:
             yield handle
         finally:
-            self._close_dataset(handle)
+            self._close(handle)
+
+    def _open(self, points, store_path, n_tasks=None) -> object:
+        """:meth:`_open_dataset`, counted."""
+        handle = self._open_dataset(points, store_path, n_tasks)
+        with self._lock:
+            self.stats.datasets_opened += 1
+        return handle
+
+    def _close(self, handle: object) -> None:
+        """:meth:`_close_dataset`, counted."""
+        self._close_dataset(handle)
+        with self._lock:
+            self.stats.datasets_closed += 1
 
     # ----------------------------------------------------------------- hooks
     def _open_dataset(self, points: Optional[np.ndarray],
@@ -586,7 +638,10 @@ class ShardExecutionBackend(ExecutionBackend):
         ``source``) on the dataset behind ``handle``."""
 
     def _record_schedule(self, report: ScheduleReport) -> None:
-        """Fold one join's schedule report into backend counters."""
+        """Add one join's schedule counters to :attr:`stats`."""
+        with self._lock:
+            merge_schedule_counts(self.stats.schedule, report.counts())
+            self.stats.last_schedule = report
 
     # ------------------------------------------------------------- operators
     def _execute(self, tasks: List[ShardTask], op: ShardOp, sink,

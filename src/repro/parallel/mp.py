@@ -8,7 +8,8 @@ is a ``multiprocessing`` pool with one worker slot per process, one
 shard runs once (steals and rebalances, no resplits or hedges), and the
 work-stealing scheduler's
 :class:`~repro.parallel.scheduler.ScheduleReport` is what the backend
-reports in ``KernelStats.schedule_counts`` and ``backend.last_schedule``.
+reports in ``KernelStats.schedule_counts`` and, totalled over its joins,
+in ``backend.stats`` (:class:`~repro.parallel.executor.ShardStats`).
 Workers compute with :func:`repro.parallel.executor.run_shard`, rebuild the
 grid index locally per ε (far cheaper than the join) and return each
 shard's pairs as two int64 arrays.
@@ -177,33 +178,6 @@ class _SessionPool:
                               error_callback=partial(settle, failed))
 
 
-@dataclass
-class MultiprocessStats:
-    """Lifecycle counters of one :class:`MultiprocessBackend` instance.
-
-    Exposed so tests can assert the acceptance properties directly: a warm
-    session query performs **no pool creation** (``pools_created`` stays
-    flat) and **no dataset re-shipping** (``datasets_shipped`` stays flat —
-    on the shared-memory path it never rises above zero, because the points
-    enter a segment once at attach and are mapped, not pickled).
-    """
-
-    pools_created: int = 0
-    pools_shut_down: int = 0
-    #: Times the full dataset entered pool-initializer args (pickled under
-    #: ``spawn``, copied-on-write under ``fork``): the fallback where shared
-    #: memory is unavailable.  Zero on the zero-copy path.
-    datasets_shipped: int = 0
-    #: Times a pool's workers memory-mapped an on-disk store instead of
-    #: receiving a shared-memory (or pickled) copy of the points.
-    datasets_mapped: int = 0
-    shm_segments_created: int = 0
-    shm_segments_released: int = 0
-    #: Queued shards the scheduler moved to another worker slot
-    #: (:attr:`~repro.parallel.scheduler.ScheduleReport.steals`).
-    shards_stolen: int = 0
-
-
 def _shutdown_state(state: _SessionPool) -> bool:
     """Terminate one pool and release its shared memory (idempotent).
 
@@ -280,10 +254,6 @@ class MultiprocessBackend(ShardExecutionBackend):
             raise ValueError("n_workers must be >= 1")
         super().__init__(kernel, n_shards)
         self.n_workers = int(n_workers) if n_workers is not None else None
-        self.stats = MultiprocessStats()
-        #: :class:`~repro.parallel.scheduler.ScheduleReport` of the most
-        #: recent operator call (None before any dispatch).
-        self.last_schedule = None
         self._finalizer = weakref.finalize(self, _shutdown_pools,
                                            self._attached)
 
@@ -298,8 +268,9 @@ class MultiprocessBackend(ShardExecutionBackend):
     # ------------------------------------------------------ dataset lifecycle
     def _open_dataset(self, points, store_path, n_tasks=None) -> _SessionPool:
         """A pool whose workers hold the dataset: the store at
-        ``store_path`` mapped, or ``points`` in shared memory; one call's
-        pool gets no more workers than it has shards."""
+        ``store_path`` mapped, or ``points`` in shared memory (else pickled
+        once per worker); one call's pool gets no more workers than it has
+        shards."""
         n_workers = self._resolved_workers()
         if n_tasks is not None:
             n_workers = min(n_workers, n_tasks)
@@ -310,7 +281,6 @@ class MultiprocessBackend(ShardExecutionBackend):
             # On-disk source: workers map the store file themselves — no
             # shared-memory copy, no pickled dataset, page cache shared.
             dataset = ("store", store_path)
-            self.stats.datasets_mapped += 1
         else:
             if _shm is not None and points.nbytes > 0:
                 try:
@@ -321,14 +291,12 @@ class MultiprocessBackend(ShardExecutionBackend):
                     view = np.ndarray(points.shape, dtype=points.dtype,
                                       buffer=shm.buf)
                     view[:] = points
-                    self.stats.shm_segments_created += 1
             if shm is not None:
                 dataset = ("shm", shm.name, points.shape, str(points.dtype))
             else:
                 # Fallback without shared memory: ship the points once per
                 # worker through the initializer (not once per query).
                 dataset = ("points", points)
-                self.stats.datasets_shipped += 1
         try:
             pool = ctx.Pool(processes=n_workers,
                             initializer=_init_pool_worker,
@@ -339,9 +307,14 @@ class MultiprocessBackend(ShardExecutionBackend):
             if shm is not None:
                 shm.close()
                 shm.unlink()
-                self.stats.shm_segments_released += 1
             raise
-        self.stats.pools_created += 1
+        with self._lock:
+            if store_path is not None:
+                self.stats.datasets_mapped += 1
+            elif shm is None:
+                self.stats.datasets_shipped += 1
+            else:
+                self.stats.shm_segments_created += 1
         # Worker PIDs are recorded for pool-identity assertions in tests;
         # Pool keeps its Process handles in the private ``_pool`` list (no
         # public accessor exists).
@@ -351,8 +324,8 @@ class MultiprocessBackend(ShardExecutionBackend):
 
     def _close_dataset(self, state: _SessionPool) -> None:
         if _shutdown_state(state):
-            self.stats.shm_segments_released += 1
-        self.stats.pools_shut_down += 1
+            with self._lock:
+                self.stats.shm_segments_released += 1
 
     # ------------------------------------------------------------- executor
     def _shard_count(self) -> int:
@@ -360,10 +333,6 @@ class MultiprocessBackend(ShardExecutionBackend):
 
     def _transport(self, state, index=None, source=None):
         return _PoolTransport(state)
-
-    def _record_schedule(self, report) -> None:
-        self.stats.shards_stolen += report.steals
-        self.last_schedule = report
 
 
 class _PoolTransport(Transport):

@@ -42,12 +42,14 @@ order, exactly where the unsplit shard would have.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.core.batching import split_by_cost
+from repro.core.kernels import merge_schedule_counts
+from repro.utils.counters import snapshot
 
 #: Shards planned per worker.  ~4× oversubscription keeps the pull queue
 #: deep enough that a slow worker's backlog can be stolen/rebalanced away,
@@ -180,22 +182,27 @@ def dispatch_order(tasks: Sequence[ShardTask]) -> List[ShardTask]:
 # --------------------------------------------------------------------------
 @dataclass
 class ScheduleReport:
-    """Observability record of one scheduled join (tentpole satellite).
+    """What one scheduled join did: its counters, costs and throughput.
 
-    ``counts()`` is what backends fold into
-    :attr:`repro.core.kernels.KernelStats.schedule_counts`; the full report
-    (per-worker throughput, achieved-vs-predicted cost ratio) surfaces in
-    backend stats and the service stats endpoint.
+    :meth:`counts` is what
+    :attr:`repro.core.kernels.KernelStats.schedule_counts` carries and what
+    a shard backend totals over its joins
+    (:class:`repro.parallel.executor.ShardStats`).
     """
 
     mode: str = "adaptive"
     n_workers: int = 0
-    n_shards: int = 0
+    shards: int = 0
+    #: Copies submitted to a worker: the first copy of every shard plus
+    #: every steal, resplit half, hedge and re-dispatch.
+    dispatches: int = 0
     steals: int = 0
     resplits: int = 0
     rebalances: int = 0
     hedges: int = 0
     redispatches: int = 0
+    #: Workers the join lost (connection drop, process kill).
+    workers_lost: int = 0
     #: Stale copies dropped *without* executing (skipped at pull time, or a
     #: failed/cancelled copy of an already-covered shard — the hedge
     #: accounting fix: those are not wasted work and are not re-dispatched).
@@ -223,29 +230,18 @@ class ScheduleReport:
         return self.achieved_cost / self.predicted_cost
 
     def counts(self) -> Dict[str, int]:
-        """The integer counters, ready for ``KernelStats.schedule_counts``."""
-        out = {"shards": self.n_shards, "steals": self.steals,
-               "resplits": self.resplits, "rebalances": self.rebalances,
-               "hedges": self.hedges, "redispatches": self.redispatches,
-               "duplicates_dropped": self.duplicates_dropped}
-        if self.predicted_cost > 0 and self.achieved_cost > 0:
-            out["cost_ratio_pct"] = int(round(self.cost_ratio * 100))
-        return out
+        """The additive counters: every integer field but ``n_workers``, the
+        costs as integers and, when both are positive, ``cost_ratio_pct``."""
+        out = {f.name: getattr(self, f.name) for f in fields(self)
+               if isinstance(getattr(self, f.name), int)
+               and f.name != "n_workers"}
+        out["predicted_cost"] = int(round(self.predicted_cost))
+        out["achieved_cost"] = int(round(self.achieved_cost))
+        return merge_schedule_counts({}, out)
 
     def snapshot(self) -> dict:
         """JSON-friendly view for stats endpoints."""
-        return {**self.counts(),
-                "mode": self.mode,
-                "n_workers": self.n_workers,
-                "hedge_wasted_shards": self.hedge_wasted_shards,
-                "hedge_wasted_pairs": self.hedge_wasted_pairs,
-                "resplit_wasted_shards": self.resplit_wasted_shards,
-                "resplit_wasted_pairs": self.resplit_wasted_pairs,
-                "predicted_cost": self.predicted_cost,
-                "achieved_cost": self.achieved_cost,
-                "cost_ratio": self.cost_ratio,
-                "worker_throughput": dict(self.worker_throughput),
-                "worker_shards": dict(self.worker_shards)}
+        return {**snapshot(self), "cost_ratio": self.cost_ratio}
 
 
 # --------------------------------------------------------------------------
@@ -400,7 +396,7 @@ class WorkStealingScheduler:
         self._families: Dict[int, _Family] = {
             t.root: _Family(original=t) for t in tasks}
         self.report = ScheduleReport(mode=mode, n_workers=len(workers),
-                                     n_shards=len(tasks),
+                                     shards=len(tasks),
                                      predicted_cost=float(
                                          sum(t.cost for t in tasks)))
         # Initial assignment = the static plan: contiguous cost-balanced

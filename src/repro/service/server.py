@@ -49,6 +49,7 @@ from repro.service.scheduler import (
     run_work_unit,
 )
 from repro.utils.cancellation import CancellationToken, OperationCancelled
+from repro.utils.counters import snapshot
 
 #: Default burst-collection window of the scheduler tick (seconds).
 DEFAULT_TICK_SECONDS = 0.002
@@ -114,20 +115,7 @@ class ServiceStats:
         with self._lock:
             fusion_ratio = (self.fused_queries / self.point_queries
                             if self.point_queries else 0.0)
-            return {
-                "requests_total": self.requests_total,
-                "by_op": dict(self.by_op),
-                "point_queries": self.point_queries,
-                "fused_queries": self.fused_queries,
-                "fusion_batches": self.fusion_batches,
-                "fusion_ticks": self.fusion_ticks,
-                "max_fused_in_tick": self.max_fused_in_tick,
-                "fusion_ratio": fusion_ratio,
-                "rejected": self.rejected,
-                "timeouts": self.timeouts,
-                "errors": self.errors,
-                "chunks_streamed": self.chunks_streamed,
-            }
+            return {**snapshot(self), "fusion_ratio": fusion_ratio}
 
 
 class ChunkStream:
@@ -496,11 +484,11 @@ class QueryService:
                 backend = self.catalog.get(name).backend
             except DatasetNotRegistered:  # evicted between names() and get()
                 continue
-            snapshot = getattr(backend, "distributed_snapshot", None)
-            if snapshot is None:
+            describe = getattr(backend, "distributed_snapshot", None)
+            if describe is None:
                 continue
             try:
-                payload[name] = snapshot()
+                payload[name] = describe()
             except Exception as exc:  # noqa: BLE001 - stats must not fail
                 payload[name] = {"error": f"{type(exc).__name__}: {exc}"}
         return payload

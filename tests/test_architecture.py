@@ -16,6 +16,10 @@
   ``attach``/``detach`` for the shard backends; no subclass of it in the
   parallel or distributed packages defines either, so a pool and a TCP
   attachment open, close and are found the same way.
+* One set of shard-backend counters.  ``ShardExecutionBackend`` alone
+  defines ``_record_schedule``, and no ``Transport`` subclass adds to a
+  ``stats`` object: the executor loop counts dispatches and lost workers
+  into its schedule report, and the base counts datasets and joins.
 * One dims chooser, off the paper's paths.  Only
   ``QueryPlanner.index_dataset`` calls ``choose_index_dims``, and the
   experiments, ``GPUSelfJoin`` and the ``simulated`` backend never reach
@@ -270,6 +274,7 @@ def test_executor_guard_sees_bare_and_dotted_calls():
 # --------------------------------------------------------------------------
 SHARD_BASE = "ShardExecutionBackend"
 LIFECYCLE_HOOKS = {"attach", "detach"}
+TRANSPORT_BASE = "Transport"
 
 
 def _base_name(node: ast.AST):
@@ -280,10 +285,9 @@ def _base_name(node: ast.AST):
     return None
 
 
-def _shard_backend_hooks(trees) -> dict:
-    """Every class deriving from ``ShardExecutionBackend``, directly or
-    through another such class, mapped to the lifecycle hooks it defines
-    (as a method or an assigned attribute)."""
+def _subclasses(trees, base: str) -> dict:
+    """Every class deriving from ``base``, directly or through another
+    such class, by name."""
     classes = [node for tree in trees for node in ast.walk(tree)
                if isinstance(node, ast.ClassDef)]
     found: dict = {}
@@ -291,30 +295,69 @@ def _shard_backend_hooks(trees) -> dict:
     while grew:
         grew = False
         for node in classes:
-            if node.name in found or not any(
-                    _base_name(base) in found.keys() | {SHARD_BASE}
-                    for base in node.bases):
-                continue
-            defined = set()
-            for item in node.body:
-                if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                    defined.add(item.name)
-                elif isinstance(item, ast.Assign):
-                    defined |= {target.id for target in item.targets
-                                if isinstance(target, ast.Name)}
-            found[node.name] = sorted(defined & LIFECYCLE_HOOKS)
-            grew = True
+            if node.name not in found and any(
+                    _base_name(parent) in found.keys() | {base}
+                    for parent in node.bases):
+                found[node.name] = node
+                grew = True
     return found
 
 
+def _shard_backend_hooks(trees, hooks=LIFECYCLE_HOOKS) -> dict:
+    """Every ``ShardExecutionBackend`` subclass mapped to the ``hooks`` it
+    defines (as a method or an assigned attribute)."""
+    found = {}
+    for name, node in _subclasses(trees, SHARD_BASE).items():
+        defined = set()
+        for item in node.body:
+            if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                defined.add(item.name)
+            elif isinstance(item, ast.Assign):
+                defined |= {target.id for target in item.targets
+                            if isinstance(target, ast.Name)}
+        found[name] = sorted(defined & hooks)
+    return found
+
+
+def _stats_writes(trees) -> dict:
+    """Every ``Transport`` subclass mapped to the lines where it adds to
+    something reached through a ``stats`` name or attribute."""
+    def on_stats(target: ast.AST) -> bool:
+        return any(isinstance(node, ast.Attribute) and node.attr == "stats"
+                   or isinstance(node, ast.Name) and node.id == "stats"
+                   for node in ast.walk(target))
+
+    return {name: [node.lineno for node in ast.walk(cls)
+                   if isinstance(node, ast.AugAssign)
+                   and on_stats(node.target)]
+            for name, cls in _subclasses(trees, TRANSPORT_BASE).items()}
+
+
+def _shard_package_trees():
+    return [ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+            for package in ("parallel", "distributed")
+            for path in sorted((PACKAGE_ROOT / package).rglob("*.py"))]
+
+
 def test_only_the_shard_base_implements_attach_and_detach():
-    trees = [ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
-             for package in ("parallel", "distributed")
-             for path in sorted((PACKAGE_ROOT / package).rglob("*.py"))]
-    hooks = _shard_backend_hooks(trees)
+    hooks = _shard_backend_hooks(_shard_package_trees())
     assert {"ShardedBackend", "MultiprocessBackend",
             "DistributedBackend"} <= hooks.keys()
     assert {name: defined for name, defined in hooks.items() if defined} == {}
+
+
+def test_only_the_shard_base_records_the_schedule():
+    hooks = _shard_backend_hooks(_shard_package_trees(), {"_record_schedule"})
+    assert {"ShardedBackend", "MultiprocessBackend",
+            "DistributedBackend"} <= hooks.keys()
+    assert {name: defined for name, defined in hooks.items() if defined} == {}
+
+
+def test_no_transport_counts_into_stats():
+    writes = _stats_writes(_shard_package_trees())
+    assert {"InlineTransport", "_PoolTransport", "_TcpTransport"} \
+        <= writes.keys()
+    assert {name: lines for name, lines in writes.items() if lines} == {}
 
 
 def test_lifecycle_guard_sees_direct_and_indirect_subclasses():
@@ -325,6 +368,24 @@ def test_lifecycle_guard_sees_direct_and_indirect_subclasses():
                      "class C(ExecutionBackend):\n"
                      "    def attach(self, session): pass\n")
     assert _shard_backend_hooks([tree]) == {"A": ["attach"], "B": ["detach"]}
+
+
+def test_counter_guard_sees_direct_and_indirect_transports():
+    tree = ast.parse("class T(executor.Transport):\n"
+                     "    def submit(self, w, t, op):\n"
+                     "        self.backend.stats.shards += 1\n"
+                     "class U(T):\n"
+                     "    def close(self):\n"
+                     "        with lock:\n"
+                     "            stats['lost'] += 1\n"
+                     "        self.closed += 1\n"
+                     "class V(ShardExecutionBackend):\n"
+                     "    def _open(self):\n"
+                     "        self.stats.opened += 1\n"
+                     "    def _record_schedule(self, report): pass\n")
+    assert _stats_writes([tree]) == {"T": [3], "U": [7]}
+    assert _shard_backend_hooks([tree], {"_record_schedule"}) == {
+        "V": ["_record_schedule"]}
 
 
 # --------------------------------------------------------------------------

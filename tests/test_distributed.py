@@ -143,8 +143,8 @@ class TestDistributedParity:
         assert first.neighbor_table.same_contents_as(reference)
         assert second.neighbor_table.same_contents_as(reference)
         # One attach shipped the dataset; both joins ran against it.
-        assert backend.stats.datasets_attached == 1
-        assert backend.stats.datasets_detached == 1
+        assert backend.stats.datasets_opened == 1
+        assert backend.stats.datasets_closed == 1
 
     def test_stats_merge_matches_serial(self, workers):
         points = _dataset(2, seed_base=61)
@@ -252,8 +252,8 @@ class TestFaultInjection:
                 finally:
                     killer.cancel()
             assert got.neighbor_table.same_contents_as(reference)
-            assert backend.stats.worker_failures >= 1
-            assert backend.stats.shards_redispatched >= 1
+            assert backend.stats.schedule["workers_lost"] >= 1
+            assert backend.stats.schedule["redispatches"] >= 1
         finally:
             pool.shutdown()
 
@@ -304,7 +304,7 @@ class TestFaultInjection:
             with EngineSession(points, backend=backend) as session:
                 got = session.self_join(eps)
             assert got.neighbor_table.same_contents_as(reference)
-            assert backend.stats.shards_hedged >= 1
+            assert backend.stats.schedule["hedges"] >= 1
 
     def test_straggler_is_resplit_not_hedged_under_adaptive(self):
         # Same single-slow-shard setup under the adaptive scheduler: the
@@ -320,8 +320,8 @@ class TestFaultInjection:
             with EngineSession(points, backend=backend) as session:
                 got = session.self_join(eps)
             assert got.neighbor_table.same_contents_as(reference)
-            assert backend.stats.shards_resplit >= 1
-            assert backend.stats.shards_hedged == 0
+            assert backend.stats.schedule["resplits"] >= 1
+            assert backend.stats.schedule["hedges"] == 0
 
     def test_all_workers_dead_raises(self):
         points = uniform_dataset(100, 2, seed=66, low=0.0, high=4.0)
@@ -494,11 +494,11 @@ class TestServiceIntegration:
                 dist = stats["distributed"]["pts"]
                 assert dist["workers_alive"] == 2
                 assert dist["workers_total"] == 2
-                assert dist["shards_dispatched"] >= 1
-                for counter in ("shards_redispatched", "shards_hedged",
+                assert dist["schedule"]["dispatches"] >= 1
+                for counter in ("redispatches", "hedges",
                                 "hedge_wasted_shards", "hedge_wasted_pairs",
-                                "worker_failures"):
-                    assert counter in dist
+                                "workers_lost"):
+                    assert counter in dist["schedule"]
                 assert all(worker["alive"] for worker in dist["workers"])
             finally:
                 client.close()
@@ -645,7 +645,7 @@ class TestCompactWire:
             with EngineSession(points, backend=backend) as session:
                 got = session.self_join(eps)
         report = backend.stats.last_schedule
-        assert report["resplits"] >= 1
+        assert report.resplits >= 1
         table = got.neighbor_table
         assert table.same_contents_as(reference.neighbor_table)
         # KernelStats, the sink and the table agree: no counter excess.
@@ -667,6 +667,6 @@ class TestCompactWire:
             < sum(expanded for expanded, _, _ in totals)
         # The copies that lost a race are counted in expanded pairs: with
         # them taken out, what is left covers the result at least once.
-        wasted = report["resplit_wasted_pairs"] + report["hedge_wasted_pairs"]
+        wasted = report.resplit_wasted_pairs + report.hedge_wasted_pairs
         assert sum(pairs for _, pairs in completions) - wasted \
             >= got.stats.result_pairs

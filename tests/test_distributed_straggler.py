@@ -86,16 +86,16 @@ class TestStragglerMatrix:
             got = session.self_join(eps, unicomp=unicomp)
         assert got.neighbor_table.same_contents_as(reference), (dims, unicomp)
         # The fast peers drained the slow worker's queue.
-        assert backend.stats.shards_stolen >= 1, (dims, unicomp)
-        counts = backend.stats.last_schedule
-        assert counts is not None and counts["mode"] == "adaptive"
-        assert counts["shards"] == 12
+        assert backend.stats.schedule["steals"] >= 1, (dims, unicomp)
+        report = backend.stats.last_schedule
+        assert report is not None and report.mode == "adaptive"
+        assert report.shards == 12
         # The slowed worker completed fewer shards than an even split of the
         # accepted ones (resplit halves included) would give it.  Every
         # worker name must be one of the pool's, so a name mismatch cannot
         # read the slowed worker as zero.
         names = [f"{host}:{port}" for host, port in straggler_pool]
-        done = counts["worker_shards"]
+        done = report.worker_shards
         assert set(done) <= set(names), (names, done)
         assert sum(done.values()) >= 12, done
         assert done.get(names[0], 0) * len(names) < sum(done.values()), \
@@ -116,7 +116,7 @@ class TestHedgeDiscipline:
                                hedge_after=0.03, scheduling=mode)
             with EngineSession(points, backend=backend) as session:
                 session.self_join(eps)
-            hedged[mode] = backend.stats.shards_hedged
+            hedged[mode] = backend.stats.schedule["hedges"]
         assert hedged["static"] >= 1
         assert hedged["adaptive"] < hedged["static"]
 
@@ -127,9 +127,9 @@ class TestHedgeDiscipline:
             session.self_join(EPS_BY_DIM[2])
         # Hedging disabled: whatever duplicate work raced came from
         # resplits, and none of it may land in the hedge-waste counters.
-        assert backend.stats.shards_hedged == 0
-        assert backend.stats.hedge_wasted_shards == 0
-        assert backend.stats.hedge_wasted_pairs == 0
+        assert backend.stats.schedule["hedges"] == 0
+        assert backend.stats.schedule["hedge_wasted_shards"] == 0
+        assert backend.stats.schedule["hedge_wasted_pairs"] == 0
 
 
 class TestSubprocessEnvHook:
@@ -146,8 +146,8 @@ class TestSubprocessEnvHook:
             with EngineSession(points, backend=backend) as session:
                 got = session.self_join(eps)
             assert got.neighbor_table.same_contents_as(reference)
-            assert backend.stats.shards_stolen \
-                + backend.stats.shards_resplit >= 1
+            assert backend.stats.schedule["steals"] \
+                + backend.stats.schedule["resplits"] >= 1
         finally:
             pool.shutdown()
 

@@ -221,12 +221,12 @@ class TestPersistentPool:
             session.self_join(0.9)
             pids = backend.worker_pids(session)
             assert len(pids) == 2
-            assert backend.stats.pools_created == 1
+            assert backend.stats.datasets_opened == 1
             session.self_join(0.9)              # warm: same ε
             session.self_join(0.5)              # warm: new ε, worker reindexes
             session.knn_candidates(3)           # warm: radius doubling rounds
             assert backend.worker_pids(session) == pids
-            assert backend.stats.pools_created == 1
+            assert backend.stats.datasets_opened == 1
             # Zero-copy: the dataset entered a shared-memory segment once and
             # never an initializer pickle.
             assert backend.stats.shm_segments_created == 1
@@ -240,8 +240,8 @@ class TestPersistentPool:
             session.self_join(0.9)
             pids = backend.worker_pids(session)
         assert backend.worker_pids(session) == ()
-        assert backend.stats.pools_shut_down == 1
-        assert backend.stats.pools_created == 1
+        assert backend.stats.datasets_closed == 1
+        assert backend.stats.datasets_opened == 1
         assert backend.stats.shm_segments_released == \
             backend.stats.shm_segments_created == 1
         assert not set(pids) & _live_children()
@@ -255,10 +255,10 @@ class TestPersistentPool:
         first.close()
         second.self_join(0.9)             # still on the shared pool
         assert backend.worker_pids(second) == pids
-        assert backend.stats.pools_shut_down == 0
+        assert backend.stats.datasets_closed == 0
         second.close()
-        assert backend.stats.pools_created == 1
-        assert backend.stats.pools_shut_down == 1
+        assert backend.stats.datasets_opened == 1
+        assert backend.stats.datasets_closed == 1
 
     def test_session_over_a_mutated_array_gets_a_fresh_pool(self):
         # n=600 makes the sampled identity fingerprint stride 2, so mutating
@@ -274,7 +274,7 @@ class TestPersistentPool:
         with EngineSession(points, backend=backend) as session2:
             assert session2.identity == session.identity
             got = session2.self_join(eps)
-        assert backend.stats.pools_created == 2
+        assert backend.stats.datasets_opened == 2
         ref = run_query(Query.self_join(points, eps))
         assert _bit_identical(got, ref)
 
@@ -336,7 +336,7 @@ class TestPersistentPool:
             session.self_join(0.9)
             state = backend._attached[session.identity].handle
             state.apply(time.sleep, (0.3,), returned.append, returned.append)
-        assert backend.stats.pools_shut_down == 1
+        assert backend.stats.datasets_closed == 1
         assert returned == [None]
 
     def test_shared_memory_released_on_shutdown(self):
@@ -381,7 +381,7 @@ class TestPersistentPool:
         result = knn_search(points, 3, backend=backend)
         assert result.indices.shape == (points.shape[0], 3)
         assert backend._attached == {}
-        assert backend.stats.pools_shut_down == backend.stats.pools_created
+        assert backend.stats.datasets_closed == backend.stats.datasets_opened
 
     def test_sessions_results_match_one_shot_multiprocess(self):
         points = _dataset(seed=35)
@@ -403,7 +403,7 @@ class TestNoPoolLeaks:
     @staticmethod
     def _assert_released(backend, children_before) -> None:
         stats = backend.stats
-        assert stats.pools_shut_down == stats.pools_created
+        assert stats.datasets_closed == stats.datasets_opened
         assert stats.shm_segments_released == stats.shm_segments_created
         assert not _live_children() - children_before
 
@@ -416,7 +416,7 @@ class TestNoPoolLeaks:
             run_algorithm_sweep("Engine[multiprocess(2)]",
                                 _dataset(seed=seed), [0.9])
         backend = get_backend("multiprocess(2)")
-        assert backend.stats.pools_created >= 3
+        assert backend.stats.datasets_opened >= 3
         self._assert_released(backend, children)
 
     def test_catalog_register_query_evict_rounds(self):
@@ -430,7 +430,7 @@ class TestNoPoolLeaks:
             assert catalog.get("points").self_join(0.9).num_pairs > 0
             catalog.evict("points")
         backend = get_backend("multiprocess(1)")
-        assert backend.stats.pools_created >= 3
+        assert backend.stats.datasets_opened >= 3
         self._assert_released(backend, children)
 
 

@@ -170,7 +170,7 @@ class TestScriptedSchedules:
         assert _digest(sink) == digest
         assert _counters(stats) == counters
         assert stats.schedule_counts == report.counts()
-        assert report.n_shards == 9 and report.n_workers == len(WORKERS)
+        assert report.shards == 9 and report.n_workers == len(WORKERS)
 
     def test_failed_copies_are_redispatched(self, index, serial):
         unicomp, digest, _ = serial
@@ -334,6 +334,8 @@ class TestSessionLifecycle:
         second.close()
         assert (backend.opened, backend.closed) == (2, 2)
         assert backend._attached == {} and backend.max_live == 2
+        assert (backend.stats.datasets_opened,
+                backend.stats.datasets_closed) == (2, 2)
 
     @staticmethod
     def _churn(index, backend, check=lambda session: None) -> None:
@@ -364,6 +366,9 @@ class TestSessionLifecycle:
         assert errors == []
         assert backend.opened == backend.closed >= 1
         assert backend._attached == {} and backend.live == set()
+        # The base counts under its lock what the hooks saw, no update lost.
+        assert (backend.stats.datasets_opened, backend.stats.datasets_closed) \
+            == (backend.opened, backend.closed)
 
     def test_concurrent_open_and_close_open_each_dataset_once(self, index):
         # A lost update in the attach/detach bookkeeping would open a

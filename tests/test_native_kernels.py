@@ -289,8 +289,7 @@ class TestStatsAndSpecs:
     def test_join_report_records_tier(self):
         points = uniform_dataset(300, 2, seed=4)
         _, report = GPUSelfJoin().join_with_report(points, 4.0)
-        assert report.kernel_tier in ("numpy", "numba")
-        assert report.kernel_stats.tier == report.kernel_tier
+        assert report.kernel_stats.tier in ("numpy", "numba")
 
     def test_selfjoin_config_accepts_kernel_spec(self):
         cfg = SelfJoinConfig(kernel="vectorized(kernel=numpy)")

@@ -329,8 +329,8 @@ class TestStorePoolLifecycle:
             assert first.identity == second.identity
             got = [session.self_join(0.9) for session in (first, second)]
             assert backend.worker_pids(second) == backend.worker_pids(first)
-        assert backend.stats.pools_created == 1
-        assert backend.stats.pools_shut_down == 1
+        assert backend.stats.datasets_opened == 1
+        assert backend.stats.datasets_closed == 1
         assert backend.stats.datasets_mapped == 1
         ref = _canonical(run_query(Query.self_join(points, 0.9)))
         for result in got:

@@ -8,6 +8,8 @@ exercise the degenerate (1), even (2) and uneven (7) decompositions.
 
 from __future__ import annotations
 
+import json
+
 import numpy as np
 import pytest
 
@@ -17,6 +19,7 @@ from repro.core.result import PairFragments
 from repro.data.synthetic import uniform_dataset
 from repro.engine import (
     BackendUnavailableError,
+    EngineSession,
     Query,
     QueryPlanner,
     available_backends,
@@ -251,10 +254,66 @@ class TestExactShardCosts:
         sink = PairFragments(store.n_points)
         stats = backend.run_selfjoin_streamed(store, 0.3, sink)
         (report,) = reports
-        assert report.n_shards == 4
+        assert report.shards == 4
         assert report.predicted_cost == report.achieved_cost == 0.0
         assert report.cost_ratio == 0.0
         assert "cost_ratio_pct" not in stats.schedule_counts
         assert stats.distance_calcs > 0
         reference = run_query(Query.self_join(points, 0.3)).neighbor_table
         assert sink.to_neighbor_table().same_contents_as(reference)
+
+    def test_merged_cost_ratio_is_total_achieved_over_total_predicted(self):
+        # kNN candidates double the radius round by round, one probe per
+        # round; the call's ratio must come from the summed costs (the
+        # per-round percentages once added up to 469 here).
+        points = np.random.default_rng(0).uniform(0, 1, (3000, 2))
+        backend = ShardedBackend(4)
+        reports = []
+        backend._record_schedule = reports.append
+        with EngineSession(points, backend=backend) as session:
+            result = session.knn_candidates(8, points[:300], cell_width=0.002)
+        assert len(reports) > 1
+        achieved = sum(report.achieved_cost for report in reports)
+        predicted = sum(report.predicted_cost for report in reports)
+        counts = result.stats.schedule_counts
+        assert counts["cost_ratio_pct"] == round(100 * achieved / predicted)
+        assert counts["shards"] == sum(report.shards for report in reports)
+
+
+def _distributed_backend():
+    from repro.distributed import DistributedBackend
+
+    return DistributedBackend(2)
+
+
+class TestShardStats:
+    """Every shard backend counts its datasets and schedules the same way,
+    in the shared lifecycle and dispatch loop."""
+
+    @pytest.mark.parametrize("make_backend", [
+        lambda: ShardedBackend(4), lambda: MultiprocessBackend(2),
+        _distributed_backend], ids=["sharded", "multiprocess", "distributed"])
+    def test_totals_are_the_sum_of_the_joins(self, make_backend):
+        points = uniform_dataset(400, 2, seed=31, low=0.0, high=4.0)
+        queries = uniform_dataset(60, 2, seed=32, low=0.0, high=4.0)
+        backend = make_backend()
+        try:
+            with EngineSession(points, backend=backend) as session:
+                joins = [session.self_join(0.4),
+                         session.range_query(queries, 0.4)]
+            stats = backend.stats
+            calls = [join.stats.schedule_counts for join in joins]
+            assert all(calls)
+            assert set(stats.schedule) == set(calls[0]) | set(calls[1])
+            for counter, total in stats.schedule.items():
+                if counter != "cost_ratio_pct":
+                    assert total == sum(c.get(counter, 0) for c in calls)
+            assert stats.schedule["cost_ratio_pct"] == round(
+                100 * stats.schedule["achieved_cost"]
+                / stats.schedule["predicted_cost"])
+            assert stats.schedule["dispatches"] >= stats.schedule["shards"] > 0
+            assert stats.last_schedule.shards == calls[1]["shards"]
+            assert stats.datasets_opened == stats.datasets_closed == 1
+            json.dumps(stats.snapshot())
+        finally:
+            backend.shutdown()
