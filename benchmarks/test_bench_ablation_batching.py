@@ -8,17 +8,16 @@ overlap hides the device-to-host result transfers at negligible cost.
 
 from __future__ import annotations
 
+from functools import partial
+
 from repro.core.batching import BatchPlan, BatchPlanner, execute_batched, split_cells_balanced
 from repro.core.gridindex import GridIndex
-from repro.core.kernels import selfjoin_unicomp_vectorized
+from repro.core.kernels import run_selfjoin
+from repro.core.result import PairFragments
 from repro.data.synthetic import uniform_dataset
 from repro.experiments.report import format_table
 from repro.gpusim import Device
 from benchmarks.conftest import bench_points
-
-
-def kernel(index, eps, cells):
-    return selfjoin_unicomp_vectorized(index, eps, cells)
 
 
 def test_bench_batch_count_sweep(benchmark, write_report):
@@ -35,7 +34,8 @@ def test_bench_batch_count_sweep(benchmark, write_report):
             index = GridIndex.build(points, eps)
             plan = BatchPlan(cell_batches=split_cells_balanced(index, n_batches),
                              estimated_total_pairs=0, buffer_capacity_pairs=2 ** 62)
-            result, _, report = execute_batched(index, eps, plan, kernel, device=device)
+            result, _, report = execute_batched(index, eps, plan, unicomp=True,
+                                                tier="numpy", device=device)
             pipeline = report.pipeline
             rows.append((n_batches, result.num_pairs, report.total_kernel_time,
                          pipeline.serial_time, pipeline.overlapped_time,
@@ -63,10 +63,12 @@ def test_bench_planner_estimate_quality(benchmark, write_report):
 
     def estimate():
         planner = BatchPlanner(sample_fraction=0.05, seed=1)
-        return planner.estimate_result_pairs(index, eps, kernel)
+        return planner.estimate_result_pairs(index, partial(
+            run_selfjoin, index, eps, unicomp=True, tier="numpy"))
 
     estimate_pairs = benchmark.pedantic(estimate, rounds=1, iterations=1)
-    truth = selfjoin_unicomp_vectorized(index, eps).result.num_pairs
+    truth = run_selfjoin(index, eps, PairFragments(index.num_points),
+                         unicomp=True, tier="numpy").result_pairs
     error = abs(estimate_pairs - truth) / truth
     write_report("ablation_batch_estimate", format_table(
         ("estimated_pairs", "true_pairs", "relative_error"),

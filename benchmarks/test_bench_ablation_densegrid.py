@@ -14,7 +14,8 @@ import pytest
 
 from repro.core.densegrid import DenseGridError, DenseGridIndex
 from repro.core.gridindex import GridIndex
-from repro.core.kernels import selfjoin_global_vectorized
+from repro.core.kernels import run_selfjoin
+from repro.core.result import PairFragments
 from repro.data.synthetic import uniform_dataset
 from repro.experiments.report import format_table
 from benchmarks.conftest import bench_points
@@ -30,7 +31,9 @@ def test_bench_dense_vs_sparse_index(benchmark, write_report):
             eps = 2.5 * (2_000_000 / n_points) ** (1.0 / dims)
             sparse = GridIndex.build(points, eps)
             dense = DenseGridIndex.build(points, eps)
-            sparse_result = selfjoin_global_vectorized(sparse).result
+            sink = PairFragments(sparse.num_points)
+            run_selfjoin(sparse, eps, sink)
+            sparse_result = sink.to_result_set()
             dense_result = dense.selfjoin()
             assert sparse_result.same_pairs_as(dense_result)
             rows.append((dims, sparse.num_nonempty_cells, dense.total_cells,

@@ -11,7 +11,8 @@ and ε and reports the non-empty cell counts, kernel work and response times.
 from __future__ import annotations
 
 from repro.core.gridindex import GridIndex
-from repro.core.kernels import selfjoin_unicomp_vectorized
+from repro.core.kernels import run_selfjoin
+from repro.core.result import PairFragments
 from repro.data.synthetic import gaussian_clusters, thomas_process, uniform_dataset
 from repro.experiments.report import format_table
 from repro.utils.timing import Timer
@@ -33,10 +34,12 @@ def test_bench_distribution_sensitivity(benchmark, write_report):
         rows = []
         for name, points in datasets.items():
             index = GridIndex.build(points, eps)
+            sink = PairFragments(index.num_points)
             with Timer() as t:
-                out = selfjoin_unicomp_vectorized(index)
-            rows.append((name, index.num_nonempty_cells, out.stats.cells_checked,
-                         out.result.num_pairs, t.elapsed))
+                stats = run_selfjoin(index, eps, sink, unicomp=True,
+                                     tier="numpy")
+            rows.append((name, index.num_nonempty_cells, stats.cells_checked,
+                         sink.num_pairs, t.elapsed))
         return rows
 
     rows = benchmark.pedantic(run_all, rounds=1, iterations=1)

@@ -24,7 +24,7 @@ import numpy as np
 
 from repro.core.gridindex import GridIndex
 from repro.core.kernels import (_expand_cell_pairs, _walk_cell_pairs,
-                                selfjoin_global_vectorized, selfjoin_tiered)
+                                run_selfjoin)
 from repro.core.neighbors import all_neighbor_offsets
 from repro.core.result import PairFragments
 from repro.data.synthetic import uniform_dataset
@@ -71,9 +71,10 @@ def test_bench_mask_filtering(benchmark, write_report):
     index = GridIndex.build(points, eps)
 
     def with_masks():
-        return selfjoin_global_vectorized(index)
+        return run_selfjoin(index, eps, PairFragments(index.num_points),
+                            tier="numpy")
 
-    out = benchmark.pedantic(with_masks, rounds=1, iterations=1)
+    stats = benchmark.pedantic(with_masks, rounds=1, iterations=1)
 
     # Without the masks every in-grid adjacent cell would be binary-searched.
     offsets = all_neighbor_offsets(index.num_dims)
@@ -85,11 +86,11 @@ def test_bench_mask_filtering(benchmark, write_report):
 
     write_report("ablation_mask_filtering", format_table(
         ("variant", "cells_binary_searched"),
-        [("with masks (paper)", out.stats.cells_checked),
+        [("with masks (paper)", stats.cells_checked),
          ("without masks", unmasked_checks)],
         title="Ablation: mask-array filtering of candidate cells"))
-    assert out.stats.cells_checked <= unmasked_checks
-    benchmark.extra_info["masked_checks"] = out.stats.cells_checked
+    assert stats.cells_checked <= unmasked_checks
+    benchmark.extra_info["masked_checks"] = stats.cells_checked
     benchmark.extra_info["unmasked_checks"] = unmasked_checks
 
 
@@ -138,15 +139,15 @@ def test_bench_reduced_dims(benchmark, write_report):
                 index = GridIndex.build(points, eps, dims=dims)
                 sink = PairFragments(index.num_points)
                 with Timer() as timer:
-                    out = selfjoin_tiered(index, eps, sink=sink,
-                                          unicomp=True, tier="numpy")
+                    stats = run_selfjoin(index, eps, sink, unicomp=True,
+                                         tier="numpy")
                 best = min(best, timer.elapsed)
             candidates, survivors = _prefilter_survivors(index)
-            assert candidates == out.stats.distance_calcs
+            assert candidates == stats.distance_calcs
             rows.append((f"{k}{' (planner)' if k == planned else ''}",
-                         out.stats.cells_checked, out.stats.distance_calcs,
+                         stats.cells_checked, stats.distance_calcs,
                          survivors / candidates if candidates else 1.0,
-                         out.stats.result_pairs, best))
+                         stats.result_pairs, best))
         return rows
 
     rows = benchmark.pedantic(sweep, rounds=1, iterations=1)

@@ -1,13 +1,14 @@
 """Ablation: kernel implementation strategies and the UNICOMP work reduction.
 
 Compares the per-cell oracle of :mod:`repro.baselines.cellwise` with the
-vectorized production kernel and the tiered dispatcher of
-:mod:`repro.core.nativekernels` on the same input, and quantifies the
-UNICOMP reduction of cells searched and distance calculations (the paper's
-"factor of ~2").  The report header records the host CPU count and the
-numba version (or the fallback reason), because the tier rows depend on
-both, and notes that the per-point Algorithm 1 transcription, timed in
-earlier reports, no longer exists.
+production self-join operator (:func:`repro.core.kernels.run_selfjoin`) on
+every available kernel tier of :mod:`repro.core.nativekernels`, on the same
+input, and quantifies the UNICOMP reduction of cells searched and distance
+calculations (the paper's "factor of ~2").  The report header records the
+host CPU count and the numba version (or the fallback reason), because the
+tier rows depend on both, and notes that the per-point Algorithm 1
+transcription and the separate vectorized row, timed in earlier reports,
+no longer exist.
 """
 
 from __future__ import annotations
@@ -17,11 +18,7 @@ import os
 from repro.baselines.cellwise import selfjoin_cellwise
 from repro.core import nativekernels as nk
 from repro.core.gridindex import GridIndex
-from repro.core.kernels import (
-    selfjoin_global_vectorized,
-    selfjoin_tiered,
-    selfjoin_unicomp_vectorized,
-)
+from repro.core.kernels import run_selfjoin
 from repro.core.result import PairFragments
 from repro.data.synthetic import uniform_dataset
 from repro.experiments.report import format_table
@@ -41,11 +38,9 @@ def test_bench_kernel_implementations(benchmark, write_report):
     # One untimed run of each timed function on a small separate index, so
     # every row times warm code and no row pays the process's first call.
     warm = GridIndex.build(points[:200], eps)
-    selfjoin_cellwise(warm)
-    selfjoin_global_vectorized(warm)
+    selfjoin_cellwise(warm, PairFragments(warm.num_points))
     for tier in tiers:
-        selfjoin_tiered(warm, eps, sink=PairFragments(warm.num_points),
-                        tier=tier)
+        run_selfjoin(warm, eps, PairFragments(warm.num_points), tier=tier)
 
     def best_of(run, repeats=3):
         # A fresh index per run: an index keeps the cell pairs of its first
@@ -54,22 +49,20 @@ def test_bench_kernel_implementations(benchmark, write_report):
         timings = []
         for _ in range(repeats):
             index = GridIndex.build(points, eps)
+            sink = PairFragments(index.num_points)
             with Timer() as t:
-                out = run(index)
+                stats = run(index, sink)
             timings.append(t.elapsed)
-        return min(timings), out
+        return min(timings), stats
 
     def run_all():
-        rows, work = [], []
-        for name, kernel in (("cellwise (oracle)", selfjoin_cellwise),
-                             ("vectorized (production)", selfjoin_global_vectorized)):
-            elapsed, out = best_of(kernel)
-            rows.append((name, elapsed, out.result.num_pairs))
-            work.append(out.stats)
+        elapsed, oracle = best_of(selfjoin_cellwise)
+        rows, work = [("cellwise (oracle)", elapsed, oracle.result_pairs)], [oracle]
         for tier in tiers:
-            elapsed, out = best_of(lambda index: selfjoin_tiered(
-                index, eps, sink=PairFragments(index.num_points), tier=tier))
-            rows.append((f"tiered ({tier})", elapsed, out.stats.result_pairs))
+            elapsed, stats = best_of(lambda index, sink: run_selfjoin(
+                index, eps, sink, tier=tier))
+            rows.append((f"run_selfjoin ({tier})", elapsed, stats.result_pairs))
+            work.append(stats)
         return rows, work
 
     rows, work = benchmark.pedantic(run_all, rounds=1, iterations=1)
@@ -78,18 +71,21 @@ def test_bench_kernel_implementations(benchmark, write_report):
         else f"numba: unavailable -- {availability['numba']}"
     write_report("ablation_kernels", "\n".join(
         [f"host cpus: {os.cpu_count()}", numba_line,
+         f"input: {n_points} uniform 2-D points, eps={eps:.4g}",
          "pointwise (Algorithm 1 per point): removed from the package, "
          "no row",
          "time_s: fastest of 3 runs, each on a fresh index, after one "
-         "untimed warm-up run of every row",
-         "vectorized returns a ResultSet; tiered fills a sink only"]) + "\n" + format_table(
+         "untimed warm-up run of every row; every row fills a sink",
+         "run_selfjoin: the production operator, one row per kernel tier "
+         "(the 'vectorized (production)' and 'tiered (numpy)' rows of "
+         "earlier reports timed this same code)"]) + "\n" + format_table(
         ("kernel", "time_s", "pairs"), rows,
         title="Ablation: kernel implementation strategies"))
 
     # All implementations agree on the result size, and the oracle counts
     # the production kernel's work.
     assert len({r[2] for r in rows}) == 1
-    oracle, vectorized = work
+    oracle, vectorized = work[:2]
     assert (oracle.cells_checked, oracle.nonempty_cells_visited,
             oracle.distance_calcs) == (vectorized.cells_checked,
                                        vectorized.nonempty_cells_visited,
@@ -106,12 +102,13 @@ def test_bench_unicomp_work_reduction(benchmark, write_report):
             points = uniform_dataset(n_points, dims, seed=5)
             eps = (2.0 if dims <= 3 else 6.0) * (2_000_000 / n_points) ** (1.0 / dims)
             index = GridIndex.build(points, eps)
-            full = selfjoin_global_vectorized(index)
-            uni = selfjoin_unicomp_vectorized(index)
-            rows.append((dims,
-                         full.stats.cells_checked, uni.stats.cells_checked,
-                         full.stats.distance_calcs, uni.stats.distance_calcs,
-                         full.stats.distance_calcs / max(1, uni.stats.distance_calcs)))
+            full = run_selfjoin(index, eps, PairFragments(index.num_points),
+                                tier="numpy")
+            uni = run_selfjoin(index, eps, PairFragments(index.num_points),
+                               unicomp=True, tier="numpy")
+            rows.append((dims, full.cells_checked, uni.cells_checked,
+                         full.distance_calcs, uni.distance_calcs,
+                         full.distance_calcs / max(1, uni.distance_calcs)))
         return rows
 
     rows = benchmark.pedantic(sweep, rounds=1, iterations=1)

@@ -18,7 +18,7 @@ import numpy as np
 
 from repro.core import nativekernels as nk
 from repro.core.gridindex import GridIndex
-from repro.core.kernels import selfjoin_tiered
+from repro.core.kernels import run_selfjoin
 from repro.core.result import PairFragments
 from repro.data.synthetic import uniform_dataset
 from repro.experiments.report import format_table
@@ -65,13 +65,13 @@ def test_bench_kernel_tier_throughput(benchmark, write_report):
                 for _ in range(max(1, trials)):
                     sink = PairFragments(index.num_points)
                     with Timer() as t:
-                        out = selfjoin_tiered(index, eps, sink=sink,
-                                              unicomp=True, tier=tier)
+                        stats = run_selfjoin(index, eps, sink, unicomp=True,
+                                             tier=tier)
                     best = min(best, t.elapsed)
-                    pairs = out.stats.result_pairs
+                    pairs = stats.result_pairs
                 baseline.setdefault(label, best)
                 rows.append((label, tier,
-                             "+".join(sorted(out.stats.kernel_counts)) or "-",
+                             "+".join(sorted(stats.kernel_counts)) or "-",
                              best, n_points / best, pairs,
                              baseline[label] / best))
         return rows

@@ -12,9 +12,11 @@ Run with:  python examples/ionosphere_batching.py
 
 from __future__ import annotations
 
+from functools import partial
+
 from repro.core.batching import BatchPlanner, execute_batched
 from repro.core.gridindex import GridIndex
-from repro.core.kernels import selfjoin_unicomp_vectorized
+from repro.core.kernels import run_selfjoin
 from repro.data import sw_dataset
 
 
@@ -28,17 +30,15 @@ def main() -> None:
           f"{stats.total_cells} total ({stats.occupancy_fraction:.3%} occupied), "
           f"{stats.memory_bytes / 1e6:.2f} MB")
 
-    def kernel(idx, e, cells):
-        return selfjoin_unicomp_vectorized(idx, e, cells)
-
-    # Shrink the memory budget so the planner is forced to batch.
+    # Shrink the memory budget so the planner is forced to batch; the
+    # sample estimate runs the UNICOMP self-join bound to this index.
     planner = BatchPlanner(memory_bytes=8 * 1024 * 1024, min_batches=3)
-    plan = planner.plan(index, eps, kernel=kernel)
+    plan = planner.plan(index, partial(run_selfjoin, index, eps, unicomp=True))
     print(f"\nbatch plan: {plan.n_batches} batches "
           f"(estimated {plan.estimated_total_pairs} pairs, "
           f"buffer capacity {plan.buffer_capacity_pairs} pairs/batch)")
 
-    result, kstats, report = execute_batched(index, eps, plan, kernel)
+    result, kstats, report = execute_batched(index, eps, plan, unicomp=True)
     print(f"total result pairs : {result.num_pairs}")
     print(f"kernel time (all batches): {report.total_kernel_time * 1e3:.1f} ms")
     print(f"adaptive splits    : {report.splits_performed}")

@@ -4,11 +4,13 @@ The paper's Algorithms 1 and 2 one cell at a time: each cell's candidate
 cells come from the scalar walk of :mod:`repro.core.neighbors` (adjacent
 ranges, masks ``M_j``, binary search of ``B``), or under UNICOMP from
 :func:`repro.core.unicomp.unicomp_candidate_cells`, and its distances to
-their points are one NumPy block.  The production kernels
-(:mod:`repro.core.kernels`) visit the same cell pairs in another loop
-nesting, so on the same index both functions here find the same pairs
-and count the same four :class:`~repro.core.kernels.KernelStats`
-counters.  Slow, and kept off the query path: tests compare against it.
+their points are one NumPy block.  The production operators
+(:func:`repro.core.kernels.run_selfjoin`, :func:`~repro.core.kernels.run_probe`)
+visit the same cell pairs in another loop nesting.  Both functions here
+have their shape (a sink goes in, :class:`~repro.core.kernels.KernelStats`
+comes out), so on the same index they fill a sink with the same pairs and
+count the same four counters.  Slow, and kept off the query path: tests
+compare against it.
 """
 
 from __future__ import annotations
@@ -18,14 +20,15 @@ from typing import List, Tuple
 import numpy as np
 
 from repro.core.gridindex import GridIndex
-from repro.core.kernels import KernelOutput, KernelStats
+from repro.core.kernels import KernelStats
 from repro.core.neighbors import adjacent_cells
 from repro.core.result import PairFragments
 from repro.core.unicomp import unicomp_candidate_cells
 
 
-def selfjoin_cellwise(index: GridIndex, *, unicomp: bool = False) -> KernelOutput:
-    """Self-join ``index`` one non-empty cell at a time.
+def selfjoin_cellwise(index: GridIndex, sink: PairFragments, *,
+                      unicomp: bool = False) -> KernelStats:
+    """Self-join ``index`` one non-empty cell at a time, into ``sink``.
 
     Each cell is joined with its adjacent non-empty cells (Algorithm 1).
     Under ``unicomp`` it is joined with its home cell, which yields each
@@ -35,7 +38,7 @@ def selfjoin_cellwise(index: GridIndex, *, unicomp: bool = False) -> KernelOutpu
     """
     eps = index.eps
     stats = KernelStats()
-    sink = PairFragments(index.num_points)
+    before = sink.num_pairs
     for h in range(index.num_nonempty_cells):
         members = index.points_in_cell(h)
         coords = index.cell_coords[h]
@@ -47,11 +50,14 @@ def selfjoin_cellwise(index: GridIndex, *, unicomp: bool = False) -> KernelOutpu
         else:
             _join(index, members, queries, adjacent_cells(index, coords),
                   eps, stats, sink)
-    return _output(sink, stats)
+    stats.result_pairs = sink.num_pairs - before
+    return stats
 
 
-def probe_cellwise(queries: np.ndarray, index: GridIndex) -> KernelOutput:
-    """Probe every row of ``queries`` against ``index``; keys are rows.
+def probe_cellwise(queries: np.ndarray, index: GridIndex,
+                   sink: PairFragments) -> KernelStats:
+    """Probe every row of ``queries`` against ``index`` into ``sink``; keys
+    are rows.
 
     The queries are grouped by their cell in the index's grid, and each
     group is joined with the non-empty cells adjacent to it, as the
@@ -60,7 +66,7 @@ def probe_cellwise(queries: np.ndarray, index: GridIndex) -> KernelOutput:
     queries = np.asarray(queries, dtype=np.float64)
     eps = index.eps
     stats = KernelStats()
-    sink = PairFragments(queries.shape[0])
+    before = sink.num_pairs
     coords = index.cell_coords_of(queries)
     _, first, group = np.unique(index.coords_to_linear(coords),
                                 return_index=True, return_inverse=True)
@@ -68,7 +74,8 @@ def probe_cellwise(queries: np.ndarray, index: GridIndex) -> KernelOutput:
         rows = np.flatnonzero(group == g)
         _join(index, rows, queries[rows], adjacent_cells(index, coords[row]),
               eps, stats, sink)
-    return _output(sink, stats)
+    stats.result_pairs = sink.num_pairs - before
+    return stats
 
 
 def _unicomp_cells(index: GridIndex, coords: np.ndarray) -> Tuple[int, List[int]]:
@@ -105,8 +112,3 @@ def _join(index: GridIndex, keys: np.ndarray, queries: np.ndarray,
     sink.emit(keys[rows], candidates[cols])
     if mirror:
         sink.emit(candidates[cols], keys[rows])
-
-
-def _output(sink: PairFragments, stats: KernelStats) -> KernelOutput:
-    stats.result_pairs = sink.num_pairs
-    return KernelOutput(result=sink.to_result_set(), stats=stats)

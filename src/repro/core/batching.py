@@ -14,17 +14,16 @@ experiments (``SelfJoinConfig``, the figures and Table II) pin
   estimates the total result size by joining a sample of the non-empty
   cells, and splits the non-empty cells into work-balanced batches (never
   fewer than ``min_batches``).
-* :func:`execute_batched` — runs a kernel batch-by-batch, verifies each batch
-  fits the planned buffer (adaptively splitting a batch that overflows), and
-  reports the compute/transfer overlap timeline via
-  :func:`repro.gpusim.streams.simulate_pipeline` (the Section V-A overlap
-  ablation's entry point; the engine executor does not model streams).
-* Per-item costs — :func:`estimate_probe_row_costs` gives each probe row
-  its exact candidate count, and :func:`split_by_cost` turns any cost
-  vector into contiguous work-balanced slices.  The shard planner
-  (:mod:`repro.parallel.shards`) splits probe rows on the former and
-  self-join cells on :func:`repro.core.kernels.selfjoin_cell_costs`, the
-  exact per-cell cost read from the index's kept cell pairs.
+* :func:`execute_batched` — runs :func:`repro.core.kernels.run_selfjoin`
+  batch-by-batch, verifies each batch fits the planned buffer (adaptively
+  splitting a batch that overflows), and reports the compute/transfer
+  overlap timeline via :func:`repro.gpusim.streams.simulate_pipeline` (the
+  Section V-A overlap ablation's entry point; the engine executor does not
+  model streams).
+* :func:`split_by_cost` — turns any cost vector into contiguous
+  work-balanced slices.  The shard planner (:mod:`repro.parallel.shards`)
+  splits self-join cells and probe rows on the exact costs of
+  :mod:`repro.core.kernels` (``selfjoin_cell_costs``, ``probe_row_costs``).
 """
 
 from __future__ import annotations
@@ -38,8 +37,8 @@ from typing import TYPE_CHECKING, Callable, List, Optional
 import numpy as np
 
 from repro.core.gridindex import GridIndex
-from repro.core.kernels import KernelOutput, KernelStats, _walk_cell_pairs
-from repro.core.result import ResultSet
+from repro.core.kernels import KernelStats, run_selfjoin
+from repro.core.result import PairFragments, ResultSet
 from repro.utils.cancellation import check_cancelled
 from repro.utils.timing import Timer
 
@@ -54,9 +53,6 @@ PAIR_BYTES = 16
 #: Safety factor applied to the sampled result-size estimate before deciding
 #: the batch count (under-estimating would overflow the result buffer).
 ESTIMATE_SAFETY_FACTOR = 1.5
-
-#: A kernel callable: (index, eps, source_cells) -> KernelOutput.
-KernelFn = Callable[[GridIndex, float, Optional[np.ndarray]], KernelOutput]
 
 
 @dataclass
@@ -154,14 +150,17 @@ class BatchPlanner:
         self.seed = int(seed)
 
     # ------------------------------------------------------------ estimation
-    def estimate_result_pairs(self, index: GridIndex, eps: float,
-                              kernel: KernelFn) -> int:
+    def estimate_result_pairs(self, index: GridIndex,
+                              join: Callable[..., KernelStats]) -> int:
         """Estimate the total number of result pairs by sampling cells.
 
-        A uniform sample of non-empty cells is joined with the supplied
-        kernel; the sampled pair count is scaled by the ratio of total to
-        sampled *points* (cells are weighted by their population, which makes
-        the estimator exact in expectation for the GLOBAL kernel).
+        ``join(sink=..., cells=...)`` is the self-join operator bound to
+        ``index`` (``functools.partial(run_selfjoin, index, eps)``, or a
+        backend's ``run_selfjoin`` bound alike).  A uniform sample of
+        non-empty cells is joined with it; the sampled pair count is scaled
+        by the ratio of total to sampled *points* (cells are weighted by
+        their population, which makes the estimator exact in expectation
+        for the GLOBAL kernel).
         """
         n_cells = index.num_nonempty_cells
         if n_cells == 0:
@@ -173,9 +172,8 @@ class BatchPlanner:
         else:
             rng = np.random.default_rng(self.seed)
             sample = np.sort(rng.choice(n_cells, size=sample_size, replace=False))
-        output = kernel(index, eps, sample)
-        sampled_pairs = output.result.num_pairs if output.result is not None \
-            else output.stats.result_pairs
+        sampled_pairs = join(sink=PairFragments(index.num_points),
+                             cells=sample).result_pairs
         sampled_points = int(index.cell_counts[sample].sum())
         if sampled_points == 0:
             return 0
@@ -183,19 +181,19 @@ class BatchPlanner:
         return int(math.ceil(sampled_pairs * scale))
 
     # -------------------------------------------------------------- planning
-    def plan(self, index: GridIndex, eps: Optional[float] = None,
-             kernel: Optional[KernelFn] = None,
+    def plan(self, index: GridIndex,
+             join: Optional[Callable[..., KernelStats]] = None,
              estimated_pairs: Optional[int] = None) -> BatchPlan:
         """Produce a :class:`BatchPlan` for the given index.
 
-        Either ``kernel`` (to sample-estimate the result size) or
+        Either ``join``, the self-join operator bound to ``index`` (to
+        sample-estimate the result size, :meth:`estimate_result_pairs`), or
         ``estimated_pairs`` must be provided.
         """
-        eps = index.eps if eps is None else float(eps)
         if estimated_pairs is None:
-            if kernel is None:
-                raise ValueError("plan() needs either a kernel or estimated_pairs")
-            estimated_pairs = self.estimate_result_pairs(index, eps, kernel)
+            if join is None:
+                raise ValueError("plan() needs either a join or estimated_pairs")
+            estimated_pairs = self.estimate_result_pairs(index, join)
 
         buffer_capacity_pairs = self.buffer_capacity_pairs(index)
         padded = int(math.ceil(estimated_pairs * ESTIMATE_SAFETY_FACTOR))
@@ -300,43 +298,6 @@ def split_cells_balanced(index: GridIndex, n_batches: int) -> List[np.ndarray]:
     return split_by_cost(index.cell_counts.astype(np.float64), n_batches)
 
 
-# --------------------------------------------------------------------------
-# exact per-item probe costs
-# --------------------------------------------------------------------------
-def candidate_counts_at(index: GridIndex, coords: np.ndarray) -> np.ndarray:
-    """Candidate points reachable from each given cell coordinate.
-
-    For every row of ``coords`` (n-dimensional cell coordinates in ``index``'s
-    grid), sums the populations of the non-empty cells the shared cell-pair
-    walker (:func:`repro.core.kernels._walk_cell_pairs`) resolves among the
-    3^n adjacent cells (home included): the exact number of distance
-    evaluations a GLOBAL-kernel query point in that cell performs.
-    """
-    coords = np.asarray(coords, dtype=np.int64)
-    counts = np.zeros(coords.shape[0], dtype=np.int64)
-    for src, tgt, _ in _walk_cell_pairs(index, coords):
-        np.add.at(counts, src, index.cell_counts[tgt])
-    return counts
-
-
-def estimate_probe_row_costs(queries: np.ndarray, index: GridIndex) -> np.ndarray:
-    """Per-row work of a bipartite probe (int64, length ``n_rows``).
-
-    Query rows are grouped by their cell in the index's grid, and one walk
-    of the distinct query cells (:func:`candidate_counts_at`) gives each
-    row its cell's candidate count: the distance evaluations the probe
-    performs for it.  Every row also carries a base cost of 1, so even rows
-    probing empty space carry weight.
-    """
-    queries = np.asarray(queries, dtype=np.float64)
-    if queries.shape[0] == 0:
-        return np.zeros(0, dtype=np.int64)
-    coords = index.cell_coords_of(queries)
-    _, first, inverse = np.unique(index.coords_to_linear(coords),
-                                  return_index=True, return_inverse=True)
-    return candidate_counts_at(index, coords[first]).take(inverse) + 1
-
-
 def run_adaptive_batches(batches: List[np.ndarray], run_batch,
                          buffer_capacity_pairs: int,
                          max_adaptive_splits: int = 8):
@@ -344,11 +305,12 @@ def run_adaptive_batches(batches: List[np.ndarray], run_batch,
 
     ``run_batch(batch) -> (pairs, payload)`` executes one batch of work items
     (cell or query-row indices) and reports the number of result pairs it
-    produced together with an arbitrary payload (a :class:`KernelOutput`, a
-    :class:`~repro.core.result.PairFragments` sink, ...).  A batch whose pair
-    count exceeds ``buffer_capacity_pairs`` is discarded, split in half and
-    re-run (up to ``max_adaptive_splits`` times overall), mirroring how an
-    implementation would re-issue a kernel whose result buffer overflowed.
+    produced together with an arbitrary payload (a
+    :class:`~repro.core.result.PairFragments` sink and its stats, ...).  A
+    batch whose pair count exceeds ``buffer_capacity_pairs`` is discarded,
+    split in half and re-run (up to ``max_adaptive_splits`` times overall),
+    mirroring how an implementation would re-issue a kernel whose result
+    buffer overflowed.
 
     This single loop drives both the legacy :func:`execute_batched` API and
     the sink-based executor of :mod:`repro.engine.executor`, so self-joins
@@ -385,16 +347,19 @@ def run_adaptive_batches(batches: List[np.ndarray], run_batch,
     return payloads, batch_pairs, batch_times, splits
 
 
-def execute_batched(index: GridIndex, eps: float, plan: BatchPlan, kernel: KernelFn,
+def execute_batched(index: GridIndex, eps: float, plan: BatchPlan, *,
+                    unicomp: bool = False, tier: str = "auto",
                     device: Optional[Device] = None, n_streams: int = 3,
                     max_adaptive_splits: int = 8,
                     ) -> tuple[ResultSet, KernelStats, BatchExecutionReport]:
     """Execute a self-join batch by batch (legacy pair-list API).
 
-    Returns the merged result, the accumulated kernel work counters and a
-    :class:`BatchExecutionReport` containing the per-batch sizes/times and
-    the stream-overlap timeline.  The GPU device model that times the
-    overlap is imported here, so the query path never loads it.
+    Each batch is one :func:`~repro.core.kernels.run_selfjoin` call over
+    its cells, into a sink of its own.  Returns the merged result, the
+    accumulated kernel work counters and a :class:`BatchExecutionReport`
+    containing the per-batch sizes/times and the stream-overlap timeline.
+    The GPU device model that times the overlap is imported here, so the
+    query path never loads it.
     """
     from repro.gpusim.device import Device
     from repro.gpusim.streams import simulate_pipeline
@@ -404,21 +369,17 @@ def execute_batched(index: GridIndex, eps: float, plan: BatchPlan, kernel: Kerne
     stats = KernelStats()
 
     def run_batch(batch: np.ndarray):
-        output = kernel(index, eps, batch)
-        pairs = output.result.num_pairs if output.result is not None \
-            else output.stats.result_pairs
-        return pairs, output
+        sink = PairFragments(index.num_points)
+        batch_stats = run_selfjoin(index, eps, sink, cells=batch,
+                                   unicomp=unicomp, tier=tier)
+        return batch_stats.result_pairs, (sink, batch_stats)
 
     outputs, report.batch_pairs, report.batch_times, report.splits_performed = \
         run_adaptive_batches(plan.cell_batches, run_batch,
                              plan.buffer_capacity_pairs, max_adaptive_splits)
-    parts: List[ResultSet] = []
-    for output in outputs:
-        stats.merge(output.stats)
-        if output.result is not None:
-            parts.append(output.result)
-
-    result = ResultSet.merge(parts) if parts else ResultSet.empty(index.num_points)
+    for _, batch_stats in outputs:
+        stats.merge(batch_stats)
+    result = ResultSet.merge([sink.to_result_set() for sink, _ in outputs])
     report.pipeline = simulate_pipeline(
         report.batch_times,
         [p * PAIR_BYTES for p in report.batch_pairs],

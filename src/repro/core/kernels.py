@@ -1,8 +1,17 @@
-"""Self-join kernels over the grid index.
+"""The grid join operators: the self-join and the probe.
 
-The paper's GPUSELFJOINGLOBAL kernel (Algorithm 1) and its UNICOMP
-variant (Algorithm 2) run here, on both kernel tiers, as one loop-free
-walker (:func:`_walk_cell_pairs`) and one emitter (:func:`_emit_pairs`).
+The paper's self-join is the special case of a join between two point sets
+(Section II), and both run the same bounded 3^n adjacent-cell search
+(Algorithm 1).  This module exposes the two operators, each taking a sink
+and returning the :class:`KernelStats` work counters, and their exact
+costs: :func:`run_selfjoin` (GPUSELFJOINGLOBAL, Algorithm 1, and its
+UNICOMP variant, Algorithm 2, over an optional subset of source cells, so
+the batching scheme of Section V-A and the shard planner can split it),
+:func:`run_probe` (an external query set, over an optional subset of
+rows), :func:`selfjoin_cell_costs` and :func:`probe_row_costs`.  Both
+operators run, on both kernel tiers, through one body
+(:func:`_run_operator`), one loop-free walker (:func:`_walk_cell_pairs`)
+and one emitter (:func:`_emit_pairs`).
 The walker broadcasts source cell coordinates x neighbor offsets in
 bounded row groups, filters them by the masks ``M_j`` and finds each
 candidate cell in one vectorized step: a dense table of every grid cell's
@@ -17,10 +26,9 @@ compact, the CSR finalize makes the reverse pair inside its one sort, and
 every other view expands it right after its match
 (:class:`~repro.core.result.PairFragments`).  The visited cell pairs and
 results are identical to Algorithm 1; only the loop nesting differs
-(data-parallel over cells rather than over points).  The bipartite probe
-shares the walker.  A per-cell transcription of both algorithms, the
-oracle the tests compare against, lives off the query path in
-:mod:`repro.baselines.cellwise`.
+(data-parallel over cells rather than over points).  A per-cell
+transcription of both operators, the oracle the tests compare against,
+lives off the query path in :mod:`repro.baselines.cellwise`.
 
 Reduced dims.  An index over ``k < n`` dims (the JPDC follow-up's layout)
 walks 3^k cells per cell but expands more candidates, most of them far
@@ -90,10 +98,6 @@ dense cell table is not kept: each walk that takes it builds its own and
 drops it, so neither ``memory_footprint()`` nor ``cached_nbytes()``
 counts it.  Either lookup leaves ``cells_checked`` counting Algorithm 1's
 candidate lookups, the adjacent cells that pass the masks ``M_j``.
-
-All kernels operate on an optional subset of source cells so the batching
-scheme (Section V-A) can split the work into ≥ 3 batches whose union is the
-complete self-join result.
 """
 
 from __future__ import annotations
@@ -105,9 +109,9 @@ from typing import Callable, Dict, Iterator, List, NamedTuple, Optional, Tuple
 import numpy as np
 
 from repro.core import nativekernels
-from repro.core.gridindex import GridIndex
+from repro.core.gridindex import GridIndex, column_rows, group_by_cell_id
 from repro.core.neighbors import all_neighbor_offsets
-from repro.core.result import PairFragments, ResultSet
+from repro.core.result import PairFragments
 from repro.utils.cancellation import check_cancelled
 
 #: Default bound on the number of candidate point pairs expanded at once by
@@ -181,137 +185,162 @@ def merge_schedule_counts(into: Dict[str, int],
     return into
 
 
-@dataclass
-class KernelOutput:
-    """A kernel invocation's result pairs plus its work counters.
-
-    ``result`` is ``None`` when the kernel emitted into an externally
-    supplied :class:`~repro.core.result.PairFragments` sink (the CSR-native
-    engine path); the pair count is then available as ``stats.result_pairs``
-    and the pairs live in the caller's sink.
-    """
-
-    result: Optional[ResultSet]
-    stats: KernelStats = field(default_factory=KernelStats)
-
-
 # --------------------------------------------------------------------------
-# vectorized kernels (production path)
+# the two operators
 # --------------------------------------------------------------------------
-def selfjoin_global_vectorized(index: GridIndex, eps: Optional[float] = None,
-                               source_cells: Optional[np.ndarray] = None,
-                               max_candidate_pairs: int = DEFAULT_MAX_CANDIDATE_PAIRS,
-                               sink: Optional[PairFragments] = None,
-                               native_kernel: Optional[Callable] = None,
-                               ) -> KernelOutput:
-    """Vectorized GLOBAL kernel: every source cell against all 3^k offsets.
+def run_selfjoin(index: GridIndex, eps: float, sink: PairFragments, *,
+                 cells: Optional[np.ndarray] = None, unicomp: bool = False,
+                 tier: str = "auto",
+                 max_candidate_pairs: int = DEFAULT_MAX_CANDIDATE_PAIRS,
+                 ) -> KernelStats:
+    """Self-join ``index`` over ``cells`` (``B`` positions; every non-empty
+    cell when ``None``) and emit the pairs into ``sink``.
 
-    The cell pairs come from the index's cached adjacency (walked and
-    box-pruned once, :func:`_visit_cell_pairs`) in groups and are
-    expanded and distance-filtered in chunks of at most
-    ``max_candidate_pairs``.  ``native_kernel`` swaps the NumPy
-    expand/filter step for one of the compiled pair kernels from
-    :mod:`repro.core.nativekernels`; the walk, chunking and stats are
-    unchanged.
+    GLOBAL (Algorithm 1) pairs every source cell with its 3^k adjacent
+    cells.  Under ``unicomp`` (Algorithm 2) a source cell scans its home
+    cell and, per dimension ``j`` with an odd ``j`` coordinate, the offsets
+    whose highest non-zero dimension is ``j``; both ordered pairs stand in
+    the stream for each non-home match (on the NumPy tier as one flagged
+    entry, see :func:`_emit_pairs`).  The cell pairs come from the index's
+    kept adjacency (walked and box-pruned once, :func:`_visit_cell_pairs`)
+    and are expanded and distance-filtered in chunks of at most
+    ``max_candidate_pairs``.  ``tier`` picks the emitter's kernel tier
+    (:func:`_run_operator`).
     """
-    return _selfjoin_vectorized(index, eps, source_cells, max_candidate_pairs,
-                                sink, native_kernel, unicomp=False)
-
-
-def selfjoin_unicomp_vectorized(index: GridIndex, eps: Optional[float] = None,
-                                source_cells: Optional[np.ndarray] = None,
-                                max_candidate_pairs: int = DEFAULT_MAX_CANDIDATE_PAIRS,
-                                sink: Optional[PairFragments] = None,
-                                native_kernel: Optional[Callable] = None,
-                                ) -> KernelOutput:
-    """Vectorized UNICOMP kernel, walking Algorithm 2's cell pairs.
-
-    Every source cell scans its home cell and, per dimension ``k`` with an
-    odd ``k`` coordinate, the offsets whose highest non-zero dimension is
-    ``k``; both ordered pairs stand in the stream for each non-home match
-    (on the NumPy tier as one flagged entry, see :func:`_emit_pairs`).
-    """
-    return _selfjoin_vectorized(index, eps, source_cells, max_candidate_pairs,
-                                sink, native_kernel, unicomp=True)
-
-
-def _selfjoin_vectorized(index: GridIndex, eps: Optional[float],
-                         source_cells: Optional[np.ndarray],
-                         max_candidate_pairs: int, sink: Optional[PairFragments],
-                         native_kernel: Optional[Callable],
-                         unicomp: bool) -> KernelOutput:
-    """The body of both vectorized kernels (see :func:`_visit_cell_pairs`)."""
-    eps = index.eps if eps is None else float(eps)
+    if cells is not None:
+        cells = np.asarray(cells, dtype=np.int64)
+    eps = float(eps)
     eps2 = eps * eps
-    stats = KernelStats()
-    external = sink is not None
-    sink = sink if sink is not None else PairFragments(index.num_points)
-    before = sink.num_pairs
-    cells = None if source_cells is None \
-        else np.asarray(source_cells, dtype=np.int64)
-    side = _index_side(index, native_kernel)
 
-    def emit(src: np.ndarray, tgt: np.ndarray, mirror: Optional[np.ndarray],
-             work: Tuple[int, int, int]) -> None:
-        stats.cells_checked += work[0]
-        stats.nonempty_cells_visited += work[1]
-        stats.distance_calcs += work[2]
-        _emit_pairs(sink, side, src, side, tgt, eps2, max_candidate_pairs,
-                    mirror=mirror, native_kernel=native_kernel)
+    def join(native_kernel: Optional[Callable]) -> List[Tuple[int, int, int]]:
+        side = _index_side(index, native_kernel)
+        work: List[Tuple[int, int, int]] = []
 
-    _visit_cell_pairs(index, cells, unicomp, emit)
-    stats.result_pairs = sink.num_pairs - before
-    result = None if external else sink.to_result_set()
-    return KernelOutput(result=result, stats=stats)
+        def emit(src: np.ndarray, tgt: np.ndarray,
+                 mirror: Optional[np.ndarray],
+                 group_work: Tuple[int, int, int]) -> None:
+            _emit_pairs(sink, side, src, side, tgt, eps2, max_candidate_pairs,
+                        mirror=mirror, native_kernel=native_kernel)
+            work.append(group_work)
+
+        _visit_cell_pairs(index, cells, unicomp, emit)
+        return work
+
+    return _run_operator(index, cells, tier, sink, join)
 
 
-# --------------------------------------------------------------------------
-# tier dispatch
-# --------------------------------------------------------------------------
-def selfjoin_tiered(index: GridIndex, eps: Optional[float] = None,
-                    source_cells: Optional[np.ndarray] = None,
-                    max_candidate_pairs: int = DEFAULT_MAX_CANDIDATE_PAIRS,
-                    sink: Optional[PairFragments] = None, *,
-                    unicomp: bool = False, tier: str = "auto") -> KernelOutput:
-    """Run the vectorized self-join on the resolved kernel tier.
+def run_probe(queries: np.ndarray, index: GridIndex, eps: float,
+              sink: PairFragments, *, rows: Optional[np.ndarray] = None,
+              tier: str = "auto",
+              max_candidate_pairs: int = DEFAULT_MAX_CANDIDATE_PAIRS,
+              ) -> KernelStats:
+    """Probe ``queries[rows]`` (every row when ``None``) against ``index``
+    and emit ``(row, data id)`` pairs into ``sink``, keyed by global row.
 
-    This is the production dispatch behind the ``vectorized`` backend (and
-    therefore behind ``sharded``/``multiprocess``, which run it once per
-    shard); see :func:`_run_tiered` for how ``tier`` resolves.
+    The self-join's search with another point set on the query side: the
+    query points are grouped by their cell in the index's grid
+    (:func:`_query_groups`), so co-located queries share one walk row, and
+    the groups' cells are walked against all 3^k offsets on every call
+    (query cells are arbitrary, so nothing is kept).  The emitter gathers
+    from the groups' and the index's cell-ordered points (and, for a
+    ``k < n`` grid, pre-filters on their non-indexed columns, the queries'
+    built per call).  Correct for ``eps <= index.eps``.  On the numba tier
+    the dense/sparse choice reads the index's cell populations (the
+    candidate side dominates the expansion work).
     """
-    external = sink is not None
-    sink = sink if sink is not None else PairFragments(index.num_points)
-    stats = _run_tiered(
-        index, source_cells, tier,
-        lambda native: _selfjoin_vectorized(
-            index, eps, source_cells, max_candidate_pairs, sink, native,
-            unicomp).stats)
-    return KernelOutput(result=None if external else sink.to_result_set(),
-                        stats=stats)
+    rows = np.arange(queries.shape[0], dtype=np.int64) if rows is None \
+        else np.asarray(rows, dtype=np.int64)
+    eps = float(eps)
+    eps2 = eps * eps
+
+    def join(native_kernel: Optional[Callable]) -> List[Tuple[int, int, int]]:
+        if rows.shape[0] == 0:
+            return []
+        probe_pts = queries[rows]
+        order, starts, counts, coords = _query_groups(index, probe_pts)
+        if native_kernel is not None:
+            groups = _JoinSide(probe_pts, order, starts, counts, None)
+        else:
+            ordered = probe_pts.take(order, axis=0)
+            unindexed = index.unindexed_dims
+            groups = _JoinSide(probe_pts, order, starts, counts, ordered,
+                               column_rows(ordered, unindexed) if unindexed
+                               else None)
+        side = _index_side(index, native_kernel)
+        return [(int(checked.sum()), int(src.shape[0]),
+                 _emit_pairs(sink, groups, src, side, tgt, eps2,
+                             max_candidate_pairs, key_map=rows,
+                             native_kernel=native_kernel))
+                for src, tgt, checked in _walk_cell_pairs(index, coords)]
+
+    return _run_operator(index, None, tier, sink, join)
 
 
-def _run_tiered(index: GridIndex, cells: Optional[np.ndarray], tier: str,
-                run: Callable[[Optional[Callable]], KernelStats]) -> KernelStats:
-    """Resolve the kernel tier, run the walker-and-emitter path on it, stamp it.
+def probe_row_costs(queries: np.ndarray, index: GridIndex) -> np.ndarray:
+    """Each query row's distance calculations in :func:`run_probe`, plus
+    one (int64, length ``len(queries)``).
+
+    The rows are grouped by cell as the probe groups them, and one walk of
+    the groups' cells sums, per group, the populations of the non-empty
+    cells it reaches: every row of the group evaluates that many
+    candidates.  The base cost of 1 keeps rows probing empty space
+    weighted.
+    """
+    queries = np.asarray(queries, dtype=np.float64)
+    costs = np.ones(queries.shape[0], dtype=np.int64)
+    if queries.shape[0] == 0:
+        return costs
+    order, _, counts, coords = _query_groups(index, queries)
+    reach = np.zeros(coords.shape[0], dtype=np.int64)
+    for src, tgt, _ in _walk_cell_pairs(index, coords):
+        np.add.at(reach, src, index.cell_counts.take(tgt))
+    costs[order] += reach.repeat(counts)
+    return costs
+
+
+def _query_groups(index: GridIndex, points: np.ndarray,
+                  ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """``points`` grouped by their cell in the index's grid
+    (:func:`repro.core.gridindex.group_by_cell_id`): the rows in group
+    order, each group's start and size in that order, and each group's
+    cell coordinates, groups ascending by linear cell id."""
+    coords = index.cell_coords_of(points)
+    order, _, starts, counts = group_by_cell_id(index.coords_to_linear(coords))
+    return order, starts, counts, coords[order[starts]]
+
+
+def _run_operator(index: GridIndex, cells: Optional[np.ndarray], tier: str,
+                  sink: PairFragments,
+                  join: Callable[[Optional[Callable]],
+                                 List[Tuple[int, int, int]]]) -> KernelStats:
+    """The body both operators share: resolve the kernel tier, run
+    ``join`` on it, and count its work.
 
     ``tier`` is ``numpy``, ``numba`` or ``auto`` (numba when available).
-    ``run`` is called with the emitter's pair kernel: ``None`` on the NumPy
-    tier, which has one route; on the numba tier the compiled ``dense`` or
-    ``sparse`` kernel that
+    ``join`` is called with the emitter's pair kernel: ``None`` on the
+    NumPy tier, which has one route; on the numba tier the compiled
+    ``dense`` or ``sparse`` kernel that
     :func:`repro.core.nativekernels.choose_selfjoin_kernel` picks from the
-    populations of ``cells``, counted in ``kernel_counts``.  Every route
-    emits the same pair stream.  The resolved tier is stamped on the
-    returned :class:`KernelStats`.  The self-join and the probe share this
-    dispatch.
+    populations of ``cells`` (the whole index when ``None``), counted in
+    ``kernel_counts``.  Every route emits the same pair stream.  ``join``
+    emits into ``sink`` and returns per walker group its ``(cells_checked,
+    nonempty_cells_visited, distance_calcs)``, which are summed here; the
+    result pairs are what the sink gained, and the resolved tier is
+    stamped on the stats.
     """
     resolved = nativekernels.resolve_kernel_tier(tier)
-    if resolved == "numpy":
-        stats = run(None)
-    else:
+    stats = KernelStats(tier=resolved)
+    native_kernel = None
+    if resolved != "numpy":
         choice = nativekernels.choose_selfjoin_kernel(index, cells)
-        stats = run(nativekernels.native_pair_kernels()[choice])
-        stats.kernel_counts[choice] = stats.kernel_counts.get(choice, 0) + 1
-    stats.tier = resolved
+        native_kernel = nativekernels.native_pair_kernels()[choice]
+        stats.kernel_counts[choice] = 1
+    before = sink.num_pairs
+    for checked, visited, distance_calcs in join(native_kernel):
+        stats.cells_checked += checked
+        stats.nonempty_cells_visited += visited
+        stats.distance_calcs += distance_calcs
+    stats.result_pairs = sink.num_pairs - before
     return stats
 
 

@@ -66,11 +66,21 @@ def compute_num_cells(gmin: np.ndarray, gmax: np.ndarray, eps: float) -> np.ndar
     always covers the (ε-padded) data extent exactly, which preserves the
     bounded-search property: any point within ε of a query point lies in one
     of the 3^n adjacent cells.
+
+    Raises
+    ------
+    GridOverflowError
+        If one dimension alone needs more than :data:`MAX_LINEAR_CELLS`
+        cells (checked before the cast, which would wrap past 2**63).
     """
     extent = np.asarray(gmax, dtype=np.float64) - np.asarray(gmin, dtype=np.float64)
-    num = np.ceil(extent / float(eps)).astype(np.int64)
+    num = np.ceil(extent / float(eps))
+    if (num > MAX_LINEAR_CELLS).any():
+        raise GridOverflowError(
+            "a grid dimension needs more than 2**62 cells; increase eps "
+            f"(cells per dimension: {num.tolist()})")
     # Degenerate dimensions (all points share a coordinate) still need >= 1 cell.
-    return np.maximum(num, 1)
+    return np.maximum(num.astype(np.int64), 1)
 
 
 def compute_strides(num_cells: np.ndarray) -> np.ndarray:
@@ -113,16 +123,24 @@ def compute_cell_coords(points: np.ndarray, gmin: np.ndarray, eps: float,
     """Integer cell coordinates of every point.
 
     ``coord_j = floor((x_j - gmin_j) / eps)`` clipped into ``[0, |g_j| - 1]``.
-    The clip only matters for points exactly on the upper grid boundary
-    (floating-point round-off); interior points are unaffected.
+    For the indexed points the clip only matters on the upper grid boundary
+    (floating-point round-off); a query point outside the grid lands in the
+    border cell on its side.  The clip runs in float, before the cast: a
+    quotient past int64's range would wrap in the cast and bin the point on
+    the wrong side.
 
     Returns
     -------
     numpy.ndarray
         ``(n_points, n_dims)`` ``int64`` array.
     """
-    coords = np.floor((points - gmin) / float(eps)).astype(np.int64)
-    np.clip(coords, 0, np.asarray(num_cells, dtype=np.int64) - 1, out=coords)
+    scaled = np.floor((points - gmin) / float(eps))
+    top = np.asarray(num_cells, dtype=np.int64) - 1
+    np.clip(scaled, 0, top, out=scaled)
+    coords = scaled.astype(np.int64)
+    if top.max(initial=0) >= 2 ** 53:
+        # float(top) may round up past the last cell on such a grid.
+        np.minimum(coords, top, out=coords)
     return coords
 
 

@@ -24,8 +24,8 @@ from typing import Optional
 import numpy as np
 
 from repro.core.gridindex import GridIndex
-from repro.core.kernels import selfjoin_cell_costs
-from repro.core.result import ResultSet
+from repro.core.kernels import run_selfjoin, selfjoin_cell_costs
+from repro.core.result import PairFragments, ResultSet
 from repro.utils.validation import check_eps, check_points
 
 
@@ -113,7 +113,6 @@ def adaptive_selfjoin(points: np.ndarray, eps: float,
         result = bruteforce_selfjoin(pts, eps).result
         assert result is not None
         return result, estimate
-    from repro.core.kernels import selfjoin_global_vectorized, selfjoin_unicomp_vectorized
-
-    kernel = selfjoin_unicomp_vectorized if unicomp else selfjoin_global_vectorized
-    return kernel(index).result, estimate
+    sink = PairFragments(index.num_points)
+    run_selfjoin(index, index.eps, sink, unicomp=unicomp)
+    return sink.to_result_set(), estimate

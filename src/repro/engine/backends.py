@@ -19,8 +19,10 @@ work counters.  Backends register themselves in :data:`BACKENDS` via
 
 Available backends:
 
-* ``vectorized`` — the production path (the shared cell-pair walker and
-  emitter of :mod:`repro.core.kernels`).
+* ``vectorized`` — the production path: one call into each operator of
+  :mod:`repro.core.kernels` (:func:`~repro.core.kernels.run_selfjoin`,
+  :func:`~repro.core.kernels.run_probe`), which every shard of the
+  parallel backends runs too.
 * ``simulated`` — instrumented device-model path (Table II); probes run
   the production probe on the NumPy tier, since the paper's device model
   only covers the self-join kernels.
@@ -52,18 +54,9 @@ from typing import Callable, Dict, List, Optional, Tuple, Type, Union
 
 import numpy as np
 
-from repro.core import nativekernels
-from repro.core.gridindex import GridIndex, column_rows, group_by_cell_id
-from repro.core.kernels import (
-    DEFAULT_MAX_CANDIDATE_PAIRS,
-    KernelStats,
-    _emit_pairs,
-    _index_side,
-    _JoinSide,
-    _run_tiered,
-    _walk_cell_pairs,
-    selfjoin_tiered,
-)
+from repro.core import kernels, nativekernels
+from repro.core.gridindex import GridIndex
+from repro.core.kernels import DEFAULT_MAX_CANDIDATE_PAIRS, KernelStats
 from repro.core.result import PairFragments
 
 
@@ -358,7 +351,7 @@ def available_backends() -> List[str]:
 
 
 # --------------------------------------------------------------------------
-# shared probe helpers (moved here from the bespoke loop in core/join.py)
+# backends
 # --------------------------------------------------------------------------
 def _probe_rows(queries: np.ndarray, rows: Optional[np.ndarray]) -> np.ndarray:
     """Resolve the probed row subset (all rows when ``None``)."""
@@ -378,83 +371,13 @@ def _reject_cell_subset(backend: ExecutionBackend, cells) -> None:
                          "source-cell subsets (supports_cell_subset=False)")
 
 
-def _vectorized_probe(queries: np.ndarray, index: GridIndex, eps: float,
-                      sink: PairFragments, rows: Optional[np.ndarray],
-                      max_candidate_pairs: int,
-                      native_kernel: Optional[Callable] = None) -> KernelStats:
-    """Bipartite probe on the shared cell-pair walker (production path).
-
-    The query points are grouped by their cell in the index's grid
-    (:func:`repro.core.gridindex.group_by_cell_id`), so co-located queries
-    share one adjacent-cell resolution.  The groups' cell
-    coordinates are walked against all 3^k offsets of the k indexed dims by
-    :func:`repro.core.kernels._walk_cell_pairs` on every call (query cells
-    are arbitrary, so no adjacency is cached), and every resolved (query
-    group, index cell) pair is expanded and distance-filtered by the shared
-    emitter, which gathers from the groups' and the index's cell-ordered
-    points (and, for a ``k < n`` grid, pre-filters on their non-indexed
-    columns, the queries' built per call) and maps the group-local keys
-    back to global rows.
-    ``native_kernel`` swaps the expand/filter step for a compiled pair
-    kernel from :mod:`repro.core.nativekernels`.
-    """
-    stats = KernelStats()
-    rows = _probe_rows(queries, rows)
-    if rows.shape[0] == 0:
-        return stats
-    probe_pts = queries[rows]
-    coords = index.cell_coords_of(probe_pts)
-    order, _, starts, counts = group_by_cell_id(index.coords_to_linear(coords))
-    group_coords = coords[order[starts]]
-    if native_kernel is not None:
-        groups = _JoinSide(probe_pts, order, starts, counts, None)
-    else:
-        ordered = probe_pts.take(order, axis=0)
-        unindexed = index.unindexed_dims
-        groups = _JoinSide(probe_pts, order, starts, counts, ordered,
-                           column_rows(ordered, unindexed) if unindexed
-                           else None)
-    cells = _index_side(index, native_kernel)
-    before = sink.num_pairs
-    for src, tgt, checked in _walk_cell_pairs(index, group_coords):
-        stats.cells_checked += int(checked.sum())
-        stats.nonempty_cells_visited += int(src.shape[0])
-        stats.distance_calcs += _emit_pairs(
-            sink, groups, src, cells, tgt, eps * eps, max_candidate_pairs,
-            key_map=rows, native_kernel=native_kernel)
-    stats.result_pairs = sink.num_pairs - before
-    return stats
-
-
-def _tiered_probe(queries: np.ndarray, index: GridIndex, eps: float,
-                  sink: PairFragments, rows: Optional[np.ndarray],
-                  max_candidate_pairs: int, tier: str) -> KernelStats:
-    """Probe on the resolved kernel tier.
-
-    The probe-side analogue of :func:`repro.core.kernels.selfjoin_tiered`,
-    through the same dispatch: on the numba tier the dense/sparse choice
-    reads the *index* side's cell populations (the candidate side
-    dominates the expansion work).
-    """
-    return _run_tiered(
-        index, None, tier,
-        lambda native: _vectorized_probe(
-            queries, index, eps, sink, rows, max_candidate_pairs,
-            native_kernel=native))
-
-
-# --------------------------------------------------------------------------
-# backends
-# --------------------------------------------------------------------------
 @register_backend
 class VectorizedBackend(ExecutionBackend):
-    """Production path: tier-dispatched kernels behind the operator seam.
+    """Production path: the two operators of :mod:`repro.core.kernels`.
 
-    Both operators route through the kernel-tier dispatch
-    (:func:`repro.core.kernels.selfjoin_tiered` and the probe analogue):
-    the shared walker and emitter, with the numba tier's compiled pair
-    kernels when available and the NumPy expand/filter step otherwise.
-    ``kernel`` pins the tier — ``"vectorized(kernel=numba)"``,
+    Both run the shared walker and emitter, with the numba tier's compiled
+    pair kernels when available and the NumPy expand/filter step
+    otherwise.  ``kernel`` pins the tier — ``"vectorized(kernel=numba)"``,
     ``"vectorized(kernel=numpy)"``.
     """
 
@@ -470,14 +393,15 @@ class VectorizedBackend(ExecutionBackend):
 
     def run_selfjoin(self, index, eps, cells, sink, *, unicomp=False,
                      max_candidate_pairs=DEFAULT_MAX_CANDIDATE_PAIRS) -> KernelStats:
-        return selfjoin_tiered(index, eps, cells, max_candidate_pairs,
-                               sink=sink, unicomp=unicomp,
-                               tier=self.tier).stats
+        return kernels.run_selfjoin(index, eps, sink, cells=cells,
+                                    unicomp=unicomp, tier=self.tier,
+                                    max_candidate_pairs=max_candidate_pairs)
 
     def run_probe(self, queries, index, eps, sink, *, rows=None,
                   max_candidate_pairs=DEFAULT_MAX_CANDIDATE_PAIRS) -> KernelStats:
-        return _tiered_probe(queries, index, eps, sink, rows,
-                             max_candidate_pairs, self.tier)
+        return kernels.run_probe(queries, index, eps, sink, rows=rows,
+                                 tier=self.tier,
+                                 max_candidate_pairs=max_candidate_pairs)
 
 
 @register_backend
@@ -501,8 +425,9 @@ class SimulatedBackend(ExecutionBackend):
                   max_candidate_pairs=DEFAULT_MAX_CANDIDATE_PAIRS) -> KernelStats:
         # The device model only covers the self-join kernels; probes run
         # the uninstrumented production probe.
-        return _tiered_probe(queries, index, eps, sink, rows,
-                             max_candidate_pairs, "numpy")
+        return kernels.run_probe(queries, index, eps, sink, rows=rows,
+                                 tier="numpy",
+                                 max_candidate_pairs=max_candidate_pairs)
 
 
 @register_backend

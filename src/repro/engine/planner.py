@@ -41,6 +41,7 @@ into an executable :class:`QueryPlan`:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import TYPE_CHECKING, Optional, Tuple, Union
 
 import numpy as np
@@ -48,9 +49,7 @@ import numpy as np
 from repro.core import linearize as lin
 from repro.core.batching import BatchPlan, BatchPlanner
 from repro.core.gridindex import GridIndex, _run_length_encode
-from repro.core.kernels import (DEFAULT_MAX_CANDIDATE_PAIRS, KernelOutput,
-                                selfjoin_cell_costs)
-from repro.core.result import PairFragments
+from repro.core.kernels import DEFAULT_MAX_CANDIDATE_PAIRS, selfjoin_cell_costs
 from repro.engine import query as Q
 from repro.engine.backends import ExecutionBackend, get_backend
 from repro.utils.timing import Timer
@@ -309,20 +308,14 @@ class QueryPlanner:
         if query.batching and self.backend.supports_cell_subset \
                 and not self.backend.owns_decomposition:
             planner = self.batch_planner
-
-            def estimation_kernel(idx, e, cells):
-                sink = PairFragments(idx.num_points)
-                stats = self.backend.run_selfjoin(
-                    idx, e, cells, sink, unicomp=unicomp,
-                    max_candidate_pairs=self.max_candidate_pairs)
-                return KernelOutput(result=None, stats=stats)
-
             # When an exact bound on the result fits one buffer, only a
             # min_batches > 1 request splits it.
             if planner.min_batches > 1 \
                     or not _result_bound_fits(index, unicomp, planner):
-                batch_plan = planner.plan(index, query.eps,
-                                          kernel=estimation_kernel)
+                batch_plan = planner.plan(index, partial(
+                    self.backend.run_selfjoin, index, query.eps,
+                    unicomp=unicomp,
+                    max_candidate_pairs=self.max_candidate_pairs))
                 if batch_plan.n_batches == 1:
                     batch_plan = None
 

@@ -21,7 +21,8 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.gridindex import GridIndex
-from repro.core.kernels import selfjoin_global_vectorized, selfjoin_unicomp_vectorized
+from repro.core.kernels import run_selfjoin
+from repro.core.result import PairFragments
 from repro.core.simkernels import simulated_selfjoin
 from repro.data.datasets import DATASETS
 from repro.experiments.report import format_table
@@ -116,12 +117,12 @@ def run_table2(n_points: int = 1500,
 
 
 def _time_kernel(index: GridIndex, eps: float, unicomp: bool, repeats: int) -> float:
-    """Mean wall-clock time of the vectorized kernel over ``repeats`` runs."""
-    kernel = selfjoin_unicomp_vectorized if unicomp else selfjoin_global_vectorized
+    """Mean wall-clock time of the NumPy-tier kernel over ``repeats`` runs."""
     times: List[float] = []
     for _ in range(max(1, repeats)):
         with Timer() as t:
-            kernel(index, eps)
+            run_selfjoin(index, eps, PairFragments(index.num_points),
+                         unicomp=unicomp, tier="numpy")
         times.append(t.elapsed)
     return sum(times) / len(times)
 

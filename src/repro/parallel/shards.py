@@ -26,9 +26,9 @@ from typing import List, Optional
 
 import numpy as np
 
-from repro.core.batching import estimate_probe_row_costs, split_by_cost
+from repro.core.batching import split_by_cost
 from repro.core.gridindex import GridIndex
-from repro.core.kernels import selfjoin_cell_costs
+from repro.core.kernels import probe_row_costs, selfjoin_cell_costs
 from repro.parallel.scheduler import ShardTask, tasks_from_arrays
 
 #: Environment override for the default worker/shard count.
@@ -141,7 +141,7 @@ def probe_tasks(queries: np.ndarray, rows: np.ndarray, index: GridIndex,
     """Probe tasks: cost-balanced contiguous groups of the probed rows."""
     if rows.shape[0] == 0:
         return []
-    costs = estimate_probe_row_costs(queries[rows], index)
+    costs = probe_row_costs(queries[rows], index)
     groups = split_by_cost(costs, n_shards)
     return tasks_from_arrays([rows[g] for g in groups],
                              [costs[g].astype(np.float64) for g in groups],

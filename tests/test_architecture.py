@@ -20,6 +20,9 @@
   defines ``_record_schedule``, and no ``Transport`` subclass adds to a
   ``stats`` object: the executor loop counts dispatches and lost workers
   into its schedule report, and the base counts datasets and joins.
+* One kernel seam.  :mod:`repro.core.kernels` exposes the self-join and
+  probe operators and their cost functions; no other module of the
+  package imports or reads an ``_``-prefixed name of it.
 * One dims chooser, off the paper's paths.  Only
   ``QueryPlanner.index_dataset`` calls ``choose_index_dims``, and the
   experiments, ``GPUSelfJoin`` and the ``simulated`` backend never reach
@@ -48,6 +51,7 @@ import pytest
 import repro
 from repro.baselines.cellwise import probe_cellwise, selfjoin_cellwise
 from repro.core.gridindex import GridIndex
+from repro.core.result import PairFragments
 from repro.core.selfjoin import GPUSelfJoin, SelfJoinConfig
 from repro.data.synthetic import uniform_dataset
 from repro.engine import EngineSession, Query, QueryPlanner, list_backends, run_query
@@ -389,6 +393,78 @@ def test_counter_guard_sees_direct_and_indirect_transports():
 
 
 # --------------------------------------------------------------------------
+# one kernel seam
+# --------------------------------------------------------------------------
+KERNELS = "repro.core.kernels"
+KERNELS_MODULE = "core/kernels.py"
+
+
+def _dotted(node: ast.AST):
+    """The dotted name of a ``Name``/``Attribute`` chain (``None`` otherwise)."""
+    if isinstance(node, ast.Name):
+        return node.id
+    if isinstance(node, ast.Attribute):
+        parent = _dotted(node.value)
+        return None if parent is None else f"{parent}.{node.attr}"
+    return None
+
+
+def _private_kernel_uses(tree: ast.Module):
+    """``(enclosing qualname, line)`` of every ``_``-prefixed name taken
+    from ``repro.core.kernels``: imported from it, or read as an attribute
+    of a name the module is bound to."""
+    bound = {KERNELS}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            bound |= {alias.asname for alias in node.names
+                      if alias.name == KERNELS and alias.asname}
+        elif isinstance(node, ast.ImportFrom) and node.module == "repro.core":
+            bound |= {alias.asname or alias.name for alias in node.names
+                      if alias.name == "kernels"}
+
+    def private(name: str) -> bool:
+        return name.startswith("_") and not name.endswith("__")
+
+    def match(node: ast.AST) -> bool:
+        if isinstance(node, ast.ImportFrom):
+            return node.module == KERNELS and any(
+                private(alias.name) for alias in node.names)
+        return isinstance(node, ast.Attribute) and private(node.attr) \
+            and _dotted(node.value) in bound
+
+    return _scoped(tree, match)
+
+
+def test_only_the_kernels_use_their_private_names():
+    """The two operators and their cost functions are the whole seam: no
+    other module reaches into the walker, the emitter or the tier body."""
+    offending = {}
+    for path in _package_modules():
+        relative = path.relative_to(PACKAGE_ROOT).as_posix()
+        if relative == KERNELS_MODULE:
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        found = list(_private_kernel_uses(tree))
+        if found:
+            offending[relative] = found
+    assert offending == {}
+
+
+def test_kernel_seam_guard_sees_every_form():
+    tree = ast.parse("from repro.core.kernels import run_probe, _emit_pairs\n"
+                     "from repro.core import kernels\n"
+                     "import repro.core.kernels as K\n"
+                     "import repro.core.kernels\n"
+                     "def f():\n"
+                     "    kernels._walk_cell_pairs(index, coords)\n"
+                     "    return K._JoinSide, repro.core.kernels._run_operator\n"
+                     "kernels.run_selfjoin, kernels.__name__, other._emit_pairs\n"
+                     "from repro.core.kernels import KernelStats\n")
+    assert list(_private_kernel_uses(tree)) == [
+        ("", 1), ("f", 6), ("f", 7), ("f", 7)]
+
+
+# --------------------------------------------------------------------------
 # one dims chooser, off the paper's paths
 # --------------------------------------------------------------------------
 CHOOSER = "choose_index_dims"
@@ -470,11 +546,13 @@ def _dense_case(kind: str):
     assert index.cell_counts.mean() >= 16
     if kind == "probe":
         queries = rng.uniform(0.0, 2.0, (100, 2))
-        return (Query.bipartite_join(queries, points, 1.0),
-                probe_cellwise(queries, index).result)
+        sink = PairFragments(queries.shape[0])
+        probe_cellwise(queries, index, sink)
+        return Query.bipartite_join(queries, points, 1.0), sink
     unicomp = kind == "unicomp"
-    return (Query.self_join(points, 1.0, unicomp=unicomp),
-            selfjoin_cellwise(index, unicomp=unicomp).result)
+    sink = PairFragments(index.num_points)
+    selfjoin_cellwise(index, sink, unicomp=unicomp)
+    return Query.self_join(points, 1.0, unicomp=unicomp), sink
 
 
 @pytest.mark.parametrize("kind", ["global", "unicomp", "probe"])

@@ -5,6 +5,7 @@ from __future__ import annotations
 import os
 import resource
 from dataclasses import replace
+from functools import partial
 
 import numpy as np
 import pytest
@@ -18,18 +19,15 @@ from repro.core.batching import (
     split_cells_balanced,
 )
 from repro.core.gridindex import GridIndex
-from repro.core.kernels import (
-    selfjoin_global_vectorized,
-    selfjoin_unicomp_vectorized,
-)
+from repro.core.kernels import run_selfjoin
+from repro.core.result import PairFragments
 
 
-def vec_kernel(index, eps, cells):
-    return selfjoin_global_vectorized(index, eps, cells)
-
-
-def uni_kernel(index, eps, cells):
-    return selfjoin_unicomp_vectorized(index, eps, cells)
+def selfjoin(index, eps, unicomp=False):
+    """The unbatched self-join: its result and stats."""
+    sink = PairFragments(index.num_points)
+    stats = run_selfjoin(index, eps, sink, unicomp=unicomp)
+    return sink.to_result_set(), stats
 
 
 class TestSplitCells:
@@ -67,35 +65,37 @@ class TestSplitCells:
 class TestPlanner:
     def test_minimum_three_batches(self, index_2d, eps_2d):
         planner = BatchPlanner(min_batches=3)
-        plan = planner.plan(index_2d, eps_2d, kernel=vec_kernel)
+        plan = planner.plan(index_2d, partial(run_selfjoin, index_2d, eps_2d))
         assert plan.n_batches >= 3
 
     def test_estimate_within_factor_of_truth(self, index_2d, eps_2d):
         planner = BatchPlanner(sample_fraction=0.25, seed=3)
-        estimate = planner.estimate_result_pairs(index_2d, eps_2d, vec_kernel)
-        truth = selfjoin_global_vectorized(index_2d, eps_2d).result.num_pairs
+        estimate = planner.estimate_result_pairs(
+            index_2d, partial(run_selfjoin, index_2d, eps_2d))
+        truth = selfjoin(index_2d, eps_2d)[0].num_pairs
         assert 0.3 * truth <= estimate <= 3.0 * truth
 
     def test_estimate_full_sample_is_exact(self, index_2d, eps_2d):
         planner = BatchPlanner(sample_fraction=1.0, max_sample_cells=10 ** 9)
-        estimate = planner.estimate_result_pairs(index_2d, eps_2d, vec_kernel)
-        truth = selfjoin_global_vectorized(index_2d, eps_2d).result.num_pairs
+        estimate = planner.estimate_result_pairs(
+            index_2d, partial(run_selfjoin, index_2d, eps_2d))
+        truth = selfjoin(index_2d, eps_2d)[0].num_pairs
         assert estimate == truth
 
     def test_small_memory_forces_more_batches(self, index_2d, eps_2d):
-        truth = selfjoin_global_vectorized(index_2d, eps_2d).result.num_pairs
+        truth = selfjoin(index_2d, eps_2d)[0].num_pairs
         tiny_bytes = data_bytes(index_2d) + truth * PAIR_BYTES // 4
         planner = BatchPlanner(memory_bytes=int(tiny_bytes), min_batches=3,
                                result_buffer_fraction=1.0, sample_fraction=1.0,
                                max_sample_cells=10 ** 9)
-        plan = planner.plan(index_2d, eps_2d, kernel=vec_kernel)
+        plan = planner.plan(index_2d, partial(run_selfjoin, index_2d, eps_2d))
         assert plan.n_batches > 3
 
-    def test_plan_requires_kernel_or_estimate(self, index_2d, eps_2d):
+    def test_plan_requires_kernel_or_estimate(self, index_2d):
         planner = BatchPlanner()
         with pytest.raises(ValueError):
-            planner.plan(index_2d, eps_2d)
-        plan = planner.plan(index_2d, eps_2d, estimated_pairs=1000)
+            planner.plan(index_2d)
+        plan = planner.plan(index_2d, estimated_pairs=1000)
         assert plan.estimated_total_pairs == 1000
 
     def test_invalid_parameters(self):
@@ -123,47 +123,54 @@ class TestPlanner:
         assert host_memory_bytes() == physical
 
     def test_plan_covers_all_cells(self, index_3d, eps_3d):
-        plan = BatchPlanner().plan(index_3d, eps_3d, kernel=vec_kernel)
+        plan = BatchPlanner().plan(index_3d,
+                                   partial(run_selfjoin, index_3d, eps_3d))
         assert plan.total_cells() == index_3d.num_nonempty_cells
 
 
 class TestExecuteBatched:
     def test_batched_equals_unbatched_global(self, index_2d, eps_2d):
-        plan = BatchPlanner(min_batches=4).plan(index_2d, eps_2d, kernel=vec_kernel)
-        result, stats, report = execute_batched(index_2d, eps_2d, plan, vec_kernel)
-        full = selfjoin_global_vectorized(index_2d, eps_2d)
-        assert result.same_pairs_as(full.result)
+        plan = BatchPlanner(min_batches=4).plan(
+            index_2d, partial(run_selfjoin, index_2d, eps_2d))
+        result, stats, report = execute_batched(index_2d, eps_2d, plan)
+        full, _ = selfjoin(index_2d, eps_2d)
+        assert result.same_pairs_as(full)
         assert report.total_pairs == result.num_pairs
 
     def test_batched_equals_unbatched_unicomp(self, index_3d, eps_3d):
-        plan = BatchPlanner(min_batches=3).plan(index_3d, eps_3d, kernel=uni_kernel)
-        result, stats, report = execute_batched(index_3d, eps_3d, plan, uni_kernel)
-        full = selfjoin_unicomp_vectorized(index_3d, eps_3d)
-        assert result.same_pairs_as(full.result)
+        plan = BatchPlanner(min_batches=3).plan(
+            index_3d, partial(run_selfjoin, index_3d, eps_3d, unicomp=True))
+        result, stats, report = execute_batched(index_3d, eps_3d, plan,
+                                                unicomp=True)
+        full, _ = selfjoin(index_3d, eps_3d, unicomp=True)
+        assert result.same_pairs_as(full)
 
     def test_adaptive_split_on_overflow(self, index_2d, eps_2d):
         # Deliberately under-size the buffer so batches must split.
-        plan = BatchPlanner(min_batches=3).plan(index_2d, eps_2d, kernel=vec_kernel)
-        truth = selfjoin_global_vectorized(index_2d, eps_2d).result.num_pairs
+        plan = BatchPlanner(min_batches=3).plan(
+            index_2d, partial(run_selfjoin, index_2d, eps_2d))
+        full, _ = selfjoin(index_2d, eps_2d)
+        truth = full.num_pairs
         small_plan = replace(plan, buffer_capacity_pairs=max(1, truth // 10))
-        result, _, report = execute_batched(index_2d, eps_2d, small_plan, vec_kernel)
+        result, _, report = execute_batched(index_2d, eps_2d, small_plan)
         assert report.splits_performed > 0
-        full = selfjoin_global_vectorized(index_2d, eps_2d)
-        assert result.same_pairs_as(full.result)
+        assert result.same_pairs_as(full)
 
     def test_pipeline_report_present(self, index_2d, eps_2d):
-        plan = BatchPlanner().plan(index_2d, eps_2d, kernel=vec_kernel)
-        _, _, report = execute_batched(index_2d, eps_2d, plan, vec_kernel, n_streams=3)
+        plan = BatchPlanner().plan(index_2d,
+                                   partial(run_selfjoin, index_2d, eps_2d))
+        _, _, report = execute_batched(index_2d, eps_2d, plan, n_streams=3)
         assert report.pipeline is not None
         assert report.pipeline.n_batches == len(report.batch_pairs)
         assert report.pipeline.overlapped_time <= report.pipeline.serial_time + 1e-12
 
     def test_stats_accumulated_across_batches(self, index_2d, eps_2d):
-        plan = BatchPlanner(min_batches=4).plan(index_2d, eps_2d, kernel=vec_kernel)
-        _, stats, _ = execute_batched(index_2d, eps_2d, plan, vec_kernel)
-        unbatched = selfjoin_global_vectorized(index_2d, eps_2d)
-        assert stats.distance_calcs == unbatched.stats.distance_calcs
-        assert stats.result_pairs == unbatched.stats.result_pairs
+        plan = BatchPlanner(min_batches=4).plan(
+            index_2d, partial(run_selfjoin, index_2d, eps_2d))
+        _, stats, _ = execute_batched(index_2d, eps_2d, plan)
+        _, unbatched = selfjoin(index_2d, eps_2d)
+        assert stats.distance_calcs == unbatched.distance_calcs
+        assert stats.result_pairs == unbatched.result_pairs
 
     @pytest.mark.parametrize("spare", [0, -1], ids=["fits", "overflows"])
     def test_overflow_check_counts_expanded_unicomp_pairs(self, index_3d,

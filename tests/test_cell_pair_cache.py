@@ -32,7 +32,6 @@ from repro.core.result import PairFragments
 from repro.data.synthetic import uniform_dataset
 from repro.distributed import WorkerThread
 from repro.engine import EngineSession, Query, run_query
-from repro.engine import backends as backends_module
 from repro.engine.backends import VectorizedBackend
 from repro.parallel.executor import ShardDataset
 
@@ -392,7 +391,6 @@ def test_warm_selfjoins_do_not_walk(monkeypatch, backend):
         raise AssertionError("a warm self-join walked the cell pairs")
 
     monkeypatch.setattr(K, "_walk_cell_pairs", counted)
-    monkeypatch.setattr(backends_module, "_walk_cell_pairs", counted)
     with deployment(backend) as spec, \
             EngineSession(points, backend=spec) as session:
         for unicomp in (False, True):
@@ -404,6 +402,7 @@ def test_warm_selfjoins_do_not_walk(monkeypatch, backend):
         for unicomp in (False, True, True):
             table = session.self_join(eps, unicomp=unicomp).neighbor_table
             assert table.same_contents_as(expected[unicomp])
+        monkeypatch.setattr(K, "_walk_cell_pairs", counted)
         before = len(walks)
         session.range_query(points[:20], eps)
         assert len(walks) > before, "probes walk on every call"

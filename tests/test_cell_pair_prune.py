@@ -15,6 +15,8 @@ oracle's, and that no home pair is dropped.
 from __future__ import annotations
 
 import hashlib
+from contextlib import contextmanager
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -63,14 +65,27 @@ def unpruned_run(index, unicomp, native=None):
     return digest(sink), (*counters, sink.num_pairs), sink
 
 
+@contextmanager
+def pair_kernel(impl):
+    """Run the operators with the pair kernel ``impl`` whatever tier they
+    ask for; ``None`` changes nothing."""
+    if impl is None:
+        yield
+        return
+    with mock.patch.object(nk, "resolve_kernel_tier", lambda tier: "numba"), \
+            mock.patch.object(nk, "native_pair_kernels",
+                              lambda: {"dense": impl, "sparse": impl}):
+        yield
+
+
 def pruned_run(index, unicomp, native=None):
     """Stream and counters of the production self-join, which emits from
     the pruned cell pairs (kept on the index, or walked per call past the
     byte bound)."""
     sink = PairFragments(index.num_points)
-    stats = K._selfjoin_vectorized(index, None, None,
-                                   K.DEFAULT_MAX_CANDIDATE_PAIRS, sink,
-                                   native, unicomp).stats
+    with pair_kernel(native):
+        stats = K.run_selfjoin(index, index.eps, sink, unicomp=unicomp,
+                               tier="numpy")
     return digest(sink), (stats.cells_checked, stats.nonempty_cells_visited,
                           stats.distance_calcs, stats.result_pairs)
 

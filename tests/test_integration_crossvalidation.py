@@ -19,6 +19,7 @@ from repro.baselines.kdtree_ref import kdtree_selfjoin
 from repro.baselines.rtree_selfjoin import rtree_selfjoin
 from repro.baselines.superego import superego_selfjoin
 from repro.core.gridindex import GridIndex
+from repro.core.result import PairFragments
 from repro.data.realworld import sdss_dataset, sw_dataset
 from repro.data.synthetic import gaussian_clusters, uniform_dataset
 
@@ -34,6 +35,13 @@ SCENARIOS = [
 ]
 
 
+def oracle_pairs(points, eps):
+    """The per-cell oracle's self-join, as canonical pairs."""
+    sink = PairFragments(points.shape[0])
+    selfjoin_cellwise(GridIndex.build(points, eps), sink)
+    return sink.to_result_set().canonical_pairs()
+
+
 @pytest.mark.parametrize("name,factory,eps", SCENARIOS, ids=[s[0] for s in SCENARIOS])
 class TestAllAlgorithmsAgree:
     def test_cross_validation(self, name, factory, eps):
@@ -44,8 +52,7 @@ class TestAllAlgorithmsAgree:
             "gpu-unicomp": selfjoin(points, eps, unicomp=True).canonical_pairs(),
             "gpu-global": selfjoin(points, eps, unicomp=False).canonical_pairs(),
             "gpu-unbatched": selfjoin(points, eps, batching=False).canonical_pairs(),
-            "cellwise-oracle": selfjoin_cellwise(
-                GridIndex.build(points, eps)).result.canonical_pairs(),
+            "cellwise-oracle": oracle_pairs(points, eps),
             "rtree": rtree_selfjoin(points, eps).result.canonical_pairs(),
             "superego": superego_selfjoin(points, eps).result.canonical_pairs(),
             "bruteforce": bruteforce_selfjoin(points, eps).result.canonical_pairs(),

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from functools import partial
+
 import numpy as np
 import pytest
 
@@ -9,7 +11,8 @@ from repro import GPUSelfJoin, SelfJoinConfig
 from repro.apps.dbscan import dbscan
 from repro.core.batching import BatchPlanner, execute_batched
 from repro.core.gridindex import GridIndex
-from repro.core.kernels import selfjoin_unicomp_vectorized
+from repro.core.kernels import run_selfjoin
+from repro.core.result import PairFragments
 from repro.data.datasets import load_dataset
 from repro.data.synthetic import gaussian_clusters
 from repro.experiments.runner import run_response_time_experiment
@@ -32,15 +35,14 @@ class TestDatasetToJoinPipeline:
         eps = 4.0
         index = GridIndex.build(points, eps)
 
-        def kernel(idx, e, cells):
-            return selfjoin_unicomp_vectorized(idx, e, cells)
-
         planner = BatchPlanner(memory_bytes=256 * 1024, min_batches=3)
-        plan = planner.plan(index, eps, kernel=kernel)
+        plan = planner.plan(index, partial(run_selfjoin, index, eps,
+                                           unicomp=True))
         assert plan.n_batches > 3
-        result, _, report = execute_batched(index, eps, plan, kernel)
-        unbatched = selfjoin_unicomp_vectorized(index, eps)
-        assert result.same_pairs_as(unbatched.result)
+        result, _, report = execute_batched(index, eps, plan, unicomp=True)
+        unbatched = PairFragments(index.num_points)
+        run_selfjoin(index, eps, unbatched, unicomp=True)
+        assert result.same_pairs_as(unbatched.to_result_set())
         assert report.pipeline is not None
 
 

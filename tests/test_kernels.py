@@ -1,9 +1,10 @@
-"""Unit tests for the self-join kernels (GLOBAL and UNICOMP, all implementations)."""
+"""Unit tests for the grid join operators (GLOBAL and UNICOMP self-joins,
+the probe) and the per-cell oracle they are checked against."""
 
 from __future__ import annotations
 
 import hashlib
-from contextlib import nullcontext
+from contextlib import contextmanager, nullcontext
 from unittest import mock
 
 import numpy as np
@@ -27,22 +28,45 @@ from repro.utils.cancellation import (
 )
 
 
-def selfjoin_global_cellwise(index):
-    """The per-cell oracle, GLOBAL."""
-    return selfjoin_cellwise(index)
+def selfjoin(index, eps=None, **options):
+    """The NumPy-tier self-join operator into a fresh sink: its result and
+    work counters."""
+    sink = PairFragments(index.num_points)
+    stats = K.run_selfjoin(index, index.eps if eps is None else eps, sink,
+                           tier="numpy", **options)
+    return sink.to_result_set(), stats
 
 
-def selfjoin_unicomp_cellwise(index):
-    """The per-cell oracle, UNICOMP."""
-    return selfjoin_cellwise(index, unicomp=True)
+def joined(operator, index):
+    """The result of a self-join ``operator(index, sink)``."""
+    sink = PairFragments(index.num_points)
+    operator(index, sink)
+    return sink.to_result_set()
 
 
 ALL_KERNELS = [
-    ("cellwise-global", selfjoin_global_cellwise),
-    ("cellwise-unicomp", selfjoin_unicomp_cellwise),
-    ("vectorized-global", K.selfjoin_global_vectorized),
-    ("vectorized-unicomp", K.selfjoin_unicomp_vectorized),
+    ("cellwise-global", selfjoin_cellwise),
+    ("cellwise-unicomp",
+     lambda index, sink: selfjoin_cellwise(index, sink, unicomp=True)),
+    ("vectorized-global",
+     lambda index, sink: K.run_selfjoin(index, index.eps, sink, tier="numpy")),
+    ("vectorized-unicomp",
+     lambda index, sink: K.run_selfjoin(index, index.eps, sink, unicomp=True,
+                                        tier="numpy")),
 ]
+
+
+@contextmanager
+def pair_kernel(impl):
+    """Run the operators with the pair kernel ``impl`` (a kernel body,
+    uncompiled) whatever tier they ask for; ``None`` changes nothing."""
+    if impl is None:
+        yield
+        return
+    with mock.patch.object(nk, "resolve_kernel_tier", lambda tier: "numba"), \
+            mock.patch.object(nk, "native_pair_kernels",
+                              lambda: {"dense": impl, "sparse": impl}):
+        yield
 
 
 def greedy_chunk_boundaries(pair_counts, max_candidate_pairs):
@@ -66,132 +90,131 @@ class TestKernelCorrectness:
     @pytest.mark.parametrize("name,kernel", ALL_KERNELS)
     def test_matches_kdtree_2d(self, name, kernel, uniform_2d, eps_2d, reference_pairs_2d):
         index = GridIndex.build(uniform_2d, eps_2d)
-        out = kernel(index)
-        assert np.array_equal(out.result.canonical_pairs(), reference_pairs_2d), name
+        result = joined(kernel, index)
+        assert np.array_equal(result.canonical_pairs(), reference_pairs_2d), name
 
     @pytest.mark.parametrize("name,kernel", ALL_KERNELS)
     def test_matches_kdtree_3d(self, name, kernel, uniform_3d, eps_3d, reference_pairs_3d):
         index = GridIndex.build(uniform_3d, eps_3d)
-        out = kernel(index)
-        assert np.array_equal(out.result.canonical_pairs(), reference_pairs_3d), name
+        result = joined(kernel, index)
+        assert np.array_equal(result.canonical_pairs(), reference_pairs_3d), name
 
     @pytest.mark.parametrize("name,kernel", ALL_KERNELS)
     def test_matches_kdtree_5d(self, name, kernel, uniform_5d):
         eps = 1.2
         index = GridIndex.build(uniform_5d, eps)
         expected = kdtree_selfjoin(uniform_5d, eps).canonical_pairs()
-        out = kernel(index)
-        assert np.array_equal(out.result.canonical_pairs(), expected), name
+        result = joined(kernel, index)
+        assert np.array_equal(result.canonical_pairs(), expected), name
 
     @pytest.mark.parametrize("name,kernel", ALL_KERNELS)
     def test_clustered_data(self, name, kernel, clustered_2d):
         eps = 1.0
         index = GridIndex.build(clustered_2d, eps)
         expected = kdtree_selfjoin(clustered_2d, eps).canonical_pairs()
-        out = kernel(index)
-        assert np.array_equal(out.result.canonical_pairs(), expected), name
+        result = joined(kernel, index)
+        assert np.array_equal(result.canonical_pairs(), expected), name
 
     @pytest.mark.parametrize("name,kernel", ALL_KERNELS)
     def test_no_duplicate_emissions(self, name, kernel, uniform_2d, eps_2d):
         index = GridIndex.build(uniform_2d, eps_2d)
-        out = kernel(index)
+        result = joined(kernel, index)
         # The raw pair list must already be duplicate-free (each ordered pair once).
-        assert out.result.num_pairs == out.result.canonical_pairs().shape[0], name
+        assert result.num_pairs == result.canonical_pairs().shape[0], name
 
     @pytest.mark.parametrize("name,kernel", ALL_KERNELS)
     def test_result_symmetric_and_contains_self(self, name, kernel, uniform_3d, eps_3d):
         index = GridIndex.build(uniform_3d, eps_3d)
-        out = kernel(index)
-        assert out.result.is_symmetric()
-        assert out.result.contains_all_self_pairs()
+        result = joined(kernel, index)
+        assert result.is_symmetric()
+        assert result.contains_all_self_pairs()
 
     def test_eps_smaller_than_cell(self, uniform_2d):
         # The search distance may be smaller than the grid cell length.
         index = GridIndex.build(uniform_2d, 1.0)
         eps = 0.4
         expected = kdtree_selfjoin(uniform_2d, eps).canonical_pairs()
-        out = K.selfjoin_global_vectorized(index, eps)
-        assert np.array_equal(out.result.canonical_pairs(), expected)
+        result, _ = selfjoin(index, eps)
+        assert np.array_equal(result.canonical_pairs(), expected)
 
     def test_single_point(self):
         index = GridIndex.build(np.array([[1.0, 1.0]]), 0.5)
-        out = K.selfjoin_unicomp_vectorized(index)
-        assert out.result.keys.tolist() == [0]
-        assert out.result.values.tolist() == [0]
+        result, _ = selfjoin(index, unicomp=True)
+        assert result.keys.tolist() == [0]
+        assert result.values.tolist() == [0]
 
     def test_all_points_identical(self):
         pts = np.tile(np.array([[3.0, 3.0, 3.0]]), (20, 1))
         index = GridIndex.build(pts, 1.0)
-        out = K.selfjoin_unicomp_vectorized(index)
-        assert out.result.num_pairs == 20 * 20
+        result, _ = selfjoin(index, unicomp=True)
+        assert result.num_pairs == 20 * 20
 
     def test_no_pairs_when_far_apart(self):
         pts = np.array([[0.0, 0.0], [100.0, 100.0], [200.0, 0.0]])
         index = GridIndex.build(pts, 1.0)
-        out = K.selfjoin_global_vectorized(index)
+        result, _ = selfjoin(index)
         # Only the self-pairs remain.
-        assert out.result.num_pairs == 3
-        assert out.result.contains_all_self_pairs()
+        assert result.num_pairs == 3
+        assert result.contains_all_self_pairs()
 
 
 class TestUnicompWorkReduction:
     def test_unicomp_halves_cells_and_distances(self, uniform_2d, eps_2d):
         index = GridIndex.build(uniform_2d, eps_2d)
-        full = K.selfjoin_global_vectorized(index)
-        uni = K.selfjoin_unicomp_vectorized(index)
-        assert uni.stats.cells_checked < 0.75 * full.stats.cells_checked
-        assert uni.stats.distance_calcs < 0.75 * full.stats.distance_calcs
+        full, full_stats = selfjoin(index)
+        uni, uni_stats = selfjoin(index, unicomp=True)
+        assert uni_stats.cells_checked < 0.75 * full_stats.cells_checked
+        assert uni_stats.distance_calcs < 0.75 * full_stats.distance_calcs
         # Same results despite the reduced work.
-        assert uni.result.same_pairs_as(full.result)
+        assert uni.same_pairs_as(full)
 
     def test_unicomp_reduction_grows_with_dimension(self, uniform_5d):
         index = GridIndex.build(uniform_5d, 1.2)
-        full = K.selfjoin_global_vectorized(index)
-        uni = K.selfjoin_unicomp_vectorized(index)
-        ratio = uni.stats.distance_calcs / full.stats.distance_calcs
+        _, full_stats = selfjoin(index)
+        _, uni_stats = selfjoin(index, unicomp=True)
+        ratio = uni_stats.distance_calcs / full_stats.distance_calcs
         assert 0.35 < ratio < 0.75
 
     def test_stats_result_pairs_match(self, uniform_2d, eps_2d):
         index = GridIndex.build(uniform_2d, eps_2d)
-        out = K.selfjoin_unicomp_vectorized(index)
-        assert out.stats.result_pairs == out.result.num_pairs
+        result, stats = selfjoin(index, unicomp=True)
+        assert stats.result_pairs == result.num_pairs
 
 
 class TestSourceCellSubsets:
     def test_union_of_cell_batches_equals_full_result(self, uniform_2d, eps_2d):
         index = GridIndex.build(uniform_2d, eps_2d)
-        full = K.selfjoin_global_vectorized(index)
+        full, _ = selfjoin(index)
         n = index.num_nonempty_cells
         thirds = np.array_split(np.arange(n), 3)
-        parts = [K.selfjoin_global_vectorized(index, source_cells=part).result
-                 for part in thirds]
+        parts = [selfjoin(index, cells=part)[0] for part in thirds]
         from repro.core.result import ResultSet
         merged = ResultSet.merge(parts)
-        assert merged.same_pairs_as(full.result)
+        assert merged.same_pairs_as(full)
 
     def test_unicomp_cell_batches_union(self, uniform_3d, eps_3d):
         index = GridIndex.build(uniform_3d, eps_3d)
-        full = K.selfjoin_unicomp_vectorized(index)
+        full, _ = selfjoin(index, unicomp=True)
         n = index.num_nonempty_cells
-        parts = [K.selfjoin_unicomp_vectorized(index, source_cells=part).result
+        parts = [selfjoin(index, cells=part, unicomp=True)[0]
                  for part in np.array_split(np.arange(n), 4)]
         from repro.core.result import ResultSet
         merged = ResultSet.merge(parts)
-        assert merged.same_pairs_as(full.result)
+        assert merged.same_pairs_as(full)
 
     def test_empty_cell_subset(self, index_2d):
-        out = K.selfjoin_global_vectorized(index_2d,
-                                           source_cells=np.empty(0, dtype=np.int64))
-        assert out.result.num_pairs == 0
+        result, _ = selfjoin(index_2d, cells=np.empty(0, dtype=np.int64))
+        assert result.num_pairs == 0
 
 
 class TestChunking:
     def test_small_chunk_limit_gives_same_result(self, uniform_2d, eps_2d):
         index = GridIndex.build(uniform_2d, eps_2d)
-        big = K.selfjoin_unicomp_vectorized(index, max_candidate_pairs=10 ** 9)
-        small = K.selfjoin_unicomp_vectorized(index, max_candidate_pairs=64)
-        assert big.result.same_pairs_as(small.result)
-        assert big.stats.distance_calcs == small.stats.distance_calcs
+        big, big_stats = selfjoin(index, unicomp=True,
+                                  max_candidate_pairs=10 ** 9)
+        small, small_stats = selfjoin(index, unicomp=True, max_candidate_pairs=64)
+        assert big.same_pairs_as(small)
+        assert big_stats.distance_calcs == small_stats.distance_calcs
 
     def test_chunk_boundaries_cover_everything(self):
         counts = np.array([5, 10, 3, 50, 2, 2])
@@ -315,13 +338,16 @@ class TestCellPairWalker:
         index = GridIndex.build(uniform_dataset(300, 4, seed=3, low=0, high=1), 0.3)
         kernel = {None: None, "dense": nk._pairs_dense_impl,
                   "sparse": nk._pairs_sparse_impl}[native]
-        fn = K.selfjoin_unicomp_vectorized if unicomp else K.selfjoin_global_vectorized
         cells = np.arange(index.num_nonempty_cells)
 
         def stream(part, max_candidate_pairs=K.DEFAULT_MAX_CANDIDATE_PAIRS):
-            result = fn(index, source_cells=part, native_kernel=kernel,
-                        max_candidate_pairs=max_candidate_pairs).result
-            return result.keys.tolist(), result.values.tolist()
+            sink = PairFragments(index.num_points)
+            with pair_kernel(kernel):
+                K.run_selfjoin(index, index.eps, sink, cells=part,
+                               unicomp=unicomp, tier="numpy",
+                               max_candidate_pairs=max_candidate_pairs)
+            keys, values = sink.concatenated()
+            return keys.tolist(), values.tolist()
 
         whole = stream(cells)
         for mid in (1, cells.shape[0] // 3, cells.shape[0] - 1):
@@ -497,17 +523,49 @@ class TestCellwiseOracle:
         index = GridIndex.build(points, eps, dims=grid_dims)
         queries = np.random.default_rng(3).uniform(-0.1, 1.1, (120, dims))
         runs = run_pinned(index, queries)
-        oracle = {"global": selfjoin_cellwise(index),
-                  "unicomp": selfjoin_cellwise(index, unicomp=True),
-                  "probe": probe_cellwise(queries, index)}
-        for name, out in oracle.items():
-            stats, result = out.stats, out.result
+        sinks = {"global": PairFragments(index.num_points),
+                 "unicomp": PairFragments(index.num_points),
+                 "probe": PairFragments(queries.shape[0])}
+        oracle = {"global": selfjoin_cellwise(index, sinks["global"]),
+                  "unicomp": selfjoin_cellwise(index, sinks["unicomp"],
+                                               unicomp=True),
+                  "probe": probe_cellwise(queries, index, sinks["probe"])}
+        for name, stats in oracle.items():
+            result = sinks[name].to_result_set()
             table = NeighborTable.from_pairs(result.keys, result.values,
                                              result.num_points)
             assert ((stats.cells_checked, stats.nonempty_cells_visited,
                      stats.distance_calcs, stats.result_pairs),
                     table.offsets.tobytes(), table.neighbors.tobytes()) == \
                 (runs[name][0], *runs[name][2:]), name
+
+
+class TestProbeIsTheSelfJoin:
+    """The self-join is the join of a point set with itself (Section II):
+    probing the indexed points against their own index gives the GLOBAL
+    self-join's CSR table and its four work counters, on any kernel tier."""
+
+    @pytest.mark.parametrize("grid_dims", [None, (0, 2, 3)],
+                             ids=["all-dims", "reduced-dims"])
+    def test_probe_of_the_indexed_points(self, grid_dims):
+        points = uniform_dataset(800, 4, seed=6, low=0, high=1)
+        index = GridIndex.build(points, 0.15)
+        if grid_dims is not None:
+            index = index.project(grid_dims)
+            assert index.num_grid_dims < index.num_dims
+        runs = {}
+        for name in ("probe", "selfjoin"):
+            sink = PairFragments(index.num_points)
+            if name == "probe":
+                stats = K.run_probe(points, index, index.eps, sink)
+            else:
+                stats = K.run_selfjoin(index, index.eps, sink)
+            table = sink.to_neighbor_table()
+            runs[name] = ((stats.cells_checked, stats.nonempty_cells_visited,
+                           stats.distance_calcs, stats.result_pairs),
+                          table.offsets.tobytes(), table.neighbors.tobytes())
+        assert runs["probe"][0][3] > index.num_points
+        assert runs["probe"] == runs["selfjoin"]
 
 
 class TestCancellation:

@@ -2,10 +2,16 @@
 
 from __future__ import annotations
 
+import warnings
+
 import numpy as np
 import pytest
 
+from repro.baselines.bruteforce import bruteforce_join
 from repro.core import linearize as lin
+from repro.core.gridindex import GridIndex
+from repro.core.join import range_query
+from repro.engine import Query, run_query
 
 
 class TestGridBounds:
@@ -112,3 +118,43 @@ class TestLinearizeRoundTrip:
         strides = lin.compute_strides(np.array([10, 10]))
         single = lin.linearize(np.array([3, 4]), strides)
         assert np.isscalar(single) or single.shape == ()
+
+
+class TestGridLimits:
+    def test_a_dimension_past_the_id_space_raises(self):
+        """One dimension alone needing more than 2**62 cells raises,
+        rather than wrapping in the int64 cast and collapsing to one cell
+        (ε=1e-18 already overflows the product of the dimensions)."""
+        points = np.random.default_rng(0).uniform(0, 1, (2000, 2))
+        for eps in (1e-18, 1e-19):
+            with pytest.raises(lin.GridOverflowError):
+                GridIndex.build(points, eps)
+        with pytest.raises(lin.GridOverflowError):
+            run_query(Query.self_join(points, 1e-19))
+
+    def test_queries_beyond_the_grid_bin_on_their_side(self):
+        """A query past either end of a dimension, near or far, takes the
+        border cell on its side and finds what brute force finds, with
+        no cast warning."""
+        rng = np.random.default_rng(5)
+        data = rng.uniform(0.0, 1.0, (300, 3))
+        eps = 0.1
+        queries = []
+        for j in range(data.shape[1]):
+            for sign, row in ((-1, data[:, j].argmin()), (1, data[:, j].argmax())):
+                for beyond in (0.05, 0.5, 1e20, 1e150):
+                    query = data[row].copy()
+                    query[j] += sign * beyond
+                    queries.append(query)
+        queries = np.array(queries)
+        expected = bruteforce_join(queries, data, eps).result.to_neighbor_table()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = range_query(data, queries, eps)
+            coords = lin.compute_cell_coords(
+                np.array([[-1e300], [1e300]]), np.array([0.0]), 0.1,
+                np.array([10]))
+        assert [ids.tolist() for ids in got] == [
+            expected.neighbors_of(i).tolist() for i in range(len(queries))]
+        assert sum(ids.shape[0] > 0 for ids in got) >= 2 * data.shape[1]
+        assert coords[:, 0].tolist() == [0, 9]

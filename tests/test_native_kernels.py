@@ -12,6 +12,9 @@ availability message.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -20,23 +23,12 @@ from hypothesis.extra import numpy as hnp
 from repro.baselines.cellwise import selfjoin_cellwise
 from repro.core import nativekernels as nk
 from repro.core.gridindex import GridIndex
-from repro.core.kernels import (
-    DEFAULT_MAX_CANDIDATE_PAIRS,
-    KernelStats,
-    selfjoin_global_vectorized,
-    selfjoin_tiered,
-    selfjoin_unicomp_vectorized,
-)
+from repro.core.kernels import KernelStats, run_probe, run_selfjoin
 from repro.core.result import NeighborTable, PairFragments
 from repro.core.selfjoin import GPUSelfJoin, SelfJoinConfig
 from repro.data.synthetic import uniform_dataset
 from repro.engine import EngineSession, Query, run_query
-from repro.engine.backends import (
-    _parse_backend_name,
-    _tiered_probe,
-    _vectorized_probe,
-    get_backend,
-)
+from repro.engine.backends import _parse_backend_name, get_backend
 from repro.experiments.runner import engine_backend_of
 
 HAS_NUMBA = nk.numba_availability() is None
@@ -68,6 +60,28 @@ def _assert_bit_identical(num_rows, got, ref) -> None:
     np.testing.assert_array_equal(t_got.neighbors, t_ref.neighbors)
 
 
+@contextmanager
+def pair_kernel(impl):
+    """Run the operators with the pair kernel ``impl`` (a kernel body,
+    uncompiled) whatever tier they ask for; ``None`` changes nothing."""
+    if impl is None:
+        yield
+        return
+    with mock.patch.object(nk, "resolve_kernel_tier", lambda tier: "numba"), \
+            mock.patch.object(nk, "native_pair_kernels",
+                              lambda: {"dense": impl, "sparse": impl}):
+        yield
+
+
+def selfjoin_pairs(index, eps, impl=None, **options):
+    """Keys, values and stats of a NumPy-tier self-join, or of one with the
+    pair kernel ``impl``."""
+    sink = PairFragments(index.num_points)
+    with pair_kernel(impl):
+        stats = run_selfjoin(index, eps, sink, tier="numpy", **options)
+    return sink.concatenated(), stats
+
+
 def mixed_density_points(seed: int = 3) -> np.ndarray:
     """A tight dense cluster plus a sparse uniform field (2-D).
 
@@ -94,17 +108,13 @@ class TestNativeKernelBodyParity:
     @settings(max_examples=25, deadline=None)
     def test_selfjoin_parity(self, points, eps, unicomp, choice):
         index = GridIndex.build(points, eps)
-        kernel_fn = selfjoin_unicomp_vectorized if unicomp \
-            else selfjoin_global_vectorized
         impl = {"dense": nk._pairs_dense_impl,
                 "sparse": nk._pairs_sparse_impl}[choice]
-        ref = kernel_fn(index, eps)
-        got = kernel_fn(index, eps, native_kernel=impl)
-        assert got.stats.result_pairs == ref.stats.result_pairs
-        assert got.stats.distance_calcs == ref.stats.distance_calcs
-        _assert_bit_identical(index.num_points,
-                              (got.result.keys, got.result.values),
-                              (ref.result.keys, ref.result.values))
+        ref, ref_stats = selfjoin_pairs(index, eps, unicomp=unicomp)
+        got, got_stats = selfjoin_pairs(index, eps, impl, unicomp=unicomp)
+        assert got_stats.result_pairs == ref_stats.result_pairs
+        assert got_stats.distance_calcs == ref_stats.distance_calcs
+        _assert_bit_identical(index.num_points, got, ref)
 
     @pytest.mark.parametrize("choice", ["dense", "sparse"])
     @pytest.mark.parametrize("dims", [2, 3, 4, 5, 6])
@@ -115,13 +125,12 @@ class TestNativeKernelBodyParity:
         eps = 1.1
         index = GridIndex.build(data, eps)
         ref_sink = PairFragments(queries.shape[0])
-        _vectorized_probe(queries, index, eps, ref_sink, None,
-                          DEFAULT_MAX_CANDIDATE_PAIRS)
+        run_probe(queries, index, eps, ref_sink, tier="numpy")
         impl = {"dense": nk._pairs_dense_impl,
                 "sparse": nk._pairs_sparse_impl}[choice]
         sink = PairFragments(queries.shape[0])
-        _vectorized_probe(queries, index, eps, sink, None,
-                          DEFAULT_MAX_CANDIDATE_PAIRS, native_kernel=impl)
+        with pair_kernel(impl):
+            run_probe(queries, index, eps, sink, tier="numpy")
         _assert_bit_identical(queries.shape[0], sink.concatenated(),
                               ref_sink.concatenated())
 
@@ -130,15 +139,11 @@ class TestNativeKernelBodyParity:
         points = uniform_dataset(300, 2, seed=9, low=0.0, high=8.0)
         eps = 1.0
         index = GridIndex.build(points, eps)
-        ref = selfjoin_global_vectorized(index, eps)
+        ref, _ = selfjoin_pairs(index, eps)
         for choice, impl in (("dense", nk._pairs_dense_impl),
                              ("sparse", nk._pairs_sparse_impl)):
-            got = selfjoin_global_vectorized(index, eps,
-                                             max_candidate_pairs=64,
-                                             native_kernel=impl)
-            _assert_bit_identical(index.num_points,
-                                  (got.result.keys, got.result.values),
-                                  (ref.result.keys, ref.result.values))
+            got, _ = selfjoin_pairs(index, eps, impl, max_candidate_pairs=64)
+            _assert_bit_identical(index.num_points, got, ref)
 
     def test_dense_tile_boundary(self):
         """Cells larger than one tile exercise the dense kernel's tiling."""
@@ -148,40 +153,36 @@ class TestNativeKernelBodyParity:
         eps = 1.0
         index = GridIndex.build(points, eps)
         assert int(index.cell_counts.max()) > nk.DENSE_TILE_ROWS
-        ref = selfjoin_global_vectorized(index, eps)
-        got = selfjoin_global_vectorized(index, eps,
-                                         native_kernel=nk._pairs_dense_impl)
-        _assert_bit_identical(index.num_points,
-                              (got.result.keys, got.result.values),
-                              (ref.result.keys, ref.result.values))
+        ref, _ = selfjoin_pairs(index, eps)
+        got, _ = selfjoin_pairs(index, eps, nk._pairs_dense_impl)
+        _assert_bit_identical(index.num_points, got, ref)
 
 
 class TestTieredDispatch:
-    """selfjoin_tiered runs the one NumPy route and stamps its tier."""
+    """The operators run the one NumPy route and stamp its tier."""
 
     @pytest.mark.parametrize("unicomp", [False, True])
     def test_numpy_tier_routes_match_vectorized(self, unicomp):
         points = uniform_dataset(400, 3, seed=5, low=0.0, high=6.0)
         eps = 1.0
         index = GridIndex.build(points, eps)
-        kernel_fn = selfjoin_unicomp_vectorized if unicomp \
-            else selfjoin_global_vectorized
-        ref = kernel_fn(index, eps)
+        ref = PairFragments(index.num_points)
+        run_selfjoin(GridIndex.build(points, eps), eps, ref, unicomp=unicomp,
+                     tier="numpy")
         sink = PairFragments(index.num_points)
-        out = selfjoin_tiered(index, eps, sink=sink, unicomp=unicomp,
-                              tier="numpy")
-        assert out.stats.tier == "numpy"
-        assert out.stats.kernel_counts == {}
+        stats = run_selfjoin(index, eps, sink, unicomp=unicomp, tier="numpy")
+        assert stats.tier == "numpy"
+        assert stats.kernel_counts == {}
         _assert_bit_identical(index.num_points, sink.concatenated(),
-                              (ref.result.keys, ref.result.values))
+                              ref.concatenated())
 
     def test_tier_stamped_on_probe(self):
         rng = np.random.default_rng(2)
         data = rng.uniform(0, 5.0, (200, 2))
         queries = rng.uniform(0, 5.0, (60, 2))
         sink = PairFragments(queries.shape[0])
-        stats = _tiered_probe(queries, GridIndex.build(data, 1.0), 1.0, sink,
-                              None, DEFAULT_MAX_CANDIDATE_PAIRS, "numpy")
+        stats = run_probe(queries, GridIndex.build(data, 1.0), 1.0, sink,
+                          tier="numpy")
         assert stats.tier == "numpy"
         assert stats.kernel_counts == {}
 
@@ -431,10 +432,10 @@ class TestNumbaTierParity:
         assert result.stats.kernel_counts.get("sparse", 0) >= 1
         assert result.stats.tier == "numba"
         # Pair-identical to the per-cell oracle.
-        ref = selfjoin_cellwise(GridIndex.build(points, 1.0),
-                                unicomp=True).result
+        ref = PairFragments(points.shape[0])
+        selfjoin_cellwise(GridIndex.build(points, 1.0), ref, unicomp=True)
         _assert_bit_identical(points.shape[0], result.pairs(),
-                              (ref.keys, ref.values))
+                              ref.concatenated())
 
     def test_explicit_numba_spec_resolves(self):
         assert nk.resolve_kernel_tier("numba") == "numba"

@@ -5,14 +5,9 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core.batching import (
-    candidate_counts_at,
-    estimate_probe_row_costs,
-    split_by_cost,
-    split_cells_balanced,
-)
+from repro.core.batching import split_by_cost, split_cells_balanced
 from repro.core.gridindex import GridIndex
-from repro.core.kernels import selfjoin_cell_costs
+from repro.core.kernels import probe_row_costs, selfjoin_cell_costs
 from repro.core.result import PairFragments
 from repro.engine.backends import VectorizedBackend
 from repro.data.synthetic import uniform_dataset
@@ -23,6 +18,12 @@ from repro.parallel.shards import WORKERS_ENV_VAR
 def _index(n=300, dims=2, eps=0.7, seed=3, high=6.0):
     points = uniform_dataset(n, dims, seed=seed, low=0.0, high=high)
     return GridIndex.build(points, eps)
+
+
+def candidate_counts(index):
+    """Each non-empty cell's candidate points: the probe cost of one of its
+    points, less the base cost of one."""
+    return probe_row_costs(index.points[index.A[index.cell_starts]], index) - 1
 
 
 class TestSplitByCost:
@@ -78,7 +79,7 @@ class TestCostEstimators:
         a = np.zeros((4, 2))
         b = np.full((3, 2), 10.0)
         index = GridIndex.build(np.vstack([a, b]), 1.0)
-        counts = candidate_counts_at(index, index.cell_coords)
+        counts = candidate_counts(index)
         assert np.array_equal(np.sort(counts), np.sort(np.array([4, 3])))
 
     @pytest.mark.parametrize("unicomp", [False, True],
@@ -92,8 +93,7 @@ class TestCostEstimators:
         if not unicomp:
             assert np.array_equal(
                 costs,
-                index.cell_counts * candidate_counts_at(index,
-                                                        index.cell_coords))
+                index.cell_counts * candidate_counts(index))
         # Any cell subset's cost is the distance work of joining it.
         for cells in (None, np.arange(3, index.num_nonempty_cells, 4)):
             stats = VectorizedBackend("numpy").run_selfjoin(
@@ -128,7 +128,7 @@ class TestCostEstimators:
         index = _index(n=500, dims=3, eps=0.8)
         queries = np.random.default_rng(7).uniform(-2.0, 8.0, (300, 3))
         assert (queries < 0).any() and (queries > 6).any()
-        costs = estimate_probe_row_costs(queries, index)
+        costs = probe_row_costs(queries, index)
         assert costs.dtype == np.int64 and costs.shape == (300,)
         stats = VectorizedBackend("numpy").run_probe(
             queries, index, index.eps, PairFragments(queries.shape[0]))
@@ -140,7 +140,7 @@ class TestCostEstimators:
         data = uniform_dataset(300, 2, seed=1, low=0.0, high=1.0)
         index = GridIndex.build(data, 0.5)
         queries = np.array([[0.5, 0.5], [50.0, 50.0]])
-        costs = estimate_probe_row_costs(queries, index)
+        costs = probe_row_costs(queries, index)
         assert costs.shape == (2,)
         assert costs[0] > costs[1] > 0
 

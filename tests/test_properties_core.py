@@ -14,11 +14,8 @@ from hypothesis.extra import numpy as hnp
 
 from repro.baselines.kdtree_ref import kdtree_selfjoin
 from repro.core.gridindex import GridIndex
-from repro.core.kernels import (
-    selfjoin_global_vectorized,
-    selfjoin_unicomp_vectorized,
-)
-from repro.core.result import ResultSet
+from repro.core.kernels import run_selfjoin
+from repro.core.result import PairFragments, ResultSet
 
 #: Bounded, finite coordinates keep the grids small and the tests fast.
 coordinate = st.floats(min_value=-50.0, max_value=50.0,
@@ -34,6 +31,14 @@ def point_sets(min_points=1, max_points=60, min_dims=1, max_dims=4):
             elements=coordinate,
         )
     )
+
+
+def selfjoin(index, eps=None, **options):
+    """The self-join operator into a fresh sink: its result and stats."""
+    sink = PairFragments(index.num_points)
+    stats = run_selfjoin(index, index.eps if eps is None else eps, sink,
+                         **options)
+    return sink.to_result_set(), stats
 
 
 eps_values = st.floats(min_value=0.05, max_value=10.0,
@@ -74,24 +79,24 @@ class TestSelfJoinProperties:
     @settings(max_examples=40, deadline=None)
     def test_matches_kdtree_ground_truth(self, points, eps):
         index = GridIndex.build(points, eps)
-        ours = selfjoin_unicomp_vectorized(index)
+        ours, _ = selfjoin(index, unicomp=True)
         expected = kdtree_selfjoin(points, eps)
-        assert ours.result.same_pairs_as(expected)
+        assert ours.same_pairs_as(expected)
 
     @given(points=point_sets(min_points=2, max_points=50), eps=eps_values)
     @settings(max_examples=40, deadline=None)
     def test_unicomp_equals_global(self, points, eps):
         index = GridIndex.build(points, eps)
-        uni = selfjoin_unicomp_vectorized(index)
-        full = selfjoin_global_vectorized(index)
-        assert uni.result.same_pairs_as(full.result)
-        assert uni.stats.cells_checked <= full.stats.cells_checked
+        uni, uni_stats = selfjoin(index, unicomp=True)
+        full, full_stats = selfjoin(index)
+        assert uni.same_pairs_as(full)
+        assert uni_stats.cells_checked <= full_stats.cells_checked
 
     @given(points=point_sets(min_points=2, max_points=50), eps=eps_values)
     @settings(max_examples=40, deadline=None)
     def test_result_is_symmetric_reflexive(self, points, eps):
         index = GridIndex.build(points, eps)
-        result = selfjoin_unicomp_vectorized(index).result
+        result, _ = selfjoin(index, unicomp=True)
         assert result.is_symmetric()
         assert result.contains_all_self_pairs()
 
@@ -100,12 +105,12 @@ class TestSelfJoinProperties:
     @settings(max_examples=30, deadline=None)
     def test_cell_batches_partition_the_work(self, points, eps, n_batches):
         index = GridIndex.build(points, eps)
-        full = selfjoin_global_vectorized(index)
+        full, _ = selfjoin(index)
         cells = np.arange(index.num_nonempty_cells)
-        parts = [selfjoin_global_vectorized(index, source_cells=chunk).result
+        parts = [selfjoin(index, cells=chunk)[0]
                  for chunk in np.array_split(cells, n_batches)]
         merged = ResultSet.merge([p for p in parts])
-        assert merged.same_pairs_as(full.result)
+        assert merged.same_pairs_as(full)
 
     @given(points=point_sets(min_points=2, max_points=40),
            eps_small=eps_values, eps_large=eps_values)
@@ -113,6 +118,6 @@ class TestSelfJoinProperties:
     def test_monotonicity_in_eps(self, points, eps_small, eps_large):
         lo, hi = sorted((eps_small, eps_large))
         index = GridIndex.build(points, hi)
-        small = selfjoin_global_vectorized(index, eps=lo)
-        large = selfjoin_global_vectorized(index, eps=hi)
-        assert small.result.num_pairs <= large.result.num_pairs
+        small, _ = selfjoin(index, eps=lo)
+        large, _ = selfjoin(index, eps=hi)
+        assert small.num_pairs <= large.num_pairs

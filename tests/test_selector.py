@@ -9,7 +9,8 @@ import pytest
 
 from repro.baselines.kdtree_ref import kdtree_selfjoin
 from repro.core.gridindex import GridIndex
-from repro.core.kernels import selfjoin_global_vectorized, selfjoin_unicomp_vectorized
+from repro.core.kernels import run_selfjoin
+from repro.core.result import PairFragments
 from repro.core.selector import (
     WorkEstimate,
     adaptive_selfjoin,
@@ -23,14 +24,15 @@ class TestWorkEstimate:
     def test_grid_estimate_matches_kernel_counters_global(self, uniform_2d, eps_2d):
         index = GridIndex.build(uniform_2d, eps_2d)
         estimate = estimate_join_work(index, unicomp=False)
-        out = selfjoin_global_vectorized(index)
-        assert estimate.grid_candidate_pairs == out.stats.distance_calcs
+        stats = run_selfjoin(index, eps_2d, PairFragments(index.num_points))
+        assert estimate.grid_candidate_pairs == stats.distance_calcs
 
     def test_grid_estimate_matches_kernel_counters_unicomp(self, uniform_3d, eps_3d):
         index = GridIndex.build(uniform_3d, eps_3d)
         estimate = estimate_join_work(index, unicomp=True)
-        out = selfjoin_unicomp_vectorized(index)
-        assert estimate.grid_candidate_pairs == out.stats.distance_calcs
+        stats = run_selfjoin(index, eps_3d, PairFragments(index.num_points),
+                             unicomp=True)
+        assert estimate.grid_candidate_pairs == stats.distance_calcs
 
     def test_bruteforce_pairs_is_n_squared(self, uniform_2d, eps_2d):
         estimate = select_algorithm(uniform_2d, eps_2d)
