@@ -129,6 +129,9 @@ def test_bench_cell_prune(benchmark, write_report):
         "emit_*_s: _emit_pairs over each pair list (same stream); walk_s: "
         "the plain walk; walk_prune_s: the walk that prunes and keeps the "
         "adjacency (boxes included)",
+        "both walks read M_j through dense per-dimension admit rows and sum "
+        "per-cell costs with an integer add.reduceat (reports before this "
+        "one timed a searchsorted per dimension and a float bincount)",
     ])
     table = format_table(
         ("input", "points", "n", "k", "eps", "walked_pairs", "kept_pairs",

@@ -20,6 +20,11 @@ batching) together with every substrate it depends on:
   query / kNN candidates), one planner, pluggable execution backends, and
   the CSR-native result pipeline every workload above runs on.
 
+The names below resolve lazily (PEP 562, :mod:`repro.utils.lazy`):
+``import repro`` imports no subpackage but :mod:`repro.utils`, and a
+name's defining module is imported on first access, so a process that runs one path (a shard
+worker, say) never loads the others.
+
 Quickstart
 ----------
 >>> import numpy as np
@@ -40,32 +45,17 @@ True
 
 from __future__ import annotations
 
-from repro.core.selfjoin import GPUSelfJoin, SelfJoinConfig, selfjoin
-from repro.core.gridindex import GridIndex
-from repro.core.result import NeighborTable, PairFragments, ResultSet
-from repro.core.batching import BatchPlan, BatchPlanner
-from repro.core.join import range_query, similarity_join
-from repro.core.selector import adaptive_selfjoin, select_algorithm
-from repro.engine import Query, QueryPlanner, run_query
-
-__all__ = [
-    "GPUSelfJoin",
-    "SelfJoinConfig",
-    "selfjoin",
-    "similarity_join",
-    "range_query",
-    "adaptive_selfjoin",
-    "select_algorithm",
-    "GridIndex",
-    "NeighborTable",
-    "PairFragments",
-    "ResultSet",
-    "BatchPlan",
-    "BatchPlanner",
-    "Query",
-    "QueryPlanner",
-    "run_query",
-    "__version__",
-]
+from repro.utils.lazy import lazy_exports
 
 __version__ = "1.1.0"
+
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    ".core.selfjoin": ["GPUSelfJoin", "SelfJoinConfig", "selfjoin"],
+    ".core.join": ["similarity_join", "range_query"],
+    ".core.selector": ["adaptive_selfjoin", "select_algorithm"],
+    ".core.gridindex": ["GridIndex"],
+    ".core.result": ["NeighborTable", "PairFragments", "ResultSet"],
+    ".core.batching": ["BatchPlan", "BatchPlanner"],
+    ".engine": ["Query", "QueryPlanner", "run_query"],
+})
+__all__ += ["__version__"]

@@ -4,10 +4,16 @@ The paper's introduction motivates the self-join through algorithms that need
 the ε-neighborhood of every point — DBSCAN in particular — and lists kNN
 search as future work.  Both are provided here on top of the public
 :func:`repro.selfjoin` API and the grid index.
+
+The names below resolve lazily (:mod:`repro.utils.lazy`); ``dbscan`` and
+``crossmatch`` are the functions, not the modules of those names, as with
+an eager import.
 """
 
-from repro.apps.dbscan import DBSCANResult, dbscan
-from repro.apps.knn import knn_search
-from repro.apps.crossmatch import CrossMatchResult, crossmatch
+from repro.utils.lazy import lazy_exports
 
-__all__ = ["dbscan", "DBSCANResult", "knn_search", "crossmatch", "CrossMatchResult"]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    ".dbscan": ["dbscan", "DBSCANResult"],
+    ".knn": ["knn_search"],
+    ".crossmatch": ["crossmatch", "CrossMatchResult"],
+})

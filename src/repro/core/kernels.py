@@ -8,12 +8,15 @@ costs: :func:`run_selfjoin` (GPUSELFJOINGLOBAL, Algorithm 1, and its
 UNICOMP variant, Algorithm 2, over an optional subset of source cells, so
 the batching scheme of Section V-A and the shard planner can split it),
 :func:`run_probe` (an external query set, over an optional subset of
-rows), :func:`selfjoin_cell_costs` and :func:`probe_row_costs`.  Both
+rows), :func:`selfjoin_cell_costs` (and :func:`selfjoin_plan_costs`, the
+same vector for an index that only plans) and :func:`probe_row_costs`.  Both
 operators run, on both kernel tiers, through one body
 (:func:`_run_operator`), one loop-free walker (:func:`_walk_cell_pairs`)
 and one emitter (:func:`_emit_pairs`).
 The walker broadcasts source cell coordinates x neighbor offsets in
-bounded row groups, filters them by the masks ``M_j`` and finds each
+bounded row groups, filters them by the masks ``M_j`` (read once per walk
+into per-dimension admit rows, from a dense table over the dimension
+when it is small next to the walk) and finds each
 candidate cell in one vectorized step: a dense table of every grid cell's
 ``B`` position when the grid is small next to the walk and the points,
 else a binary search of ``B`` (:func:`_dense_cell_table`).  The emitter
@@ -55,7 +58,16 @@ stores the walk; that call and every later self-join on the index, for
 any cell subset, read their cells back from the store and do not walk.
 A cold shard therefore walks the whole index once per process: a one-shot
 ``multiprocess(2)`` call builds the index and walks it in each of its two
-workers.  An adjacency past a byte bound derived from the index
+workers.  An index that only plans does not store the walk: the driver
+of ``multiprocess`` and ``distributed`` (whose shards emit in other
+processes) balances its shards on :func:`selfjoin_plan_costs`, a plain
+walk, without boxes or prune, that keeps the cost vector and nothing
+else.  An index that emits in this process (``vectorized``, the inline
+``sharded`` shards, which share the caller's index, and every worker's)
+asks :func:`selfjoin_cell_costs`, which fills the adjacency on the first
+cost query, so a one-shot self-join there walks each cell once.  Which
+of the two a call site asks is fixed by the backend, not by a setting.
+An adjacency past a byte bound derived from the index
 (:data:`_ADJACENCY_BYTES_PER_POINT_BYTE`, charged on the walked pairs) is
 not kept, and every call walks its own cells as before.  Probes always
 walk (their query cells are arbitrary).
@@ -84,15 +96,17 @@ unpruned walk does.  The work of a self-join is that cost vector:
 :func:`selfjoin_cell_costs` gives each source cell's distance
 calculations exactly, and it is the one cost the shard planner, the
 scheduler, the grid-vs-brute-force selector and the batch planner's
-exact result bound use.  The index also keeps
+exact result bound use (:func:`selfjoin_plan_costs` gives the same
+vector).  The index also keeps
 its points in ``A`` order
 (:meth:`~repro.core.gridindex.GridIndex.cell_ordered_points`), from which
 the NumPy emitter gathers coordinates, and for ``k < n`` their non-indexed
 columns (:meth:`~repro.core.gridindex.GridIndex.unindexed_columns`), which
 its pre-filter reads.  Together these keep at most ten times the bytes of
 the points per index (one copy, the columns, and two adjacencies of
-four; past the bound, 8 bytes per non-empty cell and UNICOMP flag for
-the cell costs instead), and the batch planner counts what an index keeps
+four; past the bound, or on an index that only plans, 8 bytes per
+non-empty cell and UNICOMP flag for the cell costs instead), and the
+batch planner counts what an index keeps
 (:meth:`~repro.core.gridindex.GridIndex.cached_nbytes`).  The walker's
 dense cell table is not kept: each walk that takes it builds its own and
 drops it, so neither ``memory_footprint()`` nor ``cached_nbytes()``
@@ -417,6 +431,27 @@ def _dense_cell_table(index: GridIndex, n_rows: int) -> Optional[np.ndarray]:
     return table
 
 
+def _admit_rows(mask: np.ndarray, extent: int,
+                coords: np.ndarray) -> np.ndarray:
+    """Whether each of ``coords``, moved by -1, 0 and +1, is in ``mask``
+    (a dimension's ``M_j``, within ``[0, extent)``): a ``(3,
+    len(coords))`` bool array.
+
+    Read from a dense bool table over the dimension's ``extent`` cells,
+    padded by one empty entry at each end that every coordinate outside
+    the grid clips to, when the table has no more entries than the moved
+    coordinates it answers; otherwise by a binary search of ``mask``.
+    Both give the same rows.
+    """
+    moved = coords + np.arange(-1, 2, dtype=np.int64)[:, None]
+    if extent + 2 > moved.size:
+        return mask.take(mask.searchsorted(moved), mode="clip") == moved
+    present = np.zeros(extent + 2, dtype=bool)
+    present[mask + 1] = True
+    moved += 1
+    return present.take(moved, mode="clip")
+
+
 def _walk_cell_pairs(index: GridIndex, coords: np.ndarray, unicomp: bool = False,
                      ) -> Iterator[Tuple[np.ndarray, np.ndarray, np.ndarray]]:
     """Resolve source cells x neighbor offsets against the index's ``B``.
@@ -431,7 +466,8 @@ def _walk_cell_pairs(index: GridIndex, coords: np.ndarray, unicomp: bool = False
     cells, at most ``_WALK_ROWS`` rows unless one cell alone is more.
 
     Each group is filtered by the per-dimension masks ``M_j``, which also
-    keep every candidate inside the grid (Algorithm 1, lines 6-10).  The
+    keep every candidate inside the grid (Algorithm 1, lines 6-10), read
+    once per walk into admit rows (:func:`_admit_rows`).  The
     candidates that pass are Algorithm 1's lookups of ``B`` (line 11) and
     are what ``checked`` counts, however they are then found: in a dense
     table of every grid cell's ``B`` position, built for this call when
@@ -467,10 +503,9 @@ def _walk_cell_pairs(index: GridIndex, coords: np.ndarray, unicomp: bool = False
     # admit[j][d + 1, i]: coordinate j of source cell i, moved by d, is in
     # M_j (which also keeps it inside the grid).  Source cells run along
     # the last axis here and below, so the broadcasts run over whole rows.
-    admit = []
-    for j, mask in enumerate(index.masks):
-        moved = coords[:, j] + np.arange(-1, 2, dtype=np.int64)[:, None]
-        admit.append(mask.take(mask.searchsorted(moved), mode="clip") == moved)
+    admit = [_admit_rows(mask, int(extent), coords[:, j])
+             for j, (mask, extent) in enumerate(zip(index.masks,
+                                                    index.num_cells))]
     n_offsets = offsets.shape[0]
     if unicomp:
         selected = _parity_offsets(index.num_grid_dims)
@@ -619,26 +654,44 @@ def _walk_near_pairs(index: GridIndex, cells: Optional[np.ndarray],
     with it.  The prune is at the index's ε, which is exact for any
     self-join the index serves (``eps <= index.eps``).
     """
-    coords = index.cell_coords if cells is None else index.cell_coords[cells]
-    if coords.shape[0] == 0:
+    if (index.num_nonempty_cells if cells is None else cells.shape[0]) == 0:
         return
     boxes = _cell_boxes(index)
     limit = _box_limit(index.eps * index.eps, index.num_dims)
+    for src, tgt, checked, visited, costs in _walk_cell_work(
+            index, cells, unicomp):
+        near = _near_pairs(boxes, src, tgt, limit)
+        yield src.take(near), tgt.take(near), checked, visited, costs
+
+
+def _walk_cell_work(index: GridIndex, cells: Optional[np.ndarray],
+                    unicomp: bool) -> Iterator[Tuple[
+                        np.ndarray, np.ndarray, np.ndarray, np.ndarray,
+                        np.ndarray]]:
+    """Walk ``cells`` (``B`` positions; every non-empty cell when
+    ``None``) with :func:`_walk_cell_pairs` and count each source cell's
+    work.
+
+    Per walker group this yields ``(src, tgt, checked, visited, costs)``:
+    the ``B`` positions of every walked pair's source and target cells, in
+    the walk's order, and per source cell of the group the candidate cells
+    looked up, the non-empty cells paired and the distance calculations.
+    A source cell's calculations are its population times the summed
+    populations of its targets, one integer ``add.reduceat`` over the
+    group: every self-join source cell pairs with its own home cell, so
+    each has a run of pairs and no run is empty.
+    """
+    coords = index.cell_coords if cells is None else index.cell_coords[cells]
     counts = index.cell_counts
     lo = 0
     for src, tgt, checked in _walk_cell_pairs(index, coords, unicomp):
         hi = lo + checked.shape[0]
-        local = src - lo
-        visited = np.bincount(local, minlength=hi - lo)
-        # Each source cell's candidates: its population times the summed
-        # populations of its targets (float sums of counts are exact).
-        reach = np.bincount(local, weights=counts.take(tgt), minlength=hi - lo)
-        costs = reach.astype(np.int64)
+        visited = np.bincount(src - lo, minlength=hi - lo)
+        costs = np.add.reduceat(counts.take(tgt), visited.cumsum() - visited)
         costs *= counts[lo:hi] if cells is None else counts.take(cells[lo:hi])
         if cells is not None:
             src = cells.take(src)
-        near = _near_pairs(boxes, src, tgt, limit)
-        yield src.take(near), tgt.take(near), checked, visited, costs
+        yield src, tgt, checked, visited, costs
         lo = hi
 
 
@@ -744,24 +797,36 @@ def _walk_adjacency(index: GridIndex, unicomp: bool) -> Optional[CellAdjacency]:
 
 def selfjoin_cell_costs(index: GridIndex, unicomp: bool) -> np.ndarray:
     """Distance calculations of each non-empty cell's self-join (int64,
-    length ``|G|``, read-only).
+    length ``|G|``, read-only), on an index that also emits in this
+    process.
 
     Source cell ``h`` evaluates ``cell_counts[h] * cell_counts[t]``
     candidates against each cell ``t`` its walk pairs it with, so its cost
     is ``cell_counts[h]`` times the populations of those cells: the sum
     over any cell subset equals the ``distance_calcs`` of joining that
-    subset.  The walk records the vector in the index's adjacency (the
-    first call fills it); past the byte bound a walk builds the vector
-    alone and the index keeps it (:meth:`GridIndex.cached
-    <repro.core.gridindex.GridIndex.cached>`).
+    subset.  The walk records the vector in the index's adjacency, and
+    the first call fills it, so the self-join that follows reads its cell
+    pairs back instead of walking again.  Past the byte bound the vector
+    comes from :func:`selfjoin_plan_costs`.
     """
     adjacency = _adjacency(index, unicomp)
     if adjacency is not None:
         return adjacency.costs
+    return selfjoin_plan_costs(index, unicomp)
 
+
+def selfjoin_plan_costs(index: GridIndex, unicomp: bool) -> np.ndarray:
+    """The vector of :func:`selfjoin_cell_costs`, on an index that only
+    plans: the driver of a backend whose shards run in other processes.
+
+    A plain walk, with no boxes and no prune, counts the costs, and the
+    index keeps the vector alone (:meth:`GridIndex.cached
+    <repro.core.gridindex.GridIndex.cached>`): no cell pairs and no
+    cell-ordered copy of the points.
+    """
     def build() -> np.ndarray:
         parts = [np.empty(0, dtype=np.int64)]
-        parts += [costs for *_, costs in _walk_near_pairs(index, None, unicomp)]
+        parts += [costs for *_, costs in _walk_cell_work(index, None, unicomp)]
         costs = np.concatenate(parts)
         costs.setflags(write=False)
         return costs
@@ -895,14 +960,18 @@ def _emit_pairs(sink: PairFragments, q_side: _JoinSide, q_cells: np.ndarray,
         # the survivors back to their candidate slots.
         slot = None
         if q_side.unindexed is not None:
-            for q_col, c_col in zip(q_side.unindexed, c_side.unindexed):
-                d = q_col.take(q_pos)
-                d -= c_col.take(c_pos)
-                d *= d
-                near = np.flatnonzero(d <= eps2)
-                q_pos = q_pos.take(near)
-                c_pos = c_pos.take(near)
-                slot = near if slot is None else slot.take(near)
+            # A far coordinate squares (or subtracts) past the float range
+            # to inf, which fails ``<= eps2`` and drops the candidate as
+            # it should; only the overflow warning is silenced.
+            with np.errstate(over="ignore"):
+                for q_col, c_col in zip(q_side.unindexed, c_side.unindexed):
+                    d = q_col.take(q_pos)
+                    d -= c_col.take(c_pos)
+                    d *= d
+                    near = np.flatnonzero(d <= eps2)
+                    q_pos = q_pos.take(near)
+                    c_pos = c_pos.take(near)
+                    slot = near if slot is None else slot.take(near)
         # ndarray.take gathers rows about twice as fast as indexing.
         diff = q_side.ordered.take(q_pos, axis=0)
         diff -= c_side.ordered.take(c_pos, axis=0)

@@ -5,43 +5,20 @@ Besides the synthetic/real-world generators, this package owns the
 :class:`~repro.data.store.ArraySource` and the on-disk, grid-ordered
 :class:`~repro.data.store.SpatialStore` the out-of-core execution streams
 from.
+
+The names below resolve lazily (:mod:`repro.utils.lazy`): importing
+:mod:`repro.data.store` loads no generator module, and no name costs an
+import before it is first used.
 """
 
-from repro.data.synthetic import (
-    exponential_dataset,
-    gaussian_clusters,
-    thomas_process,
-    uniform_dataset,
-)
-from repro.data.realworld import sdss_dataset, sw_dataset
-from repro.data.datasets import DatasetSpec, DATASETS, load_dataset, list_datasets
-from repro.data.normalize import normalize_minmax, denormalize_minmax
-from repro.data.store import (
-    ArraySource,
-    DatasetIdentity,
-    DatasetSource,
-    SpatialStore,
-    as_dataset_source,
-    dataset_identity,
-)
+from repro.utils.lazy import lazy_exports
 
-__all__ = [
-    "ArraySource",
-    "DatasetIdentity",
-    "DatasetSource",
-    "SpatialStore",
-    "as_dataset_source",
-    "dataset_identity",
-    "uniform_dataset",
-    "gaussian_clusters",
-    "exponential_dataset",
-    "thomas_process",
-    "sw_dataset",
-    "sdss_dataset",
-    "DatasetSpec",
-    "DATASETS",
-    "load_dataset",
-    "list_datasets",
-    "normalize_minmax",
-    "denormalize_minmax",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    ".store": ["ArraySource", "DatasetIdentity", "DatasetSource",
+               "SpatialStore", "as_dataset_source", "dataset_identity"],
+    ".synthetic": ["uniform_dataset", "gaussian_clusters",
+                   "exponential_dataset", "thomas_process"],
+    ".realworld": ["sw_dataset", "sdss_dataset"],
+    ".datasets": ["DatasetSpec", "DATASETS", "load_dataset", "list_datasets"],
+    ".normalize": ["normalize_minmax", "denormalize_minmax"],
+})

@@ -22,21 +22,16 @@ machine boundaries.  Two halves:
     :class:`~repro.distributed.backend.LocalWorkerPool` spawns localhost
     ``repro-worker`` subprocesses (the CI harness); pointing the same
     backend at remote addresses is the multi-node story.
+
+The names below resolve lazily (:mod:`repro.utils.lazy`), so the
+``repro-worker`` entry point imports the worker and the shard path, never
+the driver backend, the planner or the session.
 """
 
-from repro.distributed.backend import (  # noqa: F401
-    DistributedBackend,
-    LocalWorkerPool,
-    WorkerTaskFailed,
-    worker_request,
-)
-from repro.distributed.worker import WorkerServer, WorkerThread  # noqa: F401
+from repro.utils.lazy import lazy_exports
 
-__all__ = [
-    "DistributedBackend",
-    "LocalWorkerPool",
-    "WorkerServer",
-    "WorkerTaskFailed",
-    "WorkerThread",
-    "worker_request",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    ".backend": ["DistributedBackend", "LocalWorkerPool", "WorkerTaskFailed",
+                 "worker_request"],
+    ".worker": ["WorkerServer", "WorkerThread"],
+})

@@ -144,16 +144,19 @@ class LocalWorkerPool:
                "--host", "127.0.0.1", "--port", "0"]
         if store_root is not None:
             cmd += ["--store-root", str(store_root)]
+        # Every worker is spawned before the first banner is read, so the
+        # workers start up side by side and the pool waits for the slowest
+        # one, not for the sum of them.
         try:
             for i in range(int(n_workers)):
                 env = None
                 if worker_envs is not None and worker_envs[i]:
                     env = {**os.environ, **{k: str(v) for k, v
                                             in worker_envs[i].items()}}
-                proc = subprocess.Popen(cmd, stdout=subprocess.PIPE,
-                                        stderr=subprocess.DEVNULL,
-                                        text=True, env=env)
-                self.processes.append(proc)
+                self.processes.append(subprocess.Popen(
+                    cmd, stdout=subprocess.PIPE, stderr=subprocess.DEVNULL,
+                    text=True, env=env))
+            for proc in self.processes:
                 self._addresses.append(self._read_banner(proc))
         except Exception:
             self.shutdown()

@@ -54,7 +54,6 @@ import numpy as np
 from repro.core.kernels import KernelStats
 from repro.core.nativekernels import parse_kernel_spec
 from repro.core.result import expanded_pairs
-from repro.data.store import SpatialStore
 from repro.parallel.executor import ShardDataset, run_shard
 from repro.service import protocol
 from repro.utils.cancellation import (
@@ -338,6 +337,10 @@ class WorkerServer:
                             "message": f"store path {str(resolved)!r} is "
                                        f"outside this worker's --store-root "
                                        f"({str(self.store_root)!r})"}
+                # Imported here: a worker that is shipped its points never
+                # loads the store module (nor its json/hashlib imports).
+                from repro.data.store import SpatialStore
+
                 state = ShardDataset.from_store(SpatialStore.open(resolved),
                                                 kernel)
             else:

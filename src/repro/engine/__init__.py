@@ -49,91 +49,24 @@ per-dataset resources to it (the multiprocess pool + shared-memory
 dataset), so warm queries skip index construction, pool start-up and
 dataset shipping while producing bit-identical results to the one-shot
 path.  See :mod:`repro.engine.session`.
+
+The names below resolve lazily (:mod:`repro.utils.lazy`): a shard worker
+imports :mod:`~repro.engine.backends` without the planner, the executor or
+the session, and :func:`run_query` lives in :mod:`repro.engine.executor`.
 """
 
 from __future__ import annotations
 
-from typing import Optional
+from repro.utils.lazy import lazy_exports
 
-from repro.core.gridindex import GridIndex
-from repro.engine.backends import (
-    BACKENDS,
-    BackendUnavailableError,
-    ExecutionBackend,
-    available_backends,
-    backend_availability,
-    get_backend,
-    list_backends,
-    register_backend,
-    register_lazy_backend,
-)
-from repro.engine.executor import EngineResult, execute
-from repro.engine.planner import QueryPlan, QueryPlanner
-from repro.engine.session import DatasetIdentity, EngineSession, SessionStats
-from repro.engine.query import (
-    BIPARTITE_JOIN,
-    KNN_CANDIDATES,
-    QUERY_KINDS,
-    RANGE_QUERY,
-    SELF_JOIN,
-    Query,
-)
-
-__all__ = [
-    "Query",
-    "QueryPlan",
-    "QueryPlanner",
-    "EngineResult",
-    "EngineSession",
-    "DatasetIdentity",
-    "SessionStats",
-    "ExecutionBackend",
-    "BACKENDS",
-    "BackendUnavailableError",
-    "register_backend",
-    "register_lazy_backend",
-    "get_backend",
-    "list_backends",
-    "available_backends",
-    "backend_availability",
-    "execute",
-    "run_query",
-    "QUERY_KINDS",
-    "SELF_JOIN",
-    "BIPARTITE_JOIN",
-    "RANGE_QUERY",
-    "KNN_CANDIDATES",
-]
-
-
-def run_query(query: Query, index: Optional[GridIndex] = None,
-              planner: Optional[QueryPlanner] = None,
-              session: Optional[EngineSession] = None,
-              **planner_kwargs) -> EngineResult:
-    """Plan and execute ``query`` in one call.
-
-    Parameters
-    ----------
-    query:
-        The declarative query description.
-    index:
-        Optional pre-built grid index over the indexed side.
-    planner:
-        Optional pre-configured :class:`QueryPlanner`; mutually exclusive
-        with ``planner_kwargs`` (e.g. ``backend="bruteforce"``), which are
-        forwarded to a fresh planner.
-    session:
-        Optional open :class:`EngineSession` owning the query's indexed
-        side; the query then runs with the session's planner, cached
-        indexes and attached backend state.  Mutually exclusive with
-        ``planner`` and ``planner_kwargs``.
-    """
-    if session is not None:
-        if planner is not None or planner_kwargs:
-            raise ValueError("pass either a session or planner configuration, "
-                             "not both")
-        return session.run(query, index=index)
-    if planner is not None and planner_kwargs:
-        raise ValueError("pass either a planner instance or planner kwargs, not both")
-    planner = planner or QueryPlanner(**planner_kwargs)
-    return execute(planner.plan(query, index=index))
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    ".query": ["Query", "QUERY_KINDS", "SELF_JOIN", "BIPARTITE_JOIN",
+               "RANGE_QUERY", "KNN_CANDIDATES"],
+    ".planner": ["QueryPlan", "QueryPlanner"],
+    ".executor": ["EngineResult", "execute", "run_query"],
+    ".session": ["EngineSession", "DatasetIdentity", "SessionStats"],
+    ".backends": ["ExecutionBackend", "BACKENDS", "BackendUnavailableError",
+                  "register_backend", "register_lazy_backend", "get_backend",
+                  "list_backends", "available_backends",
+                  "backend_availability"],
+})

@@ -1,7 +1,8 @@
 """Sink-based plan execution.
 
 :func:`execute` runs a :class:`~repro.engine.planner.QueryPlan` on its
-backend.  Every operator — self-join (batched or not) or probe — emits pair
+backend, and :func:`run_query` plans and executes a query in one call.
+Every operator — self-join (batched or not) or probe — emits pair
 fragments into :class:`~repro.core.result.PairFragments` sinks; self-join
 batches use per-batch sinks (so a batch that overflows the planned result
 buffer can be discarded and split, exactly like a re-issued device kernel)
@@ -22,7 +23,7 @@ re-keyed until the caller materializes a view from the returned
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from typing import TYPE_CHECKING, List, Optional, Tuple
 
 import numpy as np
 
@@ -31,9 +32,12 @@ from repro.core.gridindex import GridIndex
 from repro.core.kernels import KernelStats
 from repro.core.result import NeighborTable, PairFragments, ResultSet
 from repro.engine import query as Q
-from repro.engine.planner import QueryPlan
+from repro.engine.planner import QueryPlan, QueryPlanner
 from repro.utils.cancellation import check_cancelled
 from repro.utils.timing import Timer
+
+if TYPE_CHECKING:  # pragma: no cover - import cycle guard (session → executor)
+    from repro.engine.session import EngineSession
 
 #: Rounds of radius doubling before the kNN candidate search falls back to
 #: an exhaustive scan for the still-unsatisfied queries.
@@ -120,6 +124,39 @@ def execute(plan: QueryPlan) -> EngineResult:
             raise ValueError(f"unexecutable query kind {kind!r}")
     result.kernel_time = timer.elapsed
     return result
+
+
+def run_query(query: Q.Query, index: Optional[GridIndex] = None,
+              planner: Optional[QueryPlanner] = None,
+              session: Optional["EngineSession"] = None,
+              **planner_kwargs) -> EngineResult:
+    """Plan and execute ``query`` in one call.
+
+    Parameters
+    ----------
+    query:
+        The declarative query description.
+    index:
+        Optional pre-built grid index over the indexed side.
+    planner:
+        Optional pre-configured :class:`QueryPlanner`; mutually exclusive
+        with ``planner_kwargs`` (e.g. ``backend="bruteforce"``), which are
+        forwarded to a fresh planner.
+    session:
+        Optional open :class:`EngineSession` owning the query's indexed
+        side; the query then runs with the session's planner, cached
+        indexes and attached backend state.  Mutually exclusive with
+        ``planner`` and ``planner_kwargs``.
+    """
+    if session is not None:
+        if planner is not None or planner_kwargs:
+            raise ValueError("pass either a session or planner configuration, "
+                             "not both")
+        return session.run(query, index=index)
+    if planner is not None and planner_kwargs:
+        raise ValueError("pass either a planner instance or planner kwargs, not both")
+    planner = planner or QueryPlanner(**planner_kwargs)
+    return execute(planner.plan(query, index=index))
 
 
 # --------------------------------------------------------------------------

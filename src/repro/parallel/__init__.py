@@ -25,36 +25,21 @@ The backends register lazily with the engine's backend registry, so
 ``Engine[sharded]`` and ``Engine[multiprocess(4)]`` work everywhere a
 backend name does; the ``scaling`` experiment
 (:mod:`repro.experiments.scaling`) measures speedup versus worker count.
+
+The names below resolve lazily (:mod:`repro.utils.lazy`): a TCP worker
+imports :mod:`~repro.parallel.executor` without the process pool (and so
+without :mod:`multiprocessing`).
 """
 
 from __future__ import annotations
 
-from repro.parallel.shards import (
-    ShardPlan,
-    ShardPlanner,
-    default_worker_count,
-)
-from repro.parallel.sharded import ShardedBackend
-from repro.parallel.executor import ShardStats
-from repro.parallel.mp import MultiprocessBackend
-from repro.parallel.scheduler import (
-    OVERSPLIT_FACTOR,
-    OrderedShardMerger,
-    ScheduleReport,
-    ShardTask,
-    WorkStealingScheduler,
-)
+from repro.utils.lazy import lazy_exports
 
-__all__ = [
-    "OVERSPLIT_FACTOR",
-    "OrderedShardMerger",
-    "ScheduleReport",
-    "ShardPlan",
-    "ShardPlanner",
-    "ShardTask",
-    "ShardedBackend",
-    "MultiprocessBackend",
-    "ShardStats",
-    "WorkStealingScheduler",
-    "default_worker_count",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    ".scheduler": ["OVERSPLIT_FACTOR", "OrderedShardMerger", "ScheduleReport",
+                   "ShardTask", "WorkStealingScheduler"],
+    ".shards": ["ShardPlan", "ShardPlanner", "default_worker_count"],
+    ".sharded": ["ShardedBackend"],
+    ".mp": ["MultiprocessBackend"],
+    ".executor": ["ShardStats"],
+})

@@ -48,7 +48,7 @@ import numpy as np
 
 from repro.core.gridindex import GridIndex, SubsetIndex
 from repro.core.kernels import (DEFAULT_MAX_CANDIDATE_PAIRS, KernelStats,
-                                merge_schedule_counts)
+                                merge_schedule_counts, selfjoin_plan_costs)
 from repro.core.nativekernels import parse_kernel_spec, resolve_kernel_tier
 from repro.core.result import PairFragments, expanded_pairs
 from repro.engine.backends import ExecutionBackend, VectorizedBackend, _probe_rows
@@ -490,9 +490,10 @@ class ShardExecutionBackend(ExecutionBackend):
     """Session lifecycle, operators and counters of a backend that runs
     shards through :func:`run_tasks`.
 
-    Subclasses provide :meth:`_shard_count` and :meth:`_transport`, and
+    Subclasses provide :meth:`_shard_count` and :meth:`_transport`,
     :meth:`_open_dataset`/:meth:`_close_dataset` when their workers keep
-    the dataset resident.  The base counts what every backend does in
+    the dataset resident, and :meth:`_cell_costs` when their shards emit
+    from the caller's index.  The base counts what every backend does in
     :attr:`stats`, under the backend lock: each dataset it opens and
     closes, and each join's schedule report (:meth:`_record_schedule`).
     """
@@ -637,6 +638,15 @@ class ShardExecutionBackend(ExecutionBackend):
         """The transport for a join over ``index`` (or a streamed
         ``source``) on the dataset behind ``handle``."""
 
+    def _cell_costs(self, index: GridIndex, unicomp: bool) -> np.ndarray:
+        """The per-cell costs a self-join's shards are balanced on.
+
+        The shards run in other processes, on indexes of their own, so the
+        caller's index only plans: it walks for the costs alone and keeps
+        nothing else (:func:`~repro.core.kernels.selfjoin_plan_costs`).
+        """
+        return selfjoin_plan_costs(index, unicomp)
+
     def _record_schedule(self, report: ScheduleReport) -> None:
         """Add one join's schedule counters to :attr:`stats`."""
         with self._lock:
@@ -658,7 +668,8 @@ class ShardExecutionBackend(ExecutionBackend):
 
     def run_selfjoin(self, index, eps, cells, sink, *, unicomp=False,
                      max_candidate_pairs=DEFAULT_MAX_CANDIDATE_PAIRS) -> KernelStats:
-        tasks = selfjoin_tasks(index, cells, self._shard_count(), unicomp)
+        tasks = selfjoin_tasks(self._cell_costs(index, unicomp), cells,
+                               self._shard_count())
         op = ShardOp("selfjoin", {
             "index_eps": float(index.eps), "index_dims": list(index.dims),
             "eps": float(eps),

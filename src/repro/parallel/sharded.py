@@ -27,6 +27,7 @@ from __future__ import annotations
 
 from typing import Optional
 
+from repro.core.kernels import selfjoin_cell_costs
 from repro.engine.backends import register_backend
 from repro.parallel.executor import (
     InlineTransport,
@@ -49,6 +50,11 @@ class ShardedBackend(ShardExecutionBackend):
 
     def _shard_count(self) -> int:
         return self.n_shards or default_worker_count()
+
+    def _cell_costs(self, index, unicomp):
+        # The inline shards emit from the caller's index (``for_index``
+        # below), so the cost query fills the adjacency they read back.
+        return selfjoin_cell_costs(index, unicomp)
 
     def _transport(self, handle, index=None, source=None):
         if source is not None:

@@ -10,7 +10,10 @@ boundaries on the exact per-cell self-join cost
 (:func:`repro.core.kernels.selfjoin_cell_costs`: the distance calculations
 each cell's kept cell pairs cost) rather than even cell counts, so a shard
 over a dense region stays comparable in work to one over sparse space, and
-a plan's cost is the ``distance_calcs`` its shards report.
+a plan's cost is the ``distance_calcs`` its shards report.  A backend
+whose shards run in other processes plans from
+:func:`~repro.core.kernels.selfjoin_plan_costs` instead, the same vector
+from a walk that keeps nothing else on the caller's index.
 
 :func:`selfjoin_tasks`, :func:`probe_tasks` and :func:`stream_tasks` turn
 a plan into the :class:`~repro.parallel.scheduler.ShardTask` list one
@@ -106,14 +109,21 @@ class ShardPlanner:
     def plan(self, index: GridIndex, cells: Optional[np.ndarray] = None,
              unicomp: bool = False) -> ShardPlan:
         """Partition ``cells`` (all non-empty cells when ``None``) of the
-        ``unicomp`` (or GLOBAL) self-join into shards.
+        ``unicomp`` (or GLOBAL) self-join over ``index`` into shards.
 
         The given cell order is preserved, so a contiguous ``B``-order input
         (the whole grid, or one planned batch) yields contiguous
         ``B``-order shards.
         """
+        return self.split(selfjoin_cell_costs(index, unicomp), cells)
+
+    def split(self, cell_costs: np.ndarray,
+              cells: Optional[np.ndarray] = None) -> ShardPlan:
+        """Partition ``cells`` (every cell when ``None``) of a self-join
+        whose non-empty cells cost ``cell_costs`` into shards, as
+        :meth:`plan` does."""
         if cells is None:
-            cells = np.arange(index.num_nonempty_cells, dtype=np.int64)
+            cells = np.arange(cell_costs.shape[0], dtype=np.int64)
         else:
             cells = np.asarray(cells, dtype=np.int64)
         n_shards = self.n_shards or default_worker_count()
@@ -121,7 +131,7 @@ class ShardPlanner:
             return ShardPlan(shards=[np.empty(0, dtype=np.int64)],
                              estimated_costs=np.zeros(1, dtype=np.float64),
                              cell_costs=[np.empty(0, dtype=np.float64)])
-        costs = selfjoin_cell_costs(index, unicomp).take(cells)
+        costs = cell_costs.take(cells)
         slices = split_by_cost(costs, n_shards)
         return ShardPlan(
             shards=[cells[s] for s in slices],
@@ -129,10 +139,11 @@ class ShardPlanner:
             cell_costs=[costs[s].astype(np.float64) for s in slices])
 
 
-def selfjoin_tasks(index: GridIndex, cells: Optional[np.ndarray],
-                   n_shards: int, unicomp: bool) -> List[ShardTask]:
-    """Self-join tasks: cost-balanced contiguous cell shards."""
-    plan = ShardPlanner(n_shards=n_shards).plan(index, cells, unicomp)
+def selfjoin_tasks(cell_costs: np.ndarray, cells: Optional[np.ndarray],
+                   n_shards: int) -> List[ShardTask]:
+    """Self-join tasks: contiguous cell shards balanced on ``cell_costs``,
+    the per-cell costs of every non-empty cell."""
+    plan = ShardPlanner(n_shards=n_shards).split(cell_costs, cells)
     return tasks_from_arrays(plan.shards, plan.cell_costs)
 
 

@@ -22,41 +22,19 @@ bipartite requests over a length-prefixed JSON + binary frame protocol
 :class:`ServiceClient` (:mod:`repro.service.client`) is the synchronous
 client; ``python -m repro.service`` (or the ``repro-serve`` console script)
 runs a standalone server.
+
+The names below resolve lazily (:mod:`repro.utils.lazy`): a distributed
+worker imports the frame protocol without the server, client or catalog.
 """
 
-from repro.service.catalog import DatasetNotRegistered, SessionCatalog
-from repro.service.client import (
-    ServiceClient,
-    ServiceError,
-    ServiceRejected,
-    ServiceTimeout,
-)
-from repro.service.protocol import (
-    STATUS_CHUNK,
-    STATUS_END,
-    STATUS_ERROR,
-    STATUS_OK,
-    STATUS_REJECTED,
-    STATUS_TIMEOUT,
-    ProtocolError,
-)
-from repro.service.server import QueryService, ServerThread, ServiceStats
+from repro.utils.lazy import lazy_exports
 
-__all__ = [
-    "DatasetNotRegistered",
-    "ProtocolError",
-    "QueryService",
-    "ServerThread",
-    "ServiceClient",
-    "ServiceError",
-    "ServiceRejected",
-    "ServiceStats",
-    "ServiceTimeout",
-    "SessionCatalog",
-    "STATUS_CHUNK",
-    "STATUS_END",
-    "STATUS_ERROR",
-    "STATUS_OK",
-    "STATUS_REJECTED",
-    "STATUS_TIMEOUT",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    ".catalog": ["DatasetNotRegistered", "SessionCatalog"],
+    ".protocol": ["ProtocolError", "STATUS_CHUNK", "STATUS_END",
+                  "STATUS_ERROR", "STATUS_OK", "STATUS_REJECTED",
+                  "STATUS_TIMEOUT"],
+    ".server": ["QueryService", "ServerThread", "ServiceStats"],
+    ".client": ["ServiceClient", "ServiceError", "ServiceRejected",
+                "ServiceTimeout"],
+})

@@ -27,6 +27,11 @@
   ``QueryPlanner.index_dataset`` calls ``choose_index_dims``, and the
   experiments, ``GPUSelfJoin`` and the ``simulated`` backend never reach
   it, so the paper's figures and Table II keep the all-dims grid.
+* Lazy packages.  The package ``__init__`` modules resolve their public
+  names on first use (:mod:`repro.utils.lazy`), so ``import repro`` loads
+  only :mod:`repro.utils`, and a ``repro-worker`` process loads the shard
+  path and none of the driver, service, planner, session, apps, public
+  self-join API, device model or process pool.
 * One NumPy kernel route.  On the NumPy tier every production backend
   runs the vectorized walker and emitter, however dense the cells.  The
   per-cell oracle, :mod:`repro.baselines.cellwise`, is for tests only: no
@@ -130,21 +135,28 @@ def test_no_device_model_import_on_query_path(path):
     assert offending == [], f"{relative} imports repro.gpusim at {offending}"
 
 
-def test_query_path_does_not_load_the_device_model():
-    """A fresh interpreter that imports the engine, a distributed worker
-    and the service server has not loaded ``repro.gpusim``: the AST guard
-    above sees only the query-path packages, this sees what they import."""
-    code = ("import sys\n"
-            "import repro.engine, repro.distributed.worker, "
-            "repro.service.server\n"
-            "print(sorted(m for m in sys.modules "
-            "if m.split('.')[:2] == ['repro', 'gpusim']))\n")
+def _loaded_by(statement: str) -> list:
+    """The modules a fresh interpreter has loaded after ``statement``."""
+    code = f"import sys\n{statement}\nprint('\\n'.join(sorted(sys.modules)))\n"
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [str(PACKAGE_ROOT.parent)] + [p for p in os.environ.get(
             "PYTHONPATH", "").split(os.pathsep) if p]))
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
-    assert out.strip() == "[]"
+    return out.split()
+
+
+def _within(name: str, packages) -> bool:
+    return any(name == p or name.startswith(p + ".") for p in packages)
+
+
+def test_query_path_does_not_load_the_device_model():
+    """A fresh interpreter that imports the engine, a distributed worker
+    and the service server has not loaded ``repro.gpusim``: the AST guard
+    above sees only the query-path packages, this sees what they import."""
+    loaded = _loaded_by("import repro.engine, repro.distributed.worker, "
+                        "repro.service.server")
+    assert [m for m in loaded if _within(m, ["repro.gpusim"])] == []
 
 
 def test_guard_detects_module_level_and_nested_imports():
@@ -568,3 +580,53 @@ def test_numpy_tier_never_runs_a_cellwise_kernel(backend, kind):
     assert result.stats.tier == "numpy"
     assert result.stats.kernel_counts == {}
     assert result.neighbor_table.same_contents_as(expected.to_neighbor_table())
+
+
+# --------------------------------------------------------------------------
+# lazy packages
+# --------------------------------------------------------------------------
+#: What a ``repro-worker`` process runs none of, so must not import.
+WORKER_UNUSED = ("repro.distributed.backend", "repro.service.server",
+                 "repro.service.client", "repro.service.catalog",
+                 "repro.engine.planner", "repro.engine.session", "repro.apps",
+                 "repro.core.selfjoin", "repro.gpusim", "multiprocessing")
+
+LAZY_PACKAGES = ("repro", "repro.core", "repro.data", "repro.engine",
+                 "repro.parallel", "repro.service", "repro.distributed",
+                 "repro.apps")
+
+
+def test_worker_entry_point_loads_the_shard_path_only():
+    loaded = _loaded_by("import repro.distributed.__main__")
+    assert "repro.parallel.executor" in loaded
+    assert [m for m in loaded if _within(m, WORKER_UNUSED)] == []
+
+
+def test_import_repro_loads_only_the_utilities():
+    loaded = _loaded_by("import repro")
+    assert [m for m in loaded if m.startswith("repro.")
+            and not _within(m, ["repro.utils"])] == []
+
+
+@pytest.mark.parametrize("name", LAZY_PACKAGES)
+def test_lazy_package_names_resolve(name):
+    package = importlib.import_module(name)
+    assert set(package.__all__) <= set(dir(package))
+    for export in package.__all__:
+        assert getattr(package, export) is not None, export
+    with pytest.raises(AttributeError):
+        getattr(package, "no_such_name")
+
+
+def test_exported_names_shadow_their_submodules():
+    """``repro.core.selfjoin`` and ``repro.apps.dbscan`` name functions,
+    as the eager imports left them, even when the submodule of the same
+    name is imported first."""
+    loaded = _loaded_by(
+        "import repro.core.selfjoin, repro.apps.dbscan, repro.apps.crossmatch\n"
+        "from repro.core import selfjoin\n"
+        "from repro.apps import crossmatch, dbscan\n"
+        "import repro\n"
+        "assert all(callable(f) for f in ("
+        "selfjoin, dbscan, crossmatch, repro.core.selfjoin, repro.selfjoin))")
+    assert "repro.core.selfjoin" in loaded

@@ -533,6 +533,66 @@ class TestWorkerCLI:
             pool.shutdown()
 
 
+
+class _FakeWorker:
+    """A stand-in for a ``repro-worker`` subprocess: records its spawn and
+    its banner read in ``events``, and prints a banner only if ``ok``."""
+
+    def __init__(self, events, port, ok=True):
+        self.events, self.port, self.ok = events, port, ok
+        self.pid, self.stdout, self.terminated = port, self, False
+        events.append(("spawn", port))
+
+    def readline(self):
+        self.events.append(("banner", self.port))
+        return f"repro-worker listening on 127.0.0.1:{self.port}\n" \
+            if self.ok else ""
+
+    def poll(self):
+        return 0 if self.terminated else None
+
+    def terminate(self):
+        self.terminated = True
+
+    def wait(self, timeout=None):
+        return 0
+
+
+class TestLocalWorkerPoolStart:
+    """The pool spawns every worker before it waits for one, so the
+    workers start up side by side."""
+
+    @staticmethod
+    def _fake_popen(monkeypatch, events, failing=()):
+        spawned = []
+
+        def popen(cmd, **kwargs):
+            port = 40001 + len(spawned)
+            spawned.append(_FakeWorker(events, port, port not in failing))
+            return spawned[-1]
+
+        monkeypatch.setattr(
+            "repro.distributed.backend.subprocess.Popen", popen)
+        return spawned
+
+    def test_every_spawn_precedes_the_first_banner_read(self, monkeypatch):
+        events = []
+        spawned = self._fake_popen(monkeypatch, events)
+        pool = LocalWorkerPool(3)
+        assert [kind for kind, _ in events] == ["spawn"] * 3 + ["banner"] * 3
+        assert pool.addresses() == [("127.0.0.1", 40001 + i) for i in range(3)]
+        assert pool.processes == spawned
+        for worker in spawned:
+            worker.terminate()
+
+    def test_a_failed_start_terminates_every_worker(self, monkeypatch):
+        events = []
+        spawned = self._fake_popen(monkeypatch, events, failing={40001})
+        with pytest.raises(RuntimeError, match="did not start"):
+            LocalWorkerPool(3)
+        assert len(spawned) == 3
+        assert all(worker.terminated for worker in spawned)
+
 class TestCompactWire:
     """Result chunks cross the wire compact: int32 ids, and each mirrored
     UNICOMP match once with a ``bool`` flag standing for its reverse."""

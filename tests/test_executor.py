@@ -25,6 +25,7 @@ import numpy as np
 import pytest
 
 from repro.core.gridindex import GridIndex
+from repro.core.kernels import selfjoin_cell_costs
 from repro.core.result import PairFragments
 from repro.data.synthetic import uniform_dataset
 from repro.engine import EngineSession, Query, run_query
@@ -119,7 +120,7 @@ def serial(request, index):
 
 
 def _selfjoin(index, unicomp, transport, **kwargs):
-    tasks = selfjoin_tasks(index, None, 9, unicomp)
+    tasks = selfjoin_tasks(selfjoin_cell_costs(index, unicomp), None, 9)
     op = ShardOp("selfjoin", {"index_eps": float(index.eps),
                               "eps": float(index.eps), "unicomp": unicomp})
     sink = PairFragments(index.num_points)
@@ -264,7 +265,7 @@ class TestLoopEdges:
 
     def test_inline_transport_matches_serial(self, index, serial):
         unicomp, digest, counters = serial
-        tasks = selfjoin_tasks(index, None, 5, unicomp)
+        tasks = selfjoin_tasks(selfjoin_cell_costs(index, unicomp), None, 5)
         op = ShardOp("selfjoin", {"index_eps": float(index.eps),
                                   "eps": float(index.eps),
                                   "unicomp": unicomp})

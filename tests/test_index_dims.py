@@ -11,13 +11,16 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
+from repro.baselines.bruteforce import bruteforce_join, bruteforce_selfjoin
 from repro.core.gridindex import GridIndex
+from repro.core.kernels import run_probe, run_selfjoin
 from repro.core.result import NeighborTable, PairFragments
 from repro.data.synthetic import exponential_dataset, uniform_dataset
 from repro.engine import EngineSession, Query, run_query
@@ -211,6 +214,47 @@ class TestPreFilterBoundary:
         index = GridIndex.build(points, 0.25)
         assert _boundary_tables(index, points) \
             == _bruteforce_tables(points, points, 0.25)
+
+
+class TestFarUnindexedCoordinates:
+    """Coordinates far out on a dim the grid does not index: the
+    pre-filter's square passes the float range, which drops the candidate
+    as it should, and warns nothing."""
+
+    EPS = 0.1
+
+    def test_probe_is_silent_and_exact(self):
+        index = GridIndex.build(uniform_dataset(200, 3, seed=5, low=0.0,
+                                                high=1.0), self.EPS)
+        index = index.project((0, 1))
+        queries = np.array([[0.5, 0.5, 1e300], [0.5, 0.5, -1e300],
+                            [0.2, 0.7, 0.4], [0.9, 0.1, 1e300]])
+        sink = PairFragments(queries.shape[0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            run_probe(queries, index, self.EPS, sink, tier="numpy")
+        with np.errstate(over="ignore"):
+            expected = bruteforce_join(queries, index.points, self.EPS).result
+        table = sink.to_neighbor_table()
+        assert table.same_contents_as(NeighborTable.from_pairs(
+            expected.keys, expected.values, queries.shape[0]))
+        assert table.neighbors_of(2).shape[0] > 0
+
+    @pytest.mark.parametrize("unicomp", [False, True])
+    def test_selfjoin_is_silent_and_exact(self, unicomp):
+        points = uniform_dataset(200, 3, seed=5, low=0.0, high=1.0)
+        points[:3, 2] = [1e300, -1e300, 1e300]
+        points[2, :2] = points[0, :2]   # far apart, one cell
+        index = GridIndex.build(points, self.EPS, dims=(0, 1))
+        sink = PairFragments(index.num_points)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            run_selfjoin(index, self.EPS, sink, unicomp=unicomp, tier="numpy")
+        with np.errstate(over="ignore"):
+            expected = bruteforce_selfjoin(points, self.EPS).result
+        assert sink.to_neighbor_table().same_contents_as(
+            NeighborTable.from_pairs(expected.keys, expected.values,
+                                     index.num_points))
 
 
 class TestChooser:
