@@ -51,7 +51,7 @@ index and the UNICOMP flag, so each :class:`GridIndex` keeps them: one
 :class:`CellAdjacency` per flag, stored through
 :meth:`GridIndex.cached <repro.core.gridindex.GridIndex.cached>` and
 living and dying with the index in whichever cache holds it (the session's
-per-ε LRU, a worker's :class:`~repro.parallel.executor.ShardDataset` LRU,
+per-ε LRU, a worker's :class:`~repro.parallel.compute.ShardDataset` LRU,
 the inline ``sharded`` dataset).  The first self-join on an index walks
 every non-empty cell once, even when it asks for one shard's cells, and
 stores the walk; that call and every later self-join on the index, for

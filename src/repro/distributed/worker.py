@@ -10,14 +10,14 @@ reject-before-allocation behavior for free.
 A dataset is **attached once** — as a :class:`~repro.data.store.SpatialStore`
 path the worker memory-maps locally (the points never cross the wire) or
 as arrays shipped one time — into a
-:class:`~repro.parallel.executor.ShardDataset`, whose per-ε index LRU every
+:class:`~repro.parallel.compute.ShardDataset`, whose per-ε index LRU every
 later shard request reuses.  Store attachments index the stored (B-order)
 rows and translate emitted ids back through the store's id directory, so
 results are bit-identical to in-memory execution.
 
 Shard operations (``selfjoin_shard``, ``probe_shard`` and the
 disk-streamed ``stream_shard``) compute with the shard body every
-transport shares, :func:`repro.parallel.executor.run_shard`, and respond
+transport shares, :func:`repro.parallel.compute.run_shard`, and respond
 with zero or more ``status: "chunk"`` frames of the pair arrays, then a
 ``status: "end"`` frame with the final status, pair total and serialized
 :class:`~repro.core.kernels.KernelStats`.  A chunk carries ``keys`` and
@@ -54,7 +54,7 @@ import numpy as np
 from repro.core.kernels import KernelStats
 from repro.core.nativekernels import parse_kernel_spec
 from repro.core.result import expanded_pairs
-from repro.parallel.executor import ShardDataset, run_shard
+from repro.parallel.compute import ShardDataset, run_shard
 from repro.service import protocol
 from repro.utils.cancellation import (
     CancellationToken,

@@ -13,8 +13,8 @@ decomposition through one executor with three transports:
 * :mod:`~repro.parallel.scheduler` decides who runs what (pull, steal,
   resplit, hedge last) and merges results back in ``B`` order.
 * :mod:`~repro.parallel.executor` is the one loop that drives both, and
-  the one shard body every worker computes with.  Its transports are:
-  inline, one worker in the caller's thread (``sharded``,
+  :mod:`~repro.parallel.compute` the one shard body every worker
+  computes with.  The executor's transports are: inline, one worker in the caller's thread (``sharded``,
   :class:`~repro.parallel.sharded.ShardedBackend`); a persistent
   shared-memory process pool (``multiprocess``,
   :class:`~repro.parallel.mp.MultiprocessBackend`); and TCP workers
@@ -27,8 +27,9 @@ backend name does; the ``scaling`` experiment
 (:mod:`repro.experiments.scaling`) measures speedup versus worker count.
 
 The names below resolve lazily (:mod:`repro.utils.lazy`): a TCP worker
-imports :mod:`~repro.parallel.executor` without the process pool (and so
-without :mod:`multiprocessing`).
+imports the shard bodies (:mod:`~repro.parallel.compute`) without the
+executor loop, the scheduler, the shard planner or the process pool (and
+so without :mod:`multiprocessing`).
 """
 
 from __future__ import annotations

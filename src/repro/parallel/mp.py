@@ -10,7 +10,7 @@ work-stealing scheduler's
 :class:`~repro.parallel.scheduler.ScheduleReport` is what the backend
 reports in ``KernelStats.schedule_counts`` and, totalled over its joins,
 in ``backend.stats`` (:class:`~repro.parallel.executor.ShardStats`).
-Workers compute with :func:`repro.parallel.executor.run_shard`, rebuild the
+Workers compute with :func:`repro.parallel.compute.run_shard`, rebuild the
 grid index locally per ε (far cheaper than the join) and return each
 shard's pairs as two int64 arrays.
 
@@ -50,12 +50,8 @@ from typing import Dict, Optional, Tuple
 import numpy as np
 
 from repro.engine.backends import register_backend
-from repro.parallel.executor import (
-    ShardDataset,
-    ShardExecutionBackend,
-    Transport,
-    run_shard,
-)
+from repro.parallel.compute import ShardDataset, run_shard
+from repro.parallel.executor import ShardExecutionBackend, Transport
 from repro.parallel.scheduler import OVERSPLIT_FACTOR
 from repro.parallel.shards import default_worker_count
 

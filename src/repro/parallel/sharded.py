@@ -12,7 +12,7 @@ It is also the **out-of-core** backend: for a self-join over an on-disk
 :class:`~repro.data.store.SpatialStore` it implements
 :meth:`run_selfjoin_streamed`.  Each shard is a contiguous range of the
 store's directory that reads only its own slice plus its ε-halo cells from
-disk (:func:`repro.parallel.executor.stream_shard`).  With one worker the
+disk (:func:`repro.parallel.compute.stream_shard`).  With one worker the
 executor dispatches in root order and flushes each shard as it completes,
 so peak memory is O(largest shard + halo) instead of O(n).
 
@@ -29,11 +29,8 @@ from typing import Optional
 
 from repro.core.kernels import selfjoin_cell_costs
 from repro.engine.backends import register_backend
-from repro.parallel.executor import (
-    InlineTransport,
-    ShardDataset,
-    ShardExecutionBackend,
-)
+from repro.parallel.compute import ShardDataset
+from repro.parallel.executor import InlineTransport, ShardExecutionBackend
 from repro.parallel.shards import default_worker_count
 
 

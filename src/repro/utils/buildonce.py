@@ -4,7 +4,7 @@
 one build, while builds of other keys run at the same time and hits never
 wait for a build.  A grid index's derived data
 (:meth:`repro.core.gridindex.GridIndex.cached`) and a worker's per-ε index
-cache (:class:`repro.parallel.executor.ShardDataset`) use it.
+cache (:class:`repro.parallel.compute.ShardDataset`) use it.
 """
 
 from __future__ import annotations

@@ -30,7 +30,8 @@
 * Lazy packages.  The package ``__init__`` modules resolve their public
   names on first use (:mod:`repro.utils.lazy`), so ``import repro`` loads
   only :mod:`repro.utils`, and a ``repro-worker`` process loads the shard
-  path and none of the driver, service, planner, session, apps, public
+  bodies (:mod:`repro.parallel.compute`) and none of the driver's backend,
+  executor loop or scheduler, the service, planner, session, apps, public
   self-join API, device model or process pool.
 * One NumPy kernel route.  On the NumPy tier every production backend
   runs the vectorized walker and emitter, however dense the cells.  The
@@ -585,11 +586,16 @@ def test_numpy_tier_never_runs_a_cellwise_kernel(backend, kind):
 # --------------------------------------------------------------------------
 # lazy packages
 # --------------------------------------------------------------------------
-#: What a ``repro-worker`` process runs none of, so must not import.
-WORKER_UNUSED = ("repro.distributed.backend", "repro.service.server",
-                 "repro.service.client", "repro.service.catalog",
-                 "repro.engine.planner", "repro.engine.session", "repro.apps",
-                 "repro.core.selfjoin", "repro.gpusim", "multiprocessing")
+#: What a ``repro-worker`` process runs none of, so must not import: the
+#: driver's backend, executor loop, scheduler and shard planner, the
+#: service's server side, the planner and session, the apps, the public
+#: self-join API, the device model and the process pool.
+WORKER_UNUSED = ("repro.distributed.backend", "repro.parallel.executor",
+                 "repro.parallel.scheduler", "repro.parallel.shards",
+                 "repro.service.server", "repro.service.client",
+                 "repro.service.catalog", "repro.engine.planner",
+                 "repro.engine.session", "repro.apps", "repro.core.selfjoin",
+                 "repro.gpusim", "multiprocessing")
 
 LAZY_PACKAGES = ("repro", "repro.core", "repro.data", "repro.engine",
                  "repro.parallel", "repro.service", "repro.distributed",
@@ -598,7 +604,7 @@ LAZY_PACKAGES = ("repro", "repro.core", "repro.data", "repro.engine",
 
 def test_worker_entry_point_loads_the_shard_path_only():
     loaded = _loaded_by("import repro.distributed.__main__")
-    assert "repro.parallel.executor" in loaded
+    assert "repro.parallel.compute" in loaded
     assert [m for m in loaded if _within(m, WORKER_UNUSED)] == []
 
 

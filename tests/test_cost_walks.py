@@ -20,7 +20,7 @@ from repro.core.gridindex import GridIndex
 from repro.data.synthetic import exponential_dataset, uniform_dataset
 from repro.distributed import WorkerThread
 from repro.engine import Query, QueryPlanner, execute, run_query
-from repro.parallel.executor import ShardDataset, run_shard
+from repro.parallel.compute import ShardDataset, run_shard
 
 EPS = 0.12
 
