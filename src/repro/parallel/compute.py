@@ -8,7 +8,7 @@ Every transport computes its shards here: the inline transport of
 a :class:`ShardDataset`, the worker-resident dataset with its per-ε index
 LRU.  The parent side, which plans, dispatches and merges the shards, is
 :mod:`repro.parallel.executor`; a worker process imports this module
-without it (nor its scheduler and shard planner).
+without it, its scheduler or its shard planner.
 """
 
 from __future__ import annotations
