@@ -18,10 +18,10 @@ worker exposed beyond it.
 from __future__ import annotations
 
 import argparse
-import asyncio
 from typing import Optional, Sequence
 
 from repro.distributed.worker import WorkerServer
+from repro.service.framing import serve_main
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -47,24 +47,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-async def _serve(args: argparse.Namespace) -> None:
-    server = WorkerServer(host=args.host, port=args.port,
-                          store_root=args.store_root,
-                          compute_threads=args.compute_threads,
-                          debug_shard_sleep_ms=args.debug_sleep_ms)
-    await server.start()
-    print(f"repro-worker listening on {server.host}:{server.port}",
-          flush=True)
-    await server.serve_until_stopped()
-
-
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
-    try:
-        asyncio.run(_serve(args))
-    except KeyboardInterrupt:
-        pass
-    return 0
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    return serve_main(WorkerServer(host=args.host, port=args.port,
+                                   store_root=args.store_root,
+                                   compute_threads=args.compute_threads,
+                                   debug_shard_sleep_ms=args.debug_sleep_ms),
+                      parser.prog)
 
 
 if __name__ == "__main__":

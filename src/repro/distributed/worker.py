@@ -1,11 +1,12 @@
 """TCP shard worker: one process serving shard work over the service frames.
 
 A :class:`WorkerServer` is the remote half of the ``distributed`` backend
-(:mod:`repro.distributed.backend`).  It speaks exactly the wire protocol of
-the query service — length-prefixed JSON + binary frames with the
-dtype-allow-listed array codec (:mod:`repro.service.protocol`) — so the
-worker channel inherits the service's hard size bounds and
-reject-before-allocation behavior for free.
+(:mod:`repro.distributed.backend`).  It is the query service's frame
+server (:mod:`repro.service.framing`: listener, connection loop,
+``ping``/``shutdown``, shutdown order) speaking the service's frames and
+array codec (:mod:`repro.service.protocol`) with their size bounds.  It
+adds ``attach``/``detach``, ``stats`` and the shard ops on its compute
+executor, which its teardown shuts down.
 
 A dataset is **attached once** — as a :class:`~repro.data.store.SpatialStore`
 path the worker memory-maps locally (the points never cross the wire) or
@@ -27,15 +28,16 @@ points (:func:`wire_id_dtype`), and for a UNICOMP self-join a ``bool``
 mirrored pair crosses the wire once (9 bytes, not two int64 pairs' 32).
 A request's ``deadline_ms`` budget runs the compute inside a
 :func:`~repro.utils.cancellation.cancel_scope`, so a parent whose deadline
-lapsed stops burning *remote* CPU within one cancellation checkpoint.
+lapsed stops burning *remote* CPU within one cancellation checkpoint.  A
+shard request that fails, its header included, is answered with a
+``final: "error"`` end frame and counted in ``shards_failed``.
 
 ``store_root`` restricts which paths a worker will memory-map (the
 ``--store-root`` flag of the ``repro-worker`` CLI): attach requests naming
 a store outside that directory are rejected before any file is touched.
 
 Run standalone via ``repro-worker`` (:mod:`repro.distributed.__main__`) or
-in-process via :class:`WorkerThread` (the test harness, mirroring the
-service's ``ServerThread``).
+in-process via :class:`WorkerThread` (the test harness).
 """
 
 from __future__ import annotations
@@ -56,6 +58,7 @@ from repro.core.nativekernels import parse_kernel_spec
 from repro.core.result import expanded_pairs
 from repro.parallel.compute import ShardDataset, run_shard
 from repro.service import protocol
+from repro.service.framing import FrameServer, FrameServerThread
 from repro.utils.cancellation import (
     CancellationToken,
     OperationCancelled,
@@ -155,7 +158,7 @@ def _interruptible_sleep(seconds: float) -> None:
         time.sleep(min(_SLEEP_CHECK_SECONDS, remaining))
 
 
-class WorkerServer:
+class WorkerServer(FrameServer):
     """One shard worker process behind the service frame protocol.
 
     Parameters
@@ -181,8 +184,7 @@ class WorkerServer:
                  max_payload: int = protocol.DEFAULT_MAX_PAYLOAD_BYTES,
                  compute_threads: int = 2,
                  debug_shard_sleep_ms: Optional[float] = None) -> None:
-        self.host = host
-        self.port = int(port)
+        super().__init__(host, port, max_payload=max_payload)
         self.store_root = (Path(store_root).resolve()
                            if store_root is not None else None)
         if debug_shard_sleep_ms is None:
@@ -193,118 +195,43 @@ class WorkerServer:
             debug_shard_sleep_ms = float(
                 os.environ.get(DEBUG_SLEEP_ENV_VAR, "0") or 0)
         self.debug_shard_sleep_ms = float(debug_shard_sleep_ms)
-        self.max_payload = int(max_payload)
         self.stats = WorkerStats()
         self._datasets: Dict[str, ShardDataset] = {}
         self._lock = threading.Lock()   # guards _datasets and stats
         self._executor = ThreadPoolExecutor(
             max_workers=int(compute_threads),
             thread_name_prefix="repro-worker")
-        self._server: Optional[asyncio.base_events.Server] = None
-        self._stopped: Optional[asyncio.Event] = None
-        self._conn_tasks: set = set()
 
-    # ---------------------------------------------------------------- lifecycle
-    @property
-    def address(self) -> Tuple[str, int]:
-        """The bound ``(host, port)`` (valid after :meth:`start`)."""
-        return (self.host, self.port)
-
-    async def start(self) -> None:
-        """Bind and start serving; resolves the ephemeral port."""
-        self._stopped = asyncio.Event()
-        self._server = await asyncio.start_server(
-            self._handle_connection, self.host, self.port)
-        self.port = self._server.sockets[0].getsockname()[1]
-
-    async def serve_until_stopped(self) -> None:
-        """Serve until :meth:`request_stop` (or a ``shutdown`` op)."""
-        assert self._server is not None, "call start() first"
-        async with self._server:
-            await self._stopped.wait()
-        for task in list(self._conn_tasks):
-            task.cancel()
-        if self._conn_tasks:
-            await asyncio.gather(*self._conn_tasks, return_exceptions=True)
+    def _on_closed(self) -> None:
         self._executor.shutdown(wait=False)
 
-    def request_stop(self) -> None:
-        """Ask the serve loop to exit (threadsafe from the loop's thread)."""
-        if self._stopped is not None:
-            self._stopped.set()
-
-    # -------------------------------------------------------------- connection
-    async def _handle_connection(self, reader: asyncio.StreamReader,
-                                 writer: asyncio.StreamWriter) -> None:
-        loop = asyncio.get_running_loop()
-        task = asyncio.current_task()
-        if task is not None:
-            self._conn_tasks.add(task)
-        try:
-            while True:
-                try:
-                    frame = await protocol.read_frame_async(
-                        reader, self.max_payload)
-                except protocol.ProtocolError:
-                    break  # malformed/truncated request: drop the connection
-                if frame is None:
-                    break
-                header, payload = frame
-                op = header.get("op")
-                if op == "shutdown":
-                    await self._send(writer, {"status": protocol.STATUS_OK})
-                    self.request_stop()
-                    break
-                if op in ("selfjoin_shard", "probe_shard", "stream_shard"):
-                    frames = await loop.run_in_executor(
-                        self._executor, self._run_shard_op, header, payload)
-                    for fhead, fpayload in frames:
-                        await self._send(writer, fhead, fpayload)
-                elif op == "attach":
-                    # Store opening / index-free array unpack is cheap but
-                    # still I/O: keep the event loop responsive.
-                    head = await loop.run_in_executor(
-                        self._executor, self._op_attach, header, payload)
-                    await self._send(writer, head)
-                else:
-                    await self._send(writer, self._op_inline(header))
-        except (ConnectionResetError, BrokenPipeError, asyncio.CancelledError):
-            pass
-        finally:
-            if task is not None:
-                self._conn_tasks.discard(task)
-            writer.close()
-            # As in the service: a cancellation arriving during the close
-            # must not escape the connection task.
-            try:
-                await writer.wait_closed()
-            except (ConnectionResetError, BrokenPipeError, OSError,
-                    asyncio.CancelledError):
-                pass
-
-    async def _send(self, writer: asyncio.StreamWriter, header: dict,
-                    payload: bytes = b"") -> None:
-        writer.write(protocol.encode_frame(header, payload))
-        await writer.drain()
-
-    # --------------------------------------------------------------- small ops
-    def _op_inline(self, header: dict) -> dict:
+    # ---------------------------------------------------------------- requests
+    async def _dispatch(self, writer: asyncio.StreamWriter, header: dict,
+                        payload: bytes) -> None:
         op = header.get("op")
-        if op == "ping":
-            return {"status": protocol.STATUS_OK, "pong": True}
-        if op == "stats":
+        if op in ("selfjoin_shard", "probe_shard", "stream_shard"):
+            frames = await self._loop.run_in_executor(
+                self._executor, self._run_shard_op, header, payload)
+            for fhead, fpayload in frames:
+                await self._write(writer, fhead, fpayload)
+        elif op == "attach":
+            # Store opening / index-free array unpack is cheap but still
+            # I/O: keep the event loop responsive.
+            await self._write(writer, await self._loop.run_in_executor(
+                self._executor, self._op_attach, header, payload))
+        elif op == "stats":
             with self._lock:
                 snap = self.stats.snapshot()
                 datasets = sorted(self._datasets)
-            return {"status": protocol.STATUS_OK, "stats": snap,
-                    "datasets": datasets}
-        if op == "detach":
+            await self._write(writer, {"status": protocol.STATUS_OK,
+                                       "stats": snap, "datasets": datasets})
+        elif op == "detach":
             with self._lock:
                 state = self._datasets.pop(str(header.get("dataset")), None)
-            return {"status": protocol.STATUS_OK,
-                    "detached": state is not None}
-        return {"status": protocol.STATUS_ERROR,
-                "message": f"unknown op {op!r}"}
+            await self._write(writer, {"status": protocol.STATUS_OK,
+                                       "detached": state is not None})
+        else:
+            await super()._dispatch(writer, header, payload)
 
     def _op_attach(self, header: dict, payload: bytes) -> dict:
         name = str(header.get("dataset"))
@@ -396,9 +323,11 @@ class WorkerServer:
                       "message": f"dataset {name!r} is not attached"}, b"")]
 
         deadline_ms = header.get("deadline_ms")
-        token = (CancellationToken.with_timeout(float(deadline_ms) / 1000.0)
-                 if deadline_ms is not None else None)
         try:
+            token = (None if deadline_ms is None else
+                     CancellationToken.with_timeout(float(deadline_ms) / 1e3))
+            chunk_pairs = max(1, int(header.get("chunk_pairs",
+                                                DEFAULT_CHUNK_PAIRS)))
             with cancel_scope(token):
                 sleep_ms = max(float(header.get("debug_sleep_ms", 0) or 0),
                                self.debug_shard_sleep_ms)
@@ -422,8 +351,6 @@ class WorkerServer:
                       "shard": shard,
                       "message": f"{type(exc).__name__}: {exc}"}, b"")]
 
-        chunk_pairs = int(header.get("chunk_pairs", DEFAULT_CHUNK_PAIRS))
-        chunk_pairs = max(1, chunk_pairs)
         ids = wire_id_dtype(max(state.points.shape[0],
                                 0 if array is None else array.shape[0]))
         keys = keys.astype(ids, copy=False)
@@ -450,56 +377,13 @@ class WorkerServer:
         return frames
 
 
-class WorkerThread:
+class WorkerThread(FrameServerThread):
     """In-process worker harness: a :class:`WorkerServer` on its own loop.
 
-    The distributed analogue of the service's ``ServerThread`` — parity
-    tests spin several of these instead of subprocesses, so the full matrix
-    stays fast while exercising the real sockets and frames.  Use as a
-    context manager; :attr:`address` is valid once the context is entered.
+    Parity tests spin several of these instead of subprocesses, so the full
+    matrix stays fast while exercising the real sockets and frames.  Use as
+    a context manager; :attr:`address` is valid once the context is entered.
     """
 
     def __init__(self, **server_kwargs) -> None:
-        self.server = WorkerServer(**server_kwargs)
-        self._loop: Optional[asyncio.AbstractEventLoop] = None
-        self._thread: Optional[threading.Thread] = None
-        self._started = threading.Event()
-
-    @property
-    def address(self) -> Tuple[str, int]:
-        return self.server.address
-
-    def _run(self) -> None:
-        self._loop = asyncio.new_event_loop()
-        asyncio.set_event_loop(self._loop)
-
-        async def _main() -> None:
-            await self.server.start()
-            self._started.set()
-            await self.server.serve_until_stopped()
-
-        try:
-            self._loop.run_until_complete(_main())
-        finally:
-            self._loop.close()
-
-    def start(self) -> "WorkerThread":
-        self._thread = threading.Thread(target=self._run,
-                                        name="repro-worker-thread",
-                                        daemon=True)
-        self._thread.start()
-        if not self._started.wait(timeout=10.0):
-            raise RuntimeError("worker thread failed to start")
-        return self
-
-    def stop(self) -> None:
-        if self._loop is not None and self._thread is not None \
-                and self._thread.is_alive():
-            self._loop.call_soon_threadsafe(self.server.request_stop)
-            self._thread.join(timeout=10.0)
-
-    def __enter__(self) -> "WorkerThread":
-        return self.start()
-
-    def __exit__(self, *exc: object) -> None:
-        self.stop()
+        super().__init__(WorkerServer(**server_kwargs))

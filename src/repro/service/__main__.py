@@ -8,7 +8,6 @@ and serves until interrupted (or a client sends ``shutdown``).
 from __future__ import annotations
 
 import argparse
-import asyncio
 from typing import Optional, Sequence
 
 from repro.service.server import (
@@ -17,6 +16,7 @@ from repro.service.server import (
     DEFAULT_WORKERS,
     QueryService,
 )
+from repro.service.framing import serve_main
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -46,30 +46,21 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-async def _serve(args: argparse.Namespace) -> None:
+def main(argv: Optional[Sequence[str]] = None) -> int:
+    parser = build_parser()
+    args = parser.parse_args(argv)
     service = QueryService(args.host, args.port,
                            default_backend=args.backend,
                            max_pending=args.max_pending,
                            tick_seconds=args.tick,
                            workers=args.workers)
-    await service.start()
     for spec in args.register:
         name, _, path = spec.partition("=")
         if not name or not path:
             raise SystemExit(f"--register expects NAME=STORE_PATH, got {spec!r}")
         service.catalog.register(name, store_path=path)
         print(f"registered {name!r} from {path}")
-    print(f"repro-serve listening on {service.host}:{service.port}")
-    await service.serve_until_stopped()
-
-
-def main(argv: Optional[Sequence[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
-    try:
-        asyncio.run(_serve(args))
-    except KeyboardInterrupt:
-        pass
-    return 0
+    return serve_main(service, parser.prog)
 
 
 if __name__ == "__main__":

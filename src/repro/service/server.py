@@ -1,12 +1,15 @@
 """The asyncio front door: admission queue, tick loop, response streaming.
 
 :class:`QueryService` is a stdlib-only asyncio TCP server in front of the
-engine.  Division of labor per request:
+engine, on the frame server it shares with the distributed worker
+(:mod:`repro.service.framing`: listener, connection loop, ``ping``/
+``shutdown``, shutdown order, thread harness).  Division of labor per
+request:
 
-* the **connection coroutine** decodes frames, answers control-plane ops
-  (ping / stats / register / evict / list / shutdown) inline, and admits
-  query ops to the bounded queue — a full queue answers ``REJECTED``
-  immediately (backpressure) instead of queueing unboundedly;
+* the **connection coroutine** answers the control-plane ops (stats /
+  register / evict / list) inline, and admits query ops to the bounded
+  queue — a full queue answers ``REJECTED`` immediately (backpressure)
+  instead of queueing unboundedly;
 * the **scheduler coroutine** drains the queue once per tick, fuses the
   burst (:func:`repro.service.scheduler.plan_tick`) and dispatches each
   work unit to a thread pool — engine operators are synchronous NumPy
@@ -23,6 +26,9 @@ streamed results follow as ``chunk`` frames and finish with an ``end``
 frame whose ``final`` field is ``ok``/``timeout``/``error``.  Single-frame
 ops (kNN, control plane) answer with one ``ok``/``timeout``/``error``
 frame.
+
+On shutdown the service fails its queued requests with ``server stopped``
+before the connections end, then closes its pool and its catalog.
 """
 
 from __future__ import annotations
@@ -31,7 +37,7 @@ import asyncio
 import threading
 import time
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 import numpy as np
 
@@ -39,6 +45,7 @@ from repro.core.nativekernels import kernel_tier_availability
 from repro.engine.backends import backend_availability
 from repro.service import protocol
 from repro.service.catalog import DatasetNotRegistered, SessionCatalog
+from repro.service.framing import FrameServer, FrameServerThread
 from repro.service.scheduler import (
     DEFAULT_CHUNK_PAIRS,
     Outcome,
@@ -170,7 +177,7 @@ class ChunkStream:
                 self._window.release()
 
 
-class QueryService:
+class QueryService(FrameServer):
     """The asyncio TCP query service (see module docstring)."""
 
     def __init__(self, host: str = "127.0.0.1", port: int = 0, *,
@@ -180,48 +187,30 @@ class QueryService:
                  workers: int = DEFAULT_WORKERS,
                  chunk_pairs: int = DEFAULT_CHUNK_PAIRS,
                  max_payload: int = protocol.DEFAULT_MAX_PAYLOAD_BYTES) -> None:
-        self.host = host
-        self.port = port
+        super().__init__(host, port, max_payload=max_payload)
         self.catalog = SessionCatalog(default_backend=default_backend)
         self.stats = ServiceStats()
         self.max_pending = int(max_pending)
         self.tick_seconds = float(tick_seconds)
         self.n_workers = int(workers)
         self.chunk_pairs = int(chunk_pairs)
-        self.max_payload = int(max_payload)
         self.started = time.monotonic()
-        self._server: Optional[asyncio.AbstractServer] = None
         self._queue: Optional[asyncio.Queue] = None
         self._pool = None
         self._scheduler_task: Optional[asyncio.Task] = None
-        self._stopping: Optional[asyncio.Event] = None
-        self._loop: Optional[asyncio.AbstractEventLoop] = None
 
     # -------------------------------------------------------------- lifecycle
     async def start(self) -> None:
         """Bind the listener and start the scheduler; resolves ``self.port``."""
         from concurrent.futures import ThreadPoolExecutor
 
-        self._loop = asyncio.get_running_loop()
-        self._stopping = asyncio.Event()
+        await super().start()
         self._queue = asyncio.Queue(maxsize=self.max_pending)
         self._pool = ThreadPoolExecutor(max_workers=self.n_workers,
                                         thread_name_prefix="repro-service")
-        self._server = await asyncio.start_server(self._handle_connection,
-                                                  self.host, self.port)
-        self.port = self._server.sockets[0].getsockname()[1]
         self._scheduler_task = asyncio.ensure_future(self._scheduler_loop())
 
-    def request_stop(self) -> None:
-        """Ask the service to shut down (safe from the loop thread)."""
-        if self._stopping is not None:
-            self._stopping.set()
-
-    async def serve_until_stopped(self) -> None:
-        """Serve until :meth:`request_stop`, then tear everything down."""
-        await self._stopping.wait()
-        self._server.close()
-        await self._server.wait_closed()
+    async def _on_stop(self) -> None:
         self._scheduler_task.cancel()
         try:
             await self._scheduler_task
@@ -233,6 +222,8 @@ class QueryService:
             req.token.cancel("server stopped")
             self._finish(req, Outcome(protocol.STATUS_ERROR,
                                       message="server stopped"))
+
+    def _on_closed(self) -> None:
         self._pool.shutdown(wait=True)
         self.catalog.close_all()
 
@@ -275,55 +266,12 @@ class QueryService:
         if req.stream is not None:
             req.stream.close()
 
-    # ------------------------------------------------------------ connections
-    async def _handle_connection(self, reader: asyncio.StreamReader,
-                                 writer: asyncio.StreamWriter) -> None:
-        try:
-            while True:
-                try:
-                    frame = await protocol.read_frame_async(
-                        reader, max_payload=self.max_payload)
-                except protocol.ProtocolError as exc:
-                    # Best-effort structured error, then drop the connection:
-                    # after a framing error the stream offset is unknown.
-                    await self._write(writer, {"status": protocol.STATUS_ERROR,
-                                               "message": str(exc)})
-                    break
-                if frame is None:
-                    break
-                header, payload = frame
-                try:
-                    await self._dispatch(writer, header, payload)
-                except (ConnectionError, BrokenPipeError):
-                    raise
-                except Exception as exc:  # noqa: BLE001 - per-request wall
-                    await self._write(writer, {"status": protocol.STATUS_ERROR,
-                                               "message": f"{type(exc).__name__}: {exc}"})
-        except (ConnectionError, BrokenPipeError, asyncio.CancelledError):
-            pass
-        finally:
-            writer.close()
-            # Shutdown may cancel this task again while it waits here; an
-            # escaping CancelledError would be logged by the stream
-            # protocol's done callback.
-            try:
-                await writer.wait_closed()
-            except (ConnectionError, BrokenPipeError, asyncio.CancelledError):
-                pass
-
-    async def _write(self, writer: asyncio.StreamWriter, header: dict,
-                     payload: bytes = b"") -> None:
-        writer.write(protocol.encode_frame(header, payload))
-        await writer.drain()
-
+    # --------------------------------------------------------------- requests
     async def _dispatch(self, writer: asyncio.StreamWriter, header: dict,
                         payload: bytes) -> None:
         op = header.get("op")
         if op in QUERY_OPS:
             await self._handle_query(writer, header, payload)
-        elif op == "ping":
-            await self._write(writer, {"status": protocol.STATUS_OK,
-                                       "pong": True})
         elif op == "stats":
             # Off the loop thread: distributed backends ping their workers
             # for liveness, which is blocking socket I/O.
@@ -340,13 +288,8 @@ class QueryService:
             self.catalog.evict(str(header["name"]))
             await self._write(writer, {"status": protocol.STATUS_OK,
                                        "evicted": header["name"]})
-        elif op == "shutdown":
-            await self._write(writer, {"status": protocol.STATUS_OK,
-                                       "stopping": True})
-            self.request_stop()
         else:
-            await self._write(writer, {"status": protocol.STATUS_ERROR,
-                                       "message": f"unknown op {op!r}"})
+            await super()._dispatch(writer, header, payload)
 
     async def _handle_register(self, writer: asyncio.StreamWriter,
                                header: dict, payload: bytes) -> None:
@@ -494,74 +437,13 @@ class QueryService:
         return payload
 
 
-class ServerThread:
-    """Run a :class:`QueryService` on a dedicated thread (tests, examples).
-
-    Context-manager usage::
+class ServerThread(FrameServerThread):
+    """Run a :class:`QueryService` on a dedicated thread (tests, examples)::
 
         with ServerThread(tick_seconds=0.01) as server:
             client = ServiceClient(server.host, server.port)
-            ...
-
-    ``host``/``port`` resolve once the server is listening; ``stop()`` (or
-    the context exit) shuts the service down and joins the thread.
     """
 
     def __init__(self, **service_kwargs) -> None:
-        self._kwargs = service_kwargs
-        self._ready = threading.Event()
-        self._startup_error: Optional[BaseException] = None
-        self.service: Optional[QueryService] = None
-        self._thread: Optional[threading.Thread] = None
-
-    def start(self) -> "ServerThread":
-        self._thread = threading.Thread(target=self._run,
-                                        name="repro-service-loop", daemon=True)
-        self._thread.start()
-        if not self._ready.wait(timeout=30.0):
-            raise RuntimeError("service thread failed to start in time")
-        if self._startup_error is not None:
-            raise RuntimeError("service failed to start") from self._startup_error
-        return self
-
-    def _run(self) -> None:
-        async def main():
-            self.service = QueryService(**self._kwargs)
-            try:
-                await self.service.start()
-            except BaseException as exc:  # noqa: BLE001 - reported to starter
-                self._startup_error = exc
-                self._ready.set()
-                raise
-            self._ready.set()
-            await self.service.serve_until_stopped()
-
-        try:
-            asyncio.run(main())
-        except Exception:
-            if not self._ready.is_set():
-                self._ready.set()
-
-    @property
-    def host(self) -> str:
-        return self.service.host
-
-    @property
-    def port(self) -> int:
-        return self.service.port
-
-    def stop(self) -> None:
-        if self.service is not None and self.service._loop is not None:
-            try:
-                self.service._loop.call_soon_threadsafe(
-                    self.service.request_stop)
-            except RuntimeError:
-                pass  # loop already closed
-        if self._thread is not None:
-            self._thread.join(timeout=30.0)
-
-    def __enter__(self) -> "ServerThread":
-        return self.start()
-
-    def __exit__(self, *exc: object) -> None:
-        self.stop()
+        super().__init__(QueryService(**service_kwargs))
+        self.service: QueryService = self.server

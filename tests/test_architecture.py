@@ -27,6 +27,9 @@
   ``QueryPlanner.index_dataset`` calls ``choose_index_dims``, and the
   experiments, ``GPUSelfJoin`` and the ``simulated`` backend never reach
   it, so the paper's figures and Table II keep the all-dims grid.
+* One frame server.  Only :mod:`repro.service.framing` binds a listener
+  (``asyncio.start_server``): the query service and the shard worker run
+  its one connection loop and shutdown order.
 * Lazy packages.  The package ``__init__`` modules resolve their public
   names on first use (:mod:`repro.utils.lazy`), so ``import repro`` loads
   only :mod:`repro.utils`, and a ``repro-worker`` process loads the shard
@@ -581,6 +584,26 @@ def test_numpy_tier_never_runs_a_cellwise_kernel(backend, kind):
     assert result.stats.tier == "numpy"
     assert result.stats.kernel_counts == {}
     assert result.neighbor_table.same_contents_as(expected.to_neighbor_table())
+
+
+# --------------------------------------------------------------------------
+# one frame server
+# --------------------------------------------------------------------------
+FRAMING_MODULE = "service/framing.py"
+LISTENER_CALLS = {"start_server", "create_server"}
+
+
+def test_only_the_frame_server_binds_a_listener():
+    """The query service and the shard worker share one listener, one
+    connection loop and one shutdown order: no other module binds."""
+    binds = {}
+    for path in _package_modules():
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        calls = [(name, line) for name, line in _called_names(tree)
+                 if name in LISTENER_CALLS]
+        if calls:
+            binds[path.relative_to(PACKAGE_ROOT).as_posix()] = calls
+    assert list(binds) == [FRAMING_MODULE], binds
 
 
 # --------------------------------------------------------------------------

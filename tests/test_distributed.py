@@ -439,15 +439,44 @@ class TestWorkerServer:
             assert stats["datasets"] == ["in"]
 
     def test_malformed_frame_drops_connection(self, workers):
-        import socket as socketlib
-
-        sock = socketlib.create_connection(workers[0], timeout=5.0)
+        sock = socket.create_connection(workers[0], timeout=5.0)
         try:
             sock.sendall(b"EVIL" + b"\x00" * 12)
-            sock.settimeout(5.0)
-            assert protocol.read_frame_sock(sock) is None  # worker hung up
+            # One best-effort error frame, as the service sends, then EOF.
+            reply, _ = protocol.read_frame_sock(sock)
+            assert reply["status"] == "error"
+            assert "bad frame magic" in reply["message"]
+            assert protocol.read_frame_sock(sock) is None
         finally:
             sock.close()
+
+    def test_a_failing_shard_header_is_answered_on_a_live_connection(self):
+        points = uniform_dataset(60, 2, seed=69, low=0.0, high=4.0)
+        meta, payload = protocol.pack_arrays([("points", points)])
+        cells = protocol.pack_arrays([("cells", np.arange(4))])
+        with WorkerThread() as worker:
+            reply, _ = worker_request(worker.address,
+                                      {"op": "attach", "dataset": "d",
+                                       "arrays": meta}, payload)
+            assert reply["status"] == "ok"
+            sock = socket.create_connection(worker.address, timeout=10.0)
+            try:
+                sock.sendall(protocol.encode_frame(
+                    {"op": "selfjoin_shard", "dataset": "d", "shard": 7,
+                     "index_eps": 1.0, "eps": 1.0, "chunk_pairs": "many",
+                     "arrays": cells[0]}, cells[1]))
+                end, _ = protocol.read_frame_sock(sock)
+                assert end["status"] == "end"
+                assert end["final"] == "error"
+                assert end["shard"] == 7
+                assert end["message"].startswith("ValueError")
+                sock.sendall(protocol.encode_frame({"op": "ping"}))
+                pong, _ = protocol.read_frame_sock(sock)
+                assert pong == {"status": "ok", "pong": True}
+            finally:
+                sock.close()
+            stats = worker.server.stats
+            assert (stats.shards_failed, stats.shards_executed) == (1, 0)
 
 
 class TestRegistryAndSpec:
