@@ -20,6 +20,7 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from repro.core.result import ResultSet
+from repro.utils.counters import accumulate, snapshot
 from repro.utils.validation import check_eps, ensure_2d_float64
 
 #: When both subsequences are at most this long, perform the simple join.
@@ -38,11 +39,7 @@ class EGOStats:
 
     def merge(self, other: "EGOStats") -> "EGOStats":
         """Accumulate another task's counters."""
-        self.simple_joins += other.simple_joins
-        self.prunes += other.prunes
-        self.recursions += other.recursions
-        self.distance_calcs += other.distance_calcs
-        self.result_pairs += other.result_pairs
+        accumulate(self, snapshot(other))
         return self
 
 

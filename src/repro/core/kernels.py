@@ -127,11 +127,35 @@ from repro.core.gridindex import GridIndex, column_rows, group_by_cell_id
 from repro.core.neighbors import all_neighbor_offsets
 from repro.core.result import PairFragments
 from repro.utils.cancellation import check_cancelled
+from repro.utils.counters import accumulate, snapshot
 
 #: Default bound on the number of candidate point pairs expanded at once by
 #: the vectorized kernel.  Bounds peak memory at roughly
 #: ``max_candidate_pairs * (2 * 8 + n_dims * 8)`` bytes of temporaries.
 DEFAULT_MAX_CANDIDATE_PAIRS = 4_000_000
+
+
+def merge_schedule_counts(into: Dict[str, int],
+                          other: Dict[str, int]) -> Dict[str, int]:
+    """Add ``other``'s schedule counters to ``into`` (returned).
+
+    ``cost_ratio_pct`` is not added but derived from the summed
+    ``achieved_cost`` over the summed ``predicted_cost``, when both are
+    positive.
+    """
+    for counter, count in other.items():
+        if counter != "cost_ratio_pct":
+            into[counter] = into.get(counter, 0) + count
+    predicted = into.get("predicted_cost", 0)
+    achieved = into.get("achieved_cost", 0)
+    if predicted > 0 and achieved > 0:
+        into["cost_ratio_pct"] = int(round(achieved / predicted * 100))
+    return into
+
+
+def _join_tiers(tier: str, other: str) -> str:
+    """Every tier name of either, sorted and joined with ``+``."""
+    return "+".join(sorted(set(tier.split("+") + other.split("+")) - {""}))
 
 
 @dataclass
@@ -152,7 +176,7 @@ class KernelStats:
     #: Kernel tier that produced these counters (``"numpy"``/``"numba"``);
     #: empty until a tier-dispatched kernel stamps it.  Merging stats from
     #: different tiers joins the names with ``+``.
-    tier: str = ""
+    tier: str = field(default="", metadata={"merge": _join_tiers})
     #: How many numba-tier kernel invocations ran each compiled kernel
     #: (``"dense"``/``"sparse"``); empty on the NumPy tier, which has one
     #: route.  Under sharded execution one invocation is one shard, so this
@@ -161,42 +185,13 @@ class KernelStats:
     #: Scheduling counters stamped by the parallel backends
     #: (:meth:`repro.parallel.scheduler.ScheduleReport.counts`), merged by
     #: :func:`merge_schedule_counts`.  Empty when execution was serial.
-    schedule_counts: Dict[str, int] = field(default_factory=dict)
+    schedule_counts: Dict[str, int] = field(
+        default_factory=dict, metadata={"merge": merge_schedule_counts})
 
     def merge(self, other: "KernelStats") -> "KernelStats":
         """Accumulate another batch's counters into this one (returns self)."""
-        self.cells_checked += other.cells_checked
-        self.nonempty_cells_visited += other.nonempty_cells_visited
-        self.distance_calcs += other.distance_calcs
-        self.result_pairs += other.result_pairs
-        if other.tier:
-            if not self.tier:
-                self.tier = other.tier
-            elif other.tier != self.tier:
-                self.tier = "+".join(sorted(
-                    set(self.tier.split("+")) | set(other.tier.split("+"))))
-        for kernel, count in other.kernel_counts.items():
-            self.kernel_counts[kernel] = self.kernel_counts.get(kernel, 0) + count
-        merge_schedule_counts(self.schedule_counts, other.schedule_counts)
+        accumulate(self, snapshot(other))
         return self
-
-
-def merge_schedule_counts(into: Dict[str, int],
-                          other: Dict[str, int]) -> Dict[str, int]:
-    """Add ``other``'s schedule counters to ``into`` (returned).
-
-    ``cost_ratio_pct`` is not added but derived from the summed
-    ``achieved_cost`` over the summed ``predicted_cost``, when both are
-    positive.
-    """
-    for counter, count in other.items():
-        if counter != "cost_ratio_pct":
-            into[counter] = into.get(counter, 0) + count
-    predicted = into.get("predicted_cost", 0)
-    achieved = into.get("achieved_cost", 0)
-    if predicted > 0 and achieved > 0:
-        into["cost_ratio_pct"] = int(round(achieved / predicted * 100))
-    return into
 
 
 # --------------------------------------------------------------------------

@@ -56,6 +56,7 @@ import numpy as np
 
 from repro.core import linearize as lin
 from repro.core.gridindex import group_by_cell_id
+from repro.utils.counters import Counters
 from repro.utils.validation import check_eps, check_points
 
 #: On-disk format version (bump on incompatible layout changes).
@@ -108,7 +109,7 @@ def dataset_identity(points: np.ndarray) -> DatasetIdentity:
 
 
 @dataclass
-class StoreReadStats:
+class StoreReadStats(Counters):
     """Cumulative read counters of one :class:`SpatialStore` instance.
 
     Tests assert the streaming contract directly on these: a streamed shard
@@ -389,8 +390,7 @@ class SpatialStore(DatasetSource):
         with open(self.path / "ids.npy", "rb") as f:
             f.seek(self._ids_offset + lo * 8)
             ids = np.frombuffer(f.read(count * 8), dtype=np.int64)
-        self.read_stats.reads += 1
-        self.read_stats.rows_read += count
+        self.read_stats.add(reads=1, rows_read=count)
         return pts.reshape(count, dims), ids
 
     def cell_row_range(self, lo: int, hi: int) -> Tuple[int, int]:

@@ -43,16 +43,14 @@ import socket
 import subprocess
 import sys
 import threading
+import time
 import weakref
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
+from repro.core.kernels import KernelStats
 from repro.data.store import dataset_identity
 from repro.engine.backends import register_backend
-from repro.distributed.worker import (
-    DEFAULT_CHUNK_PAIRS,
-    SHARD_ARRAYS,
-    stats_from_wire,
-)
+from repro.distributed.worker import DEFAULT_CHUNK_PAIRS, SHARD_ARRAYS
 from repro.parallel.executor import (
     POLL_SECONDS,
     ShardExecutionBackend,
@@ -63,6 +61,7 @@ from repro.parallel.scheduler import OVERSPLIT_FACTOR, SCHEDULING_MODES
 from repro.parallel.shards import default_worker_count
 from repro.service import protocol
 from repro.utils.cancellation import current_token
+from repro.utils.counters import from_snapshot
 
 #: Environment override for the bare ``distributed`` spec: an integer spawns
 #: that many localhost workers; ``host:port,host:port`` uses running ones.
@@ -191,13 +190,22 @@ class LocalWorkerPool:
         return list(self._addresses)
 
     def shutdown(self) -> None:
-        """Stop every worker (graceful shutdown op, then terminate)."""
+        """Stop every worker: the ``shutdown`` op, a bounded wait for the
+        workers that took it to exit, then terminate what is left."""
+        deadline = time.monotonic() + 5.0
+        stopping = []
         for address, proc in zip(self._addresses, self.processes):
             if proc.poll() is None:
                 try:
                     worker_request(address, {"op": "shutdown"}, timeout=2.0)
                 except (OSError, protocol.ProtocolError):
-                    pass
+                    continue
+                stopping.append(proc)
+        for proc in stopping:
+            try:
+                proc.wait(timeout=max(0.0, deadline - time.monotonic()))
+            except subprocess.TimeoutExpired:
+                pass  # terminated below
         _terminate_processes(self.processes)
 
 
@@ -402,8 +410,7 @@ class DistributedBackend(ShardExecutionBackend):
             if isinstance(reply, BaseException):
                 message, cause = f"{type(reply).__name__}: {reply}", reply
             else:
-                with self._lock:
-                    self.stats.attach_rpcs += 1
+                self.stats.add(attach_rpcs=1)
                 if reply.get("status") == protocol.STATUS_OK:
                     accepted.append(address)
                     continue
@@ -452,13 +459,11 @@ class DistributedBackend(ShardExecutionBackend):
     def distributed_snapshot(self, liveness_timeout: float = 0.5) -> dict:
         """Worker liveness plus :attr:`stats` for the service stats
         endpoint."""
-        with self._lock:
-            counters = self.stats.snapshot()
         workers = self.worker_liveness(timeout=liveness_timeout)
         return {"workers": workers,
                 "workers_alive": sum(1 for w in workers if w.get("alive")),
                 "workers_total": len(workers),
-                **counters}
+                **self.stats.snapshot()}
 
 
 class _TcpTransport(Transport):
@@ -542,8 +547,7 @@ class _TcpTransport(Transport):
                 return  # endpoint presumed dead; survivors drain its work
             final = end.get("final")
             if final == "ok":
-                self.events.put(("done", name, task, chunks,
-                                 stats_from_wire(end.get("stats") or {})))
+                self.events.put(("done", name, task, chunks, end["stats"]))
             elif final in ("timeout", "cancelled"):
                 self.events.put(("failed", name, task,
                                  f"worker-side {final}"))
@@ -584,9 +588,13 @@ class _TcpTransport(Transport):
                 if status == protocol.STATUS_CHUNK:
                     arrays = protocol.unpack_arrays(
                         fheader.get("arrays", []), fpayload)
+                    if not {"keys", "values"} <= arrays.keys():
+                        raise protocol.ProtocolError("chunk without keys")
                     chunks.append((arrays["keys"], arrays["values"],
                                    arrays.get("twice")))
                 elif status == protocol.STATUS_END:
+                    fheader["stats"] = from_snapshot(
+                        KernelStats, fheader.get("stats") or {})
                     return chunks, fheader
                 else:
                     raise protocol.ProtocolError(

@@ -20,12 +20,13 @@ Shard operations (``selfjoin_shard``, ``probe_shard`` and the
 disk-streamed ``stream_shard``) compute with the shard body every
 transport shares, :func:`repro.parallel.compute.run_shard`, and respond
 with zero or more ``status: "chunk"`` frames of the pair arrays, then a
-``status: "end"`` frame with the final status, pair total and serialized
-:class:`~repro.core.kernels.KernelStats`.  A chunk carries ``keys`` and
-``values`` as ``int32`` ids while the dataset has fewer than ``2 ** 31``
-points (:func:`wire_id_dtype`), and for a UNICOMP self-join a ``bool``
-``twice`` array: a flagged match also stands for its reverse pair, so each
-mirrored pair crosses the wire once (9 bytes, not two int64 pairs' 32).
+``status: "end"`` frame with the final status, pair total and
+:class:`~repro.core.kernels.KernelStats` snapshot.  A chunk carries
+``keys`` and ``values`` as ``int32`` ids while the dataset has fewer than
+``2 ** 31`` points (:func:`wire_id_dtype`), and for a UNICOMP self-join a
+``bool`` ``twice`` array: a flagged match also stands for its reverse
+pair, so each mirrored pair crosses the wire once (9 bytes, not two int64
+pairs' 32).
 A request's ``deadline_ms`` budget runs the compute inside a
 :func:`~repro.utils.cancellation.cancel_scope`, so a parent whose deadline
 lapsed stops burning *remote* CPU within one cancellation checkpoint.  A
@@ -53,7 +54,6 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.core.kernels import KernelStats
 from repro.core.nativekernels import parse_kernel_spec
 from repro.core.result import expanded_pairs
 from repro.parallel.compute import ShardDataset, run_shard
@@ -65,7 +65,7 @@ from repro.utils.cancellation import (
     cancel_scope,
     check_cancelled,
 )
-from repro.utils.counters import snapshot
+from repro.utils.counters import Counters, snapshot
 
 #: Default bound on compact result pairs per streamed ``chunk`` frame; at
 #: 9 bytes a pair (int32 ids and a flag) this keeps one frame's payload
@@ -99,31 +99,8 @@ def wire_id_dtype(n_ids: int) -> np.dtype:
     return np.dtype(np.int32 if n_ids < 2 ** 31 else np.int64)
 
 
-def stats_to_wire(stats: KernelStats) -> dict:
-    """Serialize :class:`KernelStats` for a frame header (plain JSON types)."""
-    return {"cells_checked": int(stats.cells_checked),
-            "nonempty_cells_visited": int(stats.nonempty_cells_visited),
-            "distance_calcs": int(stats.distance_calcs),
-            "result_pairs": int(stats.result_pairs),
-            "tier": str(stats.tier),
-            "kernel_counts": {str(k): int(v)
-                              for k, v in stats.kernel_counts.items()}}
-
-
-def stats_from_wire(data: dict) -> KernelStats:
-    """Rebuild :class:`KernelStats` from a frame header dict."""
-    return KernelStats(
-        cells_checked=int(data.get("cells_checked", 0)),
-        nonempty_cells_visited=int(data.get("nonempty_cells_visited", 0)),
-        distance_calcs=int(data.get("distance_calcs", 0)),
-        result_pairs=int(data.get("result_pairs", 0)),
-        tier=str(data.get("tier", "")),
-        kernel_counts={str(k): int(v)
-                       for k, v in dict(data.get("kernel_counts") or {}).items()})
-
-
 @dataclass
-class WorkerStats:
+class WorkerStats(Counters):
     """Counters of one worker process, served by the ``stats`` op.
 
     The backend's liveness probe aggregates these into the service stats
@@ -142,9 +119,6 @@ class WorkerStats:
     shards_failed: int = 0
     pairs_returned: int = 0
     chunks_sent: int = 0
-
-    def snapshot(self) -> dict:
-        return snapshot(self)
 
 
 def _interruptible_sleep(seconds: float) -> None:
@@ -197,7 +171,7 @@ class WorkerServer(FrameServer):
         self.debug_shard_sleep_ms = float(debug_shard_sleep_ms)
         self.stats = WorkerStats()
         self._datasets: Dict[str, ShardDataset] = {}
-        self._lock = threading.Lock()   # guards _datasets and stats
+        self._lock = threading.Lock()   # guards _datasets
         self._executor = ThreadPoolExecutor(
             max_workers=int(compute_threads),
             thread_name_prefix="repro-worker")
@@ -221,10 +195,10 @@ class WorkerServer(FrameServer):
                 self._executor, self._op_attach, header, payload))
         elif op == "stats":
             with self._lock:
-                snap = self.stats.snapshot()
                 datasets = sorted(self._datasets)
             await self._write(writer, {"status": protocol.STATUS_OK,
-                                       "stats": snap, "datasets": datasets})
+                                       "stats": self.stats.snapshot(),
+                                       "datasets": datasets})
         elif op == "detach":
             with self._lock:
                 state = self._datasets.pop(str(header.get("dataset")), None)
@@ -289,11 +263,8 @@ class WorkerServer(FrameServer):
         mapped = state.store is not None
         with self._lock:
             self._datasets[name] = state
-            self.stats.datasets_attached += 1
-            if mapped:
-                self.stats.datasets_mapped += 1
-            else:
-                self.stats.datasets_shipped += 1
+        self.stats.add(datasets_attached=1, **{
+            "datasets_mapped" if mapped else "datasets_shipped": 1})
         return {"status": protocol.STATUS_OK, "dataset": name,
                 "n_points": int(state.points.shape[0]),
                 "n_dims": int(state.points.shape[1]),
@@ -339,14 +310,12 @@ class WorkerServer(FrameServer):
                 keys, values, twice, stats = run_shard(state, kind, header,
                                                        array)
         except OperationCancelled as exc:
-            with self._lock:
-                self.stats.shards_cancelled += 1
+            self.stats.add(shards_cancelled=1)
             final = "timeout" if exc.is_deadline else "cancelled"
             return [({"status": protocol.STATUS_END, "final": final,
                       "shard": shard, "message": exc.reason}, b"")]
         except Exception as exc:  # noqa: BLE001 - reported to the parent
-            with self._lock:
-                self.stats.shards_failed += 1
+            self.stats.add(shards_failed=1)
             return [({"status": protocol.STATUS_END, "final": "error",
                       "shard": shard,
                       "message": f"{type(exc).__name__}: {exc}"}, b"")]
@@ -368,12 +337,9 @@ class WorkerServer(FrameServer):
         frames.append(({"status": protocol.STATUS_END, "final": "ok",
                         "shard": shard, "pairs": pairs,
                         "chunks": len(frames),
-                        "stats": stats_to_wire(stats)}, b""))
-        counter = _SHARD_COUNTERS[kind]
-        with self._lock:
-            setattr(self.stats, counter, getattr(self.stats, counter) + 1)
-            self.stats.pairs_returned += pairs
-            self.stats.chunks_sent += len(frames) - 1
+                        "stats": snapshot(stats)}, b""))
+        self.stats.add(**{_SHARD_COUNTERS[kind]: 1}, pairs_returned=pairs,
+                       chunks_sent=len(frames) - 1)
         return frames
 
 

@@ -175,12 +175,10 @@ def _execute_self_join(plan: QueryPlan) -> EngineResult:
 
     index = plan.index
     master = PairFragments(index.num_points)
-    stats = KernelStats()
-
     if plan.batch_plan is None:
-        stats.merge(plan.backend.run_selfjoin(
+        stats = plan.backend.run_selfjoin(
             index, plan.eps, None, master, unicomp=plan.unicomp,
-            max_candidate_pairs=plan.max_candidate_pairs))
+            max_candidate_pairs=plan.max_candidate_pairs)
         return EngineResult(plan=plan, stats=stats, fragments=master)
 
     def run_batch(cells: np.ndarray):
@@ -196,6 +194,7 @@ def _execute_self_join(plan: QueryPlan) -> EngineResult:
     payloads, report.batch_pairs, report.batch_times, report.splits_performed = \
         run_adaptive_batches(plan.batch_plan.cell_batches, run_batch,
                              plan.batch_plan.buffer_capacity_pairs)
+    stats = KernelStats()
     for sink, batch_stats in payloads:
         master.extend(sink)
         stats.merge(batch_stats)
@@ -205,10 +204,9 @@ def _execute_self_join(plan: QueryPlan) -> EngineResult:
 
 def _execute_probe(plan: QueryPlan) -> EngineResult:
     master = PairFragments(plan.probe_points.shape[0])
-    stats = KernelStats()
-    stats.merge(plan.backend.run_probe(
+    stats = plan.backend.run_probe(
         plan.probe_points, plan.index, plan.eps, master,
-        max_candidate_pairs=plan.max_candidate_pairs))
+        max_candidate_pairs=plan.max_candidate_pairs)
     # For a swapped bipartite join the sink rows are right-side rows; the
     # result views re-key on the left side, which has plan.num_rows rows.
     if plan.swapped:

@@ -69,6 +69,7 @@ from repro.engine.backends import ExecutionBackend
 from repro.engine.executor import EngineResult, execute
 from repro.engine.planner import QueryPlanner
 from repro.engine.query import Query
+from repro.utils.counters import Counters
 from repro.utils.validation import check_eps
 
 #: Monotonic token source distinguishing session instances (two sessions
@@ -77,8 +78,8 @@ _SESSION_TOKENS = itertools.count()
 
 
 @dataclass
-class SessionStats:
-    """Counters exposed for tests and reports."""
+class SessionStats(Counters):
+    """Counters exposed for tests, reports and the service catalog."""
 
     index_hits: int = 0
     index_misses: int = 0
@@ -129,10 +130,9 @@ class EngineSession:
         self.stats = SessionStats()
         self._indexes = OrderedDict()
         self._open = False
-        # Guards the index cache, lazy materialization, lifecycle state and
-        # stat counters: the query service runs one session from several
-        # worker threads at once.  Reentrant because open() nests inside
-        # run() and index_for() touches self.points.
+        # Guards the index cache, lazy materialization and lifecycle state:
+        # the query service runs one session from several worker threads at
+        # once.  Reentrant: open() nests in run(), index_for() reads points.
         self._lock = threading.RLock()
 
     @property
@@ -227,10 +227,10 @@ class EngineSession:
             index = self._indexes.get(key)
             if index is not None:
                 self._indexes.move_to_end(key)
-                self.stats.index_hits += 1
+                self.stats.add(index_hits=1)
                 return index
             index = self.planner.index_dataset(self.points, key)
-            self.stats.index_misses += 1
+            self.stats.add(index_misses=1)
             self._indexes[key] = index
             while len(self._indexes) > self.max_cached_indexes:
                 self._indexes.popitem(last=False)
@@ -279,8 +279,7 @@ class EngineSession:
         index through :meth:`index_for` instead of rebuilding it.
         """
         self.open()
-        with self._lock:
-            self.stats.queries_run += 1
+        self.stats.add(queries_run=1)
         return execute(self.planner.plan(query, index=index, session=self))
 
     def self_join(self, eps: float, *, unicomp: bool = True,

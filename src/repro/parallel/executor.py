@@ -64,7 +64,7 @@ from repro.parallel.scheduler import (
 )
 from repro.parallel.shards import probe_tasks, selfjoin_tasks, stream_tasks
 from repro.utils.cancellation import check_cancelled
-from repro.utils.counters import snapshot
+from repro.utils.counters import Counters
 
 #: How long the loop waits for an event before a rebalance tick; also how
 #: often the caller's cancellation token is checked while shards run.
@@ -312,7 +312,7 @@ class _Attachment:
 
 
 @dataclass
-class ShardStats:
+class ShardStats(Counters):
     """Counters of one shard backend (``backend.stats``).
 
     The shared code counts the first four for every backend: datasets
@@ -325,8 +325,10 @@ class ShardStats:
 
     datasets_opened: int = 0
     datasets_closed: int = 0
-    schedule: Dict[str, int] = field(default_factory=dict)
-    last_schedule: Optional[ScheduleReport] = None
+    schedule: Dict[str, int] = field(
+        default_factory=dict, metadata={"merge": merge_schedule_counts})
+    last_schedule: Optional[ScheduleReport] = field(
+        default=None, metadata={"merge": lambda _old, report: report})
     #: ``multiprocess``: shared-memory segments holding the points, pools
     #: whose workers received the points pickled (no shared memory), and
     #: pools whose workers memory-mapped an on-disk store instead.
@@ -337,9 +339,6 @@ class ShardStats:
     #: ``distributed``: attach requests a worker answered.
     attach_rpcs: int = 0
 
-    def snapshot(self) -> dict:
-        return snapshot(self)
-
 
 class ShardExecutionBackend(ExecutionBackend):
     """Session lifecycle, operators and counters of a backend that runs
@@ -349,8 +348,8 @@ class ShardExecutionBackend(ExecutionBackend):
     :meth:`_open_dataset`/:meth:`_close_dataset` when their workers keep
     the dataset resident, and :meth:`_cell_costs` when their shards emit
     from the caller's index.  The base counts what every backend does in
-    :attr:`stats`, under the backend lock: each dataset it opens and
-    closes, and each join's schedule report (:meth:`_record_schedule`).
+    :attr:`stats`: each dataset it opens and closes, and each join's
+    schedule report (:meth:`_record_schedule`).
     """
 
     supports_cell_subset = True
@@ -376,7 +375,7 @@ class ShardExecutionBackend(ExecutionBackend):
         self.tier = parse_kernel_spec(kernel)
         #: Open datasets by ``session.identity``.
         self._attached: Dict[object, _Attachment] = {}
-        self._lock = threading.RLock()      # attachments and counters
+        self._lock = threading.RLock()      # attachments
         self.stats = ShardStats()
 
     def kernel_tier(self) -> str:
@@ -457,15 +456,13 @@ class ShardExecutionBackend(ExecutionBackend):
     def _open(self, points, store_path, n_tasks=None) -> object:
         """:meth:`_open_dataset`, counted."""
         handle = self._open_dataset(points, store_path, n_tasks)
-        with self._lock:
-            self.stats.datasets_opened += 1
+        self.stats.add(datasets_opened=1)
         return handle
 
     def _close(self, handle: object) -> None:
         """:meth:`_close_dataset`, counted."""
         self._close_dataset(handle)
-        with self._lock:
-            self.stats.datasets_closed += 1
+        self.stats.add(datasets_closed=1)
 
     # ----------------------------------------------------------------- hooks
     def _open_dataset(self, points: Optional[np.ndarray],
@@ -504,9 +501,7 @@ class ShardExecutionBackend(ExecutionBackend):
 
     def _record_schedule(self, report: ScheduleReport) -> None:
         """Add one join's schedule counters to :attr:`stats`."""
-        with self._lock:
-            merge_schedule_counts(self.stats.schedule, report.counts())
-            self.stats.last_schedule = report
+        self.stats.add(schedule=report.counts(), last_schedule=report)
 
     # ------------------------------------------------------------- operators
     def _execute(self, tasks: List[ShardTask], op: ShardOp, sink,

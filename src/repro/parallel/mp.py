@@ -304,13 +304,12 @@ class MultiprocessBackend(ShardExecutionBackend):
                 shm.close()
                 shm.unlink()
             raise
-        with self._lock:
-            if store_path is not None:
-                self.stats.datasets_mapped += 1
-            elif shm is None:
-                self.stats.datasets_shipped += 1
-            else:
-                self.stats.shm_segments_created += 1
+        if store_path is not None:
+            self.stats.add(datasets_mapped=1)
+        elif shm is None:
+            self.stats.add(datasets_shipped=1)
+        else:
+            self.stats.add(shm_segments_created=1)
         # Worker PIDs are recorded for pool-identity assertions in tests;
         # Pool keeps its Process handles in the private ``_pool`` list (no
         # public accessor exists).
@@ -320,8 +319,7 @@ class MultiprocessBackend(ShardExecutionBackend):
 
     def _close_dataset(self, state: _SessionPool) -> None:
         if _shutdown_state(state):
-            with self._lock:
-                self.stats.shm_segments_released += 1
+            self.stats.add(shm_segments_released=1)
 
     # ------------------------------------------------------------- executor
     def _shard_count(self) -> int:

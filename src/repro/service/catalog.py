@@ -124,9 +124,7 @@ class SessionCatalog:
             "streams_self_joins": bool(session.streams_self_joins),
             "storage": session.source.storage_descriptor(),
             "cached_eps": [float(e) for e in session.cached_eps],
-            "index_hits": session.stats.index_hits,
-            "index_misses": session.stats.index_misses,
-            "queries_run": session.stats.queries_run,
+            **session.stats.snapshot(),
         }
 
     def describe(self) -> List[dict]:

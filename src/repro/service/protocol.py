@@ -185,6 +185,8 @@ def pack_arrays(arrays: Sequence[Tuple[str, np.ndarray]],
 
 def unpack_arrays(meta: Sequence[dict], payload: bytes) -> Dict[str, np.ndarray]:
     """Rebuild the named arrays described by ``meta`` from the payload."""
+    if not isinstance(meta, (list, tuple)):
+        raise ProtocolError(f"array metadata must be a list, not {meta!r}")
     arrays: Dict[str, np.ndarray] = {}
     offset = 0
     for entry in meta:

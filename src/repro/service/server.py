@@ -56,7 +56,7 @@ from repro.service.scheduler import (
     run_work_unit,
 )
 from repro.utils.cancellation import CancellationToken, OperationCancelled
-from repro.utils.counters import snapshot
+from repro.utils.counters import Counters
 
 #: Default burst-collection window of the scheduler tick (seconds).
 DEFAULT_TICK_SECONDS = 0.002
@@ -67,8 +67,8 @@ DEFAULT_WORKERS = 4
 
 
 @dataclass
-class ServiceStats:
-    """Service-level counters (thread-safe; engine counters live per session)."""
+class ServiceStats(Counters):
+    """Service-level counters (engine counters live per session)."""
 
     requests_total: int = 0
     by_op: Dict[str, int] = field(default_factory=dict)
@@ -76,53 +76,17 @@ class ServiceStats:
     fused_queries: int = 0
     fusion_batches: int = 0
     fusion_ticks: int = 0
-    max_fused_in_tick: int = 0
+    max_fused_in_tick: int = field(default=0, metadata={"merge": max})
     rejected: int = 0
     timeouts: int = 0
     errors: int = 0
     chunks_streamed: int = 0
-    _lock: threading.Lock = field(default_factory=threading.Lock, repr=False)
-
-    def note_admitted(self, req: PendingRequest) -> None:
-        with self._lock:
-            self.requests_total += 1
-            self.by_op[req.op] = self.by_op.get(req.op, 0) + 1
-            if req.fusable:
-                self.point_queries += 1
-
-    def note_tick(self, units) -> None:
-        fused_this_tick = 0
-        with self._lock:
-            for unit in units:
-                if unit.fused:
-                    self.fusion_batches += 1
-                    self.fused_queries += len(unit.requests)
-                    fused_this_tick += len(unit.requests)
-            if fused_this_tick:
-                self.fusion_ticks += 1
-                self.max_fused_in_tick = max(self.max_fused_in_tick,
-                                             fused_this_tick)
-
-    def note_outcome(self, outcome: Outcome) -> None:
-        with self._lock:
-            if outcome.status == protocol.STATUS_TIMEOUT:
-                self.timeouts += 1
-            elif outcome.status == protocol.STATUS_ERROR:
-                self.errors += 1
-
-    def note_rejected(self) -> None:
-        with self._lock:
-            self.rejected += 1
-
-    def note_chunk(self) -> None:
-        with self._lock:
-            self.chunks_streamed += 1
 
     def snapshot(self) -> dict:
-        with self._lock:
-            fusion_ratio = (self.fused_queries / self.point_queries
-                            if self.point_queries else 0.0)
-            return {**snapshot(self), "fusion_ratio": fusion_ratio}
+        snap = super().snapshot()
+        snap["fusion_ratio"] = (snap["fused_queries"] / snap["point_queries"]
+                                if snap["point_queries"] else 0.0)
+        return snap
 
 
 class ChunkStream:
@@ -218,10 +182,12 @@ class QueryService(FrameServer):
             pass
         # Fail whatever is still queued so no client hangs on shutdown.
         while not self._queue.empty():
-            req = self._queue.get_nowait()
-            req.token.cancel("server stopped")
-            self._finish(req, Outcome(protocol.STATUS_ERROR,
-                                      message="server stopped"))
+            self._fail_stopped(self._queue.get_nowait())
+
+    def _fail_stopped(self, req: PendingRequest) -> None:
+        req.token.cancel("server stopped")
+        self._finish(req, Outcome(protocol.STATUS_ERROR,
+                                  message="server stopped"))
 
     def _on_closed(self) -> None:
         self._pool.shutdown(wait=True)
@@ -238,8 +204,12 @@ class QueryService(FrameServer):
             first = await self._queue.get()
             if self.tick_seconds > 0:
                 # Burst-collection window: co-arriving point queries land in
-                # the same tick and fuse.
-                await asyncio.sleep(self.tick_seconds)
+                # the same tick and fuse.  A shutdown cancels it here.
+                try:
+                    await asyncio.sleep(self.tick_seconds)
+                except asyncio.CancelledError:
+                    self._fail_stopped(first)
+                    raise
             batch: List[PendingRequest] = [first]
             while True:
                 try:
@@ -247,7 +217,10 @@ class QueryService(FrameServer):
                 except asyncio.QueueEmpty:
                     break
             units = plan_tick(batch)
-            self.stats.note_tick(units)
+            fused = [len(unit.requests) for unit in units if unit.fused]
+            self.stats.add(fusion_batches=len(fused), fused_queries=sum(fused),
+                           fusion_ticks=int(bool(fused)),
+                           max_fused_in_tick=sum(fused))
             for unit in units:
                 self._loop.run_in_executor(
                     self._pool, run_work_unit, unit, self.catalog,
@@ -261,7 +234,9 @@ class QueryService(FrameServer):
     def _finish(self, req: PendingRequest, outcome: Outcome) -> None:
         future = req.future
         if not future.done():
-            self.stats.note_outcome(outcome)
+            self.stats.add(
+                timeouts=int(outcome.status == protocol.STATUS_TIMEOUT),
+                errors=int(outcome.status == protocol.STATUS_ERROR))
             future.set_result(outcome)
         if req.stream is not None:
             req.stream.close()
@@ -354,13 +329,14 @@ class QueryService(FrameServer):
             # Backpressure: overload answers with a structured rejection
             # (and the current depth, so clients can back off) instead of
             # queueing unboundedly.
-            self.stats.note_rejected()
+            self.stats.add(rejected=1)
             await self._write(writer, {"status": protocol.STATUS_REJECTED,
                                        "queue_depth": self.queue_depth,
                                        "max_pending": self.max_pending,
                                        "message": "admission queue full"})
             return
-        self.stats.note_admitted(req)
+        self.stats.add(requests_total=1, by_op={req.op: 1},
+                       point_queries=int(req.fusable))
         if req.stream is not None:
             # Streaming ops acknowledge admission up front, then chunk.
             await self._write(writer, {"status": protocol.STATUS_OK,
@@ -384,7 +360,7 @@ class QueryService(FrameServer):
                                            "seq": seq,
                                            "pairs": int(keys.shape[0]),
                                            "arrays": meta}, body)
-                self.stats.note_chunk()
+                self.stats.add(chunks_streamed=1)
                 seq += 1
             outcome: Outcome = await req.future
             await self._write(writer, {"status": protocol.STATUS_END,

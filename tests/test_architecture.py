@@ -20,6 +20,14 @@
   defines ``_record_schedule``, and no ``Transport`` subclass adds to a
   ``stats`` object: the executor loop counts dispatches and lost workers
   into its schedule report, and the base counts datasets and joins.
+* One counter type.  The owner-held stats types (``SessionStats``,
+  ``ShardStats``, ``ServiceStats``, ``WorkerStats``, ``StoreReadStats``)
+  derive from :class:`repro.utils.counters.Counters`.  No class of the
+  engine, parallel, service, distributed or data packages locks or
+  snapshots counters its own way, no code there bumps an owner's
+  ``stats`` field but through ``add``, and no module but
+  ``utils/counters.py`` spells a counter dataclass out field by field for
+  the wire.
 * One kernel seam.  :mod:`repro.core.kernels` exposes the self-join and
   probe operators and their cost functions; no other module of the
   package imports or reads an ``_``-prefixed name of it.
@@ -406,6 +414,169 @@ def test_counter_guard_sees_direct_and_indirect_transports():
     assert _stats_writes([tree]) == {"T": [3], "U": [7]}
     assert _shard_backend_hooks([tree], {"_record_schedule"}) == {
         "V": ["_record_schedule"]}
+
+
+# --------------------------------------------------------------------------
+# one counter type
+# --------------------------------------------------------------------------
+COUNTER_PACKAGES = ("engine", "parallel", "service", "distributed", "data")
+COUNTERS_MODULE = "utils/counters.py"
+
+
+def _owner_stats_types():
+    from repro.data.store import StoreReadStats
+    from repro.distributed.worker import WorkerStats
+    from repro.engine.session import SessionStats
+    from repro.parallel.executor import ShardStats
+    from repro.service.server import ServiceStats
+
+    return [SessionStats, ShardStats, ServiceStats, WorkerStats,
+            StoreReadStats]
+
+
+def _counter_fields() -> dict:
+    """Every counter dataclass, travelling ones included, by name, mapped
+    to its public field names."""
+    from repro.core.kernels import KernelStats
+    from repro.parallel.scheduler import ScheduleReport
+
+    return {cls.__name__: {f.name for f in dataclasses.fields(cls)
+                           if not f.name.startswith("_")}
+            for cls in _owner_stats_types() + [KernelStats, ScheduleReport]}
+
+
+def _own_counter_handling(tree: ast.Module):
+    """``(enclosing qualname, line)`` of every place that handles counters
+    its own way: a ``snapshot`` method that takes a lock or delegates to
+    neither ``super().snapshot()`` nor :func:`repro.utils.counters.snapshot`,
+    a class-level lock field, and a write to a field of a ``stats`` or
+    ``read_stats`` attribute (``x.stats.f += 1``, ``setattr(x.stats, ...)``)
+    rather than a call of its ``add``."""
+    def on_owner_stats(node: ast.AST) -> bool:
+        return isinstance(node, ast.Attribute) \
+            and node.attr in ("stats", "read_stats") \
+            and isinstance(node.value, (ast.Name, ast.Attribute))
+
+    def match(node: ast.AST) -> bool:
+        if isinstance(node, ast.FunctionDef) and node.name == "snapshot":
+            calls = {_dotted(call.func) for call in ast.walk(node)
+                     if isinstance(call, ast.Call)}
+            locks = any(isinstance(inner, ast.With)
+                        for inner in ast.walk(node))
+            delegates = "snapshot" in calls or any(
+                isinstance(call, ast.Call)
+                and isinstance(call.func, ast.Attribute)
+                and call.func.attr == "snapshot"
+                and _call_name(call.func.value) == "super"
+                for call in ast.walk(node))
+            return locks or not delegates
+        if isinstance(node, ast.ClassDef):
+            return any(isinstance(item, ast.AnnAssign)
+                       and "Lock" in ast.unparse(item)
+                       for item in node.body)
+        if isinstance(node, (ast.Assign, ast.AugAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) \
+                else [node.target]
+            return any(isinstance(target, ast.Attribute)
+                       and on_owner_stats(target.value)
+                       for target in targets)
+        return isinstance(node, ast.Call) and _call_name(node) == "setattr" \
+            and bool(node.args) and on_owner_stats(node.args[0])
+
+    return _scoped(tree, match)
+
+
+def _counter_wire_code(tree: ast.Module, counter_fields: dict):
+    """``(enclosing qualname, line)`` of every dict display keyed by two or
+    more fields of one counter dataclass (a hand-written encoder), and of
+    every construction of one from values read out of a dict (a
+    hand-written decoder)."""
+    def reads_a_dict(node: ast.AST) -> bool:
+        return any(isinstance(inner, ast.Subscript)
+                   or isinstance(inner, ast.Call)
+                   and isinstance(inner.func, ast.Attribute)
+                   and inner.func.attr == "get"
+                   for inner in ast.walk(node))
+
+    def match(node: ast.AST) -> bool:
+        if isinstance(node, ast.Dict):
+            keys = {key.value for key in node.keys
+                    if isinstance(key, ast.Constant)}
+            return any(len(keys & names) >= 2
+                       for names in counter_fields.values())
+        return isinstance(node, ast.Call) \
+            and _call_name(node) in counter_fields \
+            and any(reads_a_dict(keyword.value) for keyword in node.keywords)
+
+    return _scoped(tree, match)
+
+
+def test_the_owner_stats_types_are_counters():
+    from repro.utils.counters import Counters
+
+    for cls in _owner_stats_types():
+        assert issubclass(cls, Counters), cls
+        assert [f.name for f in dataclasses.fields(cls)
+                if f.name.startswith("_")] == ["_lock"], cls
+
+
+@pytest.mark.parametrize(
+    "path", list(_query_path_modules(COUNTER_PACKAGES)),
+    ids=lambda p: p.relative_to(PACKAGE_ROOT).as_posix())
+def test_no_own_counter_locks_snapshots_or_bumps(path):
+    relative = path.relative_to(PACKAGE_ROOT).as_posix()
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    found = list(_own_counter_handling(tree))
+    assert found == [], f"{relative} handles counters itself at {found}"
+
+
+def test_only_the_counters_module_puts_counters_on_the_wire():
+    counter_fields = _counter_fields()
+    offending = {}
+    for path in _package_modules():
+        relative = path.relative_to(PACKAGE_ROOT).as_posix()
+        if relative == COUNTERS_MODULE:
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        found = list(_counter_wire_code(tree, counter_fields))
+        if found:
+            offending[relative] = found
+    assert offending == {}
+
+
+def test_counter_guards_see_every_form():
+    tree = ast.parse(
+        "class Stats:\n"
+        "    _lock: threading.Lock = field(default_factory=threading.Lock)\n"
+        "    def snapshot(self):\n"
+        "        with self._lock:\n"
+        "            return snapshot(self)\n"
+        "class Derived(Counters):\n"
+        "    def snapshot(self):\n"
+        "        return {**super().snapshot(), 'ratio': 1.0}\n"
+        "class Plain:\n"
+        "    def snapshot(self):\n"
+        "        return {'hits': self.hits}\n"
+        "def bump(self, stats):\n"
+        "    self.stats.hits += 1\n"
+        "    self.backend.stats.last = report\n"
+        "    setattr(self.stats, name, 1)\n"
+        "    stats.hits += 1\n"
+        "    self.stats.add(hits=1)\n")
+    assert list(_own_counter_handling(tree)) == [
+        ("", 1), ("Stats", 3), ("Plain", 10),
+        ("bump", 13), ("bump", 14), ("bump", 15)]
+    tree = ast.parse(
+        "def to_wire(stats):\n"
+        "    return {'cells_checked': int(stats.cells_checked),\n"
+        "            'distance_calcs': int(stats.distance_calcs)}\n"
+        "def from_wire(data):\n"
+        "    return KernelStats(distance_calcs=int(data.get('d', 0)))\n"
+        "def fine(out):\n"
+        "    return KernelStats(result_pairs=out.result.num_pairs), \\\n"
+        "        {'status': 'ok', 'stats': snapshot(out)}\n")
+    assert list(_counter_wire_code(tree, _counter_fields())) == [
+        ("to_wire", 2), ("from_wire", 5)]
 
 
 # --------------------------------------------------------------------------

@@ -47,6 +47,9 @@ from repro.utils.cancellation import (
     cancel_scope,
 )
 
+#: Generous bound on waits that only a hang would reach.
+HANG_S = 60.0
+
 ALL_DIMS = [2, 3, 4, 5, 6]
 POINTS_BY_DIM = {2: 120, 3: 100, 4: 80, 5: 60, 6: 40}
 EPS_BY_DIM = {2: 0.9, 3: 1.0, 4: 1.2, 5: 1.4, 6: 1.6}
@@ -621,6 +624,85 @@ class TestLocalWorkerPoolStart:
             LocalWorkerPool(3)
         assert len(spawned) == 3
         assert all(worker.terminated for worker in spawned)
+
+class TestLocalWorkerPoolShutdown:
+    def test_every_worker_exits_on_its_own(self):
+        # The shutdown op is given time to finish: no worker is terminated
+        # mid-teardown (that would read -15).
+        pool = LocalWorkerPool(2)
+        pool.shutdown()
+        assert [p.returncode for p in pool.processes] == [0, 0]
+
+
+class _ScriptedWorker:
+    """A TCP endpoint that answers attach and detach with ``ok`` and every
+    shard request with the frames ``shard_reply`` scripts."""
+
+    def __init__(self, shard_reply):
+        self.shard_reply = shard_reply
+        self.listener = socket.create_server(("127.0.0.1", 0))
+        self.spec = "%s:%d" % self.listener.getsockname()
+        threading.Thread(target=self._accept, daemon=True).start()
+
+    def _accept(self):
+        while True:
+            try:
+                conn, _ = self.listener.accept()
+            except OSError:
+                return
+            threading.Thread(target=self._answer, args=(conn,),
+                             daemon=True).start()
+
+    def _answer(self, conn):
+        with conn:
+            frame = protocol.read_frame_sock(conn)
+            if frame is None:
+                return
+            replies = (self.shard_reply
+                       if str(frame[0].get("op")).endswith("_shard")
+                       else [{"status": "ok"}])
+            for header in replies:
+                conn.sendall(protocol.encode_frame(header))
+
+    def close(self):
+        try:
+            self.listener.shutdown(socket.SHUT_RDWR)
+        except OSError:
+            pass
+        self.listener.close()
+
+
+class TestMalformedShardReply:
+    """A malformed shard reply loses its worker, like a dropped connection:
+    with no worker left the join fails instead of waiting forever."""
+
+    @pytest.mark.parametrize("shard_reply", [
+        [{"status": "end", "final": "ok", "stats": {"distance_calcs": "x"}}],
+        [{"status": "chunk", "seq": 0, "arrays": []},
+         {"status": "end", "final": "ok", "stats": {}}],
+    ], ids=["bad-end-stats", "chunk-without-keys"])
+    def test_the_join_fails_with_worker_task_failed(self, shard_reply):
+        points = uniform_dataset(60, 2, seed=67, low=0.0, high=4.0)
+        worker = _ScriptedWorker(shard_reply)
+        outcome = []
+
+        def join():
+            try:
+                run_query(Query.self_join(points, 0.9),
+                          backend=DistributedBackend(worker.spec, n_shards=2))
+            except Exception as exc:  # noqa: BLE001 - checked below
+                outcome.append(exc)
+
+        try:
+            thread = threading.Thread(target=join, daemon=True)
+            thread.start()
+            thread.join(HANG_S)
+            assert not thread.is_alive(), "the join hangs on the reply"
+        finally:
+            worker.close()
+        (error,) = outcome
+        assert isinstance(error, WorkerTaskFailed), error
+
 
 class TestCompactWire:
     """Result chunks cross the wire compact: int32 ids, and each mirrored

@@ -117,8 +117,8 @@ def test_shutdown_does_not_wait_for_an_idle_client(make_server):
 
 
 def test_shutdown_fails_queued_requests():
-    """A request still in the admission queue is answered ``server
-    stopped`` before its connection ends."""
+    """A request still in the admission queue, and the one the scheduler
+    holds, are answered ``server stopped`` before their connections end."""
     # A long tick keeps the scheduler collecting its first request's burst,
     # so the second one waits in the queue.
     with ServerThread(tick_seconds=HANG_S, workers=1) as server:
@@ -150,3 +150,5 @@ def test_shutdown_fails_queued_requests():
             thread.join(HANG_S)
             assert not thread.is_alive()
     assert replies["queued"] == "server stopped"
+    # The request the scheduler held through its tick window, too.
+    assert replies["held"] == "server stopped"
