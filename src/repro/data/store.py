@@ -209,14 +209,26 @@ def _npy_data_offset(path: Path) -> int:
         return f.tell()
 
 
+def dataset_extent(points: np.ndarray) -> np.ndarray:
+    """Each dimension's extent (max − min); a flat dimension counts as 1."""
+    extent = points.max(axis=0) - points.min(axis=0)
+    return np.where(extent <= 0, 1.0, extent)
+
+
+def uniform_cell_width(extent: np.ndarray, n_points: int,
+                       points_per_cell: float) -> float:
+    """Cell width holding ``points_per_cell`` of ``n_points`` points spread
+    uniformly over a box of the given ``extent``."""
+    volume = float(np.prod(extent))
+    return float((volume * points_per_cell / n_points)
+                 ** (1.0 / extent.shape[0]))
+
+
 def default_cell_width(points: np.ndarray,
                        points_per_cell: int = DEFAULT_POINTS_PER_CELL) -> float:
     """Layout cell width targeting ``points_per_cell`` under uniform density."""
-    n, dims = points.shape
-    extent = points.max(axis=0) - points.min(axis=0)
-    extent = np.where(extent <= 0, 1.0, extent)
-    volume = float(np.prod(extent))
-    return float((volume * points_per_cell / n) ** (1.0 / dims))
+    return uniform_cell_width(dataset_extent(points), points.shape[0],
+                              points_per_cell)
 
 
 class SpatialStore(DatasetSource):

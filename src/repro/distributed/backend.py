@@ -100,7 +100,8 @@ def worker_request(address: Address, header: dict, payload: bytes = b"", *,
 # localhost worker pool (the CI multi-process harness)
 # --------------------------------------------------------------------------
 def _terminate_processes(processes: List[subprocess.Popen]) -> None:
-    """Finalizer body: make sure spawned workers never outlive the parent."""
+    """Finalizer body: make sure spawned workers never outlive the parent,
+    and close the stdout pipes their banners came through."""
     for proc in processes:
         if proc.poll() is None:
             proc.terminate()
@@ -110,6 +111,8 @@ def _terminate_processes(processes: List[subprocess.Popen]) -> None:
         except subprocess.TimeoutExpired:  # pragma: no cover - stuck worker
             proc.kill()
             proc.wait()
+        if proc.stdout is not None:
+            proc.stdout.close()
 
 
 class LocalWorkerPool:

@@ -50,6 +50,7 @@ from repro.core import linearize as lin
 from repro.core.batching import BatchPlan, BatchPlanner
 from repro.core.gridindex import GridIndex, _run_length_encode
 from repro.core.kernels import DEFAULT_MAX_CANDIDATE_PAIRS, selfjoin_cell_costs
+from repro.data.store import dataset_extent, uniform_cell_width
 from repro.engine import query as Q
 from repro.engine.backends import ExecutionBackend, get_backend
 from repro.utils.timing import Timer
@@ -359,8 +360,13 @@ class QueryPlanner:
         points = query.points
         build_time = 0.0
         if index is None:
-            eps = query.eps if query.eps is not None \
-                else self._knn_cell_width(points, query.k)
+            eps = query.eps
+            if eps is None:
+                # A radius holding ~k+1 points under a uniform density; a
+                # session computes its dataset's extent once.
+                extent = session.extent if session is not None \
+                    else dataset_extent(points)
+                eps = uniform_cell_width(extent, points.shape[0], query.k + 1)
             if session is not None:
                 index, build_time = self._session_index(session, eps)
             else:
@@ -370,12 +376,3 @@ class QueryPlanner:
                          eps=float(index.eps), batch_plan=None,
                          max_candidate_pairs=self.max_candidate_pairs,
                          index_build_time=build_time, session=session)
-
-    @staticmethod
-    def _knn_cell_width(points: np.ndarray, k: int) -> float:
-        """Heuristic radius containing ~k points under a uniform density."""
-        n, dims = points.shape
-        extent = points.max(axis=0) - points.min(axis=0)
-        extent = np.where(extent <= 0, 1.0, extent)
-        volume = float(np.prod(extent))
-        return float((volume * (k + 1) / n) ** (1.0 / dims))

@@ -62,6 +62,7 @@ from repro.data.store import (  # noqa: F401  (re-exported for compatibility)
     DatasetIdentity,
     DatasetSource,
     as_dataset_source,
+    dataset_extent,
     dataset_identity,
 )
 from repro.core import nativekernels
@@ -121,6 +122,7 @@ class EngineSession:
                              "planner kwargs, not both")
         self.source = as_dataset_source(points)
         self._points: Optional[np.ndarray] = None
+        self._extent: Optional[np.ndarray] = None
         self.planner = planner or QueryPlanner(
             backend=backend if backend is not None else "vectorized",
             **planner_kwargs)
@@ -148,6 +150,16 @@ class EngineSession:
             if self._points is None:
                 self._points = self.source.as_array()
             return self._points
+
+    @property
+    def extent(self) -> np.ndarray:
+        """The dataset's per-dimension extent (:func:`~repro.data.store.
+        dataset_extent`), computed on first use: the planner sizes every kNN
+        query's first radius from it."""
+        with self._lock:
+            if self._extent is None:
+                self._extent = dataset_extent(self.points)
+            return self._extent
 
     @property
     def streams_self_joins(self) -> bool:

@@ -253,13 +253,16 @@ def run_tasks(tasks: List[ShardTask], op: ShardOp, transport: Transport,
             elif kind == "failed":
                 sched.on_failure(name, task.key, now, reason=event[3])
             elif kind == "dead":
-                if name in sched.alive_workers():
+                alive = sched.alive_workers()
+                if name in alive:
                     sched.report.workers_lost += 1
+                    if alive == [name]:
+                        # Raised before the scheduler re-queues the lost
+                        # shards, which would fail without naming the cause.
+                        raise WorkerTaskFailed(
+                            f"no workers left alive; last failure on "
+                            f"{name}: {event[3]}")
                     sched.on_worker_dead(name, now)
-                if not sched.alive_workers():
-                    raise WorkerTaskFailed(
-                        f"no workers left alive; last failure on {name}: "
-                        f"{event[3]}")
             else:
                 raise event[3]
             fill(clock())

@@ -29,8 +29,10 @@ from __future__ import annotations
 
 import asyncio
 import json
+import math
 import socket
 import struct
+import weakref
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -45,7 +47,8 @@ MAX_HEADER_BYTES = 1 << 20
 DEFAULT_MAX_PAYLOAD_BYTES = 1 << 28
 
 #: Response statuses (terminal unless noted).
-STATUS_OK = "ok"            # single-frame success, or stream opener
+STATUS_OK = "ok"            # single-frame success, or stream opener: sent
+                            # with the first chunk (or the end frame)
 STATUS_CHUNK = "chunk"      # non-terminal: one slice of a streamed result
 STATUS_END = "end"          # stream terminator; carries the final status
 STATUS_REJECTED = "rejected"
@@ -117,24 +120,70 @@ def read_frame(read_exact: Callable[[int], bytes],
     return _decode_header(body[:hlen]), body[hlen:]
 
 
-def _recv_exact(sock: socket.socket, n: int) -> bytes:
-    """Receive exactly ``n`` bytes from a socket (short only at EOF)."""
-    parts: List[bytes] = []
-    remaining = n
-    while remaining > 0:
-        chunk = sock.recv(min(remaining, 1 << 20))
-        if not chunk:
-            break
-        parts.append(chunk)
-        remaining -= len(chunk)
-    return b"".join(parts)
+#: Bytes asked of one ``recv``: a small frame, and the frames queued behind
+#: it, arrive in one call.
+_RECV_BYTES = 1 << 16
+
+
+class _RecvBuffer:
+    """The bytes a blocking socket delivered past the last frame read.
+
+    Holds no reference to its socket, so the per-socket registry below
+    drops it with the socket.
+    """
+
+    __slots__ = ("data", "pos")
+
+    def __init__(self) -> None:
+        self.data = b""
+        self.pos = 0
+
+    def read_exact(self, sock: socket.socket, n: int) -> bytes:
+        """``n`` bytes, buffered ones first (short only at EOF)."""
+        data, pos = self.data, self.pos
+        have = len(data) - pos
+        if have >= n:
+            self.pos = pos + n
+            return data[pos:pos + n]
+        parts = [data[pos:]]
+        while have < n:
+            chunk = sock.recv(min(max(n - have, _RECV_BYTES), 1 << 20))
+            if not chunk:
+                break
+            parts.append(chunk)
+            have += len(chunk)
+        # Only the last recv can run past the frame: keep its tail.
+        extra = max(have - n, 0)
+        if extra:
+            last = parts[-1]
+            parts[-1] = last[:len(last) - extra]
+            self.data = last[len(last) - extra:]
+        else:
+            self.data = b""
+        self.pos = 0
+        return b"".join(parts)
+
+
+#: Each blocking socket's receive buffer, dropped with the socket.
+_RECV_BUFFERS: "weakref.WeakKeyDictionary[socket.socket, _RecvBuffer]" = \
+    weakref.WeakKeyDictionary()
 
 
 def read_frame_sock(sock: socket.socket,
                     max_payload: int = DEFAULT_MAX_PAYLOAD_BYTES,
                     ) -> Optional[Tuple[dict, bytes]]:
-    """Blocking frame read from a connected socket (see :func:`read_frame`)."""
-    return read_frame(lambda n: _recv_exact(sock, n), max_payload)
+    """Blocking frame read from a connected socket (see :func:`read_frame`).
+
+    Reads through the socket's receive buffer: one ``recv`` asks for at
+    least 64 KiB, and the bytes past the frame serve the next call on the
+    same socket.  A small frame costs at most one ``recv``, and none when
+    it arrived behind the previous one.  Every read of a socket must go
+    through here once one has.
+    """
+    buf = _RECV_BUFFERS.get(sock)
+    if buf is None:
+        buf = _RECV_BUFFERS.setdefault(sock, _RecvBuffer())
+    return read_frame(lambda n: buf.read_exact(sock, n), max_payload)
 
 
 async def read_frame_async(reader: asyncio.StreamReader,
@@ -164,6 +213,9 @@ async def read_frame_async(reader: asyncio.StreamReader,
 #: allow-list (rather than trusting arbitrary dtype strings) keeps a
 #: malicious header from instantiating object dtypes.
 WIRE_DTYPES = ("float64", "float32", "int64", "int32", "uint64", "bool")
+#: Each allowed dtype's wire name: a dict lookup costs far less than
+#: ``dtype.name``, which NumPy computes in Python on every access.
+_WIRE_NAMES = {np.dtype(name): name for name in WIRE_DTYPES}
 
 
 def pack_arrays(arrays: Sequence[Tuple[str, np.ndarray]],
@@ -173,11 +225,12 @@ def pack_arrays(arrays: Sequence[Tuple[str, np.ndarray]],
     parts: List[bytes] = []
     for name, arr in arrays:
         arr = np.ascontiguousarray(arr)
-        if arr.dtype.name not in WIRE_DTYPES:
-            raise ProtocolError(f"dtype {arr.dtype.name!r} of array "
+        dtype = _WIRE_NAMES.get(arr.dtype) or arr.dtype.name
+        if dtype not in WIRE_DTYPES:
+            raise ProtocolError(f"dtype {dtype!r} of array "
                                 f"{name!r} is not wire-encodable")
         buf = arr.tobytes()
-        meta.append({"name": name, "dtype": arr.dtype.name,
+        meta.append({"name": name, "dtype": dtype,
                      "shape": list(arr.shape), "nbytes": len(buf)})
         parts.append(buf)
     return meta, b"".join(parts)
@@ -203,14 +256,15 @@ def unpack_arrays(meta: Sequence[dict], payload: bytes) -> Dict[str, np.ndarray]
         if any(s < 0 for s in shape):
             raise ProtocolError(f"negative dimension in shape {shape} of "
                                 f"array {name!r}")
-        expected = int(np.prod(shape, dtype=np.int64)) * np.dtype(dtype).itemsize
+        count = math.prod(shape)
+        expected = count * np.dtype(dtype).itemsize
         if nbytes != expected:
             raise ProtocolError(f"array {name!r} declares {nbytes} bytes but "
                                 f"shape/dtype imply {expected}")
         if offset + nbytes > len(payload):
             raise ProtocolError(f"payload too short for array {name!r}")
         arrays[name] = np.frombuffer(
-            payload, dtype=dtype, count=int(np.prod(shape, dtype=np.int64)),
+            payload, dtype=dtype, count=count,
             offset=offset).reshape(shape).copy()
         offset += nbytes
     if offset != len(payload):

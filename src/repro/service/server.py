@@ -15,17 +15,22 @@ request:
   work unit to a thread pool — engine operators are synchronous NumPy
   loops, so they run off the loop with a :func:`cancel_scope` carrying the
   request deadline (cooperative cancellation actually stops shard work);
+* every worker→loop call (a streamed chunk, a request's outcome) goes
+  through one FIFO :class:`LoopInbox`, which wakes the loop once for all
+  the calls queued behind each other;
 * streamed CSR results flow worker → loop through a :class:`ChunkStream`
   whose bounded in-flight window gives end-to-end backpressure: a slow
   client blocks the posting worker, never the server's memory.
 
 Wire semantics (one frame = JSON header + binary payload, see
 :mod:`repro.service.protocol`): a query op's first response frame is either
-``{"status": "rejected"}`` or ``{"status": "ok", "streaming": true}``;
-streamed results follow as ``chunk`` frames and finish with an ``end``
-frame whose ``final`` field is ``ok``/``timeout``/``error``.  Single-frame
-ops (kNN, control plane) answer with one ``ok``/``timeout``/``error``
-frame.
+``{"status": "rejected"}``, sent at admission, or ``{"status": "ok",
+"streaming": true}``, sent with the first result chunk (or with the ``end``
+frame of a result without chunks); streamed results follow as ``chunk``
+frames and finish with an ``end`` frame whose ``final`` field is
+``ok``/``timeout``/``error``.  Single-frame ops (kNN, control plane) answer
+with one ``ok``/``timeout``/``error`` frame.  The frames of one answer that
+are ready at the same moment leave in one socket write.
 
 On shutdown the service fails its queued requests with ``server stopped``
 before the connections end, then closes its pool and its catalog.
@@ -36,8 +41,10 @@ from __future__ import annotations
 import asyncio
 import threading
 import time
+from collections import deque
+from concurrent.futures import Future
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Any, Callable, Deque, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -57,6 +64,7 @@ from repro.service.scheduler import (
 )
 from repro.utils.cancellation import CancellationToken, OperationCancelled
 from repro.utils.counters import Counters
+from repro.utils.logging import get_logger
 
 #: Default burst-collection window of the scheduler tick (seconds).
 DEFAULT_TICK_SECONDS = 0.002
@@ -64,6 +72,12 @@ DEFAULT_TICK_SECONDS = 0.002
 DEFAULT_MAX_PENDING = 64
 #: Default size of the execution thread pool.
 DEFAULT_WORKERS = 4
+
+_log = get_logger("repro.service")
+
+#: A streamed answer's first frame, encoded once.
+_STREAM_OPENER = protocol.encode_frame({"status": protocol.STATUS_OK,
+                                        "streaming": True})
 
 
 @dataclass
@@ -89,22 +103,56 @@ class ServiceStats(Counters):
         return snap
 
 
+class LoopInbox:
+    """Worker→loop calls, run on the loop thread in FIFO order.
+
+    :meth:`call` queues ``fn(*args)`` from any thread.  It wakes the loop
+    only when the inbox goes from empty to non-empty: the one wakeup runs
+    every call queued by then, and every call queued while it runs.  A
+    call that raises is logged and the calls behind it still run.
+    """
+
+    def __init__(self, loop: asyncio.AbstractEventLoop) -> None:
+        self._loop = loop
+        self._calls: Deque[Tuple[Callable[..., Any], tuple]] = deque()
+        self._lock = threading.Lock()
+
+    def call(self, fn: Callable[..., Any], *args: Any) -> None:
+        with self._lock:
+            wake = not self._calls
+            self._calls.append((fn, args))
+        if wake:
+            self._loop.call_soon_threadsafe(self._run)
+
+    def _run(self) -> None:
+        while True:
+            with self._lock:
+                if not self._calls:
+                    return
+                fn, args = self._calls.popleft()
+            try:
+                fn(*args)
+            except Exception:  # noqa: BLE001 - the calls behind it must run
+                _log.exception("service inbox call %r failed", fn)
+
+
 class ChunkStream:
     """Bounded worker→loop conduit for one request's streamed result chunks.
 
-    The worker thread ``post``s chunks; the connection coroutine iterates
-    them.  At most ``max_inflight`` chunks are queued at once — ``post``
-    blocks the worker past that, so a slow consumer throttles the producer
-    instead of growing server memory (the sink path already bounds chunk
-    size).  ``abort`` (client gone) unblocks and fails the producer at its
-    next post, which unwinds the engine work through the cancel scope.
+    The worker thread ``post``s chunks; the connection coroutine takes
+    them (:meth:`take`).  At most ``max_inflight`` chunks are in flight at
+    once (queued, or taken and not yet released after their write) —
+    ``post`` blocks the worker past that, so a slow consumer throttles
+    the producer instead of growing server memory (the sink path already
+    bounds chunk size).  ``abort`` (client gone) unblocks and fails the
+    producer at its next post, which unwinds the engine work through the
+    cancel scope.
     """
 
     _DONE = object()
 
-    def __init__(self, loop: asyncio.AbstractEventLoop,
-                 max_inflight: int = 8) -> None:
-        self._loop = loop
+    def __init__(self, inbox: LoopInbox, max_inflight: int = 8) -> None:
+        self._inbox = inbox
         self._queue: asyncio.Queue = asyncio.Queue()
         self._window = threading.Semaphore(max_inflight)
         self._max_inflight = max_inflight
@@ -117,7 +165,7 @@ class ChunkStream:
         self._window.acquire()
         if self._aborted:
             raise OperationCancelled("client gone")
-        self._loop.call_soon_threadsafe(self._queue.put_nowait, (keys, values))
+        self._inbox.call(self._queue.put_nowait, (keys, values))
 
     def close(self) -> None:
         """Terminate the stream (call from the loop thread)."""
@@ -127,18 +175,26 @@ class ChunkStream:
     def abort(self) -> None:
         """Release any blocked producer and fail its future posts."""
         self._aborted = True
-        for _ in range(self._max_inflight):
-            self._window.release()
+        self._window.release(self._max_inflight)
 
-    async def chunks(self):
-        while True:
-            item = await self._queue.get()
-            if item is self._DONE:
-                return
-            try:
-                yield item
-            finally:
-                self._window.release()
+    async def take(self) -> Tuple[List[Tuple[np.ndarray, np.ndarray]], bool]:
+        """Wait for the next chunk, then take every chunk queued behind it.
+
+        Returns the chunks and whether the stream ended after them.  Each
+        taken chunk keeps its window slot until :meth:`release`.
+        """
+        chunks = []
+        item = await self._queue.get()
+        while item is not self._DONE:
+            chunks.append(item)
+            if self._queue.empty():
+                return chunks, False
+            item = self._queue.get_nowait()
+        return chunks, True
+
+    def release(self, n: int) -> None:
+        """Free the window slots of ``n`` (≥ 1) chunks written out."""
+        self._window.release(n)
 
 
 class QueryService(FrameServer):
@@ -160,6 +216,7 @@ class QueryService(FrameServer):
         self.chunk_pairs = int(chunk_pairs)
         self.started = time.monotonic()
         self._queue: Optional[asyncio.Queue] = None
+        self._inbox: Optional[LoopInbox] = None
         self._pool = None
         self._scheduler_task: Optional[asyncio.Task] = None
 
@@ -170,6 +227,7 @@ class QueryService(FrameServer):
 
         await super().start()
         self._queue = asyncio.Queue(maxsize=self.max_pending)
+        self._inbox = LoopInbox(self._loop)
         self._pool = ThreadPoolExecutor(max_workers=self.n_workers,
                                         thread_name_prefix="repro-service")
         self._scheduler_task = asyncio.ensure_future(self._scheduler_loop())
@@ -222,14 +280,14 @@ class QueryService(FrameServer):
                            fusion_ticks=int(bool(fused)),
                            max_fused_in_tick=sum(fused))
             for unit in units:
-                self._loop.run_in_executor(
-                    self._pool, run_work_unit, unit, self.catalog,
-                    self.chunk_pairs)
+                self._pool.submit(run_work_unit, unit, self.catalog,
+                                  self.chunk_pairs,
+                                  ).add_done_callback(_log_unit_failure)
 
     def _resolve_threadsafe(self, req: PendingRequest,
                             outcome: Outcome) -> None:
-        """Worker-side resolve callback: hop to the loop and finish there."""
-        self._loop.call_soon_threadsafe(self._finish, req, outcome)
+        """Worker-side resolve callback: finish on the loop, via the inbox."""
+        self._inbox.call(self._finish, req, outcome)
 
     def _finish(self, req: PendingRequest, outcome: Outcome) -> None:
         future = req.future
@@ -322,7 +380,7 @@ class QueryService(FrameServer):
                 return
         req.future = self._loop.create_future()
         if req.op in STREAMING_OPS:
-            req.stream = ChunkStream(self._loop)
+            req.stream = ChunkStream(self._inbox)
         try:
             self._queue.put_nowait(req)
         except asyncio.QueueFull:
@@ -338,9 +396,6 @@ class QueryService(FrameServer):
         self.stats.add(requests_total=1, by_op={req.op: 1},
                        point_queries=int(req.fusable))
         if req.stream is not None:
-            # Streaming ops acknowledge admission up front, then chunk.
-            await self._write(writer, {"status": protocol.STATUS_OK,
-                                       "streaming": True})
             await self._stream_response(writer, req)
         else:
             outcome: Outcome = await req.future
@@ -351,22 +406,40 @@ class QueryService(FrameServer):
 
     async def _stream_response(self, writer: asyncio.StreamWriter,
                                req: PendingRequest) -> None:
+        """Send a streamed answer: the opener, the chunks, the end frame.
+
+        The frames ready at the same moment leave in one write: the opener
+        with the first chunks (or with the end frame), the chunks queued
+        behind each other, and the end frame once the request is resolved.
+        Each write drains before the next, and its chunks keep their window
+        slots until then, so a long stream stays bounded by the window.
+        """
+        frames = [_STREAM_OPENER]
         seq = 0
         try:
-            async for keys, values in req.stream.chunks():
-                meta, body = protocol.pack_arrays([("keys", keys),
-                                                   ("values", values)])
-                await self._write(writer, {"status": protocol.STATUS_CHUNK,
-                                           "seq": seq,
-                                           "pairs": int(keys.shape[0]),
-                                           "arrays": meta}, body)
-                self.stats.add(chunks_streamed=1)
-                seq += 1
-            outcome: Outcome = await req.future
-            await self._write(writer, {"status": protocol.STATUS_END,
-                                       "final": outcome.status,
-                                       "message": outcome.message,
-                                       "chunks": seq, **outcome.end})
+            while True:
+                chunks, done = await req.stream.take()
+                for keys, values in chunks:
+                    meta, body = protocol.pack_arrays([("keys", keys),
+                                                       ("values", values)])
+                    frames.append(protocol.encode_frame(
+                        {"status": protocol.STATUS_CHUNK, "seq": seq,
+                         "pairs": int(keys.shape[0]), "arrays": meta}, body))
+                    seq += 1
+                if done:
+                    outcome: Outcome = await req.future
+                    frames.append(protocol.encode_frame(
+                        {"status": protocol.STATUS_END,
+                         "final": outcome.status, "message": outcome.message,
+                         "chunks": seq, **outcome.end}))
+                writer.write(b"".join(frames))
+                frames.clear()
+                await writer.drain()
+                if chunks:
+                    req.stream.release(len(chunks))
+                    self.stats.add(chunks_streamed=len(chunks))
+                if done:
+                    return
         except BaseException:
             # Client gone (or handler cancelled) mid-stream: stop the engine
             # work and unblock a worker waiting on the chunk window.
@@ -411,6 +484,17 @@ class QueryService(FrameServer):
             except Exception as exc:  # noqa: BLE001 - stats must not fail
                 payload[name] = {"error": f"{type(exc).__name__}: {exc}"}
         return payload
+
+
+def _log_unit_failure(future: Future) -> None:
+    """Done-callback of a submitted work unit: log what escaped it.
+
+    :func:`run_work_unit` resolves its requests and never raises; what
+    still escapes (a resolve that failed) would stay unseen in the pool's
+    future.
+    """
+    if not future.cancelled() and future.exception() is not None:
+        _log.error("work unit failed", exc_info=future.exception())
 
 
 class ServerThread(FrameServerThread):

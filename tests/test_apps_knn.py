@@ -85,3 +85,46 @@ class TestKNNValidation:
         result = knn_search(pts, k=4)
         # Each point's 4 nearest neighbors are its 4 duplicates at distance 0.
         assert np.allclose(result.distances, 0.0)
+
+
+class TestSessionExtent:
+    """A session sizes every kNN query's first radius from one extent."""
+
+    @staticmethod
+    def _count_extents(monkeypatch):
+        from repro.data import store
+        from repro.engine import planner, session
+        calls = {"session": 0, "planner": 0}
+
+        def counting(where):
+            def extent(points):
+                calls[where] += 1
+                return store.dataset_extent(points)
+            return extent
+
+        monkeypatch.setattr(session, "dataset_extent", counting("session"))
+        monkeypatch.setattr(planner, "dataset_extent", counting("planner"))
+        return calls
+
+    def test_computed_once_per_session(self, monkeypatch):
+        from repro.engine import EngineSession
+        pts = uniform_dataset(500, 3, seed=11, low=0.0, high=4.0)
+        queries = uniform_dataset(20, 3, seed=12, low=0.0, high=4.0)
+        ks = (1, 4, 9, 2)
+        expected = [knn_search(pts, k=k, queries=queries) for k in ks]
+        calls = self._count_extents(monkeypatch)
+        with EngineSession(pts) as session:
+            got = [knn_search(None, k=k, queries=queries, session=session)
+                   for k in ks]
+        assert calls == {"session": 1, "planner": 0}
+        for want, have in zip(expected, got):
+            np.testing.assert_array_equal(have.indices, want.indices)
+            np.testing.assert_array_equal(have.distances, want.distances)
+
+    def test_a_plan_without_session_computes_it_per_call(self, monkeypatch):
+        from repro.engine import Query, run_query
+        pts = uniform_dataset(300, 2, seed=13, low=0.0, high=4.0)
+        calls = self._count_extents(monkeypatch)
+        for k in (1, 3, 5):
+            run_query(Query.knn_candidates(pts, k))
+        assert calls == {"session": 0, "planner": 3}

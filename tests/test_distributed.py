@@ -589,6 +589,10 @@ class _FakeWorker:
     def wait(self, timeout=None):
         return 0
 
+    def close(self):
+        """The pool closes each worker's stdout pipe when it stops it."""
+        self.events.append(("close", self.port))
+
 
 class TestLocalWorkerPoolStart:
     """The pool spawns every worker before it waits for one, so the
@@ -624,6 +628,15 @@ class TestLocalWorkerPoolStart:
             LocalWorkerPool(3)
         assert len(spawned) == 3
         assert all(worker.terminated for worker in spawned)
+
+    def test_a_failed_start_closes_every_stdout_pipe(self, monkeypatch):
+        events = []
+        self._fake_popen(monkeypatch, events, failing={40002})
+        with pytest.raises(RuntimeError, match="did not start"):
+            LocalWorkerPool(3)
+        assert {port for kind, port in events if kind == "close"} \
+            == {40001, 40002, 40003}
+
 
 class TestLocalWorkerPoolShutdown:
     def test_every_worker_exits_on_its_own(self):
@@ -676,12 +689,14 @@ class TestMalformedShardReply:
     """A malformed shard reply loses its worker, like a dropped connection:
     with no worker left the join fails instead of waiting forever."""
 
-    @pytest.mark.parametrize("shard_reply", [
-        [{"status": "end", "final": "ok", "stats": {"distance_calcs": "x"}}],
-        [{"status": "chunk", "seq": 0, "arrays": []},
-         {"status": "end", "final": "ok", "stats": {}}],
+    @pytest.mark.parametrize("shard_reply,cause", [
+        ([{"status": "end", "final": "ok", "stats": {"distance_calcs": "x"}}],
+         "bad KernelStats counter distance_calcs"),
+        ([{"status": "chunk", "seq": 0, "arrays": []},
+          {"status": "end", "final": "ok", "stats": {}}],
+         "chunk without keys"),
     ], ids=["bad-end-stats", "chunk-without-keys"])
-    def test_the_join_fails_with_worker_task_failed(self, shard_reply):
+    def test_the_join_fails_with_worker_task_failed(self, shard_reply, cause):
         points = uniform_dataset(60, 2, seed=67, low=0.0, high=4.0)
         worker = _ScriptedWorker(shard_reply)
         outcome = []
@@ -702,6 +717,9 @@ class TestMalformedShardReply:
             worker.close()
         (error,) = outcome
         assert isinstance(error, WorkerTaskFailed), error
+        # The error names the lost worker and why it was lost.
+        assert f"last failure on {worker.spec}: " in str(error)
+        assert f"ProtocolError: {cause}" in str(error)
 
 
 class TestCompactWire:

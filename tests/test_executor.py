@@ -293,6 +293,16 @@ class TestLoopEdges:
         with pytest.raises(WorkerTaskFailed):
             _selfjoin(index, False, transport)
 
+    def test_the_last_lost_worker_names_its_cause(self, index):
+        # The last loss still holds queued shards: the error must name the
+        # worker and the reason, not only that no worker is left.
+        transport = ScriptedTransport(ShardDataset(index.points, KERNEL),
+                                      lambda t: (len(t.pending) - 1, "dead"),
+                                      workers=("w0", "w1"))
+        with pytest.raises(WorkerTaskFailed,
+                           match=r"last failure on w\d: connection reset"):
+            _selfjoin(index, False, transport)
+
 
 class CountingBackend(ShardedBackend):
     """Inline shards; records every dataset the lifecycle opens and closes."""

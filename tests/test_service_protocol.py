@@ -130,8 +130,8 @@ class TestAdversarialTransport:
 
     def test_two_segment_delivery_at_every_byte_boundary(self):
         # A frame torn into two socket segments at every boundary must
-        # decode identically: _recv_exact has to keep reading across the
-        # short first recv.
+        # decode identically: the socket reader has to keep reading across
+        # the short first recv.
         frame = self.FRAME
         expected = _read_from_bytes(frame)
         for i in range(1, len(frame)):
@@ -292,6 +292,23 @@ class TestArrayCodec:
         meta = [{"name": "x", "dtype": "int64", "shape": [-1], "nbytes": 8}]
         with pytest.raises(protocol.ProtocolError, match="negative"):
             protocol.unpack_arrays(meta, b"\x00" * 8)
+
+    @pytest.mark.parametrize("dtype", protocol.WIRE_DTYPES)
+    def test_every_wire_dtype_round_trips_under_its_name(self, dtype):
+        arr = np.arange(6).reshape(2, 3).astype(dtype)
+        meta, payload = protocol.pack_arrays([("a", arr)])
+        assert meta == [{"name": "a", "dtype": dtype, "shape": [2, 3],
+                         "nbytes": arr.nbytes}]
+        got = protocol.unpack_arrays(meta, payload)["a"]
+        assert got.dtype == arr.dtype and np.array_equal(got, arr)
+
+    def test_a_shape_whose_size_overflows_int64_is_rejected(self):
+        # 2**32 * 2**32 elements wrap to 0 in int64 and would match the
+        # declared 0 bytes; the size must be computed without wrapping.
+        meta = [{"name": "x", "dtype": "int64", "shape": [2 ** 32, 2 ** 32],
+                 "nbytes": 0}]
+        with pytest.raises(protocol.ProtocolError, match="imply"):
+            protocol.unpack_arrays(meta, b"")
 
     def test_unpacked_arrays_are_writable_copies(self):
         meta, payload = protocol.pack_arrays(
