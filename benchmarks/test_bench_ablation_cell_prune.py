@@ -97,8 +97,7 @@ def test_bench_cell_prune(benchmark, write_report):
         for name, make, default, eps in INPUTS:
             points = make(_size(default))
             index = QueryPlanner().index_dataset(points, eps)
-            index.cell_ordered_points()
-            index.unindexed_columns()
+            index.cell_ordered_columns()
             walked, kept = _walked(index), _kept(index)
             counts = index.cell_counts
             candidates = [int((counts.take(p[0]) * counts.take(p[1])).sum())
@@ -108,7 +107,7 @@ def test_bench_cell_prune(benchmark, write_report):
             assert stream_kept == stream_walked, name
             walk_s = _best(lambda: _walked(index), trials)
             # Called directly, the walk that fills the adjacency runs anew
-            # each time; the index's cell-ordered points are already built.
+            # each time; the index's cell-ordered columns are already built.
             prune_s = _best(lambda: K._walk_adjacency(index, True), trials)
             rows.append((name, points.shape[0], points.shape[1],
                          index.num_grid_dims, eps, walked[0].shape[0],

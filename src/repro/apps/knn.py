@@ -9,6 +9,11 @@ candidates lie within radius r, the k-th neighbor distance is at most r, so
 every true neighbor is within r and therefore among the candidates).  The
 top-k selection over the CSR candidate table is fully vectorized: one bulk
 distance evaluation over all (query, candidate) pairs and one grouped sort.
+That ranking rounds its distances its own way (``einsum``), not as the
+probe's filter does; the executor finishes a row only when its k-th
+neighbour lies below the radius by a margin that covers both roundings,
+and answers any other row against all points, so the answer is exact
+whichever kernel tier filtered the candidates.
 
 Candidate generation runs inside an
 :class:`~repro.engine.session.EngineSession` — pass an open one to amortize
@@ -107,23 +112,27 @@ def knn_search(points: Optional[np.ndarray], k: int,
     if k > limit:
         raise ValueError(f"k={k} exceeds the number of available neighbors ({limit})")
 
-    query = Query.knn_candidates(pts, k,
-                                 queries=None if self_query else check_points(queries),
-                                 cell_width=cell_width,
-                                 include_self=include_self)
-    if index is not None:
-        engine_result = execute(QueryPlanner(backend=backend).plan(query, index=index))
-    elif session is not None:
-        engine_result = session.run(query)
+    query_arg = None if self_query else check_points(queries)
+    if session is not None:
+        # The session validated its dataset once; only the queries are.
+        engine_result = session.knn_candidates(
+            k, query_arg, cell_width=cell_width, include_self=include_self)
     else:
-        # One-shot wrapper: a private session scoped to this call, so the
-        # radius-doubling rounds share their per-ε indexes (and a stateful
-        # backend keeps one pool across the rounds).
-        with EngineSession(pts, backend=backend) as one_shot:
-            engine_result = one_shot.run(query)
+        query = Query.knn_candidates(pts, k, queries=query_arg,
+                                     cell_width=cell_width,
+                                     include_self=include_self)
+        if index is not None:
+            engine_result = execute(
+                QueryPlanner(backend=backend).plan(query, index=index))
+        else:
+            # One-shot wrapper: a private session scoped to this call, so
+            # the radius-doubling rounds share their per-ε indexes (and a
+            # stateful backend keeps one pool across the rounds).
+            with EngineSession(pts, backend=backend) as one_shot:
+                engine_result = one_shot.run(query)
     table = engine_result.neighbor_table
 
-    query_pts = pts if self_query else query.queries
+    query_pts = pts if self_query else engine_result.plan.query.queries
     n_q = query_pts.shape[0]
     counts = table.counts()
 

@@ -16,31 +16,32 @@ from typing import Optional
 
 import numpy as np
 
+from repro.core.distance import squared_distances
 from repro.core.result import PairFragments, ResultSet
 from repro.utils.validation import check_eps, ensure_2d_float64
 
 #: Baseline for the number of query rows processed per chunk.  The scans
 #: divide this by the dimensionality (see :func:`_rows_per_chunk`), so the
-#: ``(rows, n_points, n_dims)`` difference tensor stays bounded at roughly
-#: ``chunk_rows * n_points`` float64 values regardless of ``n_dims``.
+#: ``rows * n_points * n_dims`` coordinate differences a chunk computes
+#: stay bounded at roughly ``chunk_rows * n_points`` regardless of
+#: ``n_dims``.
 DEFAULT_CHUNK_ROWS = 512
 
 
 def _rows_per_chunk(chunk_rows: int, n_dims: int) -> int:
-    """Rows per scan chunk keeping the difference tensor ~``chunk_rows * n``."""
+    """Rows per scan chunk keeping a chunk's differences ~``chunk_rows * n``."""
     return max(1, chunk_rows // max(1, n_dims))
 
 
 def _dist2_chunk(block: np.ndarray, data: np.ndarray) -> np.ndarray:
     """``(m, n)`` squared distances between ``block`` and ``data`` rows.
 
-    Materializes the ``(m, n, d)`` difference tensor so the reduction is the
-    exact einsum the grid kernels use — per-dimension accumulation is *not*
-    bit-identical for ``d >= 3`` and would flip ε-boundary decisions.
-    Callers bound ``m`` via :func:`_rows_per_chunk`.
+    Summed one dimension at a time, in dimension order
+    (:func:`repro.core.distance.squared_distances`): the order both grid
+    kernel tiers use, so the oracle decides ε-boundary pairs exactly as
+    they do.  Callers bound ``m`` via :func:`_rows_per_chunk`.
     """
-    diff = block[:, None, :] - data[None, :, :]
-    return np.einsum("ijk,ijk->ij", diff, diff)
+    return squared_distances(block[:, None, :], data[None, :, :])
 
 
 @dataclass
@@ -77,9 +78,10 @@ def allpairs_emit(queries: np.ndarray, data: np.ndarray, eps: float,
 
     The single implementation shared by :func:`bruteforce_join` and the
     engine's ``bruteforce`` backend.  Distances use the direct difference
-    (not the expanded dot-product identity) so the ε-boundary decision
-    ``dist² <= ε²`` is bit-identical to the grid kernels' filter — the
-    backend-parity tests rely on this.  Returns the number of distance
+    (not the expanded dot-product identity), summed as the grid kernels sum
+    them (:func:`_dist2_chunk`), so the ε-boundary decision ``dist² <= ε²``
+    is bit-identical to the grid kernels' filter — the backend-parity
+    tests rely on this.  Returns the number of distance
     evaluations.
     """
     if chunk_rows < 1:

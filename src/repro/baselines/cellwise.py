@@ -19,6 +19,7 @@ from typing import List, Tuple
 
 import numpy as np
 
+from repro.core.distance import squared_distances
 from repro.core.gridindex import GridIndex
 from repro.core.kernels import KernelStats
 from repro.core.neighbors import adjacent_cells
@@ -97,7 +98,8 @@ def _join(index: GridIndex, keys: np.ndarray, queries: np.ndarray,
     reverse pair too under ``mirror``), counting the work in ``stats``.
 
     The differences are ``query - candidate`` and their squares are summed
-    by ``einsum``, as in the production emitter, so ε-boundary pairs agree.
+    in dimension order (:func:`repro.core.distance.squared_distances`), as
+    both production kernel tiers sum them, so ε-boundary pairs agree.
     """
     checked, found = cells
     stats.cells_checked += checked
@@ -105,8 +107,8 @@ def _join(index: GridIndex, keys: np.ndarray, queries: np.ndarray,
     if not found:
         return
     candidates = np.concatenate([index.points_in_cell(h) for h in found])
-    diff = queries[:, None, :] - index.points[candidates][None, :, :]
-    dist2 = np.einsum("ijk,ijk->ij", diff, diff)
+    dist2 = squared_distances(queries[:, None, :],
+                              index.points[candidates][None, :, :])
     stats.distance_calcs += int(dist2.size)
     rows, cols = np.nonzero(dist2 <= eps * eps)
     sink.emit(keys[rows], candidates[cols])

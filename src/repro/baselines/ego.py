@@ -19,6 +19,7 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
+from repro.core.distance import squared_distances
 from repro.core.result import ResultSet
 from repro.utils.counters import accumulate, snapshot
 from repro.utils.validation import check_eps, ensure_2d_float64
@@ -172,8 +173,7 @@ def _simple_join(ctx: _EGOContext, a_lo: int, a_hi: int, b_lo: int, b_hi: int,
     ctx.stats.simple_joins += 1
     a_pts = ctx.points[a_lo:a_hi]
     b_pts = ctx.points[b_lo:b_hi]
-    diff = a_pts[:, None, :] - b_pts[None, :, :]
-    dist2 = np.einsum("ijk,ijk->ij", diff, diff)
+    dist2 = squared_distances(a_pts[:, None, :], b_pts[None, :, :])
     ctx.stats.distance_calcs += int(dist2.size)
     qi, ci = np.nonzero(dist2 <= ctx.eps2)
     if qi.shape[0] == 0:

@@ -21,6 +21,7 @@ from typing import List
 import numpy as np
 
 from repro.core import linearize as lin
+from repro.core.distance import squared_distances
 from repro.core.result import ResultSet
 from repro.utils.validation import check_eps, ensure_2d_float64
 
@@ -116,8 +117,8 @@ class DenseGridIndex:
             for s, t in zip(src, tgt):
                 a_ids = self.points_in_cell(int(s))
                 b_ids = self.points_in_cell(int(t))
-                diff = self.points[a_ids][:, None, :] - self.points[b_ids][None, :, :]
-                dist2 = np.einsum("ijk,ijk->ij", diff, diff)
+                dist2 = squared_distances(self.points[a_ids][:, None, :],
+                                          self.points[b_ids][None, :, :])
                 qi, ci = np.nonzero(dist2 <= eps2)
                 key_parts.append(a_ids[qi])
                 val_parts.append(b_ids[ci])

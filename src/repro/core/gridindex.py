@@ -29,6 +29,12 @@ candidate cells of a k-dim grid still hold every neighbour: the result is
 the same, only the balance between cells walked and distances computed
 moves.  :meth:`GridIndex.build` indexes all n dimensions unless told
 otherwise, which is the paper's layout.
+
+The kernels read the points through one derived copy: all n coordinates
+in ``A`` order, column-major (:meth:`GridIndex.cell_ordered_columns`), so
+the distance filter gathers one dimension at a time with 1-D takes and
+sums the squares in dimension order (:mod:`repro.core.distance`), and the
+self-join's box prune reduces each column per cell.
 """
 
 from __future__ import annotations
@@ -114,15 +120,14 @@ class GridIndex:
         (``M_j``).
 
     Besides these arrays an index keeps data derived from them, each
-    built lazily and once (:meth:`cached`): its
-    points in ``A`` order (:meth:`cell_ordered_points`), when ``k < n``
-    their non-indexed columns in that order (:meth:`unindexed_columns`),
-    and per UNICOMP flag the self-join's cell-pair adjacency
+    built lazily and once (:meth:`cached`): its points in ``A`` order,
+    column-major (:meth:`cell_ordered_columns`), and per UNICOMP flag the
+    self-join's cell-pair adjacency
     (:class:`repro.core.kernels.CellAdjacency`).  They live and die with
     the index, in whichever cache holds it.  :meth:`memory_footprint`
     stays the paper's ``B`` + ``G`` + ``A`` + ``M`` size and does not
     count them (:meth:`cached_nbytes` does); the kernels keep at most
-    ten times the bytes of the points.
+    nine times the bytes of the points.
     """
 
     points: np.ndarray
@@ -330,38 +335,30 @@ class GridIndex:
         return int(sum(getattr(value, "nbytes", 0)
                        for value in list(self._derived.values())))
 
-    def cell_ordered_points(self) -> np.ndarray:
-        """``points`` in ``A`` order: row ``p`` is point ``A[p]``, so the
-        points of each cell are one contiguous block.  Read-only; built
-        once (:meth:`cached`)."""
+    def cell_ordered_columns(self) -> np.ndarray:
+        """``points`` in ``A`` order, column-major: an ``(n, |D|)`` array
+        whose row ``j`` holds dimension ``j`` of points ``A[0], A[1], ...``,
+        so each dimension of a cell's points is one contiguous run.  The
+        NumPy emitter gathers its candidates' coordinates from these rows
+        one dimension at a time, and the self-join's box prune reduces
+        them per cell.  Read-only; built once (:meth:`cached`).
+        """
         def build() -> np.ndarray:
-            ordered = self.points.take(self.A, axis=0)
-            ordered.setflags(write=False)
-            return ordered
+            columns = np.empty((self.num_dims, self.num_points))
+            # One 1-D gather per dimension, straight into its row; ``A`` is
+            # a permutation, so ``clip`` never clips and spares ``take``
+            # the buffered copy its default mode makes of ``out``.
+            for j, column in enumerate(columns):
+                self.points[:, j].take(self.A, out=column, mode="clip")
+            columns.setflags(write=False)
+            return columns
 
-        return self.cached("cell_ordered_points", build)
+        return self.cached("cell_ordered_columns", build)
 
     @property
     def unindexed_dims(self) -> Tuple[int, ...]:
         """The point dimensions the grid does not index, ascending."""
         return tuple(j for j in range(self.num_dims) if j not in self.dims)
-
-    def unindexed_columns(self) -> Optional[np.ndarray]:
-        """The :attr:`unindexed_dims` columns of :meth:`cell_ordered_points`
-        as an ``(n - k, |D|)`` array, one contiguous row per dimension;
-        ``None`` (and nothing kept) when the grid indexes every dimension.
-        The emitter's pre-filter reads it.  Read-only; built once
-        (:meth:`cached`)."""
-        if self.num_grid_dims == self.num_dims:
-            return None
-
-        def build() -> np.ndarray:
-            columns = column_rows(self.cell_ordered_points(),
-                                  self.unindexed_dims)
-            columns.setflags(write=False)
-            return columns
-
-        return self.cached("unindexed_columns", build)
 
     # ------------------------------------------------------------- statistics
     def memory_footprint(self) -> int:
@@ -459,11 +456,6 @@ def _indexed_columns(points: np.ndarray, dims: Tuple[int, ...]) -> np.ndarray:
     if len(dims) == points.shape[1]:
         return points
     return points[:, list(dims)]
-
-
-def column_rows(points: np.ndarray, dims: Tuple[int, ...]) -> np.ndarray:
-    """The ``dims`` columns of ``points``, one contiguous row each."""
-    return np.ascontiguousarray(points[:, list(dims)].T)
 
 
 def group_by_cell_id(cell_ids: np.ndarray,

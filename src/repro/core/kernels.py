@@ -33,18 +33,29 @@ results are identical to Algorithm 1; only the loop nesting differs
 transcription of both operators, the oracle the tests compare against,
 lives off the query path in :mod:`repro.baselines.cellwise`.
 
+The distance.  Both tiers sum the squared distance one dimension at a
+time, in dimension order, ``((d_0² + d_1²) + d_2²) + ...`` with ``d_j =
+fl(q_j - c_j)`` (:mod:`repro.core.distance`, whose
+:func:`~repro.core.distance.squared_distances` the oracles use), so the
+two tiers and the oracles decide every pair alike, ε-boundary pairs
+included.  The NumPy emitter reads the index's points column-major, in
+``A`` order (:meth:`~repro.core.gridindex.GridIndex.cell_ordered_columns`),
+and a probe's query groups the same way, built once per call: per
+dimension it gathers one column on each side with 1-D takes, subtracts,
+squares and adds.
+
 Reduced dims.  An index over ``k < n`` dims (the JPDC follow-up's layout)
 walks 3^k cells per cell but expands more candidates, most of them far
-apart in some non-indexed dim.  So on the NumPy tier the emitter first
-tests each non-indexed dim alone, dropping a candidate whose rounded
-``d * d`` exceeds ``eps2``, and gathers full rows only for the survivors.
-The test is exact: the full distance sums rounded non-negative squares,
-and in any order, fused multiply-adds included, such a sum is at least
-each of its rounded terms, so a dropped candidate is never a hit
-(``|d| > eps`` would not be the same test).  Streams, tables and all four
-:class:`KernelStats` counters are those of the unfiltered path;
-``distance_calcs`` still counts every expanded candidate.  An index over
-every dim, and the numba tier, skip the filter.
+apart in some non-indexed dim.  So on the NumPy tier the emitter's
+per-dimension loop takes the non-indexed dims first: it drops a
+candidate whose rounded ``d * d`` exceeds ``eps2`` and keeps the
+survivors' squares, which the sum reads in their place in the order.
+The test is exact: a sum of rounded non-negative squares is, in any
+order, fused multiply-adds included, at least each of its terms, so a
+dropped candidate is never a hit (``|d| > eps`` would not be the same
+test).  Streams, tables and all four :class:`KernelStats` counters are
+those of the unfiltered path; ``distance_calcs`` still counts every
+expanded candidate.  The numba tier skips the filter.
 
 Who walks, and when.  The cell pairs of a self-join depend only on the
 index and the UNICOMP flag, so each :class:`GridIndex` keeps them: one
@@ -74,7 +85,7 @@ walk (their query cells are arbitrary).
 
 A self-join's walk keeps only the cell pairs whose point boxes may lie
 within ε (:func:`_near_pairs`).  The walk builds each non-empty cell's
-box over all n dims from the cell-ordered points (so it builds those on
+box over all n dims from the cell-ordered columns (so it builds those on
 either tier), uses the boxes and drops them, and a pair is dropped when its rounded squared box gap exceeds ``eps2 *
 (1 + m)``.  Per dim the gap ``max(fl(lo_t - hi_s), fl(lo_s - hi_t), 0)``
 is never above any of its point pairs' ``|fl(q_j - c_j)|`` (rounding is
@@ -97,16 +108,14 @@ unpruned walk does.  The work of a self-join is that cost vector:
 calculations exactly, and it is the one cost the shard planner, the
 scheduler, the grid-vs-brute-force selector and the batch planner's
 exact result bound use (:func:`selfjoin_plan_costs` gives the same
-vector).  The index also keeps
-its points in ``A`` order
-(:meth:`~repro.core.gridindex.GridIndex.cell_ordered_points`), from which
-the NumPy emitter gathers coordinates, and for ``k < n`` their non-indexed
-columns (:meth:`~repro.core.gridindex.GridIndex.unindexed_columns`), which
-its pre-filter reads.  Together these keep at most ten times the bytes of
-the points per index (one copy, the columns, and two adjacencies of
-four; past the bound, or on an index that only plans, 8 bytes per
-non-empty cell and UNICOMP flag for the cell costs instead), and the
-batch planner counts what an index keeps
+vector).  The index also keeps its points in ``A`` order, column-major
+(:meth:`~repro.core.gridindex.GridIndex.cell_ordered_columns`), from
+which the NumPy emitter gathers coordinates and the walk builds its
+boxes.  Together these keep at most nine times the bytes of the points
+per index (one copy and two adjacencies of four; past the bound, or on
+an index that only plans, 8 bytes per non-empty cell and UNICOMP flag
+for the cell costs instead), and the batch planner counts what an index
+keeps
 (:meth:`~repro.core.gridindex.GridIndex.cached_nbytes`).  The walker's
 dense cell table is not kept: each walk that takes it builds its own and
 drops it, so neither ``memory_footprint()`` nor ``cached_nbytes()``
@@ -123,7 +132,7 @@ from typing import Callable, Dict, Iterator, List, NamedTuple, Optional, Tuple
 import numpy as np
 
 from repro.core import nativekernels
-from repro.core.gridindex import GridIndex, column_rows, group_by_cell_id
+from repro.core.gridindex import GridIndex, group_by_cell_id
 from repro.core.neighbors import all_neighbor_offsets
 from repro.core.result import PairFragments
 from repro.utils.cancellation import check_cancelled
@@ -131,7 +140,9 @@ from repro.utils.counters import accumulate, snapshot
 
 #: Default bound on the number of candidate point pairs expanded at once by
 #: the vectorized kernel.  Bounds peak memory at roughly
-#: ``max_candidate_pairs * (2 * 8 + n_dims * 8)`` bytes of temporaries.
+#: ``max_candidate_pairs * (2 * 8 + 3 * 8)`` bytes of temporaries (the two
+#: positions, the running sum and one dimension's gathers), plus 8 per
+#: non-indexed dim on a reduced grid.
 DEFAULT_MAX_CANDIDATE_PAIRS = 4_000_000
 
 
@@ -251,9 +262,8 @@ def run_probe(queries: np.ndarray, index: GridIndex, eps: float,
     (:func:`_query_groups`), so co-located queries share one walk row, and
     the groups' cells are walked against all 3^k offsets on every call
     (query cells are arbitrary, so nothing is kept).  The emitter gathers
-    from the groups' and the index's cell-ordered points (and, for a
-    ``k < n`` grid, pre-filters on their non-indexed columns, the queries'
-    built per call).  Correct for ``eps <= index.eps``.  On the numba tier
+    from the groups' and the index's cell-ordered columns, the groups'
+    built once per call.  Correct for ``eps <= index.eps``.  On the numba tier
     the dense/sparse choice reads the index's cell populations (the
     candidate side dominates the expansion work).
     """
@@ -267,15 +277,11 @@ def run_probe(queries: np.ndarray, index: GridIndex, eps: float,
             return []
         probe_pts = queries[rows]
         order, starts, counts, coords = _query_groups(index, probe_pts)
-        if native_kernel is not None:
-            groups = _JoinSide(probe_pts, order, starts, counts, None)
-        else:
-            ordered = probe_pts.take(order, axis=0)
-            unindexed = index.unindexed_dims
-            groups = _JoinSide(probe_pts, order, starts, counts, ordered,
-                               column_rows(ordered, unindexed) if unindexed
-                               else None)
         side = _index_side(index, native_kernel)
+        groups = _JoinSide(probe_pts, order, starts, counts,
+                           None if native_kernel is not None
+                           else probe_pts.T.take(order, axis=1),
+                           side.unindexed)
         return [(int(checked.sum()), int(src.shape[0]),
                  _emit_pairs(sink, groups, src, side, tgt, eps2,
                              max_candidate_pairs, key_map=rows,
@@ -549,8 +555,7 @@ def _walk_cell_pairs(index: GridIndex, coords: np.ndarray, unicomp: bool = False
 #: bound is charged on the walked cell pairs, before the prune, so whether
 #: an index keeps its adjacency depends on its grid alone.  It is per
 #: UNICOMP flag, so an index keeps at most twice this plus its
-#: cell-ordered copy of the points and, for ``k < n``, that copy's
-#: non-indexed columns.
+#: cell-ordered copy of the points.
 _ADJACENCY_BYTES_PER_POINT_BYTE = 4
 
 
@@ -588,13 +593,18 @@ class CellAdjacency:
 def _cell_boxes(index: GridIndex) -> Tuple[np.ndarray, np.ndarray]:
     """Each non-empty cell's point box over all n dims, as two ``(|G|,
     2n)`` rows per cell: ``[lo, -hi]`` for the cell as a target and
-    ``[-hi, lo]`` as a source, from the cell-ordered points.  Built per
-    walk and kept nowhere."""
-    ordered = index.cell_ordered_points()
-    lo = np.minimum.reduceat(ordered, index.cell_starts)
-    neg_hi = np.maximum.reduceat(ordered, index.cell_starts)
+    ``[-hi, lo]`` as a source, one 1-D ``reduceat`` per cell-ordered
+    column.  Built per walk and kept nowhere."""
+    columns = index.cell_ordered_columns()
+    n_dims = columns.shape[0]
+    as_target = np.empty((index.num_nonempty_cells, 2 * n_dims))
+    for j, column in enumerate(columns):
+        np.minimum.reduceat(column, index.cell_starts, out=as_target[:, j])
+        np.maximum.reduceat(column, index.cell_starts,
+                            out=as_target[:, n_dims + j])
+    neg_hi = as_target[:, n_dims:]
     np.negative(neg_hi, out=neg_hi)
-    return np.hstack([lo, neg_hi]), np.hstack([neg_hi, lo])
+    return as_target, np.hstack([neg_hi, as_target[:, :n_dims]])
 
 
 def _box_limit(eps2: float, n_dims: int) -> float:
@@ -851,34 +861,32 @@ class _JoinSide(NamedTuple):
 
     The side's cell ``h`` holds the positions ``starts[h] .. starts[h] +
     counts[h]``; ``lookup`` maps a position to its point id and
-    ``ordered`` holds the coordinates by position (``ordered[p] ==
-    points[lookup[p]]``): the index's CSR arrays with ``A`` as the lookup
-    and its cell-ordered points, or a probe's query groups with their sort
-    order as the lookup.  The NumPy emitter reads ``ordered`` and
-    ``lookup``; the compiled pair kernels read ``points`` and ``lookup``,
-    and get no ``ordered`` copy.
+    ``columns`` holds the coordinates by position, column-major
+    (``columns[:, p] == points[lookup[p]]``): the index's CSR arrays with
+    ``A`` as the lookup and its cell-ordered columns, or a probe's query
+    groups with their sort order as the lookup.  The NumPy emitter reads
+    ``columns`` and ``lookup``; the compiled pair kernels read ``points``
+    and ``lookup``, and get no ``columns`` copy.
     """
 
     points: np.ndarray
     lookup: np.ndarray
     starts: np.ndarray
     counts: np.ndarray
-    ordered: Optional[np.ndarray]
-    #: The columns of ``ordered`` the grid does not index, one contiguous
-    #: row per dimension (``None`` when the grid indexes every dimension,
-    #: and on the numba tier): the emitter's pre-filter reads them.
-    unindexed: Optional[np.ndarray] = None
+    columns: Optional[np.ndarray]
+    #: The point dimensions the grid does not index, which the NumPy
+    #: emitter tests first (see :func:`_emit_pairs`).
+    unindexed: Tuple[int, ...] = ()
 
 
 def _index_side(index: GridIndex, native_kernel: Optional[Callable]) -> _JoinSide:
-    """The index as a join side, with its cached cell-ordered points and
-    non-indexed columns on the NumPy tier."""
-    if native_kernel is not None:
-        return _JoinSide(index.points, index.A, index.cell_starts,
-                         index.cell_counts, None)
+    """The index as a join side, with its cached cell-ordered columns on
+    the NumPy tier."""
     return _JoinSide(index.points, index.A, index.cell_starts,
-                     index.cell_counts, index.cell_ordered_points(),
-                     index.unindexed_columns())
+                     index.cell_counts,
+                     None if native_kernel is not None
+                     else index.cell_ordered_columns(),
+                     index.unindexed_dims)
 
 
 def _emit_pairs(sink: PairFragments, q_side: _JoinSide, q_cells: np.ndarray,
@@ -906,22 +914,24 @@ def _emit_pairs(sink: PairFragments, q_side: _JoinSide, q_cells: np.ndarray,
     The cell pairs come from a self-join's box-pruned adjacency
     (:func:`_visit_cell_pairs`) or a probe's walk; this step runs on
     every call, and its return counts only the pairs it is given.  On the
-    NumPy tier the candidates are positions into both sides: coordinates
-    are gathered from the sides' cell-ordered copies, where a cell's points
-    are contiguous, and only the matches are mapped to point ids through
-    the lookups.  With ``native_kernel`` the expand/filter step runs as a
-    compiled pair kernel on the sides' points and lookups, writing into
-    preallocated buffers.
+    NumPy tier the candidates are positions into both sides, and the
+    squared distance is built one dimension at a time: the dimension's
+    column is gathered on both sides with 1-D takes, subtracted, squared
+    and added to the running sum in dimension order, the order of
+    :func:`repro.core.distance.squared_distances` and of the compiled
+    kernels, so both tiers decide every pair alike.  Only the matches are
+    mapped to point ids through the lookups.  With ``native_kernel`` the
+    expand/filter step runs as a compiled pair kernel on the sides' points
+    and lookups, writing into preallocated buffers.
 
-    When the sides carry ``unindexed`` columns (a grid over ``k < n``
-    dims, NumPy tier), each non-indexed dim is tested alone first: its
-    column is gathered on both sides, ``d = q - c``, and the candidate is
-    dropped where ``d * d > eps2``.  The full-row gather, the ``einsum``
-    and the mirror handling run on the survivors, whose hits are mapped
-    back to their candidate slots, so UNICOMP's flags and the stream are
-    unchanged.  The test is exact (see the module docstring): the full
-    distance is never below one of its rounded squares.  The returned
-    count, ``distance_calcs``, is still every expanded candidate.
+    On a grid over ``k < n`` dims the sides' non-indexed dims come first:
+    each one's squares drop the candidates whose square alone exceeds
+    ``eps2`` and are kept, compacted, for the sum, which then reads them
+    in their place in the order.  The test is exact: the sum is never
+    below one of its rounded squares (:mod:`repro.core.distance`).  The
+    mirror flags follow the survivors to their candidate slots, so the
+    stream is unchanged, and the returned count, ``distance_calcs``, is
+    still every expanded candidate.
     """
     # Gather the CSR ranges of the cell pairs once; the chunk loop slices
     # these instead of re-indexing starts/counts for every chunk.
@@ -950,27 +960,7 @@ def _emit_pairs(sink: PairFragments, q_side: _JoinSide, q_cells: np.ndarray,
                       values[:n].copy())
             continue
         q_pos, c_pos = _expand_cell_pairs(*chunk)
-        # The pre-filter: a candidate farther than ε in one non-indexed
-        # dim alone is dropped before the full-row gather.  ``slot`` maps
-        # the survivors back to their candidate slots.
-        slot = None
-        if q_side.unindexed is not None:
-            # A far coordinate squares (or subtracts) past the float range
-            # to inf, which fails ``<= eps2`` and drops the candidate as
-            # it should; only the overflow warning is silenced.
-            with np.errstate(over="ignore"):
-                for q_col, c_col in zip(q_side.unindexed, c_side.unindexed):
-                    d = q_col.take(q_pos)
-                    d -= c_col.take(c_pos)
-                    d *= d
-                    near = np.flatnonzero(d <= eps2)
-                    q_pos = q_pos.take(near)
-                    c_pos = c_pos.take(near)
-                    slot = near if slot is None else slot.take(near)
-        # ndarray.take gathers rows about twice as fast as indexing.
-        diff = q_side.ordered.take(q_pos, axis=0)
-        diff -= c_side.ordered.take(c_pos, axis=0)
-        hit = np.flatnonzero(np.einsum("ij,ij->i", diff, diff) <= eps2)
+        hit = _near_candidates(q_side, q_pos, c_side, c_pos, eps2)
         q_sel = q_side.lookup.take(q_pos.take(hit))
         c_sel = c_side.lookup.take(c_pos.take(hit))
         if mirror is None:
@@ -978,9 +968,57 @@ def _emit_pairs(sink: PairFragments, q_side: _JoinSide, q_cells: np.ndarray,
             continue
         # Each match keeps its cell pair's mirror flag: the sink stands a
         # flagged match for itself and then its reverse.
-        sink.emit(q_sel, c_sel, mirror[lo:hi].repeat(pair_counts[lo:hi]).take(
-            hit if slot is None else slot.take(hit)))
+        sink.emit(q_sel, c_sel,
+                  mirror[lo:hi].repeat(pair_counts[lo:hi]).take(hit))
     return n_dist
+
+
+def _near_candidates(q_side: _JoinSide, q_pos: np.ndarray, c_side: _JoinSide,
+                     c_pos: np.ndarray, eps2: float) -> np.ndarray:
+    """The slots ``i``, ascending, of the candidates ``(q_pos[i],
+    c_pos[i])`` (positions into the sides' columns) whose squared distance
+    is at most ``eps2``: the NumPy emitter's distance filter.
+
+    The non-indexed dims go first; each keeps the candidates whose square
+    alone is within ``eps2`` and their squares, compacted.  The sum then
+    runs in dimension order over the survivors, reading a kept square in
+    its place and gathering every other dimension's.
+    """
+    slot = None
+    kept = {}
+    for j in q_side.unindexed:
+        # A far coordinate squares (or subtracts) past the float range to
+        # inf, which fails ``<= eps2`` and drops the candidate as it
+        # should; only the overflow warning is silenced.
+        with np.errstate(over="ignore"):
+            square = _squared_differences(q_side, q_pos, c_side, c_pos, j)
+        near = np.flatnonzero(square <= eps2)
+        q_pos = q_pos.take(near)
+        c_pos = c_pos.take(near)
+        slot = near if slot is None else slot.take(near)
+        kept = {i: kept_square.take(near) for i, kept_square in kept.items()}
+        kept[j] = square.take(near)
+    total = None
+    for j in range(q_side.columns.shape[0]):
+        square = kept.pop(j, None)
+        if square is None:
+            square = _squared_differences(q_side, q_pos, c_side, c_pos, j)
+        if total is None:
+            total = square
+        else:
+            total += square
+    hit = np.flatnonzero(total <= eps2)
+    return hit if slot is None else slot.take(hit)
+
+
+def _squared_differences(q_side: _JoinSide, q_pos: np.ndarray,
+                         c_side: _JoinSide, c_pos: np.ndarray,
+                         j: int) -> np.ndarray:
+    """``(q_j - c_j)²`` of each candidate, from the sides' column ``j``."""
+    square = q_side.columns[j].take(q_pos)
+    square -= c_side.columns[j].take(c_pos)
+    square *= square
+    return square
 
 
 def _chunk_boundaries(pair_counts: np.ndarray, max_candidate_pairs: int) -> List[tuple[int, int]]:

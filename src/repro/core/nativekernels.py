@@ -179,8 +179,13 @@ def parse_kernel_spec(spec: str) -> str:
 #   mirror             : per cell pair, emit both ordered pairs per match
 #                        (UNICOMP non-home cell pairs)
 # Returns the number of buffer slots written.  The distance accumulates
-# dimension-by-dimension in float64, the same order as the NumPy tier's
-# einsum contraction, so the ε-boundary decision is bit-identical.
+# dimension by dimension in float64, ((d_0² + d_1²) + d_2²) + ..., the
+# order of the NumPy tier's per-dimension loop and of the oracles
+# (repro.core.distance), so the ε-boundary decision is bit-identical across
+# tiers.  The kernels are compiled without fastmath, so the compiler keeps
+# that order; tests/test_native_kernels.py's TestBoundaryParity checks the
+# compiled tier against the NumPy tier at exact-ε inputs where numba is
+# installed.
 
 def _pairs_sparse_impl(q_points, c_points, map_q, map_c,
                        starts_q, counts_q, starts_c, counts_c,

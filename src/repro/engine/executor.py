@@ -28,6 +28,7 @@ from typing import TYPE_CHECKING, Optional, Tuple
 import numpy as np
 
 from repro.core.batching import BatchExecutionReport, run_adaptive_batches
+from repro.core.distance import squared_distances
 from repro.core.gridindex import GridIndex
 from repro.core.kernels import KernelStats
 from repro.core.result import NeighborTable, PairFragments, ResultSet
@@ -214,6 +215,18 @@ def _execute_probe(plan: QueryPlan) -> EngineResult:
     return EngineResult(plan=plan, stats=stats, fragments=master)
 
 
+#: The float64 machine epsilon, ``2u``.
+_FLOAT64_EPS = float(np.finfo(np.float64).eps)
+
+
+def _knn_limit(eps2: float, n_dims: int) -> float:
+    """The squared distance at or below which a kNN candidate provably
+    outranks every point the probe at ``eps2`` left out:
+    ``eps2 * (1 - m)`` with ``m = (4n + 8) u``, ``u`` the unit roundoff of
+    float64 (see :func:`_execute_knn_candidates`)."""
+    return eps2 * (1.0 - (2 * n_dims + 4) * _FLOAT64_EPS)
+
+
 def _execute_knn_candidates(plan: QueryPlan) -> EngineResult:
     """Adaptive-radius candidate generation (exactness argument below).
 
@@ -222,6 +235,23 @@ def _execute_knn_candidates(plan: QueryPlan) -> EngineResult:
     — so *all* its true k nearest neighbors are among the points within r,
     which is exactly the candidate row emitted.  Queries that come up short
     are re-probed with a doubled radius against a rebuilt index.
+
+    That holds for exact distances; the probe's filter and the caller's
+    ranking (:func:`repro.apps.knn.knn_search` ranks by
+    ``sqrt(einsum(...))``) each round theirs, and need not round alike.
+    So a row is finished only when at least k of its candidates have a
+    squared distance (:func:`~repro.core.distance.squared_distances`, a
+    third rounding) at most :func:`_knn_limit` of the round's ``eps2``.
+    All three sums are within ``1 ± γ_n`` of the exact one (``γ_n ≈ n u``,
+    ``u`` the unit roundoff), so such a candidate's ranked squared distance
+    is at most about ``eps2 (1 - m + 2 γ_n + u)``, and a point the probe
+    left out (its filtered sum above ``eps2``) ranks at about ``eps2 (1 -
+    2 γ_n)`` or more.  With ``m = (4n + 8) u`` their ratio stays below ``1
+    - 4u``, which the rounded ``sqrt`` cannot close: k candidates rank
+    strictly ahead of everything left out.  A row with k candidates but
+    fewer below the limit (its k-th neighbour within the margin of the
+    radius) is answered against all points, as the rows still short after
+    the last round are.
     """
     query = plan.query
     data = plan.index.points
@@ -236,6 +266,7 @@ def _execute_knn_candidates(plan: QueryPlan) -> EngineResult:
     index = plan.index
     radius = plan.eps
     remaining = np.arange(n_q, dtype=np.int64)
+    unsure = []
 
     for _ in range(MAX_KNN_ROUNDS):
         # Cancellation checkpoint: each doubling round re-probes (and may
@@ -256,7 +287,18 @@ def _execute_knn_candidates(plan: QueryPlan) -> EngineResult:
             selected = np.zeros(n_q, dtype=bool)
             selected[finished] = True
             take = selected[keys]
-            master.emit(keys[take], values[take])
+            keys, values = keys[take], values[take]
+            near = squared_distances(queries.take(keys, axis=0),
+                                     data.take(values, axis=0)) \
+                <= _knn_limit(radius * radius, data.shape[1])
+            sure = np.bincount(keys[near], minlength=n_q)[finished] \
+                >= required
+            if not sure.all():
+                unsure.append(finished[~sure])
+                selected[finished[~sure]] = False
+                take = selected[keys]
+                keys, values = keys[take], values[take]
+            master.emit(keys, values)
         remaining = remaining[~satisfied]
         if remaining.shape[0] == 0:
             break
@@ -270,8 +312,10 @@ def _execute_knn_candidates(plan: QueryPlan) -> EngineResult:
         else:
             index = GridIndex.build(data, radius, dims=plan.index.dims)
 
+    remaining = np.concatenate([remaining, *unsure])
     if remaining.shape[0]:
-        # Degenerate grids / extreme outliers: hand the stragglers every
+        # Degenerate grids / extreme outliers, and rows whose k-th
+        # neighbour sits within the margin of the radius: hand them every
         # data point (the top-k selection downstream stays exact).
         keys = np.repeat(remaining, n)
         values = np.tile(np.arange(n, dtype=np.int64), remaining.shape[0])

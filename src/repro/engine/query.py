@@ -122,7 +122,14 @@ class Query:
     def range_query(cls, data: np.ndarray, queries: np.ndarray,
                     eps: float) -> "Query":
         """Per-query ε-neighborhoods over ``data`` (CSR rows keyed by query)."""
-        data = ensure_2d_float64(data, name="data")
+        return cls._range_query(ensure_2d_float64(data, name="data"),
+                                queries, eps)
+
+    @classmethod
+    def _range_query(cls, data: np.ndarray, queries: np.ndarray,
+                     eps: float) -> "Query":
+        """:meth:`range_query` over a ``data`` already normalized once, as
+        a session's dataset is: only the queries are validated."""
         queries = ensure_2d_float64(queries, name="queries")
         if data.shape[1] != queries.shape[1]:
             raise ValueError("data and queries must have the same dimensionality")
@@ -141,7 +148,17 @@ class Query:
         (``k``, or ``k + 1`` when the query point itself must be excluded)
         that the true k nearest neighbors are provably among them.
         """
-        points = ensure_2d_float64(points)
+        return cls._knn_candidates(ensure_2d_float64(points), k, queries,
+                                   cell_width=cell_width,
+                                   include_self=include_self)
+
+    @classmethod
+    def _knn_candidates(cls, points: np.ndarray, k: int,
+                        queries: Optional[np.ndarray] = None, *,
+                        cell_width: Optional[float] = None,
+                        include_self: bool = False) -> "Query":
+        """:meth:`knn_candidates` over ``points`` already normalized once,
+        as a session's dataset is: only the queries are validated."""
         if k < 1:
             raise ValueError("k must be >= 1")
         if queries is not None:

@@ -318,8 +318,12 @@ class EngineSession:
         return self.run(Query.bipartite_join(left, self.points, eps))
 
     def range_query(self, queries: np.ndarray, eps: float) -> EngineResult:
-        """Per-query ε-neighborhoods over the session dataset."""
-        return self.run(Query.range_query(self.points, queries, eps))
+        """Per-query ε-neighborhoods over the session dataset.
+
+        The dataset was validated when the session was created; only
+        ``queries`` is checked here.
+        """
+        return self.run(Query._range_query(self.points, queries, eps))
 
     def knn_candidates(self, k: int, queries: Optional[np.ndarray] = None, *,
                        cell_width: Optional[float] = None,
@@ -328,8 +332,9 @@ class EngineSession:
 
         Every radius-doubling round resolves its index through the session
         cache, so repeated calls (and the rounds within one call) reuse the
-        per-ε indexes.
+        per-ε indexes.  As for :meth:`range_query`, only ``queries`` is
+        validated.
         """
-        return self.run(Query.knn_candidates(
+        return self.run(Query._knn_candidates(
             self.points, k, queries=queries, cell_width=cell_width,
             include_self=include_self))

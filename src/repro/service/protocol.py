@@ -220,7 +220,14 @@ _WIRE_NAMES = {np.dtype(name): name for name in WIRE_DTYPES}
 
 def pack_arrays(arrays: Sequence[Tuple[str, np.ndarray]],
                 ) -> Tuple[List[dict], bytes]:
-    """Describe named arrays as header metadata + one concatenated payload."""
+    """Describe named arrays as header metadata + one concatenated payload.
+
+    The payload carries native-order bytes (little-endian on x86 and ARM
+    hosts), which :func:`unpack_arrays` reads back as such: an array in
+    the other byte order (a big-endian catalog read from a file as is,
+    say) is byte-swapped first, so its values arrive, not its bytes
+    reinterpreted.
+    """
     meta: List[dict] = []
     parts: List[bytes] = []
     for name, arr in arrays:
@@ -229,6 +236,8 @@ def pack_arrays(arrays: Sequence[Tuple[str, np.ndarray]],
         if dtype not in WIRE_DTYPES:
             raise ProtocolError(f"dtype {dtype!r} of array "
                                 f"{name!r} is not wire-encodable")
+        if not arr.dtype.isnative:
+            arr = arr.astype(arr.dtype.newbyteorder("="))
         buf = arr.tobytes()
         meta.append({"name": name, "dtype": dtype,
                      "shape": list(arr.shape), "nbytes": len(buf)})

@@ -128,3 +128,52 @@ class TestSessionExtent:
         for k in (1, 3, 5):
             run_query(Query.knn_candidates(pts, k))
         assert calls == {"session": 0, "planner": 3}
+
+
+class TestRankingMargin:
+    """The probe filters by one rounding of the squared distance and the
+    ranking sorts by another (``einsum``), so a row is finished only when
+    its k-th neighbour lies below the probe radius by a margin covering
+    both; a row whose k-th neighbour sits inside that margin is answered
+    against all points."""
+
+    EPS = 0.5
+
+    def data(self):
+        near = [[0.1, 0.0, 0.0],
+                # Exactly on the first probe radius: within the margin.
+                [self.EPS, 0.0, 0.0],
+                # One ulp past it, which the probe leaves out.
+                [np.nextafter(self.EPS, 1.0), 0.0, 0.0],
+                [0.0, 0.3, 0.4]]
+        # The second query's neighbourhood, well inside the radius.
+        cluster = [[5.0, 5.0, 5.1], [5.0, 5.1, 5.0], [5.2, 5.0, 5.0]]
+        far = uniform_dataset(40, 3, seed=8, low=8.0, high=12.0)
+        return np.concatenate([near, cluster, far])
+
+    def brute_force(self, points, queries, k):
+        indices, distances = [], []
+        for query in queries:
+            diff = query - points
+            dist = np.sqrt(np.einsum("ij,ij->i", diff, diff))
+            order = np.argsort(dist, kind="stable")[:k]
+            indices.append(order)
+            distances.append(dist[order])
+        return np.array(indices), np.array(distances)
+
+    def test_kth_neighbour_on_the_radius_matches_brute_force(self):
+        from repro.engine import Query, run_query
+
+        points = self.data()
+        queries = np.array([[0.0, 0.0, 0.0], [5.0, 5.0, 5.0]])
+        k = 2
+        candidates = run_query(Query.knn_candidates(
+            points, k, queries=queries, cell_width=self.EPS)).neighbor_table
+        # The first row's second neighbour is on the radius: every point
+        # is its candidate.  The second row finished on its probe.
+        assert candidates.counts().tolist() == [points.shape[0], 3]
+        result = knn_search(points, k=k, queries=queries, cell_width=self.EPS)
+        indices, distances = self.brute_force(points, queries, k)
+        assert np.array_equal(result.indices, indices)
+        assert np.array_equal(result.distances, distances)
+        assert result.indices[0].tolist() == [0, 1]

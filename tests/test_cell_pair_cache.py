@@ -193,7 +193,7 @@ class TestByteBound:
             run_query(Query.self_join(index.points, index.eps,
                                       unicomp=unicomp),
                       index=index, backend="vectorized")
-        kept = (index.cell_ordered_points().nbytes
+        kept = (index.cell_ordered_columns().nbytes
                 + kept_adjacency(index, False).nbytes
                 + kept_adjacency(index, True).nbytes)
         assert index.cached_nbytes() == kept
@@ -202,13 +202,14 @@ class TestByteBound:
             * index.points.nbytes
         assert planner.buffer_capacity_pairs(index) < cold
 
-    def test_cell_ordered_points(self):
+    def test_cell_ordered_columns(self):
         index = GridIndex.build(uniform_dataset(500, 4, seed=3, low=0, high=1),
                                 0.2)
-        ordered = index.cell_ordered_points()
-        assert np.array_equal(ordered, index.points[index.A])
-        assert not ordered.flags.writeable
-        assert index.cell_ordered_points() is ordered
+        columns = index.cell_ordered_columns()
+        assert columns.shape == (4, 500) and columns.flags.c_contiguous
+        assert np.array_equal(columns, index.points[index.A].T)
+        assert not columns.flags.writeable
+        assert index.cell_ordered_columns() is columns
 
 
 # --------------------------------------------------------------------------

@@ -168,6 +168,40 @@ class TestIndexCache:
             assert set(session.cached_eps) == {0.7, 0.9}
 
 
+class TestDatasetValidatedOnce:
+    """The session validates its dataset when it is created; its range and
+    kNN queries validate only their own points."""
+
+    def test_queries_do_not_rescan_the_dataset(self, monkeypatch):
+        from repro.apps.knn import knn_search
+        from repro.engine import query as query_module
+
+        points = uniform_dataset(300, 2, seed=4, low=0.0, high=1.0)
+        seen = []
+        check = query_module.ensure_2d_float64
+
+        def spy(array, *args, **kwargs):
+            seen.append(array)
+            return check(array, *args, **kwargs)
+
+        monkeypatch.setattr(query_module, "ensure_2d_float64", spy)
+        with EngineSession(points) as session:
+            probe = points[:3] + 0.01
+            session.range_query(probe, 0.1)
+            knn_search(None, 2, queries=probe, session=session)
+            session.knn_candidates(2)
+            assert seen and not any(a is session.points for a in seen)
+            for bad in (np.array([[np.nan, 0.0]]), np.array([[np.inf, 0.0]])):
+                with pytest.raises(ValueError, match="finite"):
+                    session.range_query(bad, 0.1)
+                with pytest.raises(ValueError, match="finite"):
+                    knn_search(None, 2, queries=bad, session=session)
+
+    def test_the_dataset_is_validated_at_creation(self):
+        with pytest.raises(ValueError, match="finite"):
+            EngineSession(np.array([[0.0, 1.0], [np.nan, 0.0]]))
+
+
 class TestSessionParity:
     @pytest.mark.parametrize("dims", ALL_DIMS)
     @pytest.mark.parametrize("unicomp", [False, True])

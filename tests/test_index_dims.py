@@ -328,7 +328,8 @@ class TestChooser:
 
 
 class TestUnindexedColumnCache:
-    """What the pre-filter keeps on an index, and who counts it."""
+    """What the pre-filter reads on an index, and who counts it: the one
+    column-major copy of the points, whatever dims the grid indexes."""
 
     def test_reduced_index_keeps_and_counts_its_columns(self):
         from repro.core.batching import data_bytes
@@ -337,24 +338,28 @@ class TestUnindexedColumnCache:
         assert index.unindexed_dims == (5,)
         before_cached = index.cached_nbytes()
         before_data = data_bytes(index)
-        columns = index.unindexed_columns()
-        assert columns.shape == (1, index.num_points)
+        columns = index.cell_ordered_columns()
+        assert columns.shape == (6, index.num_points)
         assert columns.flags.c_contiguous and not columns.flags.writeable
-        assert np.array_equal(columns[0], index.points[index.A, 5])
-        assert index.unindexed_columns() is columns
-        # The columns and the cell-ordered copy they are read from.
-        grown = columns.nbytes + index.cell_ordered_points().nbytes
-        assert index.cached_nbytes() == before_cached + grown
-        assert data_bytes(index) == before_data + grown
+        assert np.array_equal(columns[5], index.points[index.A, 5])
+        assert index.cell_ordered_columns() is columns
+        # One copy of the points: the non-indexed dims are rows of it.
+        assert columns.nbytes == index.points.nbytes
+        assert index.cached_nbytes() == before_cached + columns.nbytes
+        assert data_bytes(index) == before_data + columns.nbytes
 
-    def test_all_dims_index_never_creates_the_entry(self):
-        points = uniform_dataset(2000, 3, seed=1, low=0.0, high=1.0)
-        index = QueryPlanner().index_dataset(points, 0.08)
-        assert index.dims == (0, 1, 2) and index.unindexed_dims == ()
-        assert index.unindexed_columns() is None
-        run_query(Query.self_join(points, 0.08), index=index)
-        run_query(Query.range_query(points, points[:20], 0.08), index=index)
-        assert "unindexed_columns" not in index._derived
+    @pytest.mark.parametrize("n_dims, eps, grid_dims", [
+        (3, 0.08, (0, 1, 2)), (6, HIGHDIM["eps"], (0, 1, 2, 3, 4))])
+    def test_joins_keep_the_columns_and_the_adjacency_only(
+            self, n_dims, eps, grid_dims):
+        points = _highdim() if n_dims == 6 \
+            else uniform_dataset(2000, 3, seed=1, low=0.0, high=1.0)
+        index = QueryPlanner().index_dataset(points, eps)
+        assert index.dims == grid_dims
+        run_query(Query.self_join(points, eps), index=index)
+        run_query(Query.range_query(points, points[:20], eps), index=index)
+        assert set(index._derived) == {"cell_ordered_columns",
+                                       ("cell_pairs", True)}
 
 
 class TestKnnRebuildKeepsThePlansDims:

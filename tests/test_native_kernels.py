@@ -356,6 +356,96 @@ class TestStatsAndSpecs:
 
 
 # --------------------------------------------------------------------------
+# both tiers at the ε boundary
+# --------------------------------------------------------------------------
+def boundary_points(n_dims: int, seed: int):
+    """Base points, each with a partner ε away along a random direction,
+    and copies of the partners one ulp either way in every coordinate:
+    many pairs whose squared distance rounds to within a few ulps of
+    ``eps2``, where the order of the sum decides."""
+    rng = np.random.default_rng(seed)
+    eps = 0.5
+    base = rng.uniform(0.0, 3.0, (100, n_dims))
+    direction = rng.normal(size=(100, n_dims))
+    direction /= np.linalg.norm(direction, axis=1, keepdims=True)
+    partner = base + eps * direction
+    return np.concatenate([base, partner, np.nextafter(partner, np.inf),
+                           np.nextafter(partner, -np.inf)]), eps
+
+
+def decided_by_the_order(points: np.ndarray, eps: float) -> int:
+    """How many base-to-partner pairs the dimension-order sum and the
+    reversed-order sum decide differently."""
+    n = points.shape[0] // 4
+    eps2 = eps * eps
+    flips = 0
+    for copy in range(1, 4):
+        diff = points[:n] - points[copy * n:(copy + 1) * n]
+        forward = np.zeros(n)
+        backward = np.zeros(n)
+        for j in range(diff.shape[1]):
+            forward += diff[:, j] * diff[:, j]
+            backward += diff[:, -1 - j] * diff[:, -1 - j]
+        flips += int(((forward <= eps2) != (backward <= eps2)).sum())
+    return flips
+
+
+#: The NumPy tier's counterparts: the uncompiled kernel bodies, and the
+#: compiled kernels where numba is installed.
+BOUNDARY_KERNELS = ["dense", "sparse", pytest.param(
+    "compiled", marks=pytest.mark.skipif(not HAS_NUMBA,
+                                         reason="numba not installed"))]
+
+
+def run_on(kernel, operator, *args, **options):
+    """``operator(*args, **options)`` on the compiled tier, or with the
+    uncompiled ``dense``/``sparse`` kernel body."""
+    if kernel == "compiled":
+        return operator(*args, tier="numba", **options)
+    impl = {"dense": nk._pairs_dense_impl,
+            "sparse": nk._pairs_sparse_impl}[kernel]
+    with pair_kernel(impl):
+        return operator(*args, tier="numpy", **options)
+
+
+class TestBoundaryParity:
+    """Both tiers emit the same pair stream at exact-ε and ±1-ulp inputs:
+    they sum the squared distance in the same order
+    (:mod:`repro.core.distance`).  Each input sits where another order
+    would decide some pairs differently, so equal streams show an equal
+    order."""
+
+    @pytest.mark.parametrize("kernel", BOUNDARY_KERNELS)
+    @pytest.mark.parametrize("unicomp", [False, True])
+    @pytest.mark.parametrize("n_dims", [3, 4, 5, 6])
+    def test_same_stream_at_the_boundary(self, n_dims, unicomp, kernel):
+        points, eps = boundary_points(n_dims, seed=60 + n_dims)
+        assert decided_by_the_order(points, eps) > 0
+        ref = PairFragments(points.shape[0])
+        run_selfjoin(GridIndex.build(points, eps), eps, ref,
+                     unicomp=unicomp, tier="numpy")
+        got = PairFragments(points.shape[0])
+        run_on(kernel, run_selfjoin, GridIndex.build(points, eps), eps, got,
+               unicomp=unicomp)
+        for got_part, ref_part in zip(got.concatenated(), ref.concatenated()):
+            np.testing.assert_array_equal(got_part, ref_part)
+
+    @pytest.mark.parametrize("kernel", BOUNDARY_KERNELS)
+    @pytest.mark.parametrize("n_dims", [3, 4, 5, 6])
+    def test_same_probe_stream_at_the_boundary(self, n_dims, kernel):
+        points, eps = boundary_points(n_dims, seed=70 + n_dims)
+        assert decided_by_the_order(points, eps) > 0
+        n = points.shape[0] // 4
+        queries, index = points[:n], GridIndex.build(points[n:], eps)
+        ref = PairFragments(n)
+        run_probe(queries, index, eps, ref, tier="numpy")
+        got = PairFragments(n)
+        run_on(kernel, run_probe, queries, index, eps, got)
+        for got_part, ref_part in zip(got.concatenated(), ref.concatenated()):
+            np.testing.assert_array_equal(got_part, ref_part)
+
+
+# --------------------------------------------------------------------------
 # compiled tier (requires numba)
 # --------------------------------------------------------------------------
 @pytest.mark.skipif(not HAS_NUMBA, reason="numba not installed")

@@ -260,6 +260,15 @@ class TestArrayCodec:
         meta, payload = protocol.pack_arrays([("a", arr)])
         assert np.array_equal(protocol.unpack_arrays(meta, payload)["a"], arr)
 
+    @pytest.mark.parametrize("dtype", [">f8", ">i4"])
+    def test_non_native_byte_order_round_trips(self, dtype):
+        arr = np.arange(-3, 5, dtype=dtype).reshape(2, 4)
+        meta, payload = protocol.pack_arrays([("a", arr)])
+        got = protocol.unpack_arrays(meta, payload)["a"]
+        assert got.dtype == arr.dtype.newbyteorder("=") and got.dtype.isnative
+        assert np.array_equal(got, arr)
+        assert got.tolist() == arr.tolist()
+
     def test_object_dtype_rejected_on_pack(self):
         with pytest.raises(protocol.ProtocolError, match="not wire-encodable"):
             protocol.pack_arrays([("evil", np.array(["a", "b"], dtype=object))])
