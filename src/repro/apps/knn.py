@@ -12,7 +12,7 @@ distance evaluation over all (query, candidate) pairs and one grouped sort.
 That ranking rounds its distances its own way (``einsum``), not as the
 probe's filter does; the executor finishes a row only when its k-th
 neighbour lies below the radius by a margin that covers both roundings,
-and answers any other row against all points, so the answer is exact
+and re-probes any other row at the doubled radius, so the answer is exact
 whichever kernel tier filtered the candidates.
 
 Candidate generation runs inside an

@@ -9,8 +9,12 @@ squared and rounded, then added in dimension order,
 numba pair kernels' loop (:mod:`repro.core.nativekernels`), the NumPy
 emitter's per-dimension loop (:func:`repro.core.kernels._emit_pairs`) and
 :func:`squared_distances` below, which the brute-force and per-cell oracles
-(:mod:`repro.baselines.bruteforce`, :mod:`repro.baselines.cellwise`) and the
-kNN executor's exactness check use.  ``einsum`` is not used for this: its
+(:mod:`repro.baselines.bruteforce`, :mod:`repro.baselines.cellwise`), the
+dense-grid and EGO joins, the GPU simulator's kernels
+(:mod:`repro.core.simkernels`) and the kNN executor's exactness check use.
+The R-tree baseline (:mod:`repro.baselines.rtree`) is the one exception:
+it compares ``np.linalg.norm`` distances with ε itself, a different test
+at the boundary.  ``einsum`` is not used for this: its
 reduction order depends on the operands' memory layout (on one host a
 contiguous 3-D row sums as ``(d_0² + d_2²) + d_1²`` and a strided one in
 plain order), so it cannot agree with the kernels bit for bit.

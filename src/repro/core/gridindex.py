@@ -336,7 +336,7 @@ class GridIndex:
                        for value in list(self._derived.values())))
 
     def cell_ordered_columns(self) -> np.ndarray:
-        """``points`` in ``A`` order, column-major: an ``(n, |D|)`` array
+        """``points`` in ``A`` order, column-major: a ``(|D|, n)`` array
         whose row ``j`` holds dimension ``j`` of points ``A[0], A[1], ...``,
         so each dimension of a cell's points is one contiguous run.  The
         NumPy emitter gathers its candidates' coordinates from these rows

@@ -20,6 +20,7 @@ from typing import List, Optional
 
 import numpy as np
 
+from repro.core.distance import squared_distances
 from repro.core.gridindex import GridIndex
 from repro.core.neighbors import (
     adjacent_ranges,
@@ -75,8 +76,7 @@ def _scan_cell(ctx: ThreadContext, index: GridIndex, point: np.ndarray, gid: int
         candidate = int(index.A[k])
         ctx.load("D", candidate * n_dims, 8 * n_dims)
         ctx.work(1)
-        diff = index.points[candidate] - point
-        dist2 = float(np.dot(diff, diff))
+        dist2 = float(squared_distances(point, index.points[candidate]))
         if dist2 <= eps2:
             ctx.emit(1 if not mirror else 2)
             keys.append(gid)

@@ -240,18 +240,22 @@ def _execute_knn_candidates(plan: QueryPlan) -> EngineResult:
     ranking (:func:`repro.apps.knn.knn_search` ranks by
     ``sqrt(einsum(...))``) each round theirs, and need not round alike.
     So a row is finished only when at least k of its candidates have a
-    squared distance (:func:`~repro.core.distance.squared_distances`, a
-    third rounding) at most :func:`_knn_limit` of the round's ``eps2``.
-    All three sums are within ``1 ± γ_n`` of the exact one (``γ_n ≈ n u``,
-    ``u`` the unit roundoff), so such a candidate's ranked squared distance
-    is at most about ``eps2 (1 - m + 2 γ_n + u)``, and a point the probe
-    left out (its filtered sum above ``eps2``) ranks at about ``eps2 (1 -
-    2 γ_n)`` or more.  With ``m = (4n + 8) u`` their ratio stays below ``1
-    - 4u``, which the rounded ``sqrt`` cannot close: k candidates rank
-    strictly ahead of everything left out.  A row with k candidates but
-    fewer below the limit (its k-th neighbour within the margin of the
-    radius) is answered against all points, as the rows still short after
-    the last round are.
+    squared distance at most :func:`_knn_limit` of the round's ``eps2``.
+    That distance is :func:`~repro.core.distance.squared_distances`, the
+    filter's own sum (same differences, same order, on either kernel
+    tier), so only two roundings differ: the filter's and the ranking's.
+    Each is within ``1 ± γ_n`` of the exact sum of the rounded differences'
+    squares (``γ_n ≈ n u``, ``u`` the unit roundoff).  Such a candidate's
+    ranked squared distance is then at most about ``eps2 (1 - m + 2 γ_n +
+    u)`` (the last ``u`` rounds the limit), and a point the probe left out
+    (its filtered sum above ``eps2``) ranks at about ``eps2 (1 - 2 γ_n)`` or
+    more.  With ``m = (4n + 8) u`` their ratio stays below ``1 - 4u``,
+    which the rounded ``sqrt`` cannot close: k candidates rank strictly
+    ahead of everything left out.  A row with k candidates but fewer below
+    the limit (its k-th neighbour within the margin of the radius) is not
+    finished and is re-probed at the doubled radius, where that neighbour
+    lies far inside the limit; only rows still unfinished after the last
+    round are answered against all points.
     """
     query = plan.query
     data = plan.index.points
@@ -266,7 +270,6 @@ def _execute_knn_candidates(plan: QueryPlan) -> EngineResult:
     index = plan.index
     radius = plan.eps
     remaining = np.arange(n_q, dtype=np.int64)
-    unsure = []
 
     for _ in range(MAX_KNN_ROUNDS):
         # Cancellation checkpoint: each doubling round re-probes (and may
@@ -280,26 +283,17 @@ def _execute_knn_candidates(plan: QueryPlan) -> EngineResult:
         if exclude_self and keys.shape[0]:
             keep = keys != values
             keys, values = keys[keep], values[keep]
-        counts = np.bincount(keys, minlength=n_q)
-        satisfied = counts[remaining] >= required
-        finished = remaining[satisfied]
-        if finished.shape[0]:
+        near = squared_distances(queries.take(keys, axis=0),
+                                 data.take(values, axis=0)) \
+            <= _knn_limit(radius * radius, data.shape[1])
+        finished = np.bincount(keys[near], minlength=n_q)[remaining] \
+            >= required
+        if finished.any():
             selected = np.zeros(n_q, dtype=bool)
-            selected[finished] = True
+            selected[remaining[finished]] = True
             take = selected[keys]
-            keys, values = keys[take], values[take]
-            near = squared_distances(queries.take(keys, axis=0),
-                                     data.take(values, axis=0)) \
-                <= _knn_limit(radius * radius, data.shape[1])
-            sure = np.bincount(keys[near], minlength=n_q)[finished] \
-                >= required
-            if not sure.all():
-                unsure.append(finished[~sure])
-                selected[finished[~sure]] = False
-                take = selected[keys]
-                keys, values = keys[take], values[take]
-            master.emit(keys, values)
-        remaining = remaining[~satisfied]
+            master.emit(keys[take], values[take])
+        remaining = remaining[~finished]
         if remaining.shape[0] == 0:
             break
         radius *= 2.0
@@ -312,11 +306,10 @@ def _execute_knn_candidates(plan: QueryPlan) -> EngineResult:
         else:
             index = GridIndex.build(data, radius, dims=plan.index.dims)
 
-    remaining = np.concatenate([remaining, *unsure])
     if remaining.shape[0]:
-        # Degenerate grids / extreme outliers, and rows whose k-th
-        # neighbour sits within the margin of the radius: hand them every
-        # data point (the top-k selection downstream stays exact).
+        # Degenerate grids / extreme outliers: hand every data point to the
+        # queries still unsatisfied (the top-k selection downstream stays
+        # exact).
         keys = np.repeat(remaining, n)
         values = np.tile(np.arange(n, dtype=np.int64), remaining.shape[0])
         if exclude_self:

@@ -59,6 +59,7 @@ import numpy as np
 
 from repro.core.gridindex import GridIndex
 from repro.data.store import (  # noqa: F401  (re-exported for compatibility)
+    ArraySource,
     DatasetIdentity,
     DatasetSource,
     as_dataset_source,
@@ -71,7 +72,7 @@ from repro.engine.executor import EngineResult, execute
 from repro.engine.planner import QueryPlanner
 from repro.engine.query import Query
 from repro.utils.counters import Counters
-from repro.utils.validation import check_eps
+from repro.utils.validation import check_eps, check_points
 
 #: Monotonic token source distinguishing session instances (two sessions
 #: over the same array share a dataset identity but not a token).
@@ -143,12 +144,17 @@ class EngineSession:
 
         For an :class:`~repro.data.store.ArraySource` this is the normalized
         input array (free).  For an on-disk source the first access
-        materializes the dataset in original row order — streamed self-joins
-        never touch this property, which is what keeps them out-of-core.
+        materializes the dataset in original row order and validates it
+        (:func:`~repro.utils.validation.check_points`) once — streamed
+        self-joins never touch this property, which is what keeps them
+        out-of-core.  The session's queries rely on this one check and do
+        not re-scan the dataset.
         """
         with self._lock:
             if self._points is None:
-                self._points = self.source.as_array()
+                points = self.source.as_array()
+                self._points = points if isinstance(self.source, ArraySource) \
+                    else check_points(points)
             return self._points
 
     @property
@@ -320,7 +326,8 @@ class EngineSession:
     def range_query(self, queries: np.ndarray, eps: float) -> EngineResult:
         """Per-query ε-neighborhoods over the session dataset.
 
-        The dataset was validated when the session was created; only
+        The dataset was validated once (at creation for an array, on
+        materialization for an on-disk store, :attr:`points`); only
         ``queries`` is checked here.
         """
         return self.run(Query._range_query(self.points, queries, eps))

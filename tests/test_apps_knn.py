@@ -134,8 +134,8 @@ class TestRankingMargin:
     """The probe filters by one rounding of the squared distance and the
     ranking sorts by another (``einsum``), so a row is finished only when
     its k-th neighbour lies below the probe radius by a margin covering
-    both; a row whose k-th neighbour sits inside that margin is answered
-    against all points."""
+    both; a row whose k-th neighbour sits inside that margin is re-probed
+    at the doubled radius."""
 
     EPS = 0.5
 
@@ -151,14 +151,16 @@ class TestRankingMargin:
         far = uniform_dataset(40, 3, seed=8, low=8.0, high=12.0)
         return np.concatenate([near, cluster, far])
 
-    def brute_force(self, points, queries, k):
+    def brute_force(self, points, queries, k, exclude_self=False):
         indices, distances = [], []
-        for query in queries:
+        for row, query in enumerate(queries):
             diff = query - points
             dist = np.sqrt(np.einsum("ij,ij->i", diff, diff))
-            order = np.argsort(dist, kind="stable")[:k]
-            indices.append(order)
-            distances.append(dist[order])
+            order = np.argsort(dist, kind="stable")
+            if exclude_self:
+                order = order[order != row]
+            indices.append(order[:k])
+            distances.append(dist[order[:k]])
         return np.array(indices), np.array(distances)
 
     def test_kth_neighbour_on_the_radius_matches_brute_force(self):
@@ -169,11 +171,36 @@ class TestRankingMargin:
         k = 2
         candidates = run_query(Query.knn_candidates(
             points, k, queries=queries, cell_width=self.EPS)).neighbor_table
-        # The first row's second neighbour is on the radius: every point
-        # is its candidate.  The second row finished on its probe.
-        assert candidates.counts().tolist() == [points.shape[0], 3]
+        # The first row's second neighbour is on the radius: the row is
+        # answered by the doubled radius's probe, the four near points.
+        # The second row finished on its first probe.
+        assert candidates.counts().tolist() == [4, 3]
         result = knn_search(points, k=k, queries=queries, cell_width=self.EPS)
         indices, distances = self.brute_force(points, queries, k)
         assert np.array_equal(result.indices, indices)
         assert np.array_equal(result.distances, distances)
         assert result.indices[0].tolist() == [0, 1]
+
+    @pytest.mark.parametrize("cell_width", [1.0, 0.5])
+    def test_lattice_rows_stay_local(self, cell_width):
+        """On an integer lattice every interior point's 4 nearest neighbours
+        sit exactly on a probe radius of 1.0; those rows are re-probed at
+        2.0, not answered against all points."""
+        from repro.engine import Query, run_query
+
+        side = 30
+        grid = np.stack(np.meshgrid(np.arange(side), np.arange(side),
+                                    indexing="ij"), axis=-1)
+        points = grid.reshape(-1, 2).astype(np.float64)
+        k = 4
+        candidates = run_query(Query.knn_candidates(
+            points, k, cell_width=cell_width)).neighbor_table
+        # An interior row gets the 12 other lattice points within 2.0; a
+        # corner row, whose 4th neighbour sits exactly on 2.0 as well, the
+        # 16 within 4.0 in its quadrant.
+        assert candidates.counts().max() == 16
+        result = knn_search(points, k=k, cell_width=cell_width)
+        indices, distances = self.brute_force(points, points, k,
+                                              exclude_self=True)
+        assert np.array_equal(result.indices, indices)
+        assert np.array_equal(result.distances, distances)

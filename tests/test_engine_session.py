@@ -169,8 +169,9 @@ class TestIndexCache:
 
 
 class TestDatasetValidatedOnce:
-    """The session validates its dataset when it is created; its range and
-    kNN queries validate only their own points."""
+    """The session validates its dataset once: an array when the session
+    is created, a store when it is materialized; its range and kNN queries
+    validate only their own points."""
 
     def test_queries_do_not_rescan_the_dataset(self, monkeypatch):
         from repro.apps.knn import knn_search
@@ -200,6 +201,25 @@ class TestDatasetValidatedOnce:
     def test_the_dataset_is_validated_at_creation(self):
         with pytest.raises(ValueError, match="finite"):
             EngineSession(np.array([[0.0, 1.0], [np.nan, 0.0]]))
+
+    def test_a_store_is_validated_when_materialized(self, tmp_path):
+        """An on-disk store's points are checked once, when the session
+        first reads them as an array, since its queries do not re-scan
+        them."""
+        from repro.apps.knn import knn_search
+        from repro.data.store import SpatialStore
+
+        points = uniform_dataset(50, 2, seed=5, low=0.0, high=1.0)
+        SpatialStore.write(points, tmp_path / "store")
+        stored = np.load(tmp_path / "store" / "points.npy")
+        stored[7, 1] = np.nan
+        np.save(tmp_path / "store" / "points.npy", stored)
+        for query in (lambda session: session.range_query(points[:2], 0.1),
+                      lambda session: knn_search(None, 2, queries=points[:2],
+                                                 session=session)):
+            with EngineSession(SpatialStore.open(tmp_path / "store")) as session:
+                with pytest.raises(ValueError, match="points must be finite"):
+                    query(session)
 
 
 class TestSessionParity:
